@@ -4,7 +4,8 @@ Subcommands:
 
   run <config>        train the collocation network (plain or augmented)
   oracle <config>     finite-difference reference iterations
-  grad-check          verify jet Laplacians and loss gradients
+  grad-check          verify jet Laplacians and loss gradients against
+                      finite differences (acceptance criteria 1-2)
   sweep <config> --alphas A1 A2 ...   one run per regularisation weight
 
 Exit codes: 0 success, 1 validation error, 2 numerical divergence.
@@ -20,18 +21,15 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import sys
 
-import numpy as np
-
 from .config import (ExperimentConfig, emit_csv, load_pgm_target, parse_config,
-                     sample_image_on_grid)
-from .driver import UzawaConfig, domain_for, run_deep_uzawa, rho_alpha_sweep
+                     sample_image_on_grid, write_csv)
+from .driver import UzawaConfig, domain_for, resolve_rho, rho_alpha_sweep, run_deep_uzawa
 from .errors import ConfigError, PgmError
 from .fd_oracle import (Grid1D, constant_target, fd_direct_kkt_solve, fd_projected_uzawa_run,
                         fd_uzawa_run, gauss_seidel_adjoint_run, sine_target)
 from .geometry import Domain, build_grid, cutoff_jet, l2_norm
-from .lagrangian import MultiplierField, ProblemSpec, TargetSpec
-from .network import (NetworkSpec, batch_jets, evaluate, finite_difference_gradient,
-                      init_network, loss_and_gradient, save_checkpoint)
+from .lagrangian import ProblemSpec, TargetSpec
+from .network import CHECK_BOUND, NetworkSpec, evaluate, grad_check, save_checkpoint
 
 _NETWORK_TAGS = ("sine1d", "boundary_layer", "sine2d", "ac_sine", "ac_step", "ac_image")
 _ORACLE_TAGS = ("fd_oracle", "sine1d", "boundary_layer")
@@ -108,12 +106,10 @@ def _write_refined(record, cfg: ExperimentConfig):
     fine = build_grid(domain, n_fine)
     cut = cutoff_jet(domain, fine.points)
     u, f = evaluate(record.params, fine.points, cut.b)
-    from .config import _write_csv  # same formatting as the main files
-
-    _write_csv(os.path.join(cfg.output_dir, "State_refined.csv"), ("state",),
-               [(v,) for v in u])
-    _write_csv(os.path.join(cfg.output_dir, "Control_refined.csv"), ("control",),
-               [(v,) for v in f])
+    write_csv(os.path.join(cfg.output_dir, "State_refined.csv"), ("state",),
+              [(v,) for v in u])
+    write_csv(os.path.join(cfg.output_dir, "Control_refined.csv"), ("control",),
+              [(v,) for v in f])
     if record.exact is not None:
         se = l2_norm(fine, u - record.exact.state(fine.points))
         ce = l2_norm(fine, f - record.exact.control(fine.points))
@@ -134,7 +130,7 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
             f"oracle runs support tags {_ORACLE_TAGS}; got {cfg.tag!r}", key="tag")
     grid = Grid1D(cfg.n_points)
     target = _oracle_target(cfg, grid)
-    rho = cfg.rho if cfg.rho is not None else cfg.alpha / 4.0
+    rho = resolve_rho(cfg.alpha, cfg.rho)
     methods = [cfg.oracle_method] if cfg.oracle_method != "all" else \
         ["uzawa", "projected", "gauss_seidel", "direct"]
     code = 0
@@ -142,15 +138,8 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
         out_dir = cfg.output_dir if len(methods) == 1 else os.path.join(cfg.output_dir, method)
         if method == "direct":
             sol = fd_direct_kkt_solve(grid, cfg.alpha, target, dps=cfg.precision_dps)
-            os.makedirs(out_dir, exist_ok=True)
-            from .config import _write_csv
-
-            _write_csv(os.path.join(out_dir, "State.csv"), ("state",), [(v,) for v in sol.u])
-            _write_csv(os.path.join(out_dir, "Control.csv"), ("control",), [(v,) for v in sol.f])
-            with open(os.path.join(out_dir, "meta.txt"), "w", encoding="utf-8") as fh:
-                for k, v in _meta_from(cfg, {"method": method,
-                                             "backward_error": sol.residual}).items():
-                    fh.write(f"{k} = {v}\n")
+            emit_csv(sol, out_dir,
+                     _meta_from(cfg, {"method": method, "backward_error": sol.residual}))
             if not quiet:
                 print(f"direct solve: backward error {sol.residual:.2e}")
             continue
@@ -192,54 +181,20 @@ def _cmd_sweep(cfg: ExperimentConfig, alphas, quiet: bool) -> int:
     return code
 
 
-def grad_check_report(seeds=(0, 1, 2), n_points=16, verbose=True):
-    """Jet and gradient verification: Laplacian jets against central second
-    differences and loss gradients against central finite differences."""
+def _cmd_grad_check(quiet: bool) -> int:
     failures = []
-    for dim in (1, 2):
-        domain = Domain.unit_interval() if dim == 1 else Domain.unit_square()
-        for seed in seeds:
-            spec = NetworkSpec(dim, (8, 8), seed=seed)
-            params = init_network(spec)
-            rng = np.random.default_rng(seed + 1000)
-            pts = rng.uniform(0.05, 0.95, size=(20, dim))
-            jets = batch_jets(params, pts, cutoff_jet(domain, pts))
-            h = 1e-3
-            lap_fd = np.zeros(len(pts))
-            for axis in range(dim):
-                e = np.zeros(dim)
-                e[axis] = h
-                up, _ = evaluate(params, pts + e, cutoff_jet(domain, pts + e).b)
-                mid, _ = evaluate(params, pts, cutoff_jet(domain, pts).b)
-                dn, _ = evaluate(params, pts - e, cutoff_jet(domain, pts - e).b)
-                lap_fd += (up - 2 * mid + dn) / h**2
-            # relative to the largest Laplacian over the points: the central
-            # difference's own O(h^2) truncation dominates pointwise ratios
-            # near zero crossings of lap u
-            err = np.abs(jets.lap_u - lap_fd).max() / np.abs(lap_fd).max()
-            ok = err <= 1e-5
-            if verbose:
-                print(f"laplacian jet d={dim} seed={seed}: max rel {err:.2e} "
-                      f"{'PASS' if ok else 'FAIL'}")
-            if not ok:
-                failures.append(f"laplacian d={dim} seed={seed}")
-
-    for seed in seeds:
-        cset = build_grid(Domain.unit_interval(), n_points)
-        problem = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d"))
-        rng = np.random.default_rng(seed + 2000)
-        z = MultiplierField(rng.normal(size=cset.n_interior), rho=1.0)
-        params = init_network(NetworkSpec(1, (8, 8), seed=seed))
-        _, grad = loss_and_gradient(params, cset, problem, z)
-        fd = finite_difference_gradient(params, cset, problem, z, 1e-6)
-        scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
-        err = np.max(np.abs(grad - fd) / scale)
-        ok = err <= 1e-5
-        if verbose:
-            print(f"loss gradient seed={seed}: max rel {err:.2e} {'PASS' if ok else 'FAIL'}")
+    for name, err in grad_check().items():
+        ok = err <= CHECK_BOUND
+        if not quiet:
+            print(f"{name}: max rel {err:.2e} {'PASS' if ok else 'FAIL'}")
         if not ok:
-            failures.append(f"gradient seed={seed}")
-    return failures
+            failures.append(name)
+    if failures:
+        print("grad-check failures: " + ", ".join(failures), file=sys.stderr)
+        return 1
+    if not quiet:
+        print("all checks passed")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -259,13 +214,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "grad-check":
-            failures = grad_check_report(verbose=not args.quiet)
-            if failures:
-                print("grad-check failures: " + ", ".join(failures), file=sys.stderr)
-                return 1
-            if not args.quiet:
-                print("all checks passed")
-            return 0
+            return _cmd_grad_check(args.quiet)
         cfg = parse_config(args.config)
         if args.command == "run":
             return _cmd_run(cfg, args.quiet)

@@ -85,12 +85,6 @@ class ExactSolution:
         return _boundary_layer_pair(x, self.alpha)[1]
 
 
-def exact_eval(sol: ExactSolution, point) -> tuple[float, float]:
-    """(u*, f*) at a single point."""
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    return float(sol.state(pts)[0]), float(sol.control(pts)[0])
-
-
 def residual_check_boundary_layer(alpha: float, n_samples: int) -> float:
     """Max |alpha u'''' + u - 1| of the constant-target closed form.
 

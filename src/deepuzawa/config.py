@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -74,36 +75,9 @@ class ExperimentConfig:
             self.output_dir = os.path.join("runs", self.tag)
 
 
-def _parse_bool(text):
-    if text.lower() in ("true", "yes", "1"):
-        return True
-    if text.lower() in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text}")
-
-
-_SCHEMA = {
-    "tag": str,
-    "alpha": float,
-    "epsilon": float,
-    "rho": float,
-    "variant": str,
-    "beta": float,
-    "n_uzawa": int,
-    "n_sgd": int,
-    "learning_rate": float,
-    "n_points": int,
-    "seed": int,
-    "hidden_width": int,
-    "hidden_depth": int,
-    "batch_size": int,
-    "image": str,
-    "output_dir": str,
-    "eval_refine": int,
-    "oracle_method": str,
-    "oracle_iters": int,
-    "precision_dps": int,
-}
+# key -> value parser: the field's type, without the None of optional keys
+_SCHEMA = {key: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+           for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -301,7 +275,21 @@ def sample_image_on_grid(img: ImageTarget, cset: CollocationSet) -> np.ndarray:
 # Floats are written with round-trip precision (repr).
 
 
-def _write_csv(path, header, rows):
+@dataclass(kw_only=True)
+class RunResult:
+    """Final fields and per-update histories of a network run, an oracle
+    iteration or a direct solve; :func:`emit_csv` skips a None history."""
+
+    u: np.ndarray
+    f: np.ndarray
+    loss_history: np.ndarray | None = None
+    state_errors: np.ndarray | None = None
+    control_errors: np.ndarray | None = None
+    diverged_at: int | None = None
+
+
+def write_csv(path, header, rows):
+    """One CSV file: the header, then one line per row; floats as repr."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -309,46 +297,39 @@ def _write_csv(path, header, rows):
                              for v in row) + "\n")
 
 
-def emit_csv(record, out_dir, meta: dict | None = None) -> list[str]:
-    """Write the run-record CSVs; returns the list of files written.
-
-    ``record`` needs ``loss_history`` (n, 4), ``u``, ``f`` and optionally
-    ``state_errors`` / ``control_errors`` and ``diverged_at``; both
-    :class:`deepuzawa.driver.RunRecord` and oracle histories adapt.
-    """
+def emit_csv(record: RunResult, out_dir, meta: dict | None = None) -> list[str]:
+    """Write the CSVs and meta.txt of a :class:`RunResult`; returns the files
+    written.  Error.csv and Loss.csv are left out when their histories are
+    None."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    state_errors = getattr(record, "state_errors", None)
-    control_errors = getattr(record, "control_errors", None)
-    if state_errors is not None and len(state_errors):
+    if record.state_errors is not None and len(record.state_errors):
         path = os.path.join(out_dir, "Error.csv")
-        rows = [(k, se, ce) for k, (se, ce) in enumerate(zip(state_errors, control_errors))]
-        _write_csv(path, ("update", "state_l2_error", "control_l2_error"), rows)
+        rows = [(k, se, ce) for k, (se, ce)
+                in enumerate(zip(record.state_errors, record.control_errors))]
+        write_csv(path, ("update", "state_l2_error", "control_l2_error"), rows)
         written.append(path)
 
-    loss = getattr(record, "loss_history", None)
-    if loss is None:
-        loss = record.loss_parts  # oracle runs
-    loss = np.asarray(loss, dtype=float)
-    path = os.path.join(out_dir, "Loss.csv")
-    rows = [(k, *loss[k]) for k in range(loss.shape[0])]
-    _write_csv(path, ("update", "misfit", "multiplier_term", "control_norm_term",
-                      "regulariser_term"), rows)
-    written.append(path)
+    if record.loss_history is not None:
+        loss = np.asarray(record.loss_history, dtype=float)
+        path = os.path.join(out_dir, "Loss.csv")
+        rows = [(k, *loss[k]) for k in range(loss.shape[0])]
+        write_csv(path, ("update", "misfit", "multiplier_term", "control_norm_term",
+                         "regulariser_term"), rows)
+        written.append(path)
 
     for name, values in (("State.csv", record.u), ("Control.csv", record.f)):
         path = os.path.join(out_dir, name)
-        _write_csv(path, (name[:-4].lower(),), [(v,) for v in np.asarray(values)])
+        write_csv(path, (name[:-4].lower(),), [(v,) for v in np.asarray(values)])
         written.append(path)
 
     path = os.path.join(out_dir, "meta.txt")
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in (meta or {}).items():
             fh.write(f"{key} = {value}\n")
-        diverged = getattr(record, "diverged_at", None)
-        if diverged is not None:
-            fh.write(f"diverged_at = {diverged}\n")
+        if record.diverged_at is not None:
+            fh.write(f"diverged_at = {record.diverged_at}\n")
     written.append(path)
     return written
 

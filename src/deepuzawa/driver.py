@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_forms import ExactSolution
+from .config import RunResult
 from .errors import NumericOverflowError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet, l2_norm
 from .lagrangian import (MultiplierField, ProblemSpec, loss_parts, multiplier_update,
@@ -29,6 +30,11 @@ from .optim import AdamState, adam_step
 VARIANTS = ("plain", "augmented")
 
 LOSS_COLUMNS = ("misfit", "multiplier_term", "control_norm_term", "regulariser_term")
+
+
+def resolve_rho(alpha: float, rho: float | None) -> float:
+    """The multiplier step: ``rho`` when set, else the default alpha / 4."""
+    return alpha / 4.0 if rho is None else rho
 
 
 @dataclass(frozen=True)
@@ -59,24 +65,22 @@ class UzawaConfig:
 
     @property
     def resolved_rho(self) -> float:
-        return self.problem.alpha / 4.0 if self.rho is None else self.rho
+        return resolve_rho(self.problem.alpha, self.rho)
 
 
 @dataclass
-class RunRecord:
-    """Per-update histories plus the final trained fields."""
+class RunRecord(RunResult):
+    """Per-update histories plus the final trained fields.
+
+    ``loss_history`` is (updates, 4) with columns LOSS_COLUMNS; ``u`` and
+    ``f`` are the final state and control on the grid.
+    """
 
     config: UzawaConfig
     cset: CollocationSet
-    state_errors: np.ndarray | None
-    control_errors: np.ndarray | None
-    loss_history: np.ndarray          # (updates, 4) columns LOSS_COLUMNS
     wall_times: np.ndarray
     params: NetworkParameters
     z: MultiplierField
-    u: np.ndarray                     # final state on the grid
-    f: np.ndarray                     # final control on the grid
-    diverged_at: int | None = None
     exact: ExactSolution | None = None
 
     @property

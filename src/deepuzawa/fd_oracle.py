@@ -9,6 +9,10 @@ Discretisation: n uniform points on [0, 1], 3-point Laplacian with zero
 Dirichlet data, and the simply supported (u = lap u = 0) biharmonic taken
 as the Laplacian composed with itself on interior points.
 
+The plain and the projected Uzawa run are one iteration in two multiplier
+orientations: the projected run's multiplier is the negation of the plain
+run's, and it clamps the iterates to the nonnegative cone.
+
 Every solver accepts an optional decimal precision ``dps``.  The float64
 path is the default; the multiprecision path (mpmath) exists because the
 multiplier contraction factor of the Uzawa iteration is bounded away from
@@ -21,13 +25,16 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunResult
 from .errors import GridError, IterationLimitError
 
 _DIVERGENCE_LIMIT = 1e6
+# KKT tolerance of the nonnegative inner solve of the projected run
+_INNER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,6 @@ class Grid1D:
 
 class _FloatCtx:
     """Plain float64 arithmetic."""
-
-    dps = None
 
     def guard(self):
         return nullcontext()
@@ -127,10 +132,6 @@ def _biharmonic_bands(c, q, m, one):
     e = [c * (-4 * q2) for _ in range(m - 1)]
     g = [c * q2 for _ in range(m - 2)]
     return d, e, g
-
-
-def _tridiag_bands(diag, off, m):
-    return [diag for _ in range(m)], [off for _ in range(m - 1)], [diag * 0 for _ in range(max(m - 2, 0))]
 
 
 def _ldlt_factor(d, e, g):
@@ -239,14 +240,12 @@ def grid_norm(grid: Grid1D, v) -> float:
 
 
 @dataclass
-class KKTSolution:
-    """Fields of the coupled optimality system on interior points."""
+class KKTSolution(RunResult):
+    """Fields of the coupled optimality system on interior points; a run
+    result without histories."""
 
-    u: np.ndarray
-    f: np.ndarray
     z: np.ndarray
     residual: float
-    _exact: dict = field(default_factory=dict, repr=False)
 
 
 def _direct_kkt(grid: Grid1D, alpha, D, ctx):
@@ -291,15 +290,12 @@ def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
         a = ctx.num(alpha)
         Dl = [ctx.num(x) for x in D]
         u, f, z, residual = _direct_kkt(grid, a, Dl, ctx)
-        sol = KKTSolution(
+        return KKTSolution(
             u=np.array([float(x) for x in u]),
             f=np.array([float(x) for x in f]),
             z=np.array([float(x) for x in z]),
             residual=float(residual),
         )
-        if dps is not None:
-            sol._exact = {"u": u, "f": f, "z": z}
-        return sol
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +303,11 @@ def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
 
 
 @dataclass
-class FDRun:
+class FDRun(RunResult):
     """History of one discrete saddle-point iteration.
 
     Error histories have length iters + 1 (index k = number of multiplier
-    updates applied before the k-th inner solve).  ``loss_parts`` columns
-    are misfit, multiplier term, control norm term, regulariser term.
+    updates applied before the k-th inner solve); so has ``loss_history``.
     """
 
     kind: str
@@ -320,14 +315,8 @@ class FDRun:
     alpha: float
     rho: float | None
     z_errors: np.ndarray
-    state_errors: np.ndarray
-    control_errors: np.ndarray
-    loss_parts: np.ndarray
-    u: np.ndarray
-    f: np.ndarray
     z: np.ndarray
     reference: KKTSolution
-    diverged_at: int | None = None
     z_history: np.ndarray | None = None
 
 
@@ -346,62 +335,6 @@ def _loss_row(u, f, z, D, lap_u, alpha, h, ctx):
     a4 = alpha / 4
     return (float(w * misfit / 2), float(w * multiplier), float(w * a4 * control),
             float(w * a4 * regulariser))
-
-
-def fd_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
-                 dps=None) -> FDRun:
-    """Uzawa iteration with exact inner solves.
-
-    Each outer step solves (alpha/2) B u + u = D - lap_h z directly, sets
-    f = -(2/alpha) z, and updates z <- z + rho (lap_h u + f).  Histories
-    track distances to the direct-solve saddle point.
-    """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    ctx = _context(dps)
-    with ctx.guard():
-        a = ctx.num(alpha)
-        r = ctx.num(rho)
-        Dl = [ctx.num(x) for x in D]
-        m = grid.n_interior
-        h = ctx.num(1) / (grid.n - 1)
-        q = 1 / (h * h)
-        one = ctx.num(1)
-        ustar, fstar, zstar, _ = _direct_kkt(grid, a, Dl, ctx)
-        fact = _ldlt_factor(*_biharmonic_bands(a / 2, q, m, one))
-
-        z = [ctx.num(0) for _ in range(m)]
-        z_err, u_err, f_err, parts, z_hist = [], [], [], [], []
-        u = f = None
-        for k in range(iters + 1):
-            z_err.append(float(_norm([z[i] - zstar[i] for i in range(m)], h, ctx)))
-            z_hist.append([float(x) for x in z])
-            lap_z = _laplacian_apply(z, q)
-            u = _ldlt_solve(fact, [Dl[i] - lap_z[i] for i in range(m)])
-            f = [-(2 / a) * z[i] for i in range(m)]
-            u_err.append(float(_norm([u[i] - ustar[i] for i in range(m)], h, ctx)))
-            f_err.append(float(_norm([f[i] - fstar[i] for i in range(m)], h, ctx)))
-            lap_u = _laplacian_apply(u, q)
-            parts.append(_loss_row(u, f, z, Dl, lap_u, a, h, ctx))
-            if k < iters:
-                z = [z[i] + r * (lap_u[i] + f[i]) for i in range(m)]
-
-        reference = KKTSolution(
-            u=np.array([float(x) for x in ustar]),
-            f=np.array([float(x) for x in fstar]),
-            z=np.array([float(x) for x in zstar]),
-            residual=0.0,
-        )
-        return FDRun(
-            kind="uzawa", grid=grid, alpha=alpha, rho=rho,
-            z_errors=np.array(z_err), state_errors=np.array(u_err),
-            control_errors=np.array(f_err), loss_parts=np.array(parts),
-            u=np.array([float(x) for x in u]),
-            f=np.array([float(x) for x in f]),
-            z=np.array([float(x) for x in z]),
-            reference=reference,
-            z_history=np.array(z_hist),
-        )
 
 
 def _solve_nonneg(bands, rhs, ctx, tol, max_passes=80):
@@ -462,8 +395,85 @@ def _solve_nonneg(bands, rhs, ctx, tol, max_passes=80):
     raise IterationLimitError("nonnegative inner solve did not settle on an active set")
 
 
+def _uzawa(kind, grid, alpha, rho, D, iters, dps, sign, project) -> FDRun:
+    """The Uzawa iteration of both public runs: ``sign`` = +1 keeps the
+    plain run's multiplier, -1 its negation; ``project`` keeps u >= 0 in the
+    inner solve and clamps f and z at zero."""
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    ctx = _context(dps)
+    with ctx.guard():
+        a = ctx.num(alpha)
+        Dl = [ctx.num(x) for x in D]
+        m = grid.n_interior
+        h = ctx.num(1) / (grid.n - 1)
+        q = 1 / (h * h)
+        one = ctx.num(1)
+        zero = ctx.num(0)
+        ustar, fstar, zstar, _ = _direct_kkt(grid, a, Dl, ctx)
+        if sign < 0:
+            zstar = [-x for x in zstar]
+        bands = _biharmonic_bands(a / 2, q, m, one)
+        fact = None if project else _ldlt_factor(*bands)
+        tol = ctx.num(_INNER_TOL)
+        # signed coefficients; multiplying by +-1 is exact in every context
+        f_scale = -sign * (2 / a)
+        lap_scale = sign * q
+        step = sign * ctx.num(rho)
+
+        z = [zero for _ in range(m)]
+        z_err, u_err, f_err, parts, z_hist = [], [], [], [], []
+        u = f = None
+        for k in range(iters + 1):
+            z_err.append(float(_norm([z[i] - zstar[i] for i in range(m)], h, ctx)))
+            z_hist.append([float(x) for x in z])
+            lap_z = _laplacian_apply(z, lap_scale)
+            rhs = [Dl[i] - lap_z[i] for i in range(m)]
+            u = _solve_nonneg(bands, rhs, ctx, tol) if project else _ldlt_solve(fact, rhs)
+            f = [f_scale * x for x in z]
+            if project:
+                f = [max(x, zero) for x in f]
+            u_err.append(float(_norm([u[i] - ustar[i] for i in range(m)], h, ctx)))
+            f_err.append(float(_norm([f[i] - fstar[i] for i in range(m)], h, ctx)))
+            lap_u = _laplacian_apply(u, q)
+            parts.append(_loss_row(u, f, z if sign > 0 else [-x for x in z], Dl, lap_u,
+                                   a, h, ctx))
+            if k < iters:
+                z = [z[i] + step * (lap_u[i] + f[i]) for i in range(m)]
+                if project:
+                    z = [max(x, zero) for x in z]
+
+        reference = KKTSolution(
+            u=np.array([float(x) for x in ustar]),
+            f=np.array([float(x) for x in fstar]),
+            z=np.array([float(x) for x in zstar]),
+            residual=0.0,
+        )
+        return FDRun(
+            kind=kind, grid=grid, alpha=alpha, rho=rho,
+            z_errors=np.array(z_err), state_errors=np.array(u_err),
+            control_errors=np.array(f_err), loss_history=np.array(parts),
+            u=np.array([float(x) for x in u]),
+            f=np.array([float(x) for x in f]),
+            z=np.array([float(x) for x in z]),
+            reference=reference,
+            z_history=np.array(z_hist),
+        )
+
+
+def fd_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
+                 dps=None) -> FDRun:
+    """Uzawa iteration with exact inner solves.
+
+    Each outer step solves (alpha/2) B u + u = D - lap_h z directly, sets
+    f = -(2/alpha) z, and updates z <- z + rho (lap_h u + f).  Histories
+    track distances to the direct-solve saddle point.
+    """
+    return _uzawa("uzawa", grid, alpha, rho, D, iters, dps, sign=1, project=False)
+
+
 def fd_projected_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
-                           dps=None, inner_tol: float = 1e-10) -> FDRun:
+                           dps=None) -> FDRun:
     """Uzawa iteration for the nonnegativity-restricted problem.
 
     The primal fields are constrained to u, f >= 0 in the inner minimisation
@@ -476,55 +486,7 @@ def fd_projected_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int
     saddle point is componentwise nonnegative no constraint ever activates
     and the run reproduces :func:`fd_uzawa_run` exactly.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    ctx = _context(dps)
-    with ctx.guard():
-        tol = ctx.num(inner_tol)
-        a = ctx.num(alpha)
-        r = ctx.num(rho)
-        Dl = [ctx.num(x) for x in D]
-        m = grid.n_interior
-        h = ctx.num(1) / (grid.n - 1)
-        q = 1 / (h * h)
-        one = ctx.num(1)
-        zero = ctx.num(0)
-        ustar, fstar, zst, _ = _direct_kkt(grid, a, Dl, ctx)
-        zstar = [-x for x in zst]  # nonnegative orientation
-        bands = _biharmonic_bands(a / 2, q, m, one)
-
-        z = [zero for _ in range(m)]
-        z_err, u_err, f_err, parts, z_hist = [], [], [], [], []
-        u = f = None
-        for k in range(iters + 1):
-            z_err.append(float(_norm([z[i] - zstar[i] for i in range(m)], h, ctx)))
-            z_hist.append([float(x) for x in z])
-            lap_z = _laplacian_apply(z, q)
-            u = _solve_nonneg(bands, [Dl[i] + lap_z[i] for i in range(m)], ctx, tol)
-            f = [max((2 / a) * z[i], zero) for i in range(m)]
-            u_err.append(float(_norm([u[i] - ustar[i] for i in range(m)], h, ctx)))
-            f_err.append(float(_norm([f[i] - fstar[i] for i in range(m)], h, ctx)))
-            lap_u = _laplacian_apply(u, q)
-            parts.append(_loss_row(u, f, [-x for x in z], Dl, lap_u, a, h, ctx))
-            if k < iters:
-                z = [max(z[i] - r * (lap_u[i] + f[i]), zero) for i in range(m)]
-
-        reference = KKTSolution(
-            u=np.array([float(x) for x in ustar]),
-            f=np.array([float(x) for x in fstar]),
-            z=np.array([float(x) for x in zstar]),
-            residual=0.0,
-        )
-        return FDRun(
-            kind="projected_uzawa", grid=grid, alpha=alpha, rho=rho,
-            z_errors=np.array(z_err), state_errors=np.array(u_err),
-            control_errors=np.array(f_err), loss_parts=np.array(parts),
-            u=np.array([float(x) for x in u]),
-            f=np.array([float(x) for x in f]),
-            z=np.array([float(x) for x in z]),
-            reference=reference,
-            z_history=np.array(z_hist),
-        )
+    return _uzawa("projected_uzawa", grid, alpha, rho, D, iters, dps, sign=-1, project=True)
 
 
 def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun:
@@ -574,7 +536,7 @@ def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun
     return FDRun(
         kind="gauss_seidel", grid=grid, alpha=alpha, rho=None,
         z_errors=np.array(z_err), state_errors=np.array(u_err),
-        control_errors=np.array(f_err), loss_parts=np.array(parts),
+        control_errors=np.array(f_err), loss_history=np.array(parts),
         u=np.array(u), f=np.array(f), z=np.array(z),
         reference=reference, diverged_at=diverged_at,
     )

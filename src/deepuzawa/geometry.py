@@ -7,7 +7,7 @@ evaluations of the same data are bitwise reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class CollocationSet:
     points: np.ndarray
     weights: np.ndarray
     interior_mask: np.ndarray
-    n_per_axis: int | None = None
 
     @property
     def n_points(self) -> int:
@@ -77,24 +76,6 @@ class CollocationSet:
     @property
     def n_interior(self) -> int:
         return int(self.interior_mask.sum())
-
-    def interior_points(self) -> np.ndarray:
-        return self.points[self.interior_mask]
-
-
-@dataclass
-class GridField:
-    """One scalar value per collocation point of a given set."""
-
-    values: np.ndarray
-    cset: CollocationSet
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.cset.n_points,):
-            raise ShapeError(
-                f"field has {self.values.shape} values for a set of {self.cset.n_points} points"
-            )
 
 
 def build_grid(domain: Domain, n_per_axis: int) -> CollocationSet:
@@ -131,11 +112,11 @@ def build_grid(domain: Domain, n_per_axis: int) -> CollocationSet:
         points = np.stack([x0.ravel(), x1.ravel()], axis=1)
         weights = np.outer(axis_weights[0], axis_weights[1]).ravel()
         interior = np.outer(axis_interior[0], axis_interior[1]).ravel()
-    return CollocationSet(domain, points, weights, interior, n_per_axis)
+    return CollocationSet(domain, points, weights, interior)
 
 
 def _as_values(field, cset: CollocationSet) -> np.ndarray:
-    values = field.values if isinstance(field, GridField) else np.asarray(field, dtype=float)
+    values = np.asarray(field, dtype=float)
     if values.shape != (cset.n_points,):
         raise ShapeError(
             f"field has shape {values.shape}, expected ({cset.n_points},)"
@@ -155,21 +136,6 @@ def l2_norm(cset: CollocationSet, field) -> float:
     return float(np.sqrt(np.dot(cset.weights, values * values)))
 
 
-def boundary_cutoff(domain: Domain, point) -> float:
-    """Smooth function vanishing exactly on the domain boundary.
-
-    Per-axis parabolic bumps, normalised so the maximum over the domain is
-    one.  The product structure makes the value exactly zero whenever any
-    coordinate sits exactly on its axis boundary.
-    """
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    out = 1.0
-    for i, (a, b) in enumerate(domain.bounds):
-        half = (b - a) / 2
-        out *= (point[i] - a) * (b - point[i]) / (half * half)
-    return float(out)
-
-
 @dataclass(frozen=True)
 class CutoffJet:
     """Cutoff value with first and second derivatives at a batch of points.
@@ -183,9 +149,11 @@ class CutoffJet:
 
 
 def cutoff_jet(domain: Domain, points: np.ndarray) -> CutoffJet:
-    """Evaluate :func:`boundary_cutoff` with gradient and Laplacian.
+    """Boundary cutoff with its gradient and Laplacian at a batch of points.
 
-    The cutoff is a product of per-axis quadratics g_i(x_i), so
+    The cutoff is a product of per-axis parabolic bumps g_i(x_i), each
+    normalised to a maximum of one, so it is exactly zero whenever any
+    coordinate sits exactly on its axis boundary.  Its gradient is
     grad_i = g_i' * prod_{j != i} g_j and the second derivative along axis i
     is g_i'' * prod_{j != i} g_j with g_i'' constant.
     """

@@ -140,18 +140,14 @@ def _step_target(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pointwise residual and cost, scalar and vectorised forms
+# pointwise residual and cost
 
 
 def residual_values(problem: ProblemSpec, u, f, lap_u):
     """Constraint residual K at each point (arrays in, array out)."""
-    u = np.asarray(u, dtype=float)
     f = np.asarray(f, dtype=float)
-    lap_u = np.asarray(lap_u, dtype=float)
-    if problem.kind == POISSON:
-        return lap_u + f
-    inv2 = 1.0 / problem.epsilon**2
-    return (-lap_u - inv2 * u * (1.0 - u * u)) - f
+    op = operator_values(problem, u, lap_u)
+    return op + f if problem.kind == POISSON else op - f
 
 
 def residual_partials(problem: ProblemSpec, u):
@@ -184,22 +180,9 @@ def cost_values(problem: ProblemSpec, u, f, lap_u, target):
     return 0.5 * (u - target) ** 2 + a4 * f * f + a4 * op * op
 
 
-def constraint_residual(problem: ProblemSpec, jet) -> float:
-    """Residual K(u, f) at a single point; ``jet`` carries u, f, lap_u."""
-    return float(residual_values(problem, jet.u, jet.f, jet.lap_u))
-
-
-def cost_density(problem: ProblemSpec, jet, target_value: float) -> float:
-    """Cost density at a single point; ``jet`` carries u, f, lap_u."""
-    return float(cost_values(problem, jet.u, jet.f, jet.lap_u, target_value))
-
-
 def _jet_arrays(jets):
-    if isinstance(jets, tuple):
-        u, f, lap = jets
-    else:
-        u, f, lap = jets.u, jets.f, jets.lap_u
-    return np.asarray(u, float), np.asarray(f, float), np.asarray(lap, float)
+    return (np.asarray(jets.u, float), np.asarray(jets.f, float),
+            np.asarray(jets.lap_u, float))
 
 
 def loss_parts(problem: ProblemSpec, cset: CollocationSet, jets, z: MultiplierField,
@@ -274,8 +257,7 @@ def pointwise_gradients(problem: ProblemSpec, cset: CollocationSet, jets,
         dc_dlap = a2 * lap
     else:
         op = operator_values(problem, u, lap)
-        dop_du = -(1.0 / problem.epsilon**2) * (1.0 - 3.0 * u * u)
-        dc_du = (u - target) + a2 * op * dop_du
+        dc_du = (u - target) + a2 * op * dk_du  # dK/du is d(op)/du here
         dc_df = a2 * f
         dc_dlap = -a2 * op
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericOverflowError, ShapeError
-from .geometry import CollocationSet, CutoffJet, cutoff_jet
-from .lagrangian import MultiplierField, ProblemSpec, loss_parts, pointwise_gradients, target_values
+from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
+from .lagrangian import (MultiplierField, ProblemSpec, TargetSpec, loss_parts,
+                         pointwise_gradients, target_values)
 
 _CHECKPOINT_MAGIC = b"DUZW-NET"
 _CHECKPOINT_VERSION = 1
@@ -128,16 +129,6 @@ def init_network(spec: NetworkSpec) -> NetworkParameters:
 
 
 @dataclass(frozen=True)
-class Jet:
-    """State, control, state gradient and state Laplacian at one point."""
-
-    u: float
-    f: float
-    grad_u: np.ndarray
-    lap_u: float
-
-
-@dataclass(frozen=True)
 class JetBatch:
     """Jets for a batch of points, stored as arrays."""
 
@@ -227,20 +218,13 @@ def _forward(params: NetworkParameters, points: np.ndarray,
 
 def batch_jets(params: NetworkParameters, points: np.ndarray,
                cutoff: CutoffJet | None = None) -> JetBatch:
-    """Vectorised jets (u, f, grad u, lap u) at a batch of points."""
-    jets, _ = _forward(params, points, cutoff, need_tape=False)
-    return jets
-
-
-def forward_jet(params: NetworkParameters, point, cutoff: CutoffJet | None = None) -> Jet:
-    """Jet at a single point.
+    """Vectorised jets (u, f, grad u, lap u) at a batch of points.
 
     ``cutoff`` supplies the boundary function with its derivatives at the
-    point; pass None to evaluate the raw (uncut) network channels.
+    points; pass None to evaluate the raw (uncut) network channels.
     """
-    point = np.atleast_2d(np.asarray(point, dtype=float))
-    jets, _ = _forward(params, point, cutoff, need_tape=False)
-    return Jet(float(jets.u[0]), float(jets.f[0]), jets.grad_u[0].copy(), float(jets.lap_u[0]))
+    jets, _ = _forward(params, points, cutoff, need_tape=False)
+    return jets
 
 
 def evaluate(params: NetworkParameters, points: np.ndarray,
@@ -373,6 +357,62 @@ def finite_difference_gradient(params: NetworkParameters, cset: CollocationSet,
 
 
 # ---------------------------------------------------------------------------
+# derivative checks
+
+CHECK_BOUND = 1e-5  # largest relative error a derivative check accepts
+
+
+def grad_check() -> dict[str, float]:
+    """Relative errors of the Laplacian-jet and loss-gradient checks, by name.
+
+    Each check passes when its error is at most ``CHECK_BOUND``.  Both use
+    8x8 tanh networks with seeds 0-4.
+
+    Laplacian jets, in 1d and 2d, at 50 random points against central second
+    differences (h = 1e-3) of the cut state, relative to the largest
+    Laplacian among the points: the difference's own O(h^2) truncation
+    dominates pointwise ratios near zero crossings of lap u.
+
+    Loss gradients of the sine1d problem (alpha = 1e-2, 16 points, random
+    multiplier) against central differences (h = 1e-6), per component;
+    components below 1e-3 of the largest are compared against that floor,
+    since the difference carries ~1e-10 absolute rounding noise of its own.
+    """
+    errors = {}
+    h = 1e-3
+    for dim in (1, 2):
+        domain = Domain.unit_interval() if dim == 1 else Domain.unit_square()
+        for seed in range(5):
+            params = init_network(NetworkSpec(dim, (8, 8), seed=seed))
+            rng = np.random.default_rng(100 + seed)
+            pts = rng.uniform(0.05, 0.95, size=(50, dim))
+            cut = cutoff_jet(domain, pts)
+            jets = batch_jets(params, pts, cut)
+            mid, _ = evaluate(params, pts, cut.b)
+            lap_fd = np.zeros(len(pts))
+            for axis in range(dim):
+                e = np.zeros(dim)
+                e[axis] = h
+                up, _ = evaluate(params, pts + e, cutoff_jet(domain, pts + e).b)
+                dn, _ = evaluate(params, pts - e, cutoff_jet(domain, pts - e).b)
+                lap_fd += (up - 2 * mid + dn) / h**2
+            errors[f"laplacian jet d={dim} seed={seed}"] = float(
+                np.abs(jets.lap_u - lap_fd).max() / np.abs(lap_fd).max())
+
+    cset = build_grid(Domain.unit_interval(), 16)
+    problem = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d"))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        z = MultiplierField(rng.normal(size=cset.n_interior), rho=1.0)
+        params = init_network(NetworkSpec(1, (8, 8), seed=seed))
+        _, grad = loss_and_gradient(params, cset, problem, z)
+        fd = finite_difference_gradient(params, cset, problem, z, 1e-6)
+        scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
+        errors[f"loss gradient seed={seed}"] = float(np.max(np.abs(grad - fd) / scale))
+    return errors
+
+
+# ---------------------------------------------------------------------------
 # checkpoint io
 #
 # Layout (all little-endian):
@@ -399,23 +439,35 @@ def save_checkpoint(params: NetworkParameters, path) -> None:
         fh.write(params.flat.astype("<f8").tobytes())
 
 
+def _read_exact(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated checkpoint: {size} bytes expected at offset "
+                         f"{fh.tell() - len(data)}, {len(data)} left")
+    return data
+
+
 def load_checkpoint(path) -> NetworkParameters:
+    """Read a :func:`save_checkpoint` file; a malformed or truncated file
+    raises ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _CHECKPOINT_MAGIC:
             raise ValueError(f"not a network checkpoint (magic {magic!r})")
-        version, input_dim = struct.unpack("<ii", fh.read(8))
+        version, input_dim = struct.unpack("<ii", _read_exact(fh, 8))
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (n_hidden,) = struct.unpack("<i", fh.read(4))
-        hidden = struct.unpack(f"<{n_hidden}i", fh.read(4 * n_hidden))
-        (act_id,) = struct.unpack("<i", fh.read(4))
-        seed, n_params = struct.unpack("<qq", fh.read(16))
+        (n_hidden,) = struct.unpack("<i", _read_exact(fh, 4))
+        if n_hidden < 0:
+            raise ValueError(f"negative hidden-layer count {n_hidden}")
+        hidden = struct.unpack(f"<{n_hidden}i", _read_exact(fh, 4 * n_hidden))
+        (act_id,) = struct.unpack("<i", _read_exact(fh, 4))
+        seed, n_params = struct.unpack("<qq", _read_exact(fh, 16))
         by_id = {v: k for k, v in ACTIVATION_IDS.items()}
         if act_id not in by_id:
             raise ValueError(f"unknown activation id {act_id}")
         spec = NetworkSpec(input_dim, tuple(hidden), seed=seed, activation=by_id[act_id])
         if n_params != spec.n_parameters:
             raise ValueError("checkpoint parameter count does not match its architecture")
-        flat = np.frombuffer(fh.read(8 * n_params), dtype="<f8").astype(float)
+        flat = np.frombuffer(_read_exact(fh, 8 * n_params), dtype="<f8").astype(float)
     return NetworkParameters(spec, flat)

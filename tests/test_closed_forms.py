@@ -2,51 +2,46 @@ import mpmath
 import numpy as np
 import pytest
 
-from deepuzawa.closed_forms import ExactSolution, exact_eval, residual_check_boundary_layer
+from deepuzawa.closed_forms import ExactSolution, residual_check_boundary_layer
+
+ENDS = np.array([0.0, 1.0])
 
 
 def test_sine1d_values():
     sol = ExactSolution("sine1d")
-    u, f = exact_eval(sol, [0.5])
-    assert u == pytest.approx(1.0, abs=1e-15)
-    assert f == pytest.approx(np.pi**2, rel=1e-15)
+    assert sol.state([0.5])[0] == pytest.approx(1.0, abs=1e-15)
+    assert sol.control([0.5])[0] == pytest.approx(np.pi**2, rel=1e-15)
 
 
 def test_sine2d_values():
     sol = ExactSolution("sine2d")
-    u, f = exact_eval(sol, [0.5, 0.5])
-    assert u == pytest.approx(1.0, abs=1e-15)
-    assert f == pytest.approx(2 * np.pi**2, rel=1e-15)
+    assert sol.state([[0.5, 0.5]])[0] == pytest.approx(1.0, abs=1e-15)
+    assert sol.control([[0.5, 0.5]])[0] == pytest.approx(2 * np.pi**2, rel=1e-15)
 
 
 def test_ac_sine_values():
     sol = ExactSolution("ac_sine", epsilon=1.0)
-    u, f = exact_eval(sol, [0.5])
-    assert u == pytest.approx(1.0)
-    assert f == pytest.approx(np.pi**2)  # cos(pi/2) kills the cubic part
-    u_q, f_q = exact_eval(sol, [0.25])
+    assert sol.state([0.5])[0] == pytest.approx(1.0)
+    assert sol.control([0.5])[0] == pytest.approx(np.pi**2)  # cos(pi/2) kills the cubic part
     s, c = np.sin(np.pi / 4), np.cos(np.pi / 4)
-    assert f_q == pytest.approx(s * (np.pi**2 - c**2), rel=1e-14)
+    assert sol.control([0.25])[0] == pytest.approx(s * (np.pi**2 - c**2), rel=1e-14)
 
 
 def test_all_states_vanish_on_boundary():
     for sol in (ExactSolution("sine1d"), ExactSolution("boundary_layer", alpha=1e-3),
                 ExactSolution("ac_sine", epsilon=0.5)):
-        assert abs(exact_eval(sol, [0.0])[0]) <= 1e-12
-        assert abs(exact_eval(sol, [1.0])[0]) <= 1e-12
+        assert np.all(np.abs(sol.state(ENDS)) <= 1e-12)
     sol2 = ExactSolution("sine2d")
-    for p in ([0.0, 0.3], [1.0, 0.7], [0.4, 0.0], [0.6, 1.0]):
-        assert abs(exact_eval(sol2, p)[0]) <= 1e-15
+    edge = [[0.0, 0.3], [1.0, 0.7], [0.4, 0.0], [0.6, 1.0]]
+    assert np.all(np.abs(sol2.state(edge)) <= 1e-15)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-4, 1e-7])
 def test_boundary_layer_endpoints(alpha):
     sol = ExactSolution("boundary_layer", alpha=alpha)
-    assert abs(exact_eval(sol, [0.0])[0]) <= 1e-12
-    assert abs(exact_eval(sol, [1.0])[0]) <= 1e-12
+    assert np.all(np.abs(sol.state(ENDS)) <= 1e-12)
     # simply supported: the control f = -lap u also vanishes at the ends
-    assert abs(exact_eval(sol, [0.0])[1]) <= 1e-9
-    assert abs(exact_eval(sol, [1.0])[1]) <= 1e-9
+    assert np.all(np.abs(sol.control(ENDS)) <= 1e-9)
 
 
 @pytest.mark.parametrize("alpha", [1e-2, 1e-4])

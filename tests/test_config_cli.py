@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from deepuzawa import cli
 from deepuzawa.cli import main
-from deepuzawa.config import (emit_csv, load_pgm_target, parse_config, read_csv,
+from deepuzawa.config import (RunResult, emit_csv, load_pgm_target, parse_config, read_csv,
                               sample_image_on_grid)
 from deepuzawa.errors import ConfigError, PgmError
 from deepuzawa.geometry import Domain, build_grid
@@ -148,19 +149,15 @@ def test_pgm_bad_maxval(tmp_path):
 # CSV emission
 
 
-class FakeRecord:
-    def __init__(self, n=3, diverged_at=None):
-        rng = np.random.default_rng(0)
-        self.state_errors = rng.uniform(size=n)
-        self.control_errors = rng.uniform(size=n)
-        self.loss_history = rng.uniform(size=(n, 4))
-        self.u = rng.uniform(size=11)
-        self.f = rng.uniform(size=11)
-        self.diverged_at = diverged_at
+def fake_record(n=3, diverged_at=None):
+    rng = np.random.default_rng(0)
+    return RunResult(state_errors=rng.uniform(size=n), control_errors=rng.uniform(size=n),
+                     loss_history=rng.uniform(size=(n, 4)), u=rng.uniform(size=11),
+                     f=rng.uniform(size=11), diverged_at=diverged_at)
 
 
 def test_emit_csv_files_and_roundtrip(tmp_path):
-    rec = FakeRecord(3)
+    rec = fake_record(3)
     files = emit_csv(rec, str(tmp_path / "run"), {"tag": "sine1d"})
     names = {os.path.basename(f) for f in files}
     assert names == {"Error.csv", "Loss.csv", "State.csv", "Control.csv", "meta.txt"}
@@ -178,7 +175,7 @@ def test_emit_csv_files_and_roundtrip(tmp_path):
 
 
 def test_emit_csv_divergence_in_meta(tmp_path):
-    rec = FakeRecord(2, diverged_at=2)
+    rec = fake_record(2, diverged_at=2)
     emit_csv(rec, str(tmp_path / "run"), {"tag": "t"})
     meta = (tmp_path / "run" / "meta.txt").read_text()
     assert "diverged_at = 2" in meta
@@ -259,6 +256,9 @@ output_dir = {tmp_path / 'oracle'}
     assert main(["-q", "oracle", cfg]) == 0
     for method in ("uzawa", "projected", "gauss_seidel", "direct"):
         assert (tmp_path / "oracle" / method / "meta.txt").exists()
+    # a direct solve has no update history
+    assert sorted(os.listdir(tmp_path / "oracle" / "direct")) == \
+        ["Control.csv", "State.csv", "meta.txt"]
     _, rows = read_csv(tmp_path / "oracle" / "uzawa" / "Error.csv")
     assert rows.shape[0] == 11  # iters + 1
 
@@ -309,3 +309,12 @@ output_dir = {tmp_path / 'img_run'}
 
 def test_cli_grad_check():
     assert main(["-q", "grad-check"]) == 0
+
+
+def test_cli_grad_check_failure_exit_code(monkeypatch, capsys):
+    errors = {"laplacian jet d=1 seed=0": 1e-9, "loss gradient seed=3": 0.5}
+    monkeypatch.setattr(cli, "grad_check", lambda: errors)
+    assert main(["-q", "grad-check"]) == 1
+    err = capsys.readouterr().err
+    assert "loss gradient seed=3" in err
+    assert "laplacian" not in err

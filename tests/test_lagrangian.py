@@ -5,16 +5,11 @@ from hypothesis import strategies as st
 
 from deepuzawa.errors import ShapeError
 from deepuzawa.geometry import Domain, build_grid
-from deepuzawa.lagrangian import (MultiplierField, ProblemSpec, TargetSpec,
-                                  constraint_residual, cost_density, discrete_lagrangian,
-                                  loss_parts, multiplier_update, projected_multiplier_update,
-                                  residual_values, target_values, zero_multiplier)
+from deepuzawa.lagrangian import (MultiplierField, ProblemSpec, TargetSpec, cost_values,
+                                  discrete_lagrangian, loss_parts, multiplier_update,
+                                  projected_multiplier_update, residual_values, target_values,
+                                  zero_multiplier)
 from deepuzawa.network import JetBatch
-
-
-class PointJet:
-    def __init__(self, u, f, lap_u):
-        self.u, self.f, self.lap_u = u, f, lap_u
 
 
 def exact_sine_jets(cset):
@@ -26,21 +21,20 @@ def exact_sine_jets(cset):
 
 def test_poisson_residual_exact_solution():
     prob = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d"))
-    jet = PointJet(u=1.0, f=np.pi**2, lap_u=-np.pi**2)
-    assert constraint_residual(prob, jet) == 0.0
+    assert residual_values(prob, u=1.0, f=np.pi**2, lap_u=-np.pi**2) == 0.0
 
 
 def test_poisson_residual_simple():
     prob = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d"))
-    assert constraint_residual(prob, PointJet(0.0, 2.0, 0.0)) == 2.0
+    assert residual_values(prob, 0.0, 2.0, 0.0) == 2.0
 
 
 def test_allen_cahn_residual_at_half():
     # at x = 1/2 the exact pair has u = 1, lap u = -pi^2, f = pi^2 and the
     # cubic term vanishes, so the residual is zero
     prob = ProblemSpec("allen_cahn", 1e-2, TargetSpec("ac_sine"), epsilon=1.0)
-    jet = PointJet(u=1.0, f=np.pi**2, lap_u=-np.pi**2)
-    assert constraint_residual(prob, jet) == pytest.approx(0.0, abs=1e-15)
+    k = residual_values(prob, u=1.0, f=np.pi**2, lap_u=-np.pi**2)
+    assert k == pytest.approx(0.0, abs=1e-15)
 
 
 def test_allen_cahn_residual_matches_exact_control_everywhere():
@@ -65,8 +59,8 @@ def test_allen_cahn_reduces_to_poisson_for_large_eps():
 
 def test_cost_density_examples():
     prob = ProblemSpec("poisson", 4.0, TargetSpec("constant", constant=0.7))
-    assert cost_density(prob, PointJet(0.7, 0.0, 0.0), 0.7) == 0.0
-    assert cost_density(prob, PointJet(0.7, 1.0, 1.0), 0.7) == pytest.approx(2.0)
+    assert cost_values(prob, 0.7, 0.0, 0.0, 0.7) == 0.0
+    assert cost_values(prob, 0.7, 1.0, 1.0, 0.7) == pytest.approx(2.0)
 
 
 def test_cost_density_exact_sine_midpoint():
@@ -74,9 +68,9 @@ def test_cost_density_exact_sine_midpoint():
     prob = ProblemSpec("poisson", alpha, TargetSpec("sine1d"))
     # exact pair at x = 0.5 with matching target value: misfit vanishes and
     # the two (alpha/4) pi^4 terms remain
-    jet = PointJet(1.0, np.pi**2, -np.pi**2)
-    assert cost_density(prob, jet, 1.0) == pytest.approx((alpha / 2) * np.pi**4, rel=1e-14)
-    assert cost_density(prob, jet, 1.0) == pytest.approx(4.8705e-3, rel=1e-4)
+    cost = cost_values(prob, 1.0, np.pi**2, -np.pi**2, 1.0)
+    assert cost == pytest.approx((alpha / 2) * np.pi**4, rel=1e-14)
+    assert cost == pytest.approx(4.8705e-3, rel=1e-4)
 
 
 def test_discrete_lagrangian_zero_multiplier_is_cost_quadrature():
@@ -85,7 +79,6 @@ def test_discrete_lagrangian_zero_multiplier_is_cost_quadrature():
     jets = exact_sine_jets(g)
     z0 = zero_multiplier(g, 1.0)
     target = target_values(prob, g)
-    from deepuzawa.lagrangian import cost_values
     cost_q = float(np.dot(g.weights, cost_values(prob, jets.u, jets.f, jets.lap_u, target)))
     assert discrete_lagrangian(prob, g, jets, z0) == pytest.approx(cost_q, rel=1e-14)
 

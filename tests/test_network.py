@@ -5,7 +5,7 @@ from deepuzawa.errors import ShapeError
 from deepuzawa.geometry import CollocationSet, Domain, build_grid, cutoff_jet
 from deepuzawa.lagrangian import MultiplierField, ProblemSpec, TargetSpec, discrete_lagrangian
 from deepuzawa.network import (NetworkParameters, NetworkSpec, batch_jets, evaluate,
-                               finite_difference_gradient, forward_jet, init_network,
+                               finite_difference_gradient, init_network,
                                load_checkpoint, loss_and_gradient, loss_value,
                                save_checkpoint)
 
@@ -62,10 +62,10 @@ def test_single_linear_layer_jet():
     c = 1.75
     flat = np.array([c, 0.0, 0.0, 0.0])  # W = [[c], [0]], b = 0
     params = NetworkParameters(spec, flat)
-    jet = forward_jet(params, [0.3])
-    assert jet.u == pytest.approx(c * 0.3, abs=1e-15)
-    assert jet.grad_u[0] == pytest.approx(c, abs=1e-15)
-    assert jet.lap_u == 0.0
+    jets = batch_jets(params, [[0.3]])
+    assert jets.u[0] == pytest.approx(c * 0.3, abs=1e-15)
+    assert jets.grad_u[0, 0] == pytest.approx(c, abs=1e-15)
+    assert jets.lap_u[0] == 0.0
 
 
 def test_jet_laplacian_matches_central_difference():
@@ -230,6 +230,21 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.spec == spec
     assert np.array_equal(loaded.flat, params.flat)
+
+
+def test_checkpoint_truncated_header_is_value_error(tmp_path):
+    params = init_network(NetworkSpec(1, (4, 4), seed=3))
+    path = tmp_path / "params.bin"
+    save_checkpoint(params, path)
+    data = path.read_bytes()
+    # the end of every header field (magic, version, input dimension, layer
+    # count, two widths, activation id, seed, parameter count), then cuts
+    # inside a field and inside the parameter vector
+    cuts = [8, 12, 16, 20, 24, 28, 32, 40, 48, 10, 30, 44, len(data) - 1]
+    for cut in cuts:
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):
