@@ -77,8 +77,7 @@ def _meta_from(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
 
 def _cmd_run(cfg: ExperimentConfig, quiet: bool) -> int:
     if cfg.tag not in _NETWORK_TAGS:
-        raise ConfigError(f"tag {cfg.tag!r} belongs to the oracle/grad-check subcommands",
-                          key="tag")
+        raise ConfigError(f"tag {cfg.tag!r} belongs to the oracle subcommand", key="tag")
     run_cfg = _uzawa_config(cfg)
     record = run_deep_uzawa(run_cfg, progress=not quiet)
     extra = {"resolved_rho": run_cfg.resolved_rho,

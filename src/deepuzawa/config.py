@@ -8,7 +8,7 @@ offending key name and line number.
 Recognised keys (defaults in parentheses):
 
   tag            experiment: sine1d | boundary_layer | sine2d | ac_sine |
-                 ac_step | ac_image | fd_oracle | grad_check
+                 ac_step | ac_image | fd_oracle
   alpha          regularisation weight (1e-4)
   epsilon        Allen-Cahn interface width; required for ac_* tags
   rho            multiplier step (alpha / 4)
@@ -41,7 +41,7 @@ from .errors import ConfigError, PgmError
 from .geometry import CollocationSet
 
 TAGS = ("sine1d", "boundary_layer", "sine2d", "ac_sine", "ac_step", "ac_image",
-        "fd_oracle", "grad_check")
+        "fd_oracle")
 ORACLE_METHODS = ("uzawa", "projected", "gauss_seidel", "direct", "all")
 
 _AC_TAGS = ("ac_sine", "ac_step", "ac_image")

@@ -143,7 +143,7 @@ def run_deep_uzawa(config: UzawaConfig, progress: bool = False) -> RunRecord:
     adam = AdamState.fresh(params.flat.size, lr=config.learning_rate)
     step = config.beta if config.variant == "augmented" else config.resolved_rho
     beta = config.beta if config.variant == "augmented" else 0.0
-    z = zero_multiplier(cset, step)
+    z = zero_multiplier(cset)
     batch_rng = np.random.default_rng(config.seed)
 
     state_errors, control_errors, losses, walls = [], [], [], []
@@ -161,7 +161,7 @@ def run_deep_uzawa(config: UzawaConfig, progress: bool = False) -> RunRecord:
                 sub_cutoff = CutoffJet(cutoff.b[idx], cutoff.grad[idx], cutoff.lap[idx])
                 z_full = np.zeros(cset.n_points)
                 z_full[cset.interior_mask] = z.values
-                sub_z = MultiplierField(z_full[idx][sub.interior_mask], z.rho)
+                sub_z = MultiplierField(z_full[idx][sub.interior_mask])
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     loss, grad = loss_and_gradient(params, sub, problem, sub_z, beta,
@@ -198,7 +198,8 @@ def run_deep_uzawa(config: UzawaConfig, progress: bool = False) -> RunRecord:
                 msg += f"  state err {state_errors[-1]:.3e}"
             print(msg, flush=True)
 
-    final_u, final_f = evaluate(params, cset.points, cutoff.b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        final_u, final_f = evaluate(params, cset.points, cutoff.b)
     return RunRecord(
         config=config,
         cset=cset,
@@ -215,14 +216,14 @@ def run_deep_uzawa(config: UzawaConfig, progress: bool = False) -> RunRecord:
     )
 
 
-def rho_alpha_sweep(base: UzawaConfig, alphas, rho_rule=None) -> list[RunRecord]:
-    """One run per regularisation weight; rho defaults to alpha / 4."""
+def rho_alpha_sweep(base: UzawaConfig, alphas) -> list[RunRecord]:
+    """One run per regularisation weight with the base config's rho, which
+    resolves to alpha / 4 for each alpha when unset."""
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alpha sweep needs at least one value")
     records = []
     for a in alphas:
         problem = replace(base.problem, alpha=float(a))
-        rho = rho_rule(a) if rho_rule is not None else None
-        records.append(run_deep_uzawa(replace(base, problem=problem, rho=rho)))
+        records.append(run_deep_uzawa(replace(base, problem=problem)))
     return records

@@ -75,16 +75,13 @@ class MultiplierField:
     """Discrete Lagrange multiplier on the interior collocation points."""
 
     values: np.ndarray
-    rho: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if not self.rho > 0:
-            raise ValueError("multiplier step rho must be positive")
 
 
-def zero_multiplier(cset: CollocationSet, rho: float) -> MultiplierField:
-    return MultiplierField(np.zeros(cset.n_interior), rho)
+def zero_multiplier(cset: CollocationSet) -> MultiplierField:
+    return MultiplierField(np.zeros(cset.n_interior))
 
 
 def target_values(problem: ProblemSpec, cset: CollocationSet) -> np.ndarray:
@@ -276,7 +273,7 @@ def multiplier_update(z: MultiplierField, residuals, rho: float) -> MultiplierFi
     k = np.asarray(residuals, dtype=float)
     if k.shape != z.values.shape:
         raise ShapeError(f"residuals shape {k.shape} != multiplier shape {z.values.shape}")
-    return MultiplierField(z.values + rho * k, rho)
+    return MultiplierField(z.values + rho * k)
 
 
 def projected_multiplier_update(z: MultiplierField, residuals, rho: float) -> MultiplierField:
@@ -286,4 +283,4 @@ def projected_multiplier_update(z: MultiplierField, residuals, rho: float) -> Mu
     k = np.asarray(residuals, dtype=float)
     if k.shape != z.values.shape:
         raise ShapeError(f"residuals shape {k.shape} != multiplier shape {z.values.shape}")
-    return MultiplierField(np.maximum(z.values + rho * k, 0.0), rho)
+    return MultiplierField(np.maximum(z.values + rho * k, 0.0))

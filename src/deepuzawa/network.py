@@ -5,12 +5,13 @@ The ansatz is a fully connected network mapping a point x in R^d to a pair
 Dirichlet data by multiplication with a boundary cutoff, u = b * n_u, while
 the control channel f = n_f is left free.
 
-Second derivatives are obtained by propagating per-axis (value, d_i, d_ii)
-triples through every affine map and activation; summing the d_ii outputs
-over axes gives the Laplacian.  The loss gradient with respect to every
-parameter is computed by one reverse sweep over the recorded computation,
-which requires the activation's third derivative (the Laplacian already
-consumes two).
+The Laplacian is obtained by propagating the value, the d first
+derivatives and the Laplacian itself (the "forward Laplacian" layout)
+through every affine map and tanh activation: an activation maps the
+Laplacian stream L of its input y to s''(y) sum_i (d_i y)^2 + s'(y) L.  The
+loss gradient with respect to every parameter is computed by one reverse
+sweep over the recorded computation, which requires tanh's third
+derivative (the Laplacian already consumes two).
 """
 from __future__ import annotations
 
@@ -27,8 +28,6 @@ from .lagrangian import (MultiplierField, ProblemSpec, TargetSpec, loss_parts,
 _CHECKPOINT_MAGIC = b"DUZW-NET"
 _CHECKPOINT_VERSION = 1
 
-ACTIVATION_IDS = {"tanh": 0}
-
 
 def _tanh_derivs(y):
     """tanh with first, second and third derivatives."""
@@ -39,30 +38,19 @@ def _tanh_derivs(y):
     return t, d1, d2, d3
 
 
-def _identity_derivs(y):
-    z = np.zeros_like(y)
-    return y, np.ones_like(y), z, z
-
-
-_ACTIVATIONS = {"tanh": _tanh_derivs, "identity": _identity_derivs}
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture description: input dimension, hidden widths, seed."""
+    """Architecture description: input dimension, hidden tanh widths, seed."""
 
     input_dim: int
     hidden: tuple[int, ...]
     seed: int = 0
-    activation: str = "tanh"
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if any(w < 1 for w in self.hidden):
             raise ValueError("hidden widths must be >= 1")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
 
     @property
@@ -147,14 +135,19 @@ class _Tape:
     """Recorded forward pass, enough for one reverse sweep.
 
     All derivative streams share each layer's matrix product: rows of the
-    stacked activations hold n value rows, then per-axis first-derivative
-    blocks, then per-axis second-derivative blocks.
+    stacked activations hold n value rows, then d first-derivative blocks
+    of n rows each, then one block of n Laplacian rows.
     """
 
-    __slots__ = ("x", "y", "jets", "cutoff", "raw")
+    __slots__ = ("x", "y")
 
     def __init__(self):
         self.x, self.y = [], []
+
+
+def _stream_blocks(n: int, d: int) -> tuple[list[slice], slice]:
+    """Row slices of the d first-derivative blocks and the Laplacian block."""
+    return [slice(n * (1 + i), n * (2 + i)) for i in range(d)], slice(n * (1 + d), None)
 
 
 def _forward(params: NetworkParameters, points: np.ndarray,
@@ -165,16 +158,15 @@ def _forward(params: NetworkParameters, points: np.ndarray,
         raise ShapeError(f"points have dimension {d}, network expects {params.spec.input_dim}")
     if cutoff is None:
         cutoff = _unit_cutoff(points)
-    act = _ACTIVATIONS[params.spec.activation]
     layers = params.layers
     n_layers = len(layers)
+    blocks, lap = _stream_blocks(n, d)
 
     tape = _Tape() if need_tape else None
-    # stacked streams: rows [0:n] value, [n(1+i):n(2+i)] d_i, then d_ii blocks
-    x = np.zeros((n * (1 + 2 * d), d))
+    x = np.zeros((n * (2 + d), d))
     x[:n] = points
-    for i in range(d):
-        x[n * (1 + i):n * (2 + i), i] = 1.0
+    for i, blk in enumerate(blocks):
+        x[blk, i] = 1.0
     for k, (w, b) in enumerate(layers):
         y = x @ w.T
         y[:n] += b
@@ -182,23 +174,22 @@ def _forward(params: NetworkParameters, points: np.ndarray,
             tape.x.append(x)
             tape.y.append(y)
         if k < n_layers - 1:
-            s, s1, s2, _ = act(y[:n])
+            s, s1, s2, _ = _tanh_derivs(y[:n])
             x = np.empty((y.shape[0], y.shape[1]))
             x[:n] = s
-            for i in range(d):
-                yp = y[n * (1 + i):n * (2 + i)]
-                yq = y[n * (1 + d + i):n * (2 + d + i)]
-                x[n * (1 + i):n * (2 + i)] = s1 * yp
-                x[n * (1 + d + i):n * (2 + d + i)] = s2 * yp * yp + s1 * yq
+            x_lap = x[lap]
+            np.multiply(s1, y[lap], out=x_lap)
+            for blk in blocks:
+                yp = y[blk]
+                np.multiply(s1, yp, out=x[blk])
+                x_lap += s2 * yp * yp
         else:
             out = y
 
     n_u = out[:n, 0]
     f = out[:n, 1]
-    grad_n = np.stack([out[n * (1 + i):n * (2 + i), 0] for i in range(d)], axis=1)
-    lap_n = out[n * (1 + d):n * (2 + d), 0].copy()
-    for i in range(1, d):
-        lap_n += out[n * (1 + d + i):n * (2 + d + i), 0]
+    grad_n = np.stack([out[blk, 0] for blk in blocks], axis=1)
+    lap_n = out[lap, 0]
 
     b_val, b_grad, b_lap = cutoff.b, cutoff.grad, cutoff.lap
     u = b_val * n_u
@@ -207,13 +198,7 @@ def _forward(params: NetworkParameters, points: np.ndarray,
 
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(f)) and np.all(np.isfinite(lap_u))):
         raise NumericOverflowError("network evaluation produced non-finite values")
-
-    jets = JetBatch(u, f, grad_u, lap_u)
-    if need_tape:
-        tape.jets = jets
-        tape.cutoff = cutoff
-        tape.raw = (n_u, grad_n, lap_n)
-    return jets, tape
+    return JetBatch(u, f, grad_u, lap_u), tape
 
 
 def batch_jets(params: NetworkParameters, points: np.ndarray,
@@ -233,13 +218,11 @@ def evaluate(params: NetworkParameters, points: np.ndarray,
 
     Used by finite-difference oracles that re-difference the scalar output.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    act = _ACTIVATIONS[params.spec.activation]
-    x = points
+    x = np.atleast_2d(np.asarray(points, dtype=float))
     layers = params.layers
     for k, (w, b) in enumerate(layers):
         y = x @ w.T + b
-        x = act(y)[0] if k < len(layers) - 1 else y
+        x = np.tanh(y) if k < len(layers) - 1 else y
     n_u, f = x[:, 0], x[:, 1]
     if cutoff_values is None:
         return n_u, f
@@ -280,14 +263,14 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
     n = cset.n_points
 
     # stacked adjoint matching the forward block layout
-    a = np.zeros((n * (1 + 2 * d), 2))
+    blocks, lap = _stream_blocks(n, d)
+    a = np.zeros((n * (2 + d), 2))
     a[:n, 0] = a_n_u
     a[:n, 1] = g_f
-    for i in range(d):
-        a[n * (1 + i):n * (2 + i), 0] = a_grad_n[:, i]
-        a[n * (1 + d + i):n * (2 + d + i), 0] = a_lap_n
+    for i, blk in enumerate(blocks):
+        a[blk, 0] = a_grad_n[:, i]
+    a[lap, 0] = a_lap_n
 
-    act = _ACTIVATIONS[params.spec.activation]
     grad_flat = np.empty_like(params.flat)
     dims = params.spec.layer_dims
     offsets = np.cumsum([0] + [dims[k + 1] * (dims[k] + 1) for k in range(n_layers)])
@@ -304,16 +287,20 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
             break
         a_post = a @ w  # adjoint of this layer's stacked input, post-activation
         y_prev = tape.y[k - 1]
-        _, s1, s2, s3 = act(y_prev[:n])
+        _, s1, s2, s3 = _tanh_derivs(y_prev[:n])
+        a_lap = a_post[lap]
+        curv = s2 * y_prev[lap]  # d(Laplacian out)/d(value in) = s3 sum yp^2 + s2 L
+        for blk in blocks:
+            curv += s3 * y_prev[blk] * y_prev[blk]
         a = np.empty_like(a_post)
-        a[:n] = s1 * a_post[:n]
-        for i in range(d):
-            pblk = slice(n * (1 + i), n * (2 + i))
-            qblk = slice(n * (1 + d + i), n * (2 + d + i))
-            yp, yq = y_prev[pblk], y_prev[qblk]
-            a[:n] += s2 * yp * a_post[pblk] + (s3 * yp * yp + s2 * yq) * a_post[qblk]
-            a[pblk] = s1 * a_post[pblk] + 2.0 * s2 * yp * a_post[qblk]
-            a[qblk] = s1 * a_post[qblk]
+        a_val = a[:n]
+        np.multiply(curv, a_lap, out=a_val)
+        for blk in blocks:
+            yp = y_prev[blk]
+            a_val += s2 * yp * a_post[blk]
+            a[blk] = s1 * a_post[blk] + 2.0 * s2 * yp * a_lap
+        a_val += s1 * a_post[:n]
+        np.multiply(s1, a_lap, out=a[lap])
 
     return loss, grad_flat
 
@@ -403,7 +390,7 @@ def grad_check() -> dict[str, float]:
     problem = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d"))
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        z = MultiplierField(rng.normal(size=cset.n_interior), rho=1.0)
+        z = MultiplierField(rng.normal(size=cset.n_interior))
         params = init_network(NetworkSpec(1, (8, 8), seed=seed))
         _, grad = loss_and_gradient(params, cset, problem, z)
         fd = finite_difference_gradient(params, cset, problem, z, 1e-6)
@@ -434,7 +421,7 @@ def save_checkpoint(params: NetworkParameters, path) -> None:
         fh.write(struct.pack("<ii", _CHECKPOINT_VERSION, spec.input_dim))
         fh.write(struct.pack("<i", len(spec.hidden)))
         fh.write(struct.pack(f"<{len(spec.hidden)}i", *spec.hidden))
-        fh.write(struct.pack("<i", ACTIVATION_IDS[spec.activation]))
+        fh.write(struct.pack("<i", 0))  # activation id: tanh
         fh.write(struct.pack("<qq", spec.seed, spec.n_parameters))
         fh.write(params.flat.astype("<f8").tobytes())
 
@@ -463,10 +450,9 @@ def load_checkpoint(path) -> NetworkParameters:
         hidden = struct.unpack(f"<{n_hidden}i", _read_exact(fh, 4 * n_hidden))
         (act_id,) = struct.unpack("<i", _read_exact(fh, 4))
         seed, n_params = struct.unpack("<qq", _read_exact(fh, 16))
-        by_id = {v: k for k, v in ACTIVATION_IDS.items()}
-        if act_id not in by_id:
+        if act_id != 0:
             raise ValueError(f"unknown activation id {act_id}")
-        spec = NetworkSpec(input_dim, tuple(hidden), seed=seed, activation=by_id[act_id])
+        spec = NetworkSpec(input_dim, tuple(hidden), seed=seed)
         if n_params != spec.n_parameters:
             raise ValueError("checkpoint parameter count does not match its architecture")
         flat = np.frombuffer(_read_exact(fh, 8 * n_params), dtype="<f8").astype(float)

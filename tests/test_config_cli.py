@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ def test_missing_tag(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(write(tmp_path, "alpha = 1e-4\n"))
     assert err.value.key == "tag"
+
+
+def test_grad_check_tag_is_unknown(tmp_path):
+    # grad-check reads no config, so no config may name it
+    with pytest.raises(ConfigError, match="unknown tag") as err:
+        parse_config(write(tmp_path, "alpha = 1e-4\ntag = grad_check\n"))
+    assert err.value.key == "tag"
+    assert err.value.line == 2
 
 
 def test_augmented_requires_beta(tmp_path):
@@ -244,6 +253,25 @@ output_dir = {tmp_path / 'div'}
     assert "diverged_at" in (tmp_path / "div" / "meta.txt").read_text()
 
 
+def test_cli_divergence_emits_no_warning(tmp_path):
+    # the final fields of a diverged run overflow too; that must not warn
+    cfg = write(tmp_path, f"""
+tag = sine1d
+alpha = 1e-2
+learning_rate = 1e308
+n_uzawa = 3
+n_sgd = 2
+n_points = 11
+hidden_width = 4
+hidden_depth = 1
+output_dir = {tmp_path / 'div'}
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["-q", "run", cfg]) == 2
+    assert "diverged_at" in (tmp_path / "div" / "meta.txt").read_text()
+
+
 def test_cli_oracle_all_methods(tmp_path):
     cfg = write(tmp_path, f"""
 tag = fd_oracle
@@ -282,6 +310,23 @@ output_dir = {tmp_path / 'sweep'}
     assert main(["-q", "sweep", cfg, "--alphas", "1", "0.01"]) == 0
     assert (tmp_path / "sweep" / "alpha_1" / "Error.csv").exists()
     assert (tmp_path / "sweep" / "alpha_0.01" / "Error.csv").exists()
+
+
+def test_cli_sweep_keeps_config_rho(tmp_path):
+    cfg = write(tmp_path, f"""
+tag = sine1d
+alpha = 1e-4
+rho = 0.5
+n_uzawa = 1
+n_sgd = 1
+n_points = 11
+hidden_width = 4
+hidden_depth = 1
+output_dir = {tmp_path / 'sweep'}
+""")
+    assert main(["-q", "sweep", cfg, "--alphas", "1"]) == 0
+    meta = (tmp_path / "sweep" / "alpha_1" / "meta.txt").read_text().splitlines()
+    assert "resolved_rho = 0.5" in meta
 
 
 def test_cli_ac_image_run(tmp_path):

@@ -77,7 +77,7 @@ def test_discrete_lagrangian_zero_multiplier_is_cost_quadrature():
     g = build_grid(Domain.unit_interval(), 41)
     prob = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d"))
     jets = exact_sine_jets(g)
-    z0 = zero_multiplier(g, 1.0)
+    z0 = zero_multiplier(g)
     target = target_values(prob, g)
     cost_q = float(np.dot(g.weights, cost_values(prob, jets.u, jets.f, jets.lap_u, target)))
     assert discrete_lagrangian(prob, g, jets, z0) == pytest.approx(cost_q, rel=1e-14)
@@ -87,17 +87,17 @@ def test_discrete_lagrangian_invariant_for_residual_free_fields():
     g = build_grid(Domain.unit_interval(), 41)
     prob = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d"))
     jets = exact_sine_jets(g)  # residual is exactly zero everywhere
-    base = discrete_lagrangian(prob, g, jets, zero_multiplier(g, 1.0))
+    base = discrete_lagrangian(prob, g, jets, zero_multiplier(g))
     rng = np.random.default_rng(8)
     for beta in (0.0, 3.0):
-        z = MultiplierField(rng.normal(size=g.n_interior), rho=1.0)
+        z = MultiplierField(rng.normal(size=g.n_interior))
         assert discrete_lagrangian(prob, g, jets, z, beta) == pytest.approx(base, rel=1e-13)
 
 
 def test_loss_parts_alpha_scaling():
     g = build_grid(Domain.unit_interval(), 31)
     jets = exact_sine_jets(g)
-    z = zero_multiplier(g, 1.0)
+    z = zero_multiplier(g)
     parts1 = loss_parts(ProblemSpec("poisson", 1e-2, TargetSpec("constant", constant=0.0)),
                         g, jets, z)
     parts2 = loss_parts(ProblemSpec("poisson", 2e-2, TargetSpec("constant", constant=0.0)),
@@ -161,7 +161,7 @@ def test_sampled_target_shape_check():
 
 
 def test_multiplier_update_examples():
-    z = MultiplierField(np.zeros(3), rho=0.25)
+    z = MultiplierField(np.zeros(3))
     out = multiplier_update(z, np.full(3, 2.0), 0.25)
     assert np.array_equal(out.values, np.full(3, 0.5))
     same = multiplier_update(z, np.zeros(3), 0.25)
@@ -170,7 +170,7 @@ def test_multiplier_update_examples():
 
 def test_multiplier_update_additive():
     rng = np.random.default_rng(1)
-    z = MultiplierField(rng.normal(size=8), rho=0.1)
+    z = MultiplierField(rng.normal(size=8))
     k1, k2 = rng.normal(size=(2, 8))
     two_steps = multiplier_update(multiplier_update(z, k1, 0.1), k2, 0.1)
     one_step = multiplier_update(z, k1 + k2, 0.1)
@@ -178,21 +178,21 @@ def test_multiplier_update_additive():
 
 
 def test_projected_update_clamps():
-    z = MultiplierField(np.full(4, 0.1), rho=1.0)
+    z = MultiplierField(np.full(4, 0.1))
     out = projected_multiplier_update(z, np.full(4, -0.5), 1.0)
     assert np.array_equal(out.values, np.zeros(4))
 
 
 def test_projected_update_matches_plain_when_nonnegative():
     rng = np.random.default_rng(2)
-    z = MultiplierField(np.abs(rng.normal(size=6)), rho=1.0)
+    z = MultiplierField(np.abs(rng.normal(size=6)))
     k = np.abs(rng.normal(size=6))
     assert np.array_equal(projected_multiplier_update(z, k, 0.5).values,
                           multiplier_update(z, k, 0.5).values)
 
 
 def test_projected_update_rejects_negative_input():
-    z = MultiplierField(np.array([0.1, -0.1]), rho=1.0)
+    z = MultiplierField(np.array([0.1, -0.1]))
     with pytest.raises(ValueError):
         projected_multiplier_update(z, np.zeros(2), 1.0)
 
@@ -201,7 +201,7 @@ def test_projected_update_rejects_negative_input():
 @given(st.integers(0, 10_000))
 def test_projection_idempotent_and_nonnegative(seed):
     rng = np.random.default_rng(seed)
-    z = MultiplierField(np.maximum(rng.normal(size=12), 0.0), rho=1.0)
+    z = MultiplierField(np.maximum(rng.normal(size=12), 0.0))
     k = rng.normal(size=12) * 10 ** rng.uniform(-3, 3)
     once = projected_multiplier_update(z, k, 0.7)
     assert np.all(once.values >= 0.0)

@@ -18,7 +18,7 @@ def poisson_problem(alpha=1e-2):
 
 def random_multiplier(cset, seed=0):
     rng = np.random.default_rng(seed)
-    return MultiplierField(rng.normal(size=cset.n_interior), rho=1.0)
+    return MultiplierField(rng.normal(size=cset.n_interior))
 
 
 def test_parameter_count_1_8_8_2():
@@ -58,7 +58,7 @@ def test_state_zero_on_boundary_for_any_parameters():
 
 def test_single_linear_layer_jet():
     # one affine map u-channel: u = c x (no cutoff), so grad = c, lap = 0
-    spec = NetworkSpec(1, (), seed=0, activation="identity")
+    spec = NetworkSpec(1, (), seed=0)
     c = 1.75
     flat = np.array([c, 0.0, 0.0, 0.0])  # W = [[c], [0]], b = 0
     params = NetworkParameters(spec, flat)
@@ -128,13 +128,19 @@ def test_gradient_matches_finite_differences(kind, beta):
     assert np.max(np.abs(grad - fd) / scale) <= 1e-5
 
 
-def test_gradient_matches_finite_differences_2d():
+@pytest.mark.parametrize("kind,beta", [("poisson", 0.0), ("poisson", 0.5),
+                                       ("allen_cahn", 0.0), ("allen_cahn", 0.2)])
+def test_gradient_matches_finite_differences_2d(kind, beta):
     g = build_grid(Domain.unit_square(), 5)
-    prob = ProblemSpec("poisson", 1e-2, TargetSpec("sine2d"))
+    if kind == "poisson":
+        prob = ProblemSpec("poisson", 1e-2, TargetSpec("sine2d"))
+    else:
+        prob = ProblemSpec("allen_cahn", 1e-3, TargetSpec("constant", constant=0.5),
+                           epsilon=0.8)
     z = random_multiplier(g, 23)
     params = init_network(NetworkSpec(2, (6, 6), seed=6))
-    _, grad = loss_and_gradient(params, g, prob, z)
-    fd = finite_difference_gradient(params, g, prob, z, 1e-6)
+    _, grad = loss_and_gradient(params, g, prob, z, beta)
+    fd = finite_difference_gradient(params, g, prob, z, 1e-6, beta)
     scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
     assert np.max(np.abs(grad - fd) / scale) <= 1e-5
 
@@ -196,7 +202,7 @@ def test_duplicated_point_with_split_weight():
     mask = np.append(g.interior_mask, True)
     dup = CollocationSet(g.domain, points, weights, mask)
     zj = np.where(np.flatnonzero(g.interior_mask) == j)[0][0]
-    z_dup = MultiplierField(np.append(z.values, z.values[zj]), rho=1.0)
+    z_dup = MultiplierField(np.append(z.values, z.values[zj]))
     loss2, grad2 = loss_and_gradient(params, dup, prob, z_dup)
     assert loss2 == pytest.approx(loss1, rel=1e-13)
     assert np.allclose(grad2, grad1, rtol=1e-12, atol=1e-15)
@@ -217,7 +223,7 @@ def test_multiplier_shape_mismatch():
     g = build_grid(DOM1, 16)
     prob = poisson_problem()
     params = init_network(NetworkSpec(1, (8, 8), seed=4))
-    bad = MultiplierField(np.zeros(g.n_interior - 1), rho=1.0)
+    bad = MultiplierField(np.zeros(g.n_interior - 1))
     with pytest.raises(ShapeError):
         loss_and_gradient(params, g, prob, bad)
 
@@ -245,6 +251,19 @@ def test_checkpoint_truncated_header_is_value_error(tmp_path):
         path.write_bytes(data[:cut])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+
+def test_checkpoint_unknown_activation_id(tmp_path):
+    params = init_network(NetworkSpec(1, (4, 4), seed=3))
+    path = tmp_path / "params.bin"
+    save_checkpoint(params, path)
+    data = bytearray(path.read_bytes())
+    # activation id follows magic, version, input dimension, layer count, two widths
+    assert data[28:32] == (0).to_bytes(4, "little")
+    data[28:32] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="unknown activation id"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):
