@@ -10,8 +10,9 @@ saddle-point convergence theory at the discrete level.
 from .closed_forms import ExactSolution, residual_check_boundary_layer
 from .config import RunResult, emit_csv
 from .driver import RunRecord, UzawaConfig, record_errors, rho_alpha_sweep, run_deep_uzawa
-from .fd_oracle import (FDRun, Grid1D, KKTSolution, fd_direct_kkt_solve, fd_operators,
-                        fd_projected_uzawa_run, fd_uzawa_run, gauss_seidel_adjoint_run)
+from .fd_oracle import (FDRun, Grid1D, KKTSolution, apply_laplacian, fd_direct_kkt_solve,
+                        fd_projected_uzawa_run, fd_uzawa_run, gauss_seidel_adjoint_run,
+                        laplacian_dense)
 from .geometry import CollocationSet, Domain, build_grid, cutoff_jet, l2_norm, quadrature_sum
 from .lagrangian import (MultiplierField, ProblemSpec, TargetSpec, cost_values,
                          discrete_lagrangian, multiplier_update, projected_multiplier_update,

@@ -16,18 +16,19 @@ Recognised keys (defaults in parentheses):
   beta           augmentation weight, required when variant = augmented
   n_uzawa        outer multiplier updates (500)
   n_sgd          inner optimiser steps per update (40)
-  learning_rate  Adam step size (1e-3)
+  learning_rate  Adam step size, > 0 (1e-3)
   n_points       collocation points per axis (201)
   seed           run seed (0)
   hidden_width   network width (64)
-  hidden_depth   hidden layer count (3)
+  hidden_depth   hidden layer count, >= 0 (3)
   batch_size     mini-batch size; full batch when absent
   image          greymap path, required for ac_image
   output_dir     run directory (runs/<tag>)
   eval_refine    extra evaluation grid refinement factor (1)
   oracle_method  uzawa | projected | gauss_seidel | direct | all  (uzawa)
-  oracle_iters   multiplier updates for oracle runs (200)
-  precision_dps  decimal digits for oracle arithmetic; float64 when absent
+  oracle_iters   multiplier updates for oracle runs, >= 0 (200)
+  precision_dps  decimal digits for oracle arithmetic, >= 1; float64 when
+                 absent
 """
 from __future__ import annotations
 
@@ -142,6 +143,12 @@ def _validate(cfg: ExperimentConfig, entries):
     if cfg.n_uzawa < 1 or cfg.n_sgd < 1:
         raise ConfigError("n_uzawa and n_sgd must be at least 1",
                           key="n_uzawa" if cfg.n_uzawa < 1 else "n_sgd")
+    if not cfg.learning_rate > 0:
+        raise ConfigError("learning_rate must be positive",
+                          key="learning_rate", line=where("learning_rate"))
+    if cfg.hidden_depth < 0:
+        raise ConfigError("hidden_depth must be nonnegative",
+                          key="hidden_depth", line=where("hidden_depth"))
     if cfg.n_points < 3:
         raise ConfigError("n_points must be at least 3", key="n_points", line=where("n_points"))
     if cfg.eval_refine < 1:
@@ -150,6 +157,12 @@ def _validate(cfg: ExperimentConfig, entries):
     if cfg.oracle_method not in ORACLE_METHODS:
         raise ConfigError(f"oracle_method must be one of {ORACLE_METHODS}",
                           key="oracle_method", line=where("oracle_method"))
+    if cfg.oracle_iters < 0:
+        raise ConfigError("oracle_iters must be nonnegative",
+                          key="oracle_iters", line=where("oracle_iters"))
+    if cfg.precision_dps is not None and cfg.precision_dps < 1:
+        raise ConfigError("precision_dps must be at least 1",
+                          key="precision_dps", line=where("precision_dps"))
     if cfg.batch_size is not None and cfg.batch_size < 1:
         raise ConfigError("batch_size must be positive",
                           key="batch_size", line=where("batch_size"))

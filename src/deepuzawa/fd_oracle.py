@@ -9,9 +9,12 @@ Discretisation: n uniform points on [0, 1], 3-point Laplacian with zero
 Dirichlet data, and the simply supported (u = lap u = 0) biharmonic taken
 as the Laplacian composed with itself on interior points.
 
-The plain and the projected Uzawa run are one iteration in two multiplier
-orientations: the projected run's multiplier is the negation of the plain
-run's, and it clamps the iterates to the nonnegative cone.
+The three iterative runs (plain Uzawa, projected Uzawa, Gauss-Seidel) share
+one run loop that records errors and losses and flags divergence; each
+supplies only its iterates.  The plain and the projected Uzawa run are one
+iteration in two multiplier orientations: the projected run's multiplier is
+the negation of the plain run's, and it clamps the iterates to the
+nonnegative cone.
 
 Every solver accepts an optional decimal precision ``dps``.  The float64
 path is the default; the multiprecision path (mpmath) exists because the
@@ -172,33 +175,21 @@ def _ldlt_solve(fact, rhs):
     return w
 
 
-@dataclass(frozen=True)
-class FDOperators:
-    """Discrete Laplacian and biharmonic for a grid (float64 access)."""
-
-    grid: Grid1D
-
-    def apply_laplacian(self, v):
-        q = 1.0 / self.grid.h**2
-        return np.asarray(_laplacian_apply(list(np.asarray(v, dtype=float)), q))
-
-    def laplacian_dense(self) -> np.ndarray:
-        m = self.grid.n_interior
-        q = 1.0 / self.grid.h**2
-        t = np.zeros((m, m))
-        np.fill_diagonal(t, -2.0 * q)
-        idx = np.arange(m - 1)
-        t[idx, idx + 1] = q
-        t[idx + 1, idx] = q
-        return t
-
-    def biharmonic_dense(self) -> np.ndarray:
-        t = self.laplacian_dense()
-        return t @ t
+def apply_laplacian(grid: Grid1D, v) -> np.ndarray:
+    """The discrete Laplacian of interior values ``v``, in float64."""
+    return np.asarray(_laplacian_apply(list(np.asarray(v, dtype=float)), 1.0 / grid.h**2))
 
 
-def fd_operators(grid: Grid1D) -> FDOperators:
-    return FDOperators(grid)
+def laplacian_dense(grid: Grid1D) -> np.ndarray:
+    """The discrete Laplacian as a dense matrix; its square is the biharmonic."""
+    m = grid.n_interior
+    q = 1.0 / grid.h**2
+    t = np.zeros((m, m))
+    np.fill_diagonal(t, -2.0 * q)
+    idx = np.arange(m - 1)
+    t[idx, idx + 1] = q
+    t[idx + 1, idx] = q
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +239,15 @@ class KKTSolution(RunResult):
     residual: float
 
 
+def _floats(v) -> np.ndarray:
+    return np.array([float(x) for x in v])
+
+
+def _solution(u, f, z, residual=0.0) -> KKTSolution:
+    """The float64 saddle point of fields held in context scalars."""
+    return KKTSolution(u=_floats(u), f=_floats(f), z=_floats(z), residual=float(residual))
+
+
 def _direct_kkt(grid: Grid1D, alpha, D, ctx):
     m = grid.n_interior
     h = ctx.num(1) / (grid.n - 1)
@@ -289,13 +289,7 @@ def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
     with ctx.guard():
         a = ctx.num(alpha)
         Dl = [ctx.num(x) for x in D]
-        u, f, z, residual = _direct_kkt(grid, a, Dl, ctx)
-        return KKTSolution(
-            u=np.array([float(x) for x in u]),
-            f=np.array([float(x) for x in f]),
-            z=np.array([float(x) for x in z]),
-            residual=float(residual),
-        )
+        return _solution(*_direct_kkt(grid, a, Dl, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +300,9 @@ def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
 class FDRun(RunResult):
     """History of one discrete saddle-point iteration.
 
-    Error histories have length iters + 1 (index k = number of multiplier
-    updates applied before the k-th inner solve); so has ``loss_history``.
+    Error histories have length iters + 1 (index k = number of updates
+    applied before the k-th iterate), or diverged_at + 1 when the run
+    diverged; so have ``loss_history`` and ``z_history``.
     """
 
     kind: str
@@ -317,7 +312,7 @@ class FDRun(RunResult):
     z_errors: np.ndarray
     z: np.ndarray
     reference: KKTSolution
-    z_history: np.ndarray | None = None
+    z_history: np.ndarray
 
 
 def _loss_row(u, f, z, D, lap_u, alpha, h, ctx):
@@ -328,7 +323,8 @@ def _loss_row(u, f, z, D, lap_u, alpha, h, ctx):
     regulariser = ctx.num(0)
     multiplier = ctx.num(0)
     for i in range(m):
-        misfit += (u[i] - D[i]) ** 2
+        d = u[i] - D[i]
+        misfit += d * d
         control += f[i] * f[i]
         regulariser += lap_u[i] * lap_u[i]
         multiplier += z[i] * (lap_u[i] + f[i])
@@ -395,70 +391,89 @@ def _solve_nonneg(bands, rhs, ctx, tol, max_passes=80):
     raise IterationLimitError("nonnegative inner solve did not settle on an active set")
 
 
+def _iterate(kind, grid, alpha, rho, iters, ctx, D, reference, steps) -> FDRun:
+    """The run loop of every iterative oracle.
+
+    ``steps`` yields one iterate (u, f, z, lap_u, z_loss) per ``next`` in
+    the scalars of ``ctx``: z in the orientation of the multiplier of
+    ``reference`` = (u*, f*, z*), z_loss in the one of the loss row's
+    multiplier term.  The loop takes iters + 1 iterates, recording for each
+    the distances to the reference, the multiplier and one loss row; it
+    stops early, with ``diverged_at`` set, at the first iterate whose state
+    or control error exceeds ``_DIVERGENCE_LIMIT`` or is NaN.
+    """
+    if iters < 0:
+        raise ValueError("iters must be nonnegative")
+    m = grid.n_interior
+    a = ctx.num(alpha)
+    h = ctx.num(1) / (grid.n - 1)
+    ustar, fstar, zstar = reference
+    z_err, u_err, f_err, parts, z_hist = [], [], [], [], []
+    diverged_at = None
+    for k in range(iters + 1):
+        u, f, z, lap_u, z_loss = next(steps)
+        z_err.append(float(_norm([z[i] - zstar[i] for i in range(m)], h, ctx)))
+        u_err.append(float(_norm([u[i] - ustar[i] for i in range(m)], h, ctx)))
+        f_err.append(float(_norm([f[i] - fstar[i] for i in range(m)], h, ctx)))
+        z_hist.append([float(x) for x in z])
+        parts.append(_loss_row(u, f, z_loss, D, lap_u, a, h, ctx))
+        if not (u_err[-1] <= _DIVERGENCE_LIMIT and f_err[-1] <= _DIVERGENCE_LIMIT):
+            diverged_at = k
+            break
+    return FDRun(
+        kind=kind, grid=grid, alpha=alpha, rho=rho,
+        z_errors=np.array(z_err), state_errors=np.array(u_err),
+        control_errors=np.array(f_err), loss_history=np.array(parts),
+        u=_floats(u), f=_floats(f), z=_floats(z),
+        reference=_solution(ustar, fstar, zstar),
+        z_history=np.array(z_hist), diverged_at=diverged_at,
+    )
+
+
 def _uzawa(kind, grid, alpha, rho, D, iters, dps, sign, project) -> FDRun:
-    """The Uzawa iteration of both public runs: ``sign`` = +1 keeps the
-    plain run's multiplier, -1 its negation; ``project`` keeps u >= 0 in the
-    inner solve and clamps f and z at zero."""
+    """Both Uzawa runs: ``sign`` = +1 keeps the plain run's multiplier, -1
+    its negation; ``project`` keeps u >= 0 in the inner solve and clamps f
+    and z at zero."""
     if not rho > 0:
         raise ValueError("rho must be positive")
     ctx = _context(dps)
     with ctx.guard():
         a = ctx.num(alpha)
         Dl = [ctx.num(x) for x in D]
-        m = grid.n_interior
-        h = ctx.num(1) / (grid.n - 1)
-        q = 1 / (h * h)
-        one = ctx.num(1)
-        zero = ctx.num(0)
         ustar, fstar, zstar, _ = _direct_kkt(grid, a, Dl, ctx)
         if sign < 0:
             zstar = [-x for x in zstar]
-        bands = _biharmonic_bands(a / 2, q, m, one)
-        fact = None if project else _ldlt_factor(*bands)
-        tol = ctx.num(_INNER_TOL)
-        # signed coefficients; multiplying by +-1 is exact in every context
-        f_scale = -sign * (2 / a)
-        lap_scale = sign * q
-        step = sign * ctx.num(rho)
+        steps = _uzawa_steps(grid, a, rho, Dl, ctx, sign, project)
+        return _iterate(kind, grid, alpha, rho, iters, ctx, Dl, (ustar, fstar, zstar), steps)
 
-        z = [zero for _ in range(m)]
-        z_err, u_err, f_err, parts, z_hist = [], [], [], [], []
-        u = f = None
-        for k in range(iters + 1):
-            z_err.append(float(_norm([z[i] - zstar[i] for i in range(m)], h, ctx)))
-            z_hist.append([float(x) for x in z])
-            lap_z = _laplacian_apply(z, lap_scale)
-            rhs = [Dl[i] - lap_z[i] for i in range(m)]
-            u = _solve_nonneg(bands, rhs, ctx, tol) if project else _ldlt_solve(fact, rhs)
-            f = [f_scale * x for x in z]
-            if project:
-                f = [max(x, zero) for x in f]
-            u_err.append(float(_norm([u[i] - ustar[i] for i in range(m)], h, ctx)))
-            f_err.append(float(_norm([f[i] - fstar[i] for i in range(m)], h, ctx)))
-            lap_u = _laplacian_apply(u, q)
-            parts.append(_loss_row(u, f, z if sign > 0 else [-x for x in z], Dl, lap_u,
-                                   a, h, ctx))
-            if k < iters:
-                z = [z[i] + step * (lap_u[i] + f[i]) for i in range(m)]
-                if project:
-                    z = [max(x, zero) for x in z]
 
-        reference = KKTSolution(
-            u=np.array([float(x) for x in ustar]),
-            f=np.array([float(x) for x in fstar]),
-            z=np.array([float(x) for x in zstar]),
-            residual=0.0,
-        )
-        return FDRun(
-            kind=kind, grid=grid, alpha=alpha, rho=rho,
-            z_errors=np.array(z_err), state_errors=np.array(u_err),
-            control_errors=np.array(f_err), loss_history=np.array(parts),
-            u=np.array([float(x) for x in u]),
-            f=np.array([float(x) for x in f]),
-            z=np.array([float(x) for x in z]),
-            reference=reference,
-            z_history=np.array(z_hist),
-        )
+def _uzawa_steps(grid, a, rho, D, ctx, sign, project):
+    """Uzawa iterates: the inner solve for the current multiplier, then,
+    when the next iterate is asked for, the multiplier step."""
+    m = grid.n_interior
+    h = ctx.num(1) / (grid.n - 1)
+    q = 1 / (h * h)
+    zero = ctx.num(0)
+    bands = _biharmonic_bands(a / 2, q, m, ctx.num(1))
+    fact = None if project else _ldlt_factor(*bands)
+    tol = ctx.num(_INNER_TOL)
+    # signed coefficients; multiplying by +-1 is exact in every context
+    f_scale = -sign * (2 / a)
+    lap_scale = sign * q
+    step = sign * ctx.num(rho)
+    z = [zero for _ in range(m)]
+    while True:
+        lap_z = _laplacian_apply(z, lap_scale)
+        rhs = [D[i] - lap_z[i] for i in range(m)]
+        u = _solve_nonneg(bands, rhs, ctx, tol) if project else _ldlt_solve(fact, rhs)
+        f = [f_scale * x for x in z]
+        if project:
+            f = [max(x, zero) for x in f]
+        lap_u = _laplacian_apply(u, q)
+        yield u, f, z, lap_u, z if sign > 0 else [-x for x in z]
+        z = [z[i] + step * (lap_u[i] + f[i]) for i in range(m)]
+        if project:
+            z = [max(x, zero) for x in z]
 
 
 def fd_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
@@ -495,48 +510,28 @@ def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun
     Starting from f = 0: solve -lap u = f, then -lap z = D - u, then set
     f = z / alpha.  Its fixed point satisfies the same eliminated state
     equation alpha B u + u = D as the direct solve (with multiplier
-    z = alpha f), so errors are recorded against that solution.  The sweep
-    contracts only when alpha exceeds roughly 1/pi^4; otherwise errors grow
-    and the run is flagged as diverged once they pass 1e6.
+    z = alpha f), so errors are recorded against that solution, and
+    ``z_history`` holds the adjoint z of every sweep.  The sweep contracts
+    only when alpha exceeds roughly 1/pi^4; otherwise errors grow and the
+    run is flagged as diverged once they pass 1e6.
     """
-    m = grid.n_interior
-    hf = grid.h
-    q = 1.0 / hf**2
     ctx = _FloatCtx()
     Dl = [float(x) for x in D]
     ustar, fstar, _, _ = _direct_kkt(grid, alpha, Dl, ctx)
-    zstar = [alpha * x for x in fstar]
+    reference = (ustar, fstar, [alpha * x for x in fstar])
+    return _iterate("gauss_seidel", grid, alpha, None, iters, ctx, Dl, reference,
+                    _gauss_seidel_steps(grid, alpha, Dl))
+
+
+def _gauss_seidel_steps(grid, alpha, D):
+    """Gauss-Seidel iterates in float64, from u = f = z = 0."""
+    m = grid.n_interior
+    q = 1.0 / grid.h**2
     # factor -T once (positive definite tridiagonal)
-    neg_t = ([2.0 * q] * m, [-q] * (m - 1), [0.0] * max(m - 2, 0))
-    fact = _ldlt_factor(*neg_t)
-
-    f = [0.0] * m
-    z = [0.0] * m
-    u = [0.0] * m
-    z_err, u_err, f_err, parts = [], [], [], []
-    diverged_at = None
-    for k in range(iters + 1):
-        u_err.append(grid_norm(grid, [u[i] - ustar[i] for i in range(m)]))
-        f_err.append(grid_norm(grid, [f[i] - fstar[i] for i in range(m)]))
-        z_err.append(grid_norm(grid, [z[i] - zstar[i] for i in range(m)]))
-        lap_u = _laplacian_apply(u, q)
-        parts.append(_loss_row(u, f, z, Dl, lap_u, alpha, hf, ctx))
-        if max(u_err[-1], f_err[-1]) > _DIVERGENCE_LIMIT:
-            diverged_at = k
-            break
-        if k == iters:
-            break
+    fact = _ldlt_factor([2.0 * q] * m, [-q] * (m - 1), [0.0] * max(m - 2, 0))
+    u = f = z = [0.0] * m
+    while True:
+        yield u, f, z, _laplacian_apply(u, q), z
         u = _ldlt_solve(fact, f)
-        z = _ldlt_solve(fact, [Dl[i] - u[i] for i in range(m)])
+        z = _ldlt_solve(fact, [D[i] - u[i] for i in range(m)])
         f = [z[i] / alpha for i in range(m)]
-
-    reference = KKTSolution(
-        u=np.array(ustar), f=np.array(fstar), z=np.array(zstar), residual=0.0
-    )
-    return FDRun(
-        kind="gauss_seidel", grid=grid, alpha=alpha, rho=None,
-        z_errors=np.array(z_err), state_errors=np.array(u_err),
-        control_errors=np.array(f_err), loss_history=np.array(parts),
-        u=np.array(u), f=np.array(f), z=np.array(z),
-        reference=reference, diverged_at=diverged_at,
-    )

@@ -17,6 +17,8 @@ from deepuzawa.geometry import Domain, build_grid
 from deepuzawa.lagrangian import ProblemSpec, TargetSpec
 from deepuzawa.network import CHECK_BOUND, NetworkSpec, grad_check
 
+pytestmark = pytest.mark.acceptance
+
 STATE_NORM = np.sqrt(0.5)            # ||sin(pi x)||_{L2(0,1)}
 CONTROL_NORM = np.pi**2 * np.sqrt(0.5)
 

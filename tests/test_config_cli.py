@@ -77,6 +77,17 @@ def test_grad_check_tag_is_unknown(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("oracle_iters", "-1"), ("precision_dps", "0"), ("precision_dps", "-5"),
+    ("hidden_depth", "-1"), ("learning_rate", "-1"), ("learning_rate", "0"),
+])
+def test_out_of_range_value_names_key_and_line(tmp_path, key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, f"tag = fd_oracle\nalpha = 1e-2\n{key} = {value}\n"))
+    assert err.value.key == key
+    assert err.value.line == 3
+
+
 def test_augmented_requires_beta(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(write(tmp_path, "tag = sine1d\nvariant = augmented\n"))
@@ -270,6 +281,25 @@ output_dir = {tmp_path / 'div'}
         warnings.simplefilter("error")
         assert main(["-q", "run", cfg]) == 2
     assert "diverged_at" in (tmp_path / "div" / "meta.txt").read_text()
+
+
+@pytest.mark.parametrize("precision", ["", "precision_dps = 30"])
+def test_cli_oracle_divergence_exit_code(tmp_path, precision):
+    # rho far above alpha / 2: the Uzawa multiplier error grows geometrically
+    cfg = write(tmp_path, f"""
+tag = fd_oracle
+alpha = 1e-2
+rho = 10
+n_points = 41
+{precision}
+output_dir = {tmp_path / 'div'}
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["-q", "oracle", cfg]) == 2
+    assert "diverged_at" in (tmp_path / "div" / "meta.txt").read_text()
+    _, rows = read_csv(tmp_path / "div" / "Error.csv")
+    assert np.all(np.isfinite(rows))
 
 
 def test_cli_oracle_all_methods(tmp_path):

@@ -3,9 +3,10 @@ import pytest
 
 from deepuzawa.closed_forms import ExactSolution
 from deepuzawa.errors import GridError
-from deepuzawa.fd_oracle import (Grid1D, constant_target, fd_direct_kkt_solve, fd_operators,
+from deepuzawa.fd_oracle import (Grid1D, apply_laplacian, constant_target, fd_direct_kkt_solve,
                                  fd_projected_uzawa_run, fd_uzawa_run,
-                                 gauss_seidel_adjoint_run, grid_norm, sine_target)
+                                 gauss_seidel_adjoint_run, grid_norm, laplacian_dense,
+                                 sine_target)
 
 ALPHA = 1e-2
 
@@ -20,9 +21,8 @@ def test_grid_validation():
 
 def test_laplacian_of_discrete_sine():
     g = Grid1D(201)
-    ops = fd_operators(g)
     x = g.interior_x()
-    lap = ops.apply_laplacian(np.sin(np.pi * x))
+    lap = apply_laplacian(g, np.sin(np.pi * x))
     err = np.abs(lap + np.pi**2 * np.sin(np.pi * x)).max()
     assert err <= 5 * g.h**2 * np.pi**4 / 12  # O(h^2) with the sine's scale
 
@@ -32,14 +32,14 @@ def test_laplacian_second_order_rate():
     for n in (101, 201):
         g = Grid1D(n)
         x = g.interior_x()
-        lap = fd_operators(g).apply_laplacian(np.sin(np.pi * x))
+        lap = apply_laplacian(g, np.sin(np.pi * x))
         errs.append(np.abs(lap + np.pi**2 * np.sin(np.pi * x)).max())
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
 
 def test_laplacian_interior_row_sums_vanish():
     g = Grid1D(31)
-    t = fd_operators(g).laplacian_dense()
+    t = laplacian_dense(g)
     sums = t.sum(axis=1)
     assert np.allclose(sums[1:-1], 0.0, atol=1e-9)
     assert sums[0] == pytest.approx(-1.0 / g.h**2, rel=1e-12)
@@ -47,18 +47,17 @@ def test_laplacian_interior_row_sums_vanish():
 
 def test_biharmonic_is_laplacian_squared():
     g = Grid1D(21)
-    ops = fd_operators(g)
-    t = ops.laplacian_dense()
-    assert np.allclose(ops.biharmonic_dense(), t @ t, rtol=1e-13)
+    t = laplacian_dense(g)
     # interior stencil away from the boundary rows
-    row = ops.biharmonic_dense()[5, 3:8] * g.h**4
+    row = (t @ t)[5, 3:8] * g.h**4
     assert np.allclose(row, [1.0, -4.0, 6.0, -4.0, 1.0], rtol=1e-10)
 
 
 def test_biharmonic_of_sine():
     g = Grid1D(201)
     x = g.interior_x()
-    b = fd_operators(g).biharmonic_dense()
+    t = laplacian_dense(g)
+    b = t @ t
     err = np.abs(b @ np.sin(np.pi * x) - np.pi**4 * np.sin(np.pi * x)).max()
     assert err <= 1e-2  # O(h^2) with a pi^6 constant
 
@@ -136,7 +135,7 @@ def test_uzawa_fixed_point_identity():
     # at the saddle the update is stationary: z* = z* + rho (lap u* + f*)
     g = Grid1D(101)
     sol = fd_direct_kkt_solve(g, ALPHA, sine_target(g, ALPHA))
-    drift = fd_operators(g).apply_laplacian(sol.u) + sol.f
+    drift = apply_laplacian(g, sol.u) + sol.f
     assert grid_norm(g, drift) <= 1e-10 * grid_norm(g, sol.f)
 
 
@@ -205,7 +204,7 @@ def test_gauss_seidel_first_step_structure():
     g = Grid1D(41)
     target = sine_target(g, 1.0)
     run = gauss_seidel_adjoint_run(g, 1.0, target, 1)
-    lap_z = fd_operators(g).apply_laplacian(run.z)
+    lap_z = apply_laplacian(g, run.z)
     assert np.abs(-lap_z - np.asarray(target, float)).max() <= 1e-9
     assert run.state_errors[1] == pytest.approx(run.state_errors[0], rel=1e-12)
 
@@ -217,6 +216,18 @@ def test_gauss_seidel_divergence_flagged_not_raised():
     assert run.diverged_at is not None
     assert len(run.state_errors) == run.diverged_at + 1
     assert max(run.state_errors[-1], run.control_errors[-1]) > 1e6
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+def test_uzawa_divergence_flagged_not_raised(dps):
+    # rho far above alpha / 2: the multiplier error grows and the run must
+    # stop at the first iterate past the limit, not overflow
+    g = Grid1D(41)
+    run = fd_uzawa_run(g, ALPHA, 10.0, sine_target(g, ALPHA, dps=dps), 200, dps=dps)
+    assert run.diverged_at is not None
+    assert len(run.state_errors) == run.diverged_at + 1
+    assert len(run.loss_history) == run.diverged_at + 1
+    assert np.all(np.isfinite(run.loss_history))
 
 
 def test_boundary_layer_target_direct_solve():
