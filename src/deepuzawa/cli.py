@@ -75,46 +75,51 @@ def _meta_from(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
     return meta
 
 
-def _cmd_run(cfg: ExperimentConfig, quiet: bool) -> int:
-    if cfg.tag not in _NETWORK_TAGS:
-        raise ConfigError(f"tag {cfg.tag!r} belongs to the oracle subcommand", key="tag")
-    run_cfg = _uzawa_config(cfg)
-    record = run_deep_uzawa(run_cfg, progress=not quiet)
-    extra = {"resolved_rho": run_cfg.resolved_rho,
+def _diverged(result, what: str, step: str) -> int:
+    """Exit code of a finished run: 2, with one stderr line, if it diverged."""
+    if result.diverged_at is None:
+        return 0
+    print(f"{what} diverged at {step} {result.diverged_at}", file=sys.stderr)
+    return 2
+
+
+def _write_run(record, cfg: ExperimentConfig, out_dir) -> list[str]:
+    """CSVs, meta.txt and params.bin of one network run, plus its fields on
+    the grid refined by ``eval_refine`` when that is above 1."""
+    run_cfg = record.config
+    extra = {"alpha": run_cfg.problem.alpha, "resolved_rho": run_cfg.resolved_rho,
              "n_parameters": run_cfg.network.n_parameters}
     if record.exact is not None and record.n_updates:
         extra["final_state_l2_error"] = record.state_errors[-1]
         extra["final_control_l2_error"] = record.control_errors[-1]
-    files = emit_csv(record, cfg.output_dir, _meta_from(cfg, extra))
-    save_checkpoint(record.params, os.path.join(cfg.output_dir, "params.bin"))
-    if cfg.eval_refine > 1:
-        _write_refined(record, cfg)
-    if not quiet:
-        for path in files:
-            print("wrote", path)
-    if record.diverged_at is not None:
-        print(f"run diverged at update {record.diverged_at}", file=sys.stderr)
-        return 2
-    return 0
+    files = emit_csv(record, out_dir, _meta_from(cfg, extra))
+    save_checkpoint(record.params, os.path.join(out_dir, "params.bin"))
+    if cfg.eval_refine == 1:
+        return files
 
-
-def _write_refined(record, cfg: ExperimentConfig):
-    """Final fields (and errors, when an exact solution exists) on a finer grid."""
-    n_fine = (cfg.n_points - 1) * cfg.eval_refine + 1
-    domain = domain_for(record.config.network)
-    fine = build_grid(domain, n_fine)
-    cut = cutoff_jet(domain, fine.points)
-    u, f = evaluate(record.params, fine.points, cut.b)
-    write_csv(os.path.join(cfg.output_dir, "State_refined.csv"), ("state",),
-              [(v,) for v in u])
-    write_csv(os.path.join(cfg.output_dir, "Control_refined.csv"), ("control",),
-              [(v,) for v in f])
+    domain = domain_for(run_cfg.network)
+    fine = build_grid(domain, (run_cfg.n_points - 1) * cfg.eval_refine + 1)
+    u, f = evaluate(record.params, fine.points, cutoff_jet(domain, fine.points).b)
+    write_csv(os.path.join(out_dir, "State_refined.csv"), ("state",), [(v,) for v in u])
+    write_csv(os.path.join(out_dir, "Control_refined.csv"), ("control",), [(v,) for v in f])
     if record.exact is not None:
         se = l2_norm(fine, u - record.exact.state(fine.points))
         ce = l2_norm(fine, f - record.exact.control(fine.points))
-        with open(os.path.join(cfg.output_dir, "meta.txt"), "a", encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, "meta.txt"), "a", encoding="utf-8") as fh:
             fh.write(f"refined_state_l2_error = {se!r}\n")
             fh.write(f"refined_control_l2_error = {ce!r}\n")
+    return files
+
+
+def _cmd_run(cfg: ExperimentConfig, quiet: bool) -> int:
+    if cfg.tag not in _NETWORK_TAGS:
+        raise ConfigError(f"tag {cfg.tag!r} belongs to the oracle subcommand", key="tag")
+    record = run_deep_uzawa(_uzawa_config(cfg), progress=not quiet)
+    files = _write_run(record, cfg, cfg.output_dir)
+    if not quiet:
+        for path in files:
+            print("wrote", path)
+    return _diverged(record, "run", "update")
 
 
 def _oracle_target(cfg: ExperimentConfig, grid: Grid1D):
@@ -153,10 +158,8 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
         emit_csv(run, out_dir, _meta_from(cfg, {"method": method, "resolved_rho": rho}))
         if not quiet:
             print(f"{method}: final state error {run.state_errors[-1]:.3e}"
-                  f" control error {run.control_errors[-1]:.3e}"
-                  + (f" (diverged at {run.diverged_at})" if run.diverged_at is not None else ""))
-        if run.diverged_at is not None:
-            code = 2
+                  f" control error {run.control_errors[-1]:.3e}")
+        code = max(code, _diverged(run, f"{method} oracle", "iteration"))
     return code
 
 
@@ -167,16 +170,12 @@ def _cmd_sweep(cfg: ExperimentConfig, alphas, quiet: bool) -> int:
     records = rho_alpha_sweep(base, alphas)
     code = 0
     for a, record in zip(alphas, records):
-        out_dir = os.path.join(cfg.output_dir, f"alpha_{a:g}")
-        emit_csv(record, out_dir, _meta_from(cfg, {"alpha": a,
-                                                   "resolved_rho": record.config.resolved_rho}))
-        save_checkpoint(record.params, os.path.join(out_dir, "params.bin"))
+        _write_run(record, cfg, os.path.join(cfg.output_dir, f"alpha_{a:g}"))
         if not quiet:
             tail = (f"state err {record.state_errors[-1]:.3e}"
                     if record.state_errors is not None and record.n_updates else "no exact solution")
             print(f"alpha={a:g}: {tail}")
-        if record.diverged_at is not None:
-            code = 2
+        code = max(code, _diverged(record, f"alpha={a:g} run", "update"))
     return code
 
 

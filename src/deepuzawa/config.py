@@ -9,22 +9,22 @@ Recognised keys (defaults in parentheses):
 
   tag            experiment: sine1d | boundary_layer | sine2d | ac_sine |
                  ac_step | ac_image | fd_oracle
-  alpha          regularisation weight (1e-4)
-  epsilon        Allen-Cahn interface width; required for ac_* tags
-  rho            multiplier step (alpha / 4)
+  alpha          regularisation weight, > 0 (1e-4)
+  epsilon        Allen-Cahn interface width, > 0; required for ac_* tags
+  rho            multiplier step, > 0 (alpha / 4)
   variant        plain | augmented  (plain)
-  beta           augmentation weight, required when variant = augmented
-  n_uzawa        outer multiplier updates (500)
-  n_sgd          inner optimiser steps per update (40)
+  beta           augmentation weight, > 0; required when variant = augmented
+  n_uzawa        outer multiplier updates, >= 1 (500)
+  n_sgd          inner optimiser steps per update, >= 1 (40)
   learning_rate  Adam step size, > 0 (1e-3)
-  n_points       collocation points per axis (201)
+  n_points       collocation points per axis, >= 3 (201)
   seed           run seed (0)
-  hidden_width   network width (64)
+  hidden_width   network width, >= 1 (64)
   hidden_depth   hidden layer count, >= 0 (3)
-  batch_size     mini-batch size; full batch when absent
+  batch_size     mini-batch size, >= 1; full batch when absent
   image          greymap path, required for ac_image
   output_dir     run directory (runs/<tag>)
-  eval_refine    extra evaluation grid refinement factor (1)
+  eval_refine    extra evaluation grid refinement factor, >= 1 (1)
   oracle_method  uzawa | projected | gauss_seidel | direct | all  (uzawa)
   oracle_iters   multiplier updates for oracle runs, >= 0 (200)
   precision_dps  decimal digits for oracle arithmetic, >= 1; float64 when
@@ -140,9 +140,11 @@ def _validate(cfg: ExperimentConfig, entries):
         raise ConfigError("beta must be positive", key="beta", line=where("beta"))
     if cfg.tag == "ac_image" and cfg.image is None:
         raise ConfigError("tag ac_image requires an image path", key="image")
-    if cfg.n_uzawa < 1 or cfg.n_sgd < 1:
-        raise ConfigError("n_uzawa and n_sgd must be at least 1",
-                          key="n_uzawa" if cfg.n_uzawa < 1 else "n_sgd")
+    for key in ("n_uzawa", "n_sgd", "hidden_width"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1", key=key, line=where(key))
+    if cfg.rho is not None and not cfg.rho > 0:
+        raise ConfigError("rho must be positive", key="rho", line=where("rho"))
     if not cfg.learning_rate > 0:
         raise ConfigError("learning_rate must be positive",
                           key="learning_rate", line=where("learning_rate"))

@@ -127,8 +127,8 @@ def run_deep_uzawa(config: UzawaConfig, progress: bool = False) -> RunRecord:
     """Execute the full outer/inner iteration for one configuration.
 
     Runs exactly ``n_uzawa`` outer steps of ``n_sgd`` Adam updates each.  A
-    non-finite loss aborts the run with the partial history preserved and
-    ``diverged_at`` set to the offending outer step.
+    non-finite loss, gradient or Adam step aborts the run with the partial
+    history preserved and ``diverged_at`` set to the offending outer step.
     """
     problem = config.problem
     domain = domain_for(config.network)
@@ -166,13 +166,14 @@ def run_deep_uzawa(config: UzawaConfig, progress: bool = False) -> RunRecord:
                 with np.errstate(over="ignore", invalid="ignore"):
                     loss, grad = loss_and_gradient(params, sub, problem, sub_z, beta,
                                                    target=sub_target, cutoff=sub_cutoff)
+                    adam, flat = adam_step(adam, params.flat, grad)
             except NumericOverflowError:
                 ok = False
                 break
-            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+            # a non-finite gradient entry leaves a non-finite entry in flat
+            if not np.isfinite(loss) or not np.all(np.isfinite(flat)):
                 ok = False
                 break
-            adam, flat = adam_step(adam, params.flat, grad)
             params = params.with_flat(flat)
         if ok:
             try:

@@ -17,15 +17,17 @@ the negation of the plain run's, and it clamps the iterates to the
 nonnegative cone.
 
 Every solver accepts an optional decimal precision ``dps``.  The float64
-path is the default; the multiprecision path (mpmath) exists because the
-multiplier contraction factor of the Uzawa iteration is bounded away from
-one, so after a few dozen iterations the error reaches the float64
-rounding floor and the theoretical strict monotone decrease can no longer
-be observed in double precision.  All state is kept in plain Python lists
-of context scalars; histories are returned as float64 arrays.
+path is the default; the multiprecision path (``decimal.Decimal`` with
+``dps`` significant digits) exists because the multiplier contraction
+factor of the Uzawa iteration is bounded away from one, so after a few
+dozen iterations the error reaches the float64 rounding floor and the
+theoretical strict monotone decrease can no longer be observed in double
+precision.  All state is kept in plain Python lists of context scalars;
+histories are returned as float64 arrays.
 """
 from __future__ import annotations
 
+import decimal
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -82,34 +84,38 @@ class _FloatCtx:
         return math.pi
 
 
-class _MPCtx:
-    """mpmath arithmetic at a fixed decimal precision."""
+class _DecimalCtx:
+    """Decimal arithmetic (the C-accelerated ``decimal`` module) with ``dps``
+    significant digits and unbounded exponents; sine and pi are evaluated
+    by mpmath with ten guard digits and rounded to ``dps`` digits."""
 
     def __init__(self, dps: int):
         import mpmath
 
         self._mp = mpmath
-        self.dps = dps
+        self._dec = decimal.Context(prec=dps, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
     def guard(self):
-        return self._mp.workdps(self.dps)
+        return decimal.localcontext(self._dec)
 
     def num(self, x):
-        return self._mp.mpf(x)
+        return self._dec.create_decimal(x)
 
     def sqrt(self, x):
-        return self._mp.sqrt(x)
+        return x.sqrt()
 
     def sin(self, x):
-        return self._mp.sin(x)
+        with self._mp.workdps(self._dec.prec + 10):
+            return self.num(str(self._mp.sin(str(x))))
 
     @property
     def pi(self):
-        return self._mp.pi
+        with self._mp.workdps(self._dec.prec + 10):
+            return self.num(str(+self._mp.pi))
 
 
 def _context(dps):
-    return _FloatCtx() if dps is None else _MPCtx(dps)
+    return _FloatCtx() if dps is None else _DecimalCtx(dps)
 
 
 # ---------------------------------------------------------------------------

@@ -140,46 +140,65 @@ def _step_target(x: np.ndarray) -> np.ndarray:
 # pointwise residual and cost
 
 
+def _operator(problem: ProblemSpec, u, lap_u):
+    """The operator op whose square is the regulariser (lap u or A(u)), its
+    partials d(op)/du and d(op)/d(lap u), and the sign of the control in the
+    residual K = op + sign * f.  The only branch on the constraint kind."""
+    if problem.kind == POISSON:
+        return lap_u, 0.0, 1.0, 1.0
+    inv2 = 1.0 / problem.epsilon**2
+    return -lap_u - inv2 * u * (1.0 - u * u), -inv2 * (1.0 - 3.0 * u * u), -1.0, -1.0
+
+
 def residual_values(problem: ProblemSpec, u, f, lap_u):
     """Constraint residual K at each point (arrays in, array out)."""
-    f = np.asarray(f, dtype=float)
-    op = operator_values(problem, u, lap_u)
-    return op + f if problem.kind == POISSON else op - f
-
-
-def residual_partials(problem: ProblemSpec, u):
-    """Partials (dK/du, dK/df, dK/dlap) of the residual; scalars broadcast."""
-    u = np.asarray(u, dtype=float)
-    if problem.kind == POISSON:
-        return np.zeros_like(u), 1.0, 1.0
-    inv2 = 1.0 / problem.epsilon**2
-    return -inv2 * (1.0 - 3.0 * u * u), -1.0, -1.0
-
-
-def operator_values(problem: ProblemSpec, u, lap_u):
-    """The differential operator applied to the state: -lap(u) for Poisson
-    conventionally enters the residual as +lap(u); this helper returns the
-    quantity whose square is the regulariser, i.e. lap(u) or A(u)."""
-    u = np.asarray(u, dtype=float)
-    lap_u = np.asarray(lap_u, dtype=float)
-    if problem.kind == POISSON:
-        return lap_u
-    inv2 = 1.0 / problem.epsilon**2
-    return -lap_u - inv2 * u * (1.0 - u * u)
+    op, _, _, sign = _operator(problem, u, lap_u)
+    return op + sign * f
 
 
 def cost_values(problem: ProblemSpec, u, f, lap_u, target):
     """Cost density 0.5 (u-D)^2 + (alpha/4) f^2 + (alpha/4) (op u)^2."""
-    u = np.asarray(u, dtype=float)
-    f = np.asarray(f, dtype=float)
-    op = operator_values(problem, u, lap_u)
+    op = _operator(problem, u, lap_u)[0]
     a4 = problem.alpha / 4.0
     return 0.5 * (u - target) ** 2 + a4 * f * f + a4 * op * op
 
 
-def _jet_arrays(jets):
-    return (np.asarray(jets.u, float), np.asarray(jets.f, float),
-            np.asarray(jets.lap_u, float))
+def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: MultiplierField,
+                beta: float, target):
+    """One pass over the jets: the loss parts, and what the gradients reuse
+    (the target, op with its partials and sign, and K on the full grid)."""
+    if jets.u.shape != (cset.n_points,):
+        raise ShapeError(f"jets cover {jets.u.shape} points, set has {cset.n_points}")
+    if z.values.shape != (cset.n_interior,):
+        raise ShapeError(
+            f"multiplier has {z.values.shape[0]} values for {cset.n_interior} interior points"
+        )
+    if target is None:
+        target = target_values(problem, cset)
+    u, f = jets.u, jets.f
+    op_terms = _operator(problem, u, jets.lap_u)
+    op, _, _, sign = op_terms
+    k = op + sign * f
+    w = cset.weights
+    mask = cset.interior_mask
+    a4 = problem.alpha / 4.0
+    misfit = 0.5 * float(np.dot(w, (u - target) ** 2))
+    control = a4 * float(np.dot(w, f * f))
+    regulariser = a4 * float(np.dot(w, op * op))
+    k_int = k[mask]
+    w_int = w[mask]
+    multiplier = float(np.dot(w_int, z.values * k_int))
+    penalty = 0.5 * beta * float(np.dot(w_int, k_int * k_int)) if beta else 0.0
+    total = misfit + control + regulariser + multiplier + penalty
+    parts = {
+        "misfit": misfit,
+        "control_norm_term": control,
+        "regulariser_term": regulariser,
+        "multiplier_term": multiplier,
+        "penalty_term": penalty,
+        "total": total,
+    }
+    return parts, target, op_terms, k
 
 
 def loss_parts(problem: ProblemSpec, cset: CollocationSet, jets, z: MultiplierField,
@@ -189,35 +208,7 @@ def loss_parts(problem: ProblemSpec, cset: CollocationSet, jets, z: MultiplierFi
     Returns the four reported components (misfit, control norm, operator
     regulariser, multiplier term) plus the augmentation penalty and total.
     """
-    u, f, lap = _jet_arrays(jets)
-    if u.shape != (cset.n_points,):
-        raise ShapeError(f"jets cover {u.shape} points, set has {cset.n_points}")
-    if z.values.shape != (cset.n_interior,):
-        raise ShapeError(
-            f"multiplier has {z.values.shape[0]} values for {cset.n_interior} interior points"
-        )
-    if target is None:
-        target = target_values(problem, cset)
-    w = cset.weights
-    mask = cset.interior_mask
-    op = operator_values(problem, u, lap)
-    a4 = problem.alpha / 4.0
-    misfit = 0.5 * float(np.dot(w, (u - target) ** 2))
-    control = a4 * float(np.dot(w, f * f))
-    regulariser = a4 * float(np.dot(w, op * op))
-    k_int = residual_values(problem, u[mask], f[mask], lap[mask])
-    w_int = w[mask]
-    multiplier = float(np.dot(w_int, z.values * k_int))
-    penalty = 0.5 * beta * float(np.dot(w_int, k_int * k_int)) if beta else 0.0
-    total = misfit + control + regulariser + multiplier + penalty
-    return {
-        "misfit": misfit,
-        "control_norm_term": control,
-        "regulariser_term": regulariser,
-        "multiplier_term": multiplier,
-        "penalty_term": penalty,
-        "total": total,
-    }
+    return _lagrangian(problem, cset, jets, z, beta, target)[0]
 
 
 def discrete_lagrangian(problem: ProblemSpec, cset: CollocationSet, jets,
@@ -234,33 +225,18 @@ def pointwise_gradients(problem: ProblemSpec, cset: CollocationSet, jets,
     quadrature weights, so the chain rule through the ansatz is a plain
     contraction.  Used by the network's reverse sweep.
     """
-    u, f, lap = _jet_arrays(jets)
-    if target is None:
-        target = target_values(problem, cset)
-    parts = loss_parts(problem, cset, jets, z, beta, target)
+    parts, target, (op, dop_du, dop_dlap, sign), k = _lagrangian(problem, cset, jets, z,
+                                                                 beta, target)
+    u, f = jets.u, jets.f
     w = cset.weights
     mask = cset.interior_mask
     a2 = problem.alpha / 2.0
-
     z_full = np.zeros(cset.n_points)
     z_full[mask] = z.values
-    k = residual_values(problem, u, f, lap)
-    dk_du, dk_df, dk_dlap = residual_partials(problem, u)
-    lam = w * mask * (z_full + beta * k)
-
-    if problem.kind == POISSON:
-        dc_du = u - target
-        dc_df = a2 * f
-        dc_dlap = a2 * lap
-    else:
-        op = operator_values(problem, u, lap)
-        dc_du = (u - target) + a2 * op * dk_du  # dK/du is d(op)/du here
-        dc_df = a2 * f
-        dc_dlap = -a2 * op
-
-    g_u = w * dc_du + lam * dk_du
-    g_f = w * dc_df + lam * dk_df
-    g_lap = w * dc_dlap + lam * dk_dlap
+    lam = w * mask * (z_full + beta * k)  # weighted d(multiplier + penalty)/dK
+    g_u = w * ((u - target) + a2 * op * dop_du) + lam * dop_du
+    g_f = w * (a2 * f) + lam * sign
+    g_lap = w * (a2 * op * dop_dlap) + lam * dop_dlap
     return parts["total"], g_u, g_f, g_lap
 
 

@@ -11,7 +11,8 @@ through every affine map and tanh activation: an activation maps the
 Laplacian stream L of its input y to s''(y) sum_i (d_i y)^2 + s'(y) L.  The
 loss gradient with respect to every parameter is computed by one reverse
 sweep over the recorded computation, which requires tanh's third
-derivative (the Laplacian already consumes two).
+derivative (the Laplacian already consumes two); all three are formed from
+the tanh values the forward sweep left on the tape.
 """
 from __future__ import annotations
 
@@ -29,13 +30,10 @@ _CHECKPOINT_MAGIC = b"DUZW-NET"
 _CHECKPOINT_VERSION = 1
 
 
-def _tanh_derivs(y):
-    """tanh with first, second and third derivatives."""
-    t = np.tanh(y)
-    d1 = 1.0 - t * t
-    d2 = -2.0 * t * d1
-    d3 = -2.0 * d1 * (1.0 - 3.0 * t * t)
-    return t, d1, d2, d3
+def _tanh_derivs(t):
+    """First and second derivatives of tanh, from its values t."""
+    s1 = 1.0 - t * t
+    return s1, -2.0 * t * s1
 
 
 @dataclass(frozen=True)
@@ -67,12 +65,21 @@ class NetworkSpec:
         return sum(dims[k + 1] * (dims[k] + 1) for k in range(len(dims) - 1))
 
 
-class NetworkParameters:
-    """All weights and biases as one flat float64 vector.
+def _layer_views(spec: NetworkSpec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views of a flat vector, layer by layer: each layer's
+    row-major weight matrix followed by its bias vector."""
+    views, o = [], 0
+    for n_in, n_out in zip(spec.layer_dims[:-1], spec.layer_dims[1:]):
+        w = flat[o:o + n_out * n_in].reshape(n_out, n_in)
+        o += n_out * n_in
+        views.append((w, flat[o:o + n_out]))
+        o += n_out
+    return views
 
-    The flat layout is layer by layer, each layer contributing the row-major
-    weight matrix followed by the bias vector.
-    """
+
+class NetworkParameters:
+    """All weights and biases as one flat float64 vector, laid out as
+    :func:`_layer_views` reads it."""
 
     def __init__(self, spec: NetworkSpec, flat: np.ndarray):
         flat = np.asarray(flat, dtype=float)
@@ -84,20 +91,7 @@ class NetworkParameters:
             raise ValueError("parameters contain non-finite entries")
         self.spec = spec
         self.flat = flat
-        self._layers = []
-        dims = spec.layer_dims
-        offset = 0
-        for k in range(len(dims) - 1):
-            n_in, n_out = dims[k], dims[k + 1]
-            w = flat[offset:offset + n_out * n_in].reshape(n_out, n_in)
-            offset += n_out * n_in
-            b = flat[offset:offset + n_out]
-            offset += n_out
-            self._layers.append((w, b))
-
-    @property
-    def layers(self):
-        return self._layers
+        self.layers = _layer_views(spec, flat)
 
     def with_flat(self, flat: np.ndarray) -> "NetworkParameters":
         return NetworkParameters(self.spec, flat)
@@ -106,14 +100,11 @@ class NetworkParameters:
 def init_network(spec: NetworkSpec) -> NetworkParameters:
     """Symmetric fan-in-scaled uniform weights, zero biases, seeded."""
     rng = np.random.default_rng(spec.seed)
-    dims = spec.layer_dims
-    chunks = []
-    for k in range(len(dims) - 1):
-        n_in, n_out = dims[k], dims[k + 1]
-        limit = np.sqrt(3.0 / n_in)
-        chunks.append(rng.uniform(-limit, limit, size=n_out * n_in))
-        chunks.append(np.zeros(n_out))
-    return NetworkParameters(spec, np.concatenate(chunks))
+    flat = np.zeros(spec.n_parameters)
+    for w, _ in _layer_views(spec, flat):
+        limit = np.sqrt(3.0 / w.shape[1])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return NetworkParameters(spec, flat)
 
 
 @dataclass(frozen=True)
@@ -174,9 +165,8 @@ def _forward(params: NetworkParameters, points: np.ndarray,
             tape.x.append(x)
             tape.y.append(y)
         if k < n_layers - 1:
-            s, s1, s2, _ = _tanh_derivs(y[:n])
-            x = np.empty((y.shape[0], y.shape[1]))
-            x[:n] = s
+            x = np.empty_like(y)
+            s1, s2 = _tanh_derivs(np.tanh(y[:n], out=x[:n]))
             x_lap = x[lap]
             np.multiply(s1, y[lap], out=x_lap)
             for blk in blocks:
@@ -272,22 +262,18 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
     a[lap, 0] = a_lap_n
 
     grad_flat = np.empty_like(params.flat)
-    dims = params.spec.layer_dims
-    offsets = np.cumsum([0] + [dims[k + 1] * (dims[k] + 1) for k in range(n_layers)])
-
+    grads = _layer_views(params.spec, grad_flat)
     for k in range(n_layers - 1, -1, -1):
-        w, _ = layers[k]
-        gw = a.T @ tape.x[k]
-        gb = a[:n].sum(axis=0)
-        n_out, n_in = w.shape
-        o = offsets[k]
-        grad_flat[o:o + n_out * n_in] = gw.ravel()
-        grad_flat[o + n_out * n_in:offsets[k + 1]] = gb
+        gw, gb = grads[k]
+        np.matmul(a.T, tape.x[k], out=gw)
+        a[:n].sum(axis=0, out=gb)
         if k == 0:
             break
-        a_post = a @ w  # adjoint of this layer's stacked input, post-activation
+        a_post = a @ layers[k][0]  # adjoint of this layer's stacked input, post-activation
         y_prev = tape.y[k - 1]
-        _, s1, s2, s3 = _tanh_derivs(y_prev[:n])
+        t = tape.x[k][:n]  # tanh of y_prev[:n], written by the forward sweep
+        s1, s2 = _tanh_derivs(t)
+        s3 = -2.0 * s1 * (1.0 - 3.0 * t * t)
         a_lap = a_post[lap]
         curv = s2 * y_prev[lap]  # d(Laplacian out)/d(value in) = s3 sum yp^2 + s2 L
         for blk in blocks:

@@ -80,6 +80,7 @@ def test_grad_check_tag_is_unknown(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("oracle_iters", "-1"), ("precision_dps", "0"), ("precision_dps", "-5"),
     ("hidden_depth", "-1"), ("learning_rate", "-1"), ("learning_rate", "0"),
+    ("n_uzawa", "0"), ("n_sgd", "0"), ("hidden_width", "0"), ("rho", "0"), ("rho", "-1"),
 ])
 def test_out_of_range_value_names_key_and_line(tmp_path, key, value):
     with pytest.raises(ConfigError) as err:
@@ -248,7 +249,7 @@ def test_cli_validation_error_exit_code(tmp_path):
     assert main(["-q", "run", str(tmp_path / "missing.cfg")]) == 1
 
 
-def test_cli_divergence_exit_code(tmp_path):
+def test_cli_divergence_exit_code(tmp_path, capsys):
     cfg = write(tmp_path, f"""
 tag = sine1d
 alpha = 1e-4
@@ -262,13 +263,18 @@ output_dir = {tmp_path / 'div'}
 """)
     assert main(["-q", "run", cfg]) == 2
     assert "diverged_at" in (tmp_path / "div" / "meta.txt").read_text()
+    assert capsys.readouterr().err == "run diverged at update 0\n"
 
 
-def test_cli_divergence_emits_no_warning(tmp_path):
+@pytest.mark.parametrize("alpha", [
+    pytest.param("1e-2", id="forward_overflow"),
+    pytest.param("1", id="adam_overflow"),
+])
+def test_cli_divergence_emits_no_warning(tmp_path, alpha):
     # the final fields of a diverged run overflow too; that must not warn
     cfg = write(tmp_path, f"""
 tag = sine1d
-alpha = 1e-2
+alpha = {alpha}
 learning_rate = 1e308
 n_uzawa = 3
 n_sgd = 2
@@ -284,7 +290,7 @@ output_dir = {tmp_path / 'div'}
 
 
 @pytest.mark.parametrize("precision", ["", "precision_dps = 30"])
-def test_cli_oracle_divergence_exit_code(tmp_path, precision):
+def test_cli_oracle_divergence_exit_code(tmp_path, capsys, precision):
     # rho far above alpha / 2: the Uzawa multiplier error grows geometrically
     cfg = write(tmp_path, f"""
 tag = fd_oracle
@@ -297,9 +303,10 @@ output_dir = {tmp_path / 'div'}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["-q", "oracle", cfg]) == 2
-    assert "diverged_at" in (tmp_path / "div" / "meta.txt").read_text()
+    assert "diverged_at = 2" in (tmp_path / "div" / "meta.txt").read_text()
     _, rows = read_csv(tmp_path / "div" / "Error.csv")
     assert np.all(np.isfinite(rows))
+    assert capsys.readouterr().err == "uzawa oracle diverged at iteration 2\n"
 
 
 def test_cli_oracle_all_methods(tmp_path):
@@ -340,6 +347,44 @@ output_dir = {tmp_path / 'sweep'}
     assert main(["-q", "sweep", cfg, "--alphas", "1", "0.01"]) == 0
     assert (tmp_path / "sweep" / "alpha_1" / "Error.csv").exists()
     assert (tmp_path / "sweep" / "alpha_0.01" / "Error.csv").exists()
+
+
+def test_cli_sweep_writes_run_directories_like_run(tmp_path):
+    cfg = write(tmp_path, f"""
+tag = sine1d
+alpha = 1e-4
+n_uzawa = 1
+n_sgd = 1
+n_points = 11
+hidden_width = 4
+hidden_depth = 1
+eval_refine = 2
+output_dir = {tmp_path / 'sweep'}
+""")
+    assert main(["-q", "sweep", cfg, "--alphas", "1"]) == 0
+    out = tmp_path / "sweep" / "alpha_1"
+    _, fine = read_csv(out / "State_refined.csv")
+    assert fine.shape[0] == 21
+    assert (out / "params.bin").exists()
+    meta = (out / "meta.txt").read_text()
+    for key in ("n_parameters = 18", "final_state_l2_error", "refined_state_l2_error"):
+        assert key in meta
+
+
+def test_cli_sweep_divergence_exit_code(tmp_path, capsys):
+    cfg = write(tmp_path, f"""
+tag = sine1d
+learning_rate = 1e300
+n_uzawa = 2
+n_sgd = 2
+n_points = 11
+hidden_width = 4
+hidden_depth = 1
+output_dir = {tmp_path / 'sweep'}
+""")
+    assert main(["-q", "sweep", cfg, "--alphas", "1e-2"]) == 2
+    assert "diverged_at = 0" in (tmp_path / "sweep" / "alpha_0.01" / "meta.txt").read_text()
+    assert capsys.readouterr().err == "alpha=0.01 run diverged at update 0\n"
 
 
 def test_cli_sweep_keeps_config_rho(tmp_path):

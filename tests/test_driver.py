@@ -141,8 +141,12 @@ def test_alpha_sweep_bookkeeping():
         rho_alpha_sweep(cfg, [])
 
 
-def test_divergence_recorded_not_raised():
-    cfg = tiny_config(n_uzawa=6, n_sgd=8, learning_rate=1e300)
+@pytest.mark.parametrize("alpha, lr", [
+    pytest.param(1e-2, 1e300, id="forward_overflow"),
+    pytest.param(1.0, 1e308, id="adam_overflow"),
+])
+def test_divergence_recorded_not_raised(alpha, lr):
+    cfg = tiny_config(problem=sine_problem(alpha), n_uzawa=6, n_sgd=8, learning_rate=lr)
     rec = run_deep_uzawa(cfg)
     assert rec.diverged_at is not None
     assert rec.n_updates == rec.diverged_at

@@ -148,6 +148,19 @@ def test_uzawa_high_precision_matches_float64_early():
     assert np.allclose(run64.u, run_mp.u, rtol=1e-10)
 
 
+def test_sine_target_high_precision_digits():
+    # the multiprecision target carries its dps digits, far past float64
+    import mpmath
+
+    g = Grid1D(51)
+    target = sine_target(g, ALPHA, dps=60)
+    with mpmath.workdps(80):
+        scale = 1 + mpmath.mpf(ALPHA) * mpmath.pi**4
+        for i, v in enumerate(target):
+            exact = scale * mpmath.sin(mpmath.pi * (i + 1) / 50)
+            assert abs(mpmath.mpf(str(v)) - exact) <= mpmath.mpf(10) ** -57 * abs(exact)
+
+
 def test_projected_matches_plain_when_saddle_nonnegative():
     g = Grid1D(201)
     target = sine_target(g, ALPHA)

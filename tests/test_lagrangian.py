@@ -7,9 +7,15 @@ from deepuzawa.errors import ShapeError
 from deepuzawa.geometry import Domain, build_grid
 from deepuzawa.lagrangian import (MultiplierField, ProblemSpec, TargetSpec, cost_values,
                                   discrete_lagrangian, loss_parts, multiplier_update,
-                                  projected_multiplier_update, residual_values, target_values,
-                                  zero_multiplier)
+                                  pointwise_gradients, projected_multiplier_update,
+                                  residual_values, target_values, zero_multiplier)
 from deepuzawa.network import JetBatch
+
+
+BOTH_KINDS = pytest.mark.parametrize("prob", [
+    ProblemSpec("poisson", 1e-2, TargetSpec("sine1d")),
+    ProblemSpec("allen_cahn", 1e-2, TargetSpec("ac_sine"), epsilon=0.7),
+], ids=["poisson", "allen_cahn"])
 
 
 def exact_sine_jets(cset):
@@ -73,14 +79,26 @@ def test_cost_density_exact_sine_midpoint():
     assert cost == pytest.approx(4.8705e-3, rel=1e-4)
 
 
-def test_discrete_lagrangian_zero_multiplier_is_cost_quadrature():
+@BOTH_KINDS
+def test_discrete_lagrangian_zero_multiplier_is_cost_quadrature(prob):
     g = build_grid(Domain.unit_interval(), 41)
-    prob = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d"))
     jets = exact_sine_jets(g)
     z0 = zero_multiplier(g)
     target = target_values(prob, g)
     cost_q = float(np.dot(g.weights, cost_values(prob, jets.u, jets.f, jets.lap_u, target)))
     assert discrete_lagrangian(prob, g, jets, z0) == pytest.approx(cost_q, rel=1e-14)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@BOTH_KINDS
+def test_pointwise_gradients_loss_is_loss_parts_total(prob, beta):
+    g = build_grid(Domain.unit_interval(), 41)
+    rng = np.random.default_rng(3)
+    u, f, lap = rng.normal(size=(3, g.n_points))
+    jets = JetBatch(u=u, f=f, grad_u=np.zeros((g.n_points, 1)), lap_u=lap)
+    z = MultiplierField(rng.normal(size=g.n_interior))
+    loss = pointwise_gradients(prob, g, jets, z, beta)[0]
+    assert loss == loss_parts(prob, g, jets, z, beta)["total"]
 
 
 def test_discrete_lagrangian_invariant_for_residual_free_fields():
