@@ -8,18 +8,17 @@ saddle-point convergence theory at the discrete level.
 """
 
 from .closed_forms import ExactSolution, residual_check_boundary_layer
-from .config import RunResult, emit_csv
-from .driver import RunRecord, UzawaConfig, record_errors, rho_alpha_sweep, run_deep_uzawa
+from .config import ExperimentConfig, RunResult, emit_csv
+from .driver import RunRecord, rho_alpha_sweep, run_deep_uzawa
 from .fd_oracle import (FDRun, Grid1D, KKTSolution, apply_laplacian, fd_direct_kkt_solve,
                         fd_projected_uzawa_run, fd_uzawa_run, gauss_seidel_adjoint_run,
                         laplacian_dense)
-from .geometry import CollocationSet, Domain, build_grid, cutoff_jet, l2_norm, quadrature_sum
-from .lagrangian import (MultiplierField, ProblemSpec, TargetSpec, cost_values,
-                         discrete_lagrangian, multiplier_update, projected_multiplier_update,
-                         residual_values)
+from .geometry import CollocationSet, Domain, build_grid, cutoff_jet, l2_norm
+from .lagrangian import (MultiplierField, ProblemSpec, TargetSpec, cost_values, loss_parts,
+                         multiplier_update, residual_values)
 from .network import (NetworkParameters, NetworkSpec, batch_jets, finite_difference_gradient,
                       grad_check, init_network, load_checkpoint, loss_and_gradient,
                       save_checkpoint)
-from .optim import AdamState, adam_step, gd_step
+from .optim import AdamState, adam_step
 
 __version__ = "0.1.0"

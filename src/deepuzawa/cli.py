@@ -20,59 +20,28 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .config import (ExperimentConfig, emit_csv, load_pgm_target, parse_config,
-                     sample_image_on_grid, write_csv)
-from .driver import UzawaConfig, domain_for, resolve_rho, rho_alpha_sweep, run_deep_uzawa
+from .config import ExperimentConfig, emit_csv, parse_config, write_csv
+from .driver import rho_alpha_sweep, run_deep_uzawa
 from .errors import ConfigError, PgmError
 from .fd_oracle import (Grid1D, constant_target, fd_direct_kkt_solve, fd_projected_uzawa_run,
                         fd_uzawa_run, gauss_seidel_adjoint_run, sine_target)
-from .geometry import Domain, build_grid, cutoff_jet, l2_norm
-from .lagrangian import ProblemSpec, TargetSpec
-from .network import CHECK_BOUND, NetworkSpec, evaluate, grad_check, save_checkpoint
+from .geometry import build_grid, cutoff_jet, l2_norm
+from .network import CHECK_BOUND, evaluate, grad_check, save_checkpoint
 
-_NETWORK_TAGS = ("sine1d", "boundary_layer", "sine2d", "ac_sine", "ac_step", "ac_image")
 _ORACLE_TAGS = ("fd_oracle", "sine1d", "boundary_layer")
+_ORACLE_KEYS = ("oracle_method", "oracle_iters", "precision_dps")
+# the config keys each subcommand's meta.txt lists
+_ORACLE_META = ("tag", "alpha", "rho", "n_points", "output_dir") + _ORACLE_KEYS
+_NETWORK_META = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _ORACLE_KEYS)
 
 
-def _problem_for(cfg: ExperimentConfig) -> tuple[ProblemSpec, int]:
-    """Problem spec and spatial dimension for a network experiment tag."""
-    if cfg.tag == "sine1d":
-        return ProblemSpec("poisson", cfg.alpha, TargetSpec("sine1d")), 1
-    if cfg.tag == "boundary_layer":
-        return ProblemSpec("poisson", cfg.alpha, TargetSpec("constant", constant=1.0)), 1
-    if cfg.tag == "sine2d":
-        return ProblemSpec("poisson", cfg.alpha, TargetSpec("sine2d")), 2
-    if cfg.tag == "ac_sine":
-        return ProblemSpec("allen_cahn", cfg.alpha, TargetSpec("ac_sine"),
-                           epsilon=cfg.epsilon), 1
-    if cfg.tag == "ac_step":
-        return ProblemSpec("allen_cahn", cfg.alpha, TargetSpec("step"),
-                           epsilon=cfg.epsilon), 1
-    if cfg.tag == "ac_image":
-        img = load_pgm_target(cfg.image)
-        grid = build_grid(Domain.unit_square(), cfg.n_points)
-        samples = sample_image_on_grid(img, grid)
-        return ProblemSpec("allen_cahn", cfg.alpha, TargetSpec("sampled", samples=samples),
-                           epsilon=cfg.epsilon), 2
-    raise ConfigError(f"tag {cfg.tag!r} is not a network experiment", key="tag")
-
-
-def _uzawa_config(cfg: ExperimentConfig) -> UzawaConfig:
-    problem, dim = _problem_for(cfg)
-    network = NetworkSpec(dim, (cfg.hidden_width,) * cfg.hidden_depth, seed=cfg.seed)
-    return UzawaConfig(
-        problem=problem, network=network, n_uzawa=cfg.n_uzawa, n_sgd=cfg.n_sgd,
-        learning_rate=cfg.learning_rate, rho=cfg.rho,
-        variant=cfg.variant, beta=cfg.beta or 0.0, seed=cfg.seed,
-        n_points=cfg.n_points, batch_size=cfg.batch_size,
-    )
-
-
-def _meta_from(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
-    meta = {k: v for k, v in vars(cfg).items() if v is not None}
-    meta.update(extra or {})
-    return meta
+def _meta_from(cfg: ExperimentConfig, keys, out_dir, extra: dict) -> dict:
+    """meta.txt of one run directory: the set config ``keys``, with
+    ``output_dir`` the directory itself, then ``extra``."""
+    meta = {k: v for k, v in vars(cfg).items() if k in keys and v is not None}
+    return {**meta, "output_dir": out_dir, **extra}
 
 
 def _diverged(result, what: str, step: str) -> int:
@@ -83,22 +52,22 @@ def _diverged(result, what: str, step: str) -> int:
     return 2
 
 
-def _write_run(record, cfg: ExperimentConfig, out_dir) -> list[str]:
-    """CSVs, meta.txt and params.bin of one network run, plus its fields on
-    the grid refined by ``eval_refine`` when that is above 1."""
-    run_cfg = record.config
-    extra = {"alpha": run_cfg.problem.alpha, "resolved_rho": run_cfg.resolved_rho,
-             "n_parameters": run_cfg.network.n_parameters}
+def _write_run(record) -> list[str]:
+    """CSVs, meta.txt and params.bin of one network run in its config's
+    ``output_dir``, plus its fields on the grid refined by ``eval_refine``
+    when that is above 1."""
+    cfg, out_dir = record.config, record.config.output_dir
+    extra = {"resolved_rho": cfg.resolved_rho, "n_parameters": record.params.spec.n_parameters}
     if record.exact is not None and record.n_updates:
         extra["final_state_l2_error"] = record.state_errors[-1]
         extra["final_control_l2_error"] = record.control_errors[-1]
-    files = emit_csv(record, out_dir, _meta_from(cfg, extra))
+    files = emit_csv(record, out_dir, _meta_from(cfg, _NETWORK_META, out_dir, extra))
     save_checkpoint(record.params, os.path.join(out_dir, "params.bin"))
     if cfg.eval_refine == 1:
         return files
 
-    domain = domain_for(run_cfg.network)
-    fine = build_grid(domain, (run_cfg.n_points - 1) * cfg.eval_refine + 1)
+    domain = record.cset.domain
+    fine = build_grid(domain, (cfg.n_points - 1) * cfg.eval_refine + 1)
     u, f = evaluate(record.params, fine.points, cutoff_jet(domain, fine.points).b)
     write_csv(os.path.join(out_dir, "State_refined.csv"), ("state",), [(v,) for v in u])
     write_csv(os.path.join(out_dir, "Control_refined.csv"), ("control",), [(v,) for v in f])
@@ -112,10 +81,8 @@ def _write_run(record, cfg: ExperimentConfig, out_dir) -> list[str]:
 
 
 def _cmd_run(cfg: ExperimentConfig, quiet: bool) -> int:
-    if cfg.tag not in _NETWORK_TAGS:
-        raise ConfigError(f"tag {cfg.tag!r} belongs to the oracle subcommand", key="tag")
-    record = run_deep_uzawa(_uzawa_config(cfg), progress=not quiet)
-    files = _write_run(record, cfg, cfg.output_dir)
+    record = run_deep_uzawa(cfg, progress=not quiet)
+    files = _write_run(record)
     if not quiet:
         for path in files:
             print("wrote", path)
@@ -134,7 +101,7 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
             f"oracle runs support tags {_ORACLE_TAGS}; got {cfg.tag!r}", key="tag")
     grid = Grid1D(cfg.n_points)
     target = _oracle_target(cfg, grid)
-    rho = resolve_rho(cfg.alpha, cfg.rho)
+    rho = cfg.resolved_rho
     methods = [cfg.oracle_method] if cfg.oracle_method != "all" else \
         ["uzawa", "projected", "gauss_seidel", "direct"]
     code = 0
@@ -142,8 +109,8 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
         out_dir = cfg.output_dir if len(methods) == 1 else os.path.join(cfg.output_dir, method)
         if method == "direct":
             sol = fd_direct_kkt_solve(grid, cfg.alpha, target, dps=cfg.precision_dps)
-            emit_csv(sol, out_dir,
-                     _meta_from(cfg, {"method": method, "backward_error": sol.residual}))
+            emit_csv(sol, out_dir, _meta_from(cfg, _ORACLE_META, out_dir, {
+                "method": method, "backward_error": sol.residual}))
             if not quiet:
                 print(f"direct solve: backward error {sol.residual:.2e}")
             continue
@@ -155,7 +122,8 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
                                          dps=cfg.precision_dps)
         else:
             run = gauss_seidel_adjoint_run(grid, cfg.alpha, target, cfg.oracle_iters)
-        emit_csv(run, out_dir, _meta_from(cfg, {"method": method, "resolved_rho": rho}))
+        emit_csv(run, out_dir, _meta_from(cfg, _ORACLE_META, out_dir,
+                                          {"method": method, "resolved_rho": rho}))
         if not quiet:
             print(f"{method}: final state error {run.state_errors[-1]:.3e}"
                   f" control error {run.control_errors[-1]:.3e}")
@@ -164,13 +132,9 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, alphas, quiet: bool) -> int:
-    if cfg.tag not in _NETWORK_TAGS:
-        raise ConfigError(f"sweep needs a network experiment tag, got {cfg.tag!r}", key="tag")
-    base = _uzawa_config(cfg)
-    records = rho_alpha_sweep(base, alphas)
     code = 0
-    for a, record in zip(alphas, records):
-        _write_run(record, cfg, os.path.join(cfg.output_dir, f"alpha_{a:g}"))
+    for a, record in zip(alphas, rho_alpha_sweep(cfg, alphas)):
+        _write_run(record)
         if not quiet:
             tail = (f"state err {record.state_errors[-1]:.3e}"
                     if record.state_errors is not None and record.n_updates else "no exact solution")

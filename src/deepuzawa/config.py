@@ -9,14 +9,16 @@ Recognised keys (defaults in parentheses):
 
   tag            experiment: sine1d | boundary_layer | sine2d | ac_sine |
                  ac_step | ac_image | fd_oracle
-  alpha          regularisation weight, > 0 (1e-4)
-  epsilon        Allen-Cahn interface width, > 0; required for ac_* tags
-  rho            multiplier step, > 0 (alpha / 4)
+  alpha          regularisation weight, > 0 and finite (1e-4)
+  epsilon        Allen-Cahn interface width, > 0 and finite; required for
+                 ac_* tags
+  rho            multiplier step, > 0 and finite (alpha / 4)
   variant        plain | augmented  (plain)
-  beta           augmentation weight, > 0; required when variant = augmented
+  beta           augmentation weight, > 0 and finite; required when
+                 variant = augmented
   n_uzawa        outer multiplier updates, >= 1 (500)
   n_sgd          inner optimiser steps per update, >= 1 (40)
-  learning_rate  Adam step size, > 0 (1e-3)
+  learning_rate  Adam step size, > 0 and finite (1e-3)
   n_points       collocation points per axis, >= 3 (201)
   seed           run seed (0)
   hidden_width   network width, >= 1 (64)
@@ -32,6 +34,7 @@ Recognised keys (defaults in parentheses):
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import get_args, get_type_hints
@@ -74,6 +77,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.output_dir is None:
             self.output_dir = os.path.join("runs", self.tag)
+
+    @property
+    def resolved_rho(self) -> float:
+        """The multiplier step: ``rho`` when set, else the default alpha / 4."""
+        return self.alpha / 4.0 if self.rho is None else self.rho
 
 
 # key -> value parser: the field's type, without the None of optional keys
@@ -125,29 +133,22 @@ def _validate(cfg: ExperimentConfig, entries):
     if cfg.tag not in TAGS:
         raise ConfigError(f"unknown tag {cfg.tag!r}, expected one of {TAGS}",
                           key="tag", line=where("tag"))
-    if not cfg.alpha > 0:
-        raise ConfigError("alpha must be positive", key="alpha", line=where("alpha"))
     if cfg.tag in _AC_TAGS and cfg.epsilon is None:
         raise ConfigError(f"tag {cfg.tag!r} requires epsilon", key="epsilon")
-    if cfg.epsilon is not None and not cfg.epsilon > 0:
-        raise ConfigError("epsilon must be positive", key="epsilon", line=where("epsilon"))
     if cfg.variant not in ("plain", "augmented"):
         raise ConfigError("variant must be plain or augmented",
                           key="variant", line=where("variant"))
     if cfg.variant == "augmented" and cfg.beta is None:
         raise ConfigError("augmented variant requires beta", key="beta")
-    if cfg.beta is not None and not cfg.beta > 0:
-        raise ConfigError("beta must be positive", key="beta", line=where("beta"))
     if cfg.tag == "ac_image" and cfg.image is None:
         raise ConfigError("tag ac_image requires an image path", key="image")
+    for key in ("alpha", "epsilon", "beta", "rho", "learning_rate"):
+        value = getattr(cfg, key)
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"{key} must be positive and finite", key=key, line=where(key))
     for key in ("n_uzawa", "n_sgd", "hidden_width"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be at least 1", key=key, line=where(key))
-    if cfg.rho is not None and not cfg.rho > 0:
-        raise ConfigError("rho must be positive", key="rho", line=where("rho"))
-    if not cfg.learning_rate > 0:
-        raise ConfigError("learning_rate must be positive",
-                          key="learning_rate", line=where("learning_rate"))
     if cfg.hidden_depth < 0:
         raise ConfigError("hidden_depth must be nonnegative",
                           key="hidden_depth", line=where("hidden_depth"))

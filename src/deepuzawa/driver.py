@@ -7,65 +7,28 @@ then moved along the constraint residual.  The augmented variant adds the
 squared-residual penalty to the objective and uses the penalty weight as
 the multiplier step.
 
-Errors against a closed-form solution (when the target has one) and the
+Errors against a closed-form solution (when the tag has one) and the
 decomposed loss are recorded once per outer update.
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_forms import ExactSolution
-from .config import RunResult
-from .errors import NumericOverflowError
+from .closed_forms import EXACT_KINDS, ExactSolution
+from .config import ExperimentConfig, RunResult, load_pgm_target, sample_image_on_grid
+from .errors import ConfigError, NumericOverflowError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet, l2_norm
-from .lagrangian import (MultiplierField, ProblemSpec, loss_parts, multiplier_update,
-                         residual_values, target_values, zero_multiplier)
+from .lagrangian import (MultiplierField, ProblemSpec, TargetSpec, loss_parts,
+                         multiplier_update, residual_values, target_values, zero_multiplier)
 from .network import (NetworkParameters, NetworkSpec, batch_jets, evaluate, init_network,
                       loss_and_gradient)
 from .optim import AdamState, adam_step
 
-VARIANTS = ("plain", "augmented")
-
 LOSS_COLUMNS = ("misfit", "multiplier_term", "control_norm_term", "regulariser_term")
-
-
-def resolve_rho(alpha: float, rho: float | None) -> float:
-    """The multiplier step: ``rho`` when set, else the default alpha / 4."""
-    return alpha / 4.0 if rho is None else rho
-
-
-@dataclass(frozen=True)
-class UzawaConfig:
-    """Everything a run needs: problem, ansatz, budgets and step sizes."""
-
-    problem: ProblemSpec
-    network: NetworkSpec
-    n_uzawa: int = 500
-    n_sgd: int = 40
-    learning_rate: float = 1e-3
-    rho: float | None = None          # multiplier step; defaults to alpha / 4
-    variant: str = "plain"
-    beta: float = 0.0                 # augmentation weight and step
-    seed: int = 0                     # mini-batch sampling seed
-    n_points: int = 201
-    batch_size: int | None = None
-
-    def __post_init__(self):
-        if self.n_uzawa < 1 or self.n_sgd < 1:
-            raise ValueError("n_uzawa and n_sgd must be at least 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "augmented" and not self.beta > 0:
-            raise ValueError("augmented variant needs beta > 0")
-        if self.rho is not None and not self.rho > 0:
-            raise ValueError("rho must be positive")
-
-    @property
-    def resolved_rho(self) -> float:
-        return resolve_rho(self.problem.alpha, self.rho)
 
 
 @dataclass
@@ -76,7 +39,7 @@ class RunRecord(RunResult):
     ``f`` are the final state and control on the grid.
     """
 
-    config: UzawaConfig
+    config: ExperimentConfig
     cset: CollocationSet
     wall_times: np.ndarray
     params: NetworkParameters
@@ -88,33 +51,28 @@ class RunRecord(RunResult):
         return self.loss_history.shape[0]
 
 
-def domain_for(network: NetworkSpec) -> Domain:
-    return Domain.unit_interval() if network.input_dim == 1 else Domain.unit_square()
-
-
-def exact_solution_for(problem: ProblemSpec) -> ExactSolution | None:
-    """Closed form for the targets that have one, else None."""
-    kind = problem.target.kind
-    if kind == "sine1d":
-        return ExactSolution("sine1d")
-    if kind == "sine2d":
-        return ExactSolution("sine2d")
-    if kind == "ac_sine":
-        return ExactSolution("ac_sine", epsilon=problem.epsilon)
-    if kind == "constant" and problem.target.constant == 1.0 and problem.kind == "poisson":
-        return ExactSolution("boundary_layer", alpha=problem.alpha)
-    return None
-
-
-def record_errors(params: NetworkParameters, cset: CollocationSet,
-                  exact: ExactSolution, cutoff_b: np.ndarray | None = None):
-    """Discrete L2 errors of state and control against a closed form."""
-    if cutoff_b is None:
-        cutoff_b = cutoff_jet(cset.domain, cset.points).b
-    u, f = evaluate(params, cset.points, cutoff_b)
-    state_err = l2_norm(cset, u - exact.state(cset.points))
-    control_err = l2_norm(cset, f - exact.control(cset.points))
-    return state_err, control_err
+def problem_for(cfg: ExperimentConfig) -> tuple[ProblemSpec, Domain]:
+    """Problem spec and domain of a network experiment tag."""
+    if cfg.tag == "sine1d":
+        return ProblemSpec("poisson", cfg.alpha, TargetSpec("sine1d")), Domain.unit_interval()
+    if cfg.tag == "boundary_layer":
+        return (ProblemSpec("poisson", cfg.alpha, TargetSpec("constant", constant=1.0)),
+                Domain.unit_interval())
+    if cfg.tag == "sine2d":
+        return ProblemSpec("poisson", cfg.alpha, TargetSpec("sine2d")), Domain.unit_square()
+    if cfg.tag == "ac_sine":
+        return (ProblemSpec("allen_cahn", cfg.alpha, TargetSpec("ac_sine"), epsilon=cfg.epsilon),
+                Domain.unit_interval())
+    if cfg.tag == "ac_step":
+        return (ProblemSpec("allen_cahn", cfg.alpha, TargetSpec("step"), epsilon=cfg.epsilon),
+                Domain.unit_interval())
+    if cfg.tag == "ac_image":
+        domain = Domain.unit_square()
+        samples = sample_image_on_grid(load_pgm_target(cfg.image),
+                                       build_grid(domain, cfg.n_points))
+        return (ProblemSpec("allen_cahn", cfg.alpha, TargetSpec("sampled", samples=samples),
+                            epsilon=cfg.epsilon), domain)
+    raise ConfigError(f"tag {cfg.tag!r} belongs to the oracle subcommand", key="tag")
 
 
 def _subset(cset: CollocationSet, idx: np.ndarray) -> CollocationSet:
@@ -123,23 +81,26 @@ def _subset(cset: CollocationSet, idx: np.ndarray) -> CollocationSet:
                           cset.interior_mask[idx])
 
 
-def run_deep_uzawa(config: UzawaConfig, progress: bool = False) -> RunRecord:
-    """Execute the full outer/inner iteration for one configuration.
+def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecord:
+    """Execute the full outer/inner iteration for one network experiment.
 
     Runs exactly ``n_uzawa`` outer steps of ``n_sgd`` Adam updates each.  A
     non-finite loss, gradient or Adam step aborts the run with the partial
     history preserved and ``diverged_at`` set to the offending outer step.
+    Errors are recorded when the tag has a closed form.
     """
-    problem = config.problem
-    domain = domain_for(config.network)
+    problem, domain = problem_for(config)
     cset = build_grid(domain, config.n_points)
     target = target_values(problem, cset)
     cutoff = cutoff_jet(domain, cset.points)
-    exact = exact_solution_for(problem)
-    exact_u = exact.state(cset.points) if exact is not None else None
-    exact_f = exact.control(cset.points) if exact is not None else None
+    exact = None
+    if config.tag in EXACT_KINDS:
+        exact = ExactSolution(config.tag, alpha=config.alpha, epsilon=config.epsilon)
+        exact_u, exact_f = exact.state(cset.points), exact.control(cset.points)
 
-    params = init_network(config.network)
+    network = NetworkSpec(domain.dim, (config.hidden_width,) * config.hidden_depth,
+                          seed=config.seed)
+    params = init_network(network)
     adam = AdamState.fresh(params.flat.size, lr=config.learning_rate)
     step = config.beta if config.variant == "augmented" else config.resolved_rho
     beta = config.beta if config.variant == "augmented" else 0.0
@@ -217,14 +178,15 @@ def run_deep_uzawa(config: UzawaConfig, progress: bool = False) -> RunRecord:
     )
 
 
-def rho_alpha_sweep(base: UzawaConfig, alphas) -> list[RunRecord]:
+def rho_alpha_sweep(base: ExperimentConfig, alphas) -> list[RunRecord]:
     """One run per regularisation weight with the base config's rho, which
-    resolves to alpha / 4 for each alpha when unset."""
+    resolves to alpha / 4 for each alpha when unset.  Run ``alpha = a``
+    has ``output_dir`` ``<base output_dir>/alpha_<a>``."""
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alpha sweep needs at least one value")
-    records = []
-    for a in alphas:
-        problem = replace(base.problem, alpha=float(a))
-        records.append(run_deep_uzawa(replace(base, problem=problem)))
-    return records
+    if not all(0 < a < np.inf for a in alphas):
+        raise ValueError("swept alphas must be positive and finite")
+    return [run_deep_uzawa(replace(base, alpha=float(a),
+                                   output_dir=os.path.join(base.output_dir, f"alpha_{a:g}")))
+            for a in alphas]

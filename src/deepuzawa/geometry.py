@@ -124,12 +124,6 @@ def _as_values(field, cset: CollocationSet) -> np.ndarray:
     return values
 
 
-def quadrature_sum(cset: CollocationSet, field) -> float:
-    """Weighted sum over all collocation points: sum_y w_y g(y)."""
-    values = _as_values(field, cset)
-    return float(np.dot(cset.weights, values))
-
-
 def l2_norm(cset: CollocationSet, field) -> float:
     """Discrete L2 norm sqrt(sum_y w_y g(y)^2)."""
     values = _as_values(field, cset)

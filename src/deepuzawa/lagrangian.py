@@ -1,5 +1,5 @@
-"""Constraint residuals, cost densities, the discrete Lagrangian and
-multiplier updates.
+"""Constraint residuals, cost densities, the discrete Lagrangian and the
+multiplier update.
 
 Two constraint kinds are supported.  For the linear (Poisson) problem the
 residual is K(u, f) = lap(u) + f.  For the stationary Allen-Cahn problem the
@@ -211,12 +211,6 @@ def loss_parts(problem: ProblemSpec, cset: CollocationSet, jets, z: MultiplierFi
     return _lagrangian(problem, cset, jets, z, beta, target)[0]
 
 
-def discrete_lagrangian(problem: ProblemSpec, cset: CollocationSet, jets,
-                        z: MultiplierField, beta: float = 0.0, target=None) -> float:
-    """Value of L_Q (augmented when beta > 0) for per-point jets."""
-    return loss_parts(problem, cset, jets, z, beta, target)["total"]
-
-
 def pointwise_gradients(problem: ProblemSpec, cset: CollocationSet, jets,
                         z: MultiplierField, beta: float = 0.0, target=None):
     """Loss and its per-point partial derivatives w.r.t. (u, f, lap u).
@@ -241,7 +235,7 @@ def pointwise_gradients(problem: ProblemSpec, cset: CollocationSet, jets,
 
 
 # ---------------------------------------------------------------------------
-# multiplier updates
+# multiplier update
 
 
 def multiplier_update(z: MultiplierField, residuals, rho: float) -> MultiplierField:
@@ -250,13 +244,3 @@ def multiplier_update(z: MultiplierField, residuals, rho: float) -> MultiplierFi
     if k.shape != z.values.shape:
         raise ShapeError(f"residuals shape {k.shape} != multiplier shape {z.values.shape}")
     return MultiplierField(z.values + rho * k)
-
-
-def projected_multiplier_update(z: MultiplierField, residuals, rho: float) -> MultiplierField:
-    """Projected step z' = max(z + rho K, 0); requires z >= 0 on entry."""
-    if np.any(z.values < 0):
-        raise ValueError("projected update requires a componentwise nonnegative multiplier")
-    k = np.asarray(residuals, dtype=float)
-    if k.shape != z.values.shape:
-        raise ShapeError(f"residuals shape {k.shape} != multiplier shape {z.values.shape}")
-    return MultiplierField(np.maximum(z.values + rho * k, 0.0))

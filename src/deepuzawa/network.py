@@ -225,8 +225,8 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
                       cutoff: CutoffJet | None = None) -> tuple[float, np.ndarray]:
     """Quadrature Lagrangian and its exact parameter gradient.
 
-    The scalar equals :func:`deepuzawa.lagrangian.discrete_lagrangian` at the
-    network jets; the gradient is the derivative of that scalar with respect
+    The scalar equals ``loss_parts(...)["total"]`` of
+    :mod:`deepuzawa.lagrangian` at the network jets; the gradient is the derivative of that scalar with respect
     to every entry of ``params.flat``, obtained by reverse accumulation
     through the full jet computation (Laplacian and cutoff terms included).
 

@@ -1,8 +1,8 @@
 """First-order optimisers over flat parameter vectors.
 
-Adam with the usual bias correction is the default inner-loop optimiser;
-plain gradient descent is kept for reference runs.  Both updates are pure
-functions: state and parameters in, new state and parameters out.
+Adam with the usual bias correction is the inner-loop optimiser.  Its
+update is a pure function: state and parameters in, new state and
+parameters out.
 """
 from __future__ import annotations
 
@@ -47,12 +47,3 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
     v_hat = v / (1.0 - state.beta2**t)
     new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return replace(state, m=m, v=v, t=t), new_params
-
-
-def gd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    """Plain descent step params - lr * grad."""
-    params = np.asarray(params, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if params.shape != grad.shape:
-        raise ShapeError(f"mismatched shapes: params {params.shape}, grad {grad.shape}")
-    return params - lr * grad

@@ -10,20 +10,16 @@ import numpy as np
 import pytest
 
 from deepuzawa.closed_forms import ExactSolution, residual_check_boundary_layer
-from deepuzawa.driver import UzawaConfig, run_deep_uzawa
+from deepuzawa.config import ExperimentConfig
+from deepuzawa.driver import run_deep_uzawa
 from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run,
                                  fd_uzawa_run, grid_norm, sine_target)
-from deepuzawa.geometry import Domain, build_grid
-from deepuzawa.lagrangian import ProblemSpec, TargetSpec
-from deepuzawa.network import CHECK_BOUND, NetworkSpec, grad_check
+from deepuzawa.network import CHECK_BOUND, grad_check
 
 pytestmark = pytest.mark.acceptance
 
 STATE_NORM = np.sqrt(0.5)            # ||sin(pi x)||_{L2(0,1)}
 CONTROL_NORM = np.pi**2 * np.sqrt(0.5)
-
-DEFAULT_NET = NetworkSpec(1, (64, 64, 64), seed=0)
-
 
 def _report(num, detail):
     print(f"\nACCEPTANCE {num} PASS: {detail}")
@@ -35,32 +31,28 @@ def _report(num, detail):
 
 @pytest.fixture(scope="module")
 def run_sine_alpha4():
-    prob = ProblemSpec("poisson", 1e-4, TargetSpec("sine1d"))
-    return run_deep_uzawa(UzawaConfig(prob, DEFAULT_NET))
+    return run_deep_uzawa(ExperimentConfig("sine1d", alpha=1e-4))
 
 
 @pytest.fixture(scope="module")
 def run_sine_alpha0():
-    prob = ProblemSpec("poisson", 1.0, TargetSpec("sine1d"))
-    return run_deep_uzawa(UzawaConfig(prob, DEFAULT_NET))
+    return run_deep_uzawa(ExperimentConfig("sine1d", alpha=1.0))
 
 
 @pytest.fixture(scope="module")
 def run_sine_alpha8():
-    prob = ProblemSpec("poisson", 1e-8, TargetSpec("sine1d"))
-    return run_deep_uzawa(UzawaConfig(prob, DEFAULT_NET))
+    return run_deep_uzawa(ExperimentConfig("sine1d", alpha=1e-8))
 
 
 @pytest.fixture(scope="module")
 def run_sine_augmented():
-    prob = ProblemSpec("poisson", 1e-4, TargetSpec("sine1d"))
-    return run_deep_uzawa(UzawaConfig(prob, DEFAULT_NET, variant="augmented", beta=1e-4))
+    return run_deep_uzawa(ExperimentConfig("sine1d", alpha=1e-4, variant="augmented",
+                                           beta=1e-4))
 
 
 @pytest.fixture(scope="module")
 def run_allen_cahn():
-    prob = ProblemSpec("allen_cahn", 1e-4, TargetSpec("ac_sine"), epsilon=1.0)
-    return run_deep_uzawa(UzawaConfig(prob, DEFAULT_NET))
+    return run_deep_uzawa(ExperimentConfig("ac_sine", alpha=1e-4, epsilon=1.0))
 
 
 @pytest.fixture(scope="module")
@@ -222,18 +214,21 @@ def test_smoke_remaining_regimes(tmp_path):
     # asserting finiteness, exact boundary values and CSV schema only
     from deepuzawa.config import emit_csv, read_csv
 
-    smoke_net = NetworkSpec(1, (16, 16), seed=0)
+    # a 9x9 disk image, maxval 1: pixel centres sit on the 9x9 grid's points
+    row, col = np.mgrid[0:9, 0:9] / 8
+    disk = np.hypot(col - 0.5, 0.5 - row) < 0.3
+    image = tmp_path / "disk.pgm"
+    image.write_bytes(b"P5\n9 9\n1\n" + disk.astype(np.uint8).tobytes())
     runs = {
-        "boundary_layer_small_alpha": UzawaConfig(
-            ProblemSpec("poisson", 1e-6, TargetSpec("constant", constant=1.0)),
-            smoke_net, n_uzawa=3, n_sgd=5, n_points=51),
-        "allen_cahn_small_eps_step": UzawaConfig(
-            ProblemSpec("allen_cahn", 1e-4, TargetSpec("step"), epsilon=0.05),
-            smoke_net, n_uzawa=3, n_sgd=5, n_points=51),
-        "allen_cahn_2d_image": UzawaConfig(
-            ProblemSpec("allen_cahn", 1e-6,
-                        TargetSpec("sampled", samples=_disk_target(9)), epsilon=0.1),
-            NetworkSpec(2, (12, 12), seed=0), n_uzawa=2, n_sgd=5, n_points=9),
+        "boundary_layer_small_alpha": ExperimentConfig(
+            "boundary_layer", alpha=1e-6, n_uzawa=3, n_sgd=5, n_points=51,
+            hidden_width=16, hidden_depth=2),
+        "allen_cahn_small_eps_step": ExperimentConfig(
+            "ac_step", alpha=1e-4, epsilon=0.05, n_uzawa=3, n_sgd=5, n_points=51,
+            hidden_width=16, hidden_depth=2),
+        "allen_cahn_2d_image": ExperimentConfig(
+            "ac_image", alpha=1e-6, epsilon=0.1, image=str(image), n_uzawa=2, n_sgd=5,
+            n_points=9, hidden_width=12, hidden_depth=2),
     }
     for name, cfg in runs.items():
         rec = run_deep_uzawa(cfg)
@@ -249,8 +244,3 @@ def test_smoke_remaining_regimes(tmp_path):
     _report("smoke", "small-alpha layer, small-eps step and 2d image runs are "
                      "finite with exact boundary values and valid CSV schema")
 
-
-def _disk_target(n):
-    g = build_grid(Domain.unit_square(), n)
-    r = np.hypot(g.points[:, 0] - 0.5, g.points[:, 1] - 0.5)
-    return np.where(r < 0.3, 1.0, -1.0)

@@ -1,11 +1,13 @@
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deepuzawa import cli
 from deepuzawa.cli import main
+from deepuzawa.closed_forms import EXACT_KINDS
 from deepuzawa.config import (RunResult, emit_csv, load_pgm_target, parse_config, read_csv,
                               sample_image_on_grid)
 from deepuzawa.errors import ConfigError, PgmError
@@ -81,10 +83,13 @@ def test_grad_check_tag_is_unknown(tmp_path):
     ("oracle_iters", "-1"), ("precision_dps", "0"), ("precision_dps", "-5"),
     ("hidden_depth", "-1"), ("learning_rate", "-1"), ("learning_rate", "0"),
     ("n_uzawa", "0"), ("n_sgd", "0"), ("hidden_width", "0"), ("rho", "0"), ("rho", "-1"),
+    ("alpha", "inf"), ("epsilon", "inf"), ("rho", "inf"), ("beta", "inf"),
+    ("learning_rate", "inf"),
 ])
 def test_out_of_range_value_names_key_and_line(tmp_path, key, value):
-    with pytest.raises(ConfigError) as err:
-        parse_config(write(tmp_path, f"tag = fd_oracle\nalpha = 1e-2\n{key} = {value}\n"))
+    second = "seed = 0" if key == "alpha" else "alpha = 1e-2"
+    with pytest.raises(ConfigError, match="must be") as err:
+        parse_config(write(tmp_path, f"tag = fd_oracle\n{second}\n{key} = {value}\n"))
     assert err.value.key == key
     assert err.value.line == 3
 
@@ -402,6 +407,76 @@ output_dir = {tmp_path / 'sweep'}
     assert main(["-q", "sweep", cfg, "--alphas", "1"]) == 0
     meta = (tmp_path / "sweep" / "alpha_1" / "meta.txt").read_text().splitlines()
     assert "resolved_rho = 0.5" in meta
+
+
+def _read_meta(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
+def test_meta_txt_names_its_directory_and_subcommand_keys(tmp_path):
+    net = write(tmp_path, f"""
+tag = sine1d
+alpha = 1e-4
+n_uzawa = 1
+n_sgd = 1
+n_points = 11
+hidden_width = 4
+hidden_depth = 1
+output_dir = {tmp_path / 'sweep'}
+""", "net.cfg")
+    assert main(["-q", "sweep", net, "--alphas", "1"]) == 0
+    meta = _read_meta(tmp_path / "sweep" / "alpha_1" / "meta.txt")
+    assert meta["output_dir"] == str(tmp_path / "sweep" / "alpha_1")
+    assert meta["alpha"] == "1.0"
+    assert not {"oracle_method", "oracle_iters", "precision_dps"} & meta.keys()
+
+    oracle = write(tmp_path, f"""
+tag = fd_oracle
+alpha = 1e-2
+n_points = 21
+oracle_iters = 2
+oracle_method = all
+hidden_width = 4
+output_dir = {tmp_path / 'oracle'}
+""", "oracle.cfg")
+    assert main(["-q", "oracle", oracle]) == 0
+    for method in ("uzawa", "projected", "gauss_seidel", "direct"):
+        meta = _read_meta(tmp_path / "oracle" / method / "meta.txt")
+        assert meta["output_dir"] == str(tmp_path / "oracle" / method)
+        extra = "backward_error" if method == "direct" else "resolved_rho"
+        assert set(meta) == {"tag", "alpha", "n_points", "output_dir", "oracle_method",
+                             "oracle_iters", "method", extra}
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_runs(tmp_path, path):
+    # every file in configs/ goes through the CLI at a tiny budget
+    out = tmp_path / "out"
+    oracle = parse_config(path).tag == "fd_oracle"
+    own = {"output_dir": out, **({"oracle_iters": 2, "n_points": 21} if oracle
+                                 else {"n_uzawa": 1, "n_sgd": 1, "n_points": 11})}
+    lines = [line for line in path.read_text().splitlines()
+             if line.split("#", 1)[0].partition("=")[0].strip() not in own]
+    lines += [f"{key} = {value}" for key, value in own.items()]
+    cfg_path = write(tmp_path, "\n".join(lines) + "\n")
+    cfg = parse_config(cfg_path)
+    assert main(["-q", "oracle" if oracle else "run", cfg_path]) == 0
+
+    run_files = {"Loss.csv", "State.csv", "Control.csv", "meta.txt"}
+    if not oracle:
+        expected = {out: run_files | {"params.bin"}
+                    | ({"Error.csv"} if cfg.tag in EXACT_KINDS else set())}
+    else:
+        methods = (["uzawa", "projected", "gauss_seidel", "direct"]
+                   if cfg.oracle_method == "all" else [cfg.oracle_method])
+        expected = {out / m if len(methods) > 1 else out:
+                    {"State.csv", "Control.csv", "meta.txt"} if m == "direct"
+                    else run_files | {"Error.csv"} for m in methods}
+    for run_dir, files in expected.items():
+        assert set(os.listdir(run_dir)) == files
 
 
 def test_cli_ac_image_run(tmp_path):

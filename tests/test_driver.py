@@ -1,32 +1,24 @@
+import os
+
 import numpy as np
 import pytest
 
 from deepuzawa.closed_forms import ExactSolution
-from deepuzawa.driver import (UzawaConfig, exact_solution_for, record_errors,
-                              rho_alpha_sweep, run_deep_uzawa)
-from deepuzawa.geometry import Domain, build_grid, cutoff_jet
-from deepuzawa.lagrangian import ProblemSpec, TargetSpec, residual_values
-from deepuzawa.network import NetworkSpec, batch_jets, init_network
+from deepuzawa.config import ExperimentConfig
+from deepuzawa.driver import problem_for, rho_alpha_sweep, run_deep_uzawa
+from deepuzawa.errors import ConfigError
+from deepuzawa.geometry import Domain, build_grid, cutoff_jet, l2_norm
+from deepuzawa.lagrangian import residual_values
+from deepuzawa.network import NetworkSpec, batch_jets, evaluate, init_network
 
 TINY_NET = NetworkSpec(1, (8, 8), seed=0)
 
 
-def sine_problem(alpha=1e-2):
-    return ProblemSpec("poisson", alpha, TargetSpec("sine1d"))
-
-
 def tiny_config(**kw):
-    defaults = dict(problem=sine_problem(), network=TINY_NET, n_uzawa=3, n_sgd=2,
-                    n_points=21)
+    defaults = dict(tag="sine1d", alpha=1e-2, n_uzawa=3, n_sgd=2, n_points=21,
+                    hidden_width=8, hidden_depth=2)
     defaults.update(kw)
-    return UzawaConfig(**defaults)
-
-
-def test_nsgd_zero_disallowed():
-    with pytest.raises(ValueError):
-        tiny_config(n_sgd=0)
-    with pytest.raises(ValueError):
-        tiny_config(n_uzawa=0)
+    return ExperimentConfig(**defaults)
 
 
 def test_zero_learning_rate_updates_multiplier_only():
@@ -38,7 +30,7 @@ def test_zero_learning_rate_updates_multiplier_only():
     cset = rec.cset
     jets = batch_jets(params0, cset.points, cutoff_jet(cset.domain, cset.points))
     mask = cset.interior_mask
-    k = residual_values(cfg.problem, jets.u[mask], jets.f[mask], jets.lap_u[mask])
+    k = residual_values(problem_for(cfg)[0], jets.u[mask], jets.f[mask], jets.lap_u[mask])
     assert np.allclose(rec.z.values, cfg.resolved_rho * k, rtol=1e-14)
 
 
@@ -83,45 +75,54 @@ def test_state_boundary_values_exactly_zero():
 
 
 def test_record_errors_zero_network_against_sine():
+    # a zero network's recorded errors are the closed form's own norms
     cset = build_grid(Domain.unit_interval(), 201)
     params = init_network(TINY_NET)
     flat = params.flat.copy()
     flat[-18:] = 0.0  # zero the output layer: u = f = 0
-    params = params.with_flat(flat)
-    se, ce = record_errors(params, cset, ExactSolution("sine1d"))
+    u, f = evaluate(params.with_flat(flat), cset.points, cutoff_jet(cset.domain, cset.points).b)
+    ex = ExactSolution("sine1d")
+    se, ce = l2_norm(cset, u - ex.state(cset.points)), l2_norm(cset, f - ex.control(cset.points))
     assert se == pytest.approx(np.sqrt(0.5), abs=1e-3)
     assert ce == pytest.approx(np.pi**2 * np.sqrt(0.5), abs=1e-3)
     assert se >= 0 and ce >= 0
 
 
 def test_record_errors_matches_manual_norms():
-    from deepuzawa.geometry import l2_norm
-    from deepuzawa.network import evaluate
-
-    cset = build_grid(Domain.unit_interval(), 31)
-    ex = ExactSolution("sine1d")
-    params = init_network(TINY_NET)
-    se, ce = record_errors(params, cset, ex)
-    cut = cutoff_jet(cset.domain, cset.points)
-    u, f = evaluate(params, cset.points, cut.b)
-    assert se == l2_norm(cset, u - ex.state(cset.points))
-    assert ce == l2_norm(cset, f - ex.control(cset.points))
+    rec = run_deep_uzawa(tiny_config(n_uzawa=2, n_points=31))
+    cset = rec.cset
+    jets = batch_jets(rec.params, cset.points, cutoff_jet(cset.domain, cset.points))
+    assert rec.state_errors[-1] == l2_norm(cset, jets.u - rec.exact.state(cset.points))
+    assert rec.control_errors[-1] == l2_norm(cset, jets.f - rec.exact.control(cset.points))
 
 
 def test_exact_solution_resolution():
-    assert exact_solution_for(sine_problem()).kind == "sine1d"
-    assert exact_solution_for(ProblemSpec("poisson", 1.0, TargetSpec("sine2d"))).kind == "sine2d"
-    bl = exact_solution_for(ProblemSpec("poisson", 0.5, TargetSpec("constant", constant=1.0)))
-    assert bl.kind == "boundary_layer" and bl.alpha == 0.5
-    ac = exact_solution_for(ProblemSpec("allen_cahn", 1.0, TargetSpec("ac_sine"), epsilon=0.3))
-    assert ac.kind == "ac_sine" and ac.epsilon == 0.3
-    assert exact_solution_for(ProblemSpec("allen_cahn", 1.0, TargetSpec("step"),
-                                          epsilon=0.3)) is None
+    # the closed form is looked up by the tag alone
+    for tag, alpha, epsilon in [("sine1d", 0.5, None), ("sine2d", 0.5, None),
+                                ("boundary_layer", 0.5, None), ("ac_sine", 1.0, 0.3)]:
+        rec = run_deep_uzawa(tiny_config(tag=tag, alpha=alpha, epsilon=epsilon, n_uzawa=1,
+                                         n_sgd=1, n_points=5))
+        assert rec.exact == ExactSolution(tag, alpha=alpha, epsilon=epsilon)
+        assert rec.state_errors.shape == (1,)
+    rec = run_deep_uzawa(tiny_config(tag="ac_step", epsilon=0.3, n_uzawa=1, n_sgd=1,
+                                     n_points=5))
+    assert rec.exact is None and rec.state_errors is None
+
+
+def test_problem_for_maps_tag_to_problem_and_domain():
+    problem, domain = problem_for(tiny_config(tag="boundary_layer", alpha=0.5))
+    assert problem.kind == "poisson" and problem.alpha == 0.5
+    assert problem.target.kind == "constant" and problem.target.constant == 1.0
+    assert domain == Domain.unit_interval()
+    problem, domain = problem_for(tiny_config(tag="ac_step", epsilon=0.3))
+    assert (problem.kind, problem.target.kind, problem.epsilon) == ("allen_cahn", "step", 0.3)
+    assert problem_for(tiny_config(tag="sine2d"))[1] == Domain.unit_square()
+    with pytest.raises(ConfigError, match="belongs to the oracle subcommand"):
+        problem_for(tiny_config(tag="fd_oracle"))
 
 
 def test_step_target_run_has_no_error_history():
-    prob = ProblemSpec("allen_cahn", 1e-2, TargetSpec("step"), epsilon=0.5)
-    cfg = UzawaConfig(prob, TINY_NET, n_uzawa=2, n_sgd=2, n_points=31)
+    cfg = tiny_config(tag="ac_step", epsilon=0.5, n_uzawa=2, n_sgd=2, n_points=31)
     rec = run_deep_uzawa(cfg)
     assert rec.state_errors is None
     assert rec.exact is None
@@ -135,10 +136,14 @@ def test_alpha_sweep_bookkeeping():
     assert len(records) == 2
     for a, rec in zip((1.0, 1e-2), records):
         assert rec.n_updates == 10
-        assert rec.config.problem.alpha == a
+        assert rec.config.alpha == a
         assert rec.config.resolved_rho == pytest.approx(a / 4)
+        assert rec.config.output_dir == os.path.join(cfg.output_dir, f"alpha_{a:g}")
     with pytest.raises(ValueError):
         rho_alpha_sweep(cfg, [])
+    for bad in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            rho_alpha_sweep(cfg, [1.0, bad])
 
 
 @pytest.mark.parametrize("alpha, lr", [
@@ -146,7 +151,7 @@ def test_alpha_sweep_bookkeeping():
     pytest.param(1.0, 1e308, id="adam_overflow"),
 ])
 def test_divergence_recorded_not_raised(alpha, lr):
-    cfg = tiny_config(problem=sine_problem(alpha), n_uzawa=6, n_sgd=8, learning_rate=lr)
+    cfg = tiny_config(alpha=alpha, n_uzawa=6, n_sgd=8, learning_rate=lr)
     rec = run_deep_uzawa(cfg)
     assert rec.diverged_at is not None
     assert rec.n_updates == rec.diverged_at
@@ -168,5 +173,5 @@ def test_multiplier_drift_bounded_by_rho_times_residual():
     cset = rec.cset
     jets = batch_jets(params0, cset.points, cutoff_jet(cset.domain, cset.points))
     mask = cset.interior_mask
-    k = residual_values(cfg.problem, jets.u[mask], jets.f[mask], jets.lap_u[mask])
+    k = residual_values(problem_for(cfg)[0], jets.u[mask], jets.f[mask], jets.lap_u[mask])
     assert np.abs(rec.z.values).max() <= cfg.resolved_rho * np.abs(k).max() * (1 + 1e-12)

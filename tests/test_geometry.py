@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepuzawa.errors import GridError, ShapeError
-from deepuzawa.geometry import Domain, build_grid, cutoff_jet, l2_norm, quadrature_sum
+from deepuzawa.geometry import Domain, build_grid, cutoff_jet, l2_norm
 
 
 def test_unit_interval_grid_201():
@@ -47,21 +47,21 @@ def test_weights_sum_matches_volume_general_box():
 
 def test_quadrature_constant_and_linear():
     g = build_grid(Domain.unit_interval(), 201)
-    assert quadrature_sum(g, np.ones(201)) == pytest.approx(1.0, abs=1e-14)
+    assert np.dot(g.weights, np.ones(201)) == pytest.approx(1.0, abs=1e-14)
     # trapezoid is exact for linears
-    assert quadrature_sum(g, g.points[:, 0]) == pytest.approx(0.5, abs=1e-14)
+    assert np.dot(g.weights, g.points[:, 0]) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_quadrature_sin_squared():
     g = build_grid(Domain.unit_interval(), 201)
-    val = quadrature_sum(g, np.sin(np.pi * g.points[:, 0]) ** 2)
+    val = np.dot(g.weights, np.sin(np.pi * g.points[:, 0]) ** 2)
     assert val == pytest.approx(0.5, abs=1e-4)
 
 
 def test_quadrature_shape_mismatch():
     g = build_grid(Domain.unit_interval(), 11)
     with pytest.raises(ShapeError):
-        quadrature_sum(g, np.ones(10))
+        l2_norm(g, np.ones(10))
 
 
 @settings(max_examples=30, deadline=None)
@@ -71,8 +71,8 @@ def test_quadrature_linearity(scale, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=33)
     b = rng.normal(size=33)
-    lhs = quadrature_sum(g, scale * a + b)
-    rhs = scale * quadrature_sum(g, a) + quadrature_sum(g, b)
+    lhs = np.dot(g.weights, scale * a + b)
+    rhs = scale * np.dot(g.weights, a) + np.dot(g.weights, b)
     assert lhs == pytest.approx(rhs, abs=1e-13, rel=1e-13)
 
 
@@ -85,7 +85,7 @@ def test_trapezoid_second_order_convergence():
     errs = []
     for n in (51, 101, 201):
         g = build_grid(dom, n)
-        errs.append(abs(quadrature_sum(g, np.exp(g.points[:, 0])) - exact))
+        errs.append(abs(np.dot(g.weights, np.exp(g.points[:, 0])) - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
 

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from deepuzawa.errors import ShapeError
 from deepuzawa.geometry import Domain, build_grid
 from deepuzawa.lagrangian import (MultiplierField, ProblemSpec, TargetSpec, cost_values,
-                                  discrete_lagrangian, loss_parts, multiplier_update,
-                                  pointwise_gradients, projected_multiplier_update,
+                                  loss_parts, multiplier_update, pointwise_gradients,
                                   residual_values, target_values, zero_multiplier)
 from deepuzawa.network import JetBatch
 
@@ -86,7 +83,7 @@ def test_discrete_lagrangian_zero_multiplier_is_cost_quadrature(prob):
     z0 = zero_multiplier(g)
     target = target_values(prob, g)
     cost_q = float(np.dot(g.weights, cost_values(prob, jets.u, jets.f, jets.lap_u, target)))
-    assert discrete_lagrangian(prob, g, jets, z0) == pytest.approx(cost_q, rel=1e-14)
+    assert loss_parts(prob, g, jets, z0)["total"] == pytest.approx(cost_q, rel=1e-14)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])
@@ -105,11 +102,11 @@ def test_discrete_lagrangian_invariant_for_residual_free_fields():
     g = build_grid(Domain.unit_interval(), 41)
     prob = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d"))
     jets = exact_sine_jets(g)  # residual is exactly zero everywhere
-    base = discrete_lagrangian(prob, g, jets, zero_multiplier(g))
+    base = loss_parts(prob, g, jets, zero_multiplier(g))["total"]
     rng = np.random.default_rng(8)
     for beta in (0.0, 3.0):
         z = MultiplierField(rng.normal(size=g.n_interior))
-        assert discrete_lagrangian(prob, g, jets, z, beta) == pytest.approx(base, rel=1e-13)
+        assert loss_parts(prob, g, jets, z, beta)["total"] == pytest.approx(base, rel=1e-13)
 
 
 def test_loss_parts_alpha_scaling():
@@ -193,38 +190,6 @@ def test_multiplier_update_additive():
     two_steps = multiplier_update(multiplier_update(z, k1, 0.1), k2, 0.1)
     one_step = multiplier_update(z, k1 + k2, 0.1)
     assert np.allclose(two_steps.values, one_step.values, atol=1e-15)
-
-
-def test_projected_update_clamps():
-    z = MultiplierField(np.full(4, 0.1))
-    out = projected_multiplier_update(z, np.full(4, -0.5), 1.0)
-    assert np.array_equal(out.values, np.zeros(4))
-
-
-def test_projected_update_matches_plain_when_nonnegative():
-    rng = np.random.default_rng(2)
-    z = MultiplierField(np.abs(rng.normal(size=6)))
-    k = np.abs(rng.normal(size=6))
-    assert np.array_equal(projected_multiplier_update(z, k, 0.5).values,
-                          multiplier_update(z, k, 0.5).values)
-
-
-def test_projected_update_rejects_negative_input():
-    z = MultiplierField(np.array([0.1, -0.1]))
-    with pytest.raises(ValueError):
-        projected_multiplier_update(z, np.zeros(2), 1.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000))
-def test_projection_idempotent_and_nonnegative(seed):
-    rng = np.random.default_rng(seed)
-    z = MultiplierField(np.maximum(rng.normal(size=12), 0.0))
-    k = rng.normal(size=12) * 10 ** rng.uniform(-3, 3)
-    once = projected_multiplier_update(z, k, 0.7)
-    assert np.all(once.values >= 0.0)
-    twice = projected_multiplier_update(once, np.zeros(12), 0.7)
-    assert np.array_equal(once.values, twice.values)
 
 
 def test_problem_spec_validation():

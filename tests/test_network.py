@@ -3,7 +3,7 @@ import pytest
 
 from deepuzawa.errors import ShapeError
 from deepuzawa.geometry import CollocationSet, Domain, build_grid, cutoff_jet
-from deepuzawa.lagrangian import MultiplierField, ProblemSpec, TargetSpec, discrete_lagrangian
+from deepuzawa.lagrangian import MultiplierField, ProblemSpec, TargetSpec, loss_parts
 from deepuzawa.network import (NetworkParameters, NetworkSpec, batch_jets, evaluate,
                                finite_difference_gradient, init_network,
                                load_checkpoint, loss_and_gradient, loss_value,
@@ -109,7 +109,7 @@ def test_loss_equals_discrete_lagrangian():
     params = init_network(NetworkSpec(1, (8, 8), seed=3))
     loss, _ = loss_and_gradient(params, g, prob, z)
     jets = batch_jets(params, g.points, cutoff_jet(g.domain, g.points))
-    assert loss == discrete_lagrangian(prob, g, jets, z)
+    assert loss == loss_parts(prob, g, jets, z)["total"]
 
 
 @pytest.mark.parametrize("kind,beta", [("poisson", 0.0), ("poisson", 0.5),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from deepuzawa.errors import ShapeError
-from deepuzawa.optim import AdamState, adam_step, gd_step
+from deepuzawa.optim import AdamState, adam_step
 
 
 def test_adam_first_step_is_signed_unit_step():
@@ -63,23 +63,3 @@ def test_adam_shape_mismatch():
     state = AdamState.fresh(3)
     with pytest.raises(ShapeError):
         adam_step(state, np.zeros(4), np.zeros(4))
-
-
-def test_gd_zero_gradient_identity():
-    p = np.array([1.0, 2.0])
-    assert np.array_equal(gd_step(p, np.zeros(2), 0.5), p)
-
-
-def test_gd_unit_lr_annihilates():
-    p = np.array([0.3, -0.7, 2.0])
-    assert np.array_equal(gd_step(p, p, 1.0), np.zeros(3))
-
-
-def test_gd_linear_in_gradient():
-    rng = np.random.default_rng(3)
-    p = rng.normal(size=6)
-    g1 = rng.normal(size=6)
-    g2 = rng.normal(size=6)
-    combined = gd_step(p, g1 + g2, 0.25)
-    sequential = gd_step(gd_step(p, g1, 0.25), g2, 0.25)
-    assert np.allclose(combined, sequential, atol=1e-15)
