@@ -32,8 +32,12 @@ from .network import CHECK_BOUND, evaluate, grad_check, save_checkpoint
 
 _ORACLE_TAGS = ("fd_oracle", "sine1d", "boundary_layer")
 _ORACLE_KEYS = ("oracle_method", "oracle_iters", "precision_dps")
-# the config keys each subcommand's meta.txt lists
-_ORACLE_META = ("tag", "alpha", "rho", "n_points", "output_dir") + _ORACLE_KEYS
+# the config keys each subcommand's meta.txt lists; of the oracle methods
+# only the Uzawa runs take a step size, and Gauss-Seidel always runs in float64
+_ORACLE_BASE = ("tag", "alpha", "n_points", "output_dir", "oracle_method", "oracle_iters")
+_ORACLE_META = {"uzawa": _ORACLE_BASE + ("rho", "precision_dps"),
+                "projected": _ORACLE_BASE + ("rho", "precision_dps"),
+                "direct": _ORACLE_BASE + ("precision_dps",), "gauss_seidel": _ORACLE_BASE}
 _NETWORK_META = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _ORACLE_KEYS)
 
 
@@ -107,23 +111,22 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
     code = 0
     for method in methods:
         out_dir = cfg.output_dir if len(methods) == 1 else os.path.join(cfg.output_dir, method)
+        keys = _ORACLE_META[method]
         if method == "direct":
             sol = fd_direct_kkt_solve(grid, cfg.alpha, target, dps=cfg.precision_dps)
-            emit_csv(sol, out_dir, _meta_from(cfg, _ORACLE_META, out_dir, {
+            emit_csv(sol, out_dir, _meta_from(cfg, keys, out_dir, {
                 "method": method, "backward_error": sol.residual}))
             if not quiet:
                 print(f"direct solve: backward error {sol.residual:.2e}")
             continue
-        if method == "uzawa":
-            run = fd_uzawa_run(grid, cfg.alpha, rho, target, cfg.oracle_iters,
-                               dps=cfg.precision_dps)
-        elif method == "projected":
-            run = fd_projected_uzawa_run(grid, cfg.alpha, rho, target, cfg.oracle_iters,
-                                         dps=cfg.precision_dps)
-        else:
+        if method == "gauss_seidel":
             run = gauss_seidel_adjoint_run(grid, cfg.alpha, target, cfg.oracle_iters)
-        emit_csv(run, out_dir, _meta_from(cfg, _ORACLE_META, out_dir,
-                                          {"method": method, "resolved_rho": rho}))
+            extra = {"method": method}
+        else:
+            uzawa = fd_uzawa_run if method == "uzawa" else fd_projected_uzawa_run
+            run = uzawa(grid, cfg.alpha, rho, target, cfg.oracle_iters, dps=cfg.precision_dps)
+            extra = {"method": method, "resolved_rho": rho}
+        emit_csv(run, out_dir, _meta_from(cfg, keys, out_dir, extra))
         if not quiet:
             print(f"{method}: final state error {run.state_errors[-1]:.3e}"
                   f" control error {run.control_errors[-1]:.3e}")

@@ -126,6 +126,19 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
+def check_variant(cfg: ExperimentConfig, where=lambda key: None):
+    """The variant is plain or augmented, and augmented comes with its beta.
+
+    Parsing checks this with the rest of the file; ``run_deep_uzawa`` checks
+    it again for configs built in code.  ``where`` maps a key to its line.
+    """
+    if cfg.variant not in ("plain", "augmented"):
+        raise ConfigError("variant must be plain or augmented",
+                          key="variant", line=where("variant"))
+    if cfg.variant == "augmented" and cfg.beta is None:
+        raise ConfigError("augmented variant requires beta", key="beta")
+
+
 def _validate(cfg: ExperimentConfig, entries):
     def where(key):
         return entries[key][1] if key in entries else None
@@ -135,11 +148,7 @@ def _validate(cfg: ExperimentConfig, entries):
                           key="tag", line=where("tag"))
     if cfg.tag in _AC_TAGS and cfg.epsilon is None:
         raise ConfigError(f"tag {cfg.tag!r} requires epsilon", key="epsilon")
-    if cfg.variant not in ("plain", "augmented"):
-        raise ConfigError("variant must be plain or augmented",
-                          key="variant", line=where("variant"))
-    if cfg.variant == "augmented" and cfg.beta is None:
-        raise ConfigError("augmented variant requires beta", key="beta")
+    check_variant(cfg, where)
     if cfg.tag == "ac_image" and cfg.image is None:
         raise ConfigError("tag ac_image requires an image path", key="image")
     for key in ("alpha", "epsilon", "beta", "rho", "learning_rate"):

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_forms import EXACT_KINDS, ExactSolution
-from .config import ExperimentConfig, RunResult, load_pgm_target, sample_image_on_grid
+from .config import (ExperimentConfig, RunResult, check_variant, load_pgm_target,
+                     sample_image_on_grid)
 from .errors import ConfigError, NumericOverflowError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet, l2_norm
 from .lagrangian import (MultiplierField, ProblemSpec, TargetSpec, loss_parts,
@@ -87,8 +88,11 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     Runs exactly ``n_uzawa`` outer steps of ``n_sgd`` Adam updates each.  A
     non-finite loss, gradient or Adam step aborts the run with the partial
     history preserved and ``diverged_at`` set to the offending outer step.
-    Errors are recorded when the tag has a closed form.
+    Errors are recorded when the tag has a closed form.  An unknown variant,
+    or the augmented one without ``beta``, raises ``ConfigError`` naming the
+    key, also for a config built in code rather than parsed from a file.
     """
+    check_variant(config)
     problem, domain = problem_for(config)
     cset = build_grid(domain, config.n_points)
     target = target_values(problem, cset)

@@ -22,7 +22,14 @@ path is the default; the multiprecision path (``decimal.Decimal`` with
 factor of the Uzawa iteration is bounded away from one, so after a few
 dozen iterations the error reaches the float64 rounding floor and the
 theoretical strict monotone decrease can no longer be observed in double
-precision.  All state is kept in plain Python lists of context scalars;
+precision.
+
+Fields are numpy arrays of the context's scalars: float64, or ``dtype=object``
+arrays of Decimals.  Elementwise steps are array expressions in the operation
+order of a scalar loop, and sums run left to right from zero, so float64
+results do not depend on numpy's pairwise summation.  Only the banded LDL^T
+factorisation and solve, which are recurrences, loop over scalars.  The
+factor of the inner-solve matrix is computed once per run.  Results and
 histories are returned as float64 arrays.
 """
 from __future__ import annotations
@@ -67,6 +74,8 @@ class Grid1D:
 class _FloatCtx:
     """Plain float64 arithmetic."""
 
+    dtype = float
+
     def guard(self):
         return nullcontext()
 
@@ -88,6 +97,8 @@ class _DecimalCtx:
     """Decimal arithmetic (the C-accelerated ``decimal`` module) with ``dps``
     significant digits and unbounded exponents; sine and pi are evaluated
     by mpmath with ten guard digits and rounded to ``dps`` digits."""
+
+    dtype = object
 
     def __init__(self, dps: int):
         import mpmath
@@ -118,72 +129,76 @@ def _context(dps):
     return _FloatCtx() if dps is None else _DecimalCtx(dps)
 
 
+def _array(ctx, values) -> np.ndarray:
+    """``values`` as an array of context scalars."""
+    return np.array([ctx.num(x) for x in values], dtype=ctx.dtype)
+
+
+def _sum(v, zero):
+    """Left-to-right sum from ``zero``, the order of a scalar loop (the
+    pairwise ``np.sum`` would round differently)."""
+    return zero + np.add.accumulate(v)[-1]
+
+
 # ---------------------------------------------------------------------------
 # banded operators (generic over the scalar type)
 
 
 def _laplacian_apply(v, q):
     """Tridiagonal (1, -2, 1)/h^2 with zero Dirichlet neighbours; q = 1/h^2."""
-    m = len(v)
-    out = [q * (-2 * v[i]) for i in range(m)]
-    for i in range(m - 1):
-        out[i] += q * v[i + 1]
-        out[i + 1] += q * v[i]
+    out = q * (-2 * v)
+    out[1:] += q * v[:-1]
+    out[:-1] += q * v[1:]
     return out
 
 
 def _biharmonic_bands(c, q, m, one):
     """Bands (diag, super1, super2) of c * T^2 + I with T the Laplacian."""
     q2 = q * q
-    d = [c * (6 * q2) + one for _ in range(m)]
-    d[0] = c * (5 * q2) + one
-    d[-1] = c * (5 * q2) + one
-    e = [c * (-4 * q2) for _ in range(m - 1)]
-    g = [c * q2 for _ in range(m - 2)]
-    return d, e, g
+    d = np.full(m, c * (6 * q2) + one)
+    d[0] = d[-1] = c * (5 * q2) + one
+    return d, np.full(m - 1, c * (-4 * q2)), np.full(m - 2, c * q2)
 
 
 def _ldlt_factor(d, e, g):
-    """LDL^T factorisation of a symmetric pentadiagonal matrix."""
-    m = len(d)
-    dd = list(d)
-    l1 = [None] * (m - 1)
-    l2 = [None] * (m - 2)
-    for i in range(m):
-        if i >= 2:
-            l2[i - 2] = g[i - 2] / dd[i - 2]
-        if i >= 1:
-            num = e[i - 1]
-            if i >= 2:
-                num = num - l1[i - 2] * l2[i - 2] * dd[i - 2]
-            l1[i - 1] = num / dd[i - 1]
-        if i >= 1:
-            dd[i] = dd[i] - l1[i - 1] * l1[i - 1] * dd[i - 1]
-        if i >= 2:
-            dd[i] = dd[i] - l2[i - 2] * l2[i - 2] * dd[i - 2]
+    """LDL^T factorisation (D, L1, L2 as lists) of a symmetric pentadiagonal
+    matrix with bands (d, e, g)."""
+    d, e, g = d.tolist(), e.tolist(), g.tolist()
+    d0 = d[0]
+    a = e[0] / d0
+    d1 = d[1] - a * a * d0
+    dd, l1, l2 = [d0, d1], [a], []
+    for di, ei, gi in zip(d[2:], e[1:], g):
+        b = gi / d0
+        a = (ei - a * b * d0) / d1
+        d0, d1 = d1, di - a * a * d1 - b * b * d0
+        dd.append(d1)
+        l1.append(a)
+        l2.append(b)
     return dd, l1, l2
 
 
 def _ldlt_solve(fact, rhs):
     dd, l1, l2 = fact
-    m = len(dd)
-    w = list(rhs)
-    for i in range(1, m):
-        w[i] = w[i] - l1[i - 1] * w[i - 1]
-        if i >= 2:
-            w[i] = w[i] - l2[i - 2] * w[i - 2]
-    for i in range(m):
-        w[i] = w[i] / dd[i]
-    for i in range(m - 2, -1, -1):
-        w[i] = w[i] - l1[i] * w[i + 1]
-        if i + 2 < m:
-            w[i] = w[i] - l2[i] * w[i + 2]
-    return w
+    r = rhs.tolist()
+    w0 = r[0]
+    w1 = r[1] - l1[0] * w0
+    w = [w0, w1]
+    for ri, a, b in zip(r[2:], l1[1:], l2):
+        w0, w1 = w1, ri - a * w1 - b * w0
+        w.append(w1)
+    x1 = w[-1] / dd[-1]
+    x0 = w[-2] / dd[-2] - l1[-1] * x1
+    out = [x1, x0]
+    for wi, di, a, b in zip(w[-3::-1], dd[-3::-1], l1[-2::-1], l2[::-1]):
+        x0, x1 = wi / di - a * x0 - b * x1, x0
+        out.append(x0)
+    return np.array(out[::-1], dtype=rhs.dtype)
 
 
 def apply_laplacian(grid: Grid1D, v) -> np.ndarray:
     """The discrete Laplacian of interior values ``v``, in float64."""
-    return np.asarray(_laplacian_apply(list(np.asarray(v, dtype=float)), 1.0 / grid.h**2))
+    return _laplacian_apply(np.array(v, dtype=float), 1.0 / grid.h**2)
 
 
 def laplacian_dense(grid: Grid1D) -> np.ndarray:
@@ -202,28 +217,25 @@ def laplacian_dense(grid: Grid1D) -> np.ndarray:
 # targets and norms on the oracle grid
 
 
-def sine_target(grid: Grid1D, alpha: float, dps=None):
+def sine_target(grid: Grid1D, alpha: float, dps=None) -> np.ndarray:
     """Interior samples of (1 + alpha pi^4) sin(pi x)."""
     ctx = _context(dps)
     with ctx.guard():
         a = ctx.num(alpha)
         h = ctx.num(1) / (grid.n - 1)
         scale = 1 + a * ctx.pi**4
-        return [scale * ctx.sin(ctx.pi * (h * (i + 1))) for i in range(grid.n_interior)]
+        return np.array([scale * ctx.sin(ctx.pi * (h * (i + 1))) for i in range(grid.n_interior)],
+                        dtype=ctx.dtype)
 
 
-def constant_target(grid: Grid1D, value: float, dps=None):
+def constant_target(grid: Grid1D, value: float, dps=None) -> np.ndarray:
     ctx = _context(dps)
     with ctx.guard():
-        c = ctx.num(value)
-        return [c for _ in range(grid.n_interior)]
+        return np.full(grid.n_interior, ctx.num(value), dtype=ctx.dtype)
 
 
 def _norm(v, h, ctx):
-    acc = ctx.num(0)
-    for x in v:
-        acc += x * x
-    return ctx.sqrt(h * acc)
+    return ctx.sqrt(h * _sum(v * v, ctx.num(0)))
 
 
 def grid_norm(grid: Grid1D, v) -> float:
@@ -245,40 +257,27 @@ class KKTSolution(RunResult):
     residual: float
 
 
-def _floats(v) -> np.ndarray:
-    return np.array([float(x) for x in v])
-
-
 def _solution(u, f, z, residual=0.0) -> KKTSolution:
     """The float64 saddle point of fields held in context scalars."""
-    return KKTSolution(u=_floats(u), f=_floats(f), z=_floats(z), residual=float(residual))
+    return KKTSolution(u=u.astype(float), f=f.astype(float), z=z.astype(float),
+                       residual=float(residual))
 
 
 def _direct_kkt(grid: Grid1D, alpha, D, ctx):
     m = grid.n_interior
     h = ctx.num(1) / (grid.n - 1)
     q = 1 / (h * h)
-    one = ctx.num(1)
-    bands = _biharmonic_bands(alpha, q, m, one)
-    fact = _ldlt_factor(*bands)
-    u = _ldlt_solve(fact, D)
-    f = [-x for x in _laplacian_apply(u, q)]
-    z = [-(alpha / 2) * x for x in f]
+    zero = ctx.num(0)
+    u = _ldlt_solve(_ldlt_factor(*_biharmonic_bands(alpha, q, m, ctx.num(1))), D)
+    f = -_laplacian_apply(u, q)
+    z = -(alpha / 2) * f
     # normwise relative backward error ||Au - D|| / (||A|| ||u|| + ||D||),
     # the residual measure a direct solve can actually be held to: the
     # plain ||Au - D|| / ||D|| is conditioning-limited at ~eps * cond(A)
-    bu = _laplacian_apply(_laplacian_apply(u, q), q)
-    res_num = ctx.num(0)
-    u_norm = ctx.num(0)
-    d_norm = ctx.num(0)
-    for i in range(m):
-        r = alpha * bu[i] + u[i] - D[i]
-        res_num += r * r
-        u_norm += u[i] * u[i]
-        d_norm += D[i] * D[i]
+    r = alpha * _laplacian_apply(_laplacian_apply(u, q), q) + u - D
     a_norm = alpha * 16 * q * q + 1  # max absolute row sum of alpha B + I
-    denom = a_norm * ctx.sqrt(u_norm) + ctx.sqrt(d_norm)
-    residual = ctx.sqrt(res_num) / denom if denom > 0 else ctx.num(0)
+    denom = a_norm * ctx.sqrt(_sum(u * u, zero)) + ctx.sqrt(_sum(D * D, zero))
+    residual = ctx.sqrt(_sum(r * r, zero)) / denom if denom > 0 else zero
     return u, f, z, residual
 
 
@@ -293,9 +292,7 @@ def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
         raise ValueError("alpha must be positive")
     ctx = _context(dps)
     with ctx.guard():
-        a = ctx.num(alpha)
-        Dl = [ctx.num(x) for x in D]
-        return _solution(*_direct_kkt(grid, a, Dl, ctx))
+        return _solution(*_direct_kkt(grid, ctx.num(alpha), _array(ctx, D), ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -322,78 +319,49 @@ class FDRun(RunResult):
 
 
 def _loss_row(u, f, z, D, lap_u, alpha, h, ctx):
-    w = h
-    m = len(u)
-    misfit = ctx.num(0)
-    control = ctx.num(0)
-    regulariser = ctx.num(0)
-    multiplier = ctx.num(0)
-    for i in range(m):
-        d = u[i] - D[i]
-        misfit += d * d
-        control += f[i] * f[i]
-        regulariser += lap_u[i] * lap_u[i]
-        multiplier += z[i] * (lap_u[i] + f[i])
+    zero = ctx.num(0)
+    d = u - D
     a4 = alpha / 4
-    return (float(w * misfit / 2), float(w * multiplier), float(w * a4 * control),
-            float(w * a4 * regulariser))
+    return (float(h * _sum(d * d, zero) / 2), float(h * _sum(z * (lap_u + f), zero)),
+            float(h * a4 * _sum(f * f, zero)), float(h * a4 * _sum(lap_u * lap_u, zero)))
 
 
-def _solve_nonneg(bands, rhs, ctx, tol, max_passes=80):
+def _solve_nonneg(bands, fact, rhs, ctx, tol, max_passes=80):
     """Minimise (1/2) u^T M u - rhs^T u subject to u >= 0.
 
     Primal active-set method: clamped entries are pinned by replacing their
-    row/column with the identity, which keeps the system pentadiagonal.  At
-    the solution the KKT conditions hold to ``tol``: free entries are
-    nonnegative, clamped entries have nonnegative reduced gradient.
+    row/column with the identity, which keeps the system pentadiagonal.
+    While no entry is clamped the system is M itself, whose factor ``fact``
+    the caller supplies.  At the solution the KKT conditions hold to
+    ``tol``: free entries are nonnegative, clamped entries have nonnegative
+    reduced gradient.
     """
     d, e, g = bands
-    m = len(d)
     zero = ctx.num(0)
-    active = [False] * m
-
-    def solve_with(active_set):
-        dd = list(d)
-        ee = list(e)
-        gg = list(g)
-        rr = list(rhs)
-        for i in range(m):
-            if active_set[i]:
-                dd[i] = ctx.num(1)
-                rr[i] = zero
-                if i - 1 >= 0:
-                    ee[i - 1] = zero
-                if i < m - 1:
-                    ee[i] = zero
-                if i - 2 >= 0:
-                    gg[i - 2] = zero
-                if i < m - 2:
-                    gg[i] = zero
-        return _ldlt_solve(_ldlt_factor(dd, ee, gg), rr)
-
-    def gradient(u):
-        out = [d[i] * u[i] - rhs[i] for i in range(m)]
-        for i in range(m - 1):
-            out[i] += e[i] * u[i + 1]
-            out[i + 1] += e[i] * u[i]
-        for i in range(m - 2):
-            out[i] += g[i] * u[i + 2]
-            out[i + 2] += g[i] * u[i]
-        return out
-
+    active = np.zeros(len(d), dtype=bool)
     for _ in range(max_passes):
-        u = solve_with(active)
-        grad = gradient(u)
-        changed = False
-        for i in range(m):
-            if not active[i] and u[i] < -tol:
-                active[i] = True
-                changed = True
-            elif active[i] and grad[i] < -tol:
-                active[i] = False
-                changed = True
-        if not changed:
-            return [u[i] if not active[i] else zero for i in range(m)]
+        if not active.any():
+            u = _ldlt_solve(fact, rhs)
+            flip = u < -tol
+        else:
+            dd, ee, gg, rr = d.copy(), e.copy(), g.copy(), rhs.copy()
+            dd[active] = ctx.num(1)
+            rr[active] = zero
+            ee[active[1:]] = ee[active[:-1]] = zero
+            gg[active[2:]] = gg[active[:-2]] = zero
+            u = _ldlt_solve(_ldlt_factor(dd, ee, gg), rr)
+            # reduced gradient M u - rhs, accumulated in the banded order
+            grad = d * u - rhs
+            grad[1:] += e * u[:-1]
+            grad[:-1] += e * u[1:]
+            grad[2:] += g * u[:-2]
+            grad[:-2] += g * u[2:]
+            # clamp free entries below -tol; release clamped entries whose
+            # reduced gradient is below -tol
+            flip = np.where(active, grad < -tol, u < -tol)
+        if not flip.any():
+            return np.where(active, zero, u)
+        active ^= flip
     raise IterationLimitError("nonnegative inner solve did not settle on an active set")
 
 
@@ -410,7 +378,6 @@ def _iterate(kind, grid, alpha, rho, iters, ctx, D, reference, steps) -> FDRun:
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    m = grid.n_interior
     a = ctx.num(alpha)
     h = ctx.num(1) / (grid.n - 1)
     ustar, fstar, zstar = reference
@@ -418,10 +385,10 @@ def _iterate(kind, grid, alpha, rho, iters, ctx, D, reference, steps) -> FDRun:
     diverged_at = None
     for k in range(iters + 1):
         u, f, z, lap_u, z_loss = next(steps)
-        z_err.append(float(_norm([z[i] - zstar[i] for i in range(m)], h, ctx)))
-        u_err.append(float(_norm([u[i] - ustar[i] for i in range(m)], h, ctx)))
-        f_err.append(float(_norm([f[i] - fstar[i] for i in range(m)], h, ctx)))
-        z_hist.append([float(x) for x in z])
+        z_err.append(float(_norm(z - zstar, h, ctx)))
+        u_err.append(float(_norm(u - ustar, h, ctx)))
+        f_err.append(float(_norm(f - fstar, h, ctx)))
+        z_hist.append(z.astype(float))
         parts.append(_loss_row(u, f, z_loss, D, lap_u, a, h, ctx))
         if not (u_err[-1] <= _DIVERGENCE_LIMIT and f_err[-1] <= _DIVERGENCE_LIMIT):
             diverged_at = k
@@ -430,7 +397,7 @@ def _iterate(kind, grid, alpha, rho, iters, ctx, D, reference, steps) -> FDRun:
         kind=kind, grid=grid, alpha=alpha, rho=rho,
         z_errors=np.array(z_err), state_errors=np.array(u_err),
         control_errors=np.array(f_err), loss_history=np.array(parts),
-        u=_floats(u), f=_floats(f), z=_floats(z),
+        u=u.astype(float), f=f.astype(float), z=z_hist[-1],
         reference=_solution(ustar, fstar, zstar),
         z_history=np.array(z_hist), diverged_at=diverged_at,
     )
@@ -445,12 +412,11 @@ def _uzawa(kind, grid, alpha, rho, D, iters, dps, sign, project) -> FDRun:
     ctx = _context(dps)
     with ctx.guard():
         a = ctx.num(alpha)
-        Dl = [ctx.num(x) for x in D]
-        ustar, fstar, zstar, _ = _direct_kkt(grid, a, Dl, ctx)
-        if sign < 0:
-            zstar = [-x for x in zstar]
-        steps = _uzawa_steps(grid, a, rho, Dl, ctx, sign, project)
-        return _iterate(kind, grid, alpha, rho, iters, ctx, Dl, (ustar, fstar, zstar), steps)
+        D = _array(ctx, D)
+        ustar, fstar, zstar, _ = _direct_kkt(grid, a, D, ctx)
+        steps = _uzawa_steps(grid, a, rho, D, ctx, sign, project)
+        return _iterate(kind, grid, alpha, rho, iters, ctx, D,
+                        (ustar, fstar, zstar if sign > 0 else -zstar), steps)
 
 
 def _uzawa_steps(grid, a, rho, D, ctx, sign, project):
@@ -461,25 +427,24 @@ def _uzawa_steps(grid, a, rho, D, ctx, sign, project):
     q = 1 / (h * h)
     zero = ctx.num(0)
     bands = _biharmonic_bands(a / 2, q, m, ctx.num(1))
-    fact = None if project else _ldlt_factor(*bands)
+    fact = _ldlt_factor(*bands)
     tol = ctx.num(_INNER_TOL)
     # signed coefficients; multiplying by +-1 is exact in every context
     f_scale = -sign * (2 / a)
     lap_scale = sign * q
     step = sign * ctx.num(rho)
-    z = [zero for _ in range(m)]
+    z = np.full(m, zero, dtype=ctx.dtype)
     while True:
-        lap_z = _laplacian_apply(z, lap_scale)
-        rhs = [D[i] - lap_z[i] for i in range(m)]
-        u = _solve_nonneg(bands, rhs, ctx, tol) if project else _ldlt_solve(fact, rhs)
-        f = [f_scale * x for x in z]
+        rhs = D - _laplacian_apply(z, lap_scale)
+        u = _solve_nonneg(bands, fact, rhs, ctx, tol) if project else _ldlt_solve(fact, rhs)
+        f = f_scale * z
         if project:
-            f = [max(x, zero) for x in f]
+            f = np.maximum(f, zero)
         lap_u = _laplacian_apply(u, q)
-        yield u, f, z, lap_u, z if sign > 0 else [-x for x in z]
-        z = [z[i] + step * (lap_u[i] + f[i]) for i in range(m)]
+        yield u, f, z, lap_u, z if sign > 0 else -z
+        z = z + step * (lap_u + f)
         if project:
-            z = [max(x, zero) for x in z]
+            z = np.maximum(z, zero)
 
 
 def fd_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
@@ -522,11 +487,10 @@ def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun
     run is flagged as diverged once they pass 1e6.
     """
     ctx = _FloatCtx()
-    Dl = [float(x) for x in D]
-    ustar, fstar, _, _ = _direct_kkt(grid, alpha, Dl, ctx)
-    reference = (ustar, fstar, [alpha * x for x in fstar])
-    return _iterate("gauss_seidel", grid, alpha, None, iters, ctx, Dl, reference,
-                    _gauss_seidel_steps(grid, alpha, Dl))
+    D = _array(ctx, D)
+    ustar, fstar, _, _ = _direct_kkt(grid, alpha, D, ctx)
+    return _iterate("gauss_seidel", grid, alpha, None, iters, ctx, D,
+                    (ustar, fstar, alpha * fstar), _gauss_seidel_steps(grid, alpha, D))
 
 
 def _gauss_seidel_steps(grid, alpha, D):
@@ -534,10 +498,10 @@ def _gauss_seidel_steps(grid, alpha, D):
     m = grid.n_interior
     q = 1.0 / grid.h**2
     # factor -T once (positive definite tridiagonal)
-    fact = _ldlt_factor([2.0 * q] * m, [-q] * (m - 1), [0.0] * max(m - 2, 0))
-    u = f = z = [0.0] * m
+    fact = _ldlt_factor(np.full(m, 2.0 * q), np.full(m - 1, -q), np.zeros(m - 2))
+    u = f = z = np.zeros(m)
     while True:
         yield u, f, z, _laplacian_apply(u, q), z
         u = _ldlt_solve(fact, f)
-        z = _ldlt_solve(fact, [D[i] - u[i] for i in range(m)])
-        f = [z[i] / alpha for i in range(m)]
+        z = _ldlt_solve(fact, D - u)
+        f = z / alpha

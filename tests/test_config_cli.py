@@ -433,19 +433,25 @@ output_dir = {tmp_path / 'sweep'}
     oracle = write(tmp_path, f"""
 tag = fd_oracle
 alpha = 1e-2
+rho = 2e-3
 n_points = 21
 oracle_iters = 2
 oracle_method = all
+precision_dps = 20
 hidden_width = 4
 output_dir = {tmp_path / 'oracle'}
 """, "oracle.cfg")
     assert main(["-q", "oracle", oracle]) == 0
+    # each method lists the keys its solver takes: a step size for the Uzawa
+    # runs only, a precision for all but the float64 Gauss-Seidel sweep
+    uzawa = {"rho", "precision_dps", "resolved_rho"}
+    extra = {"uzawa": uzawa, "projected": uzawa, "gauss_seidel": set(),
+             "direct": {"precision_dps", "backward_error"}}
     for method in ("uzawa", "projected", "gauss_seidel", "direct"):
         meta = _read_meta(tmp_path / "oracle" / method / "meta.txt")
         assert meta["output_dir"] == str(tmp_path / "oracle" / method)
-        extra = "backward_error" if method == "direct" else "resolved_rho"
         assert set(meta) == {"tag", "alpha", "n_points", "output_dir", "oracle_method",
-                             "oracle_iters", "method", extra}
+                             "oracle_iters", "method"} | extra[method]
 
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))

@@ -121,6 +121,18 @@ def test_problem_for_maps_tag_to_problem_and_domain():
         problem_for(tiny_config(tag="fd_oracle"))
 
 
+def test_config_built_in_code_is_checked_for_variant_and_beta():
+    # parse_config is not on this path; the run itself names the missing key
+    with pytest.raises(ConfigError, match="requires beta") as exc:
+        run_deep_uzawa(ExperimentConfig("sine1d", variant="augmented"))
+    assert exc.value.key == "beta"
+    with pytest.raises(ConfigError, match="plain or augmented") as exc:
+        run_deep_uzawa(tiny_config(variant="penalty"))
+    assert exc.value.key == "variant"
+    rec = run_deep_uzawa(tiny_config(variant="augmented", beta=1e-2, n_uzawa=1, n_sgd=1))
+    assert rec.n_updates == 1
+
+
 def test_step_target_run_has_no_error_history():
     cfg = tiny_config(tag="ac_step", epsilon=0.5, n_uzawa=2, n_sgd=2, n_points=31)
     rec = run_deep_uzawa(cfg)

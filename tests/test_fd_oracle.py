@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deepuzawa import fd_oracle
 from deepuzawa.closed_forms import ExactSolution
 from deepuzawa.errors import GridError
 from deepuzawa.fd_oracle import (Grid1D, apply_laplacian, constant_target, fd_direct_kkt_solve,
@@ -60,6 +61,73 @@ def test_biharmonic_of_sine():
     b = t @ t
     err = np.abs(b @ np.sin(np.pi * x) - np.pi**4 * np.sin(np.pi * x)).max()
     assert err <= 1e-2  # O(h^2) with a pi^6 constant
+
+
+def test_array_steps_match_scalar_loops():
+    # the array forms keep the scalar loops' operation order, so float64
+    # results are bitwise those of the loops
+    v = np.random.default_rng(3).standard_normal(3999)
+    q = 1.0 / Grid1D(4001).h**2
+    acc = 0.0
+    for x in v:
+        acc += x
+    assert fd_oracle._sum(v, 0.0) == acc
+    assert fd_oracle._sum(v, 0.0) != np.sum(v)  # pairwise summation rounds differently
+    lap = [q * (-2 * x) for x in v]
+    for i in range(len(v) - 1):
+        lap[i] += q * v[i + 1]
+        lap[i + 1] += q * v[i]
+    assert np.array_equal(fd_oracle._laplacian_apply(v, q).view(np.int64),
+                          np.array(lap).view(np.int64))
+
+
+def _inner_matrix(g, alpha=ALPHA):
+    """(alpha/2) T^2 + I, the matrix of the Uzawa inner solve, dense."""
+    t = laplacian_dense(g)
+    return alpha / 2 * t @ t + np.eye(g.n_interior)
+
+
+def test_ldlt_solve_matches_dense_solve():
+    # two backward-stable solves of float64 matrices that differ in the last
+    # bits can differ by about cond * eps: at alpha = 1e-4 the condition
+    # number is 2e3 (at alpha = 1e-2 it is 1.4e5, and they differ by 1e-11)
+    alpha = 1e-4
+    g = Grid1D(41)
+    m = g.n_interior
+    rhs = np.cos(3 * np.pi * g.interior_x()) + g.interior_x()
+    bands = fd_oracle._biharmonic_bands(alpha / 2, 1.0 / g.h**2, m, 1.0)
+    u = fd_oracle._ldlt_solve(fd_oracle._ldlt_factor(*bands), rhs)
+    exact = np.linalg.solve(_inner_matrix(g, alpha), rhs)
+    assert np.linalg.norm(u - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+def test_solve_nonneg_meets_kkt_conditions(monkeypatch, dps):
+    # a rhs negative on two stretches of the grid clamps several entries
+    g = Grid1D(41)
+    m = g.n_interior
+    rhs = np.cos(3 * np.pi * g.interior_x()) - 0.3
+    tol = 1e-10
+    factorisations = []
+    factor = fd_oracle._ldlt_factor
+    ctx = fd_oracle._context(dps)
+    with ctx.guard():
+        h = ctx.num(1) / (g.n - 1)
+        bands = fd_oracle._biharmonic_bands(ctx.num(ALPHA) / 2, 1 / (h * h), m, ctx.num(1))
+        fact = factor(*bands)
+        # every factorisation from here on is one of a nonempty active set
+        monkeypatch.setattr(fd_oracle, "_ldlt_factor",
+                            lambda *b: factorisations.append(1) or factor(*b))
+        u = fd_oracle._solve_nonneg(bands, fact, fd_oracle._array(ctx, rhs), ctx,
+                                    ctx.num(tol))
+    assert factorisations
+    u = u.astype(float)
+    grad = _inner_matrix(g) @ u - rhs
+    clamped = u == 0.0
+    assert 3 <= clamped.sum() < m
+    assert u[~clamped].min() >= -tol
+    assert grad[clamped].min() >= -tol
+    assert np.abs(grad[~clamped]).max() <= 1e-9  # stationary on the free entries
 
 
 def test_direct_kkt_manufactured_solution():
