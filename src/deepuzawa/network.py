@@ -13,6 +13,16 @@ loss gradient with respect to every parameter is computed by one reverse
 sweep over the recorded computation, which requires tanh's third
 derivative (the Laplacian already consumes two); all three are formed from
 the tanh values the forward sweep left on the tape.
+
+Both sweeps write into a workspace, :class:`_Tape`, that persists across
+calls: it is built on the first call for a network shape and point count
+(``(spec.layer_dims, n_points)``) and kept in a module-level cache of at
+most two entries, enough for a mini-batch run that alternates batch rows
+and the full grid.  A training step therefore allocates only per-point
+vectors and the gradient it returns.  Returned jets and gradients are
+fresh arrays that never alias the workspace, so a later call cannot change
+them.  The cache is module state: two threads must not run the sweeps at
+the same time.
 """
 from __future__ import annotations
 
@@ -30,10 +40,12 @@ _CHECKPOINT_MAGIC = b"DUZW-NET"
 _CHECKPOINT_VERSION = 1
 
 
-def _tanh_derivs(t):
-    """First and second derivatives of tanh, from its values t."""
-    s1 = 1.0 - t * t
-    return s1, -2.0 * t * s1
+def _tanh_derivs(t, s1, s2):
+    """First and second derivatives of tanh, from its values t, into s1 and s2."""
+    np.multiply(t, t, out=s1)
+    np.subtract(1.0, s1, out=s1)
+    np.multiply(-2.0, t, out=s2)
+    s2 *= s1
 
 
 @dataclass(frozen=True)
@@ -123,17 +135,70 @@ def _unit_cutoff(points: np.ndarray) -> CutoffJet:
 
 
 class _Tape:
-    """Recorded forward pass, enough for one reverse sweep.
+    """Workspace of both sweeps for one network shape and point count.
 
     All derivative streams share each layer's matrix product: rows of the
     stacked activations hold n value rows, then d first-derivative blocks
-    of n rows each, then one block of n Laplacian rows.
+    of n rows each, then one block of n Laplacian rows.  Every buffer
+    persists from one call to the next and is overwritten by each:
+
+    * ``x[k]``, ``y[k]``: layer k's stacked input and pre-activation, the
+      record the reverse sweep reads.  ``x[0]`` keeps its derivative
+      blocks' unit seeds and zero Laplacian rows; each call writes only its
+      points into the value rows.
+    * ``a_out``: the (rows x 2) adjoint of the network outputs.  The
+      control column of its derivative rows stays zero.
+    * two flat adjoint buffers of rows x widest hidden width: a layer's
+      post-activation adjoint goes into the first, its pre-activation
+      adjoint (the next layer's input) into the second.
+    * five flat per-point buffers of n x widest hidden width: s1, s2, s3,
+      the curvature and one temporary.
+
+    Flat buffers are reshaped, not column-sliced, to a layer's width, so
+    every view is contiguous.
     """
 
-    __slots__ = ("x", "y")
+    __slots__ = ("n", "x", "y", "a_out", "_adjoint", "_point")
 
-    def __init__(self):
-        self.x, self.y = [], []
+    def __init__(self, dims: tuple[int, ...], n: int):
+        d = dims[0]
+        rows = n * (2 + d)
+        widest = max(dims[1:-1], default=0)
+        self.n = n
+        self.x = [np.zeros((rows, d))] + [np.empty((rows, w)) for w in dims[1:-1]]
+        self.y = [np.empty((rows, w)) for w in dims[1:]]
+        blocks, _ = _stream_blocks(n, d)
+        for i, blk in enumerate(blocks):
+            self.x[0][blk, i] = 1.0
+        self.a_out = np.zeros((rows, dims[-1]))
+        self._adjoint = (np.empty(rows * widest), np.empty(rows * widest))
+        self._point = tuple(np.empty(n * widest) for _ in range(5))
+
+    def adjoint(self, which: int, width: int) -> np.ndarray:
+        """Adjoint buffer 0 or 1 viewed as (rows, width)."""
+        rows = self.a_out.shape[0]
+        return self._adjoint[which][:rows * width].reshape(rows, width)
+
+    def point_scratch(self, width: int) -> tuple[np.ndarray, ...]:
+        """The five per-point buffers, each viewed as (n, width)."""
+        return tuple(buf[:self.n * width].reshape(self.n, width) for buf in self._point)
+
+
+_TAPES: dict[tuple, _Tape] = {}  # (layer_dims, n_points) -> workspace, least recently used first
+_MAX_TAPES = 2
+
+
+def _tape_for(dims: tuple[int, ...], n: int) -> _Tape:
+    """The cached workspace of this shape; when missing, built after the
+    least recently used one is dropped from a full cache."""
+    key = (dims, n)
+    tape = _TAPES.pop(key, None)
+    if tape is None:
+        if len(_TAPES) == _MAX_TAPES:
+            del _TAPES[next(iter(_TAPES))]
+        tape = _Tape(dims, n)
+    _TAPES[key] = tape
+    return tape
 
 
 def _stream_blocks(n: int, d: int) -> tuple[list[slice], slice]:
@@ -142,7 +207,8 @@ def _stream_blocks(n: int, d: int) -> tuple[list[slice], slice]:
 
 
 def _forward(params: NetworkParameters, points: np.ndarray,
-             cutoff: CutoffJet | None, need_tape: bool) -> tuple[JetBatch, _Tape | None]:
+             cutoff: CutoffJet | None) -> tuple[JetBatch, _Tape]:
+    """Jets at the points and the workspace that recorded them."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
     if d != params.spec.input_dim:
@@ -153,33 +219,31 @@ def _forward(params: NetworkParameters, points: np.ndarray,
     n_layers = len(layers)
     blocks, lap = _stream_blocks(n, d)
 
-    tape = _Tape() if need_tape else None
-    x = np.zeros((n * (2 + d), d))
+    tape = _tape_for(params.spec.layer_dims, n)
+    x = tape.x[0]
     x[:n] = points
-    for i, blk in enumerate(blocks):
-        x[blk, i] = 1.0
     for k, (w, b) in enumerate(layers):
-        y = x @ w.T
+        y = tape.y[k]
+        np.matmul(x, w.T, out=y)
         y[:n] += b
-        if need_tape:
-            tape.x.append(x)
-            tape.y.append(y)
-        if k < n_layers - 1:
-            x = np.empty_like(y)
-            s1, s2 = _tanh_derivs(np.tanh(y[:n], out=x[:n]))
-            x_lap = x[lap]
-            np.multiply(s1, y[lap], out=x_lap)
-            for blk in blocks:
-                yp = y[blk]
-                np.multiply(s1, yp, out=x[blk])
-                x_lap += s2 * yp * yp
-        else:
-            out = y
+        if k == n_layers - 1:
+            break
+        x = tape.x[k + 1]
+        s1, s2, _, _, tmp = tape.point_scratch(y.shape[1])
+        _tanh_derivs(np.tanh(y[:n], out=x[:n]), s1, s2)
+        x_lap = x[lap]
+        np.multiply(s1, y[lap], out=x_lap)
+        for blk in blocks:
+            yp = y[blk]
+            np.multiply(s1, yp, out=x[blk])
+            np.multiply(s2, yp, out=tmp)
+            tmp *= yp
+            x_lap += tmp
 
-    n_u = out[:n, 0]
-    f = out[:n, 1]
-    grad_n = np.stack([out[blk, 0] for blk in blocks], axis=1)
-    lap_n = out[lap, 0]
+    n_u = y[:n, 0]
+    f = y[:n, 1].copy()
+    grad_n = np.stack([y[blk, 0] for blk in blocks], axis=1)
+    lap_n = y[lap, 0]
 
     b_val, b_grad, b_lap = cutoff.b, cutoff.grad, cutoff.lap
     u = b_val * n_u
@@ -198,7 +262,7 @@ def batch_jets(params: NetworkParameters, points: np.ndarray,
     ``cutoff`` supplies the boundary function with its derivatives at the
     points; pass None to evaluate the raw (uncut) network channels.
     """
-    jets, _ = _forward(params, points, cutoff, need_tape=False)
+    jets, _ = _forward(params, points, cutoff)
     return jets
 
 
@@ -237,7 +301,7 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
         cutoff = cutoff_jet(cset.domain, cset.points)
     if target is None:
         target = target_values(problem, cset)
-    jets, tape = _forward(params, cset.points, cutoff, need_tape=True)
+    jets, tape = _forward(params, cset.points, cutoff)
     loss, g_u, g_f, g_lap = pointwise_gradients(problem, cset, jets, z, beta, target)
 
     # map adjoints of (u, lap u) back to the raw network outputs through
@@ -254,7 +318,7 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
 
     # stacked adjoint matching the forward block layout
     blocks, lap = _stream_blocks(n, d)
-    a = np.zeros((n * (2 + d), 2))
+    a = tape.a_out
     a[:n, 0] = a_n_u
     a[:n, 1] = g_f
     for i, blk in enumerate(blocks):
@@ -269,23 +333,41 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
         a[:n].sum(axis=0, out=gb)
         if k == 0:
             break
-        a_post = a @ layers[k][0]  # adjoint of this layer's stacked input, post-activation
+        w = layers[k][0]
+        width = w.shape[1]
+        a_post = tape.adjoint(0, width)  # adjoint of this layer's stacked input, post-activation
+        np.matmul(a, w, out=a_post)
         y_prev = tape.y[k - 1]
         t = tape.x[k][:n]  # tanh of y_prev[:n], written by the forward sweep
-        s1, s2 = _tanh_derivs(t)
-        s3 = -2.0 * s1 * (1.0 - 3.0 * t * t)
+        s1, s2, s3, curv, tmp = tape.point_scratch(width)
+        _tanh_derivs(t, s1, s2)
+        np.multiply(-2.0, s1, out=s3)  # s3 = -2 s1 (1 - 3 t^2)
+        np.multiply(3.0, t, out=tmp)
+        tmp *= t
+        np.subtract(1.0, tmp, out=tmp)
+        s3 *= tmp
         a_lap = a_post[lap]
-        curv = s2 * y_prev[lap]  # d(Laplacian out)/d(value in) = s3 sum yp^2 + s2 L
+        # d(Laplacian out)/d(value in) = s3 sum yp^2 + s2 L
+        np.multiply(s2, y_prev[lap], out=curv)
         for blk in blocks:
-            curv += s3 * y_prev[blk] * y_prev[blk]
-        a = np.empty_like(a_post)
+            np.multiply(s3, y_prev[blk], out=tmp)
+            tmp *= y_prev[blk]
+            curv += tmp
+        a = tape.adjoint(1, width)
         a_val = a[:n]
         np.multiply(curv, a_lap, out=a_val)
         for blk in blocks:
-            yp = y_prev[blk]
-            a_val += s2 * yp * a_post[blk]
-            a[blk] = s1 * a_post[blk] + 2.0 * s2 * yp * a_lap
-        a_val += s1 * a_post[:n]
+            yp, a_blk = y_prev[blk], a[blk]
+            np.multiply(s2, yp, out=tmp)
+            tmp *= a_post[blk]
+            a_val += tmp
+            np.multiply(s1, a_post[blk], out=a_blk)  # s1 a' + 2 s2 yp a_lap
+            np.multiply(2.0, s2, out=tmp)
+            tmp *= yp
+            tmp *= a_lap
+            a_blk += tmp
+        np.multiply(s1, a_post[:n], out=tmp)
+        a_val += tmp
         np.multiply(s1, a_lap, out=a[lap])
 
     return loss, grad_flat

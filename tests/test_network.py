@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from deepuzawa.errors import ShapeError
 from deepuzawa.geometry import CollocationSet, Domain, build_grid, cutoff_jet
-from deepuzawa.lagrangian import MultiplierField, ProblemSpec, TargetSpec, loss_parts
+from deepuzawa.lagrangian import (MultiplierField, ProblemSpec, TargetSpec, loss_parts,
+                                  target_values)
 from deepuzawa.network import (NetworkParameters, NetworkSpec, batch_jets, evaluate,
                                finite_difference_gradient, init_network,
                                load_checkpoint, loss_and_gradient, loss_value,
@@ -167,7 +170,6 @@ def test_zero_final_layer_loss_is_pure_misfit():
     flat = params.flat.copy()
     flat[-18:] = 0.0  # last layer: 2x8 weights + 2 biases
     params = params.with_flat(flat)
-    from deepuzawa.lagrangian import target_values
     d = target_values(prob, g)
     expected = 0.5 * float(np.dot(g.weights, d * d))
     assert loss_value(params, g, prob, z) == pytest.approx(expected, rel=1e-14)
@@ -271,3 +273,88 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOTANETx" + b"\x00" * 32)
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# the persistent jet workspace: results never depend on, or alias, it
+
+def _poisson_case(dim, n, hidden, seed=0):
+    dom = DOM1 if dim == 1 else Domain.unit_square()
+    g = build_grid(dom, n)
+    prob = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d" if dim == 1 else "sine2d"))
+    params = init_network(NetworkSpec(dim, hidden, seed=seed))
+    return params, g, prob, random_multiplier(g, seed)
+
+
+def test_alternating_shapes_give_bitwise_equal_results():
+    # three shapes against a cache of two: each later call either reuses or
+    # rebuilds its workspace after the others have written theirs
+    cases = [_poisson_case(1, 201, (64, 64, 64)), _poisson_case(2, 30, (64, 64, 64)),
+             _poisson_case(2, 30, (7, 5, 3))]
+    first = [loss_and_gradient(*case) for case in cases]
+    for i in (0, 1, 0, 2, 0, 1, 2):
+        loss, grad = loss_and_gradient(*cases[i])
+        assert loss == first[i][0]
+        assert np.array_equal(grad, first[i][1])
+
+
+def test_held_results_survive_a_later_call():
+    params, g, prob, z = _poisson_case(2, 12, (7, 5, 3))
+    cut = cutoff_jet(g.domain, g.points)
+    _, grad = loss_and_gradient(params, g, prob, z)
+    jets = batch_jets(params, g.points, cut)
+    held_grad = grad.copy()
+    held_jets = [a.copy() for a in (jets.u, jets.f, jets.grad_u, jets.lap_u)]
+    other = init_network(NetworkSpec(2, (7, 5, 3), seed=99))
+    loss_and_gradient(other, g, prob, z)
+    batch_jets(other, g.points, cut)
+    assert np.array_equal(grad, held_grad)
+    for now, held in zip((jets.u, jets.f, jets.grad_u, jets.lap_u), held_jets):
+        assert np.array_equal(now, held)
+
+
+
+def test_new_points_of_the_same_count_are_read():
+    # a mini-batch run calls with fresh points of one count every step: each
+    # call must see its own points, checked against the plain forward pass
+    dom = Domain.unit_square()
+    params = init_network(NetworkSpec(2, (7, 5, 3), seed=5))
+    rng = np.random.default_rng(8)
+    batches = [rng.uniform(0.05, 0.95, size=(40, 2)) for _ in range(2)]
+    for pts in (batches[0], batches[1], batches[0]):
+        cut = cutoff_jet(dom, pts)
+        jets = batch_jets(params, pts, cut)
+        u, f = evaluate(params, pts, cut.b)
+        assert np.allclose(jets.u, u, rtol=1e-13, atol=1e-15)
+        assert np.allclose(jets.f, f, rtol=1e-13, atol=1e-15)
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("hidden", [(7, 5, 3), ()], ids=["7-5-3", "depth0"])
+def test_gradient_matches_finite_differences_uneven_and_depth_zero(dim, hidden):
+    params, g, prob, z = _poisson_case(dim, 16 if dim == 1 else 5, hidden, seed=4)
+    _, grad = loss_and_gradient(params, g, prob, z, 0.5)
+    fd = finite_difference_gradient(params, g, prob, z, 1e-6, 0.5)
+    scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
+    assert np.max(np.abs(grad - fd) / scale) <= 1e-5
+
+
+def test_steady_state_step_allocates_less_than_one_stream_block():
+    # the sweeps write into the cached workspace: what a steady-state call
+    # still allocates is per-point vectors, far below one stacked
+    # (rows x width) block of the tape
+    params, g, prob, z = _poisson_case(2, 30, (64, 64, 64))
+    cut = cutoff_jet(g.domain, g.points)
+    target = target_values(prob, g)
+    block = g.n_points * (2 + 2) * 64 * 8
+    loss_and_gradient(params, g, prob, z, target=target, cutoff=cut)
+    tracemalloc.start()
+    try:
+        loss_and_gradient(params, g, prob, z, target=target, cutoff=cut)
+        step_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        batch_jets(params, g.points, cut)
+        jets_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step_peak < block
+    assert jets_peak < block
