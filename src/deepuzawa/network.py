@@ -14,18 +14,15 @@ sweep over the recorded computation, which requires tanh's third
 derivative (the Laplacian already consumes two); all three are formed from
 the tanh values the forward sweep left on the tape.
 
-Both sweeps write into a workspace, :class:`_Tape`, that persists across
-calls: it is built on the first call for a network shape and point count
-(``(spec.layer_dims, n_points)``) and kept in a module-level cache of at
-most two entries, enough for a mini-batch run that alternates batch rows
-and the full grid.  A training step therefore allocates only per-point
-vectors and the gradient it returns.  Returned jets and gradients are
-fresh arrays that never alias the workspace, so a later call cannot change
-them.  The cache is module state: two threads must not run the sweeps at
-the same time.
+Both sweeps write into one workspace, :class:`_Tape`, kept from call to
+call and rebuilt when the network shape or point count changes, so a
+training step allocates only per-point vectors.  Returned jets and
+gradients never alias it.  It is module state: two threads must not run
+the sweeps at the same time.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -46,6 +43,14 @@ def _tanh_derivs(t, s1, s2):
     np.subtract(1.0, s1, out=s1)
     np.multiply(-2.0, t, out=s2)
     s2 *= s1
+
+
+def _add_product(acc, tmp, *factors):
+    """acc += factors[0] * factors[1] * ..., multiplied left to right in tmp."""
+    np.multiply(factors[0], factors[1], out=tmp)
+    for f in factors[2:]:
+        tmp *= f
+    acc += tmp
 
 
 @dataclass(frozen=True)
@@ -129,76 +134,36 @@ class JetBatch:
     lap_u: np.ndarray    # (n,)
 
 
-def _unit_cutoff(points: np.ndarray) -> CutoffJet:
-    n, d = points.shape
-    return CutoffJet(np.ones(n), np.zeros((n, d)), np.zeros(n))
-
-
 class _Tape:
     """Workspace of both sweeps for one network shape and point count.
 
     All derivative streams share each layer's matrix product: rows of the
     stacked activations hold n value rows, then d first-derivative blocks
-    of n rows each, then one block of n Laplacian rows.  Every buffer
-    persists from one call to the next and is overwritten by each:
-
-    * ``x[k]``, ``y[k]``: layer k's stacked input and pre-activation, the
-      record the reverse sweep reads.  ``x[0]`` keeps its derivative
-      blocks' unit seeds and zero Laplacian rows; each call writes only its
-      points into the value rows.
-    * ``a_out``: the (rows x 2) adjoint of the network outputs.  The
-      control column of its derivative rows stays zero.
-    * two flat adjoint buffers of rows x widest hidden width: a layer's
-      post-activation adjoint goes into the first, its pre-activation
-      adjoint (the next layer's input) into the second.
-    * five flat per-point buffers of n x widest hidden width: s1, s2, s3,
-      the curvature and one temporary.
-
-    Flat buffers are reshaped, not column-sliced, to a layer's width, so
-    every view is contiguous.
+    of n rows each, then one block of n Laplacian rows.  ``x[k]`` and
+    ``y[k]`` are layer k's stacked input and pre-activation; ``x[0]`` keeps
+    its unit seeds, and a call writes only its points into the value rows.
+    ``a_out`` is the output adjoint; the control column of its derivative
+    rows stays zero.  Layers of one hidden width share ``adjoint[width]``
+    (post-activation and next-layer adjoints, rows x width) and
+    ``scratch[width]`` (s1, s2, s3, curvature, temporary, n x width).
     """
 
-    __slots__ = ("n", "x", "y", "a_out", "_adjoint", "_point")
+    __slots__ = ("x", "y", "a_out", "adjoint", "scratch")
 
     def __init__(self, dims: tuple[int, ...], n: int):
-        d = dims[0]
+        d, hidden = dims[0], dims[1:-1]
         rows = n * (2 + d)
-        widest = max(dims[1:-1], default=0)
-        self.n = n
-        self.x = [np.zeros((rows, d))] + [np.empty((rows, w)) for w in dims[1:-1]]
+        self.x = [np.zeros((rows, d))] + [np.empty((rows, w)) for w in hidden]
         self.y = [np.empty((rows, w)) for w in dims[1:]]
-        blocks, _ = _stream_blocks(n, d)
-        for i, blk in enumerate(blocks):
+        for i, blk in enumerate(_stream_blocks(n, d)[0]):
             self.x[0][blk, i] = 1.0
         self.a_out = np.zeros((rows, dims[-1]))
-        self._adjoint = (np.empty(rows * widest), np.empty(rows * widest))
-        self._point = tuple(np.empty(n * widest) for _ in range(5))
-
-    def adjoint(self, which: int, width: int) -> np.ndarray:
-        """Adjoint buffer 0 or 1 viewed as (rows, width)."""
-        rows = self.a_out.shape[0]
-        return self._adjoint[which][:rows * width].reshape(rows, width)
-
-    def point_scratch(self, width: int) -> tuple[np.ndarray, ...]:
-        """The five per-point buffers, each viewed as (n, width)."""
-        return tuple(buf[:self.n * width].reshape(self.n, width) for buf in self._point)
+        self.adjoint = {w: [np.empty((rows, w)) for _ in range(2)] for w in set(hidden)}
+        self.scratch = {w: [np.empty((n, w)) for _ in range(5)] for w in set(hidden)}
 
 
-_TAPES: dict[tuple, _Tape] = {}  # (layer_dims, n_points) -> workspace, least recently used first
-_MAX_TAPES = 2
-
-
-def _tape_for(dims: tuple[int, ...], n: int) -> _Tape:
-    """The cached workspace of this shape; when missing, built after the
-    least recently used one is dropped from a full cache."""
-    key = (dims, n)
-    tape = _TAPES.pop(key, None)
-    if tape is None:
-        if len(_TAPES) == _MAX_TAPES:
-            del _TAPES[next(iter(_TAPES))]
-        tape = _Tape(dims, n)
-    _TAPES[key] = tape
-    return tape
+# one workspace, for the last (layer_dims, n_points) seen; a new key replaces it
+_tape_for = functools.lru_cache(maxsize=1)(_Tape)
 
 
 def _stream_blocks(n: int, d: int) -> tuple[list[slice], slice]:
@@ -214,9 +179,8 @@ def _forward(params: NetworkParameters, points: np.ndarray,
     if d != params.spec.input_dim:
         raise ShapeError(f"points have dimension {d}, network expects {params.spec.input_dim}")
     if cutoff is None:
-        cutoff = _unit_cutoff(points)
+        cutoff = CutoffJet(np.ones(n), np.zeros((n, d)), np.zeros(n))
     layers = params.layers
-    n_layers = len(layers)
     blocks, lap = _stream_blocks(n, d)
 
     tape = _tape_for(params.spec.layer_dims, n)
@@ -226,19 +190,16 @@ def _forward(params: NetworkParameters, points: np.ndarray,
         y = tape.y[k]
         np.matmul(x, w.T, out=y)
         y[:n] += b
-        if k == n_layers - 1:
+        if k == len(layers) - 1:
             break
         x = tape.x[k + 1]
-        s1, s2, _, _, tmp = tape.point_scratch(y.shape[1])
+        s1, s2, _, _, tmp = tape.scratch[y.shape[1]]
         _tanh_derivs(np.tanh(y[:n], out=x[:n]), s1, s2)
         x_lap = x[lap]
         np.multiply(s1, y[lap], out=x_lap)
         for blk in blocks:
-            yp = y[blk]
-            np.multiply(s1, yp, out=x[blk])
-            np.multiply(s2, yp, out=tmp)
-            tmp *= yp
-            x_lap += tmp
+            np.multiply(s1, y[blk], out=x[blk])
+            _add_product(x_lap, tmp, s2, y[blk], y[blk])
 
     n_u = y[:n, 0]
     f = y[:n, 1].copy()
@@ -260,7 +221,9 @@ def batch_jets(params: NetworkParameters, points: np.ndarray,
     """Vectorised jets (u, f, grad u, lap u) at a batch of points.
 
     ``cutoff`` supplies the boundary function with its derivatives at the
-    points; pass None to evaluate the raw (uncut) network channels.
+    points; pass None to evaluate the raw (uncut) network channels.  The
+    sweep's workspace for this network and point count stays allocated
+    after the call, until a call with another shape or count replaces it.
     """
     jets, _ = _forward(params, points, cutoff)
     return jets
@@ -295,7 +258,9 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
     through the full jet computation (Laplacian and cutoff terms included).
 
     ``target`` and ``cutoff`` may be precomputed once per grid and passed in;
-    they default to the problem target and the domain cutoff.
+    they default to the problem target and the domain cutoff.  As with
+    :func:`batch_jets`, the workspace for this network and point count
+    stays allocated after the call.
     """
     if cutoff is None:
         cutoff = cutoff_jet(cset.domain, cset.points)
@@ -304,42 +269,33 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
     jets, tape = _forward(params, cset.points, cutoff)
     loss, g_u, g_f, g_lap = pointwise_gradients(problem, cset, jets, z, beta, target)
 
-    # map adjoints of (u, lap u) back to the raw network outputs through
-    # u = b n,  lap u = (lap b) n + 2 grad b . grad n + b lap n
-    b_val, b_grad, b_lap = cutoff.b, cutoff.grad, cutoff.lap
-    a_n_u = g_u * b_val + g_lap * b_lap
-    a_grad_n = 2.0 * g_lap[:, None] * b_grad
-    a_lap_n = g_lap * b_val
-
-    d = params.spec.input_dim
-    layers = params.layers
-    n_layers = len(layers)
+    # stacked adjoint of the raw network outputs, in the forward block layout,
+    # through u = b n,  lap u = (lap b) n + 2 grad b . grad n + b lap n
     n = cset.n_points
-
-    # stacked adjoint matching the forward block layout
-    blocks, lap = _stream_blocks(n, d)
+    blocks, lap = _stream_blocks(n, params.spec.input_dim)
+    b_val, b_grad, b_lap = cutoff.b, cutoff.grad, cutoff.lap
     a = tape.a_out
-    a[:n, 0] = a_n_u
+    a[:n, 0] = g_u * b_val + g_lap * b_lap
     a[:n, 1] = g_f
     for i, blk in enumerate(blocks):
-        a[blk, 0] = a_grad_n[:, i]
-    a[lap, 0] = a_lap_n
+        a[blk, 0] = 2.0 * g_lap * b_grad[:, i]
+    a[lap, 0] = g_lap * b_val
 
+    layers = params.layers
     grad_flat = np.empty_like(params.flat)
     grads = _layer_views(params.spec, grad_flat)
-    for k in range(n_layers - 1, -1, -1):
+    for k in range(len(layers) - 1, -1, -1):
         gw, gb = grads[k]
         np.matmul(a.T, tape.x[k], out=gw)
         a[:n].sum(axis=0, out=gb)
         if k == 0:
             break
         w = layers[k][0]
-        width = w.shape[1]
-        a_post = tape.adjoint(0, width)  # adjoint of this layer's stacked input, post-activation
-        np.matmul(a, w, out=a_post)
+        a_post, a_pre = tape.adjoint[w.shape[1]]
+        np.matmul(a, w, out=a_post)  # adjoint of this layer's stacked input, post-activation
         y_prev = tape.y[k - 1]
         t = tape.x[k][:n]  # tanh of y_prev[:n], written by the forward sweep
-        s1, s2, s3, curv, tmp = tape.point_scratch(width)
+        s1, s2, s3, curv, tmp = tape.scratch[w.shape[1]]
         _tanh_derivs(t, s1, s2)
         np.multiply(-2.0, s1, out=s3)  # s3 = -2 s1 (1 - 3 t^2)
         np.multiply(3.0, t, out=tmp)
@@ -350,24 +306,16 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
         # d(Laplacian out)/d(value in) = s3 sum yp^2 + s2 L
         np.multiply(s2, y_prev[lap], out=curv)
         for blk in blocks:
-            np.multiply(s3, y_prev[blk], out=tmp)
-            tmp *= y_prev[blk]
-            curv += tmp
-        a = tape.adjoint(1, width)
+            _add_product(curv, tmp, s3, y_prev[blk], y_prev[blk])
+        a = a_pre
         a_val = a[:n]
         np.multiply(curv, a_lap, out=a_val)
         for blk in blocks:
-            yp, a_blk = y_prev[blk], a[blk]
-            np.multiply(s2, yp, out=tmp)
-            tmp *= a_post[blk]
-            a_val += tmp
-            np.multiply(s1, a_post[blk], out=a_blk)  # s1 a' + 2 s2 yp a_lap
-            np.multiply(2.0, s2, out=tmp)
-            tmp *= yp
-            tmp *= a_lap
-            a_blk += tmp
-        np.multiply(s1, a_post[:n], out=tmp)
-        a_val += tmp
+            yp = y_prev[blk]
+            _add_product(a_val, tmp, s2, yp, a_post[blk])
+            np.multiply(s1, a_post[blk], out=a[blk])  # s1 a' + 2 s2 yp a_lap
+            _add_product(a[blk], tmp, 2.0, s2, yp, a_lap)
+        _add_product(a_val, tmp, s1, a_post[:n])
         np.multiply(s1, a_lap, out=a[lap])
 
     return loss, grad_flat

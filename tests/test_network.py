@@ -287,12 +287,12 @@ def _poisson_case(dim, n, hidden, seed=0):
 
 
 def test_alternating_shapes_give_bitwise_equal_results():
-    # three shapes against a cache of two: each later call either reuses or
-    # rebuilds its workspace after the others have written theirs
+    # each switch of shape rebuilds the one cached workspace, and each repeat
+    # of a shape reuses it, after the other shapes have written theirs
     cases = [_poisson_case(1, 201, (64, 64, 64)), _poisson_case(2, 30, (64, 64, 64)),
              _poisson_case(2, 30, (7, 5, 3))]
     first = [loss_and_gradient(*case) for case in cases]
-    for i in (0, 1, 0, 2, 0, 1, 2):
+    for i in (0, 0, 1, 0, 2, 2, 0, 1, 2):
         loss, grad = loss_and_gradient(*cases[i])
         assert loss == first[i][0]
         assert np.array_equal(grad, first[i][1])
@@ -313,7 +313,6 @@ def test_held_results_survive_a_later_call():
         assert np.array_equal(now, held)
 
 
-
 def test_new_points_of_the_same_count_are_read():
     # a mini-batch run calls with fresh points of one count every step: each
     # call must see its own points, checked against the plain forward pass
@@ -327,6 +326,7 @@ def test_new_points_of_the_same_count_are_read():
         u, f = evaluate(params, pts, cut.b)
         assert np.allclose(jets.u, u, rtol=1e-13, atol=1e-15)
         assert np.allclose(jets.f, f, rtol=1e-13, atol=1e-15)
+
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("hidden", [(7, 5, 3), ()], ids=["7-5-3", "depth0"])
