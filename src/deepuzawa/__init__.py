@@ -14,8 +14,8 @@ from .fd_oracle import (FDRun, Grid1D, KKTSolution, apply_laplacian, fd_direct_k
                         fd_projected_uzawa_run, fd_uzawa_run, gauss_seidel_adjoint_run,
                         laplacian_dense)
 from .geometry import CollocationSet, Domain, build_grid, cutoff_jet, l2_norm
-from .lagrangian import (MultiplierField, ProblemSpec, TargetSpec, cost_values, loss_parts,
-                         multiplier_update, residual_values)
+from .lagrangian import (ProblemSpec, TargetSpec, cost_values, loss_parts, multiplier_update,
+                         residual_values)
 from .network import (NetworkParameters, NetworkSpec, batch_jets, finite_difference_gradient,
                       grad_check, init_network, load_checkpoint, loss_and_gradient,
                       save_checkpoint)

@@ -61,7 +61,9 @@ def _write_run(record) -> list[str]:
     ``output_dir``, plus its fields on the grid refined by ``eval_refine``
     when that is above 1."""
     cfg, out_dir = record.config, record.config.output_dir
-    extra = {"resolved_rho": cfg.resolved_rho, "n_parameters": record.params.spec.n_parameters}
+    # an augmented run steps the multiplier by beta, which meta.txt already lists
+    extra = {"resolved_rho": cfg.resolved_rho} if cfg.variant == "plain" else {}
+    extra["n_parameters"] = record.params.spec.n_parameters
     if record.exact is not None and record.n_updates:
         extra["final_state_l2_error"] = record.state_errors[-1]
         extra["final_control_l2_error"] = record.control_errors[-1]

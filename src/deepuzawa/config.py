@@ -20,7 +20,7 @@ Recognised keys (defaults in parentheses):
   n_sgd          inner optimiser steps per update, >= 1 (40)
   learning_rate  Adam step size, > 0 and finite (1e-3)
   n_points       collocation points per axis, >= 3 (201)
-  seed           run seed (0)
+  seed           run seed, 0 <= seed < 2**63 (0)
   hidden_width   network width, >= 1 (64)
   hidden_depth   hidden layer count, >= 0 (3)
   batch_size     mini-batch size, >= 1; full batch when absent
@@ -161,6 +161,8 @@ def _validate(cfg: ExperimentConfig, entries):
     if cfg.hidden_depth < 0:
         raise ConfigError("hidden_depth must be nonnegative",
                           key="hidden_depth", line=where("hidden_depth"))
+    if not 0 <= cfg.seed < 2**63:  # the checkpoint stores it as an int64
+        raise ConfigError("seed must be in [0, 2**63)", key="seed", line=where("seed"))
     if cfg.n_points < 3:
         raise ConfigError("n_points must be at least 3", key="n_points", line=where("n_points"))
     if cfg.eval_refine < 1:

@@ -23,8 +23,8 @@ from .config import (ExperimentConfig, RunResult, check_variant, load_pgm_target
                      sample_image_on_grid)
 from .errors import ConfigError, NumericOverflowError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet, l2_norm
-from .lagrangian import (MultiplierField, ProblemSpec, TargetSpec, loss_parts,
-                         multiplier_update, residual_values, target_values, zero_multiplier)
+from .lagrangian import (ProblemSpec, TargetSpec, loss_parts, multiplier_update,
+                         residual_values, target_values)
 from .network import (NetworkParameters, NetworkSpec, batch_jets, evaluate, init_network,
                       loss_and_gradient)
 from .optim import AdamState, adam_step
@@ -37,14 +37,15 @@ class RunRecord(RunResult):
     """Per-update histories plus the final trained fields.
 
     ``loss_history`` is (updates, 4) with columns LOSS_COLUMNS; ``u`` and
-    ``f`` are the final state and control on the grid.
+    ``f`` are the final state and control on the grid, ``z`` the final
+    multiplier on its interior points.
     """
 
     config: ExperimentConfig
     cset: CollocationSet
     wall_times: np.ndarray
     params: NetworkParameters
-    z: MultiplierField
+    z: np.ndarray
     exact: ExactSolution | None = None
 
     @property
@@ -108,7 +109,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     adam = AdamState.fresh(params.flat.size, lr=config.learning_rate)
     step = config.beta if config.variant == "augmented" else config.resolved_rho
     beta = config.beta if config.variant == "augmented" else 0.0
-    z = zero_multiplier(cset)
+    z = np.zeros(cset.n_interior)
     batch_rng = np.random.default_rng(config.seed)
 
     state_errors, control_errors, losses, walls = [], [], [], []
@@ -125,8 +126,8 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                 sub_target = target[idx]
                 sub_cutoff = CutoffJet(cutoff.b[idx], cutoff.grad[idx], cutoff.lap[idx])
                 z_full = np.zeros(cset.n_points)
-                z_full[cset.interior_mask] = z.values
-                sub_z = MultiplierField(z_full[idx][sub.interior_mask])
+                z_full[cset.interior_mask] = z
+                sub_z = z_full[idx][sub.interior_mask]
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     loss, grad = loss_and_gradient(params, sub, problem, sub_z, beta,
@@ -185,12 +186,18 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
 def rho_alpha_sweep(base: ExperimentConfig, alphas) -> list[RunRecord]:
     """One run per regularisation weight with the base config's rho, which
     resolves to alpha / 4 for each alpha when unset.  Run ``alpha = a``
-    has ``output_dir`` ``<base output_dir>/alpha_<a>``."""
+    has ``output_dir`` ``<base output_dir>/alpha_<a>``; alphas that would
+    share a directory raise ValueError before any run."""
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alpha sweep needs at least one value")
     if not all(0 < a < np.inf for a in alphas):
         raise ValueError("swept alphas must be positive and finite")
+    names = [f"alpha_{a:g}" for a in alphas]
+    for i, name in enumerate(names):
+        j = names.index(name)
+        if j < i:
+            raise ValueError(f"alphas {alphas[j]!r} and {alphas[i]!r} both write {name}")
     return [run_deep_uzawa(replace(base, alpha=float(a),
-                                   output_dir=os.path.join(base.output_dir, f"alpha_{a:g}")))
-            for a in alphas]
+                                   output_dir=os.path.join(base.output_dir, name)))
+            for a, name in zip(alphas, names)]

@@ -36,13 +36,6 @@ class Domain:
     def dim(self) -> int:
         return len(self.bounds)
 
-    @property
-    def volume(self) -> float:
-        out = 1.0
-        for a, b in self.bounds:
-            out *= b - a
-        return out
-
     @staticmethod
     def unit_interval() -> "Domain":
         return Domain(((0.0, 1.0),))

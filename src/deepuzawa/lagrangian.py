@@ -13,7 +13,8 @@ The quadrature Lagrangian over a collocation set is
         + (beta/2) sum_{y interior} w_y K(y)^2          (augmented only)
 
 with (lap u)^2 replaced by (A u)^2 in the Allen-Cahn case.  The multiplier
-lives on interior points only; boundary residuals are never formed.
+z is a float64 array on the interior points; boundary residuals are never
+formed.
 """
 from __future__ import annotations
 
@@ -68,20 +69,6 @@ class ProblemSpec:
         if self.kind == ALLEN_CAHN:
             if self.epsilon is None or not self.epsilon > 0:
                 raise ValueError("Allen-Cahn problems need epsilon > 0")
-
-
-@dataclass
-class MultiplierField:
-    """Discrete Lagrange multiplier on the interior collocation points."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-
-def zero_multiplier(cset: CollocationSet) -> MultiplierField:
-    return MultiplierField(np.zeros(cset.n_interior))
 
 
 def target_values(problem: ProblemSpec, cset: CollocationSet) -> np.ndarray:
@@ -163,15 +150,15 @@ def cost_values(problem: ProblemSpec, u, f, lap_u, target):
     return 0.5 * (u - target) ** 2 + a4 * f * f + a4 * op * op
 
 
-def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: MultiplierField,
+def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray,
                 beta: float, target):
     """One pass over the jets: the loss parts, and what the gradients reuse
     (the target, op with its partials and sign, and K on the full grid)."""
     if jets.u.shape != (cset.n_points,):
         raise ShapeError(f"jets cover {jets.u.shape} points, set has {cset.n_points}")
-    if z.values.shape != (cset.n_interior,):
+    if z.shape != (cset.n_interior,):
         raise ShapeError(
-            f"multiplier has {z.values.shape[0]} values for {cset.n_interior} interior points"
+            f"multiplier has {z.shape[0]} values for {cset.n_interior} interior points"
         )
     if target is None:
         target = target_values(problem, cset)
@@ -187,7 +174,7 @@ def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: MultiplierF
     regulariser = a4 * float(np.dot(w, op * op))
     k_int = k[mask]
     w_int = w[mask]
-    multiplier = float(np.dot(w_int, z.values * k_int))
+    multiplier = float(np.dot(w_int, z * k_int))
     penalty = 0.5 * beta * float(np.dot(w_int, k_int * k_int)) if beta else 0.0
     total = misfit + control + regulariser + multiplier + penalty
     parts = {
@@ -201,7 +188,7 @@ def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: MultiplierF
     return parts, target, op_terms, k
 
 
-def loss_parts(problem: ProblemSpec, cset: CollocationSet, jets, z: MultiplierField,
+def loss_parts(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray,
                beta: float = 0.0, target=None) -> dict:
     """Decomposed quadrature Lagrangian.
 
@@ -212,7 +199,7 @@ def loss_parts(problem: ProblemSpec, cset: CollocationSet, jets, z: MultiplierFi
 
 
 def pointwise_gradients(problem: ProblemSpec, cset: CollocationSet, jets,
-                        z: MultiplierField, beta: float = 0.0, target=None):
+                        z: np.ndarray, beta: float = 0.0, target=None):
     """Loss and its per-point partial derivatives w.r.t. (u, f, lap u).
 
     Returns ``(loss, g_u, g_f, g_lap)`` where g_* already carry the
@@ -226,7 +213,7 @@ def pointwise_gradients(problem: ProblemSpec, cset: CollocationSet, jets,
     mask = cset.interior_mask
     a2 = problem.alpha / 2.0
     z_full = np.zeros(cset.n_points)
-    z_full[mask] = z.values
+    z_full[mask] = z
     lam = w * mask * (z_full + beta * k)  # weighted d(multiplier + penalty)/dK
     g_u = w * ((u - target) + a2 * op * dop_du) + lam * dop_du
     g_f = w * (a2 * f) + lam * sign
@@ -238,9 +225,9 @@ def pointwise_gradients(problem: ProblemSpec, cset: CollocationSet, jets,
 # multiplier update
 
 
-def multiplier_update(z: MultiplierField, residuals, rho: float) -> MultiplierField:
+def multiplier_update(z: np.ndarray, residuals, rho: float) -> np.ndarray:
     """Plain ascent step z' = z + rho K, pointwise."""
     k = np.asarray(residuals, dtype=float)
-    if k.shape != z.values.shape:
-        raise ShapeError(f"residuals shape {k.shape} != multiplier shape {z.values.shape}")
-    return MultiplierField(z.values + rho * k)
+    if k.shape != z.shape:
+        raise ShapeError(f"residuals shape {k.shape} != multiplier shape {z.shape}")
+    return z + rho * k

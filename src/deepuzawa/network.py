@@ -23,6 +23,7 @@ the sweeps at the same time.
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -30,8 +31,7 @@ import numpy as np
 
 from .errors import NumericOverflowError, ShapeError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
-from .lagrangian import (MultiplierField, ProblemSpec, TargetSpec, loss_parts,
-                         pointwise_gradients, target_values)
+from .lagrangian import ProblemSpec, TargetSpec, loss_parts, pointwise_gradients, target_values
 
 _CHECKPOINT_MAGIC = b"DUZW-NET"
 _CHECKPOINT_VERSION = 1
@@ -69,12 +69,8 @@ class NetworkSpec:
         object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
 
     @property
-    def output_dim(self) -> int:
-        return 2
-
-    @property
     def layer_dims(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden, self.output_dim)
+        return (self.input_dim, *self.hidden, 2)
 
     @property
     def n_parameters(self) -> int:
@@ -130,7 +126,6 @@ class JetBatch:
 
     u: np.ndarray        # (n,)
     f: np.ndarray        # (n,)
-    grad_u: np.ndarray   # (n, d)
     lap_u: np.ndarray    # (n,)
 
 
@@ -172,14 +167,12 @@ def _stream_blocks(n: int, d: int) -> tuple[list[slice], slice]:
 
 
 def _forward(params: NetworkParameters, points: np.ndarray,
-             cutoff: CutoffJet | None) -> tuple[JetBatch, _Tape]:
+             cutoff: CutoffJet) -> tuple[JetBatch, _Tape]:
     """Jets at the points and the workspace that recorded them."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
     if d != params.spec.input_dim:
         raise ShapeError(f"points have dimension {d}, network expects {params.spec.input_dim}")
-    if cutoff is None:
-        cutoff = CutoffJet(np.ones(n), np.zeros((n, d)), np.zeros(n))
     layers = params.layers
     blocks, lap = _stream_blocks(n, d)
 
@@ -208,46 +201,43 @@ def _forward(params: NetworkParameters, points: np.ndarray,
 
     b_val, b_grad, b_lap = cutoff.b, cutoff.grad, cutoff.lap
     u = b_val * n_u
-    grad_u = b_grad * n_u[:, None] + b_val[:, None] * grad_n
     lap_u = b_lap * n_u + 2.0 * np.sum(b_grad * grad_n, axis=1) + b_val * lap_n
 
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(f)) and np.all(np.isfinite(lap_u))):
         raise NumericOverflowError("network evaluation produced non-finite values")
-    return JetBatch(u, f, grad_u, lap_u), tape
+    return JetBatch(u, f, lap_u), tape
 
 
-def batch_jets(params: NetworkParameters, points: np.ndarray,
-               cutoff: CutoffJet | None = None) -> JetBatch:
-    """Vectorised jets (u, f, grad u, lap u) at a batch of points.
+def batch_jets(params: NetworkParameters, points: np.ndarray, cutoff: CutoffJet) -> JetBatch:
+    """Vectorised jets (u, f, lap u) at a batch of points.
 
     ``cutoff`` supplies the boundary function with its derivatives at the
-    points; pass None to evaluate the raw (uncut) network channels.  The
-    sweep's workspace for this network and point count stays allocated
-    after the call, until a call with another shape or count replaces it.
+    points; the state u is always the cut channel b * n_u.  The sweep's
+    workspace for this network and point count stays allocated after the
+    call, until a call with another shape or count replaces it.
     """
     jets, _ = _forward(params, points, cutoff)
     return jets
 
 
 def evaluate(params: NetworkParameters, points: np.ndarray,
-             cutoff_values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Plain forward evaluation of (u, f) without derivative streams.
+             cutoff_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plain forward evaluation of the cut state and the control, (b * n_u,
+    f), without derivative streams and without the workspace.
 
-    Used by finite-difference oracles that re-difference the scalar output.
+    It gives a run's final fields, the fields on the ``eval_refine`` grid,
+    and the reference that :func:`grad_check` differences.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     layers = params.layers
     for k, (w, b) in enumerate(layers):
         y = x @ w.T + b
         x = np.tanh(y) if k < len(layers) - 1 else y
-    n_u, f = x[:, 0], x[:, 1]
-    if cutoff_values is None:
-        return n_u, f
-    return cutoff_values * n_u, f
+    return cutoff_values * x[:, 0], x[:, 1]
 
 
 def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
-                      problem: ProblemSpec, z: MultiplierField, beta: float = 0.0,
+                      problem: ProblemSpec, z: np.ndarray, beta: float = 0.0,
                       *, target: np.ndarray | None = None,
                       cutoff: CutoffJet | None = None) -> tuple[float, np.ndarray]:
     """Quadrature Lagrangian and its exact parameter gradient.
@@ -264,8 +254,6 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
     """
     if cutoff is None:
         cutoff = cutoff_jet(cset.domain, cset.points)
-    if target is None:
-        target = target_values(problem, cset)
     jets, tape = _forward(params, cset.points, cutoff)
     loss, g_u, g_f, g_lap = pointwise_gradients(problem, cset, jets, z, beta, target)
 
@@ -322,7 +310,7 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
 
 
 def loss_value(params: NetworkParameters, cset: CollocationSet, problem: ProblemSpec,
-               z: MultiplierField, beta: float = 0.0, *, target=None,
+               z: np.ndarray, beta: float = 0.0, *, target=None,
                cutoff: CutoffJet | None = None) -> float:
     """Loss alone, via the same jet computation as :func:`loss_and_gradient`."""
     if cutoff is None:
@@ -332,7 +320,7 @@ def loss_value(params: NetworkParameters, cset: CollocationSet, problem: Problem
 
 
 def finite_difference_gradient(params: NetworkParameters, cset: CollocationSet,
-                               problem: ProblemSpec, z: MultiplierField, h: float,
+                               problem: ProblemSpec, z: np.ndarray, h: float,
                                beta: float = 0.0, *, target=None,
                                cutoff: CutoffJet | None = None) -> np.ndarray:
     """Central-difference gradient of the loss, component by component.
@@ -406,7 +394,7 @@ def grad_check() -> dict[str, float]:
     problem = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d"))
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        z = MultiplierField(rng.normal(size=cset.n_interior))
+        z = rng.normal(size=cset.n_interior)
         params = init_network(NetworkSpec(1, (8, 8), seed=seed))
         _, grad = loss_and_gradient(params, cset, problem, z)
         fd = finite_difference_gradient(params, cset, problem, z, 1e-6)
@@ -443,7 +431,8 @@ def save_checkpoint(params: NetworkParameters, path) -> None:
 
 
 def _read_exact(fh, size: int) -> bytes:
-    data = fh.read(size)
+    # never ask for more than the file holds: a header may claim any size
+    data = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
     if len(data) != size:
         raise ValueError(f"truncated checkpoint: {size} bytes expected at offset "
                          f"{fh.tell() - len(data)}, {len(data)} left")

@@ -1,8 +1,8 @@
 """First-order optimisers over flat parameter vectors.
 
-Adam with the usual bias correction is the inner-loop optimiser.  Its
-update is a pure function: state and parameters in, new state and
-parameters out.
+Adam with the usual bias correction is the inner-loop optimiser, with the
+customary constants BETA1, BETA2 and EPS.  Its update is a pure function:
+state and parameters in, new state and parameters out.
 """
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import ShapeError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class AdamState:
@@ -19,14 +21,10 @@ class AdamState:
     v: np.ndarray
     t: int
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
-    def fresh(n: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> "AdamState":
-        return AdamState(np.zeros(n), np.zeros(n), 0, lr, beta1, beta2, eps)
+    def fresh(n: int, lr: float = 1e-3) -> "AdamState":
+        return AdamState(np.zeros(n), np.zeros(n), 0, lr)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
@@ -41,9 +39,9 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
             f"mismatched shapes: params {params.shape}, grad {grad.shape}, state {state.m.shape}"
         )
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = BETA1 * state.m + (1.0 - BETA1) * grad
+    v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
     return replace(state, m=m, v=v, t=t), new_params

@@ -10,8 +10,10 @@ from deepuzawa.cli import main
 from deepuzawa.closed_forms import EXACT_KINDS
 from deepuzawa.config import (RunResult, emit_csv, load_pgm_target, parse_config, read_csv,
                               sample_image_on_grid)
+from deepuzawa.driver import rho_alpha_sweep
 from deepuzawa.errors import ConfigError, PgmError
 from deepuzawa.geometry import Domain, build_grid
+from deepuzawa.network import load_checkpoint
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -92,6 +94,42 @@ def test_out_of_range_value_names_key_and_line(tmp_path, key, value):
         parse_config(write(tmp_path, f"tag = fd_oracle\n{second}\n{key} = {value}\n"))
     assert err.value.key == key
     assert err.value.line == 3
+
+
+TINY_RUN = "n_uzawa = 1\nn_sgd = 1\nn_points = 5\nhidden_width = 2\nhidden_depth = 1\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63])
+def test_seed_outside_checkpoint_range_names_key_and_line(tmp_path, capsys, seed):
+    # the checkpoint stores the seed as an int64; a run must not train and
+    # then fail to save it
+    out = tmp_path / "out"
+    cfg = write(tmp_path, f"tag = sine1d\nseed = {seed}\n{TINY_RUN}output_dir = {out}\n")
+    with pytest.raises(ConfigError, match="seed must be") as err:
+        parse_config(cfg)
+    assert (err.value.key, err.value.line) == ("seed", 2)
+    assert main(["-q", "run", cfg]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 2: key 'seed': seed must be in [0, 2**63)"]
+    assert not out.exists()
+
+
+def test_largest_seed_round_trips_through_the_checkpoint(tmp_path):
+    cfg = write(tmp_path, f"tag = sine1d\nseed = {2**63 - 1}\n{TINY_RUN}output_dir = {tmp_path}\n")
+    assert main(["-q", "run", cfg]) == 0
+    assert load_checkpoint(tmp_path / "params.bin").spec.seed == 2**63 - 1
+
+
+def test_augmented_meta_lists_beta_not_resolved_rho(tmp_path):
+    # the augmented multiplier step is beta; resolved_rho would be alpha / 4,
+    # which the run never uses
+    out = tmp_path / "out"
+    cfg = write(tmp_path, f"tag = sine1d\nvariant = augmented\nbeta = 0.5\n{TINY_RUN}"
+                          f"output_dir = {out}\n")
+    assert main(["-q", "run", cfg]) == 0
+    meta = _read_meta(out / "meta.txt")
+    assert meta["beta"] == "0.5"
+    assert "resolved_rho" not in meta
 
 
 def test_augmented_requires_beta(tmp_path):
@@ -390,6 +428,18 @@ output_dir = {tmp_path / 'sweep'}
     assert main(["-q", "sweep", cfg, "--alphas", "1e-2"]) == 2
     assert "diverged_at = 0" in (tmp_path / "sweep" / "alpha_0.01" / "meta.txt").read_text()
     assert capsys.readouterr().err == "alpha=0.01 run diverged at update 0\n"
+
+
+def test_sweep_rejects_alphas_that_share_a_directory(tmp_path, capsys):
+    # 1e-4 and 1.0000001e-4 both format as alpha_0.0001: the second run
+    # would overwrite the first
+    cfg = write(tmp_path, f"tag = sine1d\n{TINY_RUN}output_dir = {tmp_path / 'sweep'}\n")
+    message = "alphas 0.0001 and 0.00010000001 both write alpha_0.0001"
+    with pytest.raises(ValueError, match=message):
+        rho_alpha_sweep(parse_config(cfg), [1e-4, 1.0000001e-4])
+    assert main(["-q", "sweep", cfg, "--alphas", "1e-4", "1.0000001e-4"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_cli_sweep_keeps_config_rho(tmp_path):

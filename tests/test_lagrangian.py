@@ -3,9 +3,9 @@ import pytest
 
 from deepuzawa.errors import ShapeError
 from deepuzawa.geometry import Domain, build_grid
-from deepuzawa.lagrangian import (MultiplierField, ProblemSpec, TargetSpec, cost_values,
-                                  loss_parts, multiplier_update, pointwise_gradients,
-                                  residual_values, target_values, zero_multiplier)
+from deepuzawa.lagrangian import (ProblemSpec, TargetSpec, cost_values, loss_parts,
+                                  multiplier_update, pointwise_gradients, residual_values,
+                                  target_values)
 from deepuzawa.network import JetBatch
 
 
@@ -18,8 +18,7 @@ BOTH_KINDS = pytest.mark.parametrize("prob", [
 def exact_sine_jets(cset):
     x = cset.points[:, 0]
     u = np.sin(np.pi * x)
-    return JetBatch(u=u, f=np.pi**2 * u, grad_u=np.pi * np.cos(np.pi * x)[:, None],
-                    lap_u=-np.pi**2 * u)
+    return JetBatch(u=u, f=np.pi**2 * u, lap_u=-np.pi**2 * u)
 
 
 def test_poisson_residual_exact_solution():
@@ -80,7 +79,7 @@ def test_cost_density_exact_sine_midpoint():
 def test_discrete_lagrangian_zero_multiplier_is_cost_quadrature(prob):
     g = build_grid(Domain.unit_interval(), 41)
     jets = exact_sine_jets(g)
-    z0 = zero_multiplier(g)
+    z0 = np.zeros(g.n_interior)
     target = target_values(prob, g)
     cost_q = float(np.dot(g.weights, cost_values(prob, jets.u, jets.f, jets.lap_u, target)))
     assert loss_parts(prob, g, jets, z0)["total"] == pytest.approx(cost_q, rel=1e-14)
@@ -92,8 +91,8 @@ def test_pointwise_gradients_loss_is_loss_parts_total(prob, beta):
     g = build_grid(Domain.unit_interval(), 41)
     rng = np.random.default_rng(3)
     u, f, lap = rng.normal(size=(3, g.n_points))
-    jets = JetBatch(u=u, f=f, grad_u=np.zeros((g.n_points, 1)), lap_u=lap)
-    z = MultiplierField(rng.normal(size=g.n_interior))
+    jets = JetBatch(u=u, f=f, lap_u=lap)
+    z = rng.normal(size=g.n_interior)
     loss = pointwise_gradients(prob, g, jets, z, beta)[0]
     assert loss == loss_parts(prob, g, jets, z, beta)["total"]
 
@@ -102,17 +101,17 @@ def test_discrete_lagrangian_invariant_for_residual_free_fields():
     g = build_grid(Domain.unit_interval(), 41)
     prob = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d"))
     jets = exact_sine_jets(g)  # residual is exactly zero everywhere
-    base = loss_parts(prob, g, jets, zero_multiplier(g))["total"]
+    base = loss_parts(prob, g, jets, np.zeros(g.n_interior))["total"]
     rng = np.random.default_rng(8)
     for beta in (0.0, 3.0):
-        z = MultiplierField(rng.normal(size=g.n_interior))
+        z = rng.normal(size=g.n_interior)
         assert loss_parts(prob, g, jets, z, beta)["total"] == pytest.approx(base, rel=1e-13)
 
 
 def test_loss_parts_alpha_scaling():
     g = build_grid(Domain.unit_interval(), 31)
     jets = exact_sine_jets(g)
-    z = zero_multiplier(g)
+    z = np.zeros(g.n_interior)
     parts1 = loss_parts(ProblemSpec("poisson", 1e-2, TargetSpec("constant", constant=0.0)),
                         g, jets, z)
     parts2 = loss_parts(ProblemSpec("poisson", 2e-2, TargetSpec("constant", constant=0.0)),
@@ -176,20 +175,20 @@ def test_sampled_target_shape_check():
 
 
 def test_multiplier_update_examples():
-    z = MultiplierField(np.zeros(3))
+    z = np.zeros(3)
     out = multiplier_update(z, np.full(3, 2.0), 0.25)
-    assert np.array_equal(out.values, np.full(3, 0.5))
+    assert np.array_equal(out, np.full(3, 0.5))
     same = multiplier_update(z, np.zeros(3), 0.25)
-    assert np.array_equal(same.values, z.values)
+    assert np.array_equal(same, z)
 
 
 def test_multiplier_update_additive():
     rng = np.random.default_rng(1)
-    z = MultiplierField(rng.normal(size=8))
+    z = rng.normal(size=8)
     k1, k2 = rng.normal(size=(2, 8))
     two_steps = multiplier_update(multiplier_update(z, k1, 0.1), k2, 0.1)
     one_step = multiplier_update(z, k1 + k2, 0.1)
-    assert np.allclose(two_steps.values, one_step.values, atol=1e-15)
+    assert np.allclose(two_steps, one_step, atol=1e-15)
 
 
 def test_problem_spec_validation():

@@ -10,7 +10,7 @@ def test_adam_first_step_is_signed_unit_step():
     params = np.zeros(4)
     grad = np.array([0.5, -2.0, 1e-3, -1e-6])
     new_state, new_params = adam_step(state, params, grad)
-    expected = -state.lr * grad / (np.abs(grad) + state.eps)
+    expected = -state.lr * grad / (np.abs(grad) + 1e-8)
     assert np.allclose(new_params, expected, rtol=1e-12)
     assert new_state.t == 1
 
@@ -55,7 +55,7 @@ def test_adam_constant_gradient_step_is_lr():
         state, new_params = adam_step(state, params, grad)
         # constant gradient: m_hat = g and v_hat = g^2 exactly
         assert np.allclose(np.abs(new_params - params),
-                           state.lr * np.abs(grad) / (np.abs(grad) + state.eps), rtol=1e-12)
+                           state.lr * np.abs(grad) / (np.abs(grad) + 1e-8), rtol=1e-12)
         params = new_params
 
 
