@@ -10,17 +10,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation error, 2 numerical divergence.
 """
-import os
-
-# pin BLAS threading before numpy loads: the layer matrices here are small
-# enough that thread fan-out costs more than it buys, and single-threaded
-# reductions keep runs reproducible across machines
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import argparse
+import os
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 from .config import ExperimentConfig, emit_csv, parse_config, write_csv
 from .driver import rho_alpha_sweep, run_deep_uzawa
@@ -60,29 +55,26 @@ def _write_run(record) -> list[str]:
     """CSVs, meta.txt and params.bin of one network run in its config's
     ``output_dir``, plus its fields on the grid refined by ``eval_refine``
     when that is above 1."""
-    cfg, out_dir = record.config, record.config.output_dir
+    cfg, out_dir, exact = record.config, record.config.output_dir, record.exact
     # an augmented run steps the multiplier by beta, which meta.txt already lists
     extra = {"resolved_rho": cfg.resolved_rho} if cfg.variant == "plain" else {}
     extra["n_parameters"] = record.params.spec.n_parameters
-    if record.exact is not None and record.n_updates:
+    if exact is not None and record.n_updates:
         extra["final_state_l2_error"] = record.state_errors[-1]
         extra["final_control_l2_error"] = record.control_errors[-1]
+    if cfg.eval_refine > 1:
+        domain = record.cset.domain
+        fine = build_grid(domain, (cfg.n_points - 1) * cfg.eval_refine + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, f = evaluate(record.params, fine.points, cutoff_jet(domain, fine.points).b)
+            if exact is not None:
+                extra["refined_state_l2_error"] = l2_norm(fine, u - exact.state(fine.points))
+                extra["refined_control_l2_error"] = l2_norm(fine, f - exact.control(fine.points))
     files = emit_csv(record, out_dir, _meta_from(cfg, _NETWORK_META, out_dir, extra))
     save_checkpoint(record.params, os.path.join(out_dir, "params.bin"))
-    if cfg.eval_refine == 1:
-        return files
-
-    domain = record.cset.domain
-    fine = build_grid(domain, (cfg.n_points - 1) * cfg.eval_refine + 1)
-    u, f = evaluate(record.params, fine.points, cutoff_jet(domain, fine.points).b)
-    write_csv(os.path.join(out_dir, "State_refined.csv"), ("state",), [(v,) for v in u])
-    write_csv(os.path.join(out_dir, "Control_refined.csv"), ("control",), [(v,) for v in f])
-    if record.exact is not None:
-        se = l2_norm(fine, u - record.exact.state(fine.points))
-        ce = l2_norm(fine, f - record.exact.control(fine.points))
-        with open(os.path.join(out_dir, "meta.txt"), "a", encoding="utf-8") as fh:
-            fh.write(f"refined_state_l2_error = {se!r}\n")
-            fh.write(f"refined_control_l2_error = {ce!r}\n")
+    if cfg.eval_refine > 1:
+        write_csv(os.path.join(out_dir, "State_refined.csv"), ("state",), [(v,) for v in u])
+        write_csv(os.path.join(out_dir, "Control_refined.csv"), ("control",), [(v,) for v in f])
     return files
 
 

@@ -235,6 +235,8 @@ def load_pgm_target(path) -> ImageTarget:
         _, w_tok = next(it)
         _, h_tok = next(it)
         maxval_pos, maxval_tok = next(it)
+        if not (w_tok + h_tok + maxval_tok).isdigit():  # int() also takes a sign and "_"
+            raise ValueError("PGM numbers are plain decimal digits")
         width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
     except (StopIteration, ValueError):
         raise PgmError("truncated or malformed header") from None
@@ -257,10 +259,9 @@ def load_pgm_target(path) -> ImageTarget:
                 break
         if len(vals) < n_pixels:
             raise PgmError("truncated pixel data")
-        try:
-            pixels = np.array([int(v) for v in vals], dtype=float)
-        except ValueError:
-            raise PgmError("non-numeric pixel data") from None
+        if not all(v.isdigit() for v in vals):
+            raise PgmError("non-numeric pixel data")
+        pixels = np.array([int(v) for v in vals], dtype=float)
     if pixels.max() > maxval:
         raise PgmError("pixel value exceeds maxval")
     values = (2.0 * pixels / maxval - 1.0).reshape(height, width)

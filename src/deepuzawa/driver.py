@@ -21,7 +21,7 @@ import numpy as np
 from .closed_forms import EXACT_KINDS, ExactSolution
 from .config import (ExperimentConfig, RunResult, check_variant, load_pgm_target,
                      sample_image_on_grid)
-from .errors import ConfigError, NumericOverflowError
+from .errors import ConfigError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet, l2_norm
 from .lagrangian import (ProblemSpec, TargetSpec, loss_parts, multiplier_update,
                          residual_values, target_values)
@@ -86,9 +86,11 @@ def _subset(cset: CollocationSet, idx: np.ndarray) -> CollocationSet:
 def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecord:
     """Execute the full outer/inner iteration for one network experiment.
 
-    Runs exactly ``n_uzawa`` outer steps of ``n_sgd`` Adam updates each.  A
-    non-finite loss, gradient or Adam step aborts the run with the partial
-    history preserved and ``diverged_at`` set to the offending outer step.
+    Runs exactly ``n_uzawa`` outer steps of ``n_sgd`` Adam updates each.
+    The run diverges at the first outer step where an Adam step's loss or
+    new parameters, or the step's own loss on the full grid, is non-finite:
+    it stops there with ``diverged_at`` set to that step and the histories
+    of the steps before it.
     Errors are recorded when the tag has a closed form.  An unknown variant,
     or the augmented one without ``beta``, raises ``ConfigError`` naming the
     key, also for a config built in code rather than parsed from a file.
@@ -114,58 +116,52 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
 
     state_errors, control_errors, losses, walls = [], [], [], []
     diverged_at = None
-    for k in range(config.n_uzawa):
-        t0 = time.perf_counter()
-        ok = True
-        for _ in range(config.n_sgd):
-            if config.batch_size is None or config.batch_size >= cset.n_points:
-                sub, sub_target, sub_cutoff, sub_z = cset, target, cutoff, z
-            else:
-                idx = np.sort(batch_rng.choice(cset.n_points, config.batch_size, replace=False))
-                sub = _subset(cset, idx)
-                sub_target = target[idx]
-                sub_cutoff = CutoffJet(cutoff.b[idx], cutoff.grad[idx], cutoff.lap[idx])
-                z_full = np.zeros(cset.n_points)
-                z_full[cset.interior_mask] = z
-                sub_z = z_full[idx][sub.interior_mask]
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    loss, grad = loss_and_gradient(params, sub, problem, sub_z, beta,
-                                                   target=sub_target, cutoff=sub_cutoff)
-                    adam, flat = adam_step(adam, params.flat, grad)
-            except NumericOverflowError:
-                ok = False
-                break
-            # a non-finite gradient entry leaves a non-finite entry in flat
-            if not np.isfinite(loss) or not np.all(np.isfinite(flat)):
-                ok = False
-                break
-            params = params.with_flat(flat)
-        if ok:
-            try:
-                jets = batch_jets(params, cset.points, cutoff)
-            except NumericOverflowError:
-                ok = False
-        if not ok:
-            diverged_at = k
-            break
-
-        parts = loss_parts(problem, cset, jets, z, beta, target)
-        losses.append([parts[c] for c in LOSS_COLUMNS])
-        if exact is not None:
-            state_errors.append(l2_norm(cset, jets.u - exact_u))
-            control_errors.append(l2_norm(cset, jets.f - exact_f))
-        mask = cset.interior_mask
-        residual = residual_values(problem, jets.u[mask], jets.f[mask], jets.lap_u[mask])
-        z = multiplier_update(z, residual, step)
-        walls.append(time.perf_counter() - t0)
-        if progress and (k + 1) % 50 == 0:
-            msg = f"update {k + 1}/{config.n_uzawa}  loss parts {losses[-1]}"
-            if exact is not None:
-                msg += f"  state err {state_errors[-1]:.3e}"
-            print(msg, flush=True)
-
+    # overflow goes unreported: the finiteness checks below decide divergence
     with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.n_uzawa):
+            t0 = time.perf_counter()
+            for _ in range(config.n_sgd):
+                if config.batch_size is None or config.batch_size >= cset.n_points:
+                    sub, sub_target, sub_cutoff, sub_z = cset, target, cutoff, z
+                else:
+                    idx = np.sort(batch_rng.choice(cset.n_points, config.batch_size,
+                                                   replace=False))
+                    sub = _subset(cset, idx)
+                    sub_target = target[idx]
+                    sub_cutoff = CutoffJet(cutoff.b[idx], cutoff.grad[idx], cutoff.lap[idx])
+                    z_full = np.zeros(cset.n_points)
+                    z_full[cset.interior_mask] = z
+                    sub_z = z_full[idx][sub.interior_mask]
+                loss, grad = loss_and_gradient(params, sub, problem, sub_z, beta,
+                                               target=sub_target, cutoff=sub_cutoff)
+                adam, flat = adam_step(adam, params.flat, grad)
+                # a non-finite gradient entry leaves a non-finite entry in flat
+                if not np.isfinite(loss) or not np.all(np.isfinite(flat)):
+                    diverged_at = k
+                    break
+                params = params.with_flat(flat)
+            else:
+                jets = batch_jets(params, cset.points, cutoff)
+                parts = loss_parts(problem, cset, jets, z, beta, target)
+                # every weight is positive: a non-finite jet makes the total non-finite
+                if not np.isfinite(parts["total"]):
+                    diverged_at = k
+            if diverged_at is not None:
+                break
+
+            losses.append([parts[c] for c in LOSS_COLUMNS])
+            if exact is not None:
+                state_errors.append(l2_norm(cset, jets.u - exact_u))
+                control_errors.append(l2_norm(cset, jets.f - exact_f))
+            mask = cset.interior_mask
+            residual = residual_values(problem, jets.u[mask], jets.f[mask], jets.lap_u[mask])
+            z = multiplier_update(z, residual, step)
+            walls.append(time.perf_counter() - t0)
+            if progress and (k + 1) % 50 == 0:
+                msg = f"update {k + 1}/{config.n_uzawa}  loss parts {losses[-1]}"
+                if exact is not None:
+                    msg += f"  state err {state_errors[-1]:.3e}"
+                print(msg, flush=True)
         final_u, final_f = evaluate(params, cset.points, cutoff.b)
     return RunRecord(
         config=config,

@@ -9,10 +9,6 @@ class ShapeError(ValueError):
     """Field length does not match the collocation set it is paired with."""
 
 
-class NumericOverflowError(FloatingPointError):
-    """A forward evaluation produced a non-finite intermediate value."""
-
-
 class IterationLimitError(RuntimeError):
     """An inner iterative solve failed to reach its tolerance."""
 

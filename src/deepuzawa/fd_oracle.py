@@ -308,10 +308,6 @@ class FDRun(RunResult):
     diverged; so have ``loss_history`` and ``z_history``.
     """
 
-    kind: str
-    grid: Grid1D
-    alpha: float
-    rho: float | None
     z_errors: np.ndarray
     z: np.ndarray
     reference: KKTSolution
@@ -365,7 +361,7 @@ def _solve_nonneg(bands, fact, rhs, ctx, tol, max_passes=80):
     raise IterationLimitError("nonnegative inner solve did not settle on an active set")
 
 
-def _iterate(kind, grid, alpha, rho, iters, ctx, D, reference, steps) -> FDRun:
+def _iterate(grid, alpha, iters, ctx, D, reference, steps) -> FDRun:
     """The run loop of every iterative oracle.
 
     ``steps`` yields one iterate (u, f, z, lap_u, z_loss) per ``next`` in
@@ -394,7 +390,6 @@ def _iterate(kind, grid, alpha, rho, iters, ctx, D, reference, steps) -> FDRun:
             diverged_at = k
             break
     return FDRun(
-        kind=kind, grid=grid, alpha=alpha, rho=rho,
         z_errors=np.array(z_err), state_errors=np.array(u_err),
         control_errors=np.array(f_err), loss_history=np.array(parts),
         u=u.astype(float), f=f.astype(float), z=z_hist[-1],
@@ -403,7 +398,7 @@ def _iterate(kind, grid, alpha, rho, iters, ctx, D, reference, steps) -> FDRun:
     )
 
 
-def _uzawa(kind, grid, alpha, rho, D, iters, dps, sign, project) -> FDRun:
+def _uzawa(grid, alpha, rho, D, iters, dps, sign, project) -> FDRun:
     """Both Uzawa runs: ``sign`` = +1 keeps the plain run's multiplier, -1
     its negation; ``project`` keeps u >= 0 in the inner solve and clamps f
     and z at zero."""
@@ -415,7 +410,7 @@ def _uzawa(kind, grid, alpha, rho, D, iters, dps, sign, project) -> FDRun:
         D = _array(ctx, D)
         ustar, fstar, zstar, _ = _direct_kkt(grid, a, D, ctx)
         steps = _uzawa_steps(grid, a, rho, D, ctx, sign, project)
-        return _iterate(kind, grid, alpha, rho, iters, ctx, D,
+        return _iterate(grid, alpha, iters, ctx, D,
                         (ustar, fstar, zstar if sign > 0 else -zstar), steps)
 
 
@@ -455,7 +450,7 @@ def fd_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
     f = -(2/alpha) z, and updates z <- z + rho (lap_h u + f).  Histories
     track distances to the direct-solve saddle point.
     """
-    return _uzawa("uzawa", grid, alpha, rho, D, iters, dps, sign=1, project=False)
+    return _uzawa(grid, alpha, rho, D, iters, dps, sign=1, project=False)
 
 
 def fd_projected_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
@@ -472,7 +467,7 @@ def fd_projected_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int
     saddle point is componentwise nonnegative no constraint ever activates
     and the run reproduces :func:`fd_uzawa_run` exactly.
     """
-    return _uzawa("projected_uzawa", grid, alpha, rho, D, iters, dps, sign=-1, project=True)
+    return _uzawa(grid, alpha, rho, D, iters, dps, sign=-1, project=True)
 
 
 def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun:
@@ -489,7 +484,7 @@ def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun
     ctx = _FloatCtx()
     D = _array(ctx, D)
     ustar, fstar, _, _ = _direct_kkt(grid, alpha, D, ctx)
-    return _iterate("gauss_seidel", grid, alpha, None, iters, ctx, D,
+    return _iterate(grid, alpha, iters, ctx, D,
                     (ustar, fstar, alpha * fstar), _gauss_seidel_steps(grid, alpha, D))
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflowError, ShapeError
+from .errors import ShapeError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
 from .lagrangian import ProblemSpec, TargetSpec, loss_parts, pointwise_gradients, target_values
 
@@ -202,9 +202,6 @@ def _forward(params: NetworkParameters, points: np.ndarray,
     b_val, b_grad, b_lap = cutoff.b, cutoff.grad, cutoff.lap
     u = b_val * n_u
     lap_u = b_lap * n_u + 2.0 * np.sum(b_grad * grad_n, axis=1) + b_val * lap_n
-
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(f)) and np.all(np.isfinite(lap_u))):
-        raise NumericOverflowError("network evaluation produced non-finite values")
     return JetBatch(u, f, lap_u), tape
 
 
@@ -212,9 +209,10 @@ def batch_jets(params: NetworkParameters, points: np.ndarray, cutoff: CutoffJet)
     """Vectorised jets (u, f, lap u) at a batch of points.
 
     ``cutoff`` supplies the boundary function with its derivatives at the
-    points; the state u is always the cut channel b * n_u.  The sweep's
-    workspace for this network and point count stays allocated after the
-    call, until a call with another shape or count replaces it.
+    points; the state u is always the cut channel b * n_u.  Values that
+    overflow come back non-finite; the run loop decides what that means.
+    The sweep's workspace for this network and point count stays allocated
+    after the call, until a call with another shape or count replaces it.
     """
     jets, _ = _forward(params, points, cutoff)
     return jets
@@ -249,8 +247,9 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
 
     ``target`` and ``cutoff`` may be precomputed once per grid and passed in;
     they default to the problem target and the domain cutoff.  As with
-    :func:`batch_jets`, the workspace for this network and point count
-    stays allocated after the call.
+    :func:`batch_jets`, an overflow comes back as a non-finite loss or
+    gradient, and the workspace for this network and point count stays
+    allocated after the call.
     """
     if cutoff is None:
         cutoff = cutoff_jet(cset.domain, cset.points)

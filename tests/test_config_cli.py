@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -209,6 +211,22 @@ def test_pgm_bad_maxval(tmp_path):
         load_pgm_target(pgm_ascii(tmp_path, [[0, 0], [0, 0]], maxval=0))
 
 
+@pytest.mark.parametrize("where", ["pixel", "maxval"])
+@pytest.mark.parametrize("token", ["-255", "+12", "1_0"])
+def test_pgm_numbers_are_plain_digits(tmp_path, capsys, token, where):
+    # int() reads "-255" (a target value of -3 at maxval 255), "+12" and "1_0"
+    path = tmp_path / "img.pgm"
+    maxval, pixel = ("255", token) if where == "pixel" else (token, "0")
+    path.write_text(f"P2\n2 2\n{maxval}\n{pixel} 0 0 0\n")
+    with pytest.raises(PgmError):
+        load_pgm_target(str(path))
+    cfg = write(tmp_path, f"tag = ac_image\nepsilon = 0.5\nimage = {path}\n{TINY_RUN}"
+                          f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["-q", "run", cfg]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # CSV emission
 
@@ -330,6 +348,44 @@ output_dir = {tmp_path / 'div'}
         warnings.simplefilter("error")
         assert main(["-q", "run", cfg]) == 2
     assert "diverged_at" in (tmp_path / "div" / "meta.txt").read_text()
+
+
+# jets stay finite after one Adam step of size 1e300, but their squares overflow
+SQUARE_OVERFLOW = """
+tag = sine1d
+learning_rate = 1e300
+n_uzawa = 3
+n_sgd = 1
+n_points = 21
+hidden_width = 8
+hidden_depth = 2
+"""
+
+
+def test_cli_divergence_in_the_update_loss(tmp_path, capsys):
+    # the run diverges at the update whose loss overflows, and records no row of it
+    cfg = write(tmp_path, f"{SQUARE_OVERFLOW}output_dir = {tmp_path / 'div'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["-q", "run", cfg]) == 2
+    assert capsys.readouterr().err == "run diverged at update 0\n"
+    assert (tmp_path / "div" / "Loss.csv").read_text().count("\n") == 1
+    assert not (tmp_path / "div" / "Error.csv").exists()
+    assert (tmp_path / "div" / "meta.txt").read_text().splitlines()[-1] == "diverged_at = 0"
+
+
+def test_cli_diverged_refined_run_ends_meta_with_diverged_at(tmp_path, capsys):
+    cfg = write(tmp_path, f"{SQUARE_OVERFLOW}eval_refine = 2\noutput_dir = {tmp_path / 'div'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["-q", "run", cfg]) == 2
+    assert capsys.readouterr().err == "run diverged at update 0\n"
+    keys = [line.split(" = ")[0] for line in
+            (tmp_path / "div" / "meta.txt").read_text().splitlines()]
+    assert keys[-3:] == ["refined_state_l2_error", "refined_control_l2_error", "diverged_at"]
+    assert (tmp_path / "div" / "meta.txt").read_text().endswith("diverged_at = 0\n")
+    _, fine = read_csv(tmp_path / "div" / "State_refined.csv")
+    assert fine.shape[0] == 41
 
 
 @pytest.mark.parametrize("precision", ["", "precision_dps = 30"])
@@ -569,3 +625,34 @@ def test_cli_grad_check_failure_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "loss gradient seed=3" in err
     assert "laplacian" not in err
+
+
+# records the three BLAS thread variables when numpy is first imported
+_PIN_PROBE = """
+import os, sys
+seen = []
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(tuple(os.environ.get(v) for v in
+                              ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")))
+sys.meta_path.insert(0, Probe())
+import deepuzawa.cli
+print(seen[0])
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [
+    pytest.param(None, "('1', '1', '1')", id="unset"),
+    pytest.param("2", "('1', '2', '1')", id="openblas_preset"),
+])
+def test_blas_threads_are_pinned_before_numpy_loads(preset, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _PIN_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == expected + "\n"
