@@ -18,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from .config import ExperimentConfig, emit_csv, parse_config, write_csv
-from .driver import rho_alpha_sweep, run_deep_uzawa
+from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa
 from .errors import ConfigError, PgmError
 from .fd_oracle import (Grid1D, constant_target, fd_direct_kkt_solve, fd_projected_uzawa_run,
                         fd_uzawa_run, gauss_seidel_adjoint_run, sine_target)
@@ -53,8 +53,9 @@ def _diverged(result, what: str, step: str) -> int:
 
 def _write_run(record) -> list[str]:
     """CSVs, meta.txt and params.bin of one network run in its config's
-    ``output_dir``, plus its fields on the grid refined by ``eval_refine``
-    when that is above 1."""
+    ``output_dir``: Diagnostics.csv holds, per update, its wall time and
+    DIAGNOSTIC_COLUMNS.  Plus its fields on the grid refined by
+    ``eval_refine`` when that is above 1."""
     cfg, out_dir, exact = record.config, record.config.output_dir, record.exact
     # an augmented run steps the multiplier by beta, which meta.txt already lists
     extra = {"resolved_rho": cfg.resolved_rho} if cfg.variant == "plain" else {}
@@ -71,6 +72,11 @@ def _write_run(record) -> list[str]:
                 extra["refined_state_l2_error"] = l2_norm(fine, u - exact.state(fine.points))
                 extra["refined_control_l2_error"] = l2_norm(fine, f - exact.control(fine.points))
     files = emit_csv(record, out_dir, _meta_from(cfg, _NETWORK_META, out_dir, extra))
+    path = os.path.join(out_dir, "Diagnostics.csv")
+    write_csv(path, ("update", "wall_s", *DIAGNOSTIC_COLUMNS),
+              [(k, wall, *row) for k, (wall, row)
+               in enumerate(zip(record.wall_times, record.diagnostics))])
+    files.append(path)
     save_checkpoint(record.params, os.path.join(out_dir, "params.bin"))
     if cfg.eval_refine > 1:
         write_csv(os.path.join(out_dir, "State_refined.csv"), ("state",), [(v,) for v in u])

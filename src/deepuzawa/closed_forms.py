@@ -84,31 +84,3 @@ class ExactSolution:
             return np.sin(np.pi * x) * (np.pi**2 - inv2 * np.cos(np.pi * x) ** 2)
         return _boundary_layer_pair(x, self.alpha)[1]
 
-
-def residual_check_boundary_layer(alpha: float, n_samples: int) -> float:
-    """Max |alpha u'''' + u - 1| of the constant-target closed form.
-
-    The fourth derivative is evaluated independently of the u formula via
-    the complex exponential representation: each boundary-layer group is
-    the real or imaginary part of exp(lam x - omega) or exp(nu x) with
-    lam = (1+i) omega, nu = (i-1) omega, so differentiation is
-    multiplication by lam^4 or nu^4 (computed numerically, not simplified).
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    om = (4.0 * alpha) ** -0.25
-    x = np.linspace(0.0, 1.0, n_samples + 2)[1:-1]
-    s = np.exp(-om)
-    c, sn = np.cos(om), np.sin(om)
-    denom = 1.0 + s * s + 2.0 * s * c
-    lam = (1.0 + 1.0j) * om
-    nu = (1.0j - 1.0) * om
-    g1 = np.exp(lam * x - om)
-    g0 = np.exp(nu * x)
-    a = s + c
-    b = 1.0 + s * c
-    u = 1.0 - (a * g1.real + b * g0.real + sn * (g1.imag + s * g0.imag)) / denom
-    l4, n4 = lam**4, nu**4
-    u4 = -(a * (l4 * g1).real + b * (n4 * g0).real
-           + sn * ((l4 * g1).imag + s * (n4 * g0).imag)) / denom
-    return float(np.max(np.abs(alpha * u4 + u - 1.0)))

@@ -10,8 +10,8 @@ Recognised keys (defaults in parentheses):
   tag            experiment: sine1d | boundary_layer | sine2d | ac_sine |
                  ac_step | ac_image | fd_oracle
   alpha          regularisation weight, > 0 and finite (1e-4)
-  epsilon        Allen-Cahn interface width, > 0 and finite; required for
-                 ac_* tags
+  epsilon        Allen-Cahn interface width, > 0, with epsilon**2 and
+                 1/epsilon**2 finite and nonzero; required for ac_* tags
   rho            multiplier step, > 0 and finite (alpha / 4)
   variant        plain | augmented  (plain)
   beta           augmentation weight, > 0 and finite; required when
@@ -155,6 +155,13 @@ def _validate(cfg: ExperimentConfig, entries):
         value = getattr(cfg, key)
         if value is not None and not 0 < value < math.inf:
             raise ConfigError(f"{key} must be positive and finite", key=key, line=where(key))
+    try:  # the Allen-Cahn operator and targets scale by 1/epsilon**2 in float64
+        inv2_ok = cfg.epsilon is None or math.isfinite(1.0 / cfg.epsilon**2)
+    except ArithmeticError:  # epsilon**2 underflowed to 0 or overflowed
+        inv2_ok = False
+    if not inv2_ok:
+        raise ConfigError("epsilon**2 and 1/epsilon**2 must be finite and nonzero",
+                          key="epsilon", line=where("epsilon"))
     for key in ("n_uzawa", "n_sgd", "hidden_width"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be at least 1", key=key, line=where(key))

@@ -7,8 +7,9 @@ then moved along the constraint residual.  The augmented variant adds the
 squared-residual penalty to the objective and uses the penalty weight as
 the multiplier step.
 
-Errors against a closed-form solution (when the tag has one) and the
-decomposed loss are recorded once per outer update.
+Errors against a closed-form solution (when the tag has one), the
+decomposed loss, the wall time and the diagnostics (DIAGNOSTIC_COLUMNS)
+are recorded once per outer update.
 """
 from __future__ import annotations
 
@@ -30,13 +31,17 @@ from .network import (NetworkParameters, NetworkSpec, batch_jets, evaluate, init
 from .optim import AdamState, adam_step
 
 LOSS_COLUMNS = ("misfit", "multiplier_term", "control_norm_term", "regulariser_term")
+# per update: weighted interior L2 norms of the constraint residual K and of
+# the updated multiplier, the last inner step's gradient norm, the loss
+DIAGNOSTIC_COLUMNS = ("residual_l2", "multiplier_l2", "grad_l2", "loss_total")
 
 
 @dataclass
 class RunRecord(RunResult):
     """Per-update histories plus the final trained fields.
 
-    ``loss_history`` is (updates, 4) with columns LOSS_COLUMNS; ``u`` and
+    ``loss_history`` is (updates, 4) with columns LOSS_COLUMNS and
+    ``diagnostics`` (updates, 4) with columns DIAGNOSTIC_COLUMNS; ``u`` and
     ``f`` are the final state and control on the grid, ``z`` the final
     multiplier on its interior points.
     """
@@ -44,6 +49,7 @@ class RunRecord(RunResult):
     config: ExperimentConfig
     cset: CollocationSet
     wall_times: np.ndarray
+    diagnostics: np.ndarray
     params: NetworkParameters
     z: np.ndarray
     exact: ExactSolution | None = None
@@ -112,9 +118,11 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     step = config.beta if config.variant == "augmented" else config.resolved_rho
     beta = config.beta if config.variant == "augmented" else 0.0
     z = np.zeros(cset.n_interior)
+    mask = cset.interior_mask
+    interior_weights = cset.weights[mask]
     batch_rng = np.random.default_rng(config.seed)
 
-    state_errors, control_errors, losses, walls = [], [], [], []
+    state_errors, control_errors, losses, walls, diagnostics = [], [], [], [], []
     diverged_at = None
     # overflow goes unreported: the finiteness checks below decide divergence
     with np.errstate(over="ignore", invalid="ignore"):
@@ -153,10 +161,12 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
             if exact is not None:
                 state_errors.append(l2_norm(cset, jets.u - exact_u))
                 control_errors.append(l2_norm(cset, jets.f - exact_f))
-            mask = cset.interior_mask
             residual = residual_values(problem, jets.u[mask], jets.f[mask], jets.lap_u[mask])
             z = multiplier_update(z, residual, step)
             walls.append(time.perf_counter() - t0)
+            diagnostics.append([np.sqrt(np.dot(interior_weights, residual * residual)),
+                                np.sqrt(np.dot(interior_weights, z * z)),
+                                np.linalg.norm(grad), parts["total"]])
             if progress and (k + 1) % 50 == 0:
                 msg = f"update {k + 1}/{config.n_uzawa}  loss parts {losses[-1]}"
                 if exact is not None:
@@ -170,6 +180,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
         control_errors=np.array(control_errors) if exact is not None else None,
         loss_history=np.array(losses).reshape(len(losses), len(LOSS_COLUMNS)),
         wall_times=np.array(walls),
+        diagnostics=np.array(diagnostics).reshape(len(diagnostics), len(DIAGNOSTIC_COLUMNS)),
         params=params,
         z=z,
         u=final_u,

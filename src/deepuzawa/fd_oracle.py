@@ -196,23 +196,6 @@ def _ldlt_solve(fact, rhs):
     return np.array(out[::-1], dtype=rhs.dtype)
 
 
-def apply_laplacian(grid: Grid1D, v) -> np.ndarray:
-    """The discrete Laplacian of interior values ``v``, in float64."""
-    return _laplacian_apply(np.array(v, dtype=float), 1.0 / grid.h**2)
-
-
-def laplacian_dense(grid: Grid1D) -> np.ndarray:
-    """The discrete Laplacian as a dense matrix; its square is the biharmonic."""
-    m = grid.n_interior
-    q = 1.0 / grid.h**2
-    t = np.zeros((m, m))
-    np.fill_diagonal(t, -2.0 * q)
-    idx = np.arange(m - 1)
-    t[idx, idx + 1] = q
-    t[idx + 1, idx] = q
-    return t
-
-
 # ---------------------------------------------------------------------------
 # targets and norms on the oracle grid
 

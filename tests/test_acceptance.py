@@ -9,12 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from deepuzawa.closed_forms import ExactSolution, residual_check_boundary_layer
+from deepuzawa.closed_forms import ExactSolution
 from deepuzawa.config import ExperimentConfig
 from deepuzawa.driver import run_deep_uzawa
 from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run,
                                  fd_uzawa_run, grid_norm, sine_target)
 from deepuzawa.network import CHECK_BOUND, grad_check
+from reference_checks import residual_check_boundary_layer
 
 pytestmark = pytest.mark.acceptance
 

@@ -2,7 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from deepuzawa.closed_forms import ExactSolution, residual_check_boundary_layer
+from deepuzawa.closed_forms import ExactSolution
+from reference_checks import residual_check_boundary_layer
 
 ENDS = np.array([0.0, 1.0])
 

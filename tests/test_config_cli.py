@@ -101,6 +101,27 @@ def test_out_of_range_value_names_key_and_line(tmp_path, key, value):
 TINY_RUN = "n_uzawa = 1\nn_sgd = 1\nn_points = 5\nhidden_width = 2\nhidden_depth = 1\n"
 
 
+@pytest.mark.parametrize("eps", ["1e-200", "1e-160", "1e200"])
+def test_epsilon_without_finite_inverse_square_names_key_and_line(tmp_path, capsys, eps):
+    # 1e-200 squares to 0, 1e-160 to a subnormal whose inverse is inf, and
+    # 1e200 overflows: the Allen-Cahn terms could not be formed
+    out = tmp_path / "out"
+    cfg = write(tmp_path, f"tag = ac_sine\nepsilon = {eps}\n{TINY_RUN}output_dir = {out}\n")
+    with pytest.raises(ConfigError, match="1/epsilon") as err:
+        parse_config(cfg)
+    assert (err.value.key, err.value.line) == ("epsilon", 2)
+    assert main(["-q", "run", cfg]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 2: key 'epsilon': epsilon**2 and 1/epsilon**2 must be finite and nonzero"]
+    assert not out.exists()
+
+
+def test_small_and_large_epsilon_with_finite_inverse_square_parse(tmp_path):
+    for eps in ("1e-150", "1e150"):
+        cfg = write(tmp_path, f"tag = ac_sine\nepsilon = {eps}\n")
+        assert parse_config(cfg).epsilon == float(eps)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**63])
 def test_seed_outside_checkpoint_range_names_key_and_line(tmp_path, capsys, seed):
     # the checkpoint stores the seed as an int64; a run must not train and
@@ -132,6 +153,24 @@ def test_augmented_meta_lists_beta_not_resolved_rho(tmp_path):
     meta = _read_meta(out / "meta.txt")
     assert meta["beta"] == "0.5"
     assert "resolved_rho" not in meta
+
+
+def test_diagnostics_csv_has_one_row_per_update(tmp_path):
+    out = tmp_path / "out"
+    three = TINY_RUN.replace("n_uzawa = 1", "n_uzawa = 3")
+    cfg = write(tmp_path, f"tag = sine1d\nrho = 0.01\n{three}output_dir = {out}\n")
+    assert main(["-q", "run", cfg]) == 0
+    header, diag = read_csv(out / "Diagnostics.csv")
+    assert header == ["update", "wall_s", "residual_l2", "multiplier_l2", "grad_l2",
+                      "loss_total"]
+    _, loss = read_csv(out / "Loss.csv")
+    assert diag.shape == (3, 6)
+    assert list(diag[:, 0]) == [0, 1, 2]
+    assert np.all(diag[:, 1:] > 0)
+    # the plain variant's total is the sum of the Loss.csv row
+    assert np.allclose(diag[:, 5], loss[:, 1:].sum(axis=1), rtol=1e-12, atol=0)
+    # from z = 0 the first update moves the multiplier to rho K
+    assert diag[0, 3] == pytest.approx(0.01 * diag[0, 2], rel=1e-12)
 
 
 def test_augmented_requires_beta(tmp_path):
@@ -579,7 +618,7 @@ def test_shipped_config_runs(tmp_path, path):
 
     run_files = {"Loss.csv", "State.csv", "Control.csv", "meta.txt"}
     if not oracle:
-        expected = {out: run_files | {"params.bin"}
+        expected = {out: run_files | {"params.bin", "Diagnostics.csv"}
                     | ({"Error.csv"} if cfg.tag in EXACT_KINDS else set())}
     else:
         methods = (["uzawa", "projected", "gauss_seidel", "direct"]

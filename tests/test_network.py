@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from deepuzawa import network
 from deepuzawa.errors import ShapeError
 from deepuzawa.geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
 from deepuzawa.lagrangian import ProblemSpec, TargetSpec, loss_parts, target_values
@@ -355,3 +356,28 @@ def test_steady_state_step_allocates_less_than_one_stream_block():
         tracemalloc.stop()
     assert step_peak < block
     assert jets_peak < block
+
+
+@pytest.mark.parametrize("dim, n, hidden", [(1, 201, (64, 64, 64)), (2, 30, (64, 64, 64)),
+                                            (2, 12, (7, 5, 3))],
+                         ids=["1d-201-3x64", "2d-30-3x64", "2d-12-7-5-3"])
+def test_workspace_arrays_and_stream_blocks_start_on_cache_lines(dim, n, hidden):
+    # a 64-byte vector store into an array that starts mid-line spans two
+    # cache lines; every array the sweeps write but x[0] must start on one
+    params, g, prob, z = _poisson_case(dim, n, hidden)
+    dims, rows = params.spec.layer_dims, g.n_points
+    assert not network._Tape(dims, rows).a_out.any()
+    loss_and_gradient(params, g, prob, z)
+    tape = network._tape_for(dims, rows)
+    adjoints = [a for pair in tape.adjoint.values() for a in pair]
+    scratch = [a for five in tape.scratch.values() for a in five]
+    for a in (*tape.x[1:], *tape.y, tape.a_out, *adjoints, *scratch):
+        assert a.ctypes.data % 64 == 0
+    # stream blocks lie rows * width * 8 bytes apart: aligned when 8 | width
+    blocks, lap = network._stream_blocks(rows, dim)
+    for a in (*tape.x[1:], *tape.y, *adjoints):
+        if a.shape[1] % 8 == 0:
+            for blk in (slice(0, rows), *blocks, lap):
+                assert a[blk].ctypes.data % 64 == 0
+    # the sweeps never write the control column of the derivative rows
+    assert not tape.a_out[rows:, 1].any()
