@@ -8,7 +8,8 @@ Subcommands:
                       finite differences (acceptance criteria 1-2)
   sweep <config> --alphas A1 A2 ...   one run per regularisation weight
 
-Exit codes: 0 success, 1 validation error, 2 numerical divergence.
+Exit codes: 0 success, 1 validation error, 2 numerical divergence (for the
+Uzawa oracles also a step rho at or above the contraction bound rho_max).
 """
 import argparse
 import os
@@ -21,7 +22,7 @@ from .config import ExperimentConfig, emit_csv, parse_config, write_csv
 from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa
 from .errors import ConfigError, PgmError
 from .fd_oracle import (Grid1D, constant_target, fd_direct_kkt_solve, fd_projected_uzawa_run,
-                        fd_uzawa_run, gauss_seidel_adjoint_run, sine_target)
+                        fd_uzawa_run, gauss_seidel_adjoint_run, sine_target, uzawa_step_bounds)
 from .geometry import build_grid, cutoff_jet, l2_norm
 from .network import CHECK_BOUND, evaluate, grad_check, save_checkpoint
 
@@ -125,12 +126,23 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
         else:
             uzawa = fd_uzawa_run if method == "uzawa" else fd_projected_uzawa_run
             run = uzawa(grid, cfg.alpha, rho, target, cfg.oracle_iters, dps=cfg.precision_dps)
-            extra = {"method": method, "resolved_rho": rho}
+            rho_max, kappa_max = uzawa_step_bounds(grid, cfg.alpha, rho)
+            extra = {"method": method, "resolved_rho": rho, "rho_max": rho_max,
+                     "kappa_max": kappa_max}
         emit_csv(run, out_dir, _meta_from(cfg, keys, out_dir, extra))
+        write_csv(os.path.join(out_dir, "Diagnostics.csv"), ("iteration", "multiplier_error"),
+                  enumerate(run.z_errors))
         if not quiet:
             print(f"{method}: final state error {run.state_errors[-1]:.3e}"
                   f" control error {run.control_errors[-1]:.3e}")
-        code = max(code, _diverged(run, f"{method} oracle", "iteration"))
+        status = _diverged(run, f"{method} oracle", "iteration")
+        if not status and "rho_max" in extra and rho >= rho_max:
+            # an inadmissible step need not pass the divergence limit: the
+            # projected run can settle into a cycle
+            print(f"{method} oracle step rho = {rho:g} is not below rho_max = {rho_max:.10g}",
+                  file=sys.stderr)
+            status = 2
+        code = max(code, status)
     return code
 
 

@@ -126,8 +126,9 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
-def check_variant(cfg: ExperimentConfig, where=lambda key: None):
-    """The variant is plain or augmented, and augmented comes with its beta.
+def check_run_keys(cfg: ExperimentConfig, where=lambda key: None):
+    """The variant is plain or augmented, augmented comes with its beta, and
+    an Allen-Cahn tag comes with an epsilon in range.
 
     Parsing checks this with the rest of the file; ``run_deep_uzawa`` checks
     it again for configs built in code.  ``where`` maps a key to its line.
@@ -137,6 +138,20 @@ def check_variant(cfg: ExperimentConfig, where=lambda key: None):
                           key="variant", line=where("variant"))
     if cfg.variant == "augmented" and cfg.beta is None:
         raise ConfigError("augmented variant requires beta", key="beta")
+    if cfg.tag in _AC_TAGS and cfg.epsilon is None:
+        raise ConfigError(f"tag {cfg.tag!r} requires epsilon", key="epsilon")
+    if cfg.epsilon is None:
+        return
+    if not 0 < cfg.epsilon < math.inf:
+        raise ConfigError("epsilon must be positive and finite",
+                          key="epsilon", line=where("epsilon"))
+    try:  # the Allen-Cahn operator and targets scale by 1/epsilon**2 in float64
+        inv2_ok = math.isfinite(1.0 / cfg.epsilon**2)
+    except ArithmeticError:  # epsilon**2 underflowed to 0 or overflowed
+        inv2_ok = False
+    if not inv2_ok:
+        raise ConfigError("epsilon**2 and 1/epsilon**2 must be finite and nonzero",
+                          key="epsilon", line=where("epsilon"))
 
 
 def _validate(cfg: ExperimentConfig, entries):
@@ -146,22 +161,13 @@ def _validate(cfg: ExperimentConfig, entries):
     if cfg.tag not in TAGS:
         raise ConfigError(f"unknown tag {cfg.tag!r}, expected one of {TAGS}",
                           key="tag", line=where("tag"))
-    if cfg.tag in _AC_TAGS and cfg.epsilon is None:
-        raise ConfigError(f"tag {cfg.tag!r} requires epsilon", key="epsilon")
-    check_variant(cfg, where)
+    check_run_keys(cfg, where)
     if cfg.tag == "ac_image" and cfg.image is None:
         raise ConfigError("tag ac_image requires an image path", key="image")
-    for key in ("alpha", "epsilon", "beta", "rho", "learning_rate"):
+    for key in ("alpha", "beta", "rho", "learning_rate"):
         value = getattr(cfg, key)
         if value is not None and not 0 < value < math.inf:
             raise ConfigError(f"{key} must be positive and finite", key=key, line=where(key))
-    try:  # the Allen-Cahn operator and targets scale by 1/epsilon**2 in float64
-        inv2_ok = cfg.epsilon is None or math.isfinite(1.0 / cfg.epsilon**2)
-    except ArithmeticError:  # epsilon**2 underflowed to 0 or overflowed
-        inv2_ok = False
-    if not inv2_ok:
-        raise ConfigError("epsilon**2 and 1/epsilon**2 must be finite and nonzero",
-                          key="epsilon", line=where("epsilon"))
     for key in ("n_uzawa", "n_sgd", "hidden_width"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be at least 1", key=key, line=where(key))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_forms import EXACT_KINDS, ExactSolution
-from .config import (ExperimentConfig, RunResult, check_variant, load_pgm_target,
+from .config import (ExperimentConfig, RunResult, check_run_keys, load_pgm_target,
                      sample_image_on_grid)
 from .errors import ConfigError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet, l2_norm
@@ -98,10 +98,11 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     it stops there with ``diverged_at`` set to that step and the histories
     of the steps before it.
     Errors are recorded when the tag has a closed form.  An unknown variant,
-    or the augmented one without ``beta``, raises ``ConfigError`` naming the
-    key, also for a config built in code rather than parsed from a file.
+    the augmented one without ``beta``, or an Allen-Cahn tag without an
+    ``epsilon`` in range raises ``ConfigError`` naming the key, also for a
+    config built in code rather than parsed from a file.
     """
-    check_variant(config)
+    check_run_keys(config)
     problem, domain = problem_for(config)
     cset = build_grid(domain, config.n_points)
     target = target_values(problem, cset)

@@ -26,9 +26,18 @@ precision.
 
 Fields are numpy arrays of the context's scalars: float64, or ``dtype=object``
 arrays of Decimals.  Elementwise steps are array expressions in the operation
-order of a scalar loop, and sums run left to right from zero, so float64
-results do not depend on numpy's pairwise summation.  Only the banded LDL^T
-factorisation and solve, which are recurrences, loop over scalars.  The
+order of a scalar loop, and sums run left to right from zero, so the sums do
+not depend on numpy's pairwise summation and Decimal results are those of the
+scalar loops.
+
+Every matrix solved here is a polynomial in the 3-point Laplacian T, which
+the DST-I diagonalises.  In float64 the solves of the unmodified matrices
+(alpha T^2 + I of the direct solve, (alpha/2) T^2 + I of the Uzawa inner
+solve, -T of the Gauss-Seidel sweep) are spectral: two DST-I through
+``numpy.fft`` and a division by the eigenvalues, backward stable and
+accurate to rounding.  Decimal runs, and the projected run's systems with
+clamped entries (no longer polynomials in T), use the banded LDL^T
+factorisation and solve, the only recurrences that loop over scalars; the
 factor of the inner-solve matrix is computed once per run.  Results and
 histories are returned as float64 arrays.
 """
@@ -197,6 +206,57 @@ def _ldlt_solve(fact, rhs):
 
 
 # ---------------------------------------------------------------------------
+# spectral solves (float64): the DST-I diagonalises the 3-point Laplacian
+
+
+def _dst1(v):
+    """DST-I, S_j = sum_k v_k sin(j k pi / (m + 1)) for j, k = 1..m, as the
+    real FFT of the odd extension (Buzbee, Golub & Nielson 1970)."""
+    m = len(v)
+    ext = np.zeros(2 * (m + 1))
+    ext[1:m + 1] = v
+    ext[m + 2:] = -v[::-1]
+    return np.fft.rfft(ext)[1:m + 1].imag / -2
+
+
+def _laplacian_eigenvalues(m):
+    """Eigenvalues lam_j = -(4/h^2) sin^2(j pi h / 2), h = 1/(m + 1), of the
+    Dirichlet 3-point Laplacian T on m interior points; the eigenvector of
+    lam_j is sin(j pi x) on the grid."""
+    h = 1.0 / (m + 1)
+    return -(4 / h**2) * np.sin(np.arange(1, m + 1) * (np.pi * h / 2)) ** 2
+
+
+def _spectral_solve(mu):
+    """The solve r -> M^-1 r of the matrix M whose eigenvalue on the j-th
+    DST-I mode is mu_j; the DST-I is its own inverse up to 2/(m + 1)."""
+    scale = 2.0 / (len(mu) + 1)
+    return lambda r: scale * _dst1(_dst1(r) / mu)
+
+
+def _solver(ctx, c, q, m):
+    """The solve of c T^2 + I: spectral in float64, the banded LDL^T (with
+    its factor computed here, once) in Decimal."""
+    if ctx.dtype is float:
+        return _spectral_solve(c * _laplacian_eigenvalues(m) ** 2 + 1)
+    fact = _ldlt_factor(*_biharmonic_bands(c, q, m, ctx.num(1)))
+    return lambda r: _ldlt_solve(fact, r)
+
+
+def uzawa_step_bounds(grid: Grid1D, alpha: float, rho: float) -> tuple[float, float]:
+    """(rho_max, kappa_max) of the plain Uzawa iteration, in float64.
+
+    On the j-th DST-I mode the multiplier error is multiplied by
+    1 - rho mu_j, mu_j = lam_j^2 / (1 + alpha lam_j^2 / 2) + 2/alpha, so the
+    iteration contracts for every target iff rho < rho_max = 2 / max mu_j,
+    at the rate kappa_max = max_j |1 - rho mu_j|.
+    """
+    lam2 = _laplacian_eigenvalues(grid.n_interior) ** 2
+    mu = lam2 / (1 + alpha * lam2 / 2) + 2 / alpha
+    return float(2 / mu.max()), float(np.abs(1 - rho * mu).max())
+
+
+# ---------------------------------------------------------------------------
 # targets and norms on the oracle grid
 
 
@@ -251,7 +311,7 @@ def _direct_kkt(grid: Grid1D, alpha, D, ctx):
     h = ctx.num(1) / (grid.n - 1)
     q = 1 / (h * h)
     zero = ctx.num(0)
-    u = _ldlt_solve(_ldlt_factor(*_biharmonic_bands(alpha, q, m, ctx.num(1))), D)
+    u = _solver(ctx, alpha, q, m)(D)
     f = -_laplacian_apply(u, q)
     z = -(alpha / 2) * f
     # normwise relative backward error ||Au - D|| / (||A|| ||u|| + ||D||),
@@ -305,22 +365,22 @@ def _loss_row(u, f, z, D, lap_u, alpha, h, ctx):
             float(h * a4 * _sum(f * f, zero)), float(h * a4 * _sum(lap_u * lap_u, zero)))
 
 
-def _solve_nonneg(bands, fact, rhs, ctx, tol, max_passes=80):
+def _solve_nonneg(bands, solve, rhs, ctx, tol, max_passes=80):
     """Minimise (1/2) u^T M u - rhs^T u subject to u >= 0.
 
     Primal active-set method: clamped entries are pinned by replacing their
-    row/column with the identity, which keeps the system pentadiagonal.
-    While no entry is clamped the system is M itself, whose factor ``fact``
-    the caller supplies.  At the solution the KKT conditions hold to
-    ``tol``: free entries are nonnegative, clamped entries have nonnegative
-    reduced gradient.
+    row/column with the identity, which keeps the system pentadiagonal for
+    the banded LDL^T.  While no entry is clamped the system is M itself,
+    whose ``solve`` the caller supplies.  At the solution the KKT conditions
+    hold to ``tol``: free entries are nonnegative, clamped entries have
+    nonnegative reduced gradient.
     """
     d, e, g = bands
     zero = ctx.num(0)
     active = np.zeros(len(d), dtype=bool)
     for _ in range(max_passes):
         if not active.any():
-            u = _ldlt_solve(fact, rhs)
+            u = solve(rhs)
             flip = u < -tol
         else:
             dd, ee, gg, rr = d.copy(), e.copy(), g.copy(), rhs.copy()
@@ -405,7 +465,7 @@ def _uzawa_steps(grid, a, rho, D, ctx, sign, project):
     q = 1 / (h * h)
     zero = ctx.num(0)
     bands = _biharmonic_bands(a / 2, q, m, ctx.num(1))
-    fact = _ldlt_factor(*bands)
+    solve = _solver(ctx, a / 2, q, m)
     tol = ctx.num(_INNER_TOL)
     # signed coefficients; multiplying by +-1 is exact in every context
     f_scale = -sign * (2 / a)
@@ -414,7 +474,7 @@ def _uzawa_steps(grid, a, rho, D, ctx, sign, project):
     z = np.full(m, zero, dtype=ctx.dtype)
     while True:
         rhs = D - _laplacian_apply(z, lap_scale)
-        u = _solve_nonneg(bands, fact, rhs, ctx, tol) if project else _ldlt_solve(fact, rhs)
+        u = _solve_nonneg(bands, solve, rhs, ctx, tol) if project else solve(rhs)
         f = f_scale * z
         if project:
             f = np.maximum(f, zero)
@@ -475,11 +535,10 @@ def _gauss_seidel_steps(grid, alpha, D):
     """Gauss-Seidel iterates in float64, from u = f = z = 0."""
     m = grid.n_interior
     q = 1.0 / grid.h**2
-    # factor -T once (positive definite tridiagonal)
-    fact = _ldlt_factor(np.full(m, 2.0 * q), np.full(m - 1, -q), np.zeros(m - 2))
+    solve = _spectral_solve(-_laplacian_eigenvalues(m))  # of -T
     u = f = z = np.zeros(m)
     while True:
         yield u, f, z, _laplacian_apply(u, q), z
-        u = _ldlt_solve(fact, f)
-        z = _ldlt_solve(fact, D - u)
+        u = solve(f)
+        z = solve(D - u)
         f = z / alpha

@@ -14,6 +14,7 @@ from deepuzawa.config import (RunResult, emit_csv, load_pgm_target, parse_config
                               sample_image_on_grid)
 from deepuzawa.driver import rho_alpha_sweep
 from deepuzawa.errors import ConfigError, PgmError
+from deepuzawa.fd_oracle import Grid1D, gauss_seidel_adjoint_run, sine_target, uzawa_step_bounds
 from deepuzawa.geometry import Domain, build_grid
 from deepuzawa.network import load_checkpoint
 
@@ -447,6 +448,57 @@ output_dir = {tmp_path / 'div'}
     assert capsys.readouterr().err == "uzawa oracle diverged at iteration 2\n"
 
 
+def _oracle_config(tmp_path, name, tag, rho, method, iters):
+    return write(tmp_path, f"""
+tag = {tag}
+alpha = 1e-2
+rho = {rho!r}
+n_points = 41
+oracle_method = {method}
+oracle_iters = {iters}
+output_dir = {tmp_path / name}
+""", f"{name}.cfg")
+
+
+@pytest.mark.parametrize("method", ["uzawa", "projected"])
+def test_cli_oracle_step_bound_on_a_rough_target(tmp_path, capsys, method):
+    # the constant target excites every odd mode, the top one included, so
+    # the multiplier error contracts below rho_max and grows above it
+    rho_max, _ = uzawa_step_bounds(Grid1D(41), 1e-2, 1.0)
+    below = _oracle_config(tmp_path, "below", "boundary_layer", 0.95 * rho_max, method, 100)
+    assert main(["-q", "oracle", below]) == 0
+    assert capsys.readouterr().err == ""
+    header, diag = read_csv(tmp_path / "below" / "Diagnostics.csv")
+    assert header == ["iteration", "multiplier_error"]
+    assert np.array_equal(diag[:, 0], np.arange(101))
+    assert np.all(np.diff(diag[:, 1]) < 0)
+    meta = _read_meta(tmp_path / "below" / "meta.txt")
+    assert float(meta["rho_max"]) == rho_max
+    assert float(meta["kappa_max"]) == pytest.approx(0.9, abs=1e-6)
+
+    above = _oracle_config(tmp_path, "above", "boundary_layer", 1.05 * rho_max, method, 100)
+    assert main(["-q", "oracle", above]) == 2
+    assert capsys.readouterr().err == (
+        f"{method} oracle step rho = {1.05 * rho_max:g} is not below "
+        f"rho_max = {rho_max:.10g}\n")
+    _, diag = read_csv(tmp_path / "above" / "Diagnostics.csv")
+    assert diag[-1, 1] > diag[0, 1]
+
+
+def test_cli_oracle_flags_the_projected_period_2_cycle(tmp_path, capsys):
+    # rho = 1 is 200 alpha / 4: the projected run alternates between two
+    # iterates without passing the divergence limit, and is still flagged
+    cfg = _oracle_config(tmp_path, "cycle", "fd_oracle", 1.0, "projected", 100)
+    assert main(["-q", "oracle", cfg]) == 2
+    assert capsys.readouterr().err == \
+        "projected oracle step rho = 1 is not below rho_max = 0.005000012245\n"
+    meta = _read_meta(tmp_path / "cycle" / "meta.txt")
+    assert "diverged_at" not in meta
+    assert float(meta["kappa_max"]) == pytest.approx(399.0, abs=1e-2)
+    _, errors = read_csv(tmp_path / "cycle" / "Error.csv")
+    assert errors[-1, 1] == pytest.approx(errors[-3, 1], rel=1e-12)
+
+
 def test_cli_oracle_all_methods(tmp_path):
     cfg = write(tmp_path, f"""
 tag = fd_oracle
@@ -464,6 +516,11 @@ output_dir = {tmp_path / 'oracle'}
         ["Control.csv", "State.csv", "meta.txt"]
     _, rows = read_csv(tmp_path / "oracle" / "uzawa" / "Error.csv")
     assert rows.shape[0] == 11  # iters + 1
+    # Diagnostics.csv holds the run's multiplier-error history, round-tripped
+    grid = Grid1D(51)
+    run = gauss_seidel_adjoint_run(grid, 1e-2, sine_target(grid, 1e-2), 10)
+    _, diag = read_csv(tmp_path / "oracle" / "gauss_seidel" / "Diagnostics.csv")
+    assert np.array_equal(diag[:, 1], run.z_errors)
 
 
 def test_cli_oracle_rejects_2d_tags(tmp_path):
@@ -589,7 +646,7 @@ output_dir = {tmp_path / 'oracle'}
     assert main(["-q", "oracle", oracle]) == 0
     # each method lists the keys its solver takes: a step size for the Uzawa
     # runs only, a precision for all but the float64 Gauss-Seidel sweep
-    uzawa = {"rho", "precision_dps", "resolved_rho"}
+    uzawa = {"rho", "precision_dps", "resolved_rho", "rho_max", "kappa_max"}
     extra = {"uzawa": uzawa, "projected": uzawa, "gauss_seidel": set(),
              "direct": {"precision_dps", "backward_error"}}
     for method in ("uzawa", "projected", "gauss_seidel", "direct"):
@@ -625,7 +682,7 @@ def test_shipped_config_runs(tmp_path, path):
                    if cfg.oracle_method == "all" else [cfg.oracle_method])
         expected = {out / m if len(methods) > 1 else out:
                     {"State.csv", "Control.csv", "meta.txt"} if m == "direct"
-                    else run_files | {"Error.csv"} for m in methods}
+                    else run_files | {"Error.csv", "Diagnostics.csv"} for m in methods}
     for run_dir, files in expected.items():
         assert set(os.listdir(run_dir)) == files
 

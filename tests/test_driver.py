@@ -133,6 +133,17 @@ def test_config_built_in_code_is_checked_for_variant_and_beta():
     assert rec.n_updates == 1
 
 
+@pytest.mark.parametrize("eps, message", [(1e-200, "1/epsilon"), (1e200, "1/epsilon"),
+                                           (-1.0, "positive"), (None, "requires epsilon")])
+def test_config_built_in_code_is_checked_for_epsilon(eps, message):
+    # the parser's epsilon checks, on a config that never went through it
+    cfg = ExperimentConfig("ac_sine", epsilon=eps, n_uzawa=1, n_sgd=1, n_points=11,
+                           hidden_width=4, hidden_depth=1)
+    with pytest.raises(ConfigError, match=message) as exc:
+        run_deep_uzawa(cfg)
+    assert exc.value.key == "epsilon"
+
+
 def test_step_target_run_has_no_error_history():
     cfg = tiny_config(tag="ac_step", epsilon=0.5, n_uzawa=2, n_sgd=2, n_points=31)
     rec = run_deep_uzawa(cfg)

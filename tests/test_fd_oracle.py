@@ -101,6 +101,25 @@ def test_ldlt_solve_matches_dense_solve():
     assert np.linalg.norm(u - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
+def test_dst1_matches_dense_sine_matrix():
+    m = 9
+    v = np.random.default_rng(5).standard_normal(m)
+    k = np.arange(1, m + 1)
+    dense = np.sin(np.outer(k, k) * np.pi / (m + 1))
+    assert np.abs(fd_oracle._dst1(v) - dense @ v).max() <= 1e-14
+
+
+def test_spectral_solve_matches_dense_solve():
+    # the same matrix and bound as the banded solve's check above
+    alpha = 1e-4
+    g = Grid1D(41)
+    m = g.n_interior
+    rhs = np.cos(3 * np.pi * g.interior_x()) + g.interior_x()
+    u = fd_oracle._solver(fd_oracle._FloatCtx(), alpha / 2, 1.0 / g.h**2, m)(rhs)
+    exact = np.linalg.solve(_inner_matrix(g, alpha), rhs)
+    assert np.linalg.norm(u - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
 @pytest.mark.parametrize("dps", [None, 30])
 def test_solve_nonneg_meets_kkt_conditions(monkeypatch, dps):
     # a rhs negative on two stretches of the grid clamps several entries
@@ -113,12 +132,13 @@ def test_solve_nonneg_meets_kkt_conditions(monkeypatch, dps):
     ctx = fd_oracle._context(dps)
     with ctx.guard():
         h = ctx.num(1) / (g.n - 1)
-        bands = fd_oracle._biharmonic_bands(ctx.num(ALPHA) / 2, 1 / (h * h), m, ctx.num(1))
-        fact = factor(*bands)
+        c, q = ctx.num(ALPHA) / 2, 1 / (h * h)
+        bands = fd_oracle._biharmonic_bands(c, q, m, ctx.num(1))
+        solve = fd_oracle._solver(ctx, c, q, m)
         # every factorisation from here on is one of a nonempty active set
         monkeypatch.setattr(fd_oracle, "_ldlt_factor",
                             lambda *b: factorisations.append(1) or factor(*b))
-        u = fd_oracle._solve_nonneg(bands, fact, fd_oracle._array(ctx, rhs), ctx,
+        u = fd_oracle._solve_nonneg(bands, solve, fd_oracle._array(ctx, rhs), ctx,
                                     ctx.num(tol))
     assert factorisations
     u = u.astype(float)
@@ -141,6 +161,19 @@ def test_direct_kkt_manufactured_solution():
     assert rel_f <= 1e-3
     assert sol.residual <= 1e-10  # normwise backward error of the banded solve
     assert np.allclose(sol.z, -(ALPHA / 2) * sol.f)
+
+
+def test_direct_kkt_solves_the_sine_target_to_rounding():
+    # the sine target is the first DST-I mode, so the discrete solution is
+    # (1 + alpha pi^4) / (alpha lam_1^2 + 1) sin(pi x); the banded solve
+    # missed it by 1.3e-5 on this grid
+    g = Grid1D(4001)
+    lam1 = -4 / g.h**2 * np.sin(np.pi * g.h / 2) ** 2
+    x = g.interior_x()
+    exact = (1 + ALPHA * np.pi**4) / (ALPHA * lam1**2 + 1) * np.sin(np.pi * x)
+    sol = fd_direct_kkt_solve(g, ALPHA, sine_target(g, ALPHA))
+    assert np.abs(sol.u - exact).max() <= 1e-13
+    assert sol.residual <= 1e-15
 
 
 def test_direct_kkt_zero_target():
@@ -172,6 +205,34 @@ def test_uzawa_monotone_z_error_early_float64():
     g = Grid1D(201)
     run = fd_uzawa_run(g, ALPHA, ALPHA / 4, sine_target(g, ALPHA), 20)
     assert np.all(np.diff(run.z_errors) < 0)  # well above the rounding floor
+
+
+# kappa_1 = 1 - rho (lam_1^2 / (1 + alpha lam_1^2 / 2) + 2 / alpha) at n = 201,
+# alpha = 1e-2, rho = alpha / 4
+KAPPA_1 = 0.33624172866
+
+
+@pytest.mark.parametrize("dps", [None, 60])
+def test_uzawa_rate_on_the_sine_target_is_kappa_1(dps):
+    # the sine target excites only the first mode, so every update multiplies
+    # the multiplier error by exactly kappa_1
+    g = Grid1D(201)
+    run = fd_uzawa_run(g, ALPHA, ALPHA / 4, sine_target(g, ALPHA, dps=dps), 10, dps=dps)
+    ratios = run.z_errors[1:] / run.z_errors[:-1]
+    assert np.abs(ratios / KAPPA_1 - 1).max() <= 1e-9
+
+
+def test_uzawa_step_bounds():
+    # the inadmissible step of the projected run's period-2 cycle
+    rho_max, kappa_max = fd_oracle.uzawa_step_bounds(Grid1D(41), ALPHA, 1.0)
+    assert rho_max == pytest.approx(0.0050000122, abs=1e-10)
+    assert kappa_max == pytest.approx(399.0, abs=1e-2)
+    # at rho = alpha / 4 the first mode is the slowest
+    assert fd_oracle.uzawa_step_bounds(Grid1D(201), ALPHA, ALPHA / 4)[1] == \
+        pytest.approx(KAPPA_1, rel=1e-10)
+    # rho_max tends to alpha / 2 as the grid refines
+    assert fd_oracle.uzawa_step_bounds(Grid1D(4001), ALPHA, 1.0)[0] == \
+        pytest.approx(ALPHA / 2, rel=1e-8)
 
 
 def test_uzawa_monotone_for_sampled_rho_in_admissible_range():
