@@ -312,7 +312,8 @@ def sample_image_on_grid(img: ImageTarget, cset: CollocationSet) -> np.ndarray:
 #               regulariser_term
 #   State.csv   one state value per line, grid order
 #   Control.csv one control value per line, grid order
-#   meta.txt    key = value dump of the run setup (plus diverged_at if set)
+#   meta.txt    key = value dump of the run setup, then the diverged_* fields
+#               that are set
 # Floats are written with round-trip precision (repr).
 
 
@@ -327,6 +328,8 @@ class RunResult:
     state_errors: np.ndarray | None = None
     control_errors: np.ndarray | None = None
     diverged_at: int | None = None
+    diverged_reason: str | None = None      # network runs: which check failed
+    diverged_inner_step: int | None = None  # network runs: the Adam step, if one failed
 
 
 def write_csv(path, header, rows):
@@ -369,8 +372,9 @@ def emit_csv(record: RunResult, out_dir, meta: dict | None = None) -> list[str]:
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in (meta or {}).items():
             fh.write(f"{key} = {value}\n")
-        if record.diverged_at is not None:
-            fh.write(f"diverged_at = {record.diverged_at}\n")
+        for key in ("diverged_at", "diverged_reason", "diverged_inner_step"):
+            if getattr(record, key) is not None:
+                fh.write(f"{key} = {getattr(record, key)}\n")
     written.append(path)
     return written
 

@@ -96,7 +96,9 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     The run diverges at the first outer step where an Adam step's loss or
     new parameters, or the step's own loss on the full grid, is non-finite:
     it stops there with ``diverged_at`` set to that step and the histories
-    of the steps before it.
+    of the steps before it.  ``diverged_reason`` says which check failed,
+    ``inner_loss``, ``adam_step`` or ``update_loss``, and for the first two
+    ``diverged_inner_step`` gives the Adam step within the update.
     Errors are recorded when the tag has a closed form.  An unknown variant,
     the augmented one without ``beta``, or an Allen-Cahn tag without an
     ``epsilon`` in range raises ``ConfigError`` naming the key, also for a
@@ -124,12 +126,12 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     batch_rng = np.random.default_rng(config.seed)
 
     state_errors, control_errors, losses, walls, diagnostics = [], [], [], [], []
-    diverged_at = None
+    diverged_at = diverged_reason = diverged_inner_step = None
     # overflow goes unreported: the finiteness checks below decide divergence
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.n_uzawa):
             t0 = time.perf_counter()
-            for _ in range(config.n_sgd):
+            for i in range(config.n_sgd):
                 if config.batch_size is None or config.batch_size >= cset.n_points:
                     sub, sub_target, sub_cutoff, sub_z = cset, target, cutoff, z
                 else:
@@ -146,7 +148,8 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                 adam, flat = adam_step(adam, params.flat, grad)
                 # a non-finite gradient entry leaves a non-finite entry in flat
                 if not np.isfinite(loss) or not np.all(np.isfinite(flat)):
-                    diverged_at = k
+                    diverged_at, diverged_inner_step = k, i
+                    diverged_reason = "adam_step" if np.isfinite(loss) else "inner_loss"
                     break
                 params = params.with_flat(flat)
             else:
@@ -154,7 +157,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                 parts = loss_parts(problem, cset, jets, z, beta, target)
                 # every weight is positive: a non-finite jet makes the total non-finite
                 if not np.isfinite(parts["total"]):
-                    diverged_at = k
+                    diverged_at, diverged_reason = k, "update_loss"
             if diverged_at is not None:
                 break
 
@@ -187,6 +190,8 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
         u=final_u,
         f=final_f,
         diverged_at=diverged_at,
+        diverged_reason=diverged_reason,
+        diverged_inner_step=diverged_inner_step,
         exact=exact,
     )
 

@@ -14,11 +14,15 @@ sweep over the recorded computation, which requires tanh's third
 derivative (the Laplacian already consumes two); all three are formed from
 the tanh values the forward sweep left on the tape.
 
-Both sweeps write into one workspace, :class:`_Tape`, kept from call to
-call and rebuilt when the network shape or point count changes, so a
-training step allocates only per-point vectors.  Returned jets and
-gradients never alias it.  It is module state: two threads must not run
-the sweeps at the same time.
+Both sweeps write into workspaces, :class:`_Tape`, kept from call to call
+and rebuilt when the network shape or point count changes, so a training
+step allocates only per-point vectors.  When one stacked array is large,
+the points are swept in two contiguous halves, each with its own workspace:
+the caller's thread sweeps the first half and one helper thread the second.
+The gradient is the first half's plus the second's, so its bits depend on
+the problem size only.  Returned jets and gradients never alias a
+workspace.  The sweeps use one helper thread inside; two callers still must
+not run them at once.
 """
 from __future__ import annotations
 
@@ -168,8 +172,44 @@ def _aligned(rows: int, cols: int) -> np.ndarray:
     return buf[start:start + rows * cols].reshape(rows, cols)
 
 
-# one workspace, for the last (layer_dims, n_points) seen; a new key replaces it
-_tape_for = functools.lru_cache(maxsize=1)(_Tape)
+# one workspace per (layer_dims, n_points, half): the halves of a mini-batch
+# and of the full grid all stay, so none evicts another
+_tape_for = functools.lru_cache(maxsize=4)(lambda dims, n, half: _Tape(dims, n))
+
+# the points are swept in two halves when one stacked array, n (2 + d) x the
+# widest hidden width, has at least this many entries; README's notes give
+# the crossover measured on 2 vCPUs
+_SPLIT_SIZE = 80_000
+
+
+def _halves(n: int, dims: tuple[int, ...]) -> list[slice]:
+    """Point ranges the sweeps run over: all points, or two contiguous halves."""
+    if n * (2 + dims[0]) * max(dims[1:-1], default=0) < _SPLIT_SIZE:
+        return [slice(0, n)]
+    return [slice(0, n - n // 2), slice(n - n // 2, n)]
+
+
+@functools.lru_cache(maxsize=1)
+def _helper(pid: int):
+    """The helper thread of process ``pid``: a forked child copies no thread."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1)
+
+
+def _in_halves(fn, calls: list[tuple]) -> list:
+    """[fn(*args) for args in calls], one call per half: a second half runs
+    on the helper thread, under this thread's numpy error state (no other
+    thread sees it), or inline when the process may use one CPU; the bits
+    are the same either way."""
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
+    if len(calls) == 1 or len(cpus(0)) == 1:
+        return [fn(*args) for args in calls]
+    future = _helper(os.getpid()).submit(np.errstate(**np.geterr())(fn), *calls[1])
+    try:
+        first = fn(*calls[0])
+    finally:  # the helper is done with its workspace before this returns or raises
+        second = future.result()
+    return [first, second]
 
 
 def _stream_blocks(n: int, d: int) -> tuple[list[slice], slice]:
@@ -177,17 +217,11 @@ def _stream_blocks(n: int, d: int) -> tuple[list[slice], slice]:
     return [slice(n * (1 + i), n * (2 + i)) for i in range(d)], slice(n * (1 + d), None)
 
 
-def _forward(params: NetworkParameters, points: np.ndarray,
-             cutoff: CutoffJet) -> tuple[JetBatch, _Tape]:
-    """Jets at the points and the workspace that recorded them."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+def _sweep_forward(layers, tape: _Tape, points: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Forward sweep of one half: the raw outputs' value, control, gradient
+    and Laplacian rows, as views of the tape."""
     n, d = points.shape
-    if d != params.spec.input_dim:
-        raise ShapeError(f"points have dimension {d}, network expects {params.spec.input_dim}")
-    layers = params.layers
     blocks, lap = _stream_blocks(n, d)
-
-    tape = _tape_for(params.spec.layer_dims, n)
     x = tape.x[0]
     x[:n] = points
     for k, (w, b) in enumerate(layers):
@@ -204,16 +238,25 @@ def _forward(params: NetworkParameters, points: np.ndarray,
         for blk in blocks:
             np.multiply(s1, y[blk], out=x[blk])
             _add_product(x_lap, tmp, s2, y[blk], y[blk])
+    return y[:n, 0], y[:n, 1], np.stack([y[blk, 0] for blk in blocks], axis=1), y[lap, 0]
 
-    n_u = y[:n, 0]
-    f = y[:n, 1].copy()
-    grad_n = np.stack([y[blk, 0] for blk in blocks], axis=1)
-    lap_n = y[lap, 0]
+
+def _forward(params: NetworkParameters, points: np.ndarray,
+             cutoff: CutoffJet) -> tuple[JetBatch, list[tuple[_Tape, slice]]]:
+    """Jets at the points, and each half's workspace with its point range."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = points.shape
+    if d != params.spec.input_dim:
+        raise ShapeError(f"points have dimension {d}, network expects {params.spec.input_dim}")
+    dims = params.spec.layer_dims
+    sweeps = [(_tape_for(dims, h.stop - h.start, i), h) for i, h in enumerate(_halves(n, dims))]
+    outs = _in_halves(_sweep_forward, [(params.layers, tape, points[h]) for tape, h in sweeps])
+    n_u, f, grad_n, lap_n = (np.concatenate(rows) for rows in zip(*outs))
 
     b_val, b_grad, b_lap = cutoff.b, cutoff.grad, cutoff.lap
     u = b_val * n_u
     lap_u = b_lap * n_u + 2.0 * np.sum(b_grad * grad_n, axis=1) + b_val * lap_n
-    return JetBatch(u, f, lap_u), tape
+    return JetBatch(u, f, lap_u), sweeps
 
 
 def batch_jets(params: NetworkParameters, points: np.ndarray, cutoff: CutoffJet) -> JetBatch:
@@ -264,12 +307,21 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
     """
     if cutoff is None:
         cutoff = cutoff_jet(cset.domain, cset.points)
-    jets, tape = _forward(params, cset.points, cutoff)
+    jets, sweeps = _forward(params, cset.points, cutoff)
     loss, g_u, g_f, g_lap = pointwise_gradients(problem, cset, jets, z, beta, target)
+    grads = _in_halves(_sweep_reverse, [
+        (params, tape, CutoffJet(cutoff.b[h], cutoff.grad[h], cutoff.lap[h]),
+         g_u[h], g_f[h], g_lap[h]) for tape, h in sweeps])
+    return loss, sum(grads[1:], grads[0])  # the first half's plus the second's
 
+
+def _sweep_reverse(params: NetworkParameters, tape: _Tape, cutoff: CutoffJet,
+                   g_u: np.ndarray, g_f: np.ndarray, g_lap: np.ndarray) -> np.ndarray:
+    """Reverse sweep of one half: the loss gradient of its points, given the
+    loss partials by u, f and lap u there."""
     # stacked adjoint of the raw network outputs, in the forward block layout,
     # through u = b n,  lap u = (lap b) n + 2 grad b . grad n + b lap n
-    n = cset.n_points
+    n = len(g_u)
     blocks, lap = _stream_blocks(n, params.spec.input_dim)
     b_val, b_grad, b_lap = cutoff.b, cutoff.grad, cutoff.lap
     a = tape.a_out
@@ -315,8 +367,7 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
             _add_product(a[blk], tmp, 2.0, s2, yp, a_lap)
         _add_product(a_val, tmp, s1, a_post[:n])
         np.multiply(s1, a_lap, out=a[lap])
-
-    return loss, grad_flat
+    return grad_flat
 
 
 def loss_value(params: NetworkParameters, cset: CollocationSet, problem: ProblemSpec,

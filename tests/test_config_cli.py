@@ -367,11 +367,13 @@ output_dir = {tmp_path / 'div'}
     assert capsys.readouterr().err == "run diverged at update 0\n"
 
 
-@pytest.mark.parametrize("alpha", [
-    pytest.param("1e-2", id="forward_overflow"),
-    pytest.param("1", id="adam_overflow"),
+@pytest.mark.parametrize("alpha, reason", [
+    pytest.param("1e-2", ["diverged_reason = inner_loss", "diverged_inner_step = 1"],
+                 id="forward_overflow"),
+    pytest.param("1", ["diverged_reason = adam_step", "diverged_inner_step = 0"],
+                 id="adam_overflow"),
 ])
-def test_cli_divergence_emits_no_warning(tmp_path, alpha):
+def test_cli_divergence_emits_no_warning(tmp_path, alpha, reason):
     # the final fields of a diverged run overflow too; that must not warn
     cfg = write(tmp_path, f"""
 tag = sine1d
@@ -387,7 +389,8 @@ output_dir = {tmp_path / 'div'}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["-q", "run", cfg]) == 2
-    assert "diverged_at" in (tmp_path / "div" / "meta.txt").read_text()
+    meta = (tmp_path / "div" / "meta.txt").read_text().splitlines()
+    assert meta[-3:] == ["diverged_at = 0", *reason]
 
 
 # jets stay finite after one Adam step of size 1e300, but their squares overflow
@@ -411,7 +414,8 @@ def test_cli_divergence_in_the_update_loss(tmp_path, capsys):
     assert capsys.readouterr().err == "run diverged at update 0\n"
     assert (tmp_path / "div" / "Loss.csv").read_text().count("\n") == 1
     assert not (tmp_path / "div" / "Error.csv").exists()
-    assert (tmp_path / "div" / "meta.txt").read_text().splitlines()[-1] == "diverged_at = 0"
+    assert (tmp_path / "div" / "meta.txt").read_text().splitlines()[-2:] == [
+        "diverged_at = 0", "diverged_reason = update_loss"]
 
 
 def test_cli_diverged_refined_run_ends_meta_with_diverged_at(tmp_path, capsys):
@@ -422,10 +426,34 @@ def test_cli_diverged_refined_run_ends_meta_with_diverged_at(tmp_path, capsys):
     assert capsys.readouterr().err == "run diverged at update 0\n"
     keys = [line.split(" = ")[0] for line in
             (tmp_path / "div" / "meta.txt").read_text().splitlines()]
-    assert keys[-3:] == ["refined_state_l2_error", "refined_control_l2_error", "diverged_at"]
-    assert (tmp_path / "div" / "meta.txt").read_text().endswith("diverged_at = 0\n")
+    assert keys[-4:] == ["refined_state_l2_error", "refined_control_l2_error", "diverged_at",
+                         "diverged_reason"]
+    assert (tmp_path / "div" / "meta.txt").read_text().endswith(
+        "diverged_at = 0\ndiverged_reason = update_loss\n")
     _, fine = read_csv(tmp_path / "div" / "State_refined.csv")
     assert fine.shape[0] == 41
+
+
+def test_cli_split_sweep_divergence_under_w_error(tmp_path):
+    # at 30x30 the jet sweeps run in two halves, the second on a helper
+    # thread; numpy's error state is per thread, so the helper must take the
+    # run loop's, or its overflow warning becomes an error under -W error
+    cfg = write(tmp_path, f"""
+tag = sine2d
+alpha = 1e-4
+n_points = 30
+learning_rate = 1e300
+n_uzawa = 2
+n_sgd = 2
+output_dir = {tmp_path / 'div'}
+""")
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c",
+                           "import sys; from deepuzawa.cli import main; sys.exit(main(sys.argv[1:]))",
+                           "-q", "run", cfg], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (2, "run diverged at update 0\n", "")
 
 
 @pytest.mark.parametrize("precision", ["", "precision_dps = 30"])

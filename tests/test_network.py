@@ -1,10 +1,15 @@
+import multiprocessing
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from deepuzawa import network
+from deepuzawa.config import ExperimentConfig
+from deepuzawa.driver import run_deep_uzawa
 from deepuzawa.errors import ShapeError
 from deepuzawa.geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
 from deepuzawa.lagrangian import ProblemSpec, TargetSpec, loss_parts, target_values
@@ -358,26 +363,145 @@ def test_steady_state_step_allocates_less_than_one_stream_block():
     assert jets_peak < block
 
 
-@pytest.mark.parametrize("dim, n, hidden", [(1, 201, (64, 64, 64)), (2, 30, (64, 64, 64)),
-                                            (2, 12, (7, 5, 3))],
+@pytest.mark.parametrize("dim, n, hidden, halves",
+                         [(1, 201, (64, 64, 64), 1), (2, 30, (64, 64, 64), 2),
+                          (2, 12, (7, 5, 3), 1)],
                          ids=["1d-201-3x64", "2d-30-3x64", "2d-12-7-5-3"])
-def test_workspace_arrays_and_stream_blocks_start_on_cache_lines(dim, n, hidden):
+def test_workspace_arrays_and_stream_blocks_start_on_cache_lines(dim, n, hidden, halves):
     # a 64-byte vector store into an array that starts mid-line spans two
-    # cache lines; every array the sweeps write but x[0] must start on one
+    # cache lines; every array the sweeps write but x[0] must start on one,
+    # in the workspace of each half of the points
     params, g, prob, z = _poisson_case(dim, n, hidden)
-    dims, rows = params.spec.layer_dims, g.n_points
-    assert not network._Tape(dims, rows).a_out.any()
+    dims = params.spec.layer_dims
+    assert not network._Tape(dims, g.n_points).a_out.any()
     loss_and_gradient(params, g, prob, z)
-    tape = network._tape_for(dims, rows)
-    adjoints = [a for pair in tape.adjoint.values() for a in pair]
-    scratch = [a for five in tape.scratch.values() for a in five]
-    for a in (*tape.x[1:], *tape.y, tape.a_out, *adjoints, *scratch):
-        assert a.ctypes.data % 64 == 0
-    # stream blocks lie rows * width * 8 bytes apart: aligned when 8 | width
-    blocks, lap = network._stream_blocks(rows, dim)
-    for a in (*tape.x[1:], *tape.y, *adjoints):
-        if a.shape[1] % 8 == 0:
-            for blk in (slice(0, rows), *blocks, lap):
-                assert a[blk].ctypes.data % 64 == 0
-    # the sweeps never write the control column of the derivative rows
-    assert not tape.a_out[rows:, 1].any()
+    _, sweeps = network._forward(params, g.points, cutoff_jet(g.domain, g.points))
+    assert len(sweeps) == halves
+    for tape, half in sweeps:
+        rows = half.stop - half.start
+        adjoints = [a for pair in tape.adjoint.values() for a in pair]
+        scratch = [a for five in tape.scratch.values() for a in five]
+        for a in (*tape.x[1:], *tape.y, tape.a_out, *adjoints, *scratch):
+            assert a.ctypes.data % 64 == 0
+        # stream blocks lie rows * width * 8 bytes apart: aligned when 8 | width
+        blocks, lap = network._stream_blocks(rows, dim)
+        for a in (*tape.x[1:], *tape.y, *adjoints):
+            if a.shape[1] % 8 == 0:
+                for blk in (slice(0, rows), *blocks, lap):
+                    assert a[blk].ctypes.data % 64 == 0
+        # the sweeps never write the control column of the derivative rows
+        assert not tape.a_out[rows:, 1].any()
+
+
+# ---------------------------------------------------------------------------
+# the two-way point split: the second half of the points on a helper thread
+
+@pytest.fixture
+def split_all(monkeypatch):
+    """Every call with at least two points sweeps them in two halves."""
+    monkeypatch.setattr(network, "_SPLIT_SIZE", 1)
+
+
+def _allen_cahn_case(dim, n, hidden, seed=0):
+    params, g, _, z = _poisson_case(dim, n, hidden, seed)
+    target = TargetSpec("ac_sine") if dim == 1 else TargetSpec("constant", constant=0.5)
+    return params, g, ProblemSpec("allen_cahn", 1e-3, target, epsilon=0.8), z
+
+
+@pytest.mark.parametrize("dim, n", [(1, 17), (2, 5)], ids=["1d-17", "2d-5x5"])
+@pytest.mark.parametrize("kind, beta", [("poisson", 0.0), ("poisson", 0.5),
+                                        ("allen_cahn", 0.0), ("allen_cahn", 0.5)])
+def test_split_gradient_matches_finite_differences(split_all, dim, n, kind, beta):
+    # odd point counts: the halves are unequal
+    case = _poisson_case if kind == "poisson" else _allen_cahn_case
+    params, g, prob, z = case(dim, n, (8, 8), seed=2)
+    assert g.n_points % 2 == 1
+    _, grad = loss_and_gradient(params, g, prob, z, beta)
+    fd = finite_difference_gradient(params, g, prob, z, 1e-6, beta)
+    scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
+    assert np.max(np.abs(grad - fd) / scale) <= network.CHECK_BOUND
+
+
+@pytest.mark.parametrize("dim, n, hidden", [(1, 801, (64, 64, 64)), (2, 30, (64, 64, 64)),
+                                            (2, 18, (64, 64, 64)), (2, 55, (7, 5, 3))],
+                         ids=["1d-801-3x64", "2d-30-3x64", "2d-18-3x64", "2d-55-7-5-3"])
+def test_split_sweeps_match_the_serial_sweep(monkeypatch, dim, n, hidden):
+    # sizes the shipped rule splits: the jets of a point never depend on the
+    # other points, so jets and loss keep their bits; the gradient sums two
+    # halves, a new reduction order
+    params, g, prob, z = _poisson_case(dim, n, hidden, seed=3)
+    assert len(network._halves(g.n_points, params.spec.layer_dims)) == 2
+    cut = cutoff_jet(g.domain, g.points)
+    results = []
+    for size in (np.inf, network._SPLIT_SIZE):
+        monkeypatch.setattr(network, "_SPLIT_SIZE", size)
+        jets = batch_jets(params, g.points, cut)
+        results.append((jets, *loss_and_gradient(params, g, prob, z, 0.5)))
+    (serial, loss, grad), (split, split_loss, split_grad) = results
+    for name in ("u", "f", "lap_u"):
+        assert np.array_equal(getattr(split, name), getattr(serial, name))
+    assert split_loss == loss
+    assert np.linalg.norm(split_grad - grad) <= 1e-13 * np.linalg.norm(grad)
+
+
+def test_split_on_one_cpu_gives_the_helper_threads_bits(split_all, monkeypatch):
+    params, g, prob, z = _allen_cahn_case(2, 31, (64, 64, 64), seed=5)
+    cut = cutoff_jet(g.domain, g.points)
+    sweep, threads = network._sweep_forward, set()
+
+    def recording_sweep(*args):
+        threads.add(threading.current_thread())
+        return sweep(*args)
+
+    monkeypatch.setattr(network, "_sweep_forward", recording_sweep)
+    cpus = os.sched_getaffinity(0)
+    runs = []
+    for allowed in (cpus, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, allowed=allowed: allowed)
+        jets = batch_jets(params, g.points, cut)
+        runs.append((jets.u, jets.f, jets.lap_u, *loss_and_gradient(params, g, prob, z, 0.5)))
+    for helper, inline in zip(*runs):
+        assert np.array_equal(helper, inline)
+    # with two CPUs the second half ran on the helper thread, with one on this
+    assert len(threads) == min(2, len(cpus))
+
+
+def test_split_mini_batch_run_rebuilds_no_more_workspaces(split_all, monkeypatch):
+    # one workspace per (shape, half): the mini-batch's two and the full
+    # grid's two stay cached, where the one-workspace cache rebuilt two per update
+    built = []
+
+    class CountedTape(network._Tape):
+        def __init__(self, dims, n):
+            built.append(n)
+            super().__init__(dims, n)
+
+    monkeypatch.setattr(network, "_Tape", CountedTape)
+    network._tape_for.cache_clear()
+    try:
+        cfg = ExperimentConfig("sine2d", n_uzawa=3, n_sgd=2, n_points=9, batch_size=40,
+                               hidden_width=8, hidden_depth=2)
+        record = run_deep_uzawa(cfg)
+    finally:
+        network._tape_for.cache_clear()
+    assert record.diverged_at is None
+    assert sorted(built) == [20, 20, 40, 41]
+    assert len(built) <= 2 * cfg.n_uzawa
+
+
+def _split_step_in_child():
+    params, g, prob, z = _poisson_case(2, 9, (8, 8))
+    loss_and_gradient(params, g, prob, z)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_split_sweep_in_a_forked_child(split_all):
+    # fork copies no thread: a child must start its own helper, not queue
+    # work for the parent's, which would never run it
+    _split_step_in_child()
+    child = multiprocessing.get_context("fork").Process(target=_split_step_in_child)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+    assert child.exitcode == 0
