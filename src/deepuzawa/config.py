@@ -29,11 +29,12 @@ Recognised keys (defaults in parentheses):
   eval_refine    extra evaluation grid refinement factor, >= 1 (1)
   oracle_method  uzawa | projected | gauss_seidel | direct | all  (uzawa)
   oracle_iters   multiplier updates for oracle runs, >= 0 (200)
-  precision_dps  decimal digits for oracle arithmetic, >= 1; float64 when
-                 absent
+  precision_dps  decimal digits for oracle arithmetic, 1 to
+                 decimal.MAX_PREC - 10; float64 when absent
 """
 from __future__ import annotations
 
+import decimal
 import math
 import os
 from dataclasses import dataclass
@@ -187,8 +188,9 @@ def _validate(cfg: ExperimentConfig, entries):
     if cfg.oracle_iters < 0:
         raise ConfigError("oracle_iters must be nonnegative",
                           key="oracle_iters", line=where("oracle_iters"))
-    if cfg.precision_dps is not None and cfg.precision_dps < 1:
-        raise ConfigError("precision_dps must be at least 1",
+    # the oracle sums pi and sines with ten guard digits
+    if cfg.precision_dps is not None and not 1 <= cfg.precision_dps <= decimal.MAX_PREC - 10:
+        raise ConfigError(f"precision_dps must be between 1 and {decimal.MAX_PREC - 10}",
                           key="precision_dps", line=where("precision_dps"))
     if cfg.batch_size is not None and cfg.batch_size < 1:
         raise ConfigError("batch_size must be positive",
@@ -206,10 +208,6 @@ class ImageTarget:
     width: int
     height: int
     values: np.ndarray  # (height, width), row 0 at the top of the image
-
-    def __post_init__(self):
-        if self.width < 2 or self.height < 2:
-            raise PgmError("image must be at least 2x2")
 
 
 def load_pgm_target(path) -> ImageTarget:
@@ -253,6 +251,8 @@ def load_pgm_target(path) -> ImageTarget:
         width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
     except (StopIteration, ValueError):
         raise PgmError("truncated or malformed header") from None
+    if width < 2 or height < 2:
+        raise PgmError("image must be at least 2x2")
     if maxval <= 0:
         raise PgmError(f"maxval must be positive, got {maxval}")
     n_pixels = width * height

@@ -22,7 +22,7 @@ path is the default; the multiprecision path (``decimal.Decimal`` with
 factor of the Uzawa iteration is bounded away from one, so after a few
 dozen iterations the error reaches the float64 rounding floor and the
 theoretical strict monotone decrease can no longer be observed in double
-precision.
+precision.  Its pi and sines are summed in ``decimal``, with no other library.
 
 Fields are numpy arrays of the context's scalars: float64, or ``dtype=object``
 arrays of Decimals.  Elementwise steps are array expressions in the operation
@@ -44,6 +44,7 @@ histories are returned as float64 arrays.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -91,9 +92,6 @@ class _FloatCtx:
     def num(self, x):
         return float(x)
 
-    def sqrt(self, x):
-        return math.sqrt(x)
-
     def sin(self, x):
         return math.sin(x)
 
@@ -104,15 +102,13 @@ class _FloatCtx:
 
 class _DecimalCtx:
     """Decimal arithmetic (the C-accelerated ``decimal`` module) with ``dps``
-    significant digits and unbounded exponents; sine and pi are evaluated
-    by mpmath with ten guard digits and rounded to ``dps`` digits."""
+    significant digits and unbounded exponents; sine (Taylor series, |x| <= pi)
+    and pi (the ``decimal`` docs' recipe) are summed with ten guard digits
+    and rounded to ``dps``."""
 
     dtype = object
 
     def __init__(self, dps: int):
-        import mpmath
-
-        self._mp = mpmath
         self._dec = decimal.Context(prec=dps, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
     def guard(self):
@@ -121,17 +117,30 @@ class _DecimalCtx:
     def num(self, x):
         return self._dec.create_decimal(x)
 
-    def sqrt(self, x):
-        return x.sqrt()
-
     def sin(self, x):
-        with self._mp.workdps(self._dec.prec + 10):
-            return self.num(str(self._mp.sin(str(x))))
+        with decimal.localcontext(self._dec) as c:
+            c.prec += 10
+            i, last, s, fact, num = 1, 0, x, 1, x
+            while s != last:
+                last = s
+                i += 2
+                fact *= i * (i - 1)
+                num *= -x * x
+                s += num / fact
+        return self.num(s)
 
-    @property
+    @functools.cached_property
     def pi(self):
-        with self._mp.workdps(self._dec.prec + 10):
-            return self.num(str(+self._mp.pi))
+        with decimal.localcontext(self._dec) as c:
+            c.prec += 10
+            last, t, s, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
+            while s != last:
+                last = s
+                n, na = n + na, na + 8
+                d, da = d + da, da + 32
+                t = (t * n) / d
+                s += t
+        return self.num(s)
 
 
 def _context(dps):
@@ -278,7 +287,7 @@ def constant_target(grid: Grid1D, value: float, dps=None) -> np.ndarray:
 
 
 def _norm(v, h, ctx):
-    return ctx.sqrt(h * _sum(v * v, ctx.num(0)))
+    return np.sqrt(h * _sum(v * v, ctx.num(0)))
 
 
 def grid_norm(grid: Grid1D, v) -> float:
@@ -319,8 +328,8 @@ def _direct_kkt(grid: Grid1D, alpha, D, ctx):
     # plain ||Au - D|| / ||D|| is conditioning-limited at ~eps * cond(A)
     r = alpha * _laplacian_apply(_laplacian_apply(u, q), q) + u - D
     a_norm = alpha * 16 * q * q + 1  # max absolute row sum of alpha B + I
-    denom = a_norm * ctx.sqrt(_sum(u * u, zero)) + ctx.sqrt(_sum(D * D, zero))
-    residual = ctx.sqrt(_sum(r * r, zero)) / denom if denom > 0 else zero
+    denom = a_norm * np.sqrt(_sum(u * u, zero)) + np.sqrt(_sum(D * D, zero))
+    residual = np.sqrt(_sum(r * r, zero)) / denom if denom > 0 else zero
     return u, f, z, residual
 
 

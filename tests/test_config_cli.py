@@ -25,6 +25,13 @@ def write(tmp_path, text, name="exp.cfg"):
     return str(path)
 
 
+def _with_src(env):
+    """``env`` with this checkout's ``src`` first on PYTHONPATH, for subprocesses."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_minimal_config_gets_defaults(tmp_path):
     cfg = parse_config(write(tmp_path, "tag = sine1d\nalpha = 1e-4\n"))
     assert cfg.tag == "sine1d"
@@ -86,6 +93,8 @@ def test_grad_check_tag_is_unknown(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("oracle_iters", "-1"), ("precision_dps", "0"), ("precision_dps", "-5"),
+    # above decimal.MAX_PREC, and within ten guard digits of it
+    ("precision_dps", "99999999999999999999"), ("precision_dps", "1000000000000000000"),
     ("hidden_depth", "-1"), ("learning_rate", "-1"), ("learning_rate", "0"),
     ("n_uzawa", "0"), ("n_sgd", "0"), ("hidden_width", "0"), ("rho", "0"), ("rho", "-1"),
     ("alpha", "inf"), ("epsilon", "inf"), ("rho", "inf"), ("beta", "inf"),
@@ -264,6 +273,21 @@ def test_pgm_numbers_are_plain_digits(tmp_path, capsys, token, where):
                           f"output_dir = {tmp_path / 'out'}\n")
     assert main(["-q", "run", cfg]) == 1
     assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("data", [b"P2 0 0 255\n", b"P5 0 3 255\n", b"P2 1 2 255\n0 0\n"],
+                         ids=["P2-0x0", "P5-0x3", "P2-1x2"])
+def test_pgm_smaller_than_2x2_is_refused_from_its_header(tmp_path, capsys, data):
+    # a zero-size image reached numpy's max() before the size check
+    path = tmp_path / "img.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PgmError, match="at least 2x2"):
+        load_pgm_target(str(path))
+    cfg = write(tmp_path, f"tag = ac_image\nepsilon = 0.5\nimage = {path}\n{TINY_RUN}"
+                          f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["-q", "run", cfg]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: image must be at least 2x2"]
     assert not (tmp_path / "out").exists()
 
 
@@ -447,9 +471,7 @@ n_uzawa = 2
 n_sgd = 2
 output_dir = {tmp_path / 'div'}
 """)
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _with_src(dict(os.environ))
     proc = subprocess.run([sys.executable, "-W", "error", "-c",
                            "import sys; from deepuzawa.cli import main; sys.exit(main(sys.argv[1:]))",
                            "-q", "run", cfg], env=env, capture_output=True, text=True, timeout=120)
@@ -775,8 +797,36 @@ def test_blas_threads_are_pinned_before_numpy_loads(preset, expected):
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _with_src(env)
     out = subprocess.run([sys.executable, "-c", _PIN_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == expected + "\n"
+
+
+# the package imports no mpmath, and an oracle at a decimal precision runs
+# with mpmath blocked (None in sys.modules makes any import of it fail)
+_NO_MPMATH = """
+import sys
+import deepuzawa.cli
+assert "mpmath" not in sys.modules, "importing deepuzawa.cli loaded mpmath"
+sys.modules["mpmath"] = None
+sys.exit(deepuzawa.cli.main(["-q", "oracle", sys.argv[1]]))
+"""
+
+
+def test_oracle_runs_without_mpmath(tmp_path):
+    cfg = write(tmp_path, f"""
+tag = fd_oracle
+alpha = 1e-2
+n_points = 41
+oracle_iters = 5
+oracle_method = all
+precision_dps = 30
+output_dir = {tmp_path / 'oracle'}
+""")
+    env = _with_src(dict(os.environ))
+    proc = subprocess.run([sys.executable, "-c", _NO_MPMATH, cfg], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(os.listdir(tmp_path / "oracle")) == \
+        ["direct", "gauss_seidel", "projected", "uzawa"]

@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 
@@ -277,17 +279,25 @@ def test_uzawa_high_precision_matches_float64_early():
     assert np.allclose(run64.u, run_mp.u, rtol=1e-10)
 
 
-def test_sine_target_high_precision_digits():
-    # the multiprecision target carries its dps digits, far past float64
+@pytest.mark.parametrize("dps", [30, 60, 130, 200])
+def test_sine_target_high_precision_digits(dps):
+    # the Decimal pi and sines carry their dps digits, far past float64;
+    # mpmath, a test-only dependency, is the independent reference
     import mpmath
 
     g = Grid1D(51)
-    target = sine_target(g, ALPHA, dps=60)
-    with mpmath.workdps(80):
+    target = sine_target(g, ALPHA, dps=dps)
+    ctx = fd_oracle._context(dps)
+    with mpmath.workdps(dps + 20):
+        # pi and sine are the reference rounded to dps digits
+        rounded = decimal.Context(prec=dps).create_decimal
+        assert str(ctx.pi) == str(rounded(str(+mpmath.pi)))
+        for x in ("0.001", "0.5", "1", "2.5", "3.14"):
+            assert str(ctx.sin(ctx.num(x))) == str(rounded(str(mpmath.sin(x))))
         scale = 1 + mpmath.mpf(ALPHA) * mpmath.pi**4
         for i, v in enumerate(target):
             exact = scale * mpmath.sin(mpmath.pi * (i + 1) / 50)
-            assert abs(mpmath.mpf(str(v)) - exact) <= mpmath.mpf(10) ** -57 * abs(exact)
+            assert abs(mpmath.mpf(str(v)) - exact) <= mpmath.mpf(10) ** (3 - dps) * abs(exact)
 
 
 def test_projected_matches_plain_when_saddle_nonnegative():
