@@ -75,13 +75,12 @@ def _write_run(record) -> list[str]:
     files = emit_csv(record, out_dir, _meta_from(cfg, _NETWORK_META, out_dir, extra))
     path = os.path.join(out_dir, "Diagnostics.csv")
     write_csv(path, ("update", "wall_s", *DIAGNOSTIC_COLUMNS),
-              [(k, wall, *row) for k, (wall, row)
-               in enumerate(zip(record.wall_times, record.diagnostics))])
+              range(len(record.wall_times)), record.wall_times, *record.diagnostics.T)
     files.append(path)
     save_checkpoint(record.params, os.path.join(out_dir, "params.bin"))
     if cfg.eval_refine > 1:
-        write_csv(os.path.join(out_dir, "State_refined.csv"), ("state",), [(v,) for v in u])
-        write_csv(os.path.join(out_dir, "Control_refined.csv"), ("control",), [(v,) for v in f])
+        write_csv(os.path.join(out_dir, "State_refined.csv"), ("state",), u)
+        write_csv(os.path.join(out_dir, "Control_refined.csv"), ("control",), f)
     return files
 
 
@@ -131,7 +130,7 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
                      "kappa_max": kappa_max}
         emit_csv(run, out_dir, _meta_from(cfg, keys, out_dir, extra))
         write_csv(os.path.join(out_dir, "Diagnostics.csv"), ("iteration", "multiplier_error"),
-                  enumerate(run.z_errors))
+                  range(len(run.z_errors)), run.z_errors)
         if not quiet:
             print(f"{method}: final state error {run.state_errors[-1]:.3e}"
                   f" control error {run.control_errors[-1]:.3e}")

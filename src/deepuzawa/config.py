@@ -332,13 +332,15 @@ class RunResult:
     diverged_inner_step: int | None = None  # network runs: the Adam step, if one failed
 
 
-def write_csv(path, header, rows):
-    """One CSV file: the header, then one line per row; floats as repr."""
+def write_csv(path, header, *columns):
+    """One CSV file: the header, then one line per row of ``columns``, one
+    ``range`` or array each; a range's integers as str, other values as the
+    repr of their float."""
+    text = [map(str, c) if isinstance(c, range) else map(repr, np.asarray(c, dtype=float).tolist())
+            for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*text))]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if not isinstance(v, int) else str(v)
-                             for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def emit_csv(record: RunResult, out_dir, meta: dict | None = None) -> list[str]:
@@ -350,22 +352,20 @@ def emit_csv(record: RunResult, out_dir, meta: dict | None = None) -> list[str]:
 
     if record.state_errors is not None and len(record.state_errors):
         path = os.path.join(out_dir, "Error.csv")
-        rows = [(k, se, ce) for k, (se, ce)
-                in enumerate(zip(record.state_errors, record.control_errors))]
-        write_csv(path, ("update", "state_l2_error", "control_l2_error"), rows)
+        write_csv(path, ("update", "state_l2_error", "control_l2_error"),
+                  range(len(record.state_errors)), record.state_errors, record.control_errors)
         written.append(path)
 
     if record.loss_history is not None:
         loss = np.asarray(record.loss_history, dtype=float)
         path = os.path.join(out_dir, "Loss.csv")
-        rows = [(k, *loss[k]) for k in range(loss.shape[0])]
         write_csv(path, ("update", "misfit", "multiplier_term", "control_norm_term",
-                         "regulariser_term"), rows)
+                         "regulariser_term"), range(len(loss)), *loss.T)
         written.append(path)
 
     for name, values in (("State.csv", record.u), ("Control.csv", record.f)):
         path = os.path.join(out_dir, name)
-        write_csv(path, (name[:-4].lower(),), [(v,) for v in np.asarray(values)])
+        write_csv(path, (name[:-4].lower(),), values)
         written.append(path)
 
     path = os.path.join(out_dir, "meta.txt")
@@ -384,4 +384,5 @@ def read_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         rows = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
-    return header, np.array(rows)
+    # a header-only file (a run that diverged at update 0) reads as (0, columns)
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))

@@ -26,20 +26,21 @@ precision.  Its pi and sines are summed in ``decimal``, with no other library.
 
 Fields are numpy arrays of the context's scalars: float64, or ``dtype=object``
 arrays of Decimals.  Elementwise steps are array expressions in the operation
-order of a scalar loop, and sums run left to right from zero, so the sums do
-not depend on numpy's pairwise summation and Decimal results are those of the
-scalar loops.
+order of a scalar loop.  Sums are ``np.add.reduce``: numpy's object loop adds
+Decimals left to right from zero, so Decimal results are those of the scalar
+loops, and float64 sums are numpy's pairwise sums, the more accurate order.
 
 Every matrix solved here is a polynomial in the 3-point Laplacian T, which
 the DST-I diagonalises.  In float64 the solves of the unmodified matrices
 (alpha T^2 + I of the direct solve, (alpha/2) T^2 + I of the Uzawa inner
 solve, -T of the Gauss-Seidel sweep) are spectral: two DST-I through
 ``numpy.fft`` and a division by the eigenvalues, backward stable and
-accurate to rounding.  Decimal runs, and the projected run's systems with
-clamped entries (no longer polynomials in T), use the banded LDL^T
-factorisation and solve, the only recurrences that loop over scalars; the
-factor of the inner-solve matrix is computed once per run.  Results and
-histories are returned as float64 arrays.
+accurate to rounding; the Gauss-Seidel sweep stays in DST-I coordinates and
+transforms back only its state and adjoint, two DST-I per sweep.  Decimal
+runs, and the projected run's systems with clamped entries (no longer
+polynomials in T), use the banded LDL^T factorisation and solve, the only
+recurrences that loop over scalars; the factor of the inner-solve matrix is
+computed once per run.  Results and histories are returned as float64 arrays.
 """
 from __future__ import annotations
 
@@ -153,9 +154,9 @@ def _array(ctx, values) -> np.ndarray:
 
 
 def _sum(v, zero):
-    """Left-to-right sum from ``zero``, the order of a scalar loop (the
-    pairwise ``np.sum`` would round differently)."""
-    return zero + np.add.accumulate(v)[-1]
+    """Sum of ``v`` from ``zero``: left to right for Decimals, the order of a
+    scalar loop; pairwise for float64."""
+    return np.add.reduce(v, initial=zero)
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +542,24 @@ def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun
 
 
 def _gauss_seidel_steps(grid, alpha, D):
-    """Gauss-Seidel iterates in float64, from u = f = z = 0."""
+    """Gauss-Seidel iterates in float64, from u = f = z = 0.
+
+    The sweep runs on DST-I coefficients, where -T is the diagonal nu of its
+    eigenvalues: u^ = f^ / nu, z^ = (D^ - u^) / nu, f^ = z^ / alpha.  Only u
+    and z are transformed back (the DST-I is its own inverse up to
+    2/(m + 1)), so a sweep takes two DST-I where two spectral solves take four.
+    """
     m = grid.n_interior
     q = 1.0 / grid.h**2
-    solve = _spectral_solve(-_laplacian_eigenvalues(m))  # of -T
-    u = f = z = np.zeros(m)
+    nu = -_laplacian_eigenvalues(m)
+    scale = 2.0 / (m + 1)
+    d_hat = _dst1(D)
+    u = f = z = f_hat = np.zeros(m)
     while True:
         yield u, f, z, _laplacian_apply(u, q), z
-        u = solve(f)
-        z = solve(D - u)
+        u_hat = f_hat / nu
+        z_hat = (d_hat - u_hat) / nu
+        f_hat = z_hat / alpha
+        u = scale * _dst1(u_hat)
+        z = scale * _dst1(z_hat)
         f = z / alpha

@@ -11,7 +11,7 @@ from deepuzawa import cli
 from deepuzawa.cli import main
 from deepuzawa.closed_forms import EXACT_KINDS
 from deepuzawa.config import (RunResult, emit_csv, load_pgm_target, parse_config, read_csv,
-                              sample_image_on_grid)
+                              sample_image_on_grid, write_csv)
 from deepuzawa.driver import rho_alpha_sweep
 from deepuzawa.errors import ConfigError, PgmError
 from deepuzawa.fd_oracle import Grid1D, gauss_seidel_adjoint_run, sine_target, uzawa_step_bounds
@@ -327,6 +327,44 @@ def test_emit_csv_divergence_in_meta(tmp_path):
     assert "diverged_at = 2" in meta
     _, rows = read_csv(tmp_path / "run" / "Error.csv")
     assert rows.shape[0] == 2  # truncated rows preserved
+
+
+def test_read_csv_of_a_header_only_file(tmp_path):
+    # a network run that diverges at update 0 writes Loss.csv and
+    # Diagnostics.csv with a header and no rows
+    rec = RunResult(u=np.zeros(3), f=np.zeros(3), loss_history=np.empty((0, 4)), diverged_at=0)
+    emit_csv(rec, str(tmp_path / "run"))
+    (tmp_path / "run" / "Diagnostics.csv").write_text("update,wall_s,residual_l2\n")
+    _, rows = read_csv(tmp_path / "run" / "Loss.csv")
+    assert rows.shape == (0, 5) and rows[:, 1].size == 0
+    _, rows = read_csv(tmp_path / "run" / "Diagnostics.csv")
+    assert rows.shape == (0, 3) and rows[:, 1].size == 0
+
+
+def _rows_written_one_by_one(header, rows):
+    """The CSV bytes of a per-row writer: ints as str, every other value as
+    the repr of its float."""
+    lines = [",".join(header)] + [
+        ",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+SPECIAL_FLOATS = [-0.0, np.inf, np.nan, 1e-05, 1e16, 5e-324, 0.1]
+
+
+@pytest.mark.parametrize("columns", [
+    pytest.param([range(7)], id="int_range"),
+    pytest.param([np.array(SPECIAL_FLOATS)], id="float64_array"),
+    pytest.param([[np.float64(v) for v in SPECIAL_FLOATS]], id="np_float64_scalars"),
+    pytest.param([range(7), np.array(SPECIAL_FLOATS), np.array(SPECIAL_FLOATS[::-1])],
+                 id="range_and_float_columns"),
+    pytest.param([range(0), np.empty(0)], id="header_only"),
+])
+def test_write_csv_bytes_match_row_by_row_formatting(tmp_path, columns):
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    write_csv(tmp_path / "out.csv", header, *columns)
+    assert (tmp_path / "out.csv").read_bytes() == \
+        _rows_written_one_by_one(header, list(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import decimal
+import math
 
 import numpy as np
 import pytest
@@ -66,21 +67,30 @@ def test_biharmonic_of_sine():
 
 
 def test_array_steps_match_scalar_loops():
-    # the array forms keep the scalar loops' operation order, so float64
-    # results are bitwise those of the loops
+    # the Laplacian keeps the scalar loop's operation order, so its float64
+    # result is bitwise that of the loop
     v = np.random.default_rng(3).standard_normal(3999)
     q = 1.0 / Grid1D(4001).h**2
-    acc = 0.0
-    for x in v:
-        acc += x
-    assert fd_oracle._sum(v, 0.0) == acc
-    assert fd_oracle._sum(v, 0.0) != np.sum(v)  # pairwise summation rounds differently
     lap = [q * (-2 * x) for x in v]
     for i in range(len(v) - 1):
         lap[i] += q * v[i + 1]
         lap[i + 1] += q * v[i]
     assert np.array_equal(fd_oracle._laplacian_apply(v, q).view(np.int64),
                           np.array(lap).view(np.int64))
+    # Decimal sums run left to right from zero, as the scalar loop does; at
+    # 130 digits the order shows, since the reversed sum rounds differently
+    ctx = fd_oracle._context(130)
+    with ctx.guard():
+        w = np.array([ctx.num(x) / 7 for x in v], dtype=object)
+        acc = rev = ctx.num(0)
+        for x in w:
+            acc += x
+        for x in w[::-1]:
+            rev += x
+        assert str(fd_oracle._sum(w, ctx.num(0))) == str(acc) != str(rev)
+    # float64 sums are pairwise, within the pairwise bound of the exact sum
+    bound = np.log2(len(v)) * np.finfo(float).eps * np.abs(v).sum()
+    assert abs(fd_oracle._sum(v, 0.0) - math.fsum(v)) <= bound
 
 
 def _inner_matrix(g, alpha=ALPHA):
@@ -359,6 +369,50 @@ def test_gauss_seidel_first_step_structure():
     lap_z = apply_laplacian(g, run.z)
     assert np.abs(-lap_z - np.asarray(target, float)).max() <= 1e-9
     assert run.state_errors[1] == pytest.approx(run.state_errors[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [201, 4001])
+def test_gauss_seidel_rate_on_the_sine_target(n):
+    # on the first DST-I mode a sweep multiplies the multiplier error by
+    # -1 / (alpha nu_1^2), nu_1 the smallest eigenvalue of -T; at alpha = 1e-2
+    # that is 1.0266 on both grids, so the sweep diverges slowly
+    g = Grid1D(n)
+    nu_1 = -fd_oracle._laplacian_eigenvalues(g.n_interior)[0]
+    rate = 1 / (ALPHA * nu_1**2)
+    run = gauss_seidel_adjoint_run(g, ALPHA, sine_target(g, ALPHA), 30)
+    ratios = run.z_errors[1:] / run.z_errors[:-1]
+    assert np.abs(ratios / rate - 1).max() <= 1e-10
+    assert rate == pytest.approx(1.0266, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [201, 4001])
+def test_gauss_seidel_matches_two_solves_per_sweep(n):
+    # the sweep in DST-I coordinates against the sweep of two spectral solves
+    g = Grid1D(n)
+    m = g.n_interior
+    x = g.interior_x()
+    target = np.exp(-40 * (x - 0.3) ** 2) + x  # excites every mode
+    solve = fd_oracle._spectral_solve(-fd_oracle._laplacian_eigenvalues(m))
+    u = f = z = np.zeros(m)
+    for _ in range(200):
+        u = solve(f)
+        z = solve(target - u)
+        f = z / ALPHA
+    run = gauss_seidel_adjoint_run(g, ALPHA, target, 200)
+    for new, old in ((run.u, u), (run.f, f), (run.z, z)):
+        assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("iters", [0, 1, 7])
+def test_gauss_seidel_transforms_twice_per_sweep(monkeypatch, iters):
+    # two DST-I per sweep, one of the target and two of the direct solve
+    calls = []
+    dst1 = fd_oracle._dst1
+    monkeypatch.setattr(fd_oracle, "_dst1", lambda v: calls.append(1) or dst1(v))
+    g = Grid1D(41)
+    run = gauss_seidel_adjoint_run(g, ALPHA, sine_target(g, ALPHA), iters)
+    assert run.diverged_at is None
+    assert len(calls) == 2 * iters + 3
 
 
 def test_gauss_seidel_divergence_flagged_not_raised():
