@@ -22,7 +22,8 @@ from .config import ExperimentConfig, emit_csv, parse_config, write_csv
 from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa
 from .errors import ConfigError, PgmError
 from .fd_oracle import (Grid1D, constant_target, fd_direct_kkt_solve, fd_projected_uzawa_run,
-                        fd_uzawa_run, gauss_seidel_adjoint_run, sine_target, uzawa_step_bounds)
+                        fd_uzawa_run, gauss_seidel_adjoint_run, gauss_seidel_rate, sine_target,
+                        uzawa_step_bounds)
 from .geometry import build_grid, cutoff_jet, l2_norm
 from .network import CHECK_BOUND, evaluate, grad_check, save_checkpoint
 
@@ -121,7 +122,7 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
             continue
         if method == "gauss_seidel":
             run = gauss_seidel_adjoint_run(grid, cfg.alpha, target, cfg.oracle_iters)
-            extra = {"method": method}
+            extra = {"method": method, "kappa_max": gauss_seidel_rate(grid, cfg.alpha)}
         else:
             uzawa = fd_uzawa_run if method == "uzawa" else fd_projected_uzawa_run
             run = uzawa(grid, cfg.alpha, rho, target, cfg.oracle_iters, dps=cfg.precision_dps)

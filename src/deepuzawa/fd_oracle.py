@@ -32,15 +32,15 @@ loops, and float64 sums are numpy's pairwise sums, the more accurate order.
 
 Every matrix solved here is a polynomial in the 3-point Laplacian T, which
 the DST-I diagonalises.  In float64 the solves of the unmodified matrices
-(alpha T^2 + I of the direct solve, (alpha/2) T^2 + I of the Uzawa inner
-solve, -T of the Gauss-Seidel sweep) are spectral: two DST-I through
-``numpy.fft`` and a division by the eigenvalues, backward stable and
-accurate to rounding; the Gauss-Seidel sweep stays in DST-I coordinates and
-transforms back only its state and adjoint, two DST-I per sweep.  Decimal
-runs, and the projected run's systems with clamped entries (no longer
-polynomials in T), use the banded LDL^T factorisation and solve, the only
-recurrences that loop over scalars; the factor of the inner-solve matrix is
-computed once per run.  Results and histories are returned as float64 arrays.
+are spectral: two DST-I through ``numpy.fft`` and a division by the
+eigenvalues, backward stable and accurate to rounding.  The float64 runs
+that clamp nothing (plain Uzawa, Gauss-Seidel) iterate on DST-I
+coefficients, where T is diagonal, and take seven DST-I whatever their
+length: D in, the final fields and reference out.  Systems with clamped
+entries (no longer polynomials in T) and all Decimal solves use the banded
+LDL^T factorisation and solve, the only recurrences that loop over scalars;
+the factor of the inner-solve matrix is computed once per run.  Results and
+histories are returned as float64 arrays.
 """
 from __future__ import annotations
 
@@ -86,19 +86,12 @@ class _FloatCtx:
     """Plain float64 arithmetic."""
 
     dtype = float
+    num = staticmethod(float)
+    sin = staticmethod(math.sin)
+    pi = math.pi
 
     def guard(self):
         return nullcontext()
-
-    def num(self, x):
-        return float(x)
-
-    def sin(self, x):
-        return math.sin(x)
-
-    @property
-    def pi(self):
-        return math.pi
 
 
 class _DecimalCtx:
@@ -237,11 +230,15 @@ def _laplacian_eigenvalues(m):
     return -(4 / h**2) * np.sin(np.arange(1, m + 1) * (np.pi * h / 2)) ** 2
 
 
+def _idst1(v):
+    """Inverse DST-I: the DST-I is its own inverse up to 2/(m + 1)."""
+    return 2.0 / (len(v) + 1) * _dst1(v)
+
+
 def _spectral_solve(mu):
     """The solve r -> M^-1 r of the matrix M whose eigenvalue on the j-th
-    DST-I mode is mu_j; the DST-I is its own inverse up to 2/(m + 1)."""
-    scale = 2.0 / (len(mu) + 1)
-    return lambda r: scale * _dst1(_dst1(r) / mu)
+    DST-I mode is mu_j."""
+    return lambda r: _idst1(_dst1(r) / mu)
 
 
 def _solver(ctx, c, q, m):
@@ -264,6 +261,12 @@ def uzawa_step_bounds(grid: Grid1D, alpha: float, rho: float) -> tuple[float, fl
     lam2 = _laplacian_eigenvalues(grid.n_interior) ** 2
     mu = lam2 / (1 + alpha * lam2 / 2) + 2 / alpha
     return float(2 / mu.max()), float(np.abs(1 - rho * mu).max())
+
+
+def gauss_seidel_rate(grid: Grid1D, alpha: float) -> float:
+    """kappa_max of the Gauss-Seidel sweep: a sweep multiplies the error on
+    the j-th DST-I mode by -1 / (alpha lam_j^2), largest on the first."""
+    return float(1 / (alpha * _laplacian_eigenvalues(grid.n_interior)[0] ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +337,14 @@ def _direct_kkt(grid: Grid1D, alpha, D, ctx):
     return u, f, z, residual
 
 
+def _spectral_kkt(grid: Grid1D, alpha, D):
+    """lam, D^ = S D and the saddle point's DST-I coefficients (u^, f^, z^):
+    u^ = D^ / (alpha lam^2 + 1), f^ = -lam u^, z^ = -(alpha/2) f^."""
+    lam, d_hat = _laplacian_eigenvalues(grid.n_interior), _dst1(D)
+    u = d_hat / (alpha * lam**2 + 1)
+    return lam, d_hat, (u, -lam * u, (alpha / 2) * lam * u)
+
+
 def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
     """Solve (alpha B + I) u = D, then recover f = -lap_h u and z = -(alpha/2) f.
 
@@ -358,13 +369,13 @@ class FDRun(RunResult):
 
     Error histories have length iters + 1 (index k = number of updates
     applied before the k-th iterate), or diverged_at + 1 when the run
-    diverged; so have ``loss_history`` and ``z_history``.
+    diverged; so have ``loss_history`` and the projected run's ``z_history``.
     """
 
     z_errors: np.ndarray
     z: np.ndarray
     reference: KKTSolution
-    z_history: np.ndarray
+    z_history: np.ndarray | None  # each iterate's smallest multiplier entry
 
 
 def _loss_row(u, f, z, D, lap_u, alpha, h, ctx):
@@ -414,81 +425,91 @@ def _solve_nonneg(bands, solve, rhs, ctx, tol, max_passes=80):
     raise IterationLimitError("nonnegative inner solve did not settle on an active set")
 
 
-def _iterate(grid, alpha, iters, ctx, D, reference, steps) -> FDRun:
+def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_minima) -> FDRun:
     """The run loop of every iterative oracle.
 
     ``steps`` yields one iterate (u, f, z, lap_u, z_loss) per ``next`` in
     the scalars of ``ctx``: z in the orientation of the multiplier of
     ``reference`` = (u*, f*, z*), z_loss in the one of the loss row's
-    multiplier term.  The loop takes iters + 1 iterates, recording for each
-    the distances to the reference, the multiplier and one loss row; it
-    stops early, with ``diverged_at`` set, at the first iterate whose state
-    or control error exceeds ``_DIVERGENCE_LIMIT`` or is NaN.
+    multiplier term; with ``spectral`` all are DST-I coefficients, summed
+    with the weight 2 h^2 in place of h (Parseval).  The loop takes iters + 1
+    iterates, recording for each the distances to the reference, one loss
+    row and, with ``z_minima``, the smallest multiplier entry; it stops
+    early, with ``diverged_at`` set, at the first iterate whose state or
+    control error exceeds ``_DIVERGENCE_LIMIT`` or is NaN.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     a = ctx.num(alpha)
     h = ctx.num(1) / (grid.n - 1)
+    w = 2 * h * h if spectral else h
     ustar, fstar, zstar = reference
-    z_err, u_err, f_err, parts, z_hist = [], [], [], [], []
+    z_err, u_err, f_err, parts, z_min = [], [], [], [], []
     diverged_at = None
     for k in range(iters + 1):
         u, f, z, lap_u, z_loss = next(steps)
-        z_err.append(float(_norm(z - zstar, h, ctx)))
-        u_err.append(float(_norm(u - ustar, h, ctx)))
-        f_err.append(float(_norm(f - fstar, h, ctx)))
-        z_hist.append(z.astype(float))
-        parts.append(_loss_row(u, f, z_loss, D, lap_u, a, h, ctx))
+        z_err.append(float(_norm(z - zstar, w, ctx)))
+        u_err.append(float(_norm(u - ustar, w, ctx)))
+        f_err.append(float(_norm(f - fstar, w, ctx)))
+        if z_minima:
+            z_min.append(float(z.min()))
+        parts.append(_loss_row(u, f, z_loss, D, lap_u, a, w, ctx))
         if not (u_err[-1] <= _DIVERGENCE_LIMIT and f_err[-1] <= _DIVERGENCE_LIMIT):
             diverged_at = k
             break
+    back = _idst1 if spectral else (lambda v: v)
     return FDRun(
         z_errors=np.array(z_err), state_errors=np.array(u_err),
         control_errors=np.array(f_err), loss_history=np.array(parts),
-        u=u.astype(float), f=f.astype(float), z=z_hist[-1],
-        reference=_solution(ustar, fstar, zstar),
-        z_history=np.array(z_hist), diverged_at=diverged_at,
+        u=back(u).astype(float), f=back(f).astype(float), z=back(z).astype(float),
+        reference=_solution(*map(back, reference)),
+        z_history=np.array(z_min) if z_minima else None, diverged_at=diverged_at,
     )
 
 
 def _uzawa(grid, alpha, rho, D, iters, dps, sign, project) -> FDRun:
     """Both Uzawa runs: ``sign`` = +1 keeps the plain run's multiplier, -1
     its negation; ``project`` keeps u >= 0 in the inner solve and clamps f
-    and z at zero."""
+    and z at zero.  Float64 runs that clamp nothing iterate on DST-I coefficients."""
     if not rho > 0:
         raise ValueError("rho must be positive")
     ctx = _context(dps)
     with ctx.guard():
         a = ctx.num(alpha)
         D = _array(ctx, D)
-        ustar, fstar, zstar, _ = _direct_kkt(grid, a, D, ctx)
-        steps = _uzawa_steps(grid, a, rho, D, ctx, sign, project)
+        spectral = ctx.dtype is float and not project
+        if spectral:
+            lam, D, (ustar, fstar, zstar) = _spectral_kkt(grid, a, D)
+            mu = (a / 2) * lam**2 + 1
+            lap, solve = (lambda v: lam * v), (lambda r: r / mu)
+        else:
+            m, h = grid.n_interior, ctx.num(1) / (grid.n - 1)
+            q = 1 / (h * h)
+            lap, solve = functools.partial(_laplacian_apply, q=q), _solver(ctx, a / 2, q, m)
+            if project:
+                tol, bands = ctx.num(_INNER_TOL), _biharmonic_bands(a / 2, q, m, ctx.num(1))
+                solve = functools.partial(_solve_nonneg, bands, solve, ctx=ctx, tol=tol)
+            ustar, fstar, zstar, _ = _direct_kkt(grid, a, D, ctx)
+        steps = _uzawa_steps(a, rho, D, ctx, sign, project, lap, solve)
         return _iterate(grid, alpha, iters, ctx, D,
-                        (ustar, fstar, zstar if sign > 0 else -zstar), steps)
+                        (ustar, fstar, zstar if sign > 0 else -zstar), steps, spectral, project)
 
 
-def _uzawa_steps(grid, a, rho, D, ctx, sign, project):
-    """Uzawa iterates: the inner solve for the current multiplier, then,
+def _uzawa_steps(a, rho, D, ctx, sign, project, lap, solve):
+    """Uzawa iterates in the basis of ``D``, given its T-apply ``lap`` and
+    inner solve ``solve``: the inner solve for the current multiplier, then,
     when the next iterate is asked for, the multiplier step."""
-    m = grid.n_interior
-    h = ctx.num(1) / (grid.n - 1)
-    q = 1 / (h * h)
     zero = ctx.num(0)
-    bands = _biharmonic_bands(a / 2, q, m, ctx.num(1))
-    solve = _solver(ctx, a / 2, q, m)
-    tol = ctx.num(_INNER_TOL)
     # signed coefficients; multiplying by +-1 is exact in every context
     f_scale = -sign * (2 / a)
-    lap_scale = sign * q
     step = sign * ctx.num(rho)
-    z = np.full(m, zero, dtype=ctx.dtype)
+    z = np.full(len(D), zero, dtype=ctx.dtype)
     while True:
-        rhs = D - _laplacian_apply(z, lap_scale)
-        u = _solve_nonneg(bands, solve, rhs, ctx, tol) if project else solve(rhs)
+        u = solve(D - sign * lap(z))
         f = f_scale * z
         if project:
             f = np.maximum(f, zero)
-        lap_u = _laplacian_apply(u, q)
+        lap_u = lap(u)
         yield u, f, z, lap_u, z if sign > 0 else -z
         z = z + step * (lap_u + f)
         if project:
@@ -518,7 +539,8 @@ def fd_projected_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int
     (alpha/2) B u + u = D + lap_h z, f = +(2/alpha) z, and the update is
     z <- max(z - rho (lap_h u + f), 0).  On problems whose unconstrained
     saddle point is componentwise nonnegative no constraint ever activates
-    and the run reproduces :func:`fd_uzawa_run` exactly.
+    and the run reproduces :func:`fd_uzawa_run`: exactly in Decimal, and in
+    float64 up to its own grid-space rounding, which T amplifies.
     """
     return _uzawa(grid, alpha, rho, D, iters, dps, sign=-1, project=True)
 
@@ -529,37 +551,24 @@ def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun
     Starting from f = 0: solve -lap u = f, then -lap z = D - u, then set
     f = z / alpha.  Its fixed point satisfies the same eliminated state
     equation alpha B u + u = D as the direct solve (with multiplier
-    z = alpha f), so errors are recorded against that solution, and
-    ``z_history`` holds the adjoint z of every sweep.  The sweep contracts
-    only when alpha exceeds roughly 1/pi^4; otherwise errors grow and the
-    run is flagged as diverged once they pass 1e6.
+    z = alpha f), so errors are recorded against that solution.  The sweep
+    contracts only when alpha exceeds roughly 1/pi^4 (see
+    :func:`gauss_seidel_rate`); otherwise errors grow and the run is flagged
+    as diverged once they pass 1e6.
     """
-    ctx = _FloatCtx()
-    D = _array(ctx, D)
-    ustar, fstar, _, _ = _direct_kkt(grid, alpha, D, ctx)
-    return _iterate(grid, alpha, iters, ctx, D,
-                    (ustar, fstar, alpha * fstar), _gauss_seidel_steps(grid, alpha, D))
+    lam, d_hat, (ustar, fstar, _) = _spectral_kkt(grid, alpha, _array(_FloatCtx(), D))
+    return _iterate(grid, alpha, iters, _FloatCtx(), d_hat, (ustar, fstar, alpha * fstar),
+                    _gauss_seidel_steps(alpha, lam, d_hat), spectral=True, z_minima=False)
 
 
-def _gauss_seidel_steps(grid, alpha, D):
-    """Gauss-Seidel iterates in float64, from u = f = z = 0.
-
-    The sweep runs on DST-I coefficients, where -T is the diagonal nu of its
-    eigenvalues: u^ = f^ / nu, z^ = (D^ - u^) / nu, f^ = z^ / alpha.  Only u
-    and z are transformed back (the DST-I is its own inverse up to
-    2/(m + 1)), so a sweep takes two DST-I where two spectral solves take four.
-    """
-    m = grid.n_interior
-    q = 1.0 / grid.h**2
-    nu = -_laplacian_eigenvalues(m)
-    scale = 2.0 / (m + 1)
-    d_hat = _dst1(D)
-    u = f = z = f_hat = np.zeros(m)
+def _gauss_seidel_steps(alpha, lam, d_hat):
+    """Gauss-Seidel iterates in DST-I coefficients, from u = f = z = 0: -T
+    is the diagonal nu = -lam, so a sweep is u^ = f^ / nu,
+    z^ = (D^ - u^) / nu, f^ = z^ / alpha."""
+    nu = -lam
+    u = f = z = np.zeros(len(lam))
     while True:
-        yield u, f, z, _laplacian_apply(u, q), z
-        u_hat = f_hat / nu
-        z_hat = (d_hat - u_hat) / nu
-        f_hat = z_hat / alpha
-        u = scale * _dst1(u_hat)
-        z = scale * _dst1(z_hat)
+        yield u, f, z, lam * u, z
+        u = f / nu
+        z = (d_hat - u) / nu
         f = z / alpha

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -587,6 +588,20 @@ def test_cli_oracle_flags_the_projected_period_2_cycle(tmp_path, capsys):
     assert errors[-1, 1] == pytest.approx(errors[-3, 1], rel=1e-12)
 
 
+def test_cli_gauss_seidel_kappa_max_is_the_measured_rate(tmp_path, capsys):
+    # the sine target excites only the first mode, so every sweep multiplies
+    # the multiplier error by kappa_max = 1 / (alpha nu_1^2); a rate above 1
+    # is reported, not rejected
+    cfg = _oracle_config(tmp_path, "gs", "fd_oracle", 1e-3, "gauss_seidel", 30)
+    assert main(["-q", "oracle", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    kappa_max = float(_read_meta(tmp_path / "gs" / "meta.txt")["kappa_max"])
+    _, diag = read_csv(tmp_path / "gs" / "Diagnostics.csv")
+    assert np.abs(diag[1:, 1] / diag[:-1, 1] / kappa_max - 1).max() <= 1e-10
+    nu_1 = 4 * 40**2 * math.sin(math.pi / 80) ** 2  # n_points = 41
+    assert kappa_max == pytest.approx(1 / (1e-2 * nu_1**2), rel=1e-12)
+
+
 def test_cli_oracle_all_methods(tmp_path):
     cfg = write(tmp_path, f"""
 tag = fd_oracle
@@ -735,7 +750,7 @@ output_dir = {tmp_path / 'oracle'}
     # each method lists the keys its solver takes: a step size for the Uzawa
     # runs only, a precision for all but the float64 Gauss-Seidel sweep
     uzawa = {"rho", "precision_dps", "resolved_rho", "rho_max", "kappa_max"}
-    extra = {"uzawa": uzawa, "projected": uzawa, "gauss_seidel": set(),
+    extra = {"uzawa": uzawa, "projected": uzawa, "gauss_seidel": {"kappa_max"},
              "direct": {"precision_dps", "backward_error"}}
     for method in ("uzawa", "projected", "gauss_seidel", "direct"):
         meta = _read_meta(tmp_path / "oracle" / method / "meta.txt")

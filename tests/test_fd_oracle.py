@@ -404,15 +404,95 @@ def test_gauss_seidel_matches_two_solves_per_sweep(n):
 
 
 @pytest.mark.parametrize("iters", [0, 1, 7])
-def test_gauss_seidel_transforms_twice_per_sweep(monkeypatch, iters):
-    # two DST-I per sweep, one of the target and two of the direct solve
+@pytest.mark.parametrize("method", ["gauss_seidel", "uzawa"])
+def test_spectral_runs_transform_seven_times(monkeypatch, method, iters):
+    # float64 runs that clamp nothing iterate on DST-I coefficients: one
+    # DST-I of the target in; u, f, z and the reference's three fields out
     calls = []
     dst1 = fd_oracle._dst1
     monkeypatch.setattr(fd_oracle, "_dst1", lambda v: calls.append(1) or dst1(v))
     g = Grid1D(41)
-    run = gauss_seidel_adjoint_run(g, ALPHA, sine_target(g, ALPHA), iters)
+    target = sine_target(g, ALPHA)
+    run = (gauss_seidel_adjoint_run(g, ALPHA, target, iters) if method == "gauss_seidel"
+           else fd_uzawa_run(g, ALPHA, ALPHA / 4, target, iters))
     assert run.diverged_at is None
-    assert len(calls) == 2 * iters + 3
+    assert len(run.z_errors) == iters + 1
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize("n", [201, 4001])
+def test_uzawa_in_coefficients_matches_the_grid_loop(n):
+    # fd_uzawa_run iterates on DST-I coefficients; the loop below runs the
+    # same iteration on the grid with _spectral_solve and _laplacian_apply.
+    # Their difference is the grid loop's rounding.  With unit roundoff u,
+    # L = log2(2 (m + 1)) the FFT length, M = (alpha/2) T^2 + I, and norms
+    # the 2-norm:
+    # - one grid T v errs by at most 12 u q ||v|| (three roundings of terms
+    #   of total weight 4 q), one DST-I by about u L ||v||;
+    # - the rounding of T z in an update's right-hand side reaches z through
+    #   rho T M^-1, of norm at most rho / sqrt(2 alpha), since
+    #   |lam| / (1 + alpha lam^2 / 2) <= 1 / sqrt(2 alpha); the rounding of
+    #   T u and the back-transform's error in u reach it through rho T, of
+    #   norm at most 4 rho q; terms without a factor q are negligible here;
+    # - every later update multiplies an error by at most kappa_max < 1.
+    # So ||dz|| <= rho u q (12 Z / sqrt(2 alpha) + (12 + 4 L) U) / (1 - kappa_max),
+    # Z and U the largest iterate norms, and df = -(2/alpha) dz.  The inner
+    # solve u = M^-1 (D - T z) adds to u at most ||dz|| / sqrt(2 alpha) +
+    # 12 u q Z + 2 u L U.  Measured: 3-4% of the bound for z and f (1.6e-12
+    # and 1.5e-9 of their maxima); u's bound lets all of T z's rounding land
+    # on the smoothest mode, and u is within 2e-4 and 2e-6 of it (2e-15 and
+    # 1.2e-14 of its maximum).  The loss rows, sums over coefficients with
+    # Parseval's weight 2 h^2, match the grid loop's to 1e-9 of each
+    # column's maximum, and the first multiplier errors, while far above
+    # the grid loop's rounding, to 1e-6.
+    g = Grid1D(n)
+    m, q = g.n_interior, 1.0 / g.h**2
+    x = g.interior_x()
+    target = np.exp(-40 * (x - 0.3) ** 2) + x  # excites every mode
+    rho, iters = ALPHA / 4, 200
+    lam = fd_oracle._laplacian_eigenvalues(m)
+    solve = fd_oracle._spectral_solve(ALPHA / 2 * lam**2 + 1)
+    z_star = fd_direct_kkt_solve(g, ALPHA, target).z
+    z = np.zeros(m)
+    big_z = big_u = 0.0
+    rows, z_errors = [], []
+    for k in range(iters + 1):
+        if k:
+            z = z + rho * (lap_u + f)
+        u = solve(target - fd_oracle._laplacian_apply(z, q))
+        f = -(2 / ALPHA) * z
+        lap_u = fd_oracle._laplacian_apply(u, q)
+        big_z, big_u = max(big_z, np.linalg.norm(z)), max(big_u, np.linalg.norm(u))
+        rows.append(fd_oracle._loss_row(u, f, z, target, lap_u, ALPHA, g.h,
+                                        fd_oracle._FloatCtx()))
+        z_errors.append(grid_norm(g, z - z_star))
+    run = fd_uzawa_run(g, ALPHA, rho, target, iters)
+    rows = np.array(rows)
+    assert np.all(np.abs(run.loss_history - rows) <= 1e-9 * np.abs(rows).max(axis=0))
+    assert np.allclose(run.z_errors[:5], z_errors[:5], rtol=1e-6, atol=0)
+    unit, L = np.finfo(float).eps / 2, np.log2(2 * (m + 1))
+    kappa_max = fd_oracle.uzawa_step_bounds(g, ALPHA, rho)[1]
+    dz = rho * unit * q * (12 * big_z / np.sqrt(2 * ALPHA) + (12 + 4 * L) * big_u) \
+        / (1 - kappa_max)
+    assert np.linalg.norm(run.z - z) <= dz
+    assert np.linalg.norm(run.f - f) <= 2 / ALPHA * dz
+    assert np.linalg.norm(run.u - u) <= \
+        dz / np.sqrt(2 * ALPHA) + 12 * unit * q * big_z + 2 * unit * L * big_u
+
+
+def test_z_history_holds_the_projected_run_minima():
+    # entry k is the smallest multiplier entry of iterate k, the final z of a
+    # run stopped there; the plain and Gauss-Seidel runs keep none
+    g = Grid1D(41)
+    target = sine_target(g, ALPHA)
+    run = fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, target, 10)
+    assert run.z_history.shape == run.z_errors.shape
+    for k in (0, 1, 4, 10):
+        stopped = fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, target, k)
+        assert run.z_history[k] == stopped.z.min()
+    assert run.z_history[0] == 0.0 < run.z_history[1]
+    assert fd_uzawa_run(g, ALPHA, ALPHA / 4, target, 3).z_history is None
+    assert gauss_seidel_adjoint_run(g, ALPHA, target, 3).z_history is None
 
 
 def test_gauss_seidel_divergence_flagged_not_raised():
