@@ -11,18 +11,14 @@ as the Laplacian composed with itself on interior points.
 
 The three iterative runs (plain Uzawa, projected Uzawa, Gauss-Seidel) share
 one run loop that records errors and losses and flags divergence; each
-supplies only its iterates.  The plain and the projected Uzawa run are one
-iteration in two multiplier orientations: the projected run's multiplier is
-the negation of the plain run's, and it clamps the iterates to the
-nonnegative cone.
+supplies only its iterates.  The projected Uzawa run is the plain run plus
+clamps, and reports the negation of its multiplier, nonnegative.
 
-Every solver accepts an optional decimal precision ``dps``.  The float64
-path is the default; the multiprecision path (``decimal.Decimal`` with
-``dps`` significant digits) exists because the multiplier contraction
-factor of the Uzawa iteration is bounded away from one, so after a few
-dozen iterations the error reaches the float64 rounding floor and the
-theoretical strict monotone decrease can no longer be observed in double
-precision.  Its pi and sines are summed in ``decimal``, with no other library.
+Every solver accepts an optional decimal precision ``dps``.  Float64 is
+the default; ``decimal.Decimal`` with ``dps`` significant digits exists
+because the Uzawa multiplier error reaches the float64 rounding floor after
+a few dozen iterations, past which its strict monotone decrease cannot be
+observed.  Its pi and sines are summed in ``decimal``, with no other library.
 
 Fields are numpy arrays of the context's scalars: float64, or ``dtype=object``
 arrays of Decimals.  Elementwise steps are array expressions in the operation
@@ -31,16 +27,15 @@ Decimals left to right from zero, so Decimal results are those of the scalar
 loops, and float64 sums are numpy's pairwise sums, the more accurate order.
 
 Every matrix solved here is a polynomial in the 3-point Laplacian T, which
-the DST-I diagonalises.  In float64 the solves of the unmodified matrices
-are spectral: two DST-I through ``numpy.fft`` and a division by the
-eigenvalues, backward stable and accurate to rounding.  The float64 runs
-that clamp nothing (plain Uzawa, Gauss-Seidel) iterate on DST-I
-coefficients, where T is diagonal, and take seven DST-I whatever their
-length: D in, the final fields and reference out.  Systems with clamped
-entries (no longer polynomials in T) and all Decimal solves use the banded
-LDL^T factorisation and solve, the only recurrences that loop over scalars;
-the factor of the inner-solve matrix is computed once per run.  Results and
-histories are returned as float64 arrays.
+the DST-I diagonalises.  In float64 the saddle point is computed on DST-I
+coefficients, a solve of an unmodified matrix is two DST-I through
+``numpy.fft`` and a division by the eigenvalues, and the runs that clamp
+nothing (plain Uzawa, Gauss-Seidel) iterate on the coefficients: seven DST-I
+whatever their length, D in and the final fields and reference out.
+Systems with clamped entries (no longer polynomials in T) and all Decimal
+solves use the banded LDL^T, the only recurrences that loop over scalars,
+with the inner-solve matrix factorised once per run.  Results and histories
+are returned as float64 arrays.
 """
 from __future__ import annotations
 
@@ -135,6 +130,13 @@ class _DecimalCtx:
                 t = (t * n) / d
                 s += t
         return self.num(s)
+
+
+def _check_positive(**params):
+    """Raise ValueError unless every parameter lies in (0, inf)."""
+    for name, value in params.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _context(dps):
@@ -258,6 +260,7 @@ def uzawa_step_bounds(grid: Grid1D, alpha: float, rho: float) -> tuple[float, fl
     iteration contracts for every target iff rho < rho_max = 2 / max mu_j,
     at the rate kappa_max = max_j |1 - rho mu_j|.
     """
+    _check_positive(alpha=alpha)
     lam2 = _laplacian_eigenvalues(grid.n_interior) ** 2
     mu = lam2 / (1 + alpha * lam2 / 2) + 2 / alpha
     return float(2 / mu.max()), float(np.abs(1 - rho * mu).max())
@@ -266,6 +269,7 @@ def uzawa_step_bounds(grid: Grid1D, alpha: float, rho: float) -> tuple[float, fl
 def gauss_seidel_rate(grid: Grid1D, alpha: float) -> float:
     """kappa_max of the Gauss-Seidel sweep: a sweep multiplies the error on
     the j-th DST-I mode by -1 / (alpha lam_j^2), largest on the first."""
+    _check_positive(alpha=alpha)
     return float(1 / (alpha * _laplacian_eigenvalues(grid.n_interior)[0] ** 2))
 
 
@@ -320,13 +324,17 @@ def _solution(u, f, z, residual=0.0) -> KKTSolution:
 
 
 def _direct_kkt(grid: Grid1D, alpha, D, ctx):
-    m = grid.n_interior
+    """Grid saddle point (u, f, z) and backward error of u: in float64 from
+    :func:`_spectral_kkt`, in Decimal by the banded solve, f = -T u, z = -(alpha/2) f."""
     h = ctx.num(1) / (grid.n - 1)
     q = 1 / (h * h)
     zero = ctx.num(0)
-    u = _solver(ctx, alpha, q, m)(D)
-    f = -_laplacian_apply(u, q)
-    z = -(alpha / 2) * f
+    if ctx.dtype is float:
+        u, f, z = map(_idst1, _spectral_kkt(grid, alpha, D)[2])
+    else:
+        u = _solver(ctx, alpha, q, grid.n_interior)(D)
+        f = -_laplacian_apply(u, q)
+        z = -(alpha / 2) * f
     # normwise relative backward error ||Au - D|| / (||A|| ||u|| + ||D||),
     # the residual measure a direct solve can actually be held to: the
     # plain ||Au - D|| / ||D|| is conditioning-limited at ~eps * cond(A)
@@ -346,14 +354,13 @@ def _spectral_kkt(grid: Grid1D, alpha, D):
 
 
 def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
-    """Solve (alpha B + I) u = D, then recover f = -lap_h u and z = -(alpha/2) f.
+    """Solve (alpha B + I) u = D, with f = -lap_h u and z = -(alpha/2) f.
 
     Eliminating control and multiplier from the optimality conditions of the
-    coercive objective leaves exactly this state equation, so the returned
-    triple is the discrete saddle point.
+    coercive objective leaves exactly this state equation, so the triple is
+    the discrete saddle point (in float64 spectral, accurate to rounding).
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    _check_positive(alpha=alpha)
     ctx = _context(dps)
     with ctx.guard():
         return _solution(*_direct_kkt(grid, ctx.num(alpha), _array(ctx, D), ctx))
@@ -365,17 +372,15 @@ def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
 
 @dataclass
 class FDRun(RunResult):
-    """History of one discrete saddle-point iteration.
-
-    Error histories have length iters + 1 (index k = number of updates
-    applied before the k-th iterate), or diverged_at + 1 when the run
-    diverged; so have ``loss_history`` and the projected run's ``z_history``.
-    """
+    """History of one discrete saddle-point iteration: the error histories,
+    ``loss_history`` and the projected run's ``z_history`` have length
+    iters + 1 (index k = number of updates applied before the k-th iterate),
+    or diverged_at + 1 when the run diverged."""
 
     z_errors: np.ndarray
     z: np.ndarray
     reference: KKTSolution
-    z_history: np.ndarray | None  # each iterate's smallest multiplier entry
+    z_history: np.ndarray | None  # projected run: each iterate's smallest multiplier entry
 
 
 def _loss_row(u, f, z, D, lap_u, alpha, h, ctx):
@@ -390,11 +395,10 @@ def _solve_nonneg(bands, solve, rhs, ctx, tol, max_passes=80):
     """Minimise (1/2) u^T M u - rhs^T u subject to u >= 0.
 
     Primal active-set method: clamped entries are pinned by replacing their
-    row/column with the identity, which keeps the system pentadiagonal for
-    the banded LDL^T.  While no entry is clamped the system is M itself,
-    whose ``solve`` the caller supplies.  At the solution the KKT conditions
-    hold to ``tol``: free entries are nonnegative, clamped entries have
-    nonnegative reduced gradient.
+    row/column with the identity, keeping the system pentadiagonal for the
+    banded LDL^T; with none clamped it is M, solved by the caller's
+    ``solve``.  At the solution the KKT conditions hold to ``tol``: free
+    entries are nonnegative, clamped ones have nonnegative reduced gradient.
     """
     d, e, g = bands
     zero = ctx.num(0)
@@ -425,18 +429,16 @@ def _solve_nonneg(bands, solve, rhs, ctx, tol, max_passes=80):
     raise IterationLimitError("nonnegative inner solve did not settle on an active set")
 
 
-def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_minima) -> FDRun:
+def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -> FDRun:
     """The run loop of every iterative oracle.
 
-    ``steps`` yields one iterate (u, f, z, lap_u, z_loss) per ``next`` in
-    the scalars of ``ctx``: z in the orientation of the multiplier of
-    ``reference`` = (u*, f*, z*), z_loss in the one of the loss row's
-    multiplier term; with ``spectral`` all are DST-I coefficients, summed
-    with the weight 2 h^2 in place of h (Parseval).  The loop takes iters + 1
-    iterates, recording for each the distances to the reference, one loss
-    row and, with ``z_minima``, the smallest multiplier entry; it stops
-    early, with ``diverged_at`` set, at the first iterate whose state or
-    control error exceeds ``_DIVERGENCE_LIMIT`` or is NaN.
+    ``steps`` yields one iterate (u, f, z, lap_u) per ``next`` in the scalars
+    of ``ctx``; with ``spectral`` all are DST-I coefficients, summed with the
+    weight 2 h^2 in place of h (Parseval).  The loop takes iters + 1
+    iterates, recording for each the distances to ``reference`` = (u*, f*, z*),
+    one loss row and, with ``z_maxima``, the largest multiplier entry; it
+    stops early, with ``diverged_at`` set, at the first iterate whose state
+    or control error exceeds ``_DIVERGENCE_LIMIT`` or is NaN.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
@@ -444,16 +446,16 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_minima) -
     h = ctx.num(1) / (grid.n - 1)
     w = 2 * h * h if spectral else h
     ustar, fstar, zstar = reference
-    z_err, u_err, f_err, parts, z_min = [], [], [], [], []
+    z_err, u_err, f_err, parts, z_max = [], [], [], [], []
     diverged_at = None
     for k in range(iters + 1):
-        u, f, z, lap_u, z_loss = next(steps)
+        u, f, z, lap_u = next(steps)
         z_err.append(float(_norm(z - zstar, w, ctx)))
         u_err.append(float(_norm(u - ustar, w, ctx)))
         f_err.append(float(_norm(f - fstar, w, ctx)))
-        if z_minima:
-            z_min.append(float(z.min()))
-        parts.append(_loss_row(u, f, z_loss, D, lap_u, a, w, ctx))
+        if z_maxima:
+            z_max.append(float(z.max()))
+        parts.append(_loss_row(u, f, z, D, lap_u, a, w, ctx))
         if not (u_err[-1] <= _DIVERGENCE_LIMIT and f_err[-1] <= _DIVERGENCE_LIMIT):
             diverged_at = k
             break
@@ -463,23 +465,21 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_minima) -
         control_errors=np.array(f_err), loss_history=np.array(parts),
         u=back(u).astype(float), f=back(f).astype(float), z=back(z).astype(float),
         reference=_solution(*map(back, reference)),
-        z_history=np.array(z_min) if z_minima else None, diverged_at=diverged_at,
+        z_history=np.array(z_max) if z_maxima else None, diverged_at=diverged_at,
     )
 
 
-def _uzawa(grid, alpha, rho, D, iters, dps, sign, project) -> FDRun:
-    """Both Uzawa runs: ``sign`` = +1 keeps the plain run's multiplier, -1
-    its negation; ``project`` keeps u >= 0 in the inner solve and clamps f
-    and z at zero.  Float64 runs that clamp nothing iterate on DST-I coefficients."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+def _uzawa(grid, alpha, rho, D, iters, dps, project) -> FDRun:
+    """Both Uzawa runs, in the plain run's multiplier; ``project`` keeps
+    u >= 0 in the inner solve, f >= 0 and z <= 0."""
+    _check_positive(alpha=alpha, rho=rho)
     ctx = _context(dps)
     with ctx.guard():
         a = ctx.num(alpha)
         D = _array(ctx, D)
         spectral = ctx.dtype is float and not project
         if spectral:
-            lam, D, (ustar, fstar, zstar) = _spectral_kkt(grid, a, D)
+            lam, D, reference = _spectral_kkt(grid, a, D)
             mu = (a / 2) * lam**2 + 1
             lap, solve = (lambda v: lam * v), (lambda r: r / mu)
         else:
@@ -489,31 +489,29 @@ def _uzawa(grid, alpha, rho, D, iters, dps, sign, project) -> FDRun:
             if project:
                 tol, bands = ctx.num(_INNER_TOL), _biharmonic_bands(a / 2, q, m, ctx.num(1))
                 solve = functools.partial(_solve_nonneg, bands, solve, ctx=ctx, tol=tol)
-            ustar, fstar, zstar, _ = _direct_kkt(grid, a, D, ctx)
-        steps = _uzawa_steps(a, rho, D, ctx, sign, project, lap, solve)
-        return _iterate(grid, alpha, iters, ctx, D,
-                        (ustar, fstar, zstar if sign > 0 else -zstar), steps, spectral, project)
+            reference = _direct_kkt(grid, a, D, ctx)[:3]
+        steps = _uzawa_steps(a, rho, D, ctx, project, lap, solve)
+        return _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, project)
 
 
-def _uzawa_steps(a, rho, D, ctx, sign, project, lap, solve):
+def _uzawa_steps(a, rho, D, ctx, project, lap, solve):
     """Uzawa iterates in the basis of ``D``, given its T-apply ``lap`` and
     inner solve ``solve``: the inner solve for the current multiplier, then,
     when the next iterate is asked for, the multiplier step."""
     zero = ctx.num(0)
-    # signed coefficients; multiplying by +-1 is exact in every context
-    f_scale = -sign * (2 / a)
-    step = sign * ctx.num(rho)
+    f_scale, rho = -(2 / a), ctx.num(rho)
     z = np.full(len(D), zero, dtype=ctx.dtype)
     while True:
-        u = solve(D - sign * lap(z))
+        u = solve(D - lap(z))
         f = f_scale * z
         if project:
-            f = np.maximum(f, zero)
+            # np.where sets a tie to +0 in float64 and Decimal alike, unlike np.maximum
+            f = np.where(f <= zero, zero, f)
         lap_u = lap(u)
-        yield u, f, z, lap_u, z if sign > 0 else -z
-        z = z + step * (lap_u + f)
+        yield u, f, z, lap_u
+        z = z + rho * (lap_u + f)
         if project:
-            z = np.maximum(z, zero)
+            z = np.where(z >= zero, zero, z)
 
 
 def fd_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
@@ -524,51 +522,52 @@ def fd_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
     f = -(2/alpha) z, and updates z <- z + rho (lap_h u + f).  Histories
     track distances to the direct-solve saddle point.
     """
-    return _uzawa(grid, alpha, rho, D, iters, dps, sign=1, project=False)
+    return _uzawa(grid, alpha, rho, D, iters, dps, project=False)
 
 
 def fd_projected_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
                            dps=None) -> FDRun:
     """Uzawa iteration for the nonnegativity-restricted problem.
 
-    The primal fields are constrained to u, f >= 0 in the inner minimisation
-    and the multiplier is kept in the nonnegative cone by clamping after
-    each step.  The multiplier here is oriented so that it is nonnegative at
-    the saddle point of a problem with nonnegative optimal control (it is
-    the negation of the plain run's multiplier): the inner solve reads
-    (alpha/2) B u + u = D + lap_h z, f = +(2/alpha) z, and the update is
-    z <- max(z - rho (lap_h u + f), 0).  On problems whose unconstrained
-    saddle point is componentwise nonnegative no constraint ever activates
-    and the run reproduces :func:`fd_uzawa_run`: exactly in Decimal, and in
-    float64 up to its own grid-space rounding, which T amplifies.
+    :func:`fd_uzawa_run` plus clamps: the inner solve keeps u >= 0 (primal
+    active set), f = max(-(2/alpha) z, 0), and z <- min(z + rho (lap_h u + f), 0).
+    It reports the negated, nonnegative multiplier (``z``, ``reference.z``,
+    ``z_history``).  With a nonnegative unconstrained saddle point it is
+    :func:`fd_uzawa_run` with z negated: exactly in Decimal, in float64 up
+    to its grid iteration's rounding, which T amplifies.
+
+    Raises :class:`IterationLimitError` when the inner solve's active set
+    cycles, as on sin(37 pi x) at n = 201, alpha = 1e-2, rho = alpha / 4.
     """
-    return _uzawa(grid, alpha, rho, D, iters, dps, sign=-1, project=True)
+    run = _uzawa(grid, alpha, rho, D, iters, dps, project=True)
+    # 0 - v negates and keeps zeros positive
+    run.z, run.z_history, run.reference.z = 0 - run.z, 0 - run.z_history, 0 - run.reference.z
+    return run
 
 
 def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun:
     """Alternating state/adjoint/control sweep for the unmodified objective.
 
     Starting from f = 0: solve -lap u = f, then -lap z = D - u, then set
-    f = z / alpha.  Its fixed point satisfies the same eliminated state
-    equation alpha B u + u = D as the direct solve (with multiplier
-    z = alpha f), so errors are recorded against that solution.  The sweep
-    contracts only when alpha exceeds roughly 1/pi^4 (see
-    :func:`gauss_seidel_rate`); otherwise errors grow and the run is flagged
-    as diverged once they pass 1e6.
+    f = z / alpha.  Its fixed point satisfies the direct solve's eliminated
+    state equation alpha B u + u = D (with multiplier z = alpha f), so errors
+    are recorded against that solution.  The sweep contracts only when alpha
+    exceeds roughly 1/pi^4 (:func:`gauss_seidel_rate`); otherwise errors
+    grow and the run is flagged as diverged once they pass 1e6.
     """
+    _check_positive(alpha=alpha)
     lam, d_hat, (ustar, fstar, _) = _spectral_kkt(grid, alpha, _array(_FloatCtx(), D))
     return _iterate(grid, alpha, iters, _FloatCtx(), d_hat, (ustar, fstar, alpha * fstar),
-                    _gauss_seidel_steps(alpha, lam, d_hat), spectral=True, z_minima=False)
+                    _gauss_seidel_steps(alpha, lam, d_hat), spectral=True, z_maxima=False)
 
 
 def _gauss_seidel_steps(alpha, lam, d_hat):
-    """Gauss-Seidel iterates in DST-I coefficients, from u = f = z = 0: -T
-    is the diagonal nu = -lam, so a sweep is u^ = f^ / nu,
-    z^ = (D^ - u^) / nu, f^ = z^ / alpha."""
+    """Gauss-Seidel iterates on DST-I coefficients from u = f = z = 0, where
+    -T is nu = -lam: a sweep is u^ = f^ / nu, z^ = (D^ - u^) / nu, f^ = z^ / alpha."""
     nu = -lam
     u = f = z = np.zeros(len(lam))
     while True:
-        yield u, f, z, lam * u, z
+        yield u, f, z, lam * u
         u = f / nu
         z = (d_hat - u) / nu
         f = z / alpha

@@ -171,14 +171,15 @@ def test_direct_kkt_manufactured_solution():
     rel_f = grid_norm(g, sol.f - ex.control(x)) / grid_norm(g, ex.control(x))
     assert rel_u <= 1e-4
     assert rel_f <= 1e-3
-    assert sol.residual <= 1e-10  # normwise backward error of the banded solve
+    assert sol.residual <= 1e-10  # normwise backward error of the direct solve
     assert np.allclose(sol.z, -(ALPHA / 2) * sol.f)
 
 
 def test_direct_kkt_solves_the_sine_target_to_rounding():
     # the sine target is the first DST-I mode, so the discrete solution is
-    # (1 + alpha pi^4) / (alpha lam_1^2 + 1) sin(pi x); the banded solve
-    # missed it by 1.3e-5 on this grid
+    # u = (1 + alpha pi^4) / (alpha lam_1^2 + 1) sin(pi x), f = -lam_1 u and
+    # z = (alpha/2) lam_1 u; the banded solve missed u by 1.3e-5 on this
+    # grid, and f = -T u on the grid missed f and z by 1.35e-9
     g = Grid1D(4001)
     lam1 = -4 / g.h**2 * np.sin(np.pi * g.h / 2) ** 2
     x = g.interior_x()
@@ -186,6 +187,8 @@ def test_direct_kkt_solves_the_sine_target_to_rounding():
     sol = fd_direct_kkt_solve(g, ALPHA, sine_target(g, ALPHA))
     assert np.abs(sol.u - exact).max() <= 1e-13
     assert sol.residual <= 1e-15
+    for field, want in ((sol.f, -lam1 * exact), (sol.z, ALPHA / 2 * lam1 * exact)):
+        assert np.abs(field - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_direct_kkt_zero_target():
@@ -311,14 +314,35 @@ def test_sine_target_high_precision_digits(dps):
 
 
 def test_projected_matches_plain_when_saddle_nonnegative():
+    # no clamp activates, so the projected run is the plain run with its
+    # multiplier reported negated; in float64 it iterates on the grid, the
+    # plain run on DST-I coefficients
     g = Grid1D(201)
     target = sine_target(g, ALPHA)
     plain = fd_uzawa_run(g, ALPHA, ALPHA / 4, target, 60)
     proj = fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, target, 60)
     assert np.abs(proj.u - plain.u).max() <= 1e-10
     assert np.abs(proj.f - plain.f).max() <= 1e-10
-    # multiplier orientations are opposite by construction
     assert np.abs(proj.z + plain.z).max() <= 1e-12
+    # in Decimal both iterate on the grid, with the same operations
+    target = sine_target(g, ALPHA, dps=40)
+    plain = fd_uzawa_run(g, ALPHA, ALPHA / 4, target, 60, dps=40)
+    proj = fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, target, 60, dps=40)
+    assert np.array_equal(proj.u, plain.u) and np.array_equal(proj.f, plain.f)
+    assert np.array_equal(proj.z, -plain.z)
+    assert np.array_equal(proj.reference.z, -plain.reference.z)
+    assert np.array_equal(proj.z_errors, plain.z_errors)
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+def test_projected_zeros_are_positive(dps):
+    # at iterate 0 every f and z entry is zero; the clamps and the reported
+    # negation must give +0, or Control.csv reads -0.0
+    g = Grid1D(21)
+    run = fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, sine_target(g, ALPHA, dps=dps), 0,
+                                 dps=dps)
+    for field in (run.f, run.z, run.z_history):
+        assert np.all(field == 0.0) and not np.signbit(field).any()
 
 
 def test_projected_z_always_nonnegative():
@@ -514,6 +538,25 @@ def test_uzawa_divergence_flagged_not_raised(dps):
     assert len(run.state_errors) == run.diverged_at + 1
     assert len(run.loss_history) == run.diverged_at + 1
     assert np.all(np.isfinite(run.loss_history))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-2, math.inf, math.nan])
+def test_entry_points_need_positive_finite_alpha_and_rho(bad):
+    g = Grid1D(21)
+    target = sine_target(g, ALPHA)
+    calls = (
+        lambda: fd_uzawa_run(g, bad, ALPHA / 4, target, 3),
+        lambda: fd_uzawa_run(g, ALPHA, bad, target, 3),
+        lambda: fd_projected_uzawa_run(g, bad, ALPHA / 4, target, 3),
+        lambda: fd_projected_uzawa_run(g, ALPHA, bad, target, 3),
+        lambda: gauss_seidel_adjoint_run(g, bad, target, 3),
+        lambda: fd_direct_kkt_solve(g, bad, target),
+        lambda: fd_oracle.uzawa_step_bounds(g, bad, ALPHA / 4),
+        lambda: fd_oracle.gauss_seidel_rate(g, bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            call()
 
 
 def test_boundary_layer_target_direct_solve():
