@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ExperimentConfig, emit_csv, parse_config, write_csv
 from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa
-from .errors import ConfigError, PgmError
+from .errors import ConfigError
 from .fd_oracle import (Grid1D, constant_target, fd_direct_kkt_solve, fd_projected_uzawa_run,
                         fd_uzawa_run, gauss_seidel_adjoint_run, gauss_seidel_rate, sine_target,
                         uzawa_step_bounds)
@@ -60,7 +60,7 @@ def _write_run(record) -> list[str]:
     ``eval_refine`` when that is above 1."""
     cfg, out_dir, exact = record.config, record.config.output_dir, record.exact
     # an augmented run steps the multiplier by beta, which meta.txt already lists
-    extra = {"resolved_rho": cfg.resolved_rho} if cfg.variant == "plain" else {}
+    extra = {"resolved_rho": cfg.resolved_rho} if cfg.beta is None else {}
     extra["n_parameters"] = record.params.spec.n_parameters
     if exact is not None and record.n_updates:
         extra["final_state_l2_error"] = record.state_errors[-1]
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(cfg, args.quiet)
         return _cmd_sweep(cfg, args.alphas, args.quiet)
-    except (ConfigError, PgmError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and PgmError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

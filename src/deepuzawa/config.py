@@ -3,7 +3,8 @@
 Config files are plain ``key = value`` text: one pair per line, ``#``
 starts a comment, keys may appear once.  Unknown keys, duplicate keys,
 missing required keys and unparseable values are all reported with the
-offending key name and line number.
+offending key name and line number, and so are the checks every
+:class:`ExperimentConfig` runs when it is built, from a file or in code.
 
 Recognised keys (defaults in parentheses):
 
@@ -11,11 +12,11 @@ Recognised keys (defaults in parentheses):
                  ac_step | ac_image | fd_oracle
   alpha          regularisation weight, > 0 and finite (1e-4)
   epsilon        Allen-Cahn interface width, > 0, with epsilon**2 and
-                 1/epsilon**2 finite and nonzero; required for ac_* tags
-  rho            multiplier step, > 0 and finite (alpha / 4)
-  variant        plain | augmented  (plain)
-  beta           augmentation weight, > 0 and finite; required when
-                 variant = augmented
+                 1/epsilon**2 finite and nonzero; required by ac_* tags, refused by others
+  rho            multiplier step of the plain variant, > 0 and finite;
+                 not with beta (alpha / 4)
+  beta           penalty weight and multiplier step, > 0 and finite;
+                 setting it selects the augmented variant
   n_uzawa        outer multiplier updates, >= 1 (500)
   n_sgd          inner optimiser steps per update, >= 1 (40)
   learning_rate  Adam step size, > 0 and finite (1e-3)
@@ -24,7 +25,7 @@ Recognised keys (defaults in parentheses):
   hidden_width   network width, >= 1 (64)
   hidden_depth   hidden layer count, >= 0 (3)
   batch_size     mini-batch size, >= 1; full batch when absent
-  image          greymap path, required for ac_image
+  image          greymap path; required by ac_image, refused by other tags
   output_dir     run directory (runs/<tag>)
   eval_refine    extra evaluation grid refinement factor, >= 1 (1)
   oracle_method  uzawa | projected | gauss_seidel | direct | all  (uzawa)
@@ -58,7 +59,6 @@ class ExperimentConfig:
     alpha: float = 1e-4
     epsilon: float | None = None
     rho: float | None = None
-    variant: str = "plain"
     beta: float | None = None
     n_uzawa: int = 500
     n_sgd: int = 40
@@ -78,6 +78,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.output_dir is None:
             self.output_dir = os.path.join("runs", self.tag)
+        _check(self)
 
     @property
     def resolved_rho(self) -> float:
@@ -122,79 +123,63 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(
                 f"cannot parse {text!r} as {_SCHEMA[key].__name__}", key=key, line=lineno
             ) from None
-    cfg = ExperimentConfig(**kwargs)
-    _validate(cfg, entries)
-    return cfg
+    try:
+        return ExperimentConfig(**kwargs)
+    except ConfigError as exc:  # name the line of the key, when the file has it
+        line = entries[exc.key][1] if exc.key in entries else None
+        raise ConfigError(exc.message, key=exc.key, line=line) from None
 
 
-def check_run_keys(cfg: ExperimentConfig, where=lambda key: None):
-    """The variant is plain or augmented, augmented comes with its beta, and
-    an Allen-Cahn tag comes with an epsilon in range.
-
-    Parsing checks this with the rest of the file; ``run_deep_uzawa`` checks
-    it again for configs built in code.  ``where`` maps a key to its line.
-    """
-    if cfg.variant not in ("plain", "augmented"):
-        raise ConfigError("variant must be plain or augmented",
-                          key="variant", line=where("variant"))
-    if cfg.variant == "augmented" and cfg.beta is None:
-        raise ConfigError("augmented variant requires beta", key="beta")
+def _check(cfg: ExperimentConfig):
+    """Raise ConfigError naming the key unless every field is in range, the
+    tag has the keys it requires and no key is set that the run ignores."""
+    if cfg.tag not in TAGS:
+        raise ConfigError(f"unknown tag {cfg.tag!r}, expected one of {TAGS}", key="tag")
     if cfg.tag in _AC_TAGS and cfg.epsilon is None:
         raise ConfigError(f"tag {cfg.tag!r} requires epsilon", key="epsilon")
-    if cfg.epsilon is None:
-        return
-    if not 0 < cfg.epsilon < math.inf:
-        raise ConfigError("epsilon must be positive and finite",
-                          key="epsilon", line=where("epsilon"))
-    try:  # the Allen-Cahn operator and targets scale by 1/epsilon**2 in float64
-        inv2_ok = math.isfinite(1.0 / cfg.epsilon**2)
-    except ArithmeticError:  # epsilon**2 underflowed to 0 or overflowed
-        inv2_ok = False
-    if not inv2_ok:
-        raise ConfigError("epsilon**2 and 1/epsilon**2 must be finite and nonzero",
-                          key="epsilon", line=where("epsilon"))
-
-
-def _validate(cfg: ExperimentConfig, entries):
-    def where(key):
-        return entries[key][1] if key in entries else None
-
-    if cfg.tag not in TAGS:
-        raise ConfigError(f"unknown tag {cfg.tag!r}, expected one of {TAGS}",
-                          key="tag", line=where("tag"))
-    check_run_keys(cfg, where)
+    if cfg.epsilon is not None:
+        if not 0 < cfg.epsilon < math.inf:
+            raise ConfigError("epsilon must be positive and finite", key="epsilon")
+        try:  # the Allen-Cahn operator and targets scale by 1/epsilon**2 in float64
+            inv2_ok = math.isfinite(1.0 / cfg.epsilon**2)
+        except ArithmeticError:  # epsilon**2 underflowed to 0 or overflowed
+            inv2_ok = False
+        if not inv2_ok:
+            raise ConfigError("epsilon**2 and 1/epsilon**2 must be finite and nonzero",
+                              key="epsilon")
     if cfg.tag == "ac_image" and cfg.image is None:
         raise ConfigError("tag ac_image requires an image path", key="image")
     for key in ("alpha", "beta", "rho", "learning_rate"):
         value = getattr(cfg, key)
         if value is not None and not 0 < value < math.inf:
-            raise ConfigError(f"{key} must be positive and finite", key=key, line=where(key))
+            raise ConfigError(f"{key} must be positive and finite", key=key)
     for key in ("n_uzawa", "n_sgd", "hidden_width"):
         if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1", key=key, line=where(key))
+            raise ConfigError(f"{key} must be at least 1", key=key)
     if cfg.hidden_depth < 0:
-        raise ConfigError("hidden_depth must be nonnegative",
-                          key="hidden_depth", line=where("hidden_depth"))
+        raise ConfigError("hidden_depth must be nonnegative", key="hidden_depth")
     if not 0 <= cfg.seed < 2**63:  # the checkpoint stores it as an int64
-        raise ConfigError("seed must be in [0, 2**63)", key="seed", line=where("seed"))
+        raise ConfigError("seed must be in [0, 2**63)", key="seed")
     if cfg.n_points < 3:
-        raise ConfigError("n_points must be at least 3", key="n_points", line=where("n_points"))
+        raise ConfigError("n_points must be at least 3", key="n_points")
     if cfg.eval_refine < 1:
-        raise ConfigError("eval_refine must be at least 1",
-                          key="eval_refine", line=where("eval_refine"))
+        raise ConfigError("eval_refine must be at least 1", key="eval_refine")
     if cfg.oracle_method not in ORACLE_METHODS:
-        raise ConfigError(f"oracle_method must be one of {ORACLE_METHODS}",
-                          key="oracle_method", line=where("oracle_method"))
+        raise ConfigError(f"oracle_method must be one of {ORACLE_METHODS}", key="oracle_method")
     if cfg.oracle_iters < 0:
-        raise ConfigError("oracle_iters must be nonnegative",
-                          key="oracle_iters", line=where("oracle_iters"))
+        raise ConfigError("oracle_iters must be nonnegative", key="oracle_iters")
     # the oracle sums pi and sines with ten guard digits
     if cfg.precision_dps is not None and not 1 <= cfg.precision_dps <= decimal.MAX_PREC - 10:
         raise ConfigError(f"precision_dps must be between 1 and {decimal.MAX_PREC - 10}",
-                          key="precision_dps", line=where("precision_dps"))
+                          key="precision_dps")
     if cfg.batch_size is not None and cfg.batch_size < 1:
-        raise ConfigError("batch_size must be positive",
-                          key="batch_size", line=where("batch_size"))
+        raise ConfigError("batch_size must be positive", key="batch_size")
+    if cfg.rho is not None and cfg.beta is not None:
+        raise ConfigError("rho steps the plain variant; beta the augmented", key="rho")
+    if cfg.epsilon is not None and cfg.tag not in _AC_TAGS:
+        raise ConfigError(f"epsilon is used only by tags {_AC_TAGS}", key="epsilon")
+    if cfg.image is not None and cfg.tag != "ac_image":
+        raise ConfigError("image is used only by tag ac_image", key="image")
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 One run executes a fixed number of outer multiplier updates.  Inside each
 outer step the multiplier is frozen and the network parameters take a fixed
 number of optimiser steps on the quadrature Lagrangian; the multiplier is
-then moved along the constraint residual.  The augmented variant adds the
-squared-residual penalty to the objective and uses the penalty weight as
-the multiplier step.
+then moved along the constraint residual.  A config that sets ``beta``
+runs the augmented variant: it adds the squared-residual penalty, weighted
+by ``beta``, to the objective and uses ``beta`` as the multiplier step.
 
 Errors against a closed-form solution (when the tag has one), the
 decomposed loss, the wall time and the diagnostics (DIAGNOSTIC_COLUMNS)
@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_forms import EXACT_KINDS, ExactSolution
-from .config import (ExperimentConfig, RunResult, check_run_keys, load_pgm_target,
-                     sample_image_on_grid)
+from .config import ExperimentConfig, RunResult, load_pgm_target, sample_image_on_grid
 from .errors import ConfigError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet, l2_norm
 from .lagrangian import (ProblemSpec, TargetSpec, loss_parts, multiplier_update,
@@ -99,12 +98,10 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     of the steps before it.  ``diverged_reason`` says which check failed,
     ``inner_loss``, ``adam_step`` or ``update_loss``, and for the first two
     ``diverged_inner_step`` gives the Adam step within the update.
-    Errors are recorded when the tag has a closed form.  An unknown variant,
-    the augmented one without ``beta``, or an Allen-Cahn tag without an
-    ``epsilon`` in range raises ``ConfigError`` naming the key, also for a
-    config built in code rather than parsed from a file.
+    Errors are recorded when the tag has a closed form.  The multiplier
+    step is ``beta`` when it is set (the augmented variant, which also adds
+    the ``beta``-weighted penalty), else ``resolved_rho``.
     """
-    check_run_keys(config)
     problem, domain = problem_for(config)
     cset = build_grid(domain, config.n_points)
     target = target_values(problem, cset)
@@ -118,8 +115,8 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                           seed=config.seed)
     params = init_network(network)
     adam = AdamState.fresh(params.flat.size, lr=config.learning_rate)
-    step = config.beta if config.variant == "augmented" else config.resolved_rho
-    beta = config.beta if config.variant == "augmented" else 0.0
+    step = config.resolved_rho if config.beta is None else config.beta
+    beta = 0.0 if config.beta is None else config.beta
     z = np.zeros(cset.n_interior)
     mask = cset.interior_mask
     interior_weights = cset.weights[mask]
@@ -197,20 +194,19 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
 
 
 def rho_alpha_sweep(base: ExperimentConfig, alphas) -> list[RunRecord]:
-    """One run per regularisation weight with the base config's rho, which
-    resolves to alpha / 4 for each alpha when unset.  Run ``alpha = a``
-    has ``output_dir`` ``<base output_dir>/alpha_<a>``; alphas that would
-    share a directory raise ValueError before any run."""
+    """One run per regularisation weight, each stepping the multiplier by
+    the base config's beta or else its rho, alpha / 4 for each alpha when
+    unset.  Run ``alpha = a`` has ``output_dir`` ``<base output_dir>/alpha_<a>``.
+    Every config is built before the first run: alphas that would share a
+    directory raise ValueError, and an alpha out of range ConfigError."""
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alpha sweep needs at least one value")
-    if not all(0 < a < np.inf for a in alphas):
-        raise ValueError("swept alphas must be positive and finite")
     names = [f"alpha_{a:g}" for a in alphas]
     for i, name in enumerate(names):
         j = names.index(name)
         if j < i:
             raise ValueError(f"alphas {alphas[j]!r} and {alphas[i]!r} both write {name}")
-    return [run_deep_uzawa(replace(base, alpha=float(a),
-                                   output_dir=os.path.join(base.output_dir, name)))
-            for a, name in zip(alphas, names)]
+    configs = [replace(base, alpha=float(a), output_dir=os.path.join(base.output_dir, name))
+               for a, name in zip(alphas, names)]
+    return [run_deep_uzawa(cfg) for cfg in configs]

@@ -14,12 +14,14 @@ class IterationLimitError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration file.
+    """Invalid experiment configuration.
 
-    Carries the offending key and, when known, the 1-based line number.
+    Carries the bare message, the offending key and, when known, the 1-based
+    line number.
     """
 
     def __init__(self, message, key=None, line=None):
+        self.message = message
         self.key = key
         self.line = line
         prefix = ""

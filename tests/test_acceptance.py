@@ -47,8 +47,7 @@ def run_sine_alpha8():
 
 @pytest.fixture(scope="module")
 def run_sine_augmented():
-    return run_deep_uzawa(ExperimentConfig("sine1d", alpha=1e-4, variant="augmented",
-                                           beta=1e-4))
+    return run_deep_uzawa(ExperimentConfig("sine1d", alpha=1e-4, beta=1e-4))
 
 
 @pytest.fixture(scope="module")

@@ -3,16 +3,17 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deepuzawa import cli
+from deepuzawa import cli, config
 from deepuzawa.cli import main
 from deepuzawa.closed_forms import EXACT_KINDS
-from deepuzawa.config import (RunResult, emit_csv, load_pgm_target, parse_config, read_csv,
-                              sample_image_on_grid, write_csv)
+from deepuzawa.config import (_SCHEMA, ExperimentConfig, RunResult, emit_csv, load_pgm_target,
+                              parse_config, read_csv, sample_image_on_grid, write_csv)
 from deepuzawa.driver import rho_alpha_sweep
 from deepuzawa.errors import ConfigError, PgmError
 from deepuzawa.fd_oracle import Grid1D, gauss_seidel_adjoint_run, sine_target, uzawa_step_bounds
@@ -41,7 +42,6 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.n_sgd == 40
     assert cfg.n_uzawa == 500
     assert cfg.n_points == 201
-    assert cfg.variant == "plain"
     assert cfg.output_dir == os.path.join("runs", "sine1d")
 
 
@@ -99,14 +99,44 @@ def test_grad_check_tag_is_unknown(tmp_path):
     ("hidden_depth", "-1"), ("learning_rate", "-1"), ("learning_rate", "0"),
     ("n_uzawa", "0"), ("n_sgd", "0"), ("hidden_width", "0"), ("rho", "0"), ("rho", "-1"),
     ("alpha", "inf"), ("epsilon", "inf"), ("rho", "inf"), ("beta", "inf"),
-    ("learning_rate", "inf"),
+    ("learning_rate", "inf"), ("batch_size", "0"), ("eval_refine", "0"), ("seed", "-1"),
 ])
 def test_out_of_range_value_names_key_and_line(tmp_path, key, value):
-    second = "seed = 0" if key == "alpha" else "alpha = 1e-2"
+    second = ("seed", "0") if key == "alpha" else ("alpha", "1e-2")
     with pytest.raises(ConfigError, match="must be") as err:
-        parse_config(write(tmp_path, f"tag = fd_oracle\n{second}\n{key} = {value}\n"))
+        parse_config(write(tmp_path, f"tag = fd_oracle\n{second[0]} = {second[1]}\n"
+                                     f"{key} = {value}\n"))
     assert err.value.key == key
     assert err.value.line == 3
+    # the same check on a config built in code, which has no line to name
+    with pytest.raises(ConfigError) as built:
+        ExperimentConfig("fd_oracle", **{k: _SCHEMA[k](v) for k, v in (second, (key, value))})
+    assert (built.value.key, built.value.line) == (key, None)
+    assert built.value.message == err.value.message
+    assert str(built.value) == f"key '{key}': {err.value.message}"
+
+
+@pytest.mark.parametrize("tag, key, value", [
+    ("sine1d", "epsilon", 0.1), ("fd_oracle", "epsilon", 0.1), ("sine1d", "image", "nothing.pgm"),
+    ("ac_sine", "image", "nothing.pgm"),
+])
+def test_key_the_run_ignores_names_key_and_line(tmp_path, tag, key, value):
+    # an ac_sine run needs its epsilon, and ignores an image like sine1d ignores both
+    extra = {"epsilon": 0.5} if tag == "ac_sine" else {}
+    text = "".join(f"{k} = {v}\n" for k, v in {"tag": tag, key: value, **extra}.items())
+    with pytest.raises(ConfigError, match="used only by") as err:
+        parse_config(write(tmp_path, text))
+    assert (err.value.key, err.value.line) == (key, 2)
+    with pytest.raises(ConfigError, match="used only by") as built:
+        ExperimentConfig(tag, **{key: value}, **extra)
+    assert (built.value.key, built.value.line) == (key, None)
+
+
+def test_config_docstring_lists_every_field_in_order():
+    table = config.__doc__.split("Recognised keys", 1)[1]
+    listed = [line.split()[0] for line in table.splitlines()
+              if line.startswith("  ") and not line.startswith("   ")]
+    assert listed == [f.name for f in fields(ExperimentConfig)]
 
 
 TINY_RUN = "n_uzawa = 1\nn_sgd = 1\nn_points = 5\nhidden_width = 2\nhidden_depth = 1\n"
@@ -154,16 +184,24 @@ def test_largest_seed_round_trips_through_the_checkpoint(tmp_path):
     assert load_checkpoint(tmp_path / "params.bin").spec.seed == 2**63 - 1
 
 
-def test_augmented_meta_lists_beta_not_resolved_rho(tmp_path):
-    # the augmented multiplier step is beta; resolved_rho would be alpha / 4,
-    # which the run never uses
+def test_augmented_meta_lists_beta_not_resolved_rho(tmp_path, capsys):
+    # beta alone selects the augmented variant, whose multiplier step is
+    # beta; resolved_rho would be alpha / 4, which the run never uses
     out = tmp_path / "out"
-    cfg = write(tmp_path, f"tag = sine1d\nvariant = augmented\nbeta = 0.5\n{TINY_RUN}"
-                          f"output_dir = {out}\n")
+    cfg = write(tmp_path, f"tag = sine1d\nbeta = 0.5\n{TINY_RUN}output_dir = {out}\n")
     assert main(["-q", "run", cfg]) == 0
     meta = _read_meta(out / "meta.txt")
     assert meta["beta"] == "0.5"
-    assert "resolved_rho" not in meta
+    assert "resolved_rho" not in meta and "variant" not in meta
+    # from z = 0 the first update moves the multiplier to beta K
+    _, diag = read_csv(out / "Diagnostics.csv")
+    assert diag[0, 3] == pytest.approx(0.5 * diag[0, 2], rel=1e-12)
+    both = write(tmp_path, f"tag = sine1d\nbeta = 0.5\nrho = 0.5\n{TINY_RUN}"
+                           f"output_dir = {tmp_path / 'both'}\n", name="both.cfg")
+    assert main(["-q", "run", both]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 3: key 'rho': rho steps the plain variant; beta the augmented"]
+    assert not (tmp_path / "both").exists()
 
 
 def test_diagnostics_csv_has_one_row_per_update(tmp_path):
@@ -182,12 +220,6 @@ def test_diagnostics_csv_has_one_row_per_update(tmp_path):
     assert np.allclose(diag[:, 5], loss[:, 1:].sum(axis=1), rtol=1e-12, atol=0)
     # from z = 0 the first update moves the multiplier to rho K
     assert diag[0, 3] == pytest.approx(0.01 * diag[0, 2], rel=1e-12)
-
-
-def test_augmented_requires_beta(tmp_path):
-    with pytest.raises(ConfigError) as err:
-        parse_config(write(tmp_path, "tag = sine1d\nvariant = augmented\n"))
-    assert err.value.key == "beta"
 
 
 def test_image_required_for_ac_image(tmp_path):

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from deepuzawa import driver
 from deepuzawa.closed_forms import ExactSolution
 from deepuzawa.config import ExperimentConfig
 from deepuzawa.driver import problem_for, rho_alpha_sweep, run_deep_uzawa
@@ -21,8 +22,14 @@ def tiny_config(**kw):
     return ExperimentConfig(**defaults)
 
 
-def test_zero_learning_rate_updates_multiplier_only():
-    cfg = tiny_config(n_uzawa=1, n_sgd=1, learning_rate=0.0)
+@pytest.fixture
+def frozen_network(monkeypatch):
+    # every Adam step returns the parameters it was given
+    monkeypatch.setattr(driver, "adam_step", lambda state, flat, grad: (state, flat))
+
+
+def test_zero_learning_rate_updates_multiplier_only(frozen_network):
+    cfg = tiny_config(n_uzawa=1, n_sgd=1)
     rec = run_deep_uzawa(cfg)
     params0 = init_network(TINY_NET)
     assert np.array_equal(rec.params.flat, params0.flat)
@@ -34,14 +41,14 @@ def test_zero_learning_rate_updates_multiplier_only():
     assert np.allclose(rec.z, cfg.resolved_rho * k, rtol=1e-14)
 
 
-def test_multiplier_updated_once_per_outer_step_only():
+def test_multiplier_updated_once_per_outer_step_only(frozen_network):
     # with a frozen network the residual is constant, so after N_Uz updates
     # z = N_Uz * rho * K0; any multiplier movement inside the inner loop
     # would break this
     n_uz = 4
-    cfg = tiny_config(n_uzawa=n_uz, n_sgd=3, learning_rate=0.0)
+    cfg = tiny_config(n_uzawa=n_uz, n_sgd=3)
     rec = run_deep_uzawa(cfg)
-    one = run_deep_uzawa(tiny_config(n_uzawa=1, n_sgd=1, learning_rate=0.0))
+    one = run_deep_uzawa(tiny_config(n_uzawa=1, n_sgd=1))
     assert np.allclose(rec.z, n_uz * one.z, rtol=1e-12)
     assert rec.n_updates == n_uz
     assert rec.z.shape == (rec.cset.n_interior,)
@@ -121,15 +128,13 @@ def test_problem_for_maps_tag_to_problem_and_domain():
         problem_for(tiny_config(tag="fd_oracle"))
 
 
-def test_config_built_in_code_is_checked_for_variant_and_beta():
-    # parse_config is not on this path; the run itself names the missing key
-    with pytest.raises(ConfigError, match="requires beta") as exc:
-        run_deep_uzawa(ExperimentConfig("sine1d", variant="augmented"))
-    assert exc.value.key == "beta"
-    with pytest.raises(ConfigError, match="plain or augmented") as exc:
-        run_deep_uzawa(tiny_config(variant="penalty"))
-    assert exc.value.key == "variant"
-    rec = run_deep_uzawa(tiny_config(variant="augmented", beta=1e-2, n_uzawa=1, n_sgd=1))
+def test_config_built_in_code_is_checked_for_rho_with_beta():
+    # beta is the augmented variant's multiplier step, so a rho beside it
+    # would go unused
+    with pytest.raises(ConfigError, match="rho steps the plain variant") as exc:
+        tiny_config(rho=1e-2, beta=1e-2)
+    assert exc.value.key == "rho"
+    rec = run_deep_uzawa(tiny_config(beta=1e-2, n_uzawa=1, n_sgd=1))
     assert rec.n_updates == 1
 
 
@@ -137,10 +142,9 @@ def test_config_built_in_code_is_checked_for_variant_and_beta():
                                            (-1.0, "positive"), (None, "requires epsilon")])
 def test_config_built_in_code_is_checked_for_epsilon(eps, message):
     # the parser's epsilon checks, on a config that never went through it
-    cfg = ExperimentConfig("ac_sine", epsilon=eps, n_uzawa=1, n_sgd=1, n_points=11,
-                           hidden_width=4, hidden_depth=1)
     with pytest.raises(ConfigError, match=message) as exc:
-        run_deep_uzawa(cfg)
+        ExperimentConfig("ac_sine", epsilon=eps, n_uzawa=1, n_sgd=1, n_points=11,
+                         hidden_width=4, hidden_depth=1)
     assert exc.value.key == "epsilon"
 
 
@@ -189,8 +193,8 @@ def test_minibatch_mode_runs_and_is_deterministic():
     assert np.all(np.isfinite(a.loss_history))
 
 
-def test_multiplier_drift_bounded_by_rho_times_residual():
-    cfg = tiny_config(n_uzawa=1, n_sgd=1, learning_rate=0.0)
+def test_multiplier_drift_bounded_by_rho_times_residual(frozen_network):
+    cfg = tiny_config(n_uzawa=1, n_sgd=1)
     rec = run_deep_uzawa(cfg)
     params0 = init_network(TINY_NET)
     cset = rec.cset
