@@ -20,8 +20,7 @@ from .driver import RunRecord, rho_alpha_sweep, run_deep_uzawa
 from .fd_oracle import (FDRun, Grid1D, KKTSolution, fd_direct_kkt_solve, fd_projected_uzawa_run,
                         fd_uzawa_run, gauss_seidel_adjoint_run)
 from .geometry import CollocationSet, Domain, build_grid, cutoff_jet, l2_norm
-from .lagrangian import (ProblemSpec, TargetSpec, cost_values, loss_parts, multiplier_update,
-                         residual_values)
+from .lagrangian import ProblemSpec, cost_values, loss_parts, multiplier_update, residual_values
 from .network import (NetworkParameters, NetworkSpec, batch_jets, finite_difference_gradient,
                       grad_check, init_network, load_checkpoint, loss_and_gradient,
                       save_checkpoint)

@@ -18,6 +18,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .closed_forms import EXPERIMENTS
 from .config import ExperimentConfig, emit_csv, parse_config, write_csv
 from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa
 from .errors import ConfigError
@@ -27,7 +28,7 @@ from .fd_oracle import (Grid1D, constant_target, fd_direct_kkt_solve, fd_project
 from .geometry import build_grid, cutoff_jet, l2_norm
 from .network import CHECK_BOUND, evaluate, grad_check, save_checkpoint
 
-_ORACLE_TAGS = ("fd_oracle", "sine1d", "boundary_layer")
+_ORACLE_TAGS = tuple(tag for tag, row in EXPERIMENTS.items() if row.oracle)
 _ORACLE_KEYS = ("oracle_method", "oracle_iters", "precision_dps")
 # the config keys each subcommand's meta.txt lists; of the oracle methods
 # only the Uzawa runs take a step size, and Gauss-Seidel always runs in float64
@@ -36,6 +37,9 @@ _ORACLE_META = {"uzawa": _ORACLE_BASE + ("rho", "precision_dps"),
                 "projected": _ORACLE_BASE + ("rho", "precision_dps"),
                 "direct": _ORACLE_BASE + ("precision_dps",), "gauss_seidel": _ORACLE_BASE}
 _NETWORK_META = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _ORACLE_KEYS)
+# optional keys a subcommand would otherwise drop without a word
+_UNUSED_KEYS = {"run": ("precision_dps",), "sweep": ("precision_dps",),
+                "oracle": ("beta", "batch_size")}
 
 
 def _meta_from(cfg: ExperimentConfig, keys, out_dir, extra: dict) -> dict:
@@ -193,6 +197,9 @@ def main(argv=None) -> int:
         if args.command == "grad-check":
             return _cmd_grad_check(args.quiet)
         cfg = parse_config(args.config)
+        for key in _UNUSED_KEYS[args.command]:
+            if getattr(cfg, key) is not None:
+                raise ConfigError(f"deepuzawa {args.command} does not use {key}", key=key)
         if args.command == "run":
             return _cmd_run(cfg, args.quiet)
         if args.command == "oracle":

@@ -43,17 +43,17 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
+from .closed_forms import EXPERIMENTS
 from .errors import ConfigError, PgmError
 from .geometry import CollocationSet
 
-TAGS = ("sine1d", "boundary_layer", "sine2d", "ac_sine", "ac_step", "ac_image",
-        "fd_oracle")
+TAGS = tuple(EXPERIMENTS)
 ORACLE_METHODS = ("uzawa", "projected", "gauss_seidel", "direct", "all")
+# each tag-specific key is required by the tags whose row lists it, refused by the others
+_TAG_KEYS = tuple(dict.fromkeys(key for row in EXPERIMENTS.values() for key in row.keys))
 
-_AC_TAGS = ("ac_sine", "ac_step", "ac_image")
 
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     tag: str
     alpha: float = 1e-4
@@ -77,7 +77,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.output_dir is None:
-            self.output_dir = os.path.join("runs", self.tag)
+            object.__setattr__(self, "output_dir", os.path.join("runs", self.tag))
         _check(self)
 
     @property
@@ -135,8 +135,10 @@ def _check(cfg: ExperimentConfig):
     tag has the keys it requires and no key is set that the run ignores."""
     if cfg.tag not in TAGS:
         raise ConfigError(f"unknown tag {cfg.tag!r}, expected one of {TAGS}", key="tag")
-    if cfg.tag in _AC_TAGS and cfg.epsilon is None:
-        raise ConfigError(f"tag {cfg.tag!r} requires epsilon", key="epsilon")
+    row = EXPERIMENTS[cfg.tag]
+    for key in row.keys:
+        if getattr(cfg, key) is None:
+            raise ConfigError(f"tag {cfg.tag!r} requires {key}", key=key)
     if cfg.epsilon is not None:
         if not 0 < cfg.epsilon < math.inf:
             raise ConfigError("epsilon must be positive and finite", key="epsilon")
@@ -147,8 +149,6 @@ def _check(cfg: ExperimentConfig):
         if not inv2_ok:
             raise ConfigError("epsilon**2 and 1/epsilon**2 must be finite and nonzero",
                               key="epsilon")
-    if cfg.tag == "ac_image" and cfg.image is None:
-        raise ConfigError("tag ac_image requires an image path", key="image")
     for key in ("alpha", "beta", "rho", "learning_rate"):
         value = getattr(cfg, key)
         if value is not None and not 0 < value < math.inf:
@@ -176,10 +176,10 @@ def _check(cfg: ExperimentConfig):
         raise ConfigError("batch_size must be positive", key="batch_size")
     if cfg.rho is not None and cfg.beta is not None:
         raise ConfigError("rho steps the plain variant; beta the augmented", key="rho")
-    if cfg.epsilon is not None and cfg.tag not in _AC_TAGS:
-        raise ConfigError(f"epsilon is used only by tags {_AC_TAGS}", key="epsilon")
-    if cfg.image is not None and cfg.tag != "ac_image":
-        raise ConfigError("image is used only by tag ac_image", key="image")
+    for key in _TAG_KEYS:
+        if getattr(cfg, key) is not None and key not in row.keys:
+            users = tuple(tag for tag, other in EXPERIMENTS.items() if key in other.keys)
+            raise ConfigError(f"{key} is used only by tags {users}", key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +269,12 @@ def load_pgm_target(path) -> ImageTarget:
 def sample_image_on_grid(img: ImageTarget, cset: CollocationSet) -> np.ndarray:
     """Bilinear sample of the image onto a 2d collocation set.
 
-    The image spans the whole domain with pixel centres at the corners;
+    The image spans the unit square with pixel centres at the corners;
     row 0 sits at the top (largest second coordinate).
     """
     if cset.domain.dim != 2:
         raise ValueError("image targets need a 2d collocation set")
-    (ax, bx), (ay, by) = cset.domain.bounds
-    x = (cset.points[:, 0] - ax) / (bx - ax)
-    y = (cset.points[:, 1] - ay) / (by - ay)
+    x, y = cset.points[:, 0], cset.points[:, 1]
     px = x * (img.width - 1)
     py = (1.0 - y) * (img.height - 1)
     x0 = np.clip(np.floor(px).astype(int), 0, img.width - 2)

@@ -19,12 +19,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_forms import EXACT_KINDS, ExactSolution
+from .closed_forms import EXPERIMENTS, ExactSolution
 from .config import ExperimentConfig, RunResult, load_pgm_target, sample_image_on_grid
 from .errors import ConfigError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet, l2_norm
-from .lagrangian import (ProblemSpec, TargetSpec, loss_parts, multiplier_update,
-                         residual_values, target_values)
+from .lagrangian import (ProblemSpec, loss_parts, multiplier_update, residual_values,
+                         target_values)
 from .network import (NetworkParameters, NetworkSpec, batch_jets, evaluate, init_network,
                       loss_and_gradient)
 from .optim import AdamState, adam_step
@@ -59,27 +59,17 @@ class RunRecord(RunResult):
 
 
 def problem_for(cfg: ExperimentConfig) -> tuple[ProblemSpec, Domain]:
-    """Problem spec and domain of a network experiment tag."""
-    if cfg.tag == "sine1d":
-        return ProblemSpec("poisson", cfg.alpha, TargetSpec("sine1d")), Domain.unit_interval()
-    if cfg.tag == "boundary_layer":
-        return (ProblemSpec("poisson", cfg.alpha, TargetSpec("constant", constant=1.0)),
-                Domain.unit_interval())
-    if cfg.tag == "sine2d":
-        return ProblemSpec("poisson", cfg.alpha, TargetSpec("sine2d")), Domain.unit_square()
-    if cfg.tag == "ac_sine":
-        return (ProblemSpec("allen_cahn", cfg.alpha, TargetSpec("ac_sine"), epsilon=cfg.epsilon),
-                Domain.unit_interval())
-    if cfg.tag == "ac_step":
-        return (ProblemSpec("allen_cahn", cfg.alpha, TargetSpec("step"), epsilon=cfg.epsilon),
-                Domain.unit_interval())
-    if cfg.tag == "ac_image":
-        domain = Domain.unit_square()
+    """Problem spec and domain of a network experiment tag; the image tag's
+    target is sampled on the run's grid."""
+    row = EXPERIMENTS[cfg.tag]
+    if row.kind is None:
+        raise ConfigError(f"tag {cfg.tag!r} belongs to the oracle subcommand", key="tag")
+    domain = Domain(row.dim)
+    samples = None
+    if row.target == "image":
         samples = sample_image_on_grid(load_pgm_target(cfg.image),
                                        build_grid(domain, cfg.n_points))
-        return (ProblemSpec("allen_cahn", cfg.alpha, TargetSpec("sampled", samples=samples),
-                            epsilon=cfg.epsilon), domain)
-    raise ConfigError(f"tag {cfg.tag!r} belongs to the oracle subcommand", key="tag")
+    return ProblemSpec(cfg.tag, cfg.alpha, cfg.epsilon, samples), domain
 
 
 def _subset(cset: CollocationSet, idx: np.ndarray) -> CollocationSet:
@@ -107,7 +97,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     target = target_values(problem, cset)
     cutoff = cutoff_jet(domain, cset.points)
     exact = None
-    if config.tag in EXACT_KINDS:
+    if EXPERIMENTS[config.tag].exact is not None:
         exact = ExactSolution(config.tag, alpha=config.alpha, epsilon=config.epsilon)
         exact_u, exact_f = exact.state(cset.points), exact.control(cset.points)
 

@@ -1,7 +1,7 @@
 """Domains, Cartesian collocation grids, quadrature and discrete norms.
 
-A collocation set is a tensor-product grid over a box domain in one or two
-dimensions, together with trapezoidal quadrature weights and a mask marking
+A collocation set is a tensor-product grid over the unit interval or the
+unit square, together with trapezoidal quadrature weights and a mask marking
 interior points.  All reductions run in index order so that repeated
 evaluations of the same data are bitwise reproducible.
 """
@@ -16,33 +16,21 @@ from .errors import GridError, ShapeError
 
 @dataclass(frozen=True)
 class Domain:
-    """Axis-aligned box in R^d, d in {1, 2}.
+    """The unit interval [0, 1] (``dim`` 1) or the unit square [0, 1]^2 (``dim`` 2)."""
 
-    Parameters
-    ----------
-    bounds : tuple of (low, high) pairs, one per axis.
-    """
-
-    bounds: tuple[tuple[float, float], ...]
+    dim: int
 
     def __post_init__(self):
-        if len(self.bounds) not in (1, 2):
-            raise ValueError(f"only 1d and 2d domains are supported, got d={len(self.bounds)}")
-        for a, b in self.bounds:
-            if not a < b:
-                raise ValueError(f"invalid axis bounds ({a}, {b}): need low < high")
-
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
+        if self.dim not in (1, 2):
+            raise ValueError(f"only 1d and 2d domains are supported, got d={self.dim}")
 
     @staticmethod
     def unit_interval() -> "Domain":
-        return Domain(((0.0, 1.0),))
+        return Domain(1)
 
     @staticmethod
     def unit_square() -> "Domain":
-        return Domain(((0.0, 1.0), (0.0, 1.0)))
+        return Domain(2)
 
 
 @dataclass(frozen=True)
@@ -85,26 +73,19 @@ def build_grid(domain: Domain, n_per_axis: int) -> CollocationSet:
     """
     if n_per_axis < 3:
         raise GridError(f"need at least 3 points per axis, got {n_per_axis}")
-    axes, axis_weights, axis_interior = [], [], []
-    for a, b in domain.bounds:
-        x = np.linspace(a, b, n_per_axis)
-        h = (b - a) / (n_per_axis - 1)
-        w = np.full(n_per_axis, h)
-        w[0] = w[-1] = h / 2
-        inner = np.ones(n_per_axis, dtype=bool)
-        inner[0] = inner[-1] = False
-        axes.append(x)
-        axis_weights.append(w)
-        axis_interior.append(inner)
+    x = np.linspace(0.0, 1.0, n_per_axis)
+    h = 1.0 / (n_per_axis - 1)
+    w = np.full(n_per_axis, h)
+    w[0] = w[-1] = h / 2
+    inner = np.ones(n_per_axis, dtype=bool)
+    inner[0] = inner[-1] = False
     if domain.dim == 1:
-        points = axes[0][:, None]
-        weights = axis_weights[0]
-        interior = axis_interior[0]
+        points, weights, interior = x[:, None], w, inner
     else:
-        x0, x1 = np.meshgrid(axes[0], axes[1], indexing="ij")
+        x0, x1 = np.meshgrid(x, x, indexing="ij")
         points = np.stack([x0.ravel(), x1.ravel()], axis=1)
-        weights = np.outer(axis_weights[0], axis_weights[1]).ravel()
-        interior = np.outer(axis_interior[0], axis_interior[1]).ravel()
+        weights = np.outer(w, w).ravel()
+        interior = np.outer(inner, inner).ravel()
     return CollocationSet(domain, points, weights, interior)
 
 
@@ -140,27 +121,21 @@ def cutoff_jet(domain: Domain, points: np.ndarray) -> CutoffJet:
 
     The cutoff is a product of per-axis parabolic bumps g_i(x_i), each
     normalised to a maximum of one, so it is exactly zero whenever any
-    coordinate sits exactly on its axis boundary.  Its gradient is
-    grad_i = g_i' * prod_{j != i} g_j and the second derivative along axis i
-    is g_i'' * prod_{j != i} g_j with g_i'' constant.
+    coordinate sits exactly on 0 or 1: g_i = 4 x_i (1 - x_i).  Its gradient
+    is grad_i = g_i' * prod_{j != i} g_j and the second derivative along
+    axis i is g_i'' * prod_{j != i} g_j with g_i'' = -8.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
-    g = np.empty((n, d))
-    g1 = np.empty((n, d))
-    g2 = np.empty((n, d))
-    for i, (a, b) in enumerate(domain.bounds):
-        half = (b - a) / 2
-        scale = 1.0 / (half * half)
-        x = points[:, i]
-        g[:, i] = (x - a) * (b - x) * scale
-        g1[:, i] = (a + b - 2 * x) * scale
-        g2[:, i] = -2.0 * scale
+    if d != domain.dim:
+        raise ShapeError(f"points have dimension {d}, domain has {domain.dim}")
+    g = points * (1.0 - points) * 4.0
+    g1 = (1.0 - 2 * points) * 4.0
     value = np.prod(g, axis=1)
     grad = np.empty((n, d))
     lap = np.zeros(n)
     for i in range(d):
         others = np.prod(np.delete(g, i, axis=1), axis=1) if d > 1 else np.ones(n)
         grad[:, i] = g1[:, i] * others
-        lap += g2[:, i] * others
+        lap += -8.0 * others
     return CutoffJet(value, grad, lap)

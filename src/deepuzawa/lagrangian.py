@@ -22,105 +22,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import EXPERIMENTS, POISSON
 from .errors import ShapeError
 from .geometry import CollocationSet
-
-POISSON = "poisson"
-ALLEN_CAHN = "allen_cahn"
-
-TARGET_KINDS = ("sine1d", "constant", "sine2d", "ac_sine", "step", "sampled")
-
-
-@dataclass
-class TargetSpec:
-    """Desired state field, either closed-form or sampled on the grid."""
-
-    kind: str
-    constant: float | None = None
-    samples: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in TARGET_KINDS:
-            raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.kind == "constant" and self.constant is None:
-            raise ValueError("constant target needs a value")
-        if self.kind == "sampled":
-            if self.samples is None:
-                raise ValueError("sampled target needs sample values")
-            self.samples = np.asarray(self.samples, dtype=float)
-            if not np.all(np.isfinite(self.samples)):
-                raise ValueError("sampled target contains non-finite values")
 
 
 @dataclass
 class ProblemSpec:
-    """Constraint kind, regularisation weight and target."""
+    """An experiment tag of :data:`~deepuzawa.closed_forms.EXPERIMENTS` with
+    its regularisation weight, its Allen-Cahn epsilon and, for the image
+    tag, the target sampled on the collocation points."""
 
-    kind: str
+    tag: str
     alpha: float
-    target: TargetSpec
     epsilon: float | None = None
+    samples: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (POISSON, ALLEN_CAHN):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
+        row = EXPERIMENTS.get(self.tag)
+        if row is None or row.kind is None:
+            raise ValueError(f"tag {self.tag!r} has no constraint")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.kind == ALLEN_CAHN:
-            if self.epsilon is None or not self.epsilon > 0:
-                raise ValueError("Allen-Cahn problems need epsilon > 0")
+        if "epsilon" in row.keys and (self.epsilon is None or not self.epsilon > 0):
+            raise ValueError("Allen-Cahn problems need epsilon > 0")
+        if (row.target == "image") != (self.samples is not None):
+            raise ValueError(f"tag {self.tag!r}: samples are given exactly for an image target")
+        if self.samples is not None:
+            self.samples = np.asarray(self.samples, dtype=float)
+            if not np.all(np.isfinite(self.samples)):
+                raise ValueError("target samples contain non-finite values")
+
+    @property
+    def kind(self) -> str:
+        """The constraint kind of the tag."""
+        return EXPERIMENTS[self.tag].kind
 
 
 def target_values(problem: ProblemSpec, cset: CollocationSet) -> np.ndarray:
     """Evaluate the target field at every collocation point."""
-    spec = problem.target
-    x = cset.points[:, 0]
-    if spec.kind == "sine1d":
-        return (1.0 + problem.alpha * np.pi**4) * np.sin(np.pi * x)
-    if spec.kind == "constant":
-        return np.full(cset.n_points, float(spec.constant))
-    if spec.kind == "sine2d":
-        y = cset.points[:, 1]
-        return (1.0 + 4.0 * problem.alpha * np.pi**4) * np.sin(np.pi * x) * np.sin(np.pi * y)
-    if spec.kind == "ac_sine":
-        return _ac_sine_target(problem.alpha, problem.epsilon, x)
-    if spec.kind == "step":
-        return _step_target(x)
-    if spec.kind == "sampled":
-        if spec.samples.shape != (cset.n_points,):
-            raise ShapeError(
-                f"sampled target has {spec.samples.shape} values for {cset.n_points} points"
-            )
-        return spec.samples
-    raise ValueError(f"unknown target kind {spec.kind!r}")
-
-
-def _ac_sine_target(alpha: float, eps: float, x: np.ndarray) -> np.ndarray:
-    """Target manufactured so u* = sin(pi x) is the Allen-Cahn optimum.
-
-    Eliminating multiplier and control from the stationarity conditions
-    gives D = u* + alpha * A'(u*)[f*] with A'(u*) the linearised operator
-    phi -> -lap(phi) - (1/eps^2)(1 - 3 u*^2) phi and f* = A(u*).
-    """
-    s = np.sin(np.pi * x)
-    c = np.cos(np.pi * x)
-    inv2 = 1.0 / eps**2
-    f_star = s * (np.pi**2 - inv2 * c * c)
-    lap_f = -np.pi**4 * s + inv2 * np.pi**2 * (s + 6 * s * c * c - 3 * s**3)
-    linearised = -lap_f - inv2 * (1.0 - 3.0 * s * s) * f_star
-    return s + alpha * linearised
-
-
-def _step_target(x: np.ndarray) -> np.ndarray:
-    """Piecewise constant target: -1, +1, -1 on thirds, 0 at the jumps."""
-    out = np.zeros_like(x)
-    third, two_thirds = 1.0 / 3.0, 2.0 / 3.0
-    out[(x > 0.0) & (x < third)] = -1.0
-    out[(x > third) & (x < two_thirds)] = 1.0
-    out[(x > two_thirds) & (x < 1.0)] = -1.0
-    out[np.abs(x - third) < 1e-12] = 0.0
-    out[np.abs(x - two_thirds) < 1e-12] = 0.0
-    return out
+    if problem.samples is None:
+        return EXPERIMENTS[problem.tag].target(cset.points, problem.alpha, problem.epsilon)
+    if problem.samples.shape != (cset.n_points,):
+        raise ShapeError(
+            f"sampled target has {problem.samples.shape} values for {cset.n_points} points"
+        )
+    return problem.samples
 
 
 # ---------------------------------------------------------------------------

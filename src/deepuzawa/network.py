@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
-from .lagrangian import ProblemSpec, TargetSpec, loss_parts, pointwise_gradients, target_values
+from .lagrangian import ProblemSpec, loss_parts, pointwise_gradients, target_values
 
 _CHECKPOINT_MAGIC = b"DUZW-NET"
 _CHECKPOINT_VERSION = 1
@@ -435,7 +435,7 @@ def grad_check() -> dict[str, float]:
     errors = {}
     h = 1e-3
     for dim in (1, 2):
-        domain = Domain.unit_interval() if dim == 1 else Domain.unit_square()
+        domain = Domain(dim)
         for seed in range(5):
             params = init_network(NetworkSpec(dim, (8, 8), seed=seed))
             rng = np.random.default_rng(100 + seed)
@@ -454,7 +454,7 @@ def grad_check() -> dict[str, float]:
                 np.abs(jets.lap_u - lap_fd).max() / np.abs(lap_fd).max())
 
     cset = build_grid(Domain.unit_interval(), 16)
-    problem = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d"))
+    problem = ProblemSpec("sine1d", 1e-2)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         z = rng.normal(size=cset.n_interior)

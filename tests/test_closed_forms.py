@@ -2,7 +2,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from deepuzawa.closed_forms import ExactSolution
+from deepuzawa.closed_forms import EXPERIMENTS, ExactSolution
+from deepuzawa.geometry import Domain, build_grid
+from deepuzawa.lagrangian import ProblemSpec, residual_values
 from reference_checks import residual_check_boundary_layer
 
 ENDS = np.array([0.0, 1.0])
@@ -110,3 +112,30 @@ def test_exact_solution_validation():
         ExactSolution("ac_sine")
     with pytest.raises(ValueError):
         ExactSolution("cubic1d")
+
+
+def _residual_on_grid(tag, n):
+    # central-difference Laplacian of u* on the row's grid, interior points only
+    row = EXPERIMENTS[tag]
+    alpha, epsilon = 1e-2, 0.5
+    g = build_grid(Domain(row.dim), n)
+    sol = ExactSolution(tag, alpha=alpha, epsilon=epsilon)
+    u = sol.state(g.points).reshape((n,) * row.dim)
+    f = sol.control(g.points).reshape((n,) * row.dim)
+    h = 1.0 / (n - 1)
+    inner = (slice(1, -1),) * row.dim
+    lap = np.zeros_like(u[inner])
+    for axis in range(row.dim):
+        lo, hi = list(inner), list(inner)
+        lo[axis], hi[axis] = slice(0, -2), slice(2, None)
+        lap += (u[tuple(lo)] - 2 * u[inner] + u[tuple(hi)]) / h**2
+    problem = ProblemSpec(tag, alpha, epsilon)
+    return np.abs(residual_values(problem, u[inner], f[inner], lap)).max()
+
+
+@pytest.mark.parametrize("tag", [tag for tag, row in EXPERIMENTS.items() if row.exact])
+def test_closed_form_residual_is_second_order_under_its_rows_kind(tag):
+    # a closed form paired with the wrong constraint kind or dimension
+    # leaves an O(1) residual instead
+    coarse, fine = _residual_on_grid(tag, 41), _residual_on_grid(tag, 81)
+    assert coarse / fine == pytest.approx(4.0, rel=0.05)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from deepuzawa import cli, config
 from deepuzawa.cli import main
-from deepuzawa.closed_forms import EXACT_KINDS
+from deepuzawa.closed_forms import EXPERIMENTS
 from deepuzawa.config import (_SCHEMA, ExperimentConfig, RunResult, emit_csv, load_pgm_target,
                               parse_config, read_csv, sample_image_on_grid, write_csv)
 from deepuzawa.driver import rho_alpha_sweep
@@ -137,6 +138,23 @@ def test_config_docstring_lists_every_field_in_order():
     listed = [line.split()[0] for line in table.splitlines()
               if line.startswith("  ") and not line.startswith("   ")]
     assert listed == [f.name for f in fields(ExperimentConfig)]
+
+
+def test_config_docstring_lists_the_tags_in_table_order():
+    table = config.__doc__.split("Recognised keys", 1)[1]
+    entry = table.split("\n  tag ", 1)[1].split("\n  alpha ", 1)[0]
+    assert [tag.strip() for tag in entry.split(":", 1)[1].split("|")] == list(EXPERIMENTS)
+
+
+def test_config_is_immutable_and_replace_runs_the_check():
+    # a field set after the check would skip it: n_sgd = 0 left the run's
+    # gradient unbound
+    cfg = ExperimentConfig("sine1d", n_sgd=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_sgd = 0
+    with pytest.raises(ConfigError, match="n_sgd must be at least 1") as err:
+        dataclasses.replace(cfg, n_sgd=0)
+    assert err.value.key == "n_sgd"
 
 
 TINY_RUN = "n_uzawa = 1\nn_sgd = 1\nn_points = 5\nhidden_width = 2\nhidden_depth = 1\n"
@@ -663,6 +681,20 @@ def test_cli_oracle_rejects_2d_tags(tmp_path):
     assert main(["-q", "oracle", cfg]) == 1
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("oracle", "beta", "0.5"), ("oracle", "batch_size", "4"),
+    ("run", "precision_dps", "30"), ("sweep", "precision_dps", "30"),
+])
+def test_cli_refuses_a_key_the_subcommand_would_drop(tmp_path, capsys, command, key, value):
+    out = tmp_path / "out"
+    cfg = write(tmp_path, f"tag = sine1d\n{key} = {value}\n{TINY_RUN}output_dir = {out}\n")
+    alphas = ["--alphas", "0.1"] if command == "sweep" else []
+    assert main(["-q", command, cfg, *alphas]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: key '{key}': deepuzawa {command} does not use {key}"]
+    assert not out.exists()
+
+
 def test_cli_sweep(tmp_path):
     cfg = write(tmp_path, f"""
 tag = sine1d
@@ -811,7 +843,7 @@ def test_shipped_config_runs(tmp_path, path):
     run_files = {"Loss.csv", "State.csv", "Control.csv", "meta.txt"}
     if not oracle:
         expected = {out: run_files | {"params.bin", "Diagnostics.csv"}
-                    | ({"Error.csv"} if cfg.tag in EXACT_KINDS else set())}
+                    | ({"Error.csv"} if EXPERIMENTS[cfg.tag].exact else set())}
     else:
         methods = (["uzawa", "projected", "gauss_seidel", "direct"]
                    if cfg.oracle_method == "all" else [cfg.oracle_method])

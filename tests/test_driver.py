@@ -9,7 +9,7 @@ from deepuzawa.config import ExperimentConfig
 from deepuzawa.driver import problem_for, rho_alpha_sweep, run_deep_uzawa
 from deepuzawa.errors import ConfigError
 from deepuzawa.geometry import Domain, build_grid, cutoff_jet, l2_norm
-from deepuzawa.lagrangian import residual_values
+from deepuzawa.lagrangian import residual_values, target_values
 from deepuzawa.network import NetworkSpec, batch_jets, evaluate, init_network
 
 TINY_NET = NetworkSpec(1, (8, 8), seed=0)
@@ -118,11 +118,11 @@ def test_exact_solution_resolution():
 
 def test_problem_for_maps_tag_to_problem_and_domain():
     problem, domain = problem_for(tiny_config(tag="boundary_layer", alpha=0.5))
-    assert problem.kind == "poisson" and problem.alpha == 0.5
-    assert problem.target.kind == "constant" and problem.target.constant == 1.0
+    assert (problem.tag, problem.kind, problem.alpha) == ("boundary_layer", "poisson", 0.5)
+    assert np.array_equal(target_values(problem, build_grid(domain, 5)), np.ones(5))
     assert domain == Domain.unit_interval()
     problem, domain = problem_for(tiny_config(tag="ac_step", epsilon=0.3))
-    assert (problem.kind, problem.target.kind, problem.epsilon) == ("allen_cahn", "step", 0.3)
+    assert (problem.tag, problem.kind, problem.epsilon) == ("ac_step", "allen_cahn", 0.3)
     assert problem_for(tiny_config(tag="sine2d"))[1] == Domain.unit_square()
     with pytest.raises(ConfigError, match="belongs to the oracle subcommand"):
         problem_for(tiny_config(tag="fd_oracle"))

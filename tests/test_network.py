@@ -12,7 +12,7 @@ from deepuzawa.config import ExperimentConfig
 from deepuzawa.driver import run_deep_uzawa
 from deepuzawa.errors import ShapeError
 from deepuzawa.geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
-from deepuzawa.lagrangian import ProblemSpec, TargetSpec, loss_parts, target_values
+from deepuzawa.lagrangian import ProblemSpec, loss_parts, target_values
 from deepuzawa.network import (NetworkParameters, NetworkSpec, batch_jets, evaluate,
                                finite_difference_gradient, init_network,
                                load_checkpoint, loss_and_gradient, loss_value,
@@ -22,7 +22,7 @@ DOM1 = Domain.unit_interval()
 
 
 def poisson_problem(alpha=1e-2):
-    return ProblemSpec("poisson", alpha, TargetSpec("sine1d"))
+    return ProblemSpec("sine1d", alpha)
 
 
 def random_multiplier(cset, seed=0):
@@ -113,7 +113,7 @@ def test_gradient_matches_finite_differences(kind, beta):
     if kind == "poisson":
         prob = poisson_problem()
     else:
-        prob = ProblemSpec("allen_cahn", 1e-3, TargetSpec("ac_sine"), epsilon=0.8)
+        prob = ProblemSpec("ac_sine", 1e-3, epsilon=0.8)
     z = random_multiplier(g, 17)
     params = init_network(NetworkSpec(1, (8, 8), seed=2))
     _, grad = loss_and_gradient(params, g, prob, z, beta)
@@ -127,10 +127,9 @@ def test_gradient_matches_finite_differences(kind, beta):
 def test_gradient_matches_finite_differences_2d(kind, beta):
     g = build_grid(Domain.unit_square(), 5)
     if kind == "poisson":
-        prob = ProblemSpec("poisson", 1e-2, TargetSpec("sine2d"))
+        prob = ProblemSpec("sine2d", 1e-2)
     else:
-        prob = ProblemSpec("allen_cahn", 1e-3, TargetSpec("constant", constant=0.5),
-                           epsilon=0.8)
+        prob = ProblemSpec("ac_image", 1e-3, epsilon=0.8, samples=np.full(g.n_points, 0.5))
     z = random_multiplier(g, 23)
     params = init_network(NetworkSpec(2, (6, 6), seed=6))
     _, grad = loss_and_gradient(params, g, prob, z, beta)
@@ -284,7 +283,7 @@ def test_checkpoint_bad_magic(tmp_path):
 def _poisson_case(dim, n, hidden, seed=0):
     dom = DOM1 if dim == 1 else Domain.unit_square()
     g = build_grid(dom, n)
-    prob = ProblemSpec("poisson", 1e-2, TargetSpec("sine1d" if dim == 1 else "sine2d"))
+    prob = ProblemSpec("sine1d" if dim == 1 else "sine2d", 1e-2)
     params = init_network(NetworkSpec(dim, hidden, seed=seed))
     return params, g, prob, random_multiplier(g, seed)
 
@@ -404,8 +403,10 @@ def split_all(monkeypatch):
 
 def _allen_cahn_case(dim, n, hidden, seed=0):
     params, g, _, z = _poisson_case(dim, n, hidden, seed)
-    target = TargetSpec("ac_sine") if dim == 1 else TargetSpec("constant", constant=0.5)
-    return params, g, ProblemSpec("allen_cahn", 1e-3, target, epsilon=0.8), z
+    if dim == 1:
+        return params, g, ProblemSpec("ac_sine", 1e-3, epsilon=0.8), z
+    return params, g, ProblemSpec("ac_image", 1e-3, epsilon=0.8,
+                                  samples=np.full(g.n_points, 0.5)), z
 
 
 @pytest.mark.parametrize("dim, n", [(1, 17), (2, 5)], ids=["1d-17", "2d-5x5"])

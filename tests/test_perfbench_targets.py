@@ -41,7 +41,7 @@ def test_every_traced_target_resolves():
 def test_no_traced_target_runs_on_the_helper_thread(monkeypatch):
     from deepuzawa import network
     from deepuzawa.geometry import Domain, build_grid
-    from deepuzawa.lagrangian import ProblemSpec, TargetSpec
+    from deepuzawa.lagrangian import ProblemSpec
 
     monkeypatch.setattr(network, "_SPLIT_SIZE", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -55,7 +55,7 @@ def test_no_traced_target_runs_on_the_helper_thread(monkeypatch):
 
     g = build_grid(Domain.unit_square(), 5)
     params = network.init_network(network.NetworkSpec(2, (4, 4)))
-    problem = ProblemSpec("poisson", 1e-2, TargetSpec("sine2d"))
+    problem = ProblemSpec("sine2d", 1e-2)
     helper = network._helper(os.getpid())
     helper.submit(sys.setprofile, record).result()
     try:
