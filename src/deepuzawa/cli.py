@@ -19,7 +19,7 @@ from dataclasses import fields
 import numpy as np
 
 from .closed_forms import EXPERIMENTS
-from .config import ExperimentConfig, emit_csv, parse_config, write_csv
+from .config import ExperimentConfig, emit_csv, read_config, write_csv
 from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa
 from .errors import ConfigError
 from .fd_oracle import (Grid1D, constant_target, fd_direct_kkt_solve, fd_projected_uzawa_run,
@@ -37,9 +37,10 @@ _ORACLE_META = {"uzawa": _ORACLE_BASE + ("rho", "precision_dps"),
                 "projected": _ORACLE_BASE + ("rho", "precision_dps"),
                 "direct": _ORACLE_BASE + ("precision_dps",), "gauss_seidel": _ORACLE_BASE}
 _NETWORK_META = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _ORACLE_KEYS)
-# optional keys a subcommand would otherwise drop without a word
-_UNUSED_KEYS = {"run": ("precision_dps",), "sweep": ("precision_dps",),
-                "oracle": ("beta", "batch_size")}
+# the keys each subcommand reads (the oracle also takes the seed every run
+# takes); a file that sets any other key is refused, not dropped without a word
+_READ_KEYS = {"run": _NETWORK_META, "sweep": _NETWORK_META,
+              "oracle": {"seed"}.union(*_ORACLE_META.values())}
 
 
 def _meta_from(cfg: ExperimentConfig, keys, out_dir, extra: dict) -> dict:
@@ -105,9 +106,6 @@ def _oracle_target(cfg: ExperimentConfig, grid: Grid1D):
 
 
 def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
-    if cfg.tag not in _ORACLE_TAGS:
-        raise ConfigError(
-            f"oracle runs support tags {_ORACLE_TAGS}; got {cfg.tag!r}", key="tag")
     grid = Grid1D(cfg.n_points)
     target = _oracle_target(cfg, grid)
     rho = cfg.resolved_rho
@@ -196,9 +194,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "grad-check":
             return _cmd_grad_check(args.quiet)
-        cfg = parse_config(args.config)
-        for key in _UNUSED_KEYS[args.command]:
-            if getattr(cfg, key) is not None:
+        cfg, keys = read_config(args.config)
+        # a tag the oracle does not take is named before the keys it would drop
+        if args.command == "oracle" and cfg.tag not in _ORACLE_TAGS:
+            raise ConfigError(
+                f"oracle runs support tags {_ORACLE_TAGS}; got {cfg.tag!r}", key="tag")
+        for key in keys:
+            if key not in _READ_KEYS[args.command]:
                 raise ConfigError(f"deepuzawa {args.command} does not use {key}", key=key)
         if args.command == "run":
             return _cmd_run(cfg, args.quiet)

@@ -93,6 +93,11 @@ _SCHEMA = {key: next(t for t in get_args(hint) or (hint,) if t is not type(None)
 
 def parse_config(path) -> ExperimentConfig:
     """Read and validate a key = value experiment file."""
+    return read_config(path)[0]
+
+
+def read_config(path) -> tuple[ExperimentConfig, tuple[str, ...]]:
+    """:func:`parse_config`, plus the keys the file sets, in file order."""
     entries: dict[str, tuple[str, int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -124,7 +129,7 @@ def parse_config(path) -> ExperimentConfig:
                 f"cannot parse {text!r} as {_SCHEMA[key].__name__}", key=key, line=lineno
             ) from None
     try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**kwargs), tuple(entries)
     except ConfigError as exc:  # name the line of the key, when the file has it
         line = entries[exc.key][1] if exc.key in entries else None
         raise ConfigError(exc.message, key=exc.key, line=line) from None

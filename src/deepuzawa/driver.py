@@ -58,18 +58,17 @@ class RunRecord(RunResult):
         return self.loss_history.shape[0]
 
 
-def problem_for(cfg: ExperimentConfig) -> tuple[ProblemSpec, Domain]:
-    """Problem spec and domain of a network experiment tag; the image tag's
-    target is sampled on the run's grid."""
+def problem_for(cfg: ExperimentConfig) -> tuple[ProblemSpec, CollocationSet]:
+    """Problem spec and collocation grid of a network experiment tag; the
+    image tag's target is sampled on that grid."""
     row = EXPERIMENTS[cfg.tag]
     if row.kind is None:
         raise ConfigError(f"tag {cfg.tag!r} belongs to the oracle subcommand", key="tag")
-    domain = Domain(row.dim)
+    cset = build_grid(Domain(row.dim), cfg.n_points)
     samples = None
     if row.target == "image":
-        samples = sample_image_on_grid(load_pgm_target(cfg.image),
-                                       build_grid(domain, cfg.n_points))
-    return ProblemSpec(cfg.tag, cfg.alpha, cfg.epsilon, samples), domain
+        samples = sample_image_on_grid(load_pgm_target(cfg.image), cset)
+    return ProblemSpec(cfg.tag, cfg.alpha, cfg.epsilon, samples), cset
 
 
 def _subset(cset: CollocationSet, idx: np.ndarray) -> CollocationSet:
@@ -92,8 +91,8 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     step is ``beta`` when it is set (the augmented variant, which also adds
     the ``beta``-weighted penalty), else ``resolved_rho``.
     """
-    problem, domain = problem_for(config)
-    cset = build_grid(domain, config.n_points)
+    problem, cset = problem_for(config)
+    domain = cset.domain
     target = target_values(problem, cset)
     cutoff = cutoff_jet(domain, cset.points)
     exact = None

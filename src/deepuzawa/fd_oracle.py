@@ -23,8 +23,9 @@ observed.  Its pi and sines are summed in ``decimal``, with no other library.
 Fields are numpy arrays of the context's scalars: float64, or ``dtype=object``
 arrays of Decimals.  Elementwise steps are array expressions in the operation
 order of a scalar loop.  Sums are ``np.add.reduce``: numpy's object loop adds
-Decimals left to right from zero, so Decimal results are those of the scalar
-loops, and float64 sums are numpy's pairwise sums, the more accurate order.
+Decimals left to right from zero, so the Decimal iterates are those of the
+scalar loops, and float64 sums are numpy's pairwise sums, the more accurate
+order.  Decimal diagnostics (errors, loss rows) take min(dps, 20) digits.
 
 Every matrix solved here is a polynomial in the 3-point Laplacian T, which
 the DST-I diagonalises.  In float64 the saddle point is computed on DST-I
@@ -53,6 +54,7 @@ from .errors import GridError, IterationLimitError
 _DIVERGENCE_LIMIT = 1e6
 # KKT tolerance of the nonnegative inner solve of the projected run
 _INNER_TOL = 1e-10
+_REPORT_DPS = 20  # digits of the Decimal diagnostics; their float64 report needs 17
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,9 @@ class _FloatCtx:
     num = staticmethod(float)
     sin = staticmethod(math.sin)
     pi = math.pi
-
-    def guard(self):
-        return nullcontext()
+    # the diagnostics take the iterate's float64 operations: no other context, no rounding
+    guard = report = staticmethod(nullcontext)
+    rounded = staticmethod(lambda v: v)
 
 
 class _DecimalCtx:
@@ -96,12 +98,18 @@ class _DecimalCtx:
     and rounded to ``dps``."""
 
     dtype = object
+    rounded = staticmethod(np.positive)  # to the current context's digits
 
     def __init__(self, dps: int):
         self._dec = decimal.Context(prec=dps, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        self._report = self._dec.copy()
+        self._report.prec = min(dps, _REPORT_DPS)
 
     def guard(self):
         return decimal.localcontext(self._dec)
+
+    def report(self):
+        return decimal.localcontext(self._report)
 
     def num(self, x):
         return self._dec.create_decimal(x)
@@ -372,10 +380,10 @@ def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
 
 @dataclass
 class FDRun(RunResult):
-    """History of one discrete saddle-point iteration: the error histories,
-    ``loss_history`` and the projected run's ``z_history`` have length
-    iters + 1 (index k = number of updates applied before the k-th iterate),
-    or diverged_at + 1 when the run diverged."""
+    """History of one discrete saddle-point iteration: the error histories and
+    ``loss_history`` (in Decimal to min(dps, 20) digits) and the projected run's
+    ``z_history`` have length iters + 1 (index k = number of updates applied
+    before the k-th iterate), or diverged_at + 1 when the run diverged."""
 
     z_errors: np.ndarray
     z: np.ndarray
@@ -384,10 +392,13 @@ class FDRun(RunResult):
 
 
 def _loss_row(u, f, z, D, lap_u, alpha, h, ctx):
+    """The four loss terms of one iterate, inside ``ctx.report``: z, f and
+    T u are rounded to its digits before they are multiplied."""
     zero = ctx.num(0)
-    d = u - D
+    d, k = u - D, lap_u + f
+    z, f, lap_u = map(ctx.rounded, (z, f, lap_u))
     a4 = alpha / 4
-    return (float(h * _sum(d * d, zero) / 2), float(h * _sum(z * (lap_u + f), zero)),
+    return (float(h * _sum(d * d, zero) / 2), float(h * _sum(z * k, zero)),
             float(h * a4 * _sum(f * f, zero)), float(h * a4 * _sum(lap_u * lap_u, zero)))
 
 
@@ -435,10 +446,10 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -
     ``steps`` yields one iterate (u, f, z, lap_u) per ``next`` in the scalars
     of ``ctx``; with ``spectral`` all are DST-I coefficients, summed with the
     weight 2 h^2 in place of h (Parseval).  The loop takes iters + 1
-    iterates, recording for each the distances to ``reference`` = (u*, f*, z*),
-    one loss row and, with ``z_maxima``, the largest multiplier entry; it
-    stops early, with ``diverged_at`` set, at the first iterate whose state
-    or control error exceeds ``_DIVERGENCE_LIMIT`` or is NaN.
+    iterates, recording for each, in ``ctx.report``, the distances to
+    ``reference`` = (u*, f*, z*), a loss row and, with ``z_maxima``, the
+    largest multiplier entry; it stops, with ``diverged_at`` set, at the first
+    iterate whose state or control error exceeds ``_DIVERGENCE_LIMIT`` or is NaN.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
@@ -450,12 +461,13 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -
     diverged_at = None
     for k in range(iters + 1):
         u, f, z, lap_u = next(steps)
-        z_err.append(float(_norm(z - zstar, w, ctx)))
-        u_err.append(float(_norm(u - ustar, w, ctx)))
-        f_err.append(float(_norm(f - fstar, w, ctx)))
+        with ctx.report():
+            z_err.append(float(_norm(z - zstar, w, ctx)))
+            u_err.append(float(_norm(u - ustar, w, ctx)))
+            f_err.append(float(_norm(f - fstar, w, ctx)))
+            parts.append(_loss_row(u, f, z, D, lap_u, a, w, ctx))
         if z_maxima:
             z_max.append(float(z.max()))
-        parts.append(_loss_row(u, f, z, D, lap_u, a, w, ctx))
         if not (u_err[-1] <= _DIVERGENCE_LIMIT and f_err[-1] <= _DIVERGENCE_LIMIT):
             diverged_at = k
             break

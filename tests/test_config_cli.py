@@ -676,23 +676,33 @@ output_dir = {tmp_path / 'oracle'}
     assert np.array_equal(diag[:, 1], run.z_errors)
 
 
-def test_cli_oracle_rejects_2d_tags(tmp_path):
-    cfg = write(tmp_path, "tag = sine2d\nalpha = 1e-2\n")
-    assert main(["-q", "oracle", cfg]) == 1
+def test_cli_oracle_rejects_2d_tags(tmp_path, capsys):
+    # also the other tags it does not take: the tag is named, not a key of
+    # the tag that the oracle would drop
+    for text in ("tag = sine2d\n", "epsilon = 1.0\ntag = ac_sine\n"):
+        assert main(["-q", "oracle", write(tmp_path, f"{text}alpha = 1e-2\n")]) == 1
+        assert capsys.readouterr().err.startswith("error: key 'tag': oracle runs support tags")
 
 
 @pytest.mark.parametrize("command, key, value", [
     ("oracle", "beta", "0.5"), ("oracle", "batch_size", "4"),
-    ("run", "precision_dps", "30"), ("sweep", "precision_dps", "30"),
+    ("oracle", "learning_rate", "0.5"), ("oracle", "n_uzawa", "7"),
+    ("oracle", "hidden_width", "4"), ("run", "precision_dps", "30"),
+    ("run", "oracle_method", "direct"), ("sweep", "precision_dps", "30"),
+    ("sweep", "oracle_iters", "3"),
 ])
 def test_cli_refuses_a_key_the_subcommand_would_drop(tmp_path, capsys, command, key, value):
+    # keys with defaults too: the file sets them, so the subcommand would drop
+    # them; seed and output_dir are taken by every subcommand
     out = tmp_path / "out"
-    cfg = write(tmp_path, f"tag = sine1d\n{key} = {value}\n{TINY_RUN}output_dir = {out}\n")
+    own = "oracle_iters = 1\n" if command == "oracle" else TINY_RUN
+    base = f"tag = sine1d\nseed = 3\n{own}output_dir = {out}\n"
     alphas = ["--alphas", "0.1"] if command == "sweep" else []
-    assert main(["-q", command, cfg, *alphas]) == 1
+    assert main(["-q", command, write(tmp_path, f"{base}{key} = {value}\n"), *alphas]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: key '{key}': deepuzawa {command} does not use {key}"]
     assert not out.exists()
+    assert main(["-q", command, write(tmp_path, base), *alphas]) == 0
 
 
 def test_cli_sweep(tmp_path):
@@ -807,7 +817,6 @@ n_points = 21
 oracle_iters = 2
 oracle_method = all
 precision_dps = 20
-hidden_width = 4
 output_dir = {tmp_path / 'oracle'}
 """, "oracle.cfg")
     assert main(["-q", "oracle", oracle]) == 0

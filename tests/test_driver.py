@@ -117,15 +117,28 @@ def test_exact_solution_resolution():
 
 
 def test_problem_for_maps_tag_to_problem_and_domain():
-    problem, domain = problem_for(tiny_config(tag="boundary_layer", alpha=0.5))
+    problem, cset = problem_for(tiny_config(tag="boundary_layer", alpha=0.5, n_points=5))
     assert (problem.tag, problem.kind, problem.alpha) == ("boundary_layer", "poisson", 0.5)
-    assert np.array_equal(target_values(problem, build_grid(domain, 5)), np.ones(5))
-    assert domain == Domain.unit_interval()
-    problem, domain = problem_for(tiny_config(tag="ac_step", epsilon=0.3))
+    assert np.array_equal(target_values(problem, cset), np.ones(5))
+    assert cset.domain == Domain.unit_interval()
+    assert np.array_equal(cset.points, build_grid(Domain.unit_interval(), 5).points)
+    problem, _ = problem_for(tiny_config(tag="ac_step", epsilon=0.3))
     assert (problem.tag, problem.kind, problem.epsilon) == ("ac_step", "allen_cahn", 0.3)
-    assert problem_for(tiny_config(tag="sine2d"))[1] == Domain.unit_square()
+    assert problem_for(tiny_config(tag="sine2d"))[1].domain == Domain.unit_square()
     with pytest.raises(ConfigError, match="belongs to the oracle subcommand"):
         problem_for(tiny_config(tag="fd_oracle"))
+
+
+def test_ac_image_run_builds_its_grid_once(tmp_path, monkeypatch):
+    # the image is sampled on the grid the run trains on
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 64, 128, 192, 255, 32]))
+    calls = []
+    monkeypatch.setattr(driver, "build_grid", lambda *a: calls.append(a) or build_grid(*a))
+    rec = run_deep_uzawa(tiny_config(tag="ac_image", epsilon=0.5, image=str(path),
+                                     n_uzawa=1, n_sgd=1, n_points=5))
+    assert calls == [(Domain.unit_square(), 5)]
+    assert rec.cset.n_points == 25 and rec.diverged_at is None
 
 
 def test_config_built_in_code_is_checked_for_rho_with_beta():

@@ -292,6 +292,49 @@ def test_uzawa_high_precision_matches_float64_early():
     assert np.allclose(run64.u, run_mp.u, rtol=1e-10)
 
 
+def _runs(g, target, iters, dps):
+    """FDRun fields of the plain and projected runs, by name."""
+    fields = {}
+    for name, run in (("plain", fd_uzawa_run), ("projected", fd_projected_uzawa_run)):
+        r = run(g, ALPHA, ALPHA / 4, target, iters, dps=dps)
+        for key in ("u", "f", "z", "z_history", "z_errors", "state_errors",
+                    "control_errors", "loss_history"):
+            fields[f"{name}.{key}"] = getattr(r, key)
+        for key in ("u", "f", "z"):
+            fields[f"{name}.reference.{key}"] = getattr(r.reference, key)
+    return fields
+
+
+def test_decimal_diagnostics_at_report_precision_keep_the_iterates(monkeypatch):
+    # at 130 digits the errors and loss rows are taken at 20: the iterates
+    # keep every bit, the diagnostics stay within 2 ulp of those taken at 130
+    g = Grid1D(201)
+    target = sine_target(g, ALPHA, dps=130)
+    short = _runs(g, target, 100, 130)
+    monkeypatch.setattr(fd_oracle, "_REPORT_DPS", 130)
+    full = _runs(g, target, 100, 130)
+    for key, v in short.items():
+        if key.endswith("errors") or key.endswith("loss_history"):
+            assert np.all(np.abs(v - full[key]) <= 2 * np.spacing(np.abs(full[key]))), key
+        elif v is not None or full[key] is not None:
+            assert np.array_equal(v, full[key]), key
+    assert short["plain.z_errors"][-1] < 1e-30  # far below the float64 floor
+
+
+@pytest.mark.parametrize("dps", [15, 20])
+@pytest.mark.parametrize("value", [None, -1.0])
+def test_decimal_diagnostics_up_to_20_digits_keep_every_bit(monkeypatch, dps, value):
+    # with no more than 20 digits the diagnostics are taken at dps, as when
+    # the report precision is unbounded; the constant target clamps
+    g = Grid1D(41)
+    target = (sine_target(g, ALPHA, dps=dps) if value is None
+              else constant_target(g, value, dps=dps))
+    short = _runs(g, target, 40, dps)
+    monkeypatch.setattr(fd_oracle, "_REPORT_DPS", 10**4)
+    for key, v in _runs(g, target, 40, dps).items():
+        assert (v is None and short[key] is None) or np.array_equal(v, short[key]), key
+
+
 @pytest.mark.parametrize("dps", [30, 60, 130, 200])
 def test_sine_target_high_precision_digits(dps):
     # the Decimal pi and sines carry their dps digits, far past float64;
