@@ -18,29 +18,27 @@ from dataclasses import fields
 
 import numpy as np
 
-from .closed_forms import EXPERIMENTS
+from .closed_forms import EXPERIMENTS, POISSON
 from .config import ExperimentConfig, emit_csv, read_config, write_csv
 from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa
 from .errors import ConfigError
-from .fd_oracle import (Grid1D, constant_target, fd_direct_kkt_solve, fd_projected_uzawa_run,
-                        fd_uzawa_run, gauss_seidel_adjoint_run, gauss_seidel_rate, sine_target,
-                        uzawa_step_bounds)
+from .fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run, fd_uzawa_run,
+                        gauss_seidel_adjoint_run, gauss_seidel_rate, uzawa_step_bounds)
 from .geometry import build_grid, cutoff_jet, l2_norm
 from .network import CHECK_BOUND, evaluate, grad_check, save_checkpoint
 
-_ORACLE_TAGS = tuple(tag for tag, row in EXPERIMENTS.items() if row.oracle)
+# the finite-difference oracle solves Poisson on the unit interval
+_ORACLE_TAGS = tuple(tag for tag, row in EXPERIMENTS.items()
+                     if row.kind == POISSON and row.dim == 1)
 _ORACLE_KEYS = ("oracle_method", "oracle_iters", "precision_dps")
-# the config keys each subcommand's meta.txt lists; of the oracle methods
-# only the Uzawa runs take a step size, and Gauss-Seidel always runs in float64
+# the config keys each oracle method reads and its meta.txt lists, in the
+# order oracle_method = all runs them: only the Uzawa runs take a step size,
+# and Gauss-Seidel always runs in float64
 _ORACLE_BASE = ("tag", "alpha", "n_points", "output_dir", "oracle_method", "oracle_iters")
 _ORACLE_META = {"uzawa": _ORACLE_BASE + ("rho", "precision_dps"),
                 "projected": _ORACLE_BASE + ("rho", "precision_dps"),
-                "direct": _ORACLE_BASE + ("precision_dps",), "gauss_seidel": _ORACLE_BASE}
+                "gauss_seidel": _ORACLE_BASE, "direct": _ORACLE_BASE + ("precision_dps",)}
 _NETWORK_META = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _ORACLE_KEYS)
-# the keys each subcommand reads (the oracle also takes the seed every run
-# takes); a file that sets any other key is refused, not dropped without a word
-_READ_KEYS = {"run": _NETWORK_META, "sweep": _NETWORK_META,
-              "oracle": {"seed"}.union(*_ORACLE_META.values())}
 
 
 def _meta_from(cfg: ExperimentConfig, keys, out_dir, extra: dict) -> dict:
@@ -99,18 +97,16 @@ def _cmd_run(cfg: ExperimentConfig, quiet: bool) -> int:
     return _diverged(record, "run", "update")
 
 
-def _oracle_target(cfg: ExperimentConfig, grid: Grid1D):
-    if cfg.tag == "boundary_layer":
-        return constant_target(grid, 1.0, dps=cfg.precision_dps)
-    return sine_target(grid, cfg.alpha, dps=cfg.precision_dps)
+def _oracle_methods(cfg: ExperimentConfig) -> list[str]:
+    return list(_ORACLE_META) if cfg.oracle_method == "all" else [cfg.oracle_method]
 
 
 def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
     grid = Grid1D(cfg.n_points)
-    target = _oracle_target(cfg, grid)
+    # the table's float64 target; each solver rounds it into its arithmetic
+    target = EXPERIMENTS[cfg.tag].target(grid.interior_x()[:, None], cfg.alpha, None)
     rho = cfg.resolved_rho
-    methods = [cfg.oracle_method] if cfg.oracle_method != "all" else \
-        ["uzawa", "projected", "gauss_seidel", "direct"]
+    methods = _oracle_methods(cfg)
     code = 0
     for method in methods:
         out_dir = cfg.output_dir if len(methods) == 1 else os.path.join(cfg.output_dir, method)
@@ -121,6 +117,9 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
                 "method": method, "backward_error": sol.residual}))
             if not quiet:
                 print(f"direct solve: backward error {sol.residual:.2e}")
+            if not all(np.isfinite(v).all() for v in (sol.u, sol.f, sol.z, sol.residual)):
+                print("direct oracle solve is not finite", file=sys.stderr)
+                code = 2
             continue
         if method == "gauss_seidel":
             run = gauss_seidel_adjoint_run(grid, cfg.alpha, target, cfg.oracle_iters)
@@ -199,13 +198,19 @@ def main(argv=None) -> int:
         if args.command == "oracle" and cfg.tag not in _ORACLE_TAGS:
             raise ConfigError(
                 f"oracle runs support tags {_ORACLE_TAGS}; got {cfg.tag!r}", key="tag")
+        # a file that sets a key the run would not read is refused, not
+        # dropped without a word; every run takes a seed
+        read = (_NETWORK_META if args.command != "oracle" else
+                {"seed"}.union(*(_ORACLE_META[m] for m in _oracle_methods(cfg))))
         for key in keys:
-            if key not in _READ_KEYS[args.command]:
+            if key not in read:
                 raise ConfigError(f"deepuzawa {args.command} does not use {key}", key=key)
         if args.command == "run":
             return _cmd_run(cfg, args.quiet)
         if args.command == "oracle":
-            return _cmd_oracle(cfg, args.quiet)
+            # overflow goes unreported: the finiteness checks decide the exit code
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _cmd_oracle(cfg, args.quiet)
         return _cmd_sweep(cfg, args.alphas, args.quiet)
     except (OSError, ValueError) as exc:  # ConfigError and PgmError included
         print(f"error: {exc}", file=sys.stderr)

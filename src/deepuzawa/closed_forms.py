@@ -108,25 +108,22 @@ def _boundary_layer_pair(p, alpha, eps):
 class Experiment:
     """One row of :data:`EXPERIMENTS`: what a tag solves and what it reads."""
 
-    kind: str | None           # POISSON or ALLEN_CAHN; None for the oracle-only tag
+    kind: str                  # POISSON or ALLEN_CAHN
     dim: int                   # the unit interval (1) or the unit square (2)
     target: Callable | str     # the target formula, or "image": sampled from the image key
     exact: Callable | None = None  # the closed form (u*, f*), when known
     exact_reads: tuple[str, ...] = ()  # parameters the closed form depends on
     keys: tuple[str, ...] = ()  # config keys the tag requires and every other tag refuses
-    oracle: bool = False       # accepted by ``deepuzawa oracle``
 
 
 EXPERIMENTS = {
-    "sine1d": Experiment(POISSON, 1, _sine1d_target, _sine1d_pair, oracle=True),
-    "boundary_layer": Experiment(POISSON, 1, _one_target, _boundary_layer_pair, ("alpha",),
-                                 oracle=True),
+    "sine1d": Experiment(POISSON, 1, _sine1d_target, _sine1d_pair),
+    "boundary_layer": Experiment(POISSON, 1, _one_target, _boundary_layer_pair, ("alpha",)),
     "sine2d": Experiment(POISSON, 2, _sine2d_target, _sine2d_pair),
     "ac_sine": Experiment(ALLEN_CAHN, 1, _ac_sine_target, _ac_sine_pair, ("epsilon",),
                           keys=("epsilon",)),
     "ac_step": Experiment(ALLEN_CAHN, 1, _step_target, keys=("epsilon",)),
     "ac_image": Experiment(ALLEN_CAHN, 2, "image", keys=("epsilon", "image")),
-    "fd_oracle": Experiment(None, 1, _sine1d_target, oracle=True),
 }
 
 

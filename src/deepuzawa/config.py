@@ -9,7 +9,7 @@ offending key name and line number, and so are the checks every
 Recognised keys (defaults in parentheses):
 
   tag            experiment: sine1d | boundary_layer | sine2d | ac_sine |
-                 ac_step | ac_image | fd_oracle
+                 ac_step | ac_image
   alpha          regularisation weight, > 0 and finite (1e-4)
   epsilon        Allen-Cahn interface width, > 0, with epsilon**2 and
                  1/epsilon**2 finite and nonzero; required by ac_* tags, refused by others
@@ -31,7 +31,7 @@ Recognised keys (defaults in parentheses):
   oracle_method  uzawa | projected | gauss_seidel | direct | all  (uzawa)
   oracle_iters   multiplier updates for oracle runs, >= 0 (200)
   precision_dps  decimal digits for oracle arithmetic, 1 to
-                 decimal.MAX_PREC - 10; float64 when absent
+                 decimal.MAX_PREC; float64 when absent
 """
 from __future__ import annotations
 
@@ -173,9 +173,8 @@ def _check(cfg: ExperimentConfig):
         raise ConfigError(f"oracle_method must be one of {ORACLE_METHODS}", key="oracle_method")
     if cfg.oracle_iters < 0:
         raise ConfigError("oracle_iters must be nonnegative", key="oracle_iters")
-    # the oracle sums pi and sines with ten guard digits
-    if cfg.precision_dps is not None and not 1 <= cfg.precision_dps <= decimal.MAX_PREC - 10:
-        raise ConfigError(f"precision_dps must be between 1 and {decimal.MAX_PREC - 10}",
+    if cfg.precision_dps is not None and not 1 <= cfg.precision_dps <= decimal.MAX_PREC:
+        raise ConfigError(f"precision_dps must be between 1 and {decimal.MAX_PREC}",
                           key="precision_dps")
     if cfg.batch_size is not None and cfg.batch_size < 1:
         raise ConfigError("batch_size must be positive", key="batch_size")

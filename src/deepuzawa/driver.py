@@ -21,7 +21,6 @@ import numpy as np
 
 from .closed_forms import EXPERIMENTS, ExactSolution
 from .config import ExperimentConfig, RunResult, load_pgm_target, sample_image_on_grid
-from .errors import ConfigError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet, l2_norm
 from .lagrangian import (ProblemSpec, loss_parts, multiplier_update, residual_values,
                          target_values)
@@ -62,8 +61,6 @@ def problem_for(cfg: ExperimentConfig) -> tuple[ProblemSpec, CollocationSet]:
     """Problem spec and collocation grid of a network experiment tag; the
     image tag's target is sampled on that grid."""
     row = EXPERIMENTS[cfg.tag]
-    if row.kind is None:
-        raise ConfigError(f"tag {cfg.tag!r} belongs to the oracle subcommand", key="tag")
     cset = build_grid(Domain(row.dim), cfg.n_points)
     samples = None
     if row.target == "image":

@@ -18,7 +18,9 @@ Every solver accepts an optional decimal precision ``dps``.  Float64 is
 the default; ``decimal.Decimal`` with ``dps`` significant digits exists
 because the Uzawa multiplier error reaches the float64 rounding floor after
 a few dozen iterations, past which its strict monotone decrease cannot be
-observed.  Its pi and sines are summed in ``decimal``, with no other library.
+observed.  A target enters the context rounded from float64, as the
+experiment table computes it: every run is measured against the saddle point
+of its own target, so digits past float64 in it would change nothing reported.
 
 Fields are numpy arrays of the context's scalars: float64, or ``dtype=object``
 arrays of Decimals.  Elementwise steps are array expressions in the operation
@@ -48,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import EXPERIMENTS
 from .config import RunResult
 from .errors import GridError, IterationLimitError
 
@@ -84,8 +87,6 @@ class _FloatCtx:
 
     dtype = float
     num = staticmethod(float)
-    sin = staticmethod(math.sin)
-    pi = math.pi
     # the diagnostics take the iterate's float64 operations: no other context, no rounding
     guard = report = staticmethod(nullcontext)
     rounded = staticmethod(lambda v: v)
@@ -93,9 +94,8 @@ class _FloatCtx:
 
 class _DecimalCtx:
     """Decimal arithmetic (the C-accelerated ``decimal`` module) with ``dps``
-    significant digits and unbounded exponents; sine (Taylor series, |x| <= pi)
-    and pi (the ``decimal`` docs' recipe) are summed with ten guard digits
-    and rounded to ``dps``."""
+    significant digits and unbounded exponents; a float64 target enters it
+    rounded to ``dps`` digits."""
 
     dtype = object
     rounded = staticmethod(np.positive)  # to the current context's digits
@@ -113,31 +113,6 @@ class _DecimalCtx:
 
     def num(self, x):
         return self._dec.create_decimal(x)
-
-    def sin(self, x):
-        with decimal.localcontext(self._dec) as c:
-            c.prec += 10
-            i, last, s, fact, num = 1, 0, x, 1, x
-            while s != last:
-                last = s
-                i += 2
-                fact *= i * (i - 1)
-                num *= -x * x
-                s += num / fact
-        return self.num(s)
-
-    @functools.cached_property
-    def pi(self):
-        with decimal.localcontext(self._dec) as c:
-            c.prec += 10
-            last, t, s, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
-            while s != last:
-                last = s
-                n, na = n + na, na + 8
-                d, da = d + da, da + 32
-                t = (t * n) / d
-                s += t
-        return self.num(s)
 
 
 def _check_positive(**params):
@@ -286,20 +261,10 @@ def gauss_seidel_rate(grid: Grid1D, alpha: float) -> float:
 
 
 def sine_target(grid: Grid1D, alpha: float, dps=None) -> np.ndarray:
-    """Interior samples of (1 + alpha pi^4) sin(pi x)."""
-    ctx = _context(dps)
-    with ctx.guard():
-        a = ctx.num(alpha)
-        h = ctx.num(1) / (grid.n - 1)
-        scale = 1 + a * ctx.pi**4
-        return np.array([scale * ctx.sin(ctx.pi * (h * (i + 1))) for i in range(grid.n_interior)],
-                        dtype=ctx.dtype)
-
-
-def constant_target(grid: Grid1D, value: float, dps=None) -> np.ndarray:
-    ctx = _context(dps)
-    with ctx.guard():
-        return np.full(grid.n_interior, ctx.num(value), dtype=ctx.dtype)
+    """The ``sine1d`` target, (1 + alpha pi^4) sin(pi x), at the interior
+    points in float64, rounded into the context of ``dps``."""
+    D = EXPERIMENTS["sine1d"].target(grid.interior_x()[:, None], alpha, None)
+    return _array(_context(dps), D)
 
 
 def _norm(v, h, ctx):
@@ -449,7 +414,8 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -
     iterates, recording for each, in ``ctx.report``, the distances to
     ``reference`` = (u*, f*, z*), a loss row and, with ``z_maxima``, the
     largest multiplier entry; it stops, with ``diverged_at`` set, at the first
-    iterate whose state or control error exceeds ``_DIVERGENCE_LIMIT`` or is NaN.
+    iterate whose state or control error exceeds ``_DIVERGENCE_LIMIT`` or is NaN,
+    or whose errors or loss row are not all finite.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
@@ -468,7 +434,8 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -
             parts.append(_loss_row(u, f, z, D, lap_u, a, w, ctx))
         if z_maxima:
             z_max.append(float(z.max()))
-        if not (u_err[-1] <= _DIVERGENCE_LIMIT and f_err[-1] <= _DIVERGENCE_LIMIT):
+        if not (u_err[-1] <= _DIVERGENCE_LIMIT and f_err[-1] <= _DIVERGENCE_LIMIT
+                and all(map(math.isfinite, (z_err[-1], *parts[-1])))):
             diverged_at = k
             break
     back = _idst1 if spectral else (lambda v: v)

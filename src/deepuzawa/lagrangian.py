@@ -40,8 +40,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         row = EXPERIMENTS.get(self.tag)
-        if row is None or row.kind is None:
-            raise ValueError(f"tag {self.tag!r} has no constraint")
+        if row is None:
+            raise ValueError(f"unknown tag {self.tag!r}")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if "epsilon" in row.keys and (self.epsilon is None or not self.epsilon > 0):

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import os
 import subprocess
@@ -14,10 +15,12 @@ from deepuzawa import cli, config
 from deepuzawa.cli import main
 from deepuzawa.closed_forms import EXPERIMENTS
 from deepuzawa.config import (_SCHEMA, ExperimentConfig, RunResult, emit_csv, load_pgm_target,
-                              parse_config, read_csv, sample_image_on_grid, write_csv)
+                              parse_config, read_config, read_csv, sample_image_on_grid,
+                              write_csv)
 from deepuzawa.driver import rho_alpha_sweep
 from deepuzawa.errors import ConfigError, PgmError
-from deepuzawa.fd_oracle import Grid1D, gauss_seidel_adjoint_run, sine_target, uzawa_step_bounds
+from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, gauss_seidel_adjoint_run,
+                                 sine_target, uzawa_step_bounds)
 from deepuzawa.geometry import Domain, build_grid
 from deepuzawa.network import load_checkpoint
 
@@ -95,7 +98,7 @@ def test_grad_check_tag_is_unknown(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("oracle_iters", "-1"), ("precision_dps", "0"), ("precision_dps", "-5"),
-    # above decimal.MAX_PREC, and within ten guard digits of it
+    # above decimal.MAX_PREC (999999999999999999 on 64-bit builds)
     ("precision_dps", "99999999999999999999"), ("precision_dps", "1000000000000000000"),
     ("hidden_depth", "-1"), ("learning_rate", "-1"), ("learning_rate", "0"),
     ("n_uzawa", "0"), ("n_sgd", "0"), ("hidden_width", "0"), ("rho", "0"), ("rho", "-1"),
@@ -105,20 +108,26 @@ def test_grad_check_tag_is_unknown(tmp_path):
 def test_out_of_range_value_names_key_and_line(tmp_path, key, value):
     second = ("seed", "0") if key == "alpha" else ("alpha", "1e-2")
     with pytest.raises(ConfigError, match="must be") as err:
-        parse_config(write(tmp_path, f"tag = fd_oracle\n{second[0]} = {second[1]}\n"
+        parse_config(write(tmp_path, f"tag = sine1d\n{second[0]} = {second[1]}\n"
                                      f"{key} = {value}\n"))
     assert err.value.key == key
     assert err.value.line == 3
     # the same check on a config built in code, which has no line to name
     with pytest.raises(ConfigError) as built:
-        ExperimentConfig("fd_oracle", **{k: _SCHEMA[k](v) for k, v in (second, (key, value))})
+        ExperimentConfig("sine1d", **{k: _SCHEMA[k](v) for k, v in (second, (key, value))})
     assert (built.value.key, built.value.line) == (key, None)
     assert built.value.message == err.value.message
     assert str(built.value) == f"key '{key}': {err.value.message}"
 
 
+def test_precision_dps_up_to_decimal_max_prec(tmp_path):
+    cfg = parse_config(write(tmp_path, f"tag = sine1d\nprecision_dps = {decimal.MAX_PREC}\n"))
+    assert cfg.precision_dps == decimal.MAX_PREC
+
+
 @pytest.mark.parametrize("tag, key, value", [
-    ("sine1d", "epsilon", 0.1), ("fd_oracle", "epsilon", 0.1), ("sine1d", "image", "nothing.pgm"),
+    ("sine1d", "epsilon", 0.1), ("boundary_layer", "epsilon", 0.1),
+    ("sine1d", "image", "nothing.pgm"),
     ("ac_sine", "image", "nothing.pgm"),
 ])
 def test_key_the_run_ignores_names_key_and_line(tmp_path, tag, key, value):
@@ -571,7 +580,7 @@ output_dir = {tmp_path / 'div'}
 def test_cli_oracle_divergence_exit_code(tmp_path, capsys, precision):
     # rho far above alpha / 2: the Uzawa multiplier error grows geometrically
     cfg = write(tmp_path, f"""
-tag = fd_oracle
+tag = sine1d
 alpha = 1e-2
 rho = 10
 n_points = 41
@@ -588,10 +597,12 @@ output_dir = {tmp_path / 'div'}
 
 
 def _oracle_config(tmp_path, name, tag, rho, method, iters):
+    """An oracle config at alpha = 1e-2 on 41 points; no rho line when rho is None."""
+    rho = "" if rho is None else f"rho = {rho!r}"
     return write(tmp_path, f"""
 tag = {tag}
 alpha = 1e-2
-rho = {rho!r}
+{rho}
 n_points = 41
 oracle_method = {method}
 oracle_iters = {iters}
@@ -627,7 +638,7 @@ def test_cli_oracle_step_bound_on_a_rough_target(tmp_path, capsys, method):
 def test_cli_oracle_flags_the_projected_period_2_cycle(tmp_path, capsys):
     # rho = 1 is 200 alpha / 4: the projected run alternates between two
     # iterates without passing the divergence limit, and is still flagged
-    cfg = _oracle_config(tmp_path, "cycle", "fd_oracle", 1.0, "projected", 100)
+    cfg = _oracle_config(tmp_path, "cycle", "sine1d", 1.0, "projected", 100)
     assert main(["-q", "oracle", cfg]) == 2
     assert capsys.readouterr().err == \
         "projected oracle step rho = 1 is not below rho_max = 0.005000012245\n"
@@ -642,7 +653,7 @@ def test_cli_gauss_seidel_kappa_max_is_the_measured_rate(tmp_path, capsys):
     # the sine target excites only the first mode, so every sweep multiplies
     # the multiplier error by kappa_max = 1 / (alpha nu_1^2); a rate above 1
     # is reported, not rejected
-    cfg = _oracle_config(tmp_path, "gs", "fd_oracle", 1e-3, "gauss_seidel", 30)
+    cfg = _oracle_config(tmp_path, "gs", "sine1d", None, "gauss_seidel", 30)
     assert main(["-q", "oracle", cfg]) == 0
     assert capsys.readouterr().err == ""
     kappa_max = float(_read_meta(tmp_path / "gs" / "meta.txt")["kappa_max"])
@@ -654,7 +665,7 @@ def test_cli_gauss_seidel_kappa_max_is_the_measured_rate(tmp_path, capsys):
 
 def test_cli_oracle_all_methods(tmp_path):
     cfg = write(tmp_path, f"""
-tag = fd_oracle
+tag = sine1d
 alpha = 1e-2
 n_points = 51
 oracle_iters = 10
@@ -677,11 +688,56 @@ output_dir = {tmp_path / 'oracle'}
 
 
 def test_cli_oracle_rejects_2d_tags(tmp_path, capsys):
-    # also the other tags it does not take: the tag is named, not a key of
-    # the tag that the oracle would drop
-    for text in ("tag = sine2d\n", "epsilon = 1.0\ntag = ac_sine\n"):
-        assert main(["-q", "oracle", write(tmp_path, f"{text}alpha = 1e-2\n")]) == 1
+    # and every other tag that is not Poisson on the unit interval: the tag is
+    # named, not a key of the tag that the oracle would drop
+    values = {"epsilon": "1.0", "image": "nothing.pgm"}
+    refused = [tag for tag, row in EXPERIMENTS.items() if (row.kind, row.dim) != ("poisson", 1)]
+    for tag in refused:
+        text = "".join(f"{key} = {values[key]}\n" for key in EXPERIMENTS[tag].keys)
+        assert main(["-q", "oracle", write(tmp_path, f"{text}tag = {tag}\nalpha = 1e-2\n")]) == 1
         assert capsys.readouterr().err.startswith("error: key 'tag': oracle runs support tags")
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+@pytest.mark.parametrize("tag", cli._ORACLE_TAGS)
+def test_cli_direct_state_is_the_solve_of_the_table_target(tmp_path, tag, dps):
+    # the oracle's target is the tag's row of the experiment table
+    precision = "" if dps is None else f"precision_dps = {dps}"
+    cfg = write(tmp_path, f"""
+tag = {tag}
+alpha = 1e-2
+n_points = 41
+oracle_method = direct
+{precision}
+output_dir = {tmp_path / 'direct'}
+""")
+    assert main(["-q", "oracle", cfg]) == 0
+    grid = Grid1D(41)
+    target = EXPERIMENTS[tag].target(grid.interior_x()[:, None], 1e-2, None)
+    _, state = read_csv(tmp_path / "direct" / "State.csv")
+    assert np.array_equal(state[:, 0], fd_direct_kkt_solve(grid, 1e-2, target, dps=dps).u)
+
+
+@pytest.mark.parametrize("alpha", ["1e300", "1e-200"])
+def test_cli_oracle_non_finite_numbers_exit_2_under_w_error(tmp_path, alpha):
+    # at alpha = 1e300 the errors, a misfit and the direct solve's backward
+    # error overflow; at 1e-200 the Gauss-Seidel sweep does: each method that
+    # meets a non-finite number prints one line, and nothing warns
+    cfg = write(tmp_path, f"""
+tag = sine1d
+alpha = {alpha}
+n_points = 21
+oracle_method = all
+output_dir = {tmp_path / 'oracle'}
+""")
+    env = _with_src(dict(os.environ))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c",
+                           "import sys; from deepuzawa.cli import main; sys.exit(main(sys.argv[1:]))",
+                           "-q", "oracle", cfg], env=env, capture_output=True, text=True, timeout=120)
+    expected = (["uzawa oracle diverged at iteration 0", "projected oracle diverged at iteration 0",
+                 "gauss_seidel oracle diverged at iteration 0", "direct oracle solve is not finite"]
+                if alpha == "1e300" else ["gauss_seidel oracle diverged at iteration 1"])
+    assert (proc.returncode, proc.stderr.splitlines(), proc.stdout) == (2, expected, "")
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -690,12 +746,18 @@ def test_cli_oracle_rejects_2d_tags(tmp_path, capsys):
     ("oracle", "hidden_width", "4"), ("run", "precision_dps", "30"),
     ("run", "oracle_method", "direct"), ("sweep", "precision_dps", "30"),
     ("sweep", "oracle_iters", "3"),
+    # an oracle method reads only its own keys: the float64 sweep takes no
+    # precision, and neither it nor the direct solve takes a step
+    ("oracle:gauss_seidel", "precision_dps", "30"), ("oracle:gauss_seidel", "rho", "0.1"),
+    ("oracle:direct", "rho", "0.1"),
 ])
 def test_cli_refuses_a_key_the_subcommand_would_drop(tmp_path, capsys, command, key, value):
     # keys with defaults too: the file sets them, so the subcommand would drop
     # them; seed and output_dir are taken by every subcommand
+    command, _, method = command.partition(":")
     out = tmp_path / "out"
-    own = "oracle_iters = 1\n" if command == "oracle" else TINY_RUN
+    own = (f"oracle_iters = 1\noracle_method = {method or 'uzawa'}\n" if command == "oracle"
+           else TINY_RUN)
     base = f"tag = sine1d\nseed = 3\n{own}output_dir = {out}\n"
     alphas = ["--alphas", "0.1"] if command == "sweep" else []
     assert main(["-q", command, write(tmp_path, f"{base}{key} = {value}\n"), *alphas]) == 1
@@ -810,7 +872,7 @@ output_dir = {tmp_path / 'sweep'}
     assert not {"oracle_method", "oracle_iters", "precision_dps"} & meta.keys()
 
     oracle = write(tmp_path, f"""
-tag = fd_oracle
+tag = sine1d
 alpha = 1e-2
 rho = 2e-3
 n_points = 21
@@ -839,7 +901,7 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")
 def test_shipped_config_runs(tmp_path, path):
     # every file in configs/ goes through the CLI at a tiny budget
     out = tmp_path / "out"
-    oracle = parse_config(path).tag == "fd_oracle"
+    oracle = "oracle_method" in read_config(path)[1]
     own = {"output_dir": out, **({"oracle_iters": 2, "n_points": 21} if oracle
                                  else {"n_uzawa": 1, "n_sgd": 1, "n_points": 11})}
     lines = [line for line in path.read_text().splitlines()
@@ -942,7 +1004,7 @@ sys.exit(deepuzawa.cli.main(["-q", "oracle", sys.argv[1]]))
 
 def test_oracle_runs_without_mpmath(tmp_path):
     cfg = write(tmp_path, f"""
-tag = fd_oracle
+tag = sine1d
 alpha = 1e-2
 n_points = 41
 oracle_iters = 5

@@ -125,8 +125,6 @@ def test_problem_for_maps_tag_to_problem_and_domain():
     problem, _ = problem_for(tiny_config(tag="ac_step", epsilon=0.3))
     assert (problem.tag, problem.kind, problem.epsilon) == ("ac_step", "allen_cahn", 0.3)
     assert problem_for(tiny_config(tag="sine2d"))[1].domain == Domain.unit_square()
-    with pytest.raises(ConfigError, match="belongs to the oracle subcommand"):
-        problem_for(tiny_config(tag="fd_oracle"))
 
 
 def test_ac_image_run_builds_its_grid_once(tmp_path, monkeypatch):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from deepuzawa import fd_oracle
-from deepuzawa.closed_forms import ExactSolution
+from deepuzawa.closed_forms import EXPERIMENTS, ExactSolution
 from deepuzawa.errors import GridError
-from deepuzawa.fd_oracle import (Grid1D, constant_target, fd_direct_kkt_solve,
+from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve,
                                  fd_projected_uzawa_run, fd_uzawa_run,
                                  gauss_seidel_adjoint_run, grid_norm, sine_target)
 from reference_checks import apply_laplacian, laplacian_dense
@@ -327,8 +327,7 @@ def test_decimal_diagnostics_up_to_20_digits_keep_every_bit(monkeypatch, dps, va
     # with no more than 20 digits the diagnostics are taken at dps, as when
     # the report precision is unbounded; the constant target clamps
     g = Grid1D(41)
-    target = (sine_target(g, ALPHA, dps=dps) if value is None
-              else constant_target(g, value, dps=dps))
+    target = sine_target(g, ALPHA, dps=dps) if value is None else np.full(g.n_interior, value)
     short = _runs(g, target, 40, dps)
     monkeypatch.setattr(fd_oracle, "_REPORT_DPS", 10**4)
     for key, v in _runs(g, target, 40, dps).items():
@@ -337,23 +336,13 @@ def test_decimal_diagnostics_up_to_20_digits_keep_every_bit(monkeypatch, dps, va
 
 @pytest.mark.parametrize("dps", [30, 60, 130, 200])
 def test_sine_target_high_precision_digits(dps):
-    # the Decimal pi and sines carry their dps digits, far past float64;
-    # mpmath, a test-only dependency, is the independent reference
-    import mpmath
-
+    # the target at dps digits is the sine1d row's float64 target rounded to
+    # dps digits; in float64 it is that target, bitwise
     g = Grid1D(51)
-    target = sine_target(g, ALPHA, dps=dps)
-    ctx = fd_oracle._context(dps)
-    with mpmath.workdps(dps + 20):
-        # pi and sine are the reference rounded to dps digits
-        rounded = decimal.Context(prec=dps).create_decimal
-        assert str(ctx.pi) == str(rounded(str(+mpmath.pi)))
-        for x in ("0.001", "0.5", "1", "2.5", "3.14"):
-            assert str(ctx.sin(ctx.num(x))) == str(rounded(str(mpmath.sin(x))))
-        scale = 1 + mpmath.mpf(ALPHA) * mpmath.pi**4
-        for i, v in enumerate(target):
-            exact = scale * mpmath.sin(mpmath.pi * (i + 1) / 50)
-            assert abs(mpmath.mpf(str(v)) - exact) <= mpmath.mpf(10) ** (3 - dps) * abs(exact)
+    table = EXPERIMENTS["sine1d"].target(g.interior_x()[:, None], ALPHA, None)
+    rounded = decimal.Context(prec=dps).create_decimal
+    assert [str(v) for v in sine_target(g, ALPHA, dps=dps)] == [str(rounded(x)) for x in table]
+    assert np.array_equal(sine_target(g, ALPHA).view(np.int64), table.view(np.int64))
 
 
 def test_projected_matches_plain_when_saddle_nonnegative():
@@ -606,7 +595,7 @@ def test_boundary_layer_target_direct_solve():
     # constant target: compare against the closed form of the eliminated ODE
     g = Grid1D(401)
     alpha = 1e-3
-    sol = fd_direct_kkt_solve(g, alpha, constant_target(g, 1.0))
+    sol = fd_direct_kkt_solve(g, alpha, np.ones(g.n_interior))
     ex = ExactSolution("boundary_layer", alpha=alpha)
     x = g.interior_x()
     rel = grid_norm(g, sol.u - ex.state(x)) / grid_norm(g, ex.state(x))

@@ -198,8 +198,6 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec("heat", 1.0)
     with pytest.raises(ValueError):
-        ProblemSpec("fd_oracle", 1.0)  # the oracle-only tag has no constraint
-    with pytest.raises(ValueError):
         ProblemSpec("ac_image", 1.0, epsilon=1.0)  # missing samples
     with pytest.raises(ValueError):
         ProblemSpec("sine1d", 1.0, samples=np.zeros(3))  # samples for a formula target
