@@ -21,7 +21,7 @@ import numpy as np
 from .closed_forms import EXPERIMENTS, POISSON
 from .config import ExperimentConfig, emit_csv, read_config, write_csv
 from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 from .fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run, fd_uzawa_run,
                         gauss_seidel_adjoint_run, gauss_seidel_rate, uzawa_step_bounds)
 from .geometry import build_grid, cutoff_jet, l2_norm
@@ -194,10 +194,15 @@ def main(argv=None) -> int:
         if args.command == "grad-check":
             return _cmd_grad_check(args.quiet)
         cfg, keys = read_config(args.config)
-        # a tag the oracle does not take is named before the keys it would drop
-        if args.command == "oracle" and cfg.tag not in _ORACLE_TAGS:
-            raise ConfigError(
-                f"oracle runs support tags {_ORACLE_TAGS}; got {cfg.tag!r}", key="tag")
+        # a tag or grid the oracle does not take is named before the keys it would drop
+        if args.command == "oracle":
+            if cfg.tag not in _ORACLE_TAGS:
+                raise ConfigError(
+                    f"oracle runs support tags {_ORACLE_TAGS}; got {cfg.tag!r}", key="tag")
+            try:  # the oracle's stencil needs more points than the config's minimum
+                Grid1D(cfg.n_points)
+            except GridError as exc:
+                raise ConfigError(str(exc), key="n_points") from None
         # a file that sets a key the run would not read is refused, not
         # dropped without a word; every run takes a seed
         read = (_NETWORK_META if args.command != "oracle" else

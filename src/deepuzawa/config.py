@@ -21,10 +21,9 @@ Recognised keys (defaults in parentheses):
   n_sgd          inner optimiser steps per update, >= 1 (40)
   learning_rate  Adam step size, > 0 and finite (1e-3)
   n_points       collocation points per axis, >= 3 (201)
-  seed           run seed, 0 <= seed < 2**63 (0)
+  seed           network initialisation seed, 0 <= seed < 2**63 (0)
   hidden_width   network width, >= 1 (64)
   hidden_depth   hidden layer count, >= 0 (3)
-  batch_size     mini-batch size, >= 1; full batch when absent
   image          greymap path; required by ac_image, refused by other tags
   output_dir     run directory (runs/<tag>)
   eval_refine    extra evaluation grid refinement factor, >= 1 (1)
@@ -67,7 +66,6 @@ class ExperimentConfig:
     seed: int = 0
     hidden_width: int = 64
     hidden_depth: int = 3
-    batch_size: int | None = None
     image: str | None = None
     output_dir: str | None = None
     eval_refine: int = 1
@@ -176,8 +174,6 @@ def _check(cfg: ExperimentConfig):
     if cfg.precision_dps is not None and not 1 <= cfg.precision_dps <= decimal.MAX_PREC:
         raise ConfigError(f"precision_dps must be between 1 and {decimal.MAX_PREC}",
                           key="precision_dps")
-    if cfg.batch_size is not None and cfg.batch_size < 1:
-        raise ConfigError("batch_size must be positive", key="batch_size")
     if cfg.rho is not None and cfg.beta is not None:
         raise ConfigError("rho steps the plain variant; beta the augmented", key="rho")
     for key in _TAG_KEYS:
@@ -242,8 +238,8 @@ def load_pgm_target(path) -> ImageTarget:
         raise PgmError("truncated or malformed header") from None
     if width < 2 or height < 2:
         raise PgmError("image must be at least 2x2")
-    if maxval <= 0:
-        raise PgmError(f"maxval must be positive, got {maxval}")
+    if not 0 < maxval <= 65535:  # the Netpbm limit
+        raise PgmError(f"maxval must be in [1, 65535], got {maxval}")
     n_pixels = width * height
     if magic == b"P5":
         start = maxval_pos + len(maxval_tok) + 1  # single whitespace after maxval
@@ -295,13 +291,14 @@ def sample_image_on_grid(img: ImageTarget, cset: CollocationSet) -> np.ndarray:
 #
 # Per-run directory schema shared by the network driver and the oracle:
 #   Error.csv   update, state_l2_error, control_l2_error   (when exact known)
-#   Loss.csv    update, misfit, multiplier_term, control_norm_term,
-#               regulariser_term
+#   Loss.csv    update, LOSS_COLUMNS
 #   State.csv   one state value per line, grid order
 #   Control.csv one control value per line, grid order
 #   meta.txt    key = value dump of the run setup, then the diverged_* fields
 #               that are set
 # Floats are written with round-trip precision (repr).
+
+LOSS_COLUMNS = ("misfit", "multiplier_term", "control_norm_term", "regulariser_term")
 
 
 @dataclass(kw_only=True)
@@ -346,8 +343,7 @@ def emit_csv(record: RunResult, out_dir, meta: dict | None = None) -> list[str]:
     if record.loss_history is not None:
         loss = np.asarray(record.loss_history, dtype=float)
         path = os.path.join(out_dir, "Loss.csv")
-        write_csv(path, ("update", "misfit", "multiplier_term", "control_norm_term",
-                         "regulariser_term"), range(len(loss)), *loss.T)
+        write_csv(path, ("update", *LOSS_COLUMNS), range(len(loss)), *loss.T)
         written.append(path)
 
     for name, values in (("State.csv", record.u), ("Control.csv", record.f)):

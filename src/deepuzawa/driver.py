@@ -2,10 +2,11 @@
 
 One run executes a fixed number of outer multiplier updates.  Inside each
 outer step the multiplier is frozen and the network parameters take a fixed
-number of optimiser steps on the quadrature Lagrangian; the multiplier is
-then moved along the constraint residual.  A config that sets ``beta``
-runs the augmented variant: it adds the squared-residual penalty, weighted
-by ``beta``, to the objective and uses ``beta`` as the multiplier step.
+number of optimiser steps on the quadrature Lagrangian over the whole
+collocation grid; the multiplier is then moved along the constraint
+residual.  A config that sets ``beta`` runs the augmented variant: it adds
+the squared-residual penalty, weighted by ``beta``, to the objective and
+uses ``beta`` as the multiplier step.
 
 Errors against a closed-form solution (when the tag has one), the
 decomposed loss, the wall time and the diagnostics (DIAGNOSTIC_COLUMNS)
@@ -20,15 +21,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_forms import EXPERIMENTS, ExactSolution
-from .config import ExperimentConfig, RunResult, load_pgm_target, sample_image_on_grid
-from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet, l2_norm
+from .config import (LOSS_COLUMNS, ExperimentConfig, RunResult, load_pgm_target,
+                     sample_image_on_grid)
+from .geometry import CollocationSet, Domain, build_grid, cutoff_jet, l2_norm
 from .lagrangian import (ProblemSpec, loss_parts, multiplier_update, residual_values,
                          target_values)
 from .network import (NetworkParameters, NetworkSpec, batch_jets, evaluate, init_network,
                       loss_and_gradient)
 from .optim import AdamState, adam_step
 
-LOSS_COLUMNS = ("misfit", "multiplier_term", "control_norm_term", "regulariser_term")
 # per update: weighted interior L2 norms of the constraint residual K and of
 # the updated multiplier, the last inner step's gradient norm, the loss
 DIAGNOSTIC_COLUMNS = ("residual_l2", "multiplier_l2", "grad_l2", "loss_total")
@@ -68,12 +69,6 @@ def problem_for(cfg: ExperimentConfig) -> tuple[ProblemSpec, CollocationSet]:
     return ProblemSpec(cfg.tag, cfg.alpha, cfg.epsilon, samples), cset
 
 
-def _subset(cset: CollocationSet, idx: np.ndarray) -> CollocationSet:
-    scale = cset.n_points / idx.size
-    return CollocationSet(cset.domain, cset.points[idx], cset.weights[idx] * scale,
-                          cset.interior_mask[idx])
-
-
 def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecord:
     """Execute the full outer/inner iteration for one network experiment.
 
@@ -106,7 +101,6 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     z = np.zeros(cset.n_interior)
     mask = cset.interior_mask
     interior_weights = cset.weights[mask]
-    batch_rng = np.random.default_rng(config.seed)
 
     state_errors, control_errors, losses, walls, diagnostics = [], [], [], [], []
     diverged_at = diverged_reason = diverged_inner_step = None
@@ -115,19 +109,8 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
         for k in range(config.n_uzawa):
             t0 = time.perf_counter()
             for i in range(config.n_sgd):
-                if config.batch_size is None or config.batch_size >= cset.n_points:
-                    sub, sub_target, sub_cutoff, sub_z = cset, target, cutoff, z
-                else:
-                    idx = np.sort(batch_rng.choice(cset.n_points, config.batch_size,
-                                                   replace=False))
-                    sub = _subset(cset, idx)
-                    sub_target = target[idx]
-                    sub_cutoff = CutoffJet(cutoff.b[idx], cutoff.grad[idx], cutoff.lap[idx])
-                    z_full = np.zeros(cset.n_points)
-                    z_full[cset.interior_mask] = z
-                    sub_z = z_full[idx][sub.interior_mask]
-                loss, grad = loss_and_gradient(params, sub, problem, sub_z, beta,
-                                               target=sub_target, cutoff=sub_cutoff)
+                loss, grad = loss_and_gradient(params, cset, problem, z, beta,
+                                               target=target, cutoff=cutoff)
                 adam, flat = adam_step(adam, params.flat, grad)
                 # a non-finite gradient entry leaves a non-finite entry in flat
                 if not np.isfinite(loss) or not np.all(np.isfinite(flat)):

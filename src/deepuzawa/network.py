@@ -172,9 +172,9 @@ def _aligned(rows: int, cols: int) -> np.ndarray:
     return buf[start:start + rows * cols].reshape(rows, cols)
 
 
-# one workspace per (layer_dims, n_points, half): the halves of a mini-batch
-# and of the full grid all stay, so none evicts another
-_tape_for = functools.lru_cache(maxsize=4)(lambda dims, n, half: _Tape(dims, n))
+# one workspace per (layer_dims, n_points, half): a run sweeps only its full
+# grid, whose one or two halves both stay cached
+_tape_for = functools.lru_cache(maxsize=2)(lambda dims, n, half: _Tape(dims, n))
 
 # the points are swept in two halves when one stacked array, n (2 + d) x the
 # widest hidden width, has at least this many entries; README's notes give

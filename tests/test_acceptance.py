@@ -2,7 +2,7 @@
 the measured values (run with ``pytest tests/test_acceptance.py -v -s``).
 
 The training-based criteria share module-scoped runs; the whole module takes
-around ten minutes of CPU time, dominated by five full 500 x 40 trainings.
+about three minutes of CPU time, dominated by five full 500 x 40 trainings.
 """
 import time
 

@@ -103,7 +103,7 @@ def test_grad_check_tag_is_unknown(tmp_path):
     ("hidden_depth", "-1"), ("learning_rate", "-1"), ("learning_rate", "0"),
     ("n_uzawa", "0"), ("n_sgd", "0"), ("hidden_width", "0"), ("rho", "0"), ("rho", "-1"),
     ("alpha", "inf"), ("epsilon", "inf"), ("rho", "inf"), ("beta", "inf"),
-    ("learning_rate", "inf"), ("batch_size", "0"), ("eval_refine", "0"), ("seed", "-1"),
+    ("learning_rate", "inf"), ("eval_refine", "0"), ("seed", "-1"),
 ])
 def test_out_of_range_value_names_key_and_line(tmp_path, key, value):
     second = ("seed", "0") if key == "alpha" else ("alpha", "1e-2")
@@ -316,8 +316,19 @@ def test_pgm_truncated(tmp_path):
 
 
 def test_pgm_bad_maxval(tmp_path):
-    with pytest.raises(PgmError):
-        load_pgm_target(pgm_ascii(tmp_path, [[0, 0], [0, 0]], maxval=0))
+    # Netpbm caps maxval at 65535: a larger one read as given would map the
+    # brightest 16-bit pixel below +1
+    def p2_and_p5(maxval):
+        p5 = tmp_path / f"p5_{maxval}.pgm"
+        p5.write_bytes(f"P5\n2 2\n{maxval}\n".encode()
+                       + np.array([0, 0, 0, 65535], dtype=">u2").tobytes())
+        return pgm_ascii(tmp_path, [[0, 0], [0, 65535]], maxval, f"p2_{maxval}.pgm"), str(p5)
+
+    for path in (pgm_ascii(tmp_path, [[0, 0], [0, 0]], maxval=0), *p2_and_p5(65536)):
+        with pytest.raises(PgmError):
+            load_pgm_target(path)
+    for path in p2_and_p5(65535):
+        assert load_pgm_target(path).values.tolist() == [[-1.0, -1.0], [-1.0, 1.0]]
 
 
 @pytest.mark.parametrize("where", ["pixel", "maxval"])
@@ -687,6 +698,18 @@ output_dir = {tmp_path / 'oracle'}
     assert np.array_equal(diag[:, 1], run.z_errors)
 
 
+@pytest.mark.parametrize("n_points", [3, 4])
+def test_cli_oracle_names_n_points_below_the_stencil(tmp_path, capsys, n_points):
+    # the config takes 3 points, the oracle's biharmonic stencil 5
+    out = tmp_path / "out"
+    base = f"tag = sine1d\noracle_iters = 1\noutput_dir = {out}\n"
+    assert main(["-q", "oracle", write(tmp_path, f"{base}n_points = {n_points}\n")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: key 'n_points': ")
+    assert not out.exists()
+    assert main(["-q", "oracle", write(tmp_path, f"{base}n_points = 5\n")]) == 0
+
+
 def test_cli_oracle_rejects_2d_tags(tmp_path, capsys):
     # and every other tag that is not Poisson on the unit interval: the tag is
     # named, not a key of the tag that the oracle would drop
@@ -741,7 +764,7 @@ output_dir = {tmp_path / 'oracle'}
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("oracle", "beta", "0.5"), ("oracle", "batch_size", "4"),
+    ("oracle", "beta", "0.5"),
     ("oracle", "learning_rate", "0.5"), ("oracle", "n_uzawa", "7"),
     ("oracle", "hidden_width", "4"), ("run", "precision_dps", "30"),
     ("run", "oracle_method", "direct"), ("sweep", "precision_dps", "30"),
@@ -765,6 +788,16 @@ def test_cli_refuses_a_key_the_subcommand_would_drop(tmp_path, capsys, command, 
         f"error: key '{key}': deepuzawa {command} does not use {key}"]
     assert not out.exists()
     assert main(["-q", command, write(tmp_path, base), *alphas]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_batch_size_is_an_unknown_key(tmp_path, capsys, command):
+    # training is full batch, so a file that sets a batch size is refused
+    out = tmp_path / "out"
+    cfg = write(tmp_path, f"tag = sine1d\n{TINY_RUN}batch_size = 4\noutput_dir = {out}\n")
+    assert main(["-q", command, cfg]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: line 7: key 'batch_size': unknown key"]
+    assert not out.exists()
 
 
 def test_cli_sweep(tmp_path):

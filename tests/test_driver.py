@@ -196,14 +196,6 @@ def test_divergence_recorded_not_raised(alpha, lr):
     assert rec.n_updates < 6
 
 
-def test_minibatch_mode_runs_and_is_deterministic():
-    cfg = tiny_config(n_uzawa=2, n_sgd=3, batch_size=8, seed=5)
-    a = run_deep_uzawa(cfg)
-    b = run_deep_uzawa(cfg)
-    assert np.array_equal(a.params.flat, b.params.flat)
-    assert np.all(np.isfinite(a.loss_history))
-
-
 def test_multiplier_drift_bounded_by_rho_times_residual(frozen_network):
     cfg = tiny_config(n_uzawa=1, n_sgd=1)
     rec = run_deep_uzawa(cfg)

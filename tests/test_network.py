@@ -316,7 +316,7 @@ def test_held_results_survive_a_later_call():
 
 
 def test_new_points_of_the_same_count_are_read():
-    # a mini-batch run calls with fresh points of one count every step: each
+    # calls with different points of one count share a cached workspace: each
     # call must see its own points, checked against the plain forward pass
     dom = Domain.unit_square()
     params = init_network(NetworkSpec(2, (7, 5, 3), seed=5))
@@ -467,9 +467,9 @@ def test_split_on_one_cpu_gives_the_helper_threads_bits(split_all, monkeypatch):
     assert len(threads) == min(2, len(cpus))
 
 
-def test_split_mini_batch_run_rebuilds_no_more_workspaces(split_all, monkeypatch):
-    # one workspace per (shape, half): the mini-batch's two and the full
-    # grid's two stay cached, where the one-workspace cache rebuilt two per update
+def test_split_run_builds_each_half_workspace_once(split_all, monkeypatch):
+    # one workspace per (shape, half): the full grid's two halves stay cached
+    # through every inner step and outer update of a run
     built = []
 
     class CountedTape(network._Tape):
@@ -480,14 +480,13 @@ def test_split_mini_batch_run_rebuilds_no_more_workspaces(split_all, monkeypatch
     monkeypatch.setattr(network, "_Tape", CountedTape)
     network._tape_for.cache_clear()
     try:
-        cfg = ExperimentConfig("sine2d", n_uzawa=3, n_sgd=2, n_points=9, batch_size=40,
+        cfg = ExperimentConfig("sine2d", n_uzawa=3, n_sgd=2, n_points=9,
                                hidden_width=8, hidden_depth=2)
         record = run_deep_uzawa(cfg)
     finally:
         network._tape_for.cache_clear()
     assert record.diverged_at is None
-    assert sorted(built) == [20, 20, 40, 41]
-    assert len(built) <= 2 * cfg.n_uzawa
+    assert sorted(built) == [40, 41]
 
 
 def _split_step_in_child():
