@@ -8,8 +8,9 @@ Subcommands:
                       finite differences (acceptance criteria 1-2)
   sweep <config> --alphas A1 A2 ...   one run per regularisation weight
 
-Exit codes: 0 success, 1 validation error, 2 numerical divergence (for the
-Uzawa oracles also a step rho at or above the contraction bound rho_max).
+Exit codes: 0 success, 1 validation error or out of memory, 2 numerical
+divergence (for the Uzawa oracles also a step rho at or above the
+contraction bound rho_max).
 """
 import argparse
 import os
@@ -24,8 +25,7 @@ from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa
 from .errors import ConfigError, GridError
 from .fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run, fd_uzawa_run,
                         gauss_seidel_adjoint_run, gauss_seidel_rate, uzawa_step_bounds)
-from .geometry import build_grid, cutoff_jet, l2_norm
-from .network import CHECK_BOUND, evaluate, grad_check, save_checkpoint
+from .network import CHECK_BOUND, grad_check, save_checkpoint
 
 # the finite-difference oracle solves Poisson on the unit interval
 _ORACLE_TAGS = tuple(tag for tag, row in EXPERIMENTS.items()
@@ -59,32 +59,20 @@ def _diverged(result, what: str, step: str) -> int:
 def _write_run(record) -> list[str]:
     """CSVs, meta.txt and params.bin of one network run in its config's
     ``output_dir``: Diagnostics.csv holds, per update, its wall time and
-    DIAGNOSTIC_COLUMNS.  Plus its fields on the grid refined by
-    ``eval_refine`` when that is above 1."""
-    cfg, out_dir, exact = record.config, record.config.output_dir, record.exact
+    DIAGNOSTIC_COLUMNS."""
+    cfg, out_dir = record.config, record.config.output_dir
     # an augmented run steps the multiplier by beta, which meta.txt already lists
     extra = {"resolved_rho": cfg.resolved_rho} if cfg.beta is None else {}
     extra["n_parameters"] = record.params.spec.n_parameters
-    if exact is not None and record.n_updates:
+    if record.state_errors is not None and record.n_updates:
         extra["final_state_l2_error"] = record.state_errors[-1]
         extra["final_control_l2_error"] = record.control_errors[-1]
-    if cfg.eval_refine > 1:
-        domain = record.cset.domain
-        fine = build_grid(domain, (cfg.n_points - 1) * cfg.eval_refine + 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, f = evaluate(record.params, fine.points, cutoff_jet(domain, fine.points).b)
-            if exact is not None:
-                extra["refined_state_l2_error"] = l2_norm(fine, u - exact.state(fine.points))
-                extra["refined_control_l2_error"] = l2_norm(fine, f - exact.control(fine.points))
     files = emit_csv(record, out_dir, _meta_from(cfg, _NETWORK_META, out_dir, extra))
     path = os.path.join(out_dir, "Diagnostics.csv")
     write_csv(path, ("update", "wall_s", *DIAGNOSTIC_COLUMNS),
               range(len(record.wall_times)), record.wall_times, *record.diagnostics.T)
     files.append(path)
     save_checkpoint(record.params, os.path.join(out_dir, "params.bin"))
-    if cfg.eval_refine > 1:
-        write_csv(os.path.join(out_dir, "State_refined.csv"), ("state",), u)
-        write_csv(os.path.join(out_dir, "Control_refined.csv"), ("control",), f)
     return files
 
 
@@ -219,6 +207,9 @@ def main(argv=None) -> int:
         return _cmd_sweep(cfg, args.alphas, args.quiet)
     except (OSError, ValueError) as exc:  # ConfigError and PgmError included
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

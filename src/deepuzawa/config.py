@@ -26,7 +26,6 @@ Recognised keys (defaults in parentheses):
   hidden_depth   hidden layer count, >= 0 (3)
   image          greymap path; required by ac_image, refused by other tags
   output_dir     run directory (runs/<tag>)
-  eval_refine    extra evaluation grid refinement factor, >= 1 (1)
   oracle_method  uzawa | projected | gauss_seidel | direct | all  (uzawa)
   oracle_iters   multiplier updates for oracle runs, >= 0 (200)
   precision_dps  decimal digits for oracle arithmetic, 1 to
@@ -68,7 +67,6 @@ class ExperimentConfig:
     hidden_depth: int = 3
     image: str | None = None
     output_dir: str | None = None
-    eval_refine: int = 1
     oracle_method: str = "uzawa"
     oracle_iters: int = 200
     precision_dps: int | None = None
@@ -165,8 +163,6 @@ def _check(cfg: ExperimentConfig):
         raise ConfigError("seed must be in [0, 2**63)", key="seed")
     if cfg.n_points < 3:
         raise ConfigError("n_points must be at least 3", key="n_points")
-    if cfg.eval_refine < 1:
-        raise ConfigError("eval_refine must be at least 1", key="eval_refine")
     if cfg.oracle_method not in ORACLE_METHODS:
         raise ConfigError(f"oracle_method must be one of {ORACLE_METHODS}", key="oracle_method")
     if cfg.oracle_iters < 0:
@@ -186,19 +182,10 @@ def _check(cfg: ExperimentConfig):
 # greymap target ingestion
 
 
-@dataclass
-class ImageTarget:
-    """Greyscale image mapped affinely onto [-1, 1] (the double-well minima)."""
-
-    width: int
-    height: int
-    values: np.ndarray  # (height, width), row 0 at the top of the image
-
-
-def load_pgm_target(path) -> ImageTarget:
-    """Read a P2 (ascii) or P5 (binary) greymap and normalise to [-1, 1].
-
-    Pixel value 0 maps to -1 and maxval to +1, exactly.
+def load_pgm_target(path) -> np.ndarray:
+    """Read a P2 (ascii) or P5 (binary) greymap as a (height, width) array,
+    row 0 at the top of the image, mapped affinely onto [-1, 1] (the
+    double-well minima): pixel value 0 maps to -1 and maxval to +1, exactly.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -262,11 +249,10 @@ def load_pgm_target(path) -> ImageTarget:
         pixels = np.array([int(v) for v in vals], dtype=float)
     if pixels.max() > maxval:
         raise PgmError("pixel value exceeds maxval")
-    values = (2.0 * pixels / maxval - 1.0).reshape(height, width)
-    return ImageTarget(width, height, values)
+    return (2.0 * pixels / maxval - 1.0).reshape(height, width)
 
 
-def sample_image_on_grid(img: ImageTarget, cset: CollocationSet) -> np.ndarray:
+def sample_image_on_grid(img: np.ndarray, cset: CollocationSet) -> np.ndarray:
     """Bilinear sample of the image onto a 2d collocation set.
 
     The image spans the unit square with pixel centres at the corners;
@@ -274,16 +260,16 @@ def sample_image_on_grid(img: ImageTarget, cset: CollocationSet) -> np.ndarray:
     """
     if cset.domain.dim != 2:
         raise ValueError("image targets need a 2d collocation set")
+    height, width = img.shape
     x, y = cset.points[:, 0], cset.points[:, 1]
-    px = x * (img.width - 1)
-    py = (1.0 - y) * (img.height - 1)
-    x0 = np.clip(np.floor(px).astype(int), 0, img.width - 2)
-    y0 = np.clip(np.floor(py).astype(int), 0, img.height - 2)
+    px = x * (width - 1)
+    py = (1.0 - y) * (height - 1)
+    x0 = np.clip(np.floor(px).astype(int), 0, width - 2)
+    y0 = np.clip(np.floor(py).astype(int), 0, height - 2)
     tx = px - x0
     ty = py - y0
-    v = img.values
-    return ((1 - ty) * ((1 - tx) * v[y0, x0] + tx * v[y0, x0 + 1])
-            + ty * ((1 - tx) * v[y0 + 1, x0] + tx * v[y0 + 1, x0 + 1]))
+    return ((1 - ty) * ((1 - tx) * img[y0, x0] + tx * img[y0, x0 + 1])
+            + ty * ((1 - tx) * img[y0 + 1, x0] + tx * img[y0 + 1, x0 + 1]))
 
 
 # ---------------------------------------------------------------------------

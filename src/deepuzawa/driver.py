@@ -51,7 +51,6 @@ class RunRecord(RunResult):
     diagnostics: np.ndarray
     params: NetworkParameters
     z: np.ndarray
-    exact: ExactSolution | None = None
 
     @property
     def n_updates(self) -> int:
@@ -158,7 +157,6 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
         diverged_at=diverged_at,
         diverged_reason=diverged_reason,
         diverged_inner_step=diverged_inner_step,
-        exact=exact,
     )
 
 

@@ -57,6 +57,7 @@ from .errors import GridError, IterationLimitError
 _DIVERGENCE_LIMIT = 1e6
 # KKT tolerance of the nonnegative inner solve of the projected run
 _INNER_TOL = 1e-10
+_MAX_PASSES = 80  # active-set changes before it raises IterationLimitError
 _REPORT_DPS = 20  # digits of the Decimal diagnostics; their float64 report needs 17
 
 
@@ -367,7 +368,7 @@ def _loss_row(u, f, z, D, lap_u, alpha, h, ctx):
             float(h * a4 * _sum(f * f, zero)), float(h * a4 * _sum(lap_u * lap_u, zero)))
 
 
-def _solve_nonneg(bands, solve, rhs, ctx, tol, max_passes=80):
+def _solve_nonneg(bands, solve, rhs, ctx, tol):
     """Minimise (1/2) u^T M u - rhs^T u subject to u >= 0.
 
     Primal active-set method: clamped entries are pinned by replacing their
@@ -379,7 +380,7 @@ def _solve_nonneg(bands, solve, rhs, ctx, tol, max_passes=80):
     d, e, g = bands
     zero = ctx.num(0)
     active = np.zeros(len(d), dtype=bool)
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         if not active.any():
             u = solve(rhs)
             flip = u < -tol

@@ -103,7 +103,7 @@ def test_grad_check_tag_is_unknown(tmp_path):
     ("hidden_depth", "-1"), ("learning_rate", "-1"), ("learning_rate", "0"),
     ("n_uzawa", "0"), ("n_sgd", "0"), ("hidden_width", "0"), ("rho", "0"), ("rho", "-1"),
     ("alpha", "inf"), ("epsilon", "inf"), ("rho", "inf"), ("beta", "inf"),
-    ("learning_rate", "inf"), ("eval_refine", "0"), ("seed", "-1"),
+    ("learning_rate", "inf"), ("seed", "-1"),
 ])
 def test_out_of_range_value_names_key_and_line(tmp_path, key, value):
     second = ("seed", "0") if key == "alpha" else ("alpha", "1e-2")
@@ -269,13 +269,14 @@ def pgm_ascii(tmp_path, pixels, maxval=255, name="img.pgm"):
 
 
 def test_pgm_all_zero_maps_to_minus_one(tmp_path):
-    img = load_pgm_target(pgm_ascii(tmp_path, [[0, 0], [0, 0]]))
-    assert np.all(img.values == -1.0)
+    img = load_pgm_target(pgm_ascii(tmp_path, [[0, 0, 0], [0, 0, 0]]))
+    assert img.shape == (2, 3)  # (height, width)
+    assert np.all(img == -1.0)
 
 
 def test_pgm_all_maxval_maps_to_plus_one(tmp_path):
     img = load_pgm_target(pgm_ascii(tmp_path, [[7, 7], [7, 7]], maxval=7))
-    assert np.all(img.values == 1.0)
+    assert np.all(img == 1.0)
 
 
 def test_pgm_binary_roundtrip(tmp_path):
@@ -283,9 +284,9 @@ def test_pgm_binary_roundtrip(tmp_path):
     pixels = np.array([[0, 128], [255, 64]], dtype=np.uint8)
     path.write_bytes(b"P5\n2 2\n255\n" + pixels.tobytes())
     img = load_pgm_target(str(path))
-    assert img.values[0, 0] == -1.0
-    assert img.values[1, 0] == 1.0
-    assert img.values[0, 1] == pytest.approx(2 * 128 / 255 - 1)
+    assert img[0, 0] == -1.0
+    assert img[1, 0] == 1.0
+    assert img[0, 1] == pytest.approx(2 * 128 / 255 - 1)
 
 
 def test_pgm_checkerboard_preserved_at_pixel_centres(tmp_path):
@@ -328,7 +329,7 @@ def test_pgm_bad_maxval(tmp_path):
         with pytest.raises(PgmError):
             load_pgm_target(path)
     for path in p2_and_p5(65535):
-        assert load_pgm_target(path).values.tolist() == [[-1.0, -1.0], [-1.0, 1.0]]
+        assert load_pgm_target(path).tolist() == [[-1.0, -1.0], [-1.0, 1.0]]
 
 
 @pytest.mark.parametrize("where", ["pixel", "maxval"])
@@ -458,29 +459,22 @@ output_dir = {tmp_path / 'out'}
         assert (tmp_path / "out" / name).exists()
 
 
-def test_cli_run_refined_eval(tmp_path):
-    cfg = write(tmp_path, f"""
-tag = sine1d
-alpha = 1e-2
-n_uzawa = 1
-n_sgd = 1
-n_points = 11
-hidden_width = 4
-hidden_depth = 1
-eval_refine = 4
-output_dir = {tmp_path / 'out'}
-""")
-    assert main(["-q", "run", cfg]) == 0
-    assert (tmp_path / "out" / "State_refined.csv").exists()
-    _, fine = read_csv(tmp_path / "out" / "State_refined.csv")
-    assert fine.shape[0] == 41
-    assert "refined_state_l2_error" in (tmp_path / "out" / "meta.txt").read_text()
-
-
 def test_cli_validation_error_exit_code(tmp_path):
     cfg = write(tmp_path, "tag = ac_sine\nalpha = 1e-4\n")
     assert main(["-q", "run", cfg]) == 1
     assert main(["-q", "run", str(tmp_path / "missing.cfg")]) == 1
+
+
+@pytest.mark.parametrize("command, runner", [("run", "run_deep_uzawa"),
+                                             ("oracle", "fd_uzawa_run")])
+def test_cli_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, command, runner):
+    # a MemoryError has no message of its own, so the CLI writes one
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, runner, exhausted)
+    cfg = write(tmp_path, f"tag = sine1d\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["-q", command, cfg]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_cli_divergence_exit_code(tmp_path, capsys):
@@ -549,22 +543,6 @@ def test_cli_divergence_in_the_update_loss(tmp_path, capsys):
     assert not (tmp_path / "div" / "Error.csv").exists()
     assert (tmp_path / "div" / "meta.txt").read_text().splitlines()[-2:] == [
         "diverged_at = 0", "diverged_reason = update_loss"]
-
-
-def test_cli_diverged_refined_run_ends_meta_with_diverged_at(tmp_path, capsys):
-    cfg = write(tmp_path, f"{SQUARE_OVERFLOW}eval_refine = 2\noutput_dir = {tmp_path / 'div'}\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["-q", "run", cfg]) == 2
-    assert capsys.readouterr().err == "run diverged at update 0\n"
-    keys = [line.split(" = ")[0] for line in
-            (tmp_path / "div" / "meta.txt").read_text().splitlines()]
-    assert keys[-4:] == ["refined_state_l2_error", "refined_control_l2_error", "diverged_at",
-                         "diverged_reason"]
-    assert (tmp_path / "div" / "meta.txt").read_text().endswith(
-        "diverged_at = 0\ndiverged_reason = update_loss\n")
-    _, fine = read_csv(tmp_path / "div" / "State_refined.csv")
-    assert fine.shape[0] == 41
 
 
 def test_cli_split_sweep_divergence_under_w_error(tmp_path):
@@ -792,12 +770,14 @@ def test_cli_refuses_a_key_the_subcommand_would_drop(tmp_path, capsys, command, 
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
 def test_batch_size_is_an_unknown_key(tmp_path, capsys, command):
-    # training is full batch, so a file that sets a batch size is refused
+    # training is full batch and a run is measured on its own grid, so a
+    # file that sets a batch size or an evaluation refinement is refused
     out = tmp_path / "out"
-    cfg = write(tmp_path, f"tag = sine1d\n{TINY_RUN}batch_size = 4\noutput_dir = {out}\n")
-    assert main(["-q", command, cfg]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: line 7: key 'batch_size': unknown key"]
-    assert not out.exists()
+    for key, value in (("batch_size", 4), ("eval_refine", 2)):
+        cfg = write(tmp_path, f"tag = sine1d\n{TINY_RUN}{key} = {value}\noutput_dir = {out}\n")
+        assert main(["-q", command, cfg]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: line 7: key '{key}': unknown key"]
+        assert not out.exists()
 
 
 def test_cli_sweep(tmp_path):
@@ -825,16 +805,15 @@ n_sgd = 1
 n_points = 11
 hidden_width = 4
 hidden_depth = 1
-eval_refine = 2
 output_dir = {tmp_path / 'sweep'}
 """)
     assert main(["-q", "sweep", cfg, "--alphas", "1"]) == 0
     out = tmp_path / "sweep" / "alpha_1"
-    _, fine = read_csv(out / "State_refined.csv")
-    assert fine.shape[0] == 21
+    _, state = read_csv(out / "State.csv")
+    assert state.shape[0] == 11
     assert (out / "params.bin").exists()
     meta = (out / "meta.txt").read_text()
-    for key in ("n_parameters = 18", "final_state_l2_error", "refined_state_l2_error"):
+    for key in ("n_parameters = 18", "final_state_l2_error", "final_control_l2_error"):
         assert key in meta
 
 

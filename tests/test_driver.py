@@ -95,25 +95,32 @@ def test_record_errors_zero_network_against_sine():
     assert se >= 0 and ce >= 0
 
 
-def test_record_errors_matches_manual_norms():
-    rec = run_deep_uzawa(tiny_config(n_uzawa=2, n_points=31))
+def _final_errors(rec, exact):
+    """State and control errors of a run's final network against ``exact``."""
     cset = rec.cset
     jets = batch_jets(rec.params, cset.points, cutoff_jet(cset.domain, cset.points))
-    assert rec.state_errors[-1] == l2_norm(cset, jets.u - rec.exact.state(cset.points))
-    assert rec.control_errors[-1] == l2_norm(cset, jets.f - rec.exact.control(cset.points))
+    return (l2_norm(cset, jets.u - exact.state(cset.points)),
+            l2_norm(cset, jets.f - exact.control(cset.points)))
+
+
+def test_record_errors_matches_manual_norms():
+    rec = run_deep_uzawa(tiny_config(n_uzawa=2, n_points=31))
+    exact = ExactSolution("sine1d", alpha=1e-2)
+    assert (rec.state_errors[-1], rec.control_errors[-1]) == _final_errors(rec, exact)
 
 
 def test_exact_solution_resolution():
-    # the closed form is looked up by the tag alone
+    # the closed form is looked up by the tag alone, with the run's alpha and epsilon
     for tag, alpha, epsilon in [("sine1d", 0.5, None), ("sine2d", 0.5, None),
                                 ("boundary_layer", 0.5, None), ("ac_sine", 1.0, 0.3)]:
         rec = run_deep_uzawa(tiny_config(tag=tag, alpha=alpha, epsilon=epsilon, n_uzawa=1,
                                          n_sgd=1, n_points=5))
-        assert rec.exact == ExactSolution(tag, alpha=alpha, epsilon=epsilon)
+        exact = ExactSolution(tag, alpha=alpha, epsilon=epsilon)
         assert rec.state_errors.shape == (1,)
+        assert (rec.state_errors[0], rec.control_errors[0]) == _final_errors(rec, exact)
     rec = run_deep_uzawa(tiny_config(tag="ac_step", epsilon=0.3, n_uzawa=1, n_sgd=1,
                                      n_points=5))
-    assert rec.exact is None and rec.state_errors is None
+    assert rec.state_errors is None and rec.control_errors is None
 
 
 def test_problem_for_maps_tag_to_problem_and_domain():
@@ -162,8 +169,9 @@ def test_config_built_in_code_is_checked_for_epsilon(eps, message):
 def test_step_target_run_has_no_error_history():
     cfg = tiny_config(tag="ac_step", epsilon=0.5, n_uzawa=2, n_sgd=2, n_points=31)
     rec = run_deep_uzawa(cfg)
-    assert rec.state_errors is None
-    assert rec.exact is None
+    assert rec.state_errors is None and rec.control_errors is None
+    with pytest.raises(ValueError, match="no closed-form solution"):
+        ExactSolution("ac_step", epsilon=0.5)
     assert rec.loss_history.shape == (2, 4)
     assert np.all(np.isfinite(rec.u)) and np.all(np.isfinite(rec.f))
 

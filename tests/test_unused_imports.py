@@ -1,0 +1,35 @@
+"""No module of ``deepuzawa`` imports a name it never uses.
+
+The package's ``__init__.py`` is left out: its imports are the exports.  The
+check reads each module's source with ``ast``, without importing it.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "deepuzawa"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the imports of ``source`` that no expression reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_the_check_finds_an_unused_import():
+    assert unused_imports("import os\nfrom a.b import c as d, e\nimport x.y\nx.y.z(e)\n") == [
+        "os", "d"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
