@@ -121,7 +121,7 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
         emit_csv(run, out_dir, _meta_from(cfg, keys, out_dir, extra))
         write_csv(os.path.join(out_dir, "Diagnostics.csv"), ("iteration", "multiplier_error"),
                   range(len(run.z_errors)), run.z_errors)
-        if not quiet:
+        if not quiet and len(run.state_errors):
             print(f"{method}: final state error {run.state_errors[-1]:.3e}"
                   f" control error {run.control_errors[-1]:.3e}")
         status = _diverged(run, f"{method} oracle", "iteration")

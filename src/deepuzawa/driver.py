@@ -23,9 +23,8 @@ import numpy as np
 from .closed_forms import EXPERIMENTS, ExactSolution
 from .config import (LOSS_COLUMNS, ExperimentConfig, RunResult, load_pgm_target,
                      sample_image_on_grid)
-from .geometry import CollocationSet, Domain, build_grid, cutoff_jet, l2_norm
-from .lagrangian import (ProblemSpec, loss_parts, multiplier_update, residual_values,
-                         target_values)
+from .geometry import CollocationSet, Domain, build_grid, l2_norm
+from .lagrangian import ProblemSpec, loss_parts, multiplier_update, residual_values
 from .network import (NetworkParameters, NetworkSpec, batch_jets, evaluate, init_network,
                       loss_and_gradient)
 from .optim import AdamState, adam_step
@@ -58,13 +57,15 @@ class RunRecord(RunResult):
 
 
 def problem_for(cfg: ExperimentConfig) -> tuple[ProblemSpec, CollocationSet]:
-    """Problem spec and collocation grid of a network experiment tag; the
-    image tag's target is sampled on that grid."""
+    """Problem spec and collocation grid of a network experiment tag, with
+    the tag's target (its formula or its image) sampled on that grid."""
     row = EXPERIMENTS[cfg.tag]
     cset = build_grid(Domain(row.dim), cfg.n_points)
-    samples = None
     if row.target == "image":
         samples = sample_image_on_grid(load_pgm_target(cfg.image), cset)
+    else:  # an overflow is refused by the spec's finiteness check, unreported here
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = row.target(cset.points, cfg.alpha, cfg.epsilon)
     return ProblemSpec(cfg.tag, cfg.alpha, cfg.epsilon, samples), cset
 
 
@@ -83,15 +84,12 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     the ``beta``-weighted penalty), else ``resolved_rho``.
     """
     problem, cset = problem_for(config)
-    domain = cset.domain
-    target = target_values(problem, cset)
-    cutoff = cutoff_jet(domain, cset.points)
     exact = None
     if EXPERIMENTS[config.tag].exact is not None:
         exact = ExactSolution(config.tag, alpha=config.alpha, epsilon=config.epsilon)
         exact_u, exact_f = exact.state(cset.points), exact.control(cset.points)
 
-    network = NetworkSpec(domain.dim, (config.hidden_width,) * config.hidden_depth,
+    network = NetworkSpec(cset.domain.dim, (config.hidden_width,) * config.hidden_depth,
                           seed=config.seed)
     params = init_network(network)
     adam = AdamState.fresh(params.flat.size, lr=config.learning_rate)
@@ -108,8 +106,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
         for k in range(config.n_uzawa):
             t0 = time.perf_counter()
             for i in range(config.n_sgd):
-                loss, grad = loss_and_gradient(params, cset, problem, z, beta,
-                                               target=target, cutoff=cutoff)
+                loss, grad = loss_and_gradient(params, cset, problem, z, beta)
                 adam, flat = adam_step(adam, params.flat, grad)
                 # a non-finite gradient entry leaves a non-finite entry in flat
                 if not np.isfinite(loss) or not np.all(np.isfinite(flat)):
@@ -118,8 +115,8 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                     break
                 params = params.with_flat(flat)
             else:
-                jets = batch_jets(params, cset.points, cutoff)
-                parts = loss_parts(problem, cset, jets, z, beta, target)
+                jets = batch_jets(params, cset.points, cset.cutoff)
+                parts = loss_parts(problem, cset, jets, z, beta)
                 # every weight is positive: a non-finite jet makes the total non-finite
                 if not np.isfinite(parts["total"]):
                     diverged_at, diverged_reason = k, "update_loss"
@@ -141,7 +138,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                 if exact is not None:
                     msg += f"  state err {state_errors[-1]:.3e}"
                 print(msg, flush=True)
-        final_u, final_f = evaluate(params, cset.points, cutoff.b)
+        final_u, final_f = evaluate(params, cset.points, cset.cutoff.b)
     return RunRecord(
         config=config,
         cset=cset,

@@ -349,7 +349,8 @@ class FDRun(RunResult):
     """History of one discrete saddle-point iteration: the error histories and
     ``loss_history`` (in Decimal to min(dps, 20) digits) and the projected run's
     ``z_history`` have length iters + 1 (index k = number of updates applied
-    before the k-th iterate), or diverged_at + 1 when the run diverged."""
+    before the k-th iterate), or diverged_at when the run diverged: the
+    iterate that diverged is not recorded."""
 
     z_errors: np.ndarray
     z: np.ndarray
@@ -414,9 +415,10 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -
     weight 2 h^2 in place of h (Parseval).  The loop takes iters + 1
     iterates, recording for each, in ``ctx.report``, the distances to
     ``reference`` = (u*, f*, z*), a loss row and, with ``z_maxima``, the
-    largest multiplier entry; it stops, with ``diverged_at`` set, at the first
-    iterate whose state or control error exceeds ``_DIVERGENCE_LIMIT`` or is NaN,
-    or whose errors or loss row are not all finite.
+    largest multiplier entry; it stops, with ``diverged_at`` set and nothing
+    recorded, at the first iterate whose state or control error exceeds
+    ``_DIVERGENCE_LIMIT`` or is NaN, or whose errors or loss row are not all
+    finite.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
@@ -424,25 +426,25 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -
     h = ctx.num(1) / (grid.n - 1)
     w = 2 * h * h if spectral else h
     ustar, fstar, zstar = reference
-    z_err, u_err, f_err, parts, z_max = [], [], [], [], []
+    rows, z_max = [], []
     diverged_at = None
     for k in range(iters + 1):
         u, f, z, lap_u = next(steps)
-        with ctx.report():
-            z_err.append(float(_norm(z - zstar, w, ctx)))
-            u_err.append(float(_norm(u - ustar, w, ctx)))
-            f_err.append(float(_norm(f - fstar, w, ctx)))
-            parts.append(_loss_row(u, f, z, D, lap_u, a, w, ctx))
-        if z_maxima:
-            z_max.append(float(z.max()))
-        if not (u_err[-1] <= _DIVERGENCE_LIMIT and f_err[-1] <= _DIVERGENCE_LIMIT
-                and all(map(math.isfinite, (z_err[-1], *parts[-1])))):
+        with ctx.report():  # the multiplier, state and control errors, then the loss row
+            row = (float(_norm(z - zstar, w, ctx)), float(_norm(u - ustar, w, ctx)),
+                   float(_norm(f - fstar, w, ctx)), *_loss_row(u, f, z, D, lap_u, a, w, ctx))
+        if not (row[1] <= _DIVERGENCE_LIMIT and row[2] <= _DIVERGENCE_LIMIT
+                and all(map(math.isfinite, row))):
             diverged_at = k
             break
+        rows.append(row)
+        if z_maxima:
+            z_max.append(float(z.max()))
     back = _idst1 if spectral else (lambda v: v)
+    history = np.array(rows).reshape(-1, 7)
     return FDRun(
-        z_errors=np.array(z_err), state_errors=np.array(u_err),
-        control_errors=np.array(f_err), loss_history=np.array(parts),
+        z_errors=history[:, 0], state_errors=history[:, 1], control_errors=history[:, 2],
+        loss_history=history[:, 3:],
         u=back(u).astype(float), f=back(f).astype(float), z=back(z).astype(float),
         reference=_solution(*map(back, reference)),
         z_history=np.array(z_max) if z_maxima else None, diverged_at=diverged_at,

@@ -8,6 +8,7 @@ evaluations of the same data are bitwise reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,7 @@ class CollocationSet:
     weights : (n,) array of nonnegative quadrature weights, summing to the
         domain volume.
     interior_mask : (n,) boolean array, False exactly on boundary points.
+    cutoff : the boundary cutoff jet at the points, computed on first use.
     """
 
     domain: Domain
@@ -54,9 +56,13 @@ class CollocationSet:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    @property
+    @cached_property
     def n_interior(self) -> int:
         return int(self.interior_mask.sum())
+
+    @cached_property
+    def cutoff(self) -> CutoffJet:
+        return cutoff_jet(self.domain, self.points)
 
 
 def build_grid(domain: Domain, n_per_axis: int) -> CollocationSet:

@@ -30,8 +30,9 @@ from .geometry import CollocationSet
 @dataclass
 class ProblemSpec:
     """An experiment tag of :data:`~deepuzawa.closed_forms.EXPERIMENTS` with
-    its regularisation weight, its Allen-Cahn epsilon and, for the image
-    tag, the target sampled on the collocation points."""
+    its regularisation weight, its Allen-Cahn epsilon and the target on the
+    collocation points: optional for a formula target, which is then
+    evaluated on them, and required for the image tag."""
 
     tag: str
     alpha: float
@@ -46,12 +47,12 @@ class ProblemSpec:
             raise ValueError("alpha must be positive")
         if "epsilon" in row.keys and (self.epsilon is None or not self.epsilon > 0):
             raise ValueError("Allen-Cahn problems need epsilon > 0")
-        if (row.target == "image") != (self.samples is not None):
-            raise ValueError(f"tag {self.tag!r}: samples are given exactly for an image target")
+        if row.target == "image" and self.samples is None:
+            raise ValueError(f"tag {self.tag!r} needs its target samples")
         if self.samples is not None:
             self.samples = np.asarray(self.samples, dtype=float)
             if not np.all(np.isfinite(self.samples)):
-                raise ValueError("target samples contain non-finite values")
+                raise ValueError(f"tag {self.tag!r}: target samples contain non-finite values")
 
     @property
     def kind(self) -> str:
@@ -98,7 +99,7 @@ def cost_values(problem: ProblemSpec, u, f, lap_u, target):
 
 
 def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray,
-                beta: float, target):
+                beta: float):
     """One pass over the jets: the loss parts, and what the gradients reuse
     (the target, op with its partials and sign, and K on the full grid)."""
     if jets.u.shape != (cset.n_points,):
@@ -107,8 +108,7 @@ def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray,
         raise ShapeError(
             f"multiplier has {z.shape[0]} values for {cset.n_interior} interior points"
         )
-    if target is None:
-        target = target_values(problem, cset)
+    target = target_values(problem, cset)
     u, f = jets.u, jets.f
     op_terms = _operator(problem, u, jets.lap_u)
     op, _, _, sign = op_terms
@@ -136,25 +136,24 @@ def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray,
 
 
 def loss_parts(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray,
-               beta: float = 0.0, target=None) -> dict:
+               beta: float = 0.0) -> dict:
     """Decomposed quadrature Lagrangian.
 
     Returns the four reported components (misfit, control norm, operator
     regulariser, multiplier term) plus the augmentation penalty and total.
     """
-    return _lagrangian(problem, cset, jets, z, beta, target)[0]
+    return _lagrangian(problem, cset, jets, z, beta)[0]
 
 
 def pointwise_gradients(problem: ProblemSpec, cset: CollocationSet, jets,
-                        z: np.ndarray, beta: float = 0.0, target=None):
+                        z: np.ndarray, beta: float = 0.0):
     """Loss and its per-point partial derivatives w.r.t. (u, f, lap u).
 
     Returns ``(loss, g_u, g_f, g_lap)`` where g_* already carry the
     quadrature weights, so the chain rule through the ansatz is a plain
     contraction.  Used by the network's reverse sweep.
     """
-    parts, target, (op, dop_du, dop_dlap, sign), k = _lagrangian(problem, cset, jets, z,
-                                                                 beta, target)
+    parts, target, (op, dop_du, dop_dlap, sign), k = _lagrangian(problem, cset, jets, z, beta)
     u, f = jets.u, jets.f
     w = cset.weights
     mask = cset.interior_mask

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
-from .lagrangian import ProblemSpec, loss_parts, pointwise_gradients, target_values
+from .lagrangian import ProblemSpec, loss_parts, pointwise_gradients
 
 _CHECKPOINT_MAGIC = b"DUZW-NET"
 _CHECKPOINT_VERSION = 1
@@ -291,9 +291,8 @@ def evaluate(params: NetworkParameters, points: np.ndarray,
 
 
 def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
-                      problem: ProblemSpec, z: np.ndarray, beta: float = 0.0,
-                      *, target: np.ndarray | None = None,
-                      cutoff: CutoffJet | None = None) -> tuple[float, np.ndarray]:
+                      problem: ProblemSpec, z: np.ndarray,
+                      beta: float = 0.0) -> tuple[float, np.ndarray]:
     """Quadrature Lagrangian and its exact parameter gradient.
 
     The scalar equals ``loss_parts(...)["total"]`` of
@@ -301,16 +300,14 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
     to every entry of ``params.flat``, obtained by reverse accumulation
     through the full jet computation (Laplacian and cutoff terms included).
 
-    ``target`` and ``cutoff`` may be precomputed once per grid and passed in;
-    they default to the problem target and the domain cutoff.  As with
-    :func:`batch_jets`, an overflow comes back as a non-finite loss or
-    gradient, and the workspace for this network and point count stays
-    allocated after the call.
+    The jets use the grid's own cutoff, ``cset.cutoff``, and the loss the
+    problem's target on the grid.  As with :func:`batch_jets`, an overflow
+    comes back as a non-finite loss or gradient, and the workspace for this
+    network and point count stays allocated after the call.
     """
-    if cutoff is None:
-        cutoff = cutoff_jet(cset.domain, cset.points)
+    cutoff = cset.cutoff
     jets, sweeps = _forward(params, cset.points, cutoff)
-    loss, g_u, g_f, g_lap = pointwise_gradients(problem, cset, jets, z, beta, target)
+    loss, g_u, g_f, g_lap = pointwise_gradients(problem, cset, jets, z, beta)
     grads = _in_halves(_sweep_reverse, [
         (params, tape, CutoffJet(cutoff.b[h], cutoff.grad[h], cutoff.lap[h]),
          g_u[h], g_f[h], g_lap[h]) for tape, h in sweeps])
@@ -373,39 +370,29 @@ def _sweep_reverse(params: NetworkParameters, tape: _Tape, cutoff: CutoffJet,
 
 
 def loss_value(params: NetworkParameters, cset: CollocationSet, problem: ProblemSpec,
-               z: np.ndarray, beta: float = 0.0, *, target=None,
-               cutoff: CutoffJet | None = None) -> float:
+               z: np.ndarray, beta: float = 0.0) -> float:
     """Loss alone, via the same jet computation as :func:`loss_and_gradient`."""
-    if cutoff is None:
-        cutoff = cutoff_jet(cset.domain, cset.points)
-    jets = batch_jets(params, cset.points, cutoff)
-    return loss_parts(problem, cset, jets, z, beta, target)["total"]
+    jets = batch_jets(params, cset.points, cset.cutoff)
+    return loss_parts(problem, cset, jets, z, beta)["total"]
 
 
 def finite_difference_gradient(params: NetworkParameters, cset: CollocationSet,
                                problem: ProblemSpec, z: np.ndarray, h: float,
-                               beta: float = 0.0, *, target=None,
-                               cutoff: CutoffJet | None = None) -> np.ndarray:
+                               beta: float = 0.0) -> np.ndarray:
     """Central-difference gradient of the loss, component by component.
 
     Test oracle for :func:`loss_and_gradient`; O(n_params) loss evaluations.
     """
     if not h > 0:
         raise ValueError("finite difference step h must be positive")
-    if cutoff is None:
-        cutoff = cutoff_jet(cset.domain, cset.points)
-    if target is None:
-        target = target_values(problem, cset)
     flat = params.flat
     grad = np.empty_like(flat)
     for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] = flat[i] + h
-        up = loss_value(params.with_flat(bumped), cset, problem, z, beta,
-                        target=target, cutoff=cutoff)
+        up = loss_value(params.with_flat(bumped), cset, problem, z, beta)
         bumped[i] = flat[i] - h
-        down = loss_value(params.with_flat(bumped), cset, problem, z, beta,
-                          target=target, cutoff=cutoff)
+        down = loss_value(params.with_flat(bumped), cset, problem, z, beta)
         grad[i] = (up - down) / (2.0 * h)
     return grad
 

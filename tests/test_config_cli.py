@@ -565,6 +565,25 @@ output_dir = {tmp_path / 'div'}
     assert (proc.returncode, proc.stderr, proc.stdout) == (2, "run diverged at update 0\n", "")
 
 
+@pytest.mark.parametrize("keys, tag, command", [
+    ("tag = sine1d\nalpha = 1e307", "sine1d", ["run"]),
+    ("tag = ac_sine\nepsilon = 1e-150", "ac_sine", ["run"]),
+    ("tag = sine1d", "sine1d", ["sweep", "--alphas", "1e-2", "1e307"]),
+], ids=["sine1d-alpha", "ac_sine-epsilon", "sweep"])
+def test_cli_non_finite_target_exits_1_under_w_error(tmp_path, keys, tag, command):
+    # the target overflows float64: the problem refuses it in one line, no
+    # warning escapes, and no directory is written, not even a sweep's first
+    cfg = write(tmp_path, f"{keys}\nn_uzawa = 1\nn_sgd = 1\noutput_dir = {tmp_path / 'out'}\n")
+    env = _with_src(dict(os.environ))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c",
+                           "import sys; from deepuzawa.cli import main; sys.exit(main(sys.argv[1:]))",
+                           "-q", command[0], cfg, *command[1:]], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (
+        1, f"error: tag {tag!r}: target samples contain non-finite values\n", "")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("precision", ["", "precision_dps = 30"])
 def test_cli_oracle_divergence_exit_code(tmp_path, capsys, precision):
     # rho far above alpha / 2: the Uzawa multiplier error grows geometrically
@@ -719,11 +738,14 @@ output_dir = {tmp_path / 'direct'}
     assert np.array_equal(state[:, 0], fd_direct_kkt_solve(grid, 1e-2, target, dps=dps).u)
 
 
-@pytest.mark.parametrize("alpha", ["1e300", "1e-200"])
-def test_cli_oracle_non_finite_numbers_exit_2_under_w_error(tmp_path, alpha):
+@pytest.mark.parametrize("alpha, quiet", [("1e300", True), ("1e-200", True), ("1e300", False)],
+                         ids=["1e300", "1e-200", "1e300-verbose"])
+def test_cli_oracle_non_finite_numbers_exit_2_under_w_error(tmp_path, alpha, quiet):
     # at alpha = 1e300 the errors, a misfit and the direct solve's backward
     # error overflow; at 1e-200 the Gauss-Seidel sweep does: each method that
-    # meets a non-finite number prints one line, and nothing warns
+    # meets a non-finite number prints one line, and nothing warns; an
+    # iterate that diverged is not recorded, so at alpha = 1e300 the
+    # iterative methods have no final error to print
     cfg = write(tmp_path, f"""
 tag = sine1d
 alpha = {alpha}
@@ -734,11 +756,17 @@ output_dir = {tmp_path / 'oracle'}
     env = _with_src(dict(os.environ))
     proc = subprocess.run([sys.executable, "-W", "error", "-c",
                            "import sys; from deepuzawa.cli import main; sys.exit(main(sys.argv[1:]))",
-                           "-q", "oracle", cfg], env=env, capture_output=True, text=True, timeout=120)
+                           *(["-q"] if quiet else []), "oracle", cfg], env=env,
+                          capture_output=True, text=True, timeout=120)
     expected = (["uzawa oracle diverged at iteration 0", "projected oracle diverged at iteration 0",
                  "gauss_seidel oracle diverged at iteration 0", "direct oracle solve is not finite"]
                 if alpha == "1e300" else ["gauss_seidel oracle diverged at iteration 1"])
-    assert (proc.returncode, proc.stderr.splitlines(), proc.stdout) == (2, expected, "")
+    assert (proc.returncode, proc.stderr.splitlines()) == (2, expected)
+    if quiet:
+        assert proc.stdout == ""
+    else:
+        assert proc.stdout.splitlines() == ["direct solve: backward error nan"]
+        assert (tmp_path / "oracle" / "uzawa" / "Loss.csv").read_text().count("\n") == 1
 
 
 @pytest.mark.parametrize("command, key, value", [

@@ -1,14 +1,15 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from deepuzawa import driver
-from deepuzawa.closed_forms import ExactSolution
+from deepuzawa import driver, geometry
+from deepuzawa.closed_forms import EXPERIMENTS, ExactSolution
 from deepuzawa.config import ExperimentConfig
 from deepuzawa.driver import problem_for, rho_alpha_sweep, run_deep_uzawa
 from deepuzawa.errors import ConfigError
-from deepuzawa.geometry import Domain, build_grid, cutoff_jet, l2_norm
+from deepuzawa.geometry import Domain, build_grid, l2_norm
 from deepuzawa.lagrangian import residual_values, target_values
 from deepuzawa.network import NetworkSpec, batch_jets, evaluate, init_network
 
@@ -35,7 +36,7 @@ def test_zero_learning_rate_updates_multiplier_only(frozen_network):
     assert np.array_equal(rec.params.flat, params0.flat)
     # z was updated exactly once by rho * K of the initial network
     cset = rec.cset
-    jets = batch_jets(params0, cset.points, cutoff_jet(cset.domain, cset.points))
+    jets = batch_jets(params0, cset.points, cset.cutoff)
     mask = cset.interior_mask
     k = residual_values(problem_for(cfg)[0], jets.u[mask], jets.f[mask], jets.lap_u[mask])
     assert np.allclose(rec.z, cfg.resolved_rho * k, rtol=1e-14)
@@ -87,7 +88,7 @@ def test_record_errors_zero_network_against_sine():
     params = init_network(TINY_NET)
     flat = params.flat.copy()
     flat[-18:] = 0.0  # zero the output layer: u = f = 0
-    u, f = evaluate(params.with_flat(flat), cset.points, cutoff_jet(cset.domain, cset.points).b)
+    u, f = evaluate(params.with_flat(flat), cset.points, cset.cutoff.b)
     ex = ExactSolution("sine1d")
     se, ce = l2_norm(cset, u - ex.state(cset.points)), l2_norm(cset, f - ex.control(cset.points))
     assert se == pytest.approx(np.sqrt(0.5), abs=1e-3)
@@ -98,7 +99,7 @@ def test_record_errors_zero_network_against_sine():
 def _final_errors(rec, exact):
     """State and control errors of a run's final network against ``exact``."""
     cset = rec.cset
-    jets = batch_jets(rec.params, cset.points, cutoff_jet(cset.domain, cset.points))
+    jets = batch_jets(rec.params, cset.points, cset.cutoff)
     return (l2_norm(cset, jets.u - exact.state(cset.points)),
             l2_norm(cset, jets.f - exact.control(cset.points)))
 
@@ -132,6 +133,26 @@ def test_problem_for_maps_tag_to_problem_and_domain():
     problem, _ = problem_for(tiny_config(tag="ac_step", epsilon=0.3))
     assert (problem.tag, problem.kind, problem.epsilon) == ("ac_step", "allen_cahn", 0.3)
     assert problem_for(tiny_config(tag="sine2d"))[1].domain == Domain.unit_square()
+
+
+def test_run_computes_the_cutoff_and_the_target_once(monkeypatch):
+    # the grid keeps its cutoff and the problem its target: no step recomputes them
+    calls = {"cutoff": 0, "target": 0}
+    cutoff_jet, row = geometry.cutoff_jet, EXPERIMENTS["sine1d"]
+
+    def counting_cutoff(*args):
+        calls["cutoff"] += 1
+        return cutoff_jet(*args)
+
+    def counting_target(*args):
+        calls["target"] += 1
+        return row.target(*args)
+
+    monkeypatch.setattr(geometry, "cutoff_jet", counting_cutoff)
+    monkeypatch.setitem(EXPERIMENTS, "sine1d", replace(row, target=counting_target))
+    rec = run_deep_uzawa(tiny_config(n_uzawa=3, n_sgd=2))
+    assert rec.n_updates == 3
+    assert calls == {"cutoff": 1, "target": 1}
 
 
 def test_ac_image_run_builds_its_grid_once(tmp_path, monkeypatch):
@@ -209,7 +230,7 @@ def test_multiplier_drift_bounded_by_rho_times_residual(frozen_network):
     rec = run_deep_uzawa(cfg)
     params0 = init_network(TINY_NET)
     cset = rec.cset
-    jets = batch_jets(params0, cset.points, cutoff_jet(cset.domain, cset.points))
+    jets = batch_jets(params0, cset.points, cset.cutoff)
     mask = cset.interior_mask
     k = residual_values(problem_for(cfg)[0], jets.u[mask], jets.f[mask], jets.lap_u[mask])
     assert np.abs(rec.z).max() <= cfg.resolved_rho * np.abs(k).max() * (1 + 1e-12)

@@ -107,9 +107,18 @@ def test_boundary_cutoff_values():
 
 def test_cutoff_zero_on_every_boundary_point():
     g = build_grid(Domain.unit_square(), 9)
-    jet = cutoff_jet(g.domain, g.points)
+    jet = g.cutoff
     assert np.all(jet.b[~g.interior_mask] == 0.0)
     assert np.all(jet.b[g.interior_mask] > 0.0)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 9), (2, 5)])
+def test_grid_cutoff_is_computed_once_and_is_the_cutoff_jet(dim, n):
+    g = build_grid(Domain(dim), n)
+    assert g.cutoff is g.cutoff
+    jet = cutoff_jet(g.domain, g.points)
+    for name in ("b", "grad", "lap"):
+        assert getattr(g.cutoff, name).tobytes() == getattr(jet, name).tobytes()
 
 
 def test_cutoff_jet_derivatives_match_fd():

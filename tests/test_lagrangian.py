@@ -200,6 +200,10 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec("ac_image", 1.0, epsilon=1.0)  # missing samples
     with pytest.raises(ValueError):
-        ProblemSpec("sine1d", 1.0, samples=np.zeros(3))  # samples for a formula target
-    with pytest.raises(ValueError):
         ProblemSpec("ac_image", 1.0, epsilon=1.0, samples=np.array([0.0, np.nan]))
+    # a formula tag takes its target sampled on the grid, and the loss reads those samples
+    g = build_grid(Domain.unit_interval(), 5)
+    own = target_values(ProblemSpec("sine1d", 1.0), g)
+    prob = ProblemSpec("sine1d", 1.0, samples=own)
+    assert target_values(prob, g) is prob.samples
+    assert np.array_equal(prob.samples, own)

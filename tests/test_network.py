@@ -58,7 +58,7 @@ def test_init_biases_zero_weights_bounded():
 
 def test_state_zero_on_boundary_for_any_parameters():
     g = build_grid(Domain.unit_square(), 7)
-    cj = cutoff_jet(g.domain, g.points)
+    cj = g.cutoff
     for seed in range(3):
         params = init_network(NetworkSpec(2, (6, 6), seed=seed))
         jets = batch_jets(params, g.points, cj)
@@ -102,7 +102,7 @@ def test_loss_equals_discrete_lagrangian():
     z = random_multiplier(g, 3)
     params = init_network(NetworkSpec(1, (8, 8), seed=3))
     loss, _ = loss_and_gradient(params, g, prob, z)
-    jets = batch_jets(params, g.points, cutoff_jet(g.domain, g.points))
+    jets = batch_jets(params, g.points, g.cutoff)
     assert loss == loss_parts(prob, g, jets, z)["total"]
 
 
@@ -302,7 +302,7 @@ def test_alternating_shapes_give_bitwise_equal_results():
 
 def test_held_results_survive_a_later_call():
     params, g, prob, z = _poisson_case(2, 12, (7, 5, 3))
-    cut = cutoff_jet(g.domain, g.points)
+    cut = g.cutoff
     _, grad = loss_and_gradient(params, g, prob, z)
     jets = batch_jets(params, g.points, cut)
     held_grad = grad.copy()
@@ -345,13 +345,12 @@ def test_steady_state_step_allocates_less_than_one_stream_block():
     # still allocates is per-point vectors, far below one stacked
     # (rows x width) block of the tape
     params, g, prob, z = _poisson_case(2, 30, (64, 64, 64))
-    cut = cutoff_jet(g.domain, g.points)
-    target = target_values(prob, g)
+    cut = g.cutoff
     block = g.n_points * (2 + 2) * 64 * 8
-    loss_and_gradient(params, g, prob, z, target=target, cutoff=cut)
+    loss_and_gradient(params, g, prob, z)
     tracemalloc.start()
     try:
-        loss_and_gradient(params, g, prob, z, target=target, cutoff=cut)
+        loss_and_gradient(params, g, prob, z)
         step_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         batch_jets(params, g.points, cut)
@@ -374,7 +373,7 @@ def test_workspace_arrays_and_stream_blocks_start_on_cache_lines(dim, n, hidden,
     dims = params.spec.layer_dims
     assert not network._Tape(dims, g.n_points).a_out.any()
     loss_and_gradient(params, g, prob, z)
-    _, sweeps = network._forward(params, g.points, cutoff_jet(g.domain, g.points))
+    _, sweeps = network._forward(params, g.points, g.cutoff)
     assert len(sweeps) == halves
     for tape, half in sweeps:
         rows = half.stop - half.start
@@ -432,7 +431,7 @@ def test_split_sweeps_match_the_serial_sweep(monkeypatch, dim, n, hidden):
     # halves, a new reduction order
     params, g, prob, z = _poisson_case(dim, n, hidden, seed=3)
     assert len(network._halves(g.n_points, params.spec.layer_dims)) == 2
-    cut = cutoff_jet(g.domain, g.points)
+    cut = g.cutoff
     results = []
     for size in (np.inf, network._SPLIT_SIZE):
         monkeypatch.setattr(network, "_SPLIT_SIZE", size)
@@ -447,7 +446,7 @@ def test_split_sweeps_match_the_serial_sweep(monkeypatch, dim, n, hidden):
 
 def test_split_on_one_cpu_gives_the_helper_threads_bits(split_all, monkeypatch):
     params, g, prob, z = _allen_cahn_case(2, 31, (64, 64, 64), seed=5)
-    cut = cutoff_jet(g.domain, g.points)
+    cut = g.cutoff
     sweep, threads = network._sweep_forward, set()
 
     def recording_sweep(*args):

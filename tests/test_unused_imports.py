@@ -1,4 +1,4 @@
-"""No module of ``deepuzawa`` imports a name it never uses.
+"""No module of ``deepuzawa`` or of its tests imports a name it never uses.
 
 The package's ``__init__.py`` is left out: its imports are the exports.  The
 check reads each module's source with ``ast``, without importing it.
@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "deepuzawa"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "deepuzawa"
+# no test module shares a name with a package module, so the file name is the id
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
