@@ -20,9 +20,8 @@ from dataclasses import fields
 import numpy as np
 
 from .closed_forms import EXPERIMENTS, POISSON
-from .config import ExperimentConfig, emit_csv, read_config, write_csv
+from .config import ConfigError, ExperimentConfig, emit_csv, read_config, write_csv
 from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa
-from .errors import ConfigError, GridError
 from .fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run, fd_uzawa_run,
                         gauss_seidel_adjoint_run, gauss_seidel_rate, uzawa_step_bounds)
 from .network import CHECK_BOUND, grad_check, save_checkpoint
@@ -33,11 +32,12 @@ _ORACLE_TAGS = tuple(tag for tag, row in EXPERIMENTS.items()
 _ORACLE_KEYS = ("oracle_method", "oracle_iters", "precision_dps")
 # the config keys each oracle method reads and its meta.txt lists, in the
 # order oracle_method = all runs them: only the Uzawa runs take a step size,
-# and Gauss-Seidel always runs in float64
-_ORACLE_BASE = ("tag", "alpha", "n_points", "output_dir", "oracle_method", "oracle_iters")
-_ORACLE_META = {"uzawa": _ORACLE_BASE + ("rho", "precision_dps"),
-                "projected": _ORACLE_BASE + ("rho", "precision_dps"),
-                "gauss_seidel": _ORACLE_BASE, "direct": _ORACLE_BASE + ("precision_dps",)}
+# the direct solve takes no iteration count, and Gauss-Seidel always runs in float64
+_ORACLE_BASE = ("tag", "alpha", "n_points", "output_dir", "oracle_method")
+_ORACLE_META = {"uzawa": _ORACLE_BASE + ("oracle_iters", "rho", "precision_dps"),
+                "projected": _ORACLE_BASE + ("oracle_iters", "rho", "precision_dps"),
+                "gauss_seidel": _ORACLE_BASE + ("oracle_iters",),
+                "direct": _ORACLE_BASE + ("precision_dps",)}
 _NETWORK_META = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _ORACLE_KEYS)
 
 
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
                     f"oracle runs support tags {_ORACLE_TAGS}; got {cfg.tag!r}", key="tag")
             try:  # the oracle's stencil needs more points than the config's minimum
                 Grid1D(cfg.n_points)
-            except GridError as exc:
+            except ValueError as exc:
                 raise ConfigError(str(exc), key="n_points") from None
         # a file that sets a key the run would not read is refused, not
         # dropped without a word; every run takes a seed
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
             with np.errstate(over="ignore", invalid="ignore"):
                 return _cmd_oracle(cfg, args.quiet)
         return _cmd_sweep(cfg, args.alphas, args.quiet)
-    except (OSError, ValueError) as exc:  # ConfigError and PgmError included
+    except (OSError, ValueError) as exc:  # input the program cannot use, ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:  # its message is empty

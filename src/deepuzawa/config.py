@@ -42,13 +42,26 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .closed_forms import EXPERIMENTS
-from .errors import ConfigError, PgmError
 from .geometry import CollocationSet
 
 TAGS = tuple(EXPERIMENTS)
 ORACLE_METHODS = ("uzawa", "projected", "gauss_seidel", "direct", "all")
 # each tag-specific key is required by the tags whose row lists it, refused by the others
 _TAG_KEYS = tuple(dict.fromkeys(key for row in EXPERIMENTS.values() for key in row.keys))
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration: the bare message, the offending key
+    and, when known, the 1-based line number."""
+
+    def __init__(self, message, key=None, line=None):
+        self.message = message
+        self.key = key
+        self.line = line
+        prefix = "" if line is None else f"line {line}: "
+        if key is not None:
+            prefix += f"key '{key}': "
+        super().__init__(prefix + message)
 
 
 @dataclass(frozen=True)
@@ -211,9 +224,9 @@ def load_pgm_target(path) -> np.ndarray:
     try:
         _, magic = next(it)
     except StopIteration:
-        raise PgmError("empty file") from None
+        raise ValueError("empty file") from None
     if magic not in (b"P2", b"P5"):
-        raise PgmError(f"bad magic {magic!r}, expected P2 or P5")
+        raise ValueError(f"bad magic {magic!r}, expected P2 or P5")
     try:
         _, w_tok = next(it)
         _, h_tok = next(it)
@@ -222,18 +235,18 @@ def load_pgm_target(path) -> np.ndarray:
             raise ValueError("PGM numbers are plain decimal digits")
         width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
     except (StopIteration, ValueError):
-        raise PgmError("truncated or malformed header") from None
+        raise ValueError("truncated or malformed header") from None
     if width < 2 or height < 2:
-        raise PgmError("image must be at least 2x2")
+        raise ValueError("image must be at least 2x2")
     if not 0 < maxval <= 65535:  # the Netpbm limit
-        raise PgmError(f"maxval must be in [1, 65535], got {maxval}")
+        raise ValueError(f"maxval must be in [1, 65535], got {maxval}")
     n_pixels = width * height
     if magic == b"P5":
         start = maxval_pos + len(maxval_tok) + 1  # single whitespace after maxval
         bytes_per = 1 if maxval < 256 else 2
         raw = data[start:start + n_pixels * bytes_per]
         if len(raw) < n_pixels * bytes_per:
-            raise PgmError("truncated pixel data")
+            raise ValueError("truncated pixel data")
         dtype = np.uint8 if bytes_per == 1 else ">u2"
         pixels = np.frombuffer(raw, dtype=dtype, count=n_pixels).astype(float)
     else:
@@ -243,12 +256,12 @@ def load_pgm_target(path) -> np.ndarray:
             if len(vals) == n_pixels:
                 break
         if len(vals) < n_pixels:
-            raise PgmError("truncated pixel data")
+            raise ValueError("truncated pixel data")
         if not all(v.isdigit() for v in vals):
-            raise PgmError("non-numeric pixel data")
+            raise ValueError("non-numeric pixel data")
         pixels = np.array([int(v) for v in vals], dtype=float)
     if pixels.max() > maxval:
-        raise PgmError("pixel value exceeds maxval")
+        raise ValueError("pixel value exceeds maxval")
     return (2.0 * pixels / maxval - 1.0).reshape(height, width)
 
 

@@ -52,12 +52,11 @@ import numpy as np
 
 from .closed_forms import EXPERIMENTS
 from .config import RunResult
-from .errors import GridError, IterationLimitError
 
 _DIVERGENCE_LIMIT = 1e6
 # KKT tolerance of the nonnegative inner solve of the projected run
 _INNER_TOL = 1e-10
-_MAX_PASSES = 80  # active-set changes before it raises IterationLimitError
+_MAX_PASSES = 80  # active-set changes before the run diverges
 _REPORT_DPS = 20  # digits of the Decimal diagnostics; their float64 report needs 17
 
 
@@ -69,7 +68,7 @@ class Grid1D:
 
     def __post_init__(self):
         if self.n < 5:
-            raise GridError(f"the biharmonic stencil needs n >= 5 points, got {self.n}")
+            raise ValueError(f"the biharmonic stencil needs n >= 5 points, got {self.n}")
 
     @property
     def h(self) -> float:
@@ -377,6 +376,8 @@ def _solve_nonneg(bands, solve, rhs, ctx, tol):
     banded LDL^T; with none clamped it is M, solved by the caller's
     ``solve``.  At the solution the KKT conditions hold to ``tol``: free
     entries are nonnegative, clamped ones have nonnegative reduced gradient.
+    An active set that has not settled after ``_MAX_PASSES`` changes (it
+    cycles) gives NaN entries, on which the run loop stops as diverged.
     """
     d, e, g = bands
     zero = ctx.num(0)
@@ -404,7 +405,7 @@ def _solve_nonneg(bands, solve, rhs, ctx, tol):
         if not flip.any():
             return np.where(active, zero, u)
         active ^= flip
-    raise IterationLimitError("nonnegative inner solve did not settle on an active set")
+    return np.full(len(d), ctx.num(math.nan), dtype=ctx.dtype)
 
 
 def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -> FDRun:
@@ -418,7 +419,8 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -
     largest multiplier entry; it stops, with ``diverged_at`` set and nothing
     recorded, at the first iterate whose state or control error exceeds
     ``_DIVERGENCE_LIMIT`` or is NaN, or whose errors or loss row are not all
-    finite.
+    finite.  The fields returned are those of the last recorded iterate, or
+    of iterate 0 when none was recorded.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
@@ -437,9 +439,12 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -
                 and all(map(math.isfinite, row))):
             diverged_at = k
             break
+        kept = u, f, z
         rows.append(row)
         if z_maxima:
             z_max.append(float(z.max()))
+    if diverged_at:
+        u, f, z = kept
     back = _idst1 if spectral else (lambda v: v)
     history = np.array(rows).reshape(-1, 7)
     return FDRun(
@@ -518,8 +523,9 @@ def fd_projected_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int
     :func:`fd_uzawa_run` with z negated: exactly in Decimal, in float64 up
     to its grid iteration's rounding, which T amplifies.
 
-    Raises :class:`IterationLimitError` when the inner solve's active set
-    cycles, as on sin(37 pi x) at n = 201, alpha = 1e-2, rho = alpha / 4.
+    An inner solve whose active set cycles gives a NaN state, and the run
+    diverges at that iterate: on sin(37 pi x) at n = 201, alpha = 1e-2,
+    rho = alpha / 4 at iterate 0.
     """
     run = _uzawa(grid, alpha, rho, D, iters, dps, project=True)
     # 0 - v negates and keeps zeros positive

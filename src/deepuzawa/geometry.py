@@ -12,8 +12,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridError, ShapeError
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -74,11 +72,11 @@ def build_grid(domain: Domain, n_per_axis: int) -> CollocationSet:
 
     Raises
     ------
-    GridError
+    ValueError
         If ``n_per_axis < 3`` (no interior point otherwise).
     """
     if n_per_axis < 3:
-        raise GridError(f"need at least 3 points per axis, got {n_per_axis}")
+        raise ValueError(f"need at least 3 points per axis, got {n_per_axis}")
     x = np.linspace(0.0, 1.0, n_per_axis)
     h = 1.0 / (n_per_axis - 1)
     w = np.full(n_per_axis, h)
@@ -98,7 +96,7 @@ def build_grid(domain: Domain, n_per_axis: int) -> CollocationSet:
 def _as_values(field, cset: CollocationSet) -> np.ndarray:
     values = np.asarray(field, dtype=float)
     if values.shape != (cset.n_points,):
-        raise ShapeError(
+        raise ValueError(
             f"field has shape {values.shape}, expected ({cset.n_points},)"
         )
     return values
@@ -134,7 +132,7 @@ def cutoff_jet(domain: Domain, points: np.ndarray) -> CutoffJet:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
     if d != domain.dim:
-        raise ShapeError(f"points have dimension {d}, domain has {domain.dim}")
+        raise ValueError(f"points have dimension {d}, domain has {domain.dim}")
     g = points * (1.0 - points) * 4.0
     g1 = (1.0 - 2 * points) * 4.0
     value = np.prod(g, axis=1)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import EXPERIMENTS, POISSON
-from .errors import ShapeError
 from .geometry import CollocationSet
 
 
@@ -65,7 +64,7 @@ def target_values(problem: ProblemSpec, cset: CollocationSet) -> np.ndarray:
     if problem.samples is None:
         return EXPERIMENTS[problem.tag].target(cset.points, problem.alpha, problem.epsilon)
     if problem.samples.shape != (cset.n_points,):
-        raise ShapeError(
+        raise ValueError(
             f"sampled target has {problem.samples.shape} values for {cset.n_points} points"
         )
     return problem.samples
@@ -103,9 +102,9 @@ def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray,
     """One pass over the jets: the loss parts, and what the gradients reuse
     (the target, op with its partials and sign, and K on the full grid)."""
     if jets.u.shape != (cset.n_points,):
-        raise ShapeError(f"jets cover {jets.u.shape} points, set has {cset.n_points}")
+        raise ValueError(f"jets cover {jets.u.shape} points, set has {cset.n_points}")
     if z.shape != (cset.n_interior,):
-        raise ShapeError(
+        raise ValueError(
             f"multiplier has {z.shape[0]} values for {cset.n_interior} interior points"
         )
     target = target_values(problem, cset)
@@ -175,5 +174,5 @@ def multiplier_update(z: np.ndarray, residuals, rho: float) -> np.ndarray:
     """Plain ascent step z' = z + rho K, pointwise."""
     k = np.asarray(residuals, dtype=float)
     if k.shape != z.shape:
-        raise ShapeError(f"residuals shape {k.shape} != multiplier shape {z.shape}")
+        raise ValueError(f"residuals shape {k.shape} != multiplier shape {z.shape}")
     return z + rho * k

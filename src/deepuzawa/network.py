@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
 from .lagrangian import ProblemSpec, loss_parts, pointwise_gradients
 
@@ -101,7 +100,7 @@ class NetworkParameters:
     def __init__(self, spec: NetworkSpec, flat: np.ndarray):
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (spec.n_parameters,):
-            raise ShapeError(
+            raise ValueError(
                 f"flat parameter vector has length {flat.shape}, expected {spec.n_parameters}"
             )
         if not np.all(np.isfinite(flat)):
@@ -249,7 +248,7 @@ def _forward(params: NetworkParameters, points: np.ndarray,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
     if d != params.spec.input_dim:
-        raise ShapeError(f"points have dimension {d}, network expects {params.spec.input_dim}")
+        raise ValueError(f"points have dimension {d}, network expects {params.spec.input_dim}")
     dims = params.spec.layer_dims
     sweeps = [(_tape_for(dims, h.stop - h.start, i), h) for i, h in enumerate(_halves(n, dims))]
     outs = _in_halves(_sweep_forward, [(params.layers, tape, points[h]) for tape, h in sweeps])

@@ -10,8 +10,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError
-
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
@@ -35,7 +33,7 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
     params = np.asarray(params, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if params.shape != grad.shape or state.m.shape != params.shape:
-        raise ShapeError(
+        raise ValueError(
             f"mismatched shapes: params {params.shape}, grad {grad.shape}, state {state.m.shape}"
         )
     t = state.t + 1

@@ -14,13 +14,12 @@ import pytest
 from deepuzawa import cli, config
 from deepuzawa.cli import main
 from deepuzawa.closed_forms import EXPERIMENTS
-from deepuzawa.config import (_SCHEMA, ExperimentConfig, RunResult, emit_csv, load_pgm_target,
-                              parse_config, read_config, read_csv, sample_image_on_grid,
-                              write_csv)
+from deepuzawa.config import (_SCHEMA, ConfigError, ExperimentConfig, RunResult, emit_csv,
+                              load_pgm_target, parse_config, read_config, read_csv,
+                              sample_image_on_grid, write_csv)
 from deepuzawa.driver import rho_alpha_sweep
-from deepuzawa.errors import ConfigError, PgmError
-from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, gauss_seidel_adjoint_run,
-                                 sine_target, uzawa_step_bounds)
+from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_uzawa_run,
+                                 gauss_seidel_adjoint_run, sine_target, uzawa_step_bounds)
 from deepuzawa.geometry import Domain, build_grid
 from deepuzawa.network import load_checkpoint
 
@@ -305,14 +304,14 @@ def test_pgm_checkerboard_preserved_at_pixel_centres(tmp_path):
 def test_pgm_bad_magic(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
-    with pytest.raises(PgmError):
+    with pytest.raises(ValueError, match="bad magic b'P6', expected P2 or P5"):
         load_pgm_target(str(path))
 
 
 def test_pgm_truncated(tmp_path):
     path = tmp_path / "trunc.pgm"
     path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
-    with pytest.raises(PgmError):
+    with pytest.raises(ValueError, match="truncated pixel data"):
         load_pgm_target(str(path))
 
 
@@ -326,7 +325,7 @@ def test_pgm_bad_maxval(tmp_path):
         return pgm_ascii(tmp_path, [[0, 0], [0, 65535]], maxval, f"p2_{maxval}.pgm"), str(p5)
 
     for path in (pgm_ascii(tmp_path, [[0, 0], [0, 0]], maxval=0), *p2_and_p5(65536)):
-        with pytest.raises(PgmError):
+        with pytest.raises(ValueError, match=r"maxval must be in \[1, 65535\], got"):
             load_pgm_target(path)
     for path in p2_and_p5(65535):
         assert load_pgm_target(path).tolist() == [[-1.0, -1.0], [-1.0, 1.0]]
@@ -339,7 +338,8 @@ def test_pgm_numbers_are_plain_digits(tmp_path, capsys, token, where):
     path = tmp_path / "img.pgm"
     maxval, pixel = ("255", token) if where == "pixel" else (token, "0")
     path.write_text(f"P2\n2 2\n{maxval}\n{pixel} 0 0 0\n")
-    with pytest.raises(PgmError):
+    message = "non-numeric pixel data" if where == "pixel" else "truncated or malformed header"
+    with pytest.raises(ValueError, match=message):
         load_pgm_target(str(path))
     cfg = write(tmp_path, f"tag = ac_image\nepsilon = 0.5\nimage = {path}\n{TINY_RUN}"
                           f"output_dir = {tmp_path / 'out'}\n")
@@ -354,7 +354,7 @@ def test_pgm_smaller_than_2x2_is_refused_from_its_header(tmp_path, capsys, data)
     # a zero-size image reached numpy's max() before the size check
     path = tmp_path / "img.pgm"
     path.write_bytes(data)
-    with pytest.raises(PgmError, match="at least 2x2"):
+    with pytest.raises(ValueError, match="image must be at least 2x2"):
         load_pgm_target(str(path))
     cfg = write(tmp_path, f"tag = ac_image\nepsilon = 0.5\nimage = {path}\n{TINY_RUN}"
                           f"output_dir = {tmp_path / 'out'}\n")
@@ -602,6 +602,11 @@ output_dir = {tmp_path / 'div'}
     _, rows = read_csv(tmp_path / "div" / "Error.csv")
     assert np.all(np.isfinite(rows))
     assert capsys.readouterr().err == "uzawa oracle diverged at iteration 2\n"
+    # State.csv and Control.csv hold the last recorded iterate, not the one that diverged
+    grid, dps = Grid1D(41), parse_config(cfg).precision_dps
+    stopped = fd_uzawa_run(grid, 1e-2, 10.0, sine_target(grid, 1e-2, dps=dps), 1, dps=dps)
+    for name, field in (("State.csv", stopped.u), ("Control.csv", stopped.f)):
+        assert np.array_equal(read_csv(tmp_path / "div" / name)[1][:, 0], field)
 
 
 def _oracle_config(tmp_path, name, tag, rho, method, iters):
@@ -762,11 +767,39 @@ output_dir = {tmp_path / 'oracle'}
                  "gauss_seidel oracle diverged at iteration 0", "direct oracle solve is not finite"]
                 if alpha == "1e300" else ["gauss_seidel oracle diverged at iteration 1"])
     assert (proc.returncode, proc.stderr.splitlines()) == (2, expected)
+    if alpha == "1e-200":
+        # the sweep diverged at iterate 1: its files hold iterate 0, f = 0
+        _, errors = read_csv(tmp_path / "oracle" / "gauss_seidel" / "Error.csv")
+        assert errors[:, 0].tolist() == [0.0]
+        _, control = read_csv(tmp_path / "oracle" / "gauss_seidel" / "Control.csv")
+        assert not control.any()
     if quiet:
         assert proc.stdout == ""
     else:
         assert proc.stdout.splitlines() == ["direct solve: backward error nan"]
         assert (tmp_path / "oracle" / "uzawa" / "Loss.csv").read_text().count("\n") == 1
+
+
+def test_cli_projected_oracle_whose_inner_solve_cycles_exits_2_under_w_error(tmp_path):
+    # rho = 3 rho_max: at iterate 20 the nonnegative inner solve's active set
+    # cycles; the run diverges there, with one line and no traceback
+    cfg = write(tmp_path, f"""
+tag = boundary_layer
+alpha = 1e-4
+rho = 1.5e-4
+n_points = 81
+oracle_method = projected
+output_dir = {tmp_path / 'cycle'}
+""")
+    env = _with_src(dict(os.environ))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c",
+                           "import sys; from deepuzawa.cli import main; sys.exit(main(sys.argv[1:]))",
+                           "-q", "oracle", cfg], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (
+        2, "projected oracle diverged at iteration 20\n", "")
+    assert (tmp_path / "cycle" / "meta.txt").read_text().splitlines()[-1] == "diverged_at = 20"
+    _, errors = read_csv(tmp_path / "cycle" / "Error.csv")
+    assert errors.shape == (20, 3)
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -776,17 +809,18 @@ output_dir = {tmp_path / 'oracle'}
     ("run", "oracle_method", "direct"), ("sweep", "precision_dps", "30"),
     ("sweep", "oracle_iters", "3"),
     # an oracle method reads only its own keys: the float64 sweep takes no
-    # precision, and neither it nor the direct solve takes a step
+    # precision, neither it nor the direct solve takes a step, and the
+    # direct solve takes no iteration count
     ("oracle:gauss_seidel", "precision_dps", "30"), ("oracle:gauss_seidel", "rho", "0.1"),
-    ("oracle:direct", "rho", "0.1"),
+    ("oracle:direct", "rho", "0.1"), ("oracle:direct", "oracle_iters", "5"),
 ])
 def test_cli_refuses_a_key_the_subcommand_would_drop(tmp_path, capsys, command, key, value):
     # keys with defaults too: the file sets them, so the subcommand would drop
     # them; seed and output_dir are taken by every subcommand
     command, _, method = command.partition(":")
     out = tmp_path / "out"
-    own = (f"oracle_iters = 1\noracle_method = {method or 'uzawa'}\n" if command == "oracle"
-           else TINY_RUN)
+    iters = "" if method == "direct" else "oracle_iters = 1\n"
+    own = f"{iters}oracle_method = {method or 'uzawa'}\n" if command == "oracle" else TINY_RUN
     base = f"tag = sine1d\nseed = 3\n{own}output_dir = {out}\n"
     alphas = ["--alphas", "0.1"] if command == "sweep" else []
     assert main(["-q", command, write(tmp_path, f"{base}{key} = {value}\n"), *alphas]) == 1
@@ -923,15 +957,16 @@ output_dir = {tmp_path / 'oracle'}
 """, "oracle.cfg")
     assert main(["-q", "oracle", oracle]) == 0
     # each method lists the keys its solver takes: a step size for the Uzawa
-    # runs only, a precision for all but the float64 Gauss-Seidel sweep
-    uzawa = {"rho", "precision_dps", "resolved_rho", "rho_max", "kappa_max"}
-    extra = {"uzawa": uzawa, "projected": uzawa, "gauss_seidel": {"kappa_max"},
+    # runs only, a precision for all but the float64 Gauss-Seidel sweep, an
+    # iteration count for all but the direct solve
+    uzawa = {"oracle_iters", "rho", "precision_dps", "resolved_rho", "rho_max", "kappa_max"}
+    extra = {"uzawa": uzawa, "projected": uzawa, "gauss_seidel": {"oracle_iters", "kappa_max"},
              "direct": {"precision_dps", "backward_error"}}
     for method in ("uzawa", "projected", "gauss_seidel", "direct"):
         meta = _read_meta(tmp_path / "oracle" / method / "meta.txt")
         assert meta["output_dir"] == str(tmp_path / "oracle" / method)
         assert set(meta) == {"tag", "alpha", "n_points", "output_dir", "oracle_method",
-                             "oracle_iters", "method"} | extra[method]
+                             "method"} | extra[method]
 
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))

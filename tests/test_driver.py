@@ -6,9 +6,8 @@ import pytest
 
 from deepuzawa import driver, geometry
 from deepuzawa.closed_forms import EXPERIMENTS, ExactSolution
-from deepuzawa.config import ExperimentConfig
+from deepuzawa.config import ConfigError, ExperimentConfig
 from deepuzawa.driver import problem_for, rho_alpha_sweep, run_deep_uzawa
-from deepuzawa.errors import ConfigError
 from deepuzawa.geometry import Domain, build_grid, l2_norm
 from deepuzawa.lagrangian import residual_values, target_values
 from deepuzawa.network import NetworkSpec, batch_jets, evaluate, init_network

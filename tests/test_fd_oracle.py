@@ -6,7 +6,6 @@ import pytest
 
 from deepuzawa import fd_oracle
 from deepuzawa.closed_forms import EXPERIMENTS, ExactSolution
-from deepuzawa.errors import GridError
 from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve,
                                  fd_projected_uzawa_run, fd_uzawa_run,
                                  gauss_seidel_adjoint_run, grid_norm, sine_target)
@@ -16,7 +15,7 @@ ALPHA = 1e-2
 
 
 def test_grid_validation():
-    with pytest.raises(GridError):
+    with pytest.raises(ValueError, match="the biharmonic stencil needs n >= 5 points, got 4"):
         Grid1D(4)
     g = Grid1D(11)
     assert g.h == pytest.approx(0.1)
@@ -551,14 +550,26 @@ def test_z_history_holds_the_projected_run_minima():
     assert gauss_seidel_adjoint_run(g, ALPHA, target, 3).z_history is None
 
 
+def _assert_fields_are_the_last_recorded_iterate(run, rerun):
+    # the fields of a run that diverged at iterate k > 0 are those of the
+    # same run stopped at iterate k - 1
+    stopped = rerun(run.diverged_at - 1)
+    assert stopped.diverged_at is None
+    for name in ("u", "f", "z"):
+        assert np.array_equal(getattr(run, name), getattr(stopped, name))
+
+
 def test_gauss_seidel_divergence_flagged_not_raised():
     # alpha far below 1/pi^4: the sweep blows up and must report, not crash
     g = Grid1D(101)
-    run = gauss_seidel_adjoint_run(g, 1e-4, sine_target(g, 1e-4), 10000)
+    target = sine_target(g, 1e-4)
+    run = gauss_seidel_adjoint_run(g, 1e-4, target, 10000)
     assert run.diverged_at is not None
     # the iterate that diverged is not recorded
     assert len(run.state_errors) == run.diverged_at
     assert max(run.state_errors[-1], run.control_errors[-1]) <= 1e6
+    _assert_fields_are_the_last_recorded_iterate(
+        run, lambda iters: gauss_seidel_adjoint_run(g, 1e-4, target, iters))
 
 
 @pytest.mark.parametrize("dps", [None, 30])
@@ -566,13 +577,43 @@ def test_uzawa_divergence_flagged_not_raised(dps):
     # rho far above alpha / 2: the multiplier error grows and the run must
     # stop at the first iterate past the limit, not overflow
     g = Grid1D(41)
-    run = fd_uzawa_run(g, ALPHA, 10.0, sine_target(g, ALPHA, dps=dps), 200, dps=dps)
+    target = sine_target(g, ALPHA, dps=dps)
+    run = fd_uzawa_run(g, ALPHA, 10.0, target, 200, dps=dps)
     assert run.diverged_at is not None
     # the iterate that diverged is not recorded
     assert len(run.state_errors) == run.diverged_at
     assert run.loss_history.shape == (run.diverged_at, 4)
     assert max(run.state_errors[-1], run.control_errors[-1]) <= 1e6
     assert np.all(np.isfinite(run.loss_history))
+    _assert_fields_are_the_last_recorded_iterate(
+        run, lambda iters: fd_uzawa_run(g, ALPHA, 10.0, target, iters, dps=dps))
+
+
+def test_cycling_inner_solve_diverges_at_its_first_iterate():
+    # the active set of sin(37 pi x) cycles in the first inner solve
+    g = Grid1D(201)
+    target = np.sin(37 * np.pi * g.interior_x())
+    run = fd_projected_uzawa_run(g, 1e-2, 2.5e-3, target, 20)
+    assert run.diverged_at == 0
+    assert run.z_errors.shape == run.state_errors.shape == run.z_history.shape == (0,)
+    assert run.loss_history.shape == (0, 4)
+    # no iterate was recorded: the fields are iterate 0's, its state NaN
+    assert np.isnan(run.u).all()
+    assert not run.f.any() and not run.z.any()
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+def test_cycling_inner_solve_diverges_where_it_cycles(dps):
+    # rho = 3 rho_max at alpha = 1e-4: the inner solve's active set cycles at
+    # iterate 20, before the errors pass the divergence limit
+    g = Grid1D(81)
+    target = EXPERIMENTS["boundary_layer"].target(g.interior_x()[:, None], 1e-4, None)
+    run = fd_projected_uzawa_run(g, 1e-4, 1.5e-4, target, 200, dps=dps)
+    assert run.diverged_at == 20
+    assert run.state_errors.shape == run.z_history.shape == (20,)
+    assert np.all(np.isfinite(run.loss_history))
+    _assert_fields_are_the_last_recorded_iterate(
+        run, lambda iters: fd_projected_uzawa_run(g, 1e-4, 1.5e-4, target, iters, dps=dps))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-2, math.inf, math.nan])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from deepuzawa.errors import ShapeError
 from deepuzawa.geometry import Domain, build_grid
 from deepuzawa.lagrangian import (ProblemSpec, cost_values, loss_parts, multiplier_update,
                                   pointwise_gradients, residual_values, target_values)
@@ -169,7 +168,7 @@ def test_ac_sine_target_stationarity():
 def test_sampled_target_shape_check():
     g = build_grid(Domain.unit_square(), 4)
     prob = ProblemSpec("ac_image", 1.0, epsilon=1.0, samples=np.zeros(10))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"sampled target has \(10,\) values for 16 points"):
         target_values(prob, g)
 
 

@@ -10,7 +10,6 @@ import pytest
 from deepuzawa import network
 from deepuzawa.config import ExperimentConfig
 from deepuzawa.driver import run_deep_uzawa
-from deepuzawa.errors import ShapeError
 from deepuzawa.geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
 from deepuzawa.lagrangian import ProblemSpec, loss_parts, target_values
 from deepuzawa.network import (NetworkParameters, NetworkSpec, batch_jets, evaluate,
@@ -216,7 +215,7 @@ def test_multiplier_shape_mismatch():
     prob = poisson_problem()
     params = init_network(NetworkSpec(1, (8, 8), seed=4))
     bad = np.zeros(g.n_interior - 1)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="multiplier has 13 values for 14 interior points"):
         loss_and_gradient(params, g, prob, bad)
 
 

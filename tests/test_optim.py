@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from deepuzawa.errors import ShapeError
 from deepuzawa.optim import AdamState, adam_step
 
 
@@ -61,5 +60,6 @@ def test_adam_constant_gradient_step_is_lr():
 
 def test_adam_shape_mismatch():
     state = AdamState.fresh(3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError,
+                       match=r"mismatched shapes: params \(4,\), grad \(4,\), state \(3,\)"):
         adam_step(state, np.zeros(4), np.zeros(4))
