@@ -105,9 +105,7 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
                 "method": method, "backward_error": sol.residual}))
             if not quiet:
                 print(f"direct solve: backward error {sol.residual:.2e}")
-            if not all(np.isfinite(v).all() for v in (sol.u, sol.f, sol.z, sol.residual)):
-                print("direct oracle solve is not finite", file=sys.stderr)
-                code = 2
+            code = max(code, _diverged(sol, "direct oracle", "iteration"))
             continue
         if method == "gauss_seidel":
             run = gauss_seidel_adjoint_run(grid, cfg.alpha, target, cfg.oracle_iters)
@@ -181,23 +179,24 @@ def main(argv=None) -> int:
     try:
         if args.command == "grad-check":
             return _cmd_grad_check(args.quiet)
-        cfg, keys = read_config(args.config)
+        cfg, lines = read_config(args.config)
         # a tag or grid the oracle does not take is named before the keys it would drop
         if args.command == "oracle":
             if cfg.tag not in _ORACLE_TAGS:
-                raise ConfigError(
-                    f"oracle runs support tags {_ORACLE_TAGS}; got {cfg.tag!r}", key="tag")
+                raise ConfigError(f"oracle runs support tags {_ORACLE_TAGS}; got {cfg.tag!r}",
+                                  key="tag", line=lines["tag"])
             try:  # the oracle's stencil needs more points than the config's minimum
                 Grid1D(cfg.n_points)
-            except ValueError as exc:
-                raise ConfigError(str(exc), key="n_points") from None
+            except ValueError as exc:  # the default passes: n_points is set in the file
+                raise ConfigError(str(exc), key="n_points", line=lines["n_points"]) from None
         # a file that sets a key the run would not read is refused, not
         # dropped without a word; every run takes a seed
         read = (_NETWORK_META if args.command != "oracle" else
                 {"seed"}.union(*(_ORACLE_META[m] for m in _oracle_methods(cfg))))
-        for key in keys:
+        for key, line in lines.items():
             if key not in read:
-                raise ConfigError(f"deepuzawa {args.command} does not use {key}", key=key)
+                raise ConfigError(f"deepuzawa {args.command} does not use {key}",
+                                  key=key, line=line)
         if args.command == "run":
             return _cmd_run(cfg, args.quiet)
         if args.command == "oracle":

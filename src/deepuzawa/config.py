@@ -105,8 +105,9 @@ def parse_config(path) -> ExperimentConfig:
     return read_config(path)[0]
 
 
-def read_config(path) -> tuple[ExperimentConfig, tuple[str, ...]]:
-    """:func:`parse_config`, plus the keys the file sets, in file order."""
+def read_config(path) -> tuple[ExperimentConfig, dict[str, int]]:
+    """:func:`parse_config`, plus the keys the file sets, each with its
+    1-based line, in file order."""
     entries: dict[str, tuple[str, int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -137,11 +138,11 @@ def read_config(path) -> tuple[ExperimentConfig, tuple[str, ...]]:
             raise ConfigError(
                 f"cannot parse {text!r} as {_SCHEMA[key].__name__}", key=key, line=lineno
             ) from None
+    lines = {key: lineno for key, (_, lineno) in entries.items()}
     try:
-        return ExperimentConfig(**kwargs), tuple(entries)
+        return ExperimentConfig(**kwargs), lines
     except ConfigError as exc:  # name the line of the key, when the file has it
-        line = entries[exc.key][1] if exc.key in entries else None
-        raise ConfigError(exc.message, key=exc.key, line=line) from None
+        raise ConfigError(exc.message, key=exc.key, line=lines.get(exc.key)) from None
 
 
 def _check(cfg: ExperimentConfig):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -157,12 +158,14 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     )
 
 
-def rho_alpha_sweep(base: ExperimentConfig, alphas) -> list[RunRecord]:
+def rho_alpha_sweep(base: ExperimentConfig, alphas) -> Iterator[RunRecord]:
     """One run per regularisation weight, each stepping the multiplier by
     the base config's beta or else its rho, alpha / 4 for each alpha when
     unset.  Run ``alpha = a`` has ``output_dir`` ``<base output_dir>/alpha_<a>``.
-    Every config is built before the first run: alphas that would share a
-    directory raise ValueError, and an alpha out of range ConfigError."""
+    Every config and its problem is built before the first run: alphas
+    that would share a directory, or whose target is not finite, raise
+    ValueError, and an alpha out of range ConfigError.  Then each run starts
+    when the one before it has been taken from the iterator."""
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alpha sweep needs at least one value")
@@ -173,4 +176,6 @@ def rho_alpha_sweep(base: ExperimentConfig, alphas) -> list[RunRecord]:
             raise ValueError(f"alphas {alphas[j]!r} and {alphas[i]!r} both write {name}")
     configs = [replace(base, alpha=float(a), output_dir=os.path.join(base.output_dir, name))
                for a, name in zip(alphas, names)]
-    return [run_deep_uzawa(cfg) for cfg in configs]
+    for cfg in configs:
+        problem_for(cfg)
+    return map(run_deep_uzawa, configs)

@@ -332,11 +332,15 @@ def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
     Eliminating control and multiplier from the optimality conditions of the
     coercive objective leaves exactly this state equation, so the triple is
     the discrete saddle point (in float64 spectral, accurate to rounding).
+    A solve whose fields or backward error are not finite has ``diverged_at`` 0.
     """
     _check_positive(alpha=alpha)
     ctx = _context(dps)
     with ctx.guard():
-        return _solution(*_direct_kkt(grid, ctx.num(alpha), _array(ctx, D), ctx))
+        sol = _solution(*_direct_kkt(grid, ctx.num(alpha), _array(ctx, D), ctx))
+    if not all(np.isfinite(v).all() for v in (sol.u, sol.f, sol.z, sol.residual)):
+        sol.diverged_at = 0
+    return sol
 
 
 # ---------------------------------------------------------------------------

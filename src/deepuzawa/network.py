@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import EXPERIMENTS
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
 from .lagrangian import ProblemSpec, loss_parts, pointwise_gradients
 
@@ -402,53 +403,82 @@ def finite_difference_gradient(params: NetworkParameters, cset: CollocationSet,
 CHECK_BOUND = 1e-5  # largest relative error a derivative check accepts
 
 
+def _gradient_error(params: NetworkParameters, cset: CollocationSet, problem: ProblemSpec,
+                    z: np.ndarray, beta: float = 0.0) -> float:
+    """Largest relative error of the loss gradient against central
+    differences at h = 1e-6, component by component; components below 1e-3
+    of the largest are compared against that floor, since the difference
+    carries ~1e-10 absolute rounding noise of its own."""
+    _, grad = loss_and_gradient(params, cset, problem, z, beta)
+    fd = finite_difference_gradient(params, cset, problem, z, 1e-6, beta)
+    scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
+    return float(np.max(np.abs(grad - fd) / scale))
+
+
+def _laplacian_error(params: NetworkParameters, domain: Domain, points: np.ndarray) -> float:
+    """Largest error of the cut state's jet Laplacian at the points against
+    central second differences at h = 1e-3, relative to the largest
+    difference: the difference's own O(h^2) truncation dominates pointwise
+    ratios near zero crossings of lap u."""
+    h = 1e-3
+    cut = cutoff_jet(domain, points)
+    jets = batch_jets(params, points, cut)
+    mid, _ = evaluate(params, points, cut.b)
+    lap_fd = np.zeros(len(points))
+    for axis in range(domain.dim):
+        e = np.zeros(domain.dim)
+        e[axis] = h
+        up, _ = evaluate(params, points + e, cutoff_jet(domain, points + e).b)
+        dn, _ = evaluate(params, points - e, cutoff_jet(domain, points - e).b)
+        lap_fd += (up - 2 * mid + dn) / h**2
+    return float(np.abs(jets.lap_u - lap_fd).max() / np.abs(lap_fd).max())
+
+
+# Laplacian-jet cases of grad_check: dimension, network seed
+_JET_CASES = tuple((dim, seed) for dim in (1, 2) for seed in range(5))
+# loss-gradient cases of grad_check: name, tag, alpha, epsilon, grid points
+# per side, hidden widths, network seed, multiplier seed, beta
+_GRADIENT_CASES = (
+    *((f"loss gradient seed={s}", "sine1d", 1e-2, None, 16, (8, 8), s, s, 0.0) for s in range(5)),
+    ("loss gradient sine1d beta=0", "sine1d", 1e-2, None, 16, (8, 8), 2, 17, 0.0),
+    ("loss gradient sine1d beta=0.5", "sine1d", 1e-2, None, 16, (8, 8), 2, 17, 0.5),
+    ("loss gradient ac_sine beta=0", "ac_sine", 1e-3, 0.8, 16, (8, 8), 2, 17, 0.0),
+    ("loss gradient ac_sine beta=0.2", "ac_sine", 1e-3, 0.8, 16, (8, 8), 2, 17, 0.2),
+    ("loss gradient sine2d beta=0", "sine2d", 1e-2, None, 5, (6, 6), 6, 23, 0.0),
+    ("loss gradient sine2d beta=0.5", "sine2d", 1e-2, None, 5, (6, 6), 6, 23, 0.5),
+    ("loss gradient ac_image beta=0", "ac_image", 1e-3, 0.8, 5, (6, 6), 6, 23, 0.0),
+    ("loss gradient ac_image beta=0.2", "ac_image", 1e-3, 0.8, 5, (6, 6), 6, 23, 0.2),
+)
+
+
+def _check_case(tag, alpha, epsilon, n, hidden, seed, z_seed):
+    """Network, grid, problem and random multiplier of one loss-gradient
+    check; an image tag's target is a uniform 0.5."""
+    row = EXPERIMENTS[tag]
+    cset = build_grid(Domain(row.dim), n)
+    samples = np.full(cset.n_points, 0.5) if row.target == "image" else None
+    z = np.random.default_rng(z_seed).normal(size=cset.n_interior)
+    return (init_network(NetworkSpec(row.dim, hidden, seed=seed)), cset,
+            ProblemSpec(tag, alpha, epsilon, samples), z)
+
+
 def grad_check() -> dict[str, float]:
     """Relative errors of the Laplacian-jet and loss-gradient checks, by name.
 
-    Each check passes when its error is at most ``CHECK_BOUND``.  Both use
-    8x8 tanh networks with seeds 0-4.
-
-    Laplacian jets, in 1d and 2d, at 50 random points against central second
-    differences (h = 1e-3) of the cut state, relative to the largest
-    Laplacian among the points: the difference's own O(h^2) truncation
-    dominates pointwise ratios near zero crossings of lap u.
-
-    Loss gradients of the sine1d problem (alpha = 1e-2, 16 points, random
-    multiplier) against central differences (h = 1e-6), per component;
-    components below 1e-3 of the largest are compared against that floor,
-    since the difference carries ~1e-10 absolute rounding noise of its own.
+    Each check passes when its error is at most ``CHECK_BOUND``.  Laplacian
+    jets (:func:`_laplacian_error`) of 8x8 tanh networks with seeds 0-4 at
+    50 random points, in 1d and 2d; loss gradients (:func:`_gradient_error`)
+    at a random multiplier, one per row of ``_GRADIENT_CASES``: sine1d at
+    seeds 0-4, then each constraint kind in 1d and 2d, plain and augmented.
     """
     errors = {}
-    h = 1e-3
-    for dim in (1, 2):
-        domain = Domain(dim)
-        for seed in range(5):
-            params = init_network(NetworkSpec(dim, (8, 8), seed=seed))
-            rng = np.random.default_rng(100 + seed)
-            pts = rng.uniform(0.05, 0.95, size=(50, dim))
-            cut = cutoff_jet(domain, pts)
-            jets = batch_jets(params, pts, cut)
-            mid, _ = evaluate(params, pts, cut.b)
-            lap_fd = np.zeros(len(pts))
-            for axis in range(dim):
-                e = np.zeros(dim)
-                e[axis] = h
-                up, _ = evaluate(params, pts + e, cutoff_jet(domain, pts + e).b)
-                dn, _ = evaluate(params, pts - e, cutoff_jet(domain, pts - e).b)
-                lap_fd += (up - 2 * mid + dn) / h**2
-            errors[f"laplacian jet d={dim} seed={seed}"] = float(
-                np.abs(jets.lap_u - lap_fd).max() / np.abs(lap_fd).max())
-
-    cset = build_grid(Domain.unit_interval(), 16)
-    problem = ProblemSpec("sine1d", 1e-2)
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        z = rng.normal(size=cset.n_interior)
-        params = init_network(NetworkSpec(1, (8, 8), seed=seed))
-        _, grad = loss_and_gradient(params, cset, problem, z)
-        fd = finite_difference_gradient(params, cset, problem, z, 1e-6)
-        scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
-        errors[f"loss gradient seed={seed}"] = float(np.max(np.abs(grad - fd) / scale))
+    for dim, seed in _JET_CASES:
+        params = init_network(NetworkSpec(dim, (8, 8), seed=seed))
+        points = np.random.default_rng(100 + seed).uniform(0.05, 0.95, size=(50, dim))
+        errors[f"laplacian jet d={dim} seed={seed}"] = _laplacian_error(
+            params, Domain(dim), points)
+    for name, *case, beta in _GRADIENT_CASES:
+        errors[name] = _gradient_error(*_check_case(*case), beta)
     return errors
 
 

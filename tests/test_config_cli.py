@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deepuzawa import cli, config
+from deepuzawa import cli, config, driver
 from deepuzawa.cli import main
 from deepuzawa.closed_forms import EXPERIMENTS
 from deepuzawa.config import (_SCHEMA, ConfigError, ExperimentConfig, RunResult, emit_csv,
@@ -707,7 +707,7 @@ def test_cli_oracle_names_n_points_below_the_stencil(tmp_path, capsys, n_points)
     base = f"tag = sine1d\noracle_iters = 1\noutput_dir = {out}\n"
     assert main(["-q", "oracle", write(tmp_path, f"{base}n_points = {n_points}\n")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: key 'n_points': ")
+    assert len(err) == 1 and err[0].startswith("error: line 4: key 'n_points': ")
     assert not out.exists()
     assert main(["-q", "oracle", write(tmp_path, f"{base}n_points = 5\n")]) == 0
 
@@ -720,7 +720,9 @@ def test_cli_oracle_rejects_2d_tags(tmp_path, capsys):
     for tag in refused:
         text = "".join(f"{key} = {values[key]}\n" for key in EXPERIMENTS[tag].keys)
         assert main(["-q", "oracle", write(tmp_path, f"{text}tag = {tag}\nalpha = 1e-2\n")]) == 1
-        assert capsys.readouterr().err.startswith("error: key 'tag': oracle runs support tags")
+        line = len(EXPERIMENTS[tag].keys) + 1
+        assert capsys.readouterr().err.startswith(
+            f"error: line {line}: key 'tag': oracle runs support tags")
 
 
 @pytest.mark.parametrize("dps", [None, 30])
@@ -763,10 +765,13 @@ output_dir = {tmp_path / 'oracle'}
                            "import sys; from deepuzawa.cli import main; sys.exit(main(sys.argv[1:]))",
                            *(["-q"] if quiet else []), "oracle", cfg], env=env,
                           capture_output=True, text=True, timeout=120)
-    expected = (["uzawa oracle diverged at iteration 0", "projected oracle diverged at iteration 0",
-                 "gauss_seidel oracle diverged at iteration 0", "direct oracle solve is not finite"]
+    expected = ([f"{method} oracle diverged at iteration 0"
+                 for method in ("uzawa", "projected", "gauss_seidel", "direct")]
                 if alpha == "1e300" else ["gauss_seidel oracle diverged at iteration 1"])
     assert (proc.returncode, proc.stderr.splitlines()) == (2, expected)
+    if alpha == "1e300":  # the direct solve records its failure as the iterative runs do
+        meta = (tmp_path / "oracle" / "direct" / "meta.txt").read_text()
+        assert meta.endswith("diverged_at = 0\n")
     if alpha == "1e-200":
         # the sweep diverged at iterate 1: its files hold iterate 0, f = 0
         _, errors = read_csv(tmp_path / "oracle" / "gauss_seidel" / "Error.csv")
@@ -824,8 +829,9 @@ def test_cli_refuses_a_key_the_subcommand_would_drop(tmp_path, capsys, command, 
     base = f"tag = sine1d\nseed = 3\n{own}output_dir = {out}\n"
     alphas = ["--alphas", "0.1"] if command == "sweep" else []
     assert main(["-q", command, write(tmp_path, f"{base}{key} = {value}\n"), *alphas]) == 1
+    line = base.count("\n") + 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error: key '{key}': deepuzawa {command} does not use {key}"]
+        f"error: line {line}: key '{key}': deepuzawa {command} does not use {key}"]
     assert not out.exists()
     assert main(["-q", command, write(tmp_path, base), *alphas]) == 0
 
@@ -905,6 +911,23 @@ def test_sweep_rejects_alphas_that_share_a_directory(tmp_path, capsys):
     assert main(["-q", "sweep", cfg, "--alphas", "1e-4", "1.0000001e-4"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "sweep").exists()
+
+
+def test_cli_sweep_writes_each_run_before_the_next_starts(tmp_path, monkeypatch, capsys):
+    # the second run runs out of memory: the first run's directory is complete
+    run = driver.run_deep_uzawa
+    def exhausted_at_second_alpha(config):
+        if config.alpha == 1e-2:
+            raise MemoryError
+        return run(config)
+    monkeypatch.setattr(driver, "run_deep_uzawa", exhausted_at_second_alpha)
+    cfg = write(tmp_path, f"tag = sine1d\n{TINY_RUN}output_dir = {tmp_path / 'sweep'}\n")
+    assert main(["-q", "sweep", cfg, "--alphas", "1", "1e-2"]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert os.listdir(tmp_path / "sweep") == ["alpha_1"]
+    assert sorted(os.listdir(tmp_path / "sweep" / "alpha_1")) == [
+        "Control.csv", "Diagnostics.csv", "Error.csv", "Loss.csv", "State.csv", "meta.txt",
+        "params.bin"]
 
 
 def test_cli_sweep_keeps_config_rho(tmp_path):

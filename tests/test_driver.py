@@ -198,7 +198,7 @@ def test_step_target_run_has_no_error_history():
 
 def test_alpha_sweep_bookkeeping():
     cfg = tiny_config(n_uzawa=10, n_sgd=1)
-    records = rho_alpha_sweep(cfg, [1.0, 1e-2])
+    records = list(rho_alpha_sweep(cfg, [1.0, 1e-2]))
     assert len(records) == 2
     for a, rec in zip((1.0, 1e-2), records):
         assert rec.n_updates == 10

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from deepuzawa import network
+from deepuzawa.closed_forms import EXPERIMENTS
 from deepuzawa.config import ExperimentConfig
 from deepuzawa.driver import run_deep_uzawa
 from deepuzawa.geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
@@ -17,16 +18,11 @@ from deepuzawa.network import (NetworkParameters, NetworkSpec, batch_jets, evalu
                                load_checkpoint, loss_and_gradient, loss_value,
                                save_checkpoint)
 
-DOM1 = Domain.unit_interval()
 
-
-def poisson_problem(alpha=1e-2):
-    return ProblemSpec("sine1d", alpha)
-
-
-def random_multiplier(cset, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=cset.n_interior)
+def _poisson_case(dim, n, hidden, seed=0, z_seed=None):
+    tag = "sine1d" if dim == 1 else "sine2d"
+    return network._check_case(tag, 1e-2, None, n, hidden, seed,
+                               seed if z_seed is None else z_seed)
 
 
 def test_parameter_count_1_8_8_2():
@@ -76,73 +72,16 @@ def test_single_linear_layer_jet():
     assert jets.lap_u[0] == 0.0
 
 
-def test_jet_laplacian_matches_central_difference():
-    h = 1e-3
-    for dim in (1, 2):
-        dom = DOM1 if dim == 1 else Domain.unit_square()
-        params = init_network(NetworkSpec(dim, (8, 8), seed=4))
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(0.1, 0.9, size=(30, dim))
-        jets = batch_jets(params, pts, cutoff_jet(dom, pts))
-        lap_fd = np.zeros(len(pts))
-        for ax in range(dim):
-            e = np.zeros(dim)
-            e[ax] = h
-            up, _ = evaluate(params, pts + e, cutoff_jet(dom, pts + e).b)
-            mid, _ = evaluate(params, pts, cutoff_jet(dom, pts).b)
-            dn, _ = evaluate(params, pts - e, cutoff_jet(dom, pts - e).b)
-            lap_fd += (up - 2 * mid + dn) / h**2
-        assert np.abs(jets.lap_u - lap_fd).max() <= 1e-5 * np.abs(lap_fd).max()
-
-
 def test_loss_equals_discrete_lagrangian():
-    g = build_grid(DOM1, 16)
-    prob = poisson_problem()
-    z = random_multiplier(g, 3)
-    params = init_network(NetworkSpec(1, (8, 8), seed=3))
+    params, g, prob, z = _poisson_case(1, 16, (8, 8), seed=3)
     loss, _ = loss_and_gradient(params, g, prob, z)
     jets = batch_jets(params, g.points, g.cutoff)
     assert loss == loss_parts(prob, g, jets, z)["total"]
 
 
-@pytest.mark.parametrize("kind,beta", [("poisson", 0.0), ("poisson", 0.5),
-                                       ("allen_cahn", 0.0), ("allen_cahn", 0.2)])
-def test_gradient_matches_finite_differences(kind, beta):
-    g = build_grid(DOM1, 16)
-    if kind == "poisson":
-        prob = poisson_problem()
-    else:
-        prob = ProblemSpec("ac_sine", 1e-3, epsilon=0.8)
-    z = random_multiplier(g, 17)
-    params = init_network(NetworkSpec(1, (8, 8), seed=2))
-    _, grad = loss_and_gradient(params, g, prob, z, beta)
-    fd = finite_difference_gradient(params, g, prob, z, 1e-6, beta)
-    scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
-    assert np.max(np.abs(grad - fd) / scale) <= 1e-5
-
-
-@pytest.mark.parametrize("kind,beta", [("poisson", 0.0), ("poisson", 0.5),
-                                       ("allen_cahn", 0.0), ("allen_cahn", 0.2)])
-def test_gradient_matches_finite_differences_2d(kind, beta):
-    g = build_grid(Domain.unit_square(), 5)
-    if kind == "poisson":
-        prob = ProblemSpec("sine2d", 1e-2)
-    else:
-        prob = ProblemSpec("ac_image", 1e-3, epsilon=0.8, samples=np.full(g.n_points, 0.5))
-    z = random_multiplier(g, 23)
-    params = init_network(NetworkSpec(2, (6, 6), seed=6))
-    _, grad = loss_and_gradient(params, g, prob, z, beta)
-    fd = finite_difference_gradient(params, g, prob, z, 1e-6, beta)
-    scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
-    assert np.max(np.abs(grad - fd) / scale) <= 1e-5
-
-
 def test_finite_difference_gradient_second_order():
     # halving h must shrink the disagreement with the exact gradient ~4x
-    g = build_grid(DOM1, 12)
-    prob = poisson_problem()
-    z = random_multiplier(g, 5)
-    params = init_network(NetworkSpec(1, (6,), seed=8))
+    params, g, prob, z = _poisson_case(1, 12, (6,), seed=8, z_seed=5)
     _, grad = loss_and_gradient(params, g, prob, z)
     errs = []
     for h in (2e-4, 1e-4):
@@ -151,11 +90,20 @@ def test_finite_difference_gradient_second_order():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
 
 
+def test_grad_check_covers_every_constraint_kind_and_variant():
+    # `deepuzawa grad-check` runs the case tables: every (kind, dimension)
+    # of the experiment table, plain (beta = 0) and augmented (beta > 0)
+    wanted = {(row.kind, row.dim, augmented) for row in EXPERIMENTS.values()
+              for augmented in (False, True)}
+    covered = {(EXPERIMENTS[tag].kind, EXPERIMENTS[tag].dim, beta > 0)
+               for _, tag, *_, beta in network._GRADIENT_CASES}
+    assert wanted <= covered
+    assert {row.dim for row in EXPERIMENTS.values()} <= {d for d, _ in network._JET_CASES}
+
+
 def test_zero_final_layer_loss_is_pure_misfit():
-    g = build_grid(DOM1, 21)
-    prob = poisson_problem(alpha=4.0)
-    z = random_multiplier(g, 1)
-    params = init_network(NetworkSpec(1, (8, 8), seed=0))
+    params, g, _, z = _poisson_case(1, 21, (8, 8), z_seed=1)
+    prob = ProblemSpec("sine1d", 4.0)
     flat = params.flat.copy()
     flat[-18:] = 0.0  # last layer: 2x8 weights + 2 biases
     params = params.with_flat(flat)
@@ -167,10 +115,7 @@ def test_zero_final_layer_loss_is_pure_misfit():
 def test_weight_scaling_scales_loss_and_gradient_exactly():
     # scaling all quadrature weights by a power of two commutes with
     # rounding, so equality is exact
-    g = build_grid(DOM1, 16)
-    prob = poisson_problem()
-    z = random_multiplier(g, 9)
-    params = init_network(NetworkSpec(1, (8, 8), seed=12))
+    params, g, prob, z = _poisson_case(1, 16, (8, 8), seed=12, z_seed=9)
     loss1, grad1 = loss_and_gradient(params, g, prob, z)
     doubled = CollocationSet(g.domain, g.points, g.weights * 2.0, g.interior_mask)
     loss2, grad2 = loss_and_gradient(params, doubled, prob, z)
@@ -179,10 +124,7 @@ def test_weight_scaling_scales_loss_and_gradient_exactly():
 
 
 def test_duplicated_point_with_split_weight():
-    g = build_grid(DOM1, 16)
-    prob = poisson_problem()
-    z = random_multiplier(g, 2)
-    params = init_network(NetworkSpec(1, (8, 8), seed=7))
+    params, g, prob, z = _poisson_case(1, 16, (8, 8), seed=7, z_seed=2)
     loss1, grad1 = loss_and_gradient(params, g, prob, z)
 
     j = 5  # duplicate an interior point, splitting its weight
@@ -200,10 +142,7 @@ def test_duplicated_point_with_split_weight():
 
 
 def test_loss_and_gradient_deterministic():
-    g = build_grid(DOM1, 16)
-    prob = poisson_problem()
-    z = random_multiplier(g, 4)
-    params = init_network(NetworkSpec(1, (8, 8), seed=4))
+    params, g, prob, z = _poisson_case(1, 16, (8, 8), seed=4)
     loss1, grad1 = loss_and_gradient(params, g, prob, z)
     loss2, grad2 = loss_and_gradient(params, g, prob, z)
     assert loss1 == loss2
@@ -211,9 +150,7 @@ def test_loss_and_gradient_deterministic():
 
 
 def test_multiplier_shape_mismatch():
-    g = build_grid(DOM1, 16)
-    prob = poisson_problem()
-    params = init_network(NetworkSpec(1, (8, 8), seed=4))
+    params, g, prob, _ = _poisson_case(1, 16, (8, 8), seed=4)
     bad = np.zeros(g.n_interior - 1)
     with pytest.raises(ValueError, match="multiplier has 13 values for 14 interior points"):
         loss_and_gradient(params, g, prob, bad)
@@ -279,14 +216,6 @@ def test_checkpoint_bad_magic(tmp_path):
 # ---------------------------------------------------------------------------
 # the persistent jet workspace: results never depend on, or alias, it
 
-def _poisson_case(dim, n, hidden, seed=0):
-    dom = DOM1 if dim == 1 else Domain.unit_square()
-    g = build_grid(dom, n)
-    prob = ProblemSpec("sine1d" if dim == 1 else "sine2d", 1e-2)
-    params = init_network(NetworkSpec(dim, hidden, seed=seed))
-    return params, g, prob, random_multiplier(g, seed)
-
-
 def test_alternating_shapes_give_bitwise_equal_results():
     # each switch of shape rebuilds the one cached workspace, and each repeat
     # of a shape reuses it, after the other shapes have written theirs
@@ -333,10 +262,7 @@ def test_new_points_of_the_same_count_are_read():
 @pytest.mark.parametrize("hidden", [(7, 5, 3), ()], ids=["7-5-3", "depth0"])
 def test_gradient_matches_finite_differences_uneven_and_depth_zero(dim, hidden):
     params, g, prob, z = _poisson_case(dim, 16 if dim == 1 else 5, hidden, seed=4)
-    _, grad = loss_and_gradient(params, g, prob, z, 0.5)
-    fd = finite_difference_gradient(params, g, prob, z, 1e-6, 0.5)
-    scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
-    assert np.max(np.abs(grad - fd) / scale) <= 1e-5
+    assert network._gradient_error(params, g, prob, z, 0.5) <= network.CHECK_BOUND
 
 
 def test_steady_state_step_allocates_less_than_one_stream_block():
@@ -400,11 +326,8 @@ def split_all(monkeypatch):
 
 
 def _allen_cahn_case(dim, n, hidden, seed=0):
-    params, g, _, z = _poisson_case(dim, n, hidden, seed)
-    if dim == 1:
-        return params, g, ProblemSpec("ac_sine", 1e-3, epsilon=0.8), z
-    return params, g, ProblemSpec("ac_image", 1e-3, epsilon=0.8,
-                                  samples=np.full(g.n_points, 0.5)), z
+    tag = "ac_sine" if dim == 1 else "ac_image"
+    return network._check_case(tag, 1e-3, 0.8, n, hidden, seed, seed)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 17), (2, 5)], ids=["1d-17", "2d-5x5"])
@@ -415,10 +338,7 @@ def test_split_gradient_matches_finite_differences(split_all, dim, n, kind, beta
     case = _poisson_case if kind == "poisson" else _allen_cahn_case
     params, g, prob, z = case(dim, n, (8, 8), seed=2)
     assert g.n_points % 2 == 1
-    _, grad = loss_and_gradient(params, g, prob, z, beta)
-    fd = finite_difference_gradient(params, g, prob, z, 1e-6, beta)
-    scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
-    assert np.max(np.abs(grad - fd) / scale) <= network.CHECK_BOUND
+    assert network._gradient_error(params, g, prob, z, beta) <= network.CHECK_BOUND
 
 
 @pytest.mark.parametrize("dim, n, hidden", [(1, 801, (64, 64, 64)), (2, 30, (64, 64, 64)),
