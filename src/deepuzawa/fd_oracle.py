@@ -23,11 +23,12 @@ experiment table computes it: every run is measured against the saddle point
 of its own target, so digits past float64 in it would change nothing reported.
 
 Fields are numpy arrays of the context's scalars: float64, or ``dtype=object``
-arrays of Decimals.  Elementwise steps are array expressions in the operation
-order of a scalar loop.  Sums are ``np.add.reduce``: numpy's object loop adds
-Decimals left to right from zero, so the Decimal iterates are those of the
-scalar loops, and float64 sums are numpy's pairwise sums, the more accurate
-order.  Decimal diagnostics (errors, loss rows) take min(dps, 20) digits.
+arrays of Decimals.  Elementwise steps are array expressions in the order of
+a scalar loop (the Laplacian: -(v_i + v_i), both neighbours, one product by
+1/h^2).  Sums are ``np.add.reduce``: numpy's object loop adds Decimals left to
+right from zero, so the Decimal iterates are those of the scalar loops, and
+float64 sums are numpy's pairwise sums, the more accurate order.  Decimal
+diagnostics (errors, loss rows) take min(dps, 20) digits.
 
 Every matrix solved here is a polynomial in the 3-point Laplacian T, which
 the DST-I diagonalises.  In float64 the saddle point is computed on DST-I
@@ -36,9 +37,9 @@ coefficients, a solve of an unmodified matrix is two DST-I through
 nothing (plain Uzawa, Gauss-Seidel) iterate on the coefficients: seven DST-I
 whatever their length, D in and the final fields and reference out.
 Systems with clamped entries (no longer polynomials in T) and all Decimal
-solves use the banded LDL^T, the only recurrences that loop over scalars,
-with the inner-solve matrix factorised once per run.  Results and histories
-are returned as float64 arrays.
+solves use the banded LDL^T, the only recurrences that loop over scalars; a
+run factorises its inner-solve matrix once, into multipliers and reciprocal
+pivots, so a solve never divides.  Results and histories are float64 arrays.
 """
 from __future__ import annotations
 
@@ -142,11 +143,12 @@ def _sum(v, zero):
 
 
 def _laplacian_apply(v, q):
-    """Tridiagonal (1, -2, 1)/h^2 with zero Dirichlet neighbours; q = 1/h^2."""
-    out = q * (-2 * v)
-    out[1:] += q * v[:-1]
-    out[:-1] += q * v[1:]
-    return out
+    """Tridiagonal (1, -2, 1)/h^2 with zero Dirichlet neighbours, q = 1/h^2:
+    entry i is ((-(v_i + v_i) + v_{i-1}) + v_{i+1}) * q, one product."""
+    out = -(v + v)
+    out[1:] += v[:-1]
+    out[:-1] += v[1:]
+    return q * out
 
 
 def _biharmonic_bands(c, q, m, one):
@@ -158,11 +160,10 @@ def _biharmonic_bands(c, q, m, one):
 
 
 def _ldlt_factor(d, e, g):
-    """LDL^T factorisation (D, L1, L2 as lists) of a symmetric pentadiagonal
-    matrix with bands (d, e, g)."""
+    """LDL^T factorisation of a symmetric pentadiagonal matrix with bands
+    (d, e, g): lists 1/D (each pivot's reciprocal, in the scalars' own arithmetic), L1, L2."""
     d, e, g = d.tolist(), e.tolist(), g.tolist()
-    d0 = d[0]
-    a = e[0] / d0
+    d0, a = d[0], e[0] / d[0]
     d1 = d[1] - a * a * d0
     dd, l1, l2 = [d0, d1], [a], []
     for di, ei, gi in zip(d[2:], e[1:], g):
@@ -172,23 +173,23 @@ def _ldlt_factor(d, e, g):
         dd.append(d1)
         l1.append(a)
         l2.append(b)
-    return dd, l1, l2
+    return [1 / p for p in dd], l1, l2
 
 
 def _ldlt_solve(fact, rhs):
-    dd, l1, l2 = fact
+    """x = L^-T D^-1 L^-1 rhs from (1/D, L1, L2): it multiplies, never divides."""
+    rd, l1, l2 = fact
     r = rhs.tolist()
-    w0 = r[0]
-    w1 = r[1] - l1[0] * w0
+    w0, w1 = r[0], r[1] - l1[0] * r[0]
     w = [w0, w1]
     for ri, a, b in zip(r[2:], l1[1:], l2):
         w0, w1 = w1, ri - a * w1 - b * w0
         w.append(w1)
-    x1 = w[-1] / dd[-1]
-    x0 = w[-2] / dd[-2] - l1[-1] * x1
+    x1 = w[-1] * rd[-1]
+    x0 = w[-2] * rd[-2] - l1[-1] * x1
     out = [x1, x0]
-    for wi, di, a, b in zip(w[-3::-1], dd[-3::-1], l1[-2::-1], l2[::-1]):
-        x0, x1 = wi / di - a * x0 - b * x1, x0
+    for wi, ri, a, b in zip(w[-3::-1], rd[-3::-1], l1[-2::-1], l2[::-1]):
+        x0, x1 = wi * ri - a * x0 - b * x1, x0
         out.append(x0)
     return np.array(out[::-1], dtype=rhs.dtype)
 
@@ -299,9 +300,8 @@ def _solution(u, f, z, residual=0.0) -> KKTSolution:
 def _direct_kkt(grid: Grid1D, alpha, D, ctx):
     """Grid saddle point (u, f, z) and backward error of u: in float64 from
     :func:`_spectral_kkt`, in Decimal by the banded solve, f = -T u, z = -(alpha/2) f."""
-    h = ctx.num(1) / (grid.n - 1)
+    h, zero = ctx.num(1) / (grid.n - 1), ctx.num(0)
     q = 1 / (h * h)
-    zero = ctx.num(0)
     if ctx.dtype is float:
         u, f, z = map(_idst1, _spectral_kkt(grid, alpha, D)[2])
     else:

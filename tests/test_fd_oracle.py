@@ -65,22 +65,31 @@ def test_biharmonic_of_sine():
     assert err <= 1e-2  # O(h^2) with a pi^6 constant
 
 
+def _scalar_laplacian(v, q):
+    """The Laplacian as a scalar loop: -(x + x), the left and then the right
+    neighbour added, one product by q."""
+    lap = [-(x + x) for x in v]
+    for i in range(len(v) - 1):
+        lap[i] += v[i + 1]
+        lap[i + 1] += v[i]
+    return [q * x for x in lap]
+
+
 def test_array_steps_match_scalar_loops():
-    # the Laplacian keeps the scalar loop's operation order, so its float64
-    # result is bitwise that of the loop
+    # the Laplacian keeps the scalar loop's operation order, so its result is
+    # bitwise that of the loop, in float64 and at 130 digits
     v = np.random.default_rng(3).standard_normal(3999)
     q = 1.0 / Grid1D(4001).h**2
-    lap = [q * (-2 * x) for x in v]
-    for i in range(len(v) - 1):
-        lap[i] += q * v[i + 1]
-        lap[i + 1] += q * v[i]
     assert np.array_equal(fd_oracle._laplacian_apply(v, q).view(np.int64),
-                          np.array(lap).view(np.int64))
-    # Decimal sums run left to right from zero, as the scalar loop does; at
-    # 130 digits the order shows, since the reversed sum rounds differently
+                          np.array(_scalar_laplacian(v, q)).view(np.int64))
     ctx = fd_oracle._context(130)
     with ctx.guard():
         w = np.array([ctx.num(x) / 7 for x in v], dtype=object)
+        h = ctx.num(1) / 4000
+        assert [str(x) for x in fd_oracle._laplacian_apply(w, 1 / (h * h))] == \
+            [str(x) for x in _scalar_laplacian(w, 1 / (h * h))]
+        # Decimal sums run left to right from zero, as the scalar loop does; at
+        # 130 digits the order shows, since the reversed sum rounds differently
         acc = rev = ctx.num(0)
         for x in w:
             acc += x
@@ -110,6 +119,38 @@ def test_ldlt_solve_matches_dense_solve():
     u = fd_oracle._ldlt_solve(fd_oracle._ldlt_factor(*bands), rhs)
     exact = np.linalg.solve(_inner_matrix(g, alpha), rhs)
     assert np.linalg.norm(u - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("dps", [40, 130])
+@pytest.mark.parametrize("n, alpha", [(201, 1e-2), (201, 1e-4), (41, 1e-2)])
+def test_ldlt_solve_is_backward_stable_in_decimal(n, alpha, dps):
+    # the factor keeps each pivot's reciprocal as a Decimal of the run's
+    # context, so the solve is backward stable at dps digits: the normwise
+    # backward error ||M x - r|| / (||M|| ||x|| + ||r||), in the max norm,
+    # measures 1.1-2.2 * 10^-dps here (the dividing solve read the same);
+    # reciprocals taken in float64 leave 1e-20 to 2e-18
+    g = Grid1D(n)
+    m = g.n_interior
+    ctx = fd_oracle._context(dps)
+    with ctx.guard():
+        h = ctx.num(1) / (n - 1)
+        d, e, b = fd_oracle._biharmonic_bands(ctx.num(alpha) / 2, 1 / (h * h), m,
+                                              ctx.num(1))
+        fact = fd_oracle._ldlt_factor(d, e, b)
+        r = np.array([ctx.num(x) / 7 for x in np.random.default_rng(n).standard_normal(m)],
+                     dtype=object)
+        x = fd_oracle._ldlt_solve(fact, r)
+    assert all(isinstance(p, decimal.Decimal) for p in fact[0])
+    # the residual of the banded M at 3 dps digits; ||M|| is an interior row's sum
+    with decimal.localcontext(prec=3 * dps):
+        res = d * x - r
+        res[1:] += e * x[:-1]
+        res[:-1] += e * x[1:]
+        res[2:] += b * x[:-2]
+        res[:-2] += b * x[2:]
+        m_norm = max(abs(d)) + 2 * max(abs(e)) + 2 * max(abs(b))
+        err = max(abs(res)) / (m_norm * max(abs(x)) + max(abs(r)))
+    assert err <= decimal.Decimal(10) ** (2 - dps)
 
 
 def test_dst1_matches_dense_sine_matrix():
@@ -365,6 +406,19 @@ def test_projected_matches_plain_when_saddle_nonnegative():
     assert np.array_equal(proj.z_errors, plain.z_errors)
 
 
+def test_projected_float64_rounding_at_4001_points():
+    # in float64 the projected run iterates on the grid, where each T
+    # amplifies rounding by up to 4/h^2: after 200 updates on the sine
+    # target, where nothing clamps, its f and z sit 8.7e-10 and its u 2.9e-14
+    # of their maxima from the plain run's (1.9e-12 and 3.0e-15 at n = 201)
+    g = Grid1D(4001)
+    target = sine_target(g, ALPHA)
+    plain = fd_uzawa_run(g, ALPHA, ALPHA / 4, target, 200)
+    proj = fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, target, 200)
+    for got, want in ((proj.u, plain.u), (proj.f, plain.f), (proj.z, -plain.z)):
+        assert np.abs(got - want).max() <= 2e-9 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("dps", [None, 30])
 def test_projected_zeros_are_positive(dps):
     # at iterate 0 every f and z entry is zero; the clamps and the reported
@@ -493,10 +547,10 @@ def test_uzawa_in_coefficients_matches_the_grid_loop(n):
     # So ||dz|| <= rho u q (12 Z / sqrt(2 alpha) + (12 + 4 L) U) / (1 - kappa_max),
     # Z and U the largest iterate norms, and df = -(2/alpha) dz.  The inner
     # solve u = M^-1 (D - T z) adds to u at most ||dz|| / sqrt(2 alpha) +
-    # 12 u q Z + 2 u L U.  Measured: 3-4% of the bound for z and f (1.6e-12
+    # 12 u q Z + 2 u L U.  Measured: 3-5% of the bound for z and f (1.8e-12
     # and 1.5e-9 of their maxima); u's bound lets all of T z's rounding land
-    # on the smoothest mode, and u is within 2e-4 and 2e-6 of it (2e-15 and
-    # 1.2e-14 of its maximum).  The loss rows, sums over coefficients with
+    # on the smoothest mode, and u is within 1e-4 and 6e-6 of it (1.7e-15 and
+    # 4.1e-14 of its maximum).  The loss rows, sums over coefficients with
     # Parseval's weight 2 h^2, match the grid loop's to 1e-9 of each
     # column's maximum, and the first multiplier errors, while far above
     # the grid loop's rounding, to 1e-6.
