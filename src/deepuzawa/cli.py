@@ -58,8 +58,7 @@ def _diverged(result, what: str, step: str) -> int:
 
 def _write_run(record) -> list[str]:
     """CSVs, meta.txt and params.bin of one network run in its config's
-    ``output_dir``: Diagnostics.csv holds, per update, its wall time and
-    DIAGNOSTIC_COLUMNS."""
+    ``output_dir``: Diagnostics.csv holds DIAGNOSTIC_COLUMNS per update."""
     cfg, out_dir = record.config, record.config.output_dir
     # an augmented run steps the multiplier by beta, which meta.txt already lists
     extra = {"resolved_rho": cfg.resolved_rho} if cfg.beta is None else {}
@@ -69,8 +68,8 @@ def _write_run(record) -> list[str]:
         extra["final_control_l2_error"] = record.control_errors[-1]
     files = emit_csv(record, out_dir, _meta_from(cfg, _NETWORK_META, out_dir, extra))
     path = os.path.join(out_dir, "Diagnostics.csv")
-    write_csv(path, ("update", "wall_s", *DIAGNOSTIC_COLUMNS),
-              range(len(record.wall_times)), record.wall_times, *record.diagnostics.T)
+    write_csv(path, ("update", *DIAGNOSTIC_COLUMNS), range(record.n_updates),
+              *record.diagnostics.T)
     files.append(path)
     save_checkpoint(record.params, os.path.join(out_dir, "params.bin"))
     return files

@@ -34,8 +34,10 @@ Recognised keys (defaults in parentheses):
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
@@ -203,39 +205,21 @@ def load_pgm_target(path) -> np.ndarray:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-
-    def tokens(buf):
-        # header tokens; '#' comments run to end of line
-        i = 0
-        while i < len(buf):
-            c = buf[i:i + 1]
-            if c.isspace():
-                i += 1
-            elif c == b"#":
-                j = buf.find(b"\n", i)
-                i = len(buf) if j < 0 else j + 1
-            else:
-                j = i
-                while j < len(buf) and not buf[j:j + 1].isspace() and buf[j:j + 1] != b"#":
-                    j += 1
-                yield i, buf[i:j]
-                i = j
-
-    it = tokens(data)
-    try:
-        _, magic = next(it)
-    except StopIteration:
-        raise ValueError("empty file") from None
+    # the tokens: runs of bytes that are neither whitespace nor '#'; a '#'
+    # comment runs to the end of its line
+    matches = (m for m in re.finditer(rb"#[^\n]*|[^\s#]+", data) if m[0][:1] != b"#")
+    header = list(itertools.islice(matches, 4))
+    if not header:
+        raise ValueError("empty file")
+    magic = header[0][0]
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"bad magic {magic!r}, expected P2 or P5")
     try:
-        _, w_tok = next(it)
-        _, h_tok = next(it)
-        maxval_pos, maxval_tok = next(it)
+        _, w_tok, h_tok, maxval_tok = (m[0] for m in header)
         if not (w_tok + h_tok + maxval_tok).isdigit():  # int() also takes a sign and "_"
             raise ValueError("PGM numbers are plain decimal digits")
         width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
-    except (StopIteration, ValueError):
+    except ValueError:
         raise ValueError("truncated or malformed header") from None
     if width < 2 or height < 2:
         raise ValueError("image must be at least 2x2")
@@ -243,7 +227,7 @@ def load_pgm_target(path) -> np.ndarray:
         raise ValueError(f"maxval must be in [1, 65535], got {maxval}")
     n_pixels = width * height
     if magic == b"P5":
-        start = maxval_pos + len(maxval_tok) + 1  # single whitespace after maxval
+        start = header[3].end() + 1  # single whitespace after maxval
         bytes_per = 1 if maxval < 256 else 2
         raw = data[start:start + n_pixels * bytes_per]
         if len(raw) < n_pixels * bytes_per:
@@ -251,11 +235,7 @@ def load_pgm_target(path) -> np.ndarray:
         dtype = np.uint8 if bytes_per == 1 else ">u2"
         pixels = np.frombuffer(raw, dtype=dtype, count=n_pixels).astype(float)
     else:
-        vals = []
-        for _, tok in it:
-            vals.append(tok)
-            if len(vals) == n_pixels:
-                break
+        vals = [m[0] for m in itertools.islice(matches, n_pixels)]
         if len(vals) < n_pixels:
             raise ValueError("truncated pixel data")
         if not all(v.isdigit() for v in vals):

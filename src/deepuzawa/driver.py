@@ -8,9 +8,9 @@ residual.  A config that sets ``beta`` runs the augmented variant: it adds
 the squared-residual penalty, weighted by ``beta``, to the objective and
 uses ``beta`` as the multiplier step.
 
-Errors against a closed-form solution (when the tag has one), the
-decomposed loss, the wall time and the diagnostics (DIAGNOSTIC_COLUMNS)
-are recorded once per outer update.
+The diagnostics (DIAGNOSTIC_COLUMNS), the decomposed loss and the errors
+against a closed-form solution (when the tag has one) are recorded once
+per outer update, as one row of a history table.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_forms import EXPERIMENTS, ExactSolution
+from .closed_forms import EXPERIMENTS
 from .config import (LOSS_COLUMNS, ExperimentConfig, RunResult, load_pgm_target,
                      sample_image_on_grid)
 from .geometry import CollocationSet, Domain, build_grid, l2_norm
@@ -30,9 +30,9 @@ from .network import (NetworkParameters, NetworkSpec, batch_jets, evaluate, init
                       loss_and_gradient)
 from .optim import AdamState, adam_step
 
-# per update: weighted interior L2 norms of the constraint residual K and of
-# the updated multiplier, the last inner step's gradient norm, the loss
-DIAGNOSTIC_COLUMNS = ("residual_l2", "multiplier_l2", "grad_l2", "loss_total")
+# per update: wall time, weighted interior L2 norms of the constraint residual K
+# and of the updated multiplier, the last inner step's gradient norm, the loss
+DIAGNOSTIC_COLUMNS = ("wall_s", "residual_l2", "multiplier_l2", "grad_l2", "loss_total")
 
 
 @dataclass
@@ -40,14 +40,13 @@ class RunRecord(RunResult):
     """Per-update histories plus the final trained fields.
 
     ``loss_history`` is (updates, 4) with columns LOSS_COLUMNS and
-    ``diagnostics`` (updates, 4) with columns DIAGNOSTIC_COLUMNS; ``u`` and
+    ``diagnostics`` (updates, 5) with columns DIAGNOSTIC_COLUMNS; ``u`` and
     ``f`` are the final state and control on the grid, ``z`` the final
     multiplier on its interior points.
     """
 
     config: ExperimentConfig
     cset: CollocationSet
-    wall_times: np.ndarray
     diagnostics: np.ndarray
     params: NetworkParameters
     z: np.ndarray
@@ -76,8 +75,10 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     Runs exactly ``n_uzawa`` outer steps of ``n_sgd`` Adam updates each.
     The run diverges at the first outer step where an Adam step's loss or
     new parameters, or the step's own loss on the full grid, is non-finite:
-    it stops there with ``diverged_at`` set to that step and the histories
-    of the steps before it.  ``diverged_reason`` says which check failed,
+    it stops there with ``diverged_at`` set to that step, the histories of
+    the steps before it, and the network (``params``, ``u``, ``f``) of the
+    last recorded step, or the initial one when none was recorded.
+    ``diverged_reason`` says which check failed,
     ``inner_loss``, ``adam_step`` or ``update_loss``, and for the first two
     ``diverged_inner_step`` gives the Adam step within the update.
     Errors are recorded when the tag has a closed form.  The multiplier
@@ -85,10 +86,9 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     the ``beta``-weighted penalty), else ``resolved_rho``.
     """
     problem, cset = problem_for(config)
-    exact = None
-    if EXPERIMENTS[config.tag].exact is not None:
-        exact = ExactSolution(config.tag, alpha=config.alpha, epsilon=config.epsilon)
-        exact_u, exact_f = exact.state(cset.points), exact.control(cset.points)
+    exact = EXPERIMENTS[config.tag].exact
+    if exact is not None:
+        exact_u, exact_f = exact(cset.points, config.alpha, config.epsilon)
 
     network = NetworkSpec(cset.domain.dim, (config.hidden_width,) * config.hidden_depth,
                           seed=config.seed)
@@ -100,12 +100,13 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     mask = cset.interior_mask
     interior_weights = cset.weights[mask]
 
-    state_errors, control_errors, losses, walls, diagnostics = [], [], [], [], []
+    rows = []  # per update: DIAGNOSTIC_COLUMNS (5), LOSS_COLUMNS (4), the errors (0 or 2)
     diverged_at = diverged_reason = diverged_inner_step = None
     # overflow goes unreported: the finiteness checks below decide divergence
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.n_uzawa):
             t0 = time.perf_counter()
+            recorded = params
             for i in range(config.n_sgd):
                 loss, grad = loss_and_gradient(params, cset, problem, z, beta)
                 adam, flat = adam_step(adam, params.flat, grad)
@@ -122,32 +123,33 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                 if not np.isfinite(parts["total"]):
                     diverged_at, diverged_reason = k, "update_loss"
             if diverged_at is not None:
+                params = recorded
                 break
 
-            losses.append([parts[c] for c in LOSS_COLUMNS])
-            if exact is not None:
-                state_errors.append(l2_norm(cset, jets.u - exact_u))
-                control_errors.append(l2_norm(cset, jets.f - exact_f))
+            losses = [parts[c] for c in LOSS_COLUMNS]
+            errors = [] if exact is None else [l2_norm(cset, jets.u - exact_u),
+                                                l2_norm(cset, jets.f - exact_f)]
             residual = residual_values(problem, jets.u[mask], jets.f[mask], jets.lap_u[mask])
             z = multiplier_update(z, residual, step)
-            walls.append(time.perf_counter() - t0)
-            diagnostics.append([np.sqrt(np.dot(interior_weights, residual * residual)),
-                                np.sqrt(np.dot(interior_weights, z * z)),
-                                np.linalg.norm(grad), parts["total"]])
+            rows.append([time.perf_counter() - t0,
+                         np.sqrt(np.dot(interior_weights, residual * residual)),
+                         np.sqrt(np.dot(interior_weights, z * z)),
+                         np.linalg.norm(grad), parts["total"], *losses, *errors])
             if progress and (k + 1) % 50 == 0:
-                msg = f"update {k + 1}/{config.n_uzawa}  loss parts {losses[-1]}"
+                msg = f"update {k + 1}/{config.n_uzawa}  loss parts {losses}"
                 if exact is not None:
-                    msg += f"  state err {state_errors[-1]:.3e}"
+                    msg += f"  state err {errors[0]:.3e}"
                 print(msg, flush=True)
         final_u, final_f = evaluate(params, cset.points, cset.cutoff.b)
+    history = np.array(rows).reshape(-1, 9 if exact is None else 11)
+    state_errors, control_errors = (None, None) if exact is None else history[:, 9:].T
     return RunRecord(
         config=config,
         cset=cset,
-        state_errors=np.array(state_errors) if exact is not None else None,
-        control_errors=np.array(control_errors) if exact is not None else None,
-        loss_history=np.array(losses).reshape(len(losses), len(LOSS_COLUMNS)),
-        wall_times=np.array(walls),
-        diagnostics=np.array(diagnostics).reshape(len(diagnostics), len(DIAGNOSTIC_COLUMNS)),
+        state_errors=state_errors,
+        control_errors=control_errors,
+        loss_history=history[:, 5:9],
+        diagnostics=history[:, :5],
         params=params,
         z=z,
         u=final_u,

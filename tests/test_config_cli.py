@@ -81,6 +81,15 @@ def test_type_error_reports_key_and_line(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("line, message", [
+    ("alpha 1e-2", "line 2: expected 'key = value'"),
+    ("alpha =  # no value", "line 2: key 'alpha': empty value"),
+])
+def test_cli_names_the_line_of_a_malformed_entry(tmp_path, capsys, line, message):
+    assert main(["-q", "run", write(tmp_path, f"tag = sine1d\n{line}\n")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_missing_tag(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(write(tmp_path, "alpha = 1e-4\n"))
@@ -102,15 +111,18 @@ def test_grad_check_tag_is_unknown(tmp_path):
     ("hidden_depth", "-1"), ("learning_rate", "-1"), ("learning_rate", "0"),
     ("n_uzawa", "0"), ("n_sgd", "0"), ("hidden_width", "0"), ("rho", "0"), ("rho", "-1"),
     ("alpha", "inf"), ("epsilon", "inf"), ("rho", "inf"), ("beta", "inf"),
-    ("learning_rate", "inf"), ("seed", "-1"),
+    ("learning_rate", "inf"), ("seed", "-1"), ("oracle_method", "newton"), ("n_points", "2"),
 ])
-def test_out_of_range_value_names_key_and_line(tmp_path, key, value):
+def test_out_of_range_value_names_key_and_line(tmp_path, capsys, key, value):
     second = ("seed", "0") if key == "alpha" else ("alpha", "1e-2")
+    path = write(tmp_path, f"tag = sine1d\n{second[0]} = {second[1]}\n{key} = {value}\n")
     with pytest.raises(ConfigError, match="must be") as err:
-        parse_config(write(tmp_path, f"tag = sine1d\n{second[0]} = {second[1]}\n"
-                                     f"{key} = {value}\n"))
+        parse_config(path)
     assert err.value.key == key
     assert err.value.line == 3
+    # the CLI checks the whole file before it asks which keys the subcommand reads
+    assert main(["-q", "run", path]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
     # the same check on a config built in code, which has no line to name
     with pytest.raises(ConfigError) as built:
         ExperimentConfig("sine1d", **{k: _SCHEMA[k](v) for k, v in (second, (key, value))})
@@ -363,6 +375,23 @@ def test_pgm_smaller_than_2x2_is_refused_from_its_header(tmp_path, capsys, data)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"", "empty file"),
+    (b" # a comment and no token\n", "empty file"),
+    (b"P2 2 2 7\n0 0 0 8\n", "pixel value exceeds maxval"),
+    (b"P5 2 2 7\n\x00\x00\x00\x08", "pixel value exceeds maxval"),
+    (b"P2 2 2 255\n0 0 0\n", "truncated pixel data"),
+], ids=["empty", "comment-only", "P2-above-maxval", "P5-above-maxval", "P2-short-raster"])
+def test_cli_refuses_a_bad_greymap_with_one_line(tmp_path, capsys, data, message):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(data)
+    cfg = write(tmp_path, f"tag = ac_image\nepsilon = 0.5\nimage = {path}\n{TINY_RUN}"
+                          f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["-q", "run", cfg]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # CSV emission
 
@@ -501,7 +530,7 @@ output_dir = {tmp_path / 'div'}
                  id="adam_overflow"),
 ])
 def test_cli_divergence_emits_no_warning(tmp_path, alpha, reason):
-    # the final fields of a diverged run overflow too; that must not warn
+    # the overflow that ends the run must not warn; the run keeps its initial network
     cfg = write(tmp_path, f"""
 tag = sine1d
 alpha = {alpha}

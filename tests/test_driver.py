@@ -71,7 +71,7 @@ def test_history_lengths_and_finiteness():
     assert rec.control_errors.shape == (5,)
     assert rec.loss_history.shape == (5, 4)
     assert np.all(np.isfinite(rec.loss_history))
-    assert rec.wall_times.shape == (5,)
+    assert rec.diagnostics.shape == (5, 5)
     assert rec.diverged_at is None
 
 
@@ -212,16 +212,26 @@ def test_alpha_sweep_bookkeeping():
             rho_alpha_sweep(cfg, [1.0, bad])
 
 
-@pytest.mark.parametrize("alpha, lr", [
-    pytest.param(1e-2, 1e300, id="forward_overflow"),
-    pytest.param(1.0, 1e308, id="adam_overflow"),
+@pytest.mark.parametrize("alpha, lr, rho", [
+    pytest.param(1e-2, 1e300, None, id="forward_overflow"),
+    pytest.param(1.0, 1e308, None, id="adam_overflow"),
+    # the multiplier overflows the loss at update 2
+    pytest.param(1e-2, 1e-3, 1e307, id="multiplier_overflow"),
 ])
-def test_divergence_recorded_not_raised(alpha, lr):
-    cfg = tiny_config(alpha=alpha, n_uzawa=6, n_sgd=8, learning_rate=lr)
+def test_divergence_recorded_not_raised(alpha, lr, rho):
+    cfg = tiny_config(alpha=alpha, n_uzawa=6, n_sgd=8, learning_rate=lr, rho=rho)
     rec = run_deep_uzawa(cfg)
     assert rec.diverged_at is not None
     assert rec.n_updates == rec.diverged_at
     assert rec.n_updates < 6
+    # the run keeps the network of its last recorded update
+    assert np.all(np.isfinite(rec.u)) and np.all(np.isfinite(rec.f))
+    if rec.diverged_at:
+        kept = run_deep_uzawa(replace(cfg, n_uzawa=rec.diverged_at)).params
+    else:
+        kept = init_network(TINY_NET)
+    assert np.array_equal(rec.params.flat, kept.flat)
+    assert np.array_equal(rec.u, evaluate(kept, rec.cset.points, rec.cset.cutoff.b)[0])
 
 
 def test_multiplier_drift_bounded_by_rho_times_residual(frozen_network):

@@ -689,6 +689,12 @@ def test_entry_points_need_positive_finite_alpha_and_rho(bad):
             call()
 
 
+def test_negative_iteration_count_is_refused():
+    g = Grid1D(21)
+    with pytest.raises(ValueError, match="iters must be nonnegative"):
+        fd_uzawa_run(g, ALPHA, ALPHA / 4, sine_target(g, ALPHA), -1)
+
+
 def test_boundary_layer_target_direct_solve():
     # constant target: compare against the closed form of the eliminated ODE
     g = Grid1D(401)

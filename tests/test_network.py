@@ -194,6 +194,23 @@ def test_checkpoint_unknown_activation_id(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("start, field, message", [
+    (8, struct.pack("<i", 2), "unsupported checkpoint version 2"),
+    (16, struct.pack("<i", -1), "negative hidden-layer count -1"),
+    (40, struct.pack("<q", 1), "checkpoint parameter count does not match its architecture"),
+], ids=["version", "hidden-count", "parameter-count"])
+def test_checkpoint_header_field_out_of_range(tmp_path, start, field, message):
+    # version, layer count and parameter count of a (4, 4) network's header
+    params = init_network(NetworkSpec(1, (4, 4), seed=3))
+    path = tmp_path / "params.bin"
+    save_checkpoint(params, path)
+    data = bytearray(path.read_bytes())
+    data[start:start + len(field)] = field
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
 def test_checkpoint_payload_beyond_the_file_is_value_error(tmp_path):
     # a 100-byte file whose header claims hidden widths (100000, 100000):
     # 10,000,500,002 parameters, 80 GB the reader must not try to allocate
