@@ -240,7 +240,9 @@ def load_pgm_target(path) -> np.ndarray:
             raise ValueError("truncated pixel data")
         if not all(v.isdigit() for v in vals):
             raise ValueError("non-numeric pixel data")
-        pixels = np.array([int(v) for v in vals], dtype=float)
+        # cap before the float conversion, which overflows past 308 digits;
+        # a capped pixel still fails the maxval check below
+        pixels = np.array([min(int(v), maxval + 1) for v in vals], dtype=float)
     if pixels.max() > maxval:
         raise ValueError("pixel value exceeds maxval")
     return (2.0 * pixels / maxval - 1.0).reshape(height, width)

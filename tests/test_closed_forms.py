@@ -112,6 +112,8 @@ def test_exact_solution_validation():
         ExactSolution("ac_sine")
     with pytest.raises(ValueError):
         ExactSolution("cubic1d")
+    with pytest.raises(ValueError, match="points have dimension 1, solution needs 2"):
+        ExactSolution("sine2d").state(np.zeros((3, 1)))
 
 
 def _residual_on_grid(tag, n):

@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -311,6 +312,8 @@ def test_pgm_checkerboard_preserved_at_pixel_centres(tmp_path):
     assert lookup[(0.0, 0.0)] == -1.0
     assert lookup[(1.0, 0.0)] == 1.0
     assert lookup[(0.5, 0.5)] == 0.0  # bilinear midpoint
+    with pytest.raises(ValueError, match="image targets need a 2d collocation set"):
+        sample_image_on_grid(img, build_grid(Domain.unit_interval(), 3))
 
 
 def test_pgm_bad_magic(tmp_path):
@@ -380,8 +383,10 @@ def test_pgm_smaller_than_2x2_is_refused_from_its_header(tmp_path, capsys, data)
     (b" # a comment and no token\n", "empty file"),
     (b"P2 2 2 7\n0 0 0 8\n", "pixel value exceeds maxval"),
     (b"P5 2 2 7\n\x00\x00\x00\x08", "pixel value exceeds maxval"),
+    (b"P2 2 2 255\n0 " + b"9" * 400 + b" 0 0\n", "pixel value exceeds maxval"),
     (b"P2 2 2 255\n0 0 0\n", "truncated pixel data"),
-], ids=["empty", "comment-only", "P2-above-maxval", "P5-above-maxval", "P2-short-raster"])
+], ids=["empty", "comment-only", "P2-above-maxval", "P5-above-maxval", "P2-above-float64",
+        "P2-short-raster"])
 def test_cli_refuses_a_bad_greymap_with_one_line(tmp_path, capsys, data, message):
     path = tmp_path / "img.pgm"
     path.write_bytes(data)
@@ -893,6 +898,25 @@ output_dir = {tmp_path / 'sweep'}
     assert (tmp_path / "sweep" / "alpha_0.01" / "Error.csv").exists()
 
 
+def test_cli_run_prints_progress_then_the_files_it_wrote(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write(tmp_path, "tag = sine1d\nn_uzawa = 50\nn_sgd = 1\nn_points = 5\nhidden_width = 2\n"
+                          f"hidden_depth = 1\noutput_dir = {out}\n")
+    assert main(["run", cfg]) == 0
+    first, *wrote = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"update 50/50  loss parts \[[^]]+\]  state err \d\.\d{3}e-\d\d", first)
+    assert wrote == [f"wrote {out / name}" for name in (
+        "Error.csv", "Loss.csv", "State.csv", "Control.csv", "meta.txt", "Diagnostics.csv")]
+
+
+def test_cli_sweep_without_an_exact_solution_says_so(tmp_path, capsys):
+    cfg = write(tmp_path, f"tag = ac_step\nepsilon = 0.5\n{TINY_RUN}"
+                          f"output_dir = {tmp_path / 'sweep'}\n")
+    assert main(["sweep", cfg, "--alphas", "1", "1e-2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "alpha=1: no exact solution", "alpha=0.01: no exact solution"]
+
+
 def test_cli_sweep_writes_run_directories_like_run(tmp_path):
     cfg = write(tmp_path, f"""
 tag = sine1d
@@ -1088,6 +1112,16 @@ def test_cli_grad_check_failure_exit_code(monkeypatch, capsys):
     assert "laplacian" not in err
 
 
+def test_cli_grad_check_prints_each_check_then_the_verdict(monkeypatch, capsys):
+    errors = {"laplacian jet d=1 seed=0": 1e-9, "loss gradient seed=3": 2.5e-7}
+    monkeypatch.setattr(cli, "grad_check", lambda: errors)
+    assert main(["grad-check"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "laplacian jet d=1 seed=0: max rel 1.00e-09 PASS",
+        "loss gradient seed=3: max rel 2.50e-07 PASS",
+        "all checks passed"]
+
+
 # records the three BLAS thread variables when numpy is first imported
 _PIN_PROBE = """
 import os, sys
@@ -1116,6 +1150,20 @@ def test_blas_threads_are_pinned_before_numpy_loads(preset, expected):
     out = subprocess.run([sys.executable, "-c", _PIN_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == expected + "\n"
+
+
+# the package root re-exports nothing, so importing a module loads only
+# what that module imports
+@pytest.mark.parametrize("module, absent", [
+    ("deepuzawa", {"numpy"}),
+    ("deepuzawa.fd_oracle", {"deepuzawa.driver", "deepuzawa.lagrangian", "deepuzawa.network",
+                             "deepuzawa.optim"}),
+], ids=["root", "oracle"])
+def test_importing_a_module_loads_no_more_than_it_needs(module, absent):
+    out = subprocess.run([sys.executable, "-c", f"import sys, {module}; print(*sys.modules)"],
+                         env=_with_src(dict(os.environ)), check=True, capture_output=True,
+                         text=True).stdout
+    assert absent & set(out.split()) == set()
 
 
 # the package imports no mpmath, and an oracle at a decimal precision runs

@@ -172,12 +172,21 @@ def test_sampled_target_shape_check():
         target_values(prob, g)
 
 
+def test_jets_of_another_set_are_refused():
+    g = build_grid(Domain.unit_interval(), 10)
+    jets = exact_sine_jets(build_grid(Domain.unit_interval(), 9))
+    with pytest.raises(ValueError, match=r"jets cover \(9,\) points, set has 10"):
+        loss_parts(ProblemSpec("sine1d", 1e-2), g, jets, np.zeros(g.n_interior))
+
+
 def test_multiplier_update_examples():
     z = np.zeros(3)
     out = multiplier_update(z, np.full(3, 2.0), 0.25)
     assert np.array_equal(out, np.full(3, 0.5))
     same = multiplier_update(z, np.zeros(3), 0.25)
     assert np.array_equal(same, z)
+    with pytest.raises(ValueError, match=r"residuals shape \(4,\) != multiplier shape \(3,\)"):
+        multiplier_update(z, np.zeros(4), 0.25)
 
 
 def test_multiplier_update_additive():

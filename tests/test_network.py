@@ -156,6 +156,23 @@ def test_multiplier_shape_mismatch():
         loss_and_gradient(params, g, prob, bad)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda *_: NetworkSpec(0, (8,)), "input_dim must be >= 1"),
+    (lambda *_: NetworkSpec(1, (8, 0)), "hidden widths must be >= 1"),
+    (lambda p, *_: NetworkParameters(p.spec, p.flat[1:]),
+     r"flat parameter vector has length \(105,\), expected 106"),
+    (lambda p, *_: NetworkParameters(p.spec, np.append(p.flat[1:], np.nan)),
+     "parameters contain non-finite entries"),
+    (lambda p, g, *_: batch_jets(p, np.zeros((3, 2)), g.cutoff),
+     "points have dimension 2, network expects 1"),
+    (lambda p, g, prob, z: finite_difference_gradient(p, g, prob, z, h=0.0),
+     "finite difference step h must be positive"),
+], ids=["input-dim-0", "width-0", "short-vector", "nan-parameter", "points-2d", "step-0"])
+def test_bad_network_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(*_poisson_case(1, 16, (8, 8), seed=4))
+
+
 def test_checkpoint_roundtrip(tmp_path):
     spec = NetworkSpec(2, (8, 4), seed=42)
     params = init_network(spec)

@@ -1,9 +1,7 @@
 """No module of ``deepuzawa`` or of its tests imports a name it never uses,
 and every private module-level name of ``deepuzawa`` is read in the package.
 
-The package's ``__init__.py`` is left out of the import check: its imports
-are the exports.  Both checks read the sources with ``ast``, without
-importing them.
+Both checks read the sources with ``ast``, without importing them.
 """
 import ast
 from pathlib import Path
@@ -13,8 +11,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "deepuzawa"
 # no test module shares a name with a package module, so the file name is the id
-MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-           + sorted(TESTS.glob("*.py")))
+MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
