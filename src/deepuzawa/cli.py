@@ -137,8 +137,9 @@ def _cmd_sweep(cfg: ExperimentConfig, alphas, quiet: bool) -> int:
     for a, record in zip(alphas, rho_alpha_sweep(cfg, alphas)):
         _write_run(record)
         if not quiet:
-            tail = (f"state err {record.state_errors[-1]:.3e}"
-                    if record.state_errors is not None and record.n_updates else "no exact solution")
+            errors = record.state_errors
+            tail = ("no exact solution" if errors is None else
+                    f"state err {errors[-1]:.3e}" if len(errors) else "no update recorded")
             print(f"alpha={a:g}: {tail}")
         code = max(code, _diverged(record, f"alpha={a:g} run", "update"))
     return code

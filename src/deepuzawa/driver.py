@@ -87,8 +87,8 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     """
     problem, cset = problem_for(config)
     exact = EXPERIMENTS[config.tag].exact
-    if exact is not None:
-        exact_u, exact_f = exact(cset.points, config.alpha, config.epsilon)
+    # the closed form (u*, f*) on the grid, or () when the tag has none
+    reference = () if exact is None else exact(cset.points, config.alpha, config.epsilon)
 
     network = NetworkSpec(cset.domain.dim, (config.hidden_width,) * config.hidden_depth,
                           seed=config.seed)
@@ -127,8 +127,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                 break
 
             losses = [parts[c] for c in LOSS_COLUMNS]
-            errors = [] if exact is None else [l2_norm(cset, jets.u - exact_u),
-                                                l2_norm(cset, jets.f - exact_f)]
+            errors = [l2_norm(cset, v - r) for v, r in zip((jets.u, jets.f), reference)]
             residual = residual_values(problem, jets.u[mask], jets.f[mask], jets.lap_u[mask])
             z = multiplier_update(z, residual, step)
             rows.append([time.perf_counter() - t0,
@@ -136,13 +135,11 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                          np.sqrt(np.dot(interior_weights, z * z)),
                          np.linalg.norm(grad), parts["total"], *losses, *errors])
             if progress and (k + 1) % 50 == 0:
-                msg = f"update {k + 1}/{config.n_uzawa}  loss parts {losses}"
-                if exact is not None:
-                    msg += f"  state err {errors[0]:.3e}"
-                print(msg, flush=True)
+                tail = f"  state err {errors[0]:.3e}" if errors else ""
+                print(f"update {k + 1}/{config.n_uzawa}  loss parts {losses}{tail}", flush=True)
         final_u, final_f = evaluate(params, cset.points, cset.cutoff.b)
-    history = np.array(rows).reshape(-1, 9 if exact is None else 11)
-    state_errors, control_errors = (None, None) if exact is None else history[:, 9:].T
+    history = np.array(rows).reshape(-1, 9 + len(reference))
+    state_errors, control_errors = history[:, 9:].T if reference else (None, None)
     return RunRecord(
         config=config,
         cset=cset,

@@ -161,19 +161,19 @@ def _biharmonic_bands(c, q, m, one):
 
 def _ldlt_factor(d, e, g):
     """LDL^T factorisation of a symmetric pentadiagonal matrix with bands
-    (d, e, g): lists 1/D (each pivot's reciprocal, in the scalars' own arithmetic), L1, L2."""
+    (d, e, g): lists 1/D (each pivot's reciprocal, in the scalars' own arithmetic), L1, L2.
+    Row i divides once: t = L1_i D_{i-1}, L2_i D_{i-2} = g_i and D_i = d_i - L1_i t - L2_i g_i."""
     d, e, g = d.tolist(), e.tolist(), g.tolist()
-    d0, a = d[0], e[0] / d[0]
-    d1 = d[1] - a * a * d0
-    dd, l1, l2 = [d0, d1], [a], []
-    for di, ei, gi in zip(d[2:], e[1:], g):
-        b = gi / d0
-        a = (ei - a * b * d0) / d1
-        d0, d1 = d1, di - a * a * d1 - b * b * d0
-        dd.append(d1)
+    a = r0 = r1 = 0  # rows 0 and 1 see zero bands to their left
+    rd, l1, l2 = [], [], []
+    for di, ei, gi in zip(d, [0] + e, [0, 0] + g):
+        b, t = gi * r0, ei - a * gi
+        a = t * r1
+        r0, r1 = r1, 1 / (di - a * t - b * gi)
+        rd.append(r1)
         l1.append(a)
         l2.append(b)
-    return [1 / p for p in dd], l1, l2
+    return rd, l1[1:], l2[2:]
 
 
 def _ldlt_solve(fact, rhs):

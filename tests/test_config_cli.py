@@ -734,6 +734,24 @@ output_dir = {tmp_path / 'oracle'}
     assert np.array_equal(diag[:, 1], run.z_errors)
 
 
+def test_cli_oracle_all_methods_prints_one_line_per_method(tmp_path, capsys):
+    cfg = write(tmp_path, f"""
+tag = sine1d
+alpha = 1e-2
+n_points = 21
+oracle_iters = 5
+oracle_method = all
+output_dir = {tmp_path / 'oracle'}
+""")
+    assert main(["oracle", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    number = r"\d\.\d{3}e[-+]\d\d"
+    for method, line in zip(("uzawa", "projected", "gauss_seidel"), lines):
+        assert re.fullmatch(f"{method}: final state error {number} control error {number}", line)
+    assert re.fullmatch(r"direct solve: backward error \d\.\d{2}e-\d\d", lines[3])
+
+
 @pytest.mark.parametrize("n_points", [3, 4])
 def test_cli_oracle_names_n_points_below_the_stencil(tmp_path, capsys, n_points):
     # the config takes 3 points, the oracle's biharmonic stencil 5
@@ -917,6 +935,15 @@ def test_cli_sweep_without_an_exact_solution_says_so(tmp_path, capsys):
         "alpha=1: no exact solution", "alpha=0.01: no exact solution"]
 
 
+def test_cli_run_without_an_exact_solution_prints_no_error_in_progress(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write(tmp_path, "tag = ac_step\nepsilon = 0.5\nn_uzawa = 50\nn_sgd = 1\nn_points = 5\n"
+                          f"hidden_width = 2\nhidden_depth = 1\noutput_dir = {out}\n")
+    assert main(["run", cfg]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"update 50/50  loss parts \[[^]]+\]", first)
+
+
 def test_cli_sweep_writes_run_directories_like_run(tmp_path):
     cfg = write(tmp_path, f"""
 tag = sine1d
@@ -952,6 +979,24 @@ output_dir = {tmp_path / 'sweep'}
     assert main(["-q", "sweep", cfg, "--alphas", "1e-2"]) == 2
     assert "diverged_at = 0" in (tmp_path / "sweep" / "alpha_0.01" / "meta.txt").read_text()
     assert capsys.readouterr().err == "alpha=0.01 run diverged at update 0\n"
+
+
+def test_cli_sweep_of_a_run_that_records_no_update_says_so(tmp_path, capsys):
+    # the tag has a closed form, but the run diverges before its first update
+    cfg = write(tmp_path, f"""
+tag = sine1d
+learning_rate = 1e300
+n_uzawa = 2
+n_sgd = 2
+n_points = 11
+hidden_width = 4
+hidden_depth = 1
+output_dir = {tmp_path / 'sweep'}
+""")
+    assert main(["sweep", cfg, "--alphas", "1e-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "alpha=0.01: no update recorded\n"
+    assert captured.err == "alpha=0.01 run diverged at update 0\n"
 
 
 def test_sweep_rejects_alphas_that_share_a_directory(tmp_path, capsys):

@@ -237,6 +237,16 @@ def test_direct_kkt_zero_target():
     assert np.all(sol.u == 0.0) and np.all(sol.f == 0.0) and np.all(sol.z == 0.0)
 
 
+def test_direct_kkt_solve_whose_backward_error_overflows_diverges_at_0():
+    # at alpha = 1e300 the fields are finite, but alpha B u overflows and
+    # the backward error is NaN
+    g = Grid1D(21)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = fd_direct_kkt_solve(g, 1e300, sine_target(g, 1e300))
+    assert np.isnan(sol.residual)
+    assert sol.diverged_at == 0
+
+
 def test_direct_kkt_symmetry():
     g = Grid1D(101)
     x = g.interior_x()
