@@ -13,6 +13,7 @@ divergence (for the Uzawa oracles also a step rho at or above the
 contraction bound rho_max).
 """
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import fields
@@ -21,7 +22,7 @@ import numpy as np
 
 from .closed_forms import EXPERIMENTS, POISSON
 from .config import ConfigError, ExperimentConfig, emit_csv, read_config, write_csv
-from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa
+from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa, sweep_dir
 from .fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run, fd_uzawa_run,
                         gauss_seidel_adjoint_run, gauss_seidel_rate, uzawa_step_bounds)
 from .network import CHECK_BOUND, grad_check, save_checkpoint
@@ -75,9 +76,26 @@ def _write_run(record) -> list[str]:
     return files
 
 
+@contextlib.contextmanager
+def _run_dirs(paths):
+    """Make every run directory before the first training step, so a path
+    it cannot make fails the command untrained; on leaving, remove those
+    made here that no run wrote."""
+    made = [path for path in paths if not os.path.isdir(path)]
+    try:
+        for path in made:
+            os.makedirs(path)
+        yield
+    finally:
+        for path in made:
+            with contextlib.suppress(OSError):  # a directory a run wrote is not empty
+                os.rmdir(path)
+
+
 def _cmd_run(cfg: ExperimentConfig, quiet: bool) -> int:
-    record = run_deep_uzawa(cfg, progress=not quiet)
-    files = _write_run(record)
+    with _run_dirs([cfg.output_dir]):
+        record = run_deep_uzawa(cfg, progress=not quiet)
+        files = _write_run(record)
     if not quiet:
         for path in files:
             print("wrote", path)
@@ -133,15 +151,17 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, alphas, quiet: bool) -> int:
+    records = rho_alpha_sweep(cfg, alphas)  # every alpha is checked; none has run
     code = 0
-    for a, record in zip(alphas, rho_alpha_sweep(cfg, alphas)):
-        _write_run(record)
-        if not quiet:
-            errors = record.state_errors
-            tail = ("no exact solution" if errors is None else
-                    f"state err {errors[-1]:.3e}" if len(errors) else "no update recorded")
-            print(f"alpha={a:g}: {tail}")
-        code = max(code, _diverged(record, f"alpha={a:g} run", "update"))
+    with _run_dirs([sweep_dir(cfg.output_dir, a) for a in alphas]):
+        for a, record in zip(alphas, records):
+            _write_run(record)
+            if not quiet:
+                errors = record.state_errors
+                tail = ("no exact solution" if errors is None else
+                        f"state err {errors[-1]:.3e}" if len(errors) else "no update recorded")
+                print(f"alpha={a:g}: {tail}")
+            code = max(code, _diverged(record, f"alpha={a:g} run", "update"))
     return code
 
 

@@ -157,10 +157,16 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     )
 
 
+def sweep_dir(output_dir: str, alpha: float) -> str:
+    """Run directory of weight ``alpha`` in a sweep into ``output_dir``."""
+    return os.path.join(output_dir, f"alpha_{alpha:g}")
+
+
 def rho_alpha_sweep(base: ExperimentConfig, alphas) -> Iterator[RunRecord]:
     """One run per regularisation weight, each stepping the multiplier by
     the base config's beta or else its rho, alpha / 4 for each alpha when
-    unset.  Run ``alpha = a`` has ``output_dir`` ``<base output_dir>/alpha_<a>``.
+    unset.  Run ``alpha = a`` has ``output_dir`` ``<base output_dir>/alpha_<a>``
+    (:func:`sweep_dir`).
     Every config and its problem is built before the first run: alphas
     that would share a directory, or whose target is not finite, raise
     ValueError, and an alpha out of range ConfigError.  Then each run starts
@@ -168,13 +174,13 @@ def rho_alpha_sweep(base: ExperimentConfig, alphas) -> Iterator[RunRecord]:
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alpha sweep needs at least one value")
-    names = [f"alpha_{a:g}" for a in alphas]
-    for i, name in enumerate(names):
-        j = names.index(name)
+    dirs = [sweep_dir(base.output_dir, a) for a in alphas]
+    for i, path in enumerate(dirs):
+        j = dirs.index(path)
         if j < i:
-            raise ValueError(f"alphas {alphas[j]!r} and {alphas[i]!r} both write {name}")
-    configs = [replace(base, alpha=float(a), output_dir=os.path.join(base.output_dir, name))
-               for a, name in zip(alphas, names)]
+            raise ValueError(f"alphas {alphas[j]!r} and {alphas[i]!r} both write "
+                             f"{os.path.basename(path)}")
+    configs = [replace(base, alpha=float(a), output_dir=path) for a, path in zip(alphas, dirs)]
     for cfg in configs:
         problem_for(cfg)
     return map(run_deep_uzawa, configs)

@@ -96,13 +96,15 @@ class _FloatCtx:
 class _DecimalCtx:
     """Decimal arithmetic (the C-accelerated ``decimal`` module) with ``dps``
     significant digits and unbounded exponents; a float64 target enters it
-    rounded to ``dps`` digits."""
+    rounded to ``dps`` digits.  No signal traps: a pivot that rounds to zero
+    gives Infinity or NaN, as in float64, and the run reports divergence."""
 
     dtype = object
     rounded = staticmethod(np.positive)  # to the current context's digits
 
     def __init__(self, dps: int):
-        self._dec = decimal.Context(prec=dps, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        self._dec = decimal.Context(prec=dps, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                                    traps=[])
         self._report = self._dec.copy()
         self._report.prec = min(dps, _REPORT_DPS)
 
@@ -310,11 +312,12 @@ def _direct_kkt(grid: Grid1D, alpha, D, ctx):
         z = -(alpha / 2) * f
     # normwise relative backward error ||Au - D|| / (||A|| ||u|| + ||D||),
     # the residual measure a direct solve can actually be held to: the
-    # plain ||Au - D|| / ||D|| is conditioning-limited at ~eps * cond(A)
+    # plain ||Au - D|| / ||D|| is conditioning-limited at ~eps * cond(A);
+    # a NaN solve keeps a NaN error
     r = alpha * _laplacian_apply(_laplacian_apply(u, q), q) + u - D
     a_norm = alpha * 16 * q * q + 1  # max absolute row sum of alpha B + I
     denom = a_norm * np.sqrt(_sum(u * u, zero)) + np.sqrt(_sum(D * D, zero))
-    residual = np.sqrt(_sum(r * r, zero)) / denom if denom > 0 else zero
+    residual = np.sqrt(_sum(r * r, zero)) / denom if denom else zero
     return u, f, z, residual
 
 

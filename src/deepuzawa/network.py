@@ -16,13 +16,14 @@ the tanh values the forward sweep left on the tape.
 
 Both sweeps write into workspaces, :class:`_Tape`, kept from call to call
 and rebuilt when the network shape or point count changes, so a training
-step allocates only per-point vectors.  When one stacked array is large,
-the points are swept in two contiguous halves, each with its own workspace:
-the caller's thread sweeps the first half and one helper thread the second.
-The gradient is the first half's plus the second's, so its bits depend on
-the problem size only.  Returned jets and gradients never alias a
-workspace.  The sweeps use one helper thread inside; two callers still must
-not run them at once.
+step allocates only per-point vectors; the reverse sweep overwrites each
+layer's stacked input x[k] with its adjoint once its weight gradient is
+formed.  When one stacked array is large, the points are swept in two
+contiguous halves, each with its own workspace: the caller's thread sweeps
+the first half and one helper thread the second.  The gradient is the first
+half's plus the second's, so its bits depend on the problem size only.
+Returned jets and gradients never alias a workspace.  The sweeps use one
+helper thread inside; two callers still must not run them at once.
 """
 from __future__ import annotations
 
@@ -142,15 +143,15 @@ class _Tape:
     ``y[k]`` are layer k's stacked input and pre-activation; ``x[0]`` keeps
     its unit seeds, and a call writes only its points into the value rows.
     ``a_out`` is the output adjoint; the control column of its derivative
-    rows stays zero.  Layers of one hidden width share ``adjoint[width]``
-    (post-activation and next-layer adjoints, rows x width) and
-    ``scratch[width]`` (s1, s2, s3, curvature, temporary, n x width).
-    Every array but ``x[0]`` starts on a 64-byte cache line, and so does
-    every stream block when the width is a multiple of 8: a vector store
-    then never spans two lines.
+    rows stays zero.  The reverse sweep overwrites each ``x[k]``, k > 0,
+    with its adjoint once its weight gradient is formed.  Layers of one
+    hidden width share ``scratch[width]`` (s1, s2, s3, curvature,
+    temporary, n x width).  Every array but ``x[0]`` starts on a 64-byte
+    cache line, and so does every stream block when the width is a
+    multiple of 8: a vector store then never spans two lines.
     """
 
-    __slots__ = ("x", "y", "a_out", "adjoint", "scratch")
+    __slots__ = ("x", "y", "a_out", "scratch")
 
     def __init__(self, dims: tuple[int, ...], n: int):
         d, hidden = dims[0], dims[1:-1]
@@ -160,7 +161,6 @@ class _Tape:
         for i, blk in enumerate(_stream_blocks(n, d)[0]):
             self.x[0][blk, i] = 1.0
         self.a_out = _aligned(rows, dims[-1])
-        self.adjoint = {w: [_aligned(rows, w) for _ in range(2)] for w in set(hidden)}
         self.scratch = {w: [_aligned(n, w) for _ in range(5)] for w in set(hidden)}
 
 
@@ -340,8 +340,6 @@ def _sweep_reverse(params: NetworkParameters, tape: _Tape, cutoff: CutoffJet,
         if k == 0:
             break
         w = layers[k][0]
-        a_post, a_pre = tape.adjoint[w.shape[1]]
-        np.matmul(a, w, out=a_post)  # adjoint of this layer's stacked input, post-activation
         y_prev = tape.y[k - 1]
         t = tape.x[k][:n]  # tanh of y_prev[:n], written by the forward sweep
         s1, s2, s3, curv, tmp = tape.scratch[w.shape[1]]
@@ -351,21 +349,22 @@ def _sweep_reverse(params: NetworkParameters, tape: _Tape, cutoff: CutoffJet,
         tmp *= t
         np.subtract(1.0, tmp, out=tmp)
         s3 *= tmp
-        a_lap = a_post[lap]
         # d(Laplacian out)/d(value in) = s3 sum yp^2 + s2 L
         np.multiply(s2, y_prev[lap], out=curv)
         for blk in blocks:
             _add_product(curv, tmp, s3, y_prev[blk], y_prev[blk])
-        a = a_pre
-        a_val = a[:n]
-        np.multiply(curv, a_lap, out=a_val)
+        # the spent input becomes its adjoint, post- then pre-activation, in place
+        a = np.matmul(a, w, out=tape.x[k])
+        a_lap = a[lap]
+        acc = np.multiply(curv, a_lap, out=s3)  # the value rows' curvature and stream terms
         for blk in blocks:
             yp = y_prev[blk]
-            _add_product(a_val, tmp, s2, yp, a_post[blk])
-            np.multiply(s1, a_post[blk], out=a[blk])  # s1 a' + 2 s2 yp a_lap
+            _add_product(acc, tmp, s2, yp, a[blk])
+            a[blk] *= s1  # s1 a' + 2 s2 yp a_lap
             _add_product(a[blk], tmp, 2.0, s2, yp, a_lap)
-        _add_product(a_val, tmp, s1, a_post[:n])
-        np.multiply(s1, a_lap, out=a[lap])
+        a[:n] *= s1
+        a[:n] += acc
+        a_lap *= s1
     return grad_flat
 
 

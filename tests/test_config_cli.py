@@ -837,6 +837,23 @@ output_dir = {tmp_path / 'oracle'}
         assert (tmp_path / "oracle" / "uzawa" / "Loss.csv").read_text().count("\n") == 1
 
 
+@pytest.mark.parametrize("method", ["uzawa", "projected", "direct"])
+def test_cli_oracle_whose_pivot_rounds_to_zero_at_1_digit_exits_2(tmp_path, capsys, method):
+    # at one digit a pivot of the banded factor rounds to zero: the division
+    # gives Infinity or NaN, not a decimal.DivisionByZero traceback
+    cfg = write(tmp_path, f"""
+tag = sine1d
+alpha = 1e-2
+n_points = 5
+precision_dps = 1
+oracle_method = {method}
+output_dir = {tmp_path / 'oracle'}
+""")
+    assert main(["-q", "oracle", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == ("", [f"{method} oracle diverged at iteration 0"])
+
+
 def test_cli_projected_oracle_whose_inner_solve_cycles_exits_2_under_w_error(tmp_path):
     # rho = 3 rho_max: at iterate 20 the nonnegative inner solve's active set
     # cycles; the run diverges there, with one line and no traceback
@@ -979,6 +996,27 @@ output_dir = {tmp_path / 'sweep'}
     assert main(["-q", "sweep", cfg, "--alphas", "1e-2"]) == 2
     assert "diverged_at = 0" in (tmp_path / "sweep" / "alpha_0.01" / "meta.txt").read_text()
     assert capsys.readouterr().err == "alpha=0.01 run diverged at update 0\n"
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "1", "1e-2"]],
+                         ids=["run", "sweep"])
+def test_cli_output_dir_that_is_a_file_fails_before_training(tmp_path, capsys, monkeypatch,
+                                                              command):
+    # the run directory, each alpha's for a sweep, is made before the first
+    # training step: a file in its place ends the command untrained
+    out = tmp_path / "out"
+    out.write_text("")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before making the run directory")
+
+    monkeypatch.setattr(cli, "run_deep_uzawa", no_training)
+    monkeypatch.setattr(driver, "run_deep_uzawa", no_training)
+    cfg = write(tmp_path, f"tag = sine1d\n{TINY_RUN}output_dir = {out}\n")
+    assert main([command[0], cfg, *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: [Errno ")
 
 
 def test_cli_sweep_of_a_run_that_records_no_update_says_so(tmp_path, capsys):

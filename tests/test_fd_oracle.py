@@ -247,6 +247,15 @@ def test_direct_kkt_solve_whose_backward_error_overflows_diverges_at_0():
     assert sol.diverged_at == 0
 
 
+def test_direct_kkt_solve_whose_pivot_rounds_to_zero_diverges_at_0():
+    # at one digit the banded factor meets a zero pivot; the Decimal context
+    # traps no signal, so the solve comes back NaN instead of raising
+    g = Grid1D(5)
+    sol = fd_direct_kkt_solve(g, 1e-2, sine_target(g, 1e-2), dps=1)
+    assert np.isnan(sol.residual)
+    assert sol.diverged_at == 0
+
+
 def test_direct_kkt_symmetry():
     g = Grid1D(101)
     x = g.interior_x()

@@ -336,18 +336,50 @@ def test_workspace_arrays_and_stream_blocks_start_on_cache_lines(dim, n, hidden,
     assert len(sweeps) == halves
     for tape, half in sweeps:
         rows = half.stop - half.start
-        adjoints = [a for pair in tape.adjoint.values() for a in pair]
         scratch = [a for five in tape.scratch.values() for a in five]
-        for a in (*tape.x[1:], *tape.y, tape.a_out, *adjoints, *scratch):
+        for a in (*tape.x[1:], *tape.y, tape.a_out, *scratch):
             assert a.ctypes.data % 64 == 0
         # stream blocks lie rows * width * 8 bytes apart: aligned when 8 | width
         blocks, lap = network._stream_blocks(rows, dim)
-        for a in (*tape.x[1:], *tape.y, *adjoints):
+        for a in (*tape.x[1:], *tape.y):
             if a.shape[1] % 8 == 0:
                 for blk in (slice(0, rows), *blocks, lap):
                     assert a[blk].ctypes.data % 64 == 0
         # the sweeps never write the control column of the derivative rows
         assert not tape.a_out[rows:, 1].any()
+
+
+def _tape_arrays(v):
+    """Every array a workspace attribute holds, through lists and dicts."""
+    if isinstance(v, np.ndarray):
+        return [v]
+    return [a for item in (v.values() if isinstance(v, dict) else v) for a in _tape_arrays(item)]
+
+
+@pytest.mark.parametrize("dim, n", [(1, 201), (2, 30)], ids=["1d-201-3x64", "2d-30-3x64"])
+def test_workspace_is_activations_output_adjoint_and_five_vectors_per_width(dim, n):
+    # the reverse sweep writes each layer's adjoint over its spent input, so
+    # a half's workspace holds nothing beyond x, y, a_out and the per-point
+    # scratch; it never writes the unit seeds of x[0]
+    params, g, prob, z = _poisson_case(dim, n, (64, 64, 64))
+    dims = params.spec.layer_dims
+    loss_and_gradient(params, g, prob, z)
+    halves = network._halves(g.n_points, dims)
+    assert len(halves) == dim
+    for i, half in enumerate(halves):
+        rows = half.stop - half.start
+        stacked = rows * (2 + dim)
+        tape = network._tape_for(dims, rows, i)
+        held = sum(a.nbytes for slot in tape.__slots__ for a in _tape_arrays(getattr(tape, slot)))
+        x = stacked * sum(dims[:-1])
+        y = stacked * sum(dims[1:])
+        a_out = stacked * dims[-1]
+        scratch = 5 * rows * sum(set(dims[1:-1]))
+        assert held == 8 * (x + y + a_out + scratch)
+        seeds = np.zeros((stacked - rows, dim))
+        for j in range(dim):
+            seeds[j * rows:(j + 1) * rows, j] = 1.0
+        assert np.array_equal(tape.x[0][rows:], seeds)
 
 
 # ---------------------------------------------------------------------------
