@@ -58,8 +58,9 @@ def _diverged(result, what: str, step: str) -> int:
 
 
 def _write_run(record) -> list[str]:
-    """CSVs, meta.txt and params.bin of one network run in its config's
-    ``output_dir``: Diagnostics.csv holds DIAGNOSTIC_COLUMNS per update."""
+    """CSVs, meta.txt and params.npy of one network run in its config's
+    ``output_dir``: Diagnostics.csv holds DIAGNOSTIC_COLUMNS per update and
+    params.npy the flat parameter vector."""
     cfg, out_dir = record.config, record.config.output_dir
     # an augmented run steps the multiplier by beta, which meta.txt already lists
     extra = {"resolved_rho": cfg.resolved_rho} if cfg.beta is None else {}
@@ -72,7 +73,7 @@ def _write_run(record) -> list[str]:
     write_csv(path, ("update", *DIAGNOSTIC_COLUMNS), range(record.n_updates),
               *record.diagnostics.T)
     files.append(path)
-    save_checkpoint(record.params, os.path.join(out_dir, "params.bin"))
+    save_checkpoint(record.params, os.path.join(out_dir, "params.npy"))
     return files
 
 

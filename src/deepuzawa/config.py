@@ -20,7 +20,8 @@ Recognised keys (defaults in parentheses):
   n_uzawa        outer multiplier updates, >= 1 (500)
   n_sgd          inner optimiser steps per update, >= 1 (40)
   learning_rate  Adam step size, > 0 and finite (1e-3)
-  n_points       collocation points per axis, >= 3 (201)
+  n_points       collocation points per axis, >= 3, with n_points**dim at
+                 most sys.maxsize // 8 (201)
   seed           network initialisation seed, 0 <= seed < 2**63 (0)
   hidden_width   network width, >= 1 (64)
   hidden_depth   hidden layer count, >= 0 (3)
@@ -38,6 +39,7 @@ import itertools
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
@@ -175,10 +177,13 @@ def _check(cfg: ExperimentConfig):
             raise ConfigError(f"{key} must be at least 1", key=key)
     if cfg.hidden_depth < 0:
         raise ConfigError("hidden_depth must be nonnegative", key="hidden_depth")
-    if not 0 <= cfg.seed < 2**63:  # the checkpoint stores it as an int64
+    if not 0 <= cfg.seed < 2**63:
         raise ConfigError("seed must be in [0, 2**63)", key="seed")
     if cfg.n_points < 3:
         raise ConfigError("n_points must be at least 3", key="n_points")
+    if cfg.n_points ** row.dim > sys.maxsize // 8:  # no float64 grid that large can exist
+        raise ConfigError(f"n_points**{row.dim} must be at most {sys.maxsize // 8}",
+                          key="n_points")
     if cfg.oracle_method not in ORACLE_METHODS:
         raise ConfigError(f"oracle_method must be one of {ORACLE_METHODS}", key="oracle_method")
     if cfg.oracle_iters < 0:

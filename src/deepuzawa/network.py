@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +36,6 @@ import numpy as np
 from .closed_forms import EXPERIMENTS
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
 from .lagrangian import ProblemSpec, loss_parts, pointwise_gradients
-
-_CHECKPOINT_MAGIC = b"DUZW-NET"
-_CHECKPOINT_VERSION = 1
 
 
 def _tanh_derivs(t, s1, s2):
@@ -481,62 +477,7 @@ def grad_check() -> dict[str, float]:
     return errors
 
 
-# ---------------------------------------------------------------------------
-# checkpoint io
-#
-# Layout (all little-endian):
-#   8 bytes   magic "DUZW-NET"
-#   int32     format version (1)
-#   int32     input dimension d
-#   int32     number of hidden layers
-#   int32[]   hidden widths
-#   int32     activation id (0 = tanh)
-#   int64     init seed
-#   int64     number of parameters
-#   float64[] flat parameter vector (layer-major, weights then bias)
-
-
 def save_checkpoint(params: NetworkParameters, path) -> None:
-    spec = params.spec
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<ii", _CHECKPOINT_VERSION, spec.input_dim))
-        fh.write(struct.pack("<i", len(spec.hidden)))
-        fh.write(struct.pack(f"<{len(spec.hidden)}i", *spec.hidden))
-        fh.write(struct.pack("<i", 0))  # activation id: tanh
-        fh.write(struct.pack("<qq", spec.seed, spec.n_parameters))
-        fh.write(params.flat.astype("<f8").tobytes())
-
-
-def _read_exact(fh, size: int) -> bytes:
-    # never ask for more than the file holds: a header may claim any size
-    data = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
-    if len(data) != size:
-        raise ValueError(f"truncated checkpoint: {size} bytes expected at offset "
-                         f"{fh.tell() - len(data)}, {len(data)} left")
-    return data
-
-
-def load_checkpoint(path) -> NetworkParameters:
-    """Read a :func:`save_checkpoint` file; a malformed or truncated file
-    raises ValueError."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"not a network checkpoint (magic {magic!r})")
-        version, input_dim = struct.unpack("<ii", _read_exact(fh, 8))
-        if version != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (n_hidden,) = struct.unpack("<i", _read_exact(fh, 4))
-        if n_hidden < 0:
-            raise ValueError(f"negative hidden-layer count {n_hidden}")
-        hidden = struct.unpack(f"<{n_hidden}i", _read_exact(fh, 4 * n_hidden))
-        (act_id,) = struct.unpack("<i", _read_exact(fh, 4))
-        seed, n_params = struct.unpack("<qq", _read_exact(fh, 16))
-        if act_id != 0:
-            raise ValueError(f"unknown activation id {act_id}")
-        spec = NetworkSpec(input_dim, tuple(hidden), seed=seed)
-        if n_params != spec.n_parameters:
-            raise ValueError("checkpoint parameter count does not match its architecture")
-        flat = np.frombuffer(_read_exact(fh, 8 * n_params), dtype="<f8").astype(float)
-    return NetworkParameters(spec, flat)
+    """Write the flat parameter vector, in ``_layer_views`` order, as one
+    ``.npy`` array; ``meta.txt`` holds the architecture and seed."""
+    np.save(path, params.flat)

@@ -22,7 +22,7 @@ from deepuzawa.driver import rho_alpha_sweep
 from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_uzawa_run,
                                  gauss_seidel_adjoint_run, sine_target, uzawa_step_bounds)
 from deepuzawa.geometry import Domain, build_grid
-from deepuzawa.network import load_checkpoint
+from deepuzawa.network import NetworkParameters, NetworkSpec, evaluate
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -203,9 +203,7 @@ def test_small_and_large_epsilon_with_finite_inverse_square_parse(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63])
-def test_seed_outside_checkpoint_range_names_key_and_line(tmp_path, capsys, seed):
-    # the checkpoint stores the seed as an int64; a run must not train and
-    # then fail to save it
+def test_seed_out_of_range_names_key_and_line(tmp_path, capsys, seed):
     out = tmp_path / "out"
     cfg = write(tmp_path, f"tag = sine1d\nseed = {seed}\n{TINY_RUN}output_dir = {out}\n")
     with pytest.raises(ConfigError, match="seed must be") as err:
@@ -217,10 +215,55 @@ def test_seed_outside_checkpoint_range_names_key_and_line(tmp_path, capsys, seed
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tag, n_points, ok", [
+    ("sine1d", 2**60, False), ("sine1d", 2**60 - 1, True),
+    ("sine2d", 2**30, False), ("sine2d", 2**30 - 1, True),
+])
+def test_n_points_beyond_any_float64_grid_is_refused(tmp_path, tag, n_points, ok):
+    # parse only: a grid of sys.maxsize // 8 float64 values would fill the address space
+    cfg = write(tmp_path, f"tag = {tag}\nn_points = {n_points}\n")
+    if ok:
+        assert parse_config(cfg).n_points == n_points
+        return
+    with pytest.raises(ConfigError, match="n_points") as err:
+        parse_config(cfg)
+    assert (err.value.key, err.value.line) == ("n_points", 2)
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_cli_n_points_too_large_for_an_array_is_one_line(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    cfg = write(tmp_path, f"tag = sine1d\nn_points = {2**63 - 1}\noutput_dir = {out}\n")
+    assert main(["-q", command, cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 2: key 'n_points': ")
+    assert not out.exists()
+
+
 def test_largest_seed_round_trips_through_the_checkpoint(tmp_path):
     cfg = write(tmp_path, f"tag = sine1d\nseed = {2**63 - 1}\n{TINY_RUN}output_dir = {tmp_path}\n")
     assert main(["-q", "run", cfg]) == 0
-    assert load_checkpoint(tmp_path / "params.bin").spec.seed == 2**63 - 1
+    meta = _read_meta(tmp_path / "meta.txt")
+    assert meta["seed"] == "9223372036854775807"
+    assert np.load(tmp_path / "params.npy").shape == (int(meta["n_parameters"]),)
+
+
+@pytest.mark.parametrize("tag, n_points", [("sine1d", 9), ("sine2d", 5)])
+def test_params_npy_and_meta_rebuild_the_written_fields(tmp_path, tag, n_points):
+    # meta.txt gives the architecture and seed, params.npy the flat vector
+    cfg = write(tmp_path, f"tag = {tag}\nn_uzawa = 2\nn_sgd = 2\nn_points = {n_points}\n"
+                          f"hidden_width = 4\nhidden_depth = 2\nseed = 7\n"
+                          f"output_dir = {tmp_path}\n")
+    assert main(["-q", "run", cfg]) == 0
+    meta = _read_meta(tmp_path / "meta.txt")
+    dim = EXPERIMENTS[tag].dim
+    spec = NetworkSpec(dim, (int(meta["hidden_width"]),) * int(meta["hidden_depth"]),
+                       seed=int(meta["seed"]))
+    params = NetworkParameters(spec, np.load(tmp_path / "params.npy", allow_pickle=False))
+    cset = build_grid(Domain(dim), n_points)
+    u, f = evaluate(params, cset.points, cset.cutoff.b)
+    assert np.array_equal(read_csv(tmp_path / "State.csv")[1][:, 0], u)
+    assert np.array_equal(read_csv(tmp_path / "Control.csv")[1][:, 0], f)
 
 
 def test_augmented_meta_lists_beta_not_resolved_rho(tmp_path, capsys):
@@ -489,7 +532,7 @@ hidden_depth = 2
 output_dir = {tmp_path / 'out'}
 """)
     assert main(["-q", "run", cfg]) == 0
-    for name in ("Error.csv", "Loss.csv", "State.csv", "Control.csv", "meta.txt", "params.bin"):
+    for name in ("Error.csv", "Loss.csv", "State.csv", "Control.csv", "meta.txt", "params.npy"):
         assert (tmp_path / "out" / name).exists()
 
 
@@ -976,7 +1019,7 @@ output_dir = {tmp_path / 'sweep'}
     out = tmp_path / "sweep" / "alpha_1"
     _, state = read_csv(out / "State.csv")
     assert state.shape[0] == 11
-    assert (out / "params.bin").exists()
+    assert (out / "params.npy").exists()
     meta = (out / "meta.txt").read_text()
     for key in ("n_parameters = 18", "final_state_l2_error", "final_control_l2_error"):
         assert key in meta
@@ -1063,7 +1106,7 @@ def test_cli_sweep_writes_each_run_before_the_next_starts(tmp_path, monkeypatch,
     assert os.listdir(tmp_path / "sweep") == ["alpha_1"]
     assert sorted(os.listdir(tmp_path / "sweep" / "alpha_1")) == [
         "Control.csv", "Diagnostics.csv", "Error.csv", "Loss.csv", "State.csv", "meta.txt",
-        "params.bin"]
+        "params.npy"]
 
 
 def test_cli_sweep_keeps_config_rho(tmp_path):
@@ -1147,7 +1190,7 @@ def test_shipped_config_runs(tmp_path, path):
 
     run_files = {"Loss.csv", "State.csv", "Control.csv", "meta.txt"}
     if not oracle:
-        expected = {out: run_files | {"params.bin", "Diagnostics.csv"}
+        expected = {out: run_files | {"params.npy", "Diagnostics.csv"}
                     | ({"Error.csv"} if EXPERIMENTS[cfg.tag].exact else set())}
     else:
         methods = (["uzawa", "projected", "gauss_seidel", "direct"]

@@ -1,6 +1,5 @@
 import multiprocessing
 import os
-import struct
 import threading
 import tracemalloc
 
@@ -15,8 +14,7 @@ from deepuzawa.geometry import CollocationSet, CutoffJet, Domain, build_grid, cu
 from deepuzawa.lagrangian import ProblemSpec, loss_parts, target_values
 from deepuzawa.network import (NetworkParameters, NetworkSpec, batch_jets, evaluate,
                                finite_difference_gradient, init_network,
-                               load_checkpoint, loss_and_gradient, loss_value,
-                               save_checkpoint)
+                               loss_and_gradient, loss_value)
 
 
 def _poisson_case(dim, n, hidden, seed=0, z_seed=None):
@@ -171,80 +169,6 @@ def test_multiplier_shape_mismatch():
 def test_bad_network_input_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call(*_poisson_case(1, 16, (8, 8), seed=4))
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    spec = NetworkSpec(2, (8, 4), seed=42)
-    params = init_network(spec)
-    path = tmp_path / "params.bin"
-    save_checkpoint(params, path)
-    loaded = load_checkpoint(path)
-    assert loaded.spec == spec
-    assert np.array_equal(loaded.flat, params.flat)
-
-
-def test_checkpoint_truncated_header_is_value_error(tmp_path):
-    params = init_network(NetworkSpec(1, (4, 4), seed=3))
-    path = tmp_path / "params.bin"
-    save_checkpoint(params, path)
-    data = path.read_bytes()
-    # the end of every header field (magic, version, input dimension, layer
-    # count, two widths, activation id, seed, parameter count), then cuts
-    # inside a field and inside the parameter vector
-    cuts = [8, 12, 16, 20, 24, 28, 32, 40, 48, 10, 30, 44, len(data) - 1]
-    for cut in cuts:
-        path.write_bytes(data[:cut])
-        with pytest.raises(ValueError, match="truncated"):
-            load_checkpoint(path)
-
-
-def test_checkpoint_unknown_activation_id(tmp_path):
-    params = init_network(NetworkSpec(1, (4, 4), seed=3))
-    path = tmp_path / "params.bin"
-    save_checkpoint(params, path)
-    data = bytearray(path.read_bytes())
-    # activation id follows magic, version, input dimension, layer count, two widths
-    assert data[28:32] == (0).to_bytes(4, "little")
-    data[28:32] = (1).to_bytes(4, "little")
-    path.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="unknown activation id"):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("start, field, message", [
-    (8, struct.pack("<i", 2), "unsupported checkpoint version 2"),
-    (16, struct.pack("<i", -1), "negative hidden-layer count -1"),
-    (40, struct.pack("<q", 1), "checkpoint parameter count does not match its architecture"),
-], ids=["version", "hidden-count", "parameter-count"])
-def test_checkpoint_header_field_out_of_range(tmp_path, start, field, message):
-    # version, layer count and parameter count of a (4, 4) network's header
-    params = init_network(NetworkSpec(1, (4, 4), seed=3))
-    path = tmp_path / "params.bin"
-    save_checkpoint(params, path)
-    data = bytearray(path.read_bytes())
-    data[start:start + len(field)] = field
-    path.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match=message):
-        load_checkpoint(path)
-
-
-def test_checkpoint_payload_beyond_the_file_is_value_error(tmp_path):
-    # a 100-byte file whose header claims hidden widths (100000, 100000):
-    # 10,000,500,002 parameters, 80 GB the reader must not try to allocate
-    header = (b"DUZW-NET" + struct.pack("<iii2ii", 1, 1, 2, 100000, 100000, 0)
-              + struct.pack("<qq", 0, 10_000_500_002))
-    assert NetworkSpec(1, (100000, 100000)).n_parameters == 10_000_500_002
-    path = tmp_path / "params.bin"
-    path.write_bytes(header + bytes(100 - len(header)))
-    with pytest.raises(ValueError, match="truncated checkpoint: 80004000016 bytes expected"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTANETx" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
