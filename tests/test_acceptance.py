@@ -2,8 +2,8 @@
 the measured values (run with ``pytest tests/test_acceptance.py -v -s``).
 
 The training-based criteria share module-scoped runs; the whole module takes
-about two minutes of CPU time (112 s on a 2-vCPU Xeon VM with one BLAS
-thread), 111 s of it in five full 500 x 40 trainings.
+under two minutes of CPU time (101 s on a 2-vCPU Xeon VM with one BLAS
+thread), 100 s of it in five full 500 x 40 trainings.
 """
 import time
 

@@ -260,7 +260,7 @@ def test_workspace_arrays_and_stream_blocks_start_on_cache_lines(dim, n, hidden,
     assert len(sweeps) == halves
     for tape, half in sweeps:
         rows = half.stop - half.start
-        scratch = [a for five in tape.scratch.values() for a in five]
+        scratch = [a for per_width in tape.scratch.values() for a in per_width]
         for a in (*tape.x[1:], *tape.y, tape.a_out, *scratch):
             assert a.ctypes.data % 64 == 0
         # stream blocks lie rows * width * 8 bytes apart: aligned when 8 | width
@@ -298,7 +298,7 @@ def test_workspace_is_activations_output_adjoint_and_five_vectors_per_width(dim,
         x = stacked * sum(dims[:-1])
         y = stacked * sum(dims[1:])
         a_out = stacked * dims[-1]
-        scratch = 5 * rows * sum(set(dims[1:-1]))
+        scratch = 3 * rows * sum(set(dims[1:-1]))
         assert held == 8 * (x + y + a_out + scratch)
         seeds = np.zeros((stacked - rows, dim))
         for j in range(dim):
@@ -329,6 +329,25 @@ def test_split_gradient_matches_finite_differences(split_all, dim, n, kind, beta
     params, g, prob, z = case(dim, n, (8, 8), seed=2)
     assert g.n_points % 2 == 1
     assert network._gradient_error(params, g, prob, z, beta) <= network.CHECK_BOUND
+
+
+@pytest.mark.parametrize("dim, n", [(1, 201), (2, 30)], ids=["1d-201", "2d-30x30"])
+@pytest.mark.parametrize("kind, beta", [("poisson", 0.0), ("poisson", 0.5),
+                                        ("allen_cahn", 0.0), ("allen_cahn", 0.5)])
+def test_gradient_at_the_training_shapes_matches_directional_differences(dim, n, kind, beta):
+    # grad_check's networks are 8 wide; this checks a 3x64 network on the
+    # training grids, 1d in one sweep and 2d in two halves, along three
+    # seeded unit directions v against central differences of the loss
+    case = _poisson_case if kind == "poisson" else _allen_cahn_case
+    params, g, prob, z = case(dim, n, (64, 64, 64), seed=1)
+    assert len(network._halves(g.n_points, params.spec.layer_dims)) == dim
+    _, grad = loss_and_gradient(params, g, prob, z, beta)
+    h = 1e-5
+    for v in np.random.default_rng(33).normal(size=(3, grad.size)):
+        v /= np.linalg.norm(v)
+        up = loss_value(params.with_flat(params.flat + h * v), g, prob, z, beta)
+        down = loss_value(params.with_flat(params.flat - h * v), g, prob, z, beta)
+        assert abs((up - down) / (2 * h) - grad @ v) <= 1e-8 * np.linalg.norm(grad)
 
 
 @pytest.mark.parametrize("dim, n, hidden", [(1, 801, (64, 64, 64)), (2, 30, (64, 64, 64)),
