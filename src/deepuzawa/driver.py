@@ -77,7 +77,8 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     new parameters, or the step's own loss on the full grid, is non-finite:
     it stops there with ``diverged_at`` set to that step, the histories of
     the steps before it, and the network (``params``, ``u``, ``f``) of the
-    last recorded step, or the initial one when none was recorded.
+    last recorded step, or the initial one when none was recorded, rebuilt
+    from the copy of the parameters taken when the diverging step began.
     ``diverged_reason`` says which check failed,
     ``inner_loss``, ``adam_step`` or ``update_loss``, and for the first two
     ``diverged_inner_step`` gives the Adam step within the update.
@@ -106,16 +107,15 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.n_uzawa):
             t0 = time.perf_counter()
-            recorded = params
+            recorded = params.flat.copy()
             for i in range(config.n_sgd):
                 loss, grad = loss_and_gradient(params, cset, problem, z, beta)
-                adam, flat = adam_step(adam, params.flat, grad)
-                # a non-finite gradient entry leaves a non-finite entry in flat
-                if not np.isfinite(loss) or not np.all(np.isfinite(flat)):
+                adam = adam_step(adam, params.flat, grad)  # params.layers view the new values
+                # a non-finite gradient entry leaves a non-finite parameter
+                if not np.isfinite(loss) or not np.all(np.isfinite(params.flat)):
                     diverged_at, diverged_inner_step = k, i
                     diverged_reason = "adam_step" if np.isfinite(loss) else "inner_loss"
                     break
-                params = params.with_flat(flat)
             else:
                 jets = batch_jets(params, cset.points, cset.cutoff)
                 parts = loss_parts(problem, cset, jets, z, beta)
@@ -123,7 +123,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                 if not np.isfinite(parts["total"]):
                     diverged_at, diverged_reason = k, "update_loss"
             if diverged_at is not None:
-                params = recorded
+                params = NetworkParameters(network, recorded)
                 break
 
             losses = [parts[c] for c in LOSS_COLUMNS]

@@ -92,9 +92,8 @@ class NetworkParameters:
     def __init__(self, spec: NetworkSpec, flat: np.ndarray):
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (spec.n_parameters,):
-            raise ValueError(
-                f"flat parameter vector has length {flat.shape}, expected {spec.n_parameters}"
-            )
+            raise ValueError(f"flat parameter vector has length {flat.shape}, "
+                             f"expected {spec.n_parameters}")
         if not np.all(np.isfinite(flat)):
             raise ValueError("parameters contain non-finite entries")
         self.spec = spec
@@ -108,7 +107,7 @@ class NetworkParameters:
 def init_network(spec: NetworkSpec) -> NetworkParameters:
     """Symmetric fan-in-scaled uniform weights, zero biases, seeded."""
     rng = np.random.default_rng(spec.seed)
-    flat = np.zeros(spec.n_parameters)
+    flat = _aligned(1, spec.n_parameters)[0]
     for w, _ in _layer_views(spec, flat):
         limit = np.sqrt(3.0 / w.shape[1])
         w[...] = rng.uniform(-limit, limit, size=w.shape)
@@ -255,7 +254,11 @@ def _forward(params: NetworkParameters, points: np.ndarray,
     dims = params.spec.layer_dims
     sweeps = [(_tape_for(dims, h.stop - h.start, i), h) for i, h in enumerate(_halves(n, dims))]
     outs = _in_halves(_sweep_forward, [(params.layers, tape, points[h]) for tape, h in sweeps])
-    n_u, f, grad_n, lap_n = (np.concatenate(rows) for rows in zip(*outs))
+    if len(outs) == 1:  # only f would alias the tape
+        n_u, f, grad_n, lap_n = outs[0]
+        f = f.copy()
+    else:
+        n_u, f, grad_n, lap_n = (np.concatenate(rows) for rows in zip(*outs))
 
     b_val, b_grad, b_lap = cutoff.b, cutoff.grad, cutoff.lap
     u = b_val * n_u
@@ -297,10 +300,9 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
                       beta: float = 0.0) -> tuple[float, np.ndarray]:
     """Quadrature Lagrangian and its exact parameter gradient.
 
-    The scalar equals ``loss_parts(...)["total"]`` of
-    :mod:`deepuzawa.lagrangian` at the network jets; the gradient is the derivative of that scalar with respect
-    to every entry of ``params.flat``, obtained by reverse accumulation
-    through the full jet computation (Laplacian and cutoff terms included).
+    The scalar equals ``loss_parts(...)["total"]`` at the network jets; the
+    gradient is its derivative by every entry of ``params.flat``, through
+    the full jet computation with its Laplacian and cutoff terms.
 
     The jets use the grid's own cutoff, ``cset.cutoff``, and the loss the
     problem's target on the grid.  As with :func:`batch_jets`, an overflow
@@ -370,10 +372,8 @@ def loss_value(params: NetworkParameters, cset: CollocationSet, problem: Problem
 def finite_difference_gradient(params: NetworkParameters, cset: CollocationSet,
                                problem: ProblemSpec, z: np.ndarray, h: float,
                                beta: float = 0.0) -> np.ndarray:
-    """Central-difference gradient of the loss, component by component.
-
-    Test oracle for :func:`loss_and_gradient`; O(n_params) loss evaluations.
-    """
+    """Central-difference gradient of the loss, component by component: the
+    test oracle of :func:`loss_and_gradient`, O(n_params) loss evaluations."""
     if not h > 0:
         raise ValueError("finite difference step h must be positive")
     flat = params.flat

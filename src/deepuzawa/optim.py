@@ -1,8 +1,9 @@
 """First-order optimisers over flat parameter vectors.
 
 Adam with the usual bias correction is the inner-loop optimiser, with the
-customary constants BETA1, BETA2 and EPS.  Its update is a pure function:
-state and parameters in, new state and parameters out.
+customary constants BETA1, BETA2 and EPS.  Its update works in place: it
+overwrites the parameters and the state's moments, and returns the state
+with its step count advanced.
 """
 from __future__ import annotations
 
@@ -19,27 +20,33 @@ class AdamState:
     v: np.ndarray
     t: int
     lr: float = 1e-3
+    scratch: tuple[np.ndarray, np.ndarray] = ()  # two vectors the step writes through
 
     @staticmethod
     def fresh(n: int, lr: float = 1e-3) -> "AdamState":
-        return AdamState(np.zeros(n), np.zeros(n), 0, lr)
+        return AdamState(np.zeros(n), np.zeros(n), 0, lr, (np.empty(n), np.empty(n)))
 
 
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
-    """One bias-corrected Adam update.
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> AdamState:
+    """One bias-corrected Adam update of ``params``, ``state.m`` and
+    ``state.v`` in place; returns the state with ``t + 1``.
 
     params <- params - lr * m_hat / (sqrt(v_hat) + eps)
     """
-    params = np.asarray(params, dtype=float)
-    grad = np.asarray(grad, dtype=float)
     if params.shape != grad.shape or state.m.shape != params.shape:
         raise ValueError(
             f"mismatched shapes: params {params.shape}, grad {grad.shape}, state {state.m.shape}"
         )
     t = state.t + 1
-    m = BETA1 * state.m + (1.0 - BETA1) * grad
-    v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
-    m_hat = m / (1.0 - BETA1**t)
-    v_hat = v / (1.0 - BETA2**t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
-    return replace(state, m=m, v=v, t=t), new_params
+    m, v, (tmp, tmp2) = state.m, state.v, state.scratch
+    m *= BETA1
+    m += np.multiply(1.0 - BETA1, grad, out=tmp)
+    v *= BETA2
+    np.multiply(1.0 - BETA2, grad, out=tmp)
+    v += np.multiply(tmp, grad, out=tmp)
+    np.divide(m, 1.0 - BETA1**t, out=tmp)  # lr m_hat / (sqrt(v_hat) + eps)
+    tmp *= state.lr
+    np.sqrt(np.divide(v, 1.0 - BETA2**t, out=tmp2), out=tmp2)
+    tmp2 += EPS
+    params -= np.divide(tmp, tmp2, out=tmp)
+    return replace(state, t=t)

@@ -4,13 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from deepuzawa import driver, geometry
+from deepuzawa import driver, geometry, network
 from deepuzawa.closed_forms import EXPERIMENTS, ExactSolution
-from deepuzawa.config import ConfigError, ExperimentConfig
+from deepuzawa.config import LOSS_COLUMNS, ConfigError, ExperimentConfig
 from deepuzawa.driver import problem_for, rho_alpha_sweep, run_deep_uzawa
 from deepuzawa.geometry import Domain, build_grid, l2_norm
-from deepuzawa.lagrangian import residual_values, target_values
-from deepuzawa.network import NetworkSpec, batch_jets, evaluate, init_network
+from deepuzawa.lagrangian import loss_parts, multiplier_update, residual_values, target_values
+from deepuzawa.network import (NetworkSpec, batch_jets, evaluate, init_network,
+                               loss_and_gradient)
+from deepuzawa.optim import BETA1, BETA2, EPS, AdamState, adam_step
 
 TINY_NET = NetworkSpec(1, (8, 8), seed=0)
 
@@ -24,8 +26,8 @@ def tiny_config(**kw):
 
 @pytest.fixture
 def frozen_network(monkeypatch):
-    # every Adam step returns the parameters it was given
-    monkeypatch.setattr(driver, "adam_step", lambda state, flat, grad: (state, flat))
+    # every Adam step leaves the parameters as they were
+    monkeypatch.setattr(driver, "adam_step", lambda state, flat, grad: state)
 
 
 def test_zero_learning_rate_updates_multiplier_only(frozen_network):
@@ -152,6 +154,82 @@ def test_run_computes_the_cutoff_and_the_target_once(monkeypatch):
     rec = run_deep_uzawa(tiny_config(n_uzawa=3, n_sgd=2))
     assert rec.n_updates == 3
     assert calls == {"cutoff": 1, "target": 1}
+
+
+def test_run_builds_its_network_once_and_steps_it_in_place(monkeypatch):
+    # one NetworkParameters, whose layer views see every step, and one pair of moments
+    calls = {"network": 0}
+    built = network.NetworkParameters.__init__
+    seen = []
+
+    def counting_init(self, *args):
+        calls["network"] += 1
+        built(self, *args)
+
+    def recording_step(state, flat, grad):
+        seen.append((state.m, state.v, flat))
+        return adam_step(state, flat, grad)
+
+    monkeypatch.setattr(network.NetworkParameters, "__init__", counting_init)
+    monkeypatch.setattr(driver, "adam_step", recording_step)
+    rec = run_deep_uzawa(tiny_config(n_uzawa=3, n_sgd=2))
+    assert rec.n_updates == 3 and len(seen) == 6
+    assert calls == {"network": 1}
+    m, v, _ = seen[0]
+    assert all(s[0] is m and s[1] is v and s[2] is rec.params.flat for s in seen)
+
+
+def _functional_adam(state, params, grad):
+    """Adam as a function returning new arrays: the reference the in-place step matches."""
+    t = state.t + 1
+    m = BETA1 * state.m + (1.0 - BETA1) * grad
+    v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    return replace(state, m=m, v=v, t=t), params - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def _reference_run(cfg):
+    """run_deep_uzawa's loop without divergence checks, with functional Adam
+    and a new NetworkParameters per step: histories, z and the parameters."""
+    problem, cset = problem_for(cfg)
+    params = init_network(NetworkSpec(1, (cfg.hidden_width,) * cfg.hidden_depth,
+                                      seed=cfg.seed))
+    adam = AdamState.fresh(params.flat.size, lr=cfg.learning_rate)
+    step = cfg.resolved_rho if cfg.beta is None else cfg.beta
+    beta = 0.0 if cfg.beta is None else cfg.beta
+    z = np.zeros(cset.n_interior)
+    mask, w = cset.interior_mask, cset.weights[cset.interior_mask]
+    exact = ExactSolution(cfg.tag, alpha=cfg.alpha)
+    rows = []
+    for _ in range(cfg.n_uzawa):
+        for _ in range(cfg.n_sgd):
+            _, grad = loss_and_gradient(params, cset, problem, z, beta)
+            adam, flat = _functional_adam(adam, params.flat, grad)
+            params = params.with_flat(flat)
+        jets = batch_jets(params, cset.points, cset.cutoff)
+        parts = loss_parts(problem, cset, jets, z, beta)
+        residual = residual_values(problem, jets.u[mask], jets.f[mask], jets.lap_u[mask])
+        z = multiplier_update(z, residual, step)
+        rows.append([np.sqrt(np.dot(w, residual * residual)), np.sqrt(np.dot(w, z * z)),
+                     np.linalg.norm(grad), parts["total"], *(parts[c] for c in LOSS_COLUMNS),
+                     l2_norm(cset, jets.u - exact.state(cset.points)),
+                     l2_norm(cset, jets.f - exact.control(cset.points))])
+    return np.array(rows), z, params.flat
+
+
+@pytest.mark.parametrize("beta", [None, 0.5])
+def test_in_place_run_is_bitwise_the_functional_loop(beta):
+    cfg = tiny_config(hidden_width=4, hidden_depth=3, n_uzawa=4, n_sgd=5, beta=beta)
+    rec = run_deep_uzawa(cfg)
+    history, z, flat = _reference_run(cfg)
+    assert rec.diverged_at is None
+    assert np.array_equal(rec.diagnostics[:, 1:], history[:, :4])
+    assert np.array_equal(rec.loss_history, history[:, 4:8])
+    assert np.array_equal(rec.state_errors, history[:, 8])
+    assert np.array_equal(rec.control_errors, history[:, 9])
+    assert np.array_equal(rec.z, z)
+    assert np.array_equal(rec.params.flat, flat)
 
 
 def test_ac_image_run_builds_its_grid_once(tmp_path, monkeypatch):
