@@ -26,8 +26,7 @@ from .config import (LOSS_COLUMNS, ExperimentConfig, RunResult, load_pgm_target,
                      sample_image_on_grid)
 from .geometry import CollocationSet, Domain, build_grid, l2_norm
 from .lagrangian import ProblemSpec, loss_parts, multiplier_update, residual_values
-from .network import (NetworkParameters, NetworkSpec, batch_jets, evaluate, init_network,
-                      loss_and_gradient)
+from .network import NetworkParameters, NetworkSpec, batch_jets, init_network, loss_and_gradient
 from .optim import AdamState, adam_step
 
 # per update: wall time, weighted interior L2 norms of the constraint residual K
@@ -72,15 +71,16 @@ def problem_for(cfg: ExperimentConfig) -> tuple[ProblemSpec, CollocationSet]:
 def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecord:
     """Execute the full outer/inner iteration for one network experiment.
 
-    Runs exactly ``n_uzawa`` outer steps of ``n_sgd`` Adam updates each.
+    Runs exactly ``n_uzawa`` outer steps of ``n_sgd`` Adam updates each;
+    ``u`` and ``f`` are the full-grid jets that the last recorded errors measure.
     The run diverges at the first outer step where an Adam step's loss or
     new parameters, or the step's own loss on the full grid, is non-finite:
     it stops there with ``diverged_at`` set to that step, the histories of
     the steps before it, and the network (``params``, ``u``, ``f``) of the
     last recorded step, or the initial one when none was recorded, rebuilt
     from the copy of the parameters taken when the diverging step began.
-    ``diverged_reason`` says which check failed,
-    ``inner_loss``, ``adam_step`` or ``update_loss``, and for the first two
+    ``diverged_reason`` says which check failed, ``inner_loss``,
+    ``adam_step`` or ``update_loss``, and for the first two
     ``diverged_inner_step`` gives the Adam step within the update.
     Errors are recorded when the tag has a closed form.  The multiplier
     step is ``beta`` when it is set (the augmented variant, which also adds
@@ -124,6 +124,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                     diverged_at, diverged_reason = k, "update_loss"
             if diverged_at is not None:
                 params = NetworkParameters(network, recorded)
+                jets = batch_jets(params, cset.points, cset.cutoff)
                 break
 
             losses = [parts[c] for c in LOSS_COLUMNS]
@@ -137,7 +138,6 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
             if progress and (k + 1) % 50 == 0:
                 tail = f"  state err {errors[0]:.3e}" if errors else ""
                 print(f"update {k + 1}/{config.n_uzawa}  loss parts {losses}{tail}", flush=True)
-        final_u, final_f = evaluate(params, cset.points, cset.cutoff.b)
     history = np.array(rows).reshape(-1, 9 + len(reference))
     state_errors, control_errors = history[:, 9:].T if reference else (None, None)
     return RunRecord(
@@ -149,8 +149,8 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
         diagnostics=history[:, :5],
         params=params,
         z=z,
-        u=final_u,
-        f=final_f,
+        u=jets.u,
+        f=jets.f,
         diverged_at=diverged_at,
         diverged_reason=diverged_reason,
         diverged_inner_step=diverged_inner_step,

@@ -134,6 +134,12 @@ def _array(ctx, values) -> np.ndarray:
     return np.array([ctx.num(x) for x in values], dtype=ctx.dtype)
 
 
+def _target(ctx, grid: Grid1D, D) -> np.ndarray:
+    if len(D) != grid.n_interior:
+        raise ValueError(f"target D has {len(D)} values for {grid.n_interior} interior points")
+    return _array(ctx, D)
+
+
 def _sum(v, zero):
     """Sum of ``v`` from ``zero``: left to right for Decimals, the order of a
     scalar loop; pairwise for float64."""
@@ -340,7 +346,7 @@ def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
     _check_positive(alpha=alpha)
     ctx = _context(dps)
     with ctx.guard():
-        sol = _solution(*_direct_kkt(grid, ctx.num(alpha), _array(ctx, D), ctx))
+        sol = _solution(*_direct_kkt(grid, ctx.num(alpha), _target(ctx, grid, D), ctx))
     if not all(np.isfinite(v).all() for v in (sol.u, sol.f, sol.z, sol.residual)):
         sol.diverged_at = 0
     return sol
@@ -470,7 +476,7 @@ def _uzawa(grid, alpha, rho, D, iters, dps, project) -> FDRun:
     ctx = _context(dps)
     with ctx.guard():
         a = ctx.num(alpha)
-        D = _array(ctx, D)
+        D = _target(ctx, grid, D)
         spectral = ctx.dtype is float and not project
         if spectral:
             lam, D, reference = _spectral_kkt(grid, a, D)
@@ -551,7 +557,7 @@ def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun
     grow and the run is flagged as diverged once they pass 1e6.
     """
     _check_positive(alpha=alpha)
-    lam, d_hat, (ustar, fstar, _) = _spectral_kkt(grid, alpha, _array(_FloatCtx(), D))
+    lam, d_hat, (ustar, fstar, _) = _spectral_kkt(grid, alpha, _target(_FloatCtx(), grid, D))
     return _iterate(grid, alpha, iters, _FloatCtx(), d_hat, (ustar, fstar, alpha * fstar),
                     _gauss_seidel_steps(alpha, lam, d_hat), spectral=True, z_maxima=False)
 

@@ -284,8 +284,8 @@ def evaluate(params: NetworkParameters, points: np.ndarray,
     """Plain forward evaluation of the cut state and the control, (b * n_u,
     f), without derivative streams and without the workspace.
 
-    It gives a run's final fields and the reference that :func:`grad_check`
-    differences.
+    It is the reference that :func:`grad_check` differences; a training
+    run's fields come from :func:`batch_jets`.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     layers = params.layers

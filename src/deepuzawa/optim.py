@@ -19,8 +19,8 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int
-    lr: float = 1e-3
-    scratch: tuple[np.ndarray, np.ndarray] = ()  # two vectors the step writes through
+    lr: float
+    scratch: tuple[np.ndarray, np.ndarray]  # two vectors the step writes through
 
     @staticmethod
     def fresh(n: int, lr: float = 1e-3) -> "AdamState":

@@ -22,7 +22,7 @@ from deepuzawa.driver import rho_alpha_sweep
 from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_uzawa_run,
                                  gauss_seidel_adjoint_run, sine_target, uzawa_step_bounds)
 from deepuzawa.geometry import Domain, build_grid
-from deepuzawa.network import NetworkParameters, NetworkSpec, evaluate
+from deepuzawa.network import NetworkParameters, NetworkSpec, batch_jets
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -261,9 +261,9 @@ def test_params_npy_and_meta_rebuild_the_written_fields(tmp_path, tag, n_points)
                        seed=int(meta["seed"]))
     params = NetworkParameters(spec, np.load(tmp_path / "params.npy", allow_pickle=False))
     cset = build_grid(Domain(dim), n_points)
-    u, f = evaluate(params, cset.points, cset.cutoff.b)
-    assert np.array_equal(read_csv(tmp_path / "State.csv")[1][:, 0], u)
-    assert np.array_equal(read_csv(tmp_path / "Control.csv")[1][:, 0], f)
+    jets = batch_jets(params, cset.points, cset.cutoff)
+    assert np.array_equal(read_csv(tmp_path / "State.csv")[1][:, 0], jets.u)
+    assert np.array_equal(read_csv(tmp_path / "Control.csv")[1][:, 0], jets.f)
 
 
 def test_augmented_meta_lists_beta_not_resolved_rho(tmp_path, capsys):

@@ -111,6 +111,20 @@ def test_record_errors_matches_manual_norms():
     assert (rec.state_errors[-1], rec.control_errors[-1]) == _final_errors(rec, exact)
 
 
+@pytest.mark.parametrize("kw, diverged_at", [
+    pytest.param(dict(n_uzawa=3), None, id="normal"),
+    # the multiplier overflows the inner loss at update 2: update 1's network is kept
+    pytest.param(dict(n_uzawa=6, rho=1e307, seed=6), 2, id="diverged"),
+])
+def test_final_fields_are_the_ones_the_last_errors_measure(kw, diverged_at):
+    # at 201 points and 3x64, evaluate rounds the output layer unlike the jets
+    rec = run_deep_uzawa(tiny_config(n_points=201, hidden_width=64, hidden_depth=3, **kw))
+    assert rec.diverged_at == diverged_at
+    exact, cset = ExactSolution("sine1d", alpha=1e-2), rec.cset
+    assert rec.state_errors[-1] == l2_norm(cset, rec.u - exact.state(cset.points))
+    assert rec.control_errors[-1] == l2_norm(cset, rec.f - exact.control(cset.points))
+
+
 def test_exact_solution_resolution():
     # the closed form is looked up by the tag alone, with the run's alpha and epsilon
     for tag, alpha, epsilon in [("sine1d", 0.5, None), ("sine2d", 0.5, None),
@@ -309,7 +323,8 @@ def test_divergence_recorded_not_raised(alpha, lr, rho):
     else:
         kept = init_network(TINY_NET)
     assert np.array_equal(rec.params.flat, kept.flat)
-    assert np.array_equal(rec.u, evaluate(kept, rec.cset.points, rec.cset.cutoff.b)[0])
+    jets = batch_jets(kept, rec.cset.points, rec.cset.cutoff)
+    assert np.array_equal(rec.u, jets.u) and np.array_equal(rec.f, jets.f)
 
 
 def test_multiplier_drift_bounded_by_rho_times_residual(frozen_network):

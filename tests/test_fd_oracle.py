@@ -237,6 +237,25 @@ def test_direct_kkt_zero_target():
     assert np.all(sol.u == 0.0) and np.all(sol.f == 0.0) and np.all(sol.z == 0.0)
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("method, dps", [
+    ("direct", None), ("direct", 30), ("uzawa", None), ("uzawa", 30),
+    ("projected", None), ("projected", 30), ("gauss_seidel", None),
+])
+def test_target_of_the_wrong_length_is_refused(method, dps, extra):
+    # the Decimal LDL^T solve zips its factor against the target, so an
+    # unchecked short target would come back as a short "solution"
+    solve = {
+        "direct": lambda g, d: fd_direct_kkt_solve(g, ALPHA, d, dps=dps),
+        "uzawa": lambda g, d: fd_uzawa_run(g, ALPHA, ALPHA / 4, d, 2, dps=dps),
+        "projected": lambda g, d: fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, d, 2, dps=dps),
+        "gauss_seidel": lambda g, d: gauss_seidel_adjoint_run(g, 1.0, d, 2),
+    }[method]
+    g = Grid1D(11)
+    with pytest.raises(ValueError, match=f"target D has {9 + extra} values for 9 interior"):
+        solve(g, np.ones(g.n_interior + extra))
+
+
 def test_direct_kkt_solve_whose_backward_error_overflows_diverges_at_0():
     # at alpha = 1e300 the fields are finite, but alpha B u overflows and
     # the backward error is NaN

@@ -16,6 +16,12 @@ def test_adam_first_step_is_signed_unit_step():
     assert new_state.t == 1
 
 
+def test_adam_state_needs_its_rate_and_scratch():
+    # a state without scratch vectors could not take a step
+    with pytest.raises(TypeError):
+        AdamState(np.zeros(3), np.zeros(3), 0)
+
+
 def test_adam_zero_gradient_keeps_params():
     state = AdamState.fresh(3)
     params = np.array([1.0, -2.0, 3.0])
