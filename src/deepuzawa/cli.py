@@ -8,12 +8,14 @@ Subcommands:
                       finite differences (acceptance criteria 1-2)
   sweep <config> --alphas A1 A2 ...   one run per regularisation weight
 
-Exit codes: 0 success, 1 validation error or out of memory, 2 numerical
-divergence (for the Uzawa oracles also a step rho at or above the
-contraction bound rho_max).
+Exit codes: 0 success, 1 validation error, out of memory or a worker
+process that died, 2 numerical divergence (for the Uzawa oracles also a
+step rho at or above the contraction bound rho_max), 130 interrupted
+(Ctrl-C).
 """
 import argparse
 import contextlib
+import io
 import os
 import sys
 from dataclasses import fields
@@ -26,6 +28,7 @@ from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa, sweep_d
 from .fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run, fd_uzawa_run,
                         gauss_seidel_adjoint_run, gauss_seidel_rate, uzawa_step_bounds)
 from .network import CHECK_BOUND, grad_check, save_checkpoint
+from .parallel import in_processes
 
 # the finite-difference oracle solves Poisson on the unit interval
 _ORACLE_TAGS = tuple(tag for tag, row in EXPERIMENTS.items()
@@ -107,54 +110,74 @@ def _oracle_methods(cfg: ExperimentConfig) -> list[str]:
     return list(_ORACLE_META) if cfg.oracle_method == "all" else [cfg.oracle_method]
 
 
+def _oracle_method(cfg: ExperimentConfig, method: str, grid: Grid1D, target, out_dir: str,
+                   quiet: bool) -> tuple[int, str, str]:
+    """Run one oracle method and write its directory: its exit status and
+    the text it prints to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = _run_oracle_method(cfg, method, grid, target, out_dir, quiet)
+    return status, out.getvalue(), err.getvalue()
+
+
+def _run_oracle_method(cfg, method, grid, target, out_dir, quiet) -> int:
+    """:func:`_oracle_method`'s work, printing its lines."""
+    keys = _ORACLE_META[method]
+    if method == "direct":
+        sol = fd_direct_kkt_solve(grid, cfg.alpha, target, dps=cfg.precision_dps)
+        emit_csv(sol, out_dir, _meta_from(cfg, keys, out_dir, {
+            "method": method, "backward_error": sol.residual}))
+        if not quiet:
+            print(f"direct solve: backward error {sol.residual:.2e}")
+        return _diverged(sol, "direct oracle", "iteration")
+    rho = cfg.resolved_rho
+    if method == "gauss_seidel":
+        run = gauss_seidel_adjoint_run(grid, cfg.alpha, target, cfg.oracle_iters)
+        extra = {"method": method, "kappa_max": gauss_seidel_rate(grid, cfg.alpha)}
+    else:
+        uzawa = fd_uzawa_run if method == "uzawa" else fd_projected_uzawa_run
+        run = uzawa(grid, cfg.alpha, rho, target, cfg.oracle_iters, dps=cfg.precision_dps)
+        rho_max, kappa_max = uzawa_step_bounds(grid, cfg.alpha, rho)
+        extra = {"method": method, "resolved_rho": rho, "rho_max": rho_max,
+                 "kappa_max": kappa_max}
+    emit_csv(run, out_dir, _meta_from(cfg, keys, out_dir, extra))
+    write_csv(os.path.join(out_dir, "Diagnostics.csv"), ("iteration", "multiplier_error"),
+              range(len(run.z_errors)), run.z_errors)
+    if not quiet and len(run.state_errors):
+        print(f"{method}: final state error {run.state_errors[-1]:.3e}"
+              f" control error {run.control_errors[-1]:.3e}")
+    status = _diverged(run, f"{method} oracle", "iteration")
+    if not status and "rho_max" in extra and rho >= rho_max:
+        # an inadmissible step need not pass the divergence limit: the
+        # projected run can settle into a cycle
+        print(f"{method} oracle step rho = {rho:g} is not below rho_max = {rho_max:.10g}",
+              file=sys.stderr)
+        status = 2
+    return status
+
+
 def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
     grid = Grid1D(cfg.n_points)
     # the table's float64 target; each solver rounds it into its arithmetic
     target = EXPERIMENTS[cfg.tag].target(grid.interior_x()[:, None], cfg.alpha, None)
-    rho = cfg.resolved_rho
     methods = _oracle_methods(cfg)
+    calls = [(cfg, method, grid, target,
+              cfg.output_dir if len(methods) == 1 else os.path.join(cfg.output_dir, method),
+              quiet) for method in methods]
     code = 0
-    for method in methods:
-        out_dir = cfg.output_dir if len(methods) == 1 else os.path.join(cfg.output_dir, method)
-        keys = _ORACLE_META[method]
-        if method == "direct":
-            sol = fd_direct_kkt_solve(grid, cfg.alpha, target, dps=cfg.precision_dps)
-            emit_csv(sol, out_dir, _meta_from(cfg, keys, out_dir, {
-                "method": method, "backward_error": sol.residual}))
-            if not quiet:
-                print(f"direct solve: backward error {sol.residual:.2e}")
-            code = max(code, _diverged(sol, "direct oracle", "iteration"))
-            continue
-        if method == "gauss_seidel":
-            run = gauss_seidel_adjoint_run(grid, cfg.alpha, target, cfg.oracle_iters)
-            extra = {"method": method, "kappa_max": gauss_seidel_rate(grid, cfg.alpha)}
-        else:
-            uzawa = fd_uzawa_run if method == "uzawa" else fd_projected_uzawa_run
-            run = uzawa(grid, cfg.alpha, rho, target, cfg.oracle_iters, dps=cfg.precision_dps)
-            rho_max, kappa_max = uzawa_step_bounds(grid, cfg.alpha, rho)
-            extra = {"method": method, "resolved_rho": rho, "rho_max": rho_max,
-                     "kappa_max": kappa_max}
-        emit_csv(run, out_dir, _meta_from(cfg, keys, out_dir, extra))
-        write_csv(os.path.join(out_dir, "Diagnostics.csv"), ("iteration", "multiplier_error"),
-                  range(len(run.z_errors)), run.z_errors)
-        if not quiet and len(run.state_errors):
-            print(f"{method}: final state error {run.state_errors[-1]:.3e}"
-                  f" control error {run.control_errors[-1]:.3e}")
-        status = _diverged(run, f"{method} oracle", "iteration")
-        if not status and "rho_max" in extra and rho >= rho_max:
-            # an inadmissible step need not pass the divergence limit: the
-            # projected run can settle into a cycle
-            print(f"{method} oracle step rho = {rho:g} is not below rho_max = {rho_max:.10g}",
-                  file=sys.stderr)
-            status = 2
-        code = max(code, status)
+    # each method writes its own directory; its lines are printed in method order
+    with contextlib.closing(in_processes(_oracle_method, calls)) as results:
+        for status, out, err in results:
+            sys.stdout.write(out)
+            sys.stderr.write(err)
+            code = max(code, status)
     return code
 
 
 def _cmd_sweep(cfg: ExperimentConfig, alphas, quiet: bool) -> int:
     records = rho_alpha_sweep(cfg, alphas)  # every alpha is checked; none has run
     code = 0
-    with _run_dirs([sweep_dir(cfg.output_dir, a) for a in alphas]):
+    with _run_dirs([sweep_dir(cfg.output_dir, a) for a in alphas]), contextlib.closing(records):
         for a, record in zip(alphas, records):
             _write_run(record)
             if not quiet:
@@ -195,9 +218,9 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="one run per alpha")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--alphas", nargs="+", type=float, required=True)
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         if args.command == "grad-check":
             return _cmd_grad_check(args.quiet)
         cfg, lines = read_config(args.config)
@@ -231,6 +254,9 @@ def main(argv=None) -> int:
     except MemoryError:  # its message is empty
         print("error: out of memory", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # every worker has been stopped on the way out
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

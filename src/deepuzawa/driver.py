@@ -28,6 +28,7 @@ from .geometry import CollocationSet, Domain, build_grid, l2_norm
 from .lagrangian import ProblemSpec, loss_parts, multiplier_update, residual_values
 from .network import NetworkParameters, NetworkSpec, batch_jets, init_network, loss_and_gradient
 from .optim import AdamState, adam_step
+from .parallel import in_processes
 
 # per update: wall time, weighted interior L2 norms of the constraint residual K
 # and of the updated multiplier, the last inner step's gradient norm, the loss
@@ -169,8 +170,9 @@ def rho_alpha_sweep(base: ExperimentConfig, alphas) -> Iterator[RunRecord]:
     (:func:`sweep_dir`).
     Every config and its problem is built before the first run: alphas
     that would share a directory, or whose target is not finite, raise
-    ValueError, and an alpha out of range ConfigError.  Then each run starts
-    when the one before it has been taken from the iterator."""
+    ValueError, and an alpha out of range ConfigError.  The runs then go
+    through :func:`~deepuzawa.parallel.in_processes`: the iterator yields
+    each record, in alpha order, as it arrives."""
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alpha sweep needs at least one value")
@@ -183,4 +185,4 @@ def rho_alpha_sweep(base: ExperimentConfig, alphas) -> Iterator[RunRecord]:
     configs = [replace(base, alpha=float(a), output_dir=path) for a, path in zip(alphas, dirs)]
     for cfg in configs:
         problem_for(cfg)
-    return map(run_deep_uzawa, configs)
+    return in_processes(run_deep_uzawa, [(cfg,) for cfg in configs])

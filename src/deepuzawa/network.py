@@ -38,6 +38,7 @@ import numpy as np
 from .closed_forms import EXPERIMENTS
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
 from .lagrangian import ProblemSpec, loss_parts, pointwise_gradients
+from .parallel import usable_cpus
 
 
 def _add_product(acc, tmp, *factors):
@@ -102,6 +103,10 @@ class NetworkParameters:
 
     def with_flat(self, flat: np.ndarray) -> "NetworkParameters":
         return NetworkParameters(self.spec, flat)
+
+    def __reduce__(self):
+        # pickled field by field, a copy's layers would not view its flat vector
+        return NetworkParameters, (self.spec, self.flat)
 
 
 def init_network(spec: NetworkSpec) -> NetworkParameters:
@@ -191,8 +196,7 @@ def _in_halves(fn, calls: list[tuple]) -> list:
     on the helper thread, under this thread's numpy error state (no other
     thread sees it), or inline when the process may use one CPU; the bits
     are the same either way."""
-    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
-    if len(calls) == 1 or len(cpus(0)) == 1:
+    if len(calls) == 1 or usable_cpus() == 1:
         return [fn(*args) for args in calls]
     future = _helper(os.getpid()).submit(np.errstate(**np.geterr())(fn), *calls[1])
     try:

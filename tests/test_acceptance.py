@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured values (run with ``pytest tests/test_acceptance.py -v -s``).
 
-The training-based criteria share module-scoped runs; the whole module takes
-under two minutes of CPU time (101 s on a 2-vCPU Xeon VM with one BLAS
-thread), 100 s of it in five full 500 x 40 trainings.
+The training-based criteria share five full 500 x 40 trainings, 100 s of CPU
+time, built in one module-scoped fixture in worker processes, one per usable
+CPU: on a 2-vCPU Xeon VM with one BLAS thread the module takes 59 s.
 """
 import time
 
@@ -16,6 +16,7 @@ from deepuzawa.driver import run_deep_uzawa
 from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run,
                                  fd_uzawa_run, grid_norm, sine_target)
 from deepuzawa.network import CHECK_BOUND, grad_check
+from deepuzawa.parallel import in_processes
 from reference_checks import residual_check_boundary_layer
 
 pytestmark = pytest.mark.acceptance
@@ -31,29 +32,22 @@ def _report(num, detail):
 # shared full-scale training runs (paper-default budgets)
 
 
-@pytest.fixture(scope="module")
-def run_sine_alpha4():
-    return run_deep_uzawa(ExperimentConfig("sine1d", alpha=1e-4))
+# the paper-default configs of the five trainings the criteria share
+TRAININGS = {
+    "sine_alpha4": ExperimentConfig("sine1d", alpha=1e-4),
+    "sine_alpha0": ExperimentConfig("sine1d", alpha=1.0),
+    "sine_alpha8": ExperimentConfig("sine1d", alpha=1e-8),
+    "sine_augmented": ExperimentConfig("sine1d", alpha=1e-4, beta=1e-4),
+    "allen_cahn": ExperimentConfig("ac_sine", alpha=1e-4, epsilon=1.0),
+}
 
 
 @pytest.fixture(scope="module")
-def run_sine_alpha0():
-    return run_deep_uzawa(ExperimentConfig("sine1d", alpha=1.0))
-
-
-@pytest.fixture(scope="module")
-def run_sine_alpha8():
-    return run_deep_uzawa(ExperimentConfig("sine1d", alpha=1e-8))
-
-
-@pytest.fixture(scope="module")
-def run_sine_augmented():
-    return run_deep_uzawa(ExperimentConfig("sine1d", alpha=1e-4, beta=1e-4))
-
-
-@pytest.fixture(scope="module")
-def run_allen_cahn():
-    return run_deep_uzawa(ExperimentConfig("ac_sine", alpha=1e-4, epsilon=1.0))
+def trainings():
+    # independent runs: one per worker process at a time, each bitwise the
+    # run it would be in this process
+    records = list(in_processes(run_deep_uzawa, [(cfg,) for cfg in TRAININGS.values()]))
+    return dict(zip(TRAININGS, records))
 
 
 @pytest.fixture(scope="module")
@@ -161,8 +155,8 @@ def test_criterion_6_boundary_layer_closed_form():
                + f" (bound 1e-8); endpoints zero to 1e-12; {elapsed:.2f}s")
 
 
-def test_criterion_7_deep_uzawa_sine_defaults(run_sine_alpha4):
-    rec = run_sine_alpha4
+def test_criterion_7_deep_uzawa_sine_defaults(trainings):
+    rec = trainings["sine_alpha4"]
     assert rec.diverged_at is None and rec.n_updates == 500
     state_rel = rec.state_errors[-1] / STATE_NORM
     control_rel = rec.control_errors[-1] / CONTROL_NORM
@@ -172,7 +166,8 @@ def test_criterion_7_deep_uzawa_sine_defaults(run_sine_alpha4):
                f"control {control_rel:.2e} (bound 5e-2)")
 
 
-def test_criterion_8_augmented_comparable(run_sine_alpha4, run_sine_augmented):
+def test_criterion_8_augmented_comparable(trainings):
+    run_sine_alpha4, run_sine_augmented = trainings["sine_alpha4"], trainings["sine_augmented"]
     uz = run_sine_alpha4.state_errors[-1] / STATE_NORM
     aug = run_sine_augmented.state_errors[-1] / STATE_NORM
     assert run_sine_augmented.n_updates == 500
@@ -182,8 +177,8 @@ def test_criterion_8_augmented_comparable(run_sine_alpha4, run_sine_augmented):
                f"variant {uz:.2e}, augmented {aug:.2e} (bound 1e-2 each)")
 
 
-def test_criterion_9_allen_cahn_sine(run_allen_cahn):
-    rec = run_allen_cahn
+def test_criterion_9_allen_cahn_sine(trainings):
+    rec = trainings["allen_cahn"]
     assert rec.diverged_at is None
     state_rel = rec.state_errors[-1] / STATE_NORM
     assert state_rel <= 5e-2
@@ -198,7 +193,9 @@ def test_criterion_9_allen_cahn_sine(run_allen_cahn):
                f"tail medians {first:.2e} -> {second:.2e} (slack 1.1x)")
 
 
-def test_criterion_10_alpha_robustness(run_sine_alpha0, run_sine_alpha4, run_sine_alpha8):
+def test_criterion_10_alpha_robustness(trainings):
+    run_sine_alpha0, run_sine_alpha4, run_sine_alpha8 = (
+        trainings[name] for name in ("sine_alpha0", "sine_alpha4", "sine_alpha8"))
     s1 = run_sine_alpha0.state_errors[-1]
     s4 = run_sine_alpha4.state_errors[-1]
     ratio = max(s1, s4) / min(s1, s4)

@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
 import decimal
 import math
+import multiprocessing
 import os
 import re
+import shutil
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -23,6 +28,7 @@ from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_uzawa_run,
                                  gauss_seidel_adjoint_run, sine_target, uzawa_step_bounds)
 from deepuzawa.geometry import Domain, build_grid
 from deepuzawa.network import NetworkParameters, NetworkSpec, batch_jets
+from deepuzawa.parallel import usable_cpus
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -1124,6 +1130,126 @@ output_dir = {tmp_path / 'sweep'}
     assert main(["-q", "sweep", cfg, "--alphas", "1"]) == 0
     meta = (tmp_path / "sweep" / "alpha_1" / "meta.txt").read_text().splitlines()
     assert "resolved_rho = 0.5" in meta
+
+
+def _files(root):
+    """Every file under ``root`` by relative path, with its bytes; a network
+    run's Diagnostics.csv without its wall_s column."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "Diagnostics.csv" and data.startswith(b"update,wall_s,"):
+                rows = [line.split(b",") for line in data.splitlines()]
+                data = b"\n".join(b",".join(row[:1] + row[2:]) for row in rows)
+            files[path.relative_to(root).as_posix()] = data
+    return files
+
+
+# a few updates of a small network: two sweep runs cost well under a second
+SMALL_RUN = "n_uzawa = 3\nn_sgd = 5\nn_points = 21\nhidden_width = 8\nhidden_depth = 2\n"
+
+
+def test_one_cpu_runs_oracle_and_sweep_inline_with_the_pooled_bits(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    oracle = write(tmp_path, "tag = sine1d\nalpha = 1e-2\nn_points = 41\noracle_iters = 20\n"
+                             f"oracle_method = all\noutput_dir = {out}\n", "oracle.cfg")
+    sweep = write(tmp_path, f"tag = sine1d\n{SMALL_RUN}output_dir = {out}\n", "sweep.cfg")
+    # a call records its process here; a worker's record is lost with the worker
+    pids = []
+    for module, name in ((cli, "_oracle_method"), (driver, "run_deep_uzawa")):
+        def recording(*args, real=getattr(module, name)):
+            pids.append(os.getpid())
+            return real(*args)
+        monkeypatch.setattr(module, name, recording)
+    written = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        pids.clear()
+        assert main(["-q", "oracle", oracle]) == 0
+        assert main(["-q", "sweep", sweep, "--alphas", "1", "1e-2"]) == 0
+        assert pids == ([] if len(cpus) > 1 else [os.getpid()] * 6)
+        assert multiprocessing.active_children() == []
+        written.append(_files(out))
+        shutil.rmtree(out)
+    assert len(written[0]) == 3 * 6 + 3 + 2 * 7
+    assert written[0] == written[1]
+
+
+def test_cli_oracle_whose_write_fails_in_one_worker_is_one_line(tmp_path, capsys, monkeypatch):
+    # the methods before it in method order print their lines, as inline
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "oracle"
+    out.mkdir()
+    (out / "projected").write_text("")
+    cfg = write(tmp_path, "tag = sine1d\nalpha = 1e-2\nn_points = 41\noracle_iters = 20\n"
+                          f"oracle_method = all\noutput_dir = {out}\n")
+    assert main(["oracle", cfg]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1 and captured.out.startswith("uzawa: ")
+    assert captured.err == f"error: [Errno 17] File exists: '{out / 'projected'}'\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_sweep_whose_worker_dies_is_one_line(tmp_path, capsys, monkeypatch):
+    # as the out-of-memory killer would: the worker ends without a result
+    run = driver.run_deep_uzawa
+
+    def killed_at_second_alpha(config):
+        if config.alpha == 1e-2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(config)
+
+    monkeypatch.setattr(driver, "run_deep_uzawa", killed_at_second_alpha)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = write(tmp_path, f"tag = sine1d\n{TINY_RUN}output_dir = {tmp_path / 'sweep'}\n")
+    assert main(["-q", "sweep", cfg, "--alphas", "1", "1e-2"]) == 1
+    assert capsys.readouterr().err == "error: a worker process died before returning its result\n"
+    assert multiprocessing.active_children() == []
+
+
+def _group(pgid):
+    """Pids of the processes in process group ``pgid``, zombies included."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            group = int(stat.read_text().rsplit(")", 1)[1].split()[2])
+        except (OSError, IndexError, ValueError):  # a process that just ended
+            continue
+        if group == pgid:
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process groups in /proc")
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "1", "1e-2"]],
+                         ids=["run", "sweep"])
+def test_ctrl_c_exits_130_in_one_line_and_leaves_no_process(tmp_path, command):
+    out = tmp_path / "out"
+    cfg = write(tmp_path, "tag = sine1d\nn_uzawa = 100000\nn_sgd = 40\nn_points = 21\n"
+                          f"hidden_width = 8\nhidden_depth = 2\noutput_dir = {out}\n")
+    # its own session: the Ctrl-C below reaches this command's processes only
+    proc = subprocess.Popen([sys.executable, "-c",
+                             "import sys; from deepuzawa.cli import main; sys.exit(main(sys.argv[1:]))",
+                             "-q", command[0], cfg, *command[1:]], env=_with_src(dict(os.environ)),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    # the command, and a sweep's worker per run when it pools them
+    members = 1 + (min(2, usable_cpus()) if command[0] == "sweep" and usable_cpus() > 1 else 0)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out.exists() and len(_group(proc.pid)) == members):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        time.sleep(0.5)  # into the training steps
+        os.killpg(proc.pid, signal.SIGINT)  # a terminal sends Ctrl-C to the whole group
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert (proc.returncode, stderr, stdout) == (130, "interrupted\n", "")
+    assert _group(proc.pid) == []
 
 
 def _read_meta(path):

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import pickle
 import threading
 import tracemalloc
 
@@ -26,6 +27,20 @@ def _poisson_case(dim, n, hidden, seed=0, z_seed=None):
 def test_parameter_count_1_8_8_2():
     # sum over layers of d_out * (d_in + 1): 8*2 + 8*9 + 2*9
     assert NetworkSpec(1, (8, 8)).n_parameters == 106
+
+
+def test_parameters_pickle_as_spec_and_flat_and_keep_their_layer_views():
+    # a record a worker process returns is unpickled: Adam's in-place steps
+    # on its flat vector must still reach its layers
+    params = init_network(NetworkSpec(2, (3, 4), seed=7))
+    copy = pickle.loads(pickle.dumps(params))
+    assert copy.spec == params.spec
+    assert np.array_equal(copy.flat, params.flat)
+    for (w, b), (w0, b0) in zip(copy.layers, params.layers):
+        assert np.shares_memory(w, copy.flat) and np.shares_memory(b, copy.flat)
+        assert np.array_equal(w, w0) and np.array_equal(b, b0)
+    copy.flat += 1.0
+    assert np.array_equal(copy.layers[0][0], params.layers[0][0] + 1.0)
 
 
 def test_parameter_count_2_4_4_4_2():
