@@ -35,7 +35,10 @@ the DST-I diagonalises.  In float64 the saddle point is computed on DST-I
 coefficients, a solve of an unmodified matrix is two DST-I through
 ``numpy.fft`` and a division by the eigenvalues, and the runs that clamp
 nothing (plain Uzawa, Gauss-Seidel) iterate on the coefficients: seven DST-I
-whatever their length, D in and the final fields and reference out.
+whatever their length, D in and the final fields and reference out.  The
+projected run takes the plain run's coefficient steps, and its bits, while a
+certificate proves that no clamp would act (one DST-I per iterate, for z on
+the grid); a target it rejects runs on the grid from the first iterate.
 Systems with clamped entries (no longer polynomials in T) and all Decimal
 solves use the banded LDL^T, the only recurrences that loop over scalars; a
 run factorises its inner-solve matrix once, into multipliers and reciprocal
@@ -58,6 +61,9 @@ _DIVERGENCE_LIMIT = 1e6
 # KKT tolerance of the nonnegative inner solve of the projected run
 _INNER_TOL = 1e-10
 _MAX_PASSES = 80  # active-set changes before the run diverges
+# the float64 projected run certifies b <= _CLAMP_MARGIN gamma (_unclamped_run),
+# where b < gamma suffices in exact arithmetic: the other half is a margin for rounding
+_CLAMP_MARGIN = 0.5
 _REPORT_DPS = 20  # digits of the Decimal diagnostics; their float64 report needs 17
 
 
@@ -421,19 +427,19 @@ def _solve_nonneg(bands, solve, rhs, ctx, tol):
     return np.full(len(d), ctx.num(math.nan), dtype=ctx.dtype)
 
 
-def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -> FDRun:
+def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_max) -> FDRun:
     """The run loop of every iterative oracle.
 
     ``steps`` yields one iterate (u, f, z, lap_u) per ``next`` in the scalars
     of ``ctx``; with ``spectral`` all are DST-I coefficients, summed with the
     weight 2 h^2 in place of h (Parseval).  The loop takes iters + 1
     iterates, recording for each, in ``ctx.report``, the distances to
-    ``reference`` = (u*, f*, z*), a loss row and, with ``z_maxima``, the
-    largest multiplier entry; it stops, with ``diverged_at`` set and nothing
-    recorded, at the first iterate whose state or control error exceeds
-    ``_DIVERGENCE_LIMIT`` or is NaN, or whose errors or loss row are not all
-    finite.  The fields returned are those of the last recorded iterate, or
-    of iterate 0 when none was recorded.
+    ``reference`` = (u*, f*, z*), a loss row and, with ``z_max``, the
+    largest multiplier entry on the grid, ``z_max(z)``; it stops, with
+    ``diverged_at`` set and nothing recorded, at the first iterate whose
+    state or control error exceeds ``_DIVERGENCE_LIMIT`` or is NaN, or whose
+    errors or loss row are not all finite.  The fields returned are those
+    of the last recorded iterate, or of iterate 0 when none was recorded.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
@@ -441,7 +447,7 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -
     h = ctx.num(1) / (grid.n - 1)
     w = 2 * h * h if spectral else h
     ustar, fstar, zstar = reference
-    rows, z_max = [], []
+    rows, z_maxima = [], []
     diverged_at = None
     for k in range(iters + 1):
         u, f, z, lap_u = next(steps)
@@ -454,8 +460,8 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -
             break
         kept = u, f, z
         rows.append(row)
-        if z_maxima:
-            z_max.append(float(z.max()))
+        if z_max:
+            z_maxima.append(float(z_max(z)))
     if diverged_at:
         u, f, z = kept
     back = _idst1 if spectral else (lambda v: v)
@@ -465,33 +471,85 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_maxima) -
         loss_history=history[:, 3:],
         u=back(u).astype(float), f=back(f).astype(float), z=back(z).astype(float),
         reference=_solution(*map(back, reference)),
-        z_history=np.array(z_max) if z_maxima else None, diverged_at=diverged_at,
+        z_history=np.array(z_maxima) if z_max else None, diverged_at=diverged_at,
     )
 
 
 def _uzawa(grid, alpha, rho, D, iters, dps, project) -> FDRun:
     """Both Uzawa runs, in the plain run's multiplier; ``project`` keeps
-    u >= 0 in the inner solve, f >= 0 and z <= 0."""
+    u >= 0 in the inner solve, f >= 0 and z <= 0.  In float64 the plain run
+    iterates on DST-I coefficients, and so does the projected run when
+    :func:`_unclamped_run` proves that no clamp acts; else it iterates on
+    the grid."""
     _check_positive(alpha=alpha, rho=rho)
     ctx = _context(dps)
     with ctx.guard():
         a = ctx.num(alpha)
         D = _target(ctx, grid, D)
-        spectral = ctx.dtype is float and not project
-        if spectral:
-            lam, D, reference = _spectral_kkt(grid, a, D)
+        if ctx.dtype is float:
+            lam, d_hat, reference = _spectral_kkt(grid, a, D)
             mu = (a / 2) * lam**2 + 1
-            lap, solve = (lambda v: lam * v), (lambda r: r / mu)
-        else:
-            m, h = grid.n_interior, ctx.num(1) / (grid.n - 1)
-            q = 1 / (h * h)
-            lap, solve = functools.partial(_laplacian_apply, q=q), _solver(ctx, a / 2, q, m)
-            if project:
-                tol, bands = ctx.num(_INNER_TOL), _biharmonic_bands(a / 2, q, m, ctx.num(1))
-                solve = functools.partial(_solve_nonneg, bands, solve, ctx=ctx, tol=tol)
-            reference = _direct_kkt(grid, a, D, ctx)[:3]
+            steps = _uzawa_steps(a, rho, d_hat, ctx, False, lambda v: lam * v, lambda r: r / mu)
+            if not project:
+                return _iterate(grid, alpha, iters, ctx, d_hat, reference, steps, True, None)
+            run = _unclamped_run(grid, alpha, iters, ctx, d_hat, reference, steps)
+            if run is not None:
+                return run
+        m, h = grid.n_interior, ctx.num(1) / (grid.n - 1)
+        q = 1 / (h * h)
+        lap, solve = functools.partial(_laplacian_apply, q=q), _solver(ctx, a / 2, q, m)
+        if project:
+            tol, bands = ctx.num(_INNER_TOL), _biharmonic_bands(a / 2, q, m, ctx.num(1))
+            solve = functools.partial(_solve_nonneg, bands, solve, ctx=ctx, tol=tol)
+        reference = _direct_kkt(grid, a, D, ctx)[:3]
         steps = _uzawa_steps(a, rho, D, ctx, project, lap, solve)
-        return _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, project)
+        return _iterate(grid, alpha, iters, ctx, D, reference, steps, False,
+                        np.max if project else None)
+
+
+class _ClampMayAct(Exception):
+    """A certified projected iterate that a clamp might change."""
+
+
+def _unclamped_run(grid, alpha, iters, ctx, d_hat, reference, steps):
+    """The float64 projected run as the plain run's iterates ``steps`` on
+    DST-I coefficients, when a certificate proves at every iterate that the
+    projected run's clamps would change nothing; else None.
+
+    With x_i the grid points and gamma = min_i u*_i / sin(pi x_i) > 0, an
+    iterate's u lies within b sin(pi x_i) of u*_i on the grid,
+    b = (2 / (m + 1)) sum_j j |u^_j - u*^_j|, because |sin j t| <= j |sin t|:
+    b <= _CLAMP_MARGIN gamma gives u > 0, which the nonnegative inner solve
+    returns unclamped.  Its z on the grid, one inverse DST-I, must be <= 0:
+    then f = -(2/alpha) z >= 0 and neither the f nor the z clamp acts.  Both
+    checks need a saddle point with u* > 0 and z* < 0 on the grid.
+    """
+    u_star, _, z_star = reference
+    gamma = (_idst1(u_star) / np.sin(np.pi * grid.interior_x())).min()
+    if not (gamma > 0 and _idst1(z_star).max() < 0):
+        return None
+    j = np.arange(1.0, len(u_star) + 1)
+    sum_limit = _CLAMP_MARGIN * gamma * (len(u_star) + 1) / 2  # b's bound, times (m + 1) / 2
+
+    def certified():
+        for u, f, z, lap_u in steps:
+            if not j @ np.abs(u - u_star) <= sum_limit:
+                raise _ClampMayAct
+            yield u, f, z, lap_u
+
+    def z_max(z):
+        peak = _idst1(z).max()
+        if not peak <= 0:
+            raise _ClampMayAct
+        return peak
+
+    try:
+        run = _iterate(grid, alpha, iters, ctx, d_hat, reference, certified(), True, z_max)
+    except _ClampMayAct:
+        return None
+    # np.where sets a tie to +0, as the clamp does
+    run.f = np.where(run.f <= 0, 0.0, run.f)
+    return run
 
 
 def _uzawa_steps(a, rho, D, ctx, project, lap, solve):
@@ -533,8 +591,13 @@ def fd_projected_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int
     active set), f = max(-(2/alpha) z, 0), and z <- min(z + rho (lap_h u + f), 0).
     It reports the negated, nonnegative multiplier (``z``, ``reference.z``,
     ``z_history``).  With a nonnegative unconstrained saddle point it is
-    :func:`fd_uzawa_run` with z negated: exactly in Decimal, in float64 up
-    to its grid iteration's rounding, which T amplifies.
+    :func:`fd_uzawa_run` with z negated: exactly in Decimal, and in float64
+    while a certificate proves on every iterate that no clamp acts (u* > 0
+    and z* < 0 on the grid, every iterate's u within half of u*'s margin
+    above zero and its z <= 0 on the grid), for then it takes the plain
+    run's steps on DST-I coefficients.  A target the certificate rejects at
+    any iterate runs on the grid from iterate 0, with the grid iteration's
+    rounding, which T amplifies.
 
     An inner solve whose active set cycles gives a NaN state, and the run
     diverges at that iterate: on sin(37 pi x) at n = 201, alpha = 1e-2,
@@ -559,7 +622,7 @@ def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun
     _check_positive(alpha=alpha)
     lam, d_hat, (ustar, fstar, _) = _spectral_kkt(grid, alpha, _target(_FloatCtx(), grid, D))
     return _iterate(grid, alpha, iters, _FloatCtx(), d_hat, (ustar, fstar, alpha * fstar),
-                    _gauss_seidel_steps(alpha, lam, d_hat), spectral=True, z_maxima=False)
+                    _gauss_seidel_steps(alpha, lam, d_hat), spectral=True, z_max=None)
 
 
 def _gauss_seidel_steps(alpha, lam, d_hat):

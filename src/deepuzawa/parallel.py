@@ -1,27 +1,22 @@
 """Independent calls in forked worker processes.
 
-:func:`in_processes` yields ``fn(*args)`` for each ``args`` of ``calls``,
-in call order, computed in up to min(len(calls), usable CPUs) worker
-processes started by ``fork``.  Each worker inherits ``fn``, the calls, the
-caller's numpy error state and warning filters and every module's state
-through fork; only the call's index and its result are pickled.  Each call
-does in a worker exactly what it does inline, so results keep their bits.
-With one usable CPU, or one call, the calls run inline, one as each result
-is taken.
+:func:`in_processes` yields ``fn(*args)`` for each ``args`` of ``calls``, in
+call order, from W = min(len(calls), usable CPUs) workers started by
+``os.fork``: worker w runs calls w, w + W, ... and pickles each result, or the
+exception it raised, to its own pipe.  Inheriting ``fn``, the calls, numpy's
+error state, the warning filters and every module's state, a call does in a
+worker exactly what it does inline.  With one usable CPU, or one call, the
+calls run inline, one as each result is taken.
 
-Workers ignore SIGINT, so a Ctrl-C interrupts only the caller.  On that
-interrupt, on any exception, and when the iterator is closed before its
-last result, the caller terminates the workers still running and joins
-them: no worker outlives the iteration.  A worker that dies without
-returning, for example at the hands of the out-of-memory killer, raises
-:class:`ChildProcessError`, an ``OSError``.  The pool's modules are imported
-on first use: a command that never pools never loads them.
+Workers ignore SIGINT, so a Ctrl-C interrupts only the caller.  On it, on an
+exception and on an early close of the iterator, the caller sends SIGTERM to
+the workers; it always closes every pipe and waits for every worker.  A worker
+that dies without a result (the out-of-memory killer) raises ChildProcessError.
 """
 from __future__ import annotations
 
 import os
-
-_work = None  # (fn, calls) in a worker, set by the initializer
+import pickle
 
 
 def usable_cpus() -> int:
@@ -32,56 +27,61 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _adopt(fn, calls):
-    """Worker initializer: ignore Ctrl-C, keep the inherited calls."""
+def _serve(fn, calls, out):
+    """A worker: pickles each call's (ok, result or exception) to the pipe
+    ``out``, then ends its process."""
     import signal
-
-    global _work
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _work = fn, calls
-
-
-def _call(i: int):
-    fn, calls = _work
-    return fn(*calls[i])
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with os.fdopen(out, "wb") as pipe:
+            for args in calls:
+                try:
+                    record = pickle.dumps((True, fn(*args)))
+                except Exception as exc:  # the call's, or its result's pickling
+                    record = pickle.dumps((False, exc))
+                pipe.write(record)
+                pipe.flush()
+    finally:  # no cleanup of the caller's runs here; a record not written reads as EOF
+        os._exit(0)
 
 
 def in_processes(fn, calls):
     """Yield ``fn(*args)`` for each ``args`` in ``calls``, in order (module
-    docstring); pooled calls all start at once."""
+    docstring); every worker starts at the first result asked for."""
     calls = list(calls)
     workers = min(len(calls), usable_cpus())
     if workers <= 1:
         for args in calls:
             yield fn(*args)
         return
-
-    import multiprocessing
     import signal
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # fork passes the initializer's arguments by copying memory, not pickling
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_adopt, initargs=(fn, calls))
-    taken = 0
+    pids, pipes, taken = [], [], 0
     try:
-        # the workers fork at the first submit: a Ctrl-C before their
-        # initializer ignores it waits, and reaches this process afterwards
+        # a Ctrl-C before a worker ignores it waits, and reaches this process afterwards
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            futures = [pool.submit(_call, i) for i in range(len(calls))]
+            for w in range(workers):
+                read, write = os.pipe()
+                if (pid := os.fork()) == 0:
+                    _serve(fn, calls[w::workers], write)
+                os.close(write)  # no later worker holds it: EOF means this one ended
+                pids.append(pid)
+                pipes.append(os.fdopen(read, "rb"))
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for future in futures:
-            result = future.result()
+        for i in range(len(calls)):
+            try:
+                ok, result = pickle.load(pipes[i % workers])
+            except (EOFError, pickle.UnpicklingError):  # nothing, or a record cut short
+                raise ChildProcessError("a worker process died before returning its "
+                                        "result") from None
+            if not ok:
+                raise result
             taken += 1
             yield result
-    except BrokenProcessPool:
-        raise ChildProcessError("a worker process died before returning its result") from None
     finally:
-        if taken < len(calls):  # interrupted, failed or abandoned: stop every worker
-            # the executor has no public way to stop a running call before Python 3.14
-            for process in list((pool._processes or {}).values()):
-                process.terminate()
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe in zip(pids, pipes):
+            pipe.close()
+            if taken < len(calls):  # interrupted, failed or abandoned: stop every worker
+                os.kill(pid, signal.SIGTERM)  # one that has ended is a zombie until waited for
+            os.waitpid(pid, 0)

@@ -3,9 +3,13 @@
 ``residual_check_boundary_layer`` checks the constant-target closed form
 against its fourth-order equation; ``apply_laplacian`` and
 ``laplacian_dense`` are the oracle grid's discrete Laplacian as a function
-and as a matrix.
+and as a matrix; ``assert_no_child_left`` checks that a command left no
+worker process behind.
 """
+import os
+
 import numpy as np
+import pytest
 
 from deepuzawa.fd_oracle import Grid1D, _laplacian_apply
 
@@ -54,3 +58,10 @@ def laplacian_dense(grid: Grid1D) -> np.ndarray:
     t[idx, idx + 1] = q
     t[idx + 1, idx] = q
     return t
+
+
+def assert_no_child_left():
+    """This process has no child process, running or ended and not waited
+    for: ``waitpid`` of any child finds none."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import decimal
 import math
-import multiprocessing
 import os
 import re
 import shutil
@@ -29,6 +28,7 @@ from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_uzawa_run,
 from deepuzawa.geometry import Domain, build_grid
 from deepuzawa.network import NetworkParameters, NetworkSpec, batch_jets
 from deepuzawa.parallel import usable_cpus
+from reference_checks import assert_no_child_left
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -1169,7 +1169,7 @@ def test_one_cpu_runs_oracle_and_sweep_inline_with_the_pooled_bits(tmp_path, mon
         assert main(["-q", "oracle", oracle]) == 0
         assert main(["-q", "sweep", sweep, "--alphas", "1", "1e-2"]) == 0
         assert pids == ([] if len(cpus) > 1 else [os.getpid()] * 6)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         written.append(_files(out))
         shutil.rmtree(out)
     assert len(written[0]) == 3 * 6 + 3 + 2 * 7
@@ -1188,7 +1188,7 @@ def test_cli_oracle_whose_write_fails_in_one_worker_is_one_line(tmp_path, capsys
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 1 and captured.out.startswith("uzawa: ")
     assert captured.err == f"error: [Errno 17] File exists: '{out / 'projected'}'\n"
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_cli_sweep_whose_worker_dies_is_one_line(tmp_path, capsys, monkeypatch):
@@ -1205,7 +1205,7 @@ def test_cli_sweep_whose_worker_dies_is_one_line(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, f"tag = sine1d\n{TINY_RUN}output_dir = {tmp_path / 'sweep'}\n")
     assert main(["-q", "sweep", cfg, "--alphas", "1", "1e-2"]) == 1
     assert capsys.readouterr().err == "error: a worker process died before returning its result\n"
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def _group(pgid):
@@ -1419,13 +1419,18 @@ def test_importing_a_module_loads_no_more_than_it_needs(module, absent):
 
 
 # the package imports no mpmath, and an oracle at a decimal precision runs
-# with mpmath blocked (None in sys.modules makes any import of it fail)
+# with mpmath blocked (None in sys.modules makes any import of it fail); its
+# four methods, forked onto two CPUs, load neither process-pool module
 _NO_MPMATH = """
-import sys
+import os, sys
 import deepuzawa.cli
 assert "mpmath" not in sys.modules, "importing deepuzawa.cli loaded mpmath"
 sys.modules["mpmath"] = None
-sys.exit(deepuzawa.cli.main(["-q", "oracle", sys.argv[1]]))
+os.sched_getaffinity = lambda pid: {0, 1}
+code = deepuzawa.cli.main(["-q", "oracle", sys.argv[1]])
+pools = {"multiprocessing", "concurrent.futures"} & set(sys.modules)
+assert not pools, f"the oracle loaded {sorted(pools)}"
+sys.exit(code)
 """
 
 

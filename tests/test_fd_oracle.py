@@ -423,38 +423,90 @@ def test_sine_target_high_precision_digits(dps):
     assert np.array_equal(sine_target(g, ALPHA).view(np.int64), table.view(np.int64))
 
 
-def test_projected_matches_plain_when_saddle_nonnegative():
-    # no clamp activates, so the projected run is the plain run with its
-    # multiplier reported negated; in float64 it iterates on the grid, the
-    # plain run on DST-I coefficients
-    g = Grid1D(201)
-    target = sine_target(g, ALPHA)
-    plain = fd_uzawa_run(g, ALPHA, ALPHA / 4, target, 60)
-    proj = fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, target, 60)
-    assert np.abs(proj.u - plain.u).max() <= 1e-10
-    assert np.abs(proj.f - plain.f).max() <= 1e-10
-    assert np.abs(proj.z + plain.z).max() <= 1e-12
-    # in Decimal both iterate on the grid, with the same operations
-    target = sine_target(g, ALPHA, dps=40)
-    plain = fd_uzawa_run(g, ALPHA, ALPHA / 4, target, 60, dps=40)
-    proj = fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, target, 60, dps=40)
-    assert np.array_equal(proj.u, plain.u) and np.array_equal(proj.f, plain.f)
+def _assert_projected_is_plain(proj, plain):
+    # bitwise, fields and histories, with the multiplier reported negated
+    for name in ("u", "f", "z_errors", "state_errors", "control_errors", "loss_history"):
+        assert np.array_equal(getattr(proj, name), getattr(plain, name)), name
     assert np.array_equal(proj.z, -plain.z)
     assert np.array_equal(proj.reference.z, -plain.reference.z)
-    assert np.array_equal(proj.z_errors, plain.z_errors)
+
+
+def test_projected_matches_plain_when_saddle_nonnegative():
+    # no clamp activates, so the projected run is the plain run with its
+    # multiplier reported negated; in float64 the certificate holds at every
+    # iterate and it takes the plain run's steps on DST-I coefficients
+    g = Grid1D(201)
+    target = sine_target(g, ALPHA)
+    _assert_projected_is_plain(fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, target, 60),
+                               fd_uzawa_run(g, ALPHA, ALPHA / 4, target, 60))
+    # in Decimal both iterate on the grid, with the same operations
+    target = sine_target(g, ALPHA, dps=40)
+    _assert_projected_is_plain(fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, target, 60, dps=40),
+                               fd_uzawa_run(g, ALPHA, ALPHA / 4, target, 60, dps=40))
 
 
 def test_projected_float64_rounding_at_4001_points():
-    # in float64 the projected run iterates on the grid, where each T
-    # amplifies rounding by up to 4/h^2: after 200 updates on the sine
-    # target, where nothing clamps, its f and z sit 8.7e-10 and its u 2.9e-14
-    # of their maxima from the plain run's (1.9e-12 and 3.0e-15 at n = 201)
+    # the certified run takes the plain run's coefficient steps, so its
+    # fields carry none of the grid iteration's rounding, which each T
+    # amplifies by up to 4/h^2: after 200 updates on the sine target the grid
+    # run's f and z sat 8.7e-10 of their maxima from the plain run's
     g = Grid1D(4001)
     target = sine_target(g, ALPHA)
-    plain = fd_uzawa_run(g, ALPHA, ALPHA / 4, target, 200)
-    proj = fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, target, 200)
-    for got, want in ((proj.u, plain.u), (proj.f, plain.f), (proj.z, -plain.z)):
-        assert np.abs(got - want).max() <= 2e-9 * np.abs(want).max()
+    _assert_projected_is_plain(fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, target, 200),
+                               fd_uzawa_run(g, ALPHA, ALPHA / 4, target, 200))
+
+
+def _count_attempts(monkeypatch):
+    """[project, iterates yielded] of each Uzawa step generator that was
+    started: the certified attempt steps without projection."""
+    attempts = []
+    steps = fd_oracle._uzawa_steps
+
+    def counted(a, rho, D, ctx, project, lap, solve):
+        attempts.append([project, 0])
+        for iterate in steps(a, rho, D, ctx, project, lap, solve):
+            attempts[-1][1] += 1
+            yield iterate
+
+    monkeypatch.setattr(fd_oracle, "_uzawa_steps", counted)
+    return attempts
+
+
+def test_certificate_that_fails_midway_gives_the_grid_run(monkeypatch):
+    # u_0 of this target is not concave, so the plain run's z_1 = rho T u_0
+    # is positive on the grid, and the z clamp would act: the attempt, which
+    # recorded iterate 0, is dropped at iterate 1 and the grid run starts
+    # over from iterate 0.  A margin of 0 drops it at iterate 0, by its u
+    # check, before it records anything.
+    g = Grid1D(201)
+    x = g.interior_x()
+    target = np.sin(np.pi * x) + 0.08 * np.sin(12 * np.pi * x)
+    attempts = _count_attempts(monkeypatch)
+    midway = fd_projected_uzawa_run(g, 1e-4, 2.5e-5, target, 20)
+    assert attempts == [[False, 2], [True, 21]]
+    monkeypatch.setattr(fd_oracle, "_CLAMP_MARGIN", 0.0)
+    attempts.clear()
+    grid_run = fd_projected_uzawa_run(g, 1e-4, 2.5e-5, target, 20)
+    assert attempts == [[False, 1], [True, 21]]
+    assert midway.diverged_at is grid_run.diverged_at is None
+    for name in ("u", "f", "z", "z_errors", "state_errors", "control_errors", "loss_history",
+                 "z_history"):
+        assert np.array_equal(getattr(midway, name), getattr(grid_run, name)), name
+    # the clamps acted: the plain run's iterates are not these
+    assert not np.array_equal(midway.u, fd_uzawa_run(g, 1e-4, 2.5e-5, target, 20).u)
+
+
+@pytest.mark.parametrize("target", ["negated_sine", "dip_in_the_middle", "zero"])
+def test_certificate_needs_a_positive_state_and_negative_multiplier(monkeypatch, target):
+    # gamma <= 0 (the negated sine, the zero target), or z* >= 0 somewhere
+    # (u* > 0 dips in the middle, where it is convex): no attempt, only the grid run
+    g = Grid1D(41)
+    x = g.interior_x()
+    D = {"negated_sine": -sine_target(g, ALPHA), "zero": np.zeros(g.n_interior),
+         "dip_in_the_middle": np.sin(np.pi * x) + 8 * np.sin(3 * np.pi * x)}[target]
+    attempts = _count_attempts(monkeypatch)
+    fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, D, 5)
+    assert attempts == [[True, 6]]
 
 
 @pytest.mark.parametrize("dps", [None, 30])
@@ -565,6 +617,20 @@ def test_spectral_runs_transform_seven_times(monkeypatch, method, iters):
     assert run.diverged_at is None
     assert len(run.z_errors) == iters + 1
     assert len(calls) == 7
+
+
+@pytest.mark.parametrize("iters", [0, 1, 7])
+def test_certified_projected_run_transforms_once_per_iterate(monkeypatch, iters):
+    # the plain run's seven DST-I, two for the certificate's u* and z* on
+    # the grid, and one per iterate for its z on the grid; the grid run takes
+    # two per inner solve
+    calls = []
+    dst1 = fd_oracle._dst1
+    monkeypatch.setattr(fd_oracle, "_dst1", lambda v: calls.append(1) or dst1(v))
+    g = Grid1D(41)
+    run = fd_projected_uzawa_run(g, ALPHA, ALPHA / 4, sine_target(g, ALPHA), iters)
+    assert len(run.z_history) == iters + 1
+    assert len(calls) == 7 + 2 + iters + 1
 
 
 @pytest.mark.parametrize("n", [201, 4001])

@@ -1,13 +1,12 @@
 """The process pool of independent calls, and the CPU count it shares with
 the jet sweeps."""
-import multiprocessing
 import os
 import signal
 
 import pytest
 
-from deepuzawa import parallel
 from deepuzawa.parallel import in_processes, usable_cpus
+from reference_checks import assert_no_child_left
 
 
 @pytest.fixture
@@ -47,7 +46,7 @@ def test_pooled_results_come_in_call_order_from_workers(two_cpus):
     assert [i for i, _ in results] == list(range(5))
     pids = {pid for _, pid in results}
     assert os.getpid() not in pids and 1 <= len(pids) <= 2
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus, calls", [({0}, 3), ({0, 1}, 1)], ids=["one_cpu", "one_call"])
@@ -75,18 +74,17 @@ def test_workers_take_closures_and_the_callers_state(two_cpus):
 def test_an_exception_in_a_worker_reaches_the_caller_and_stops_the_pool(two_cpus):
     with pytest.raises(ValueError, match="call 1 failed"):
         list(in_processes(_fails_at_one, [(i,) for i in range(4)]))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_a_worker_that_dies_is_a_child_process_error(two_cpus):
     with pytest.raises(ChildProcessError, match="worker process died"):
         list(in_processes(_dies_at_one, [(0,), (1,)]))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_an_abandoned_iterator_stops_its_workers(two_cpus):
     results = in_processes(_where, [(i,) for i in range(4)])
     assert next(results)[0] == 0
     results.close()
-    assert multiprocessing.active_children() == []
-    assert parallel._work is None  # the caller never adopts the workers' calls
+    assert_no_child_left()
