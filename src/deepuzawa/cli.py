@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success, 1 validation error, out of memory or a worker
 process that died, 2 numerical divergence (for the Uzawa oracles also a
 step rho at or above the contraction bound rho_max), 130 interrupted
-(Ctrl-C).
+(Ctrl-C), 143 terminated by SIGTERM while worker processes ran (sweep,
+oracle_method = all), after stopping every worker.
 """
 import argparse
 import contextlib

@@ -111,7 +111,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
             recorded = params.flat.copy()
             for i in range(config.n_sgd):
                 loss, grad = loss_and_gradient(params, cset, problem, z, beta)
-                adam = adam_step(adam, params.flat, grad)  # params.layers view the new values
+                adam_step(adam, params.flat, grad)  # params.layers view the new values
                 # a non-finite gradient entry leaves a non-finite parameter
                 if not np.isfinite(loss) or not np.all(np.isfinite(params.flat)):
                     diverged_at, diverged_inner_step = k, i

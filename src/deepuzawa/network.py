@@ -14,18 +14,19 @@ parameter is computed by one reverse sweep.
 
 Both sweeps write into workspaces, :class:`_Tape`, kept from call to call
 and rebuilt when the network shape or point count changes, so a training
-step allocates only per-point vectors.  Each sweep overwrites what it has
-spent: the forward sweep a hidden layer's pre-activations with the reverse
-sweep's factors that do not depend on the adjoint (s1 in the value rows,
-p_i = s2 d_i y in derivative block i, the curvature s2 L + s3 sum_i
-(d_i y)^2 in the Laplacian rows), the reverse sweep each layer's stacked
-input x[k] with its adjoint once its weight gradient is formed.  When one
-stacked array is large, the points are swept in two contiguous halves, each
-with its own workspace: the caller's thread sweeps the first half and one
-helper thread the second.  The gradient is the first half's plus the
-second's, so its bits depend on the problem size only.  Returned jets and
-gradients never alias a workspace.  The sweeps use one helper thread
-inside; two callers still must not run them at once.
+step allocates only per-point vectors and slices no stream: the workspace
+holds the views the sweeps read.  Each sweep overwrites what it has spent:
+the forward sweep a hidden layer's pre-activations with the reverse sweep's
+factors that do not depend on the adjoint (s1 in the value rows, p_i =
+s2 d_i y in derivative block i, the curvature s2 L + s3 sum_i (d_i y)^2 in
+the Laplacian rows), the reverse sweep each layer's stacked input x[k] with
+its adjoint once its weight gradient is formed.  When one stacked array is
+large, the points are swept in two contiguous halves, each with its own
+workspace: the caller's thread sweeps the first half and one helper thread
+the second.  The gradient is the first half's plus the second's, so its
+bits depend on the problem size only.  Returned jets and gradients never
+alias a workspace.  The sweeps use one helper thread inside; two callers
+still must not run them at once.
 """
 from __future__ import annotations
 
@@ -142,19 +143,37 @@ class _Tape:
     array but ``x[0]`` starts on a 64-byte cache line, and so does every
     stream block when the width is a multiple of 8: a vector store then
     never spans two lines.
+
+    The sweeps read views made here once: ``inputs``, x[0]'s value rows;
+    ``hidden[k]``, y[k] then x[k + 1], each whole, as value rows, derivative
+    blocks and Laplacian rows, then their scratch; ``out``, y[-1] whole and
+    as value rows, then the raw outputs; ``adjoint``, a_out whole and as
+    value rows, then the columns the loss partials set.
     """
 
-    __slots__ = ("x", "y", "a_out", "scratch")
+    __slots__ = ("x", "y", "a_out", "scratch", "inputs", "hidden", "out", "adjoint")
 
     def __init__(self, dims: tuple[int, ...], n: int):
         d, hidden = dims[0], dims[1:-1]
-        rows = n * (2 + d)
+        rows, lap = n * (2 + d), slice(n * (1 + d), None)  # the Laplacian rows
+        blocks = [slice(n * (1 + i), n * (2 + i)) for i in range(d)]  # derivative i's rows
         self.x = [np.zeros((rows, d))] + [_aligned(rows, w) for w in hidden]
         self.y = [_aligned(rows, w) for w in dims[1:]]
-        for i, blk in enumerate(_stream_blocks(n, d)[0]):
+        for i, blk in enumerate(blocks):
             self.x[0][blk, i] = 1.0
         self.a_out = _aligned(rows, dims[-1])
         self.scratch = {w: [_aligned(n, w) for _ in range(3)] for w in set(hidden)}
+
+        def streams(a):
+            return a, a[:n], [a[blk] for blk in blocks], a[lap]
+
+        self.inputs = self.x[0][:n]
+        self.hidden = [(*streams(self.y[k]), *streams(self.x[k + 1]), self.scratch[w])
+                       for k, w in enumerate(hidden)]
+        y, a = self.y[-1], self.a_out
+        grad = y[n:lap.start, 0].reshape(d, n).T  # the derivative rows' state column, (n, d)
+        self.out = (y, y[:n], (y[:n, 0], y[:n, 1], grad, y[lap, 0]))
+        self.adjoint = (a, a[:n], a[:n, 0], a[:n, 1], [a[blk, 0] for blk in blocks], a[lap, 0])
 
 
 def _aligned(rows: int, cols: int) -> np.ndarray:
@@ -206,29 +225,20 @@ def _in_halves(fn, calls: list[tuple]) -> list:
     return [first, second]
 
 
-def _stream_blocks(n: int, d: int) -> tuple[list[slice], slice]:
-    """Row slices of the d first-derivative blocks and the Laplacian block."""
-    return [slice(n * (1 + i), n * (2 + i)) for i in range(d)], slice(n * (1 + d), None)
-
-
 def _sweep_forward(layers, tape: _Tape, points: np.ndarray) -> tuple[np.ndarray, ...]:
     """Forward sweep of one half: the raw outputs' value, control, gradient
     and Laplacian rows, as views of the tape."""
-    n, d = points.shape
-    blocks, lap = _stream_blocks(n, d)
+    tape.inputs[...] = points
     x = tape.x[0]
-    x[:n] = points
-    for k, (w, b) in enumerate(layers):
-        y = tape.y[k]
+    for (w, b), (y, y_val, y_blks, curv, x_next, x_val, x_blks, x_lap, scratch) in zip(
+            layers, tape.hidden):
         # one input column (1d): no sums to round; dot is 3x faster than matmul
         (np.dot if x.shape[1] == 1 else np.matmul)(x, w.T, out=y)
-        y[:n] += b
-        if k == len(layers) - 1:
-            break
-        x = tape.x[k + 1]
-        s2, s3, tmp = tape.scratch[y.shape[1]]
-        t = np.tanh(y[:n], out=x[:n])
-        s1 = np.multiply(t, t, out=y[:n])  # s1 = 1 - t^2 in the spent value rows
+        y_val += b
+        x = x_next
+        s2, s3, tmp = scratch
+        t = np.tanh(y_val, out=x_val)
+        s1 = np.multiply(t, t, out=y_val)  # s1 = 1 - t^2 in the spent value rows
         np.subtract(1.0, s1, out=s1)
         np.multiply(-2.0, t, out=s2)
         s2 *= s1
@@ -237,15 +247,18 @@ def _sweep_forward(layers, tape: _Tape, points: np.ndarray) -> tuple[np.ndarray,
         tmp *= t
         np.subtract(1.0, tmp, out=tmp)
         s3 *= tmp
-        x_lap, curv = x[lap], y[lap]  # curv = s2 L + s3 sum_i (d_i y)^2
-        np.multiply(s1, curv, out=x_lap)
+        np.multiply(s1, curv, out=x_lap)  # curv = s2 L + s3 sum_i (d_i y)^2
         curv *= s2
-        for blk in blocks:
-            np.multiply(s1, y[blk], out=x[blk])
-            _add_product(x_lap, tmp, s2, y[blk], y[blk])
-            _add_product(curv, tmp, s3, y[blk], y[blk])
-            y[blk] *= s2  # p_i = s2 d_i y
-    return y[:n, 0], y[:n, 1], np.stack([y[blk, 0] for blk in blocks], axis=1), y[lap, 0]
+        for y_blk, x_blk in zip(y_blks, x_blks):
+            np.multiply(s1, y_blk, out=x_blk)
+            _add_product(x_lap, tmp, s2, y_blk, y_blk)
+            _add_product(curv, tmp, s3, y_blk, y_blk)
+            y_blk *= s2  # p_i = s2 d_i y
+    w, b = layers[-1]
+    y, y_val, raw = tape.out
+    (np.dot if x.shape[1] == 1 else np.matmul)(x, w.T, out=y)
+    y_val += b
+    return raw
 
 
 def _forward(params: NetworkParameters, points: np.ndarray,
@@ -317,6 +330,7 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
     jets, sweeps = _forward(params, cset.points, cutoff)
     loss, g_u, g_f, g_lap = pointwise_gradients(problem, cset, jets, z, beta)
     grads = _in_halves(_sweep_reverse, [
+        (params, tape, cutoff, g_u, g_f, g_lap) if len(sweeps) == 1 else
         (params, tape, CutoffJet(cutoff.b[h], cutoff.grad[h], cutoff.lap[h]),
          g_u[h], g_f[h], g_lap[h]) for tape, h in sweeps])
     return loss, sum(grads[1:], grads[0])  # the first half's plus the second's
@@ -328,15 +342,13 @@ def _sweep_reverse(params: NetworkParameters, tape: _Tape, cutoff: CutoffJet,
     loss partials by u, f and lap u there."""
     # stacked adjoint of the raw network outputs, in the forward block layout,
     # through u = b n,  lap u = (lap b) n + 2 grad b . grad n + b lap n
-    n = len(g_u)
-    blocks, lap = _stream_blocks(n, params.spec.input_dim)
     b_val, b_grad, b_lap = cutoff.b, cutoff.grad, cutoff.lap
-    a = tape.a_out
-    a[:n, 0] = g_u * b_val + g_lap * b_lap
-    a[:n, 1] = g_f
-    for i, blk in enumerate(blocks):
-        a[blk, 0] = 2.0 * g_lap * b_grad[:, i]
-    a[lap, 0] = g_lap * b_val
+    a, a_val, a_u, a_f, a_grad_u, a_lap_u = tape.adjoint
+    a_u[...] = g_u * b_val + g_lap * b_lap
+    a_f[...] = g_f
+    for i, a_i in enumerate(a_grad_u):
+        a_i[...] = 2.0 * g_lap * b_grad[:, i]
+    a_lap_u[...] = g_lap * b_val
 
     layers = params.layers
     grad_flat = np.empty_like(params.flat)
@@ -344,24 +356,22 @@ def _sweep_reverse(params: NetworkParameters, tape: _Tape, cutoff: CutoffJet,
     for k in range(len(layers) - 1, -1, -1):
         gw, gb = grads[k]
         np.matmul(a.T, tape.x[k], out=gw)
-        a[:n].sum(axis=0, out=gb)
+        a_val.sum(axis=0, out=gb)
         if k == 0:
             break
-        w = layers[k][0]
-        fac = tape.y[k - 1]  # s1, p_i and the curvature, left by the forward sweep
-        s1 = fac[:n]
-        acc, lap2, tmp = tape.scratch[w.shape[1]]
-        # the spent input becomes its adjoint, post- then pre-activation, in place
-        a = np.matmul(a, w, out=tape.x[k])
-        a_lap = a[lap]
-        np.multiply(fac[lap], a_lap, out=acc)  # the value rows' curvature and stream terms
+        # s1, p_i and the curvature, left by the forward sweep in hidden layer
+        # k - 1's pre-activation; its spent output x[k] becomes its adjoint,
+        # post- then pre-activation, in place
+        _, s1, p, curv, x, a_val, a_blks, a_lap, (acc, lap2, tmp) = tape.hidden[k - 1]
+        a = np.matmul(a, layers[k][0], out=x)
+        np.multiply(curv, a_lap, out=acc)  # the value rows' curvature and stream terms
         np.multiply(2.0, a_lap, out=lap2)
-        for blk in blocks:
-            _add_product(acc, tmp, fac[blk], a[blk])
-            a[blk] *= s1  # s1 a' + 2 p_i a_lap
-            _add_product(a[blk], tmp, fac[blk], lap2)
-        a[:n] *= s1
-        a[:n] += acc
+        for p_i, a_i in zip(p, a_blks):
+            _add_product(acc, tmp, p_i, a_i)
+            a_i *= s1  # s1 a' + 2 p_i a_lap
+            _add_product(a_i, tmp, p_i, lap2)
+        a_val *= s1
+        a_val += acc
         a_lap *= s1
     return grad_flat
 

@@ -2,19 +2,19 @@
 
 Adam with the usual bias correction is the inner-loop optimiser, with the
 customary constants BETA1, BETA2 and EPS.  Its update works in place: it
-overwrites the parameters and the state's moments, and returns the state
-with its step count advanced.
+overwrites the parameters and the state's moments, and advances the
+state's step count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
@@ -27,9 +27,9 @@ class AdamState:
         return AdamState(np.zeros(n), np.zeros(n), 0, lr, (np.empty(n), np.empty(n)))
 
 
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> AdamState:
-    """One bias-corrected Adam update of ``params``, ``state.m`` and
-    ``state.v`` in place; returns the state with ``t + 1``.
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update of ``params``, ``state.m``,
+    ``state.v`` and ``state.t`` in place.
 
     params <- params - lr * m_hat / (sqrt(v_hat) + eps)
     """
@@ -37,7 +37,8 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> AdamSta
         raise ValueError(
             f"mismatched shapes: params {params.shape}, grad {grad.shape}, state {state.m.shape}"
         )
-    t = state.t + 1
+    state.t += 1
+    t = state.t
     m, v, (tmp, tmp2) = state.m, state.v, state.scratch
     m *= BETA1
     m += np.multiply(1.0 - BETA1, grad, out=tmp)
@@ -49,4 +50,3 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> AdamSta
     np.sqrt(np.divide(v, 1.0 - BETA2**t, out=tmp2), out=tmp2)
     tmp2 += EPS
     params -= np.divide(tmp, tmp2, out=tmp)
-    return replace(state, t=t)

@@ -8,15 +8,19 @@ error state, the warning filters and every module's state, a call does in a
 worker exactly what it does inline.  With one usable CPU, or one call, the
 calls run inline, one as each result is taken.
 
-Workers ignore SIGINT, so a Ctrl-C interrupts only the caller.  On it, on an
-exception and on an early close of the iterator, the caller sends SIGTERM to
-the workers; it always closes every pipe and waits for every worker.  A worker
+Workers ignore SIGINT, so a Ctrl-C interrupts only the caller.  While they
+run, a SIGTERM to a caller on the main thread raises ``SystemExit(143)`` there
+(the exit status of a process that SIGTERM ended).  On either, on an exception
+and on an early close of the iterator, the caller sends SIGTERM to the
+workers; it always closes every pipe and waits for every worker.  A worker
 that dies without a result (the out-of-memory killer) raises ChildProcessError.
 """
 from __future__ import annotations
 
 import os
 import pickle
+import signal
+import threading
 
 
 def usable_cpus() -> int:
@@ -30,9 +34,10 @@ def usable_cpus() -> int:
 def _serve(fn, calls, out):
     """A worker: pickles each call's (ok, result or exception) to the pipe
     ``out``, then ends its process."""
-    import signal
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the caller's stop ends this process
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
         with os.fdopen(out, "wb") as pipe:
             for args in calls:
                 try:
@@ -45,6 +50,10 @@ def _serve(fn, calls, out):
         os._exit(0)
 
 
+def _terminated(signum, frame):
+    raise SystemExit(143)
+
+
 def in_processes(fn, calls):
     """Yield ``fn(*args)`` for each ``args`` in ``calls``, in order (module
     docstring); every worker starts at the first result asked for."""
@@ -54,12 +63,16 @@ def in_processes(fn, calls):
         for args in calls:
             yield fn(*args)
         return
-    import signal
     pids, pipes, taken = [], [], 0
+    on_main = threading.current_thread() is threading.main_thread()
+    stops = {signal.SIGINT, signal.SIGTERM}
     try:
-        # a Ctrl-C before a worker ignores it waits, and reaches this process afterwards
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        # a Ctrl-C or SIGTERM before a worker has set its handler waits, and
+        # reaches this process afterwards
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)
         try:
+            if on_main:
+                previous = signal.signal(signal.SIGTERM, _terminated)
             for w in range(workers):
                 read, write = os.pipe()
                 if (pid := os.fork()) == 0:
@@ -80,8 +93,12 @@ def in_processes(fn, calls):
             taken += 1
             yield result
     finally:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)  # no second stop cuts this short
         for pid, pipe in zip(pids, pipes):
             pipe.close()
             if taken < len(calls):  # interrupted, failed or abandoned: stop every worker
                 os.kill(pid, signal.SIGTERM)  # one that has ended is a zombie until waited for
             os.waitpid(pid, 0)
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)

@@ -1252,6 +1252,34 @@ def test_ctrl_c_exits_130_in_one_line_and_leaves_no_process(tmp_path, command):
     assert _group(proc.pid) == []
 
 
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process groups in /proc")
+def test_sigterm_to_a_pooled_sweep_exits_143_and_stops_its_workers(tmp_path):
+    out = tmp_path / "out"
+    cfg = write(tmp_path, "tag = sine1d\nn_uzawa = 100000\nn_sgd = 40\nn_points = 21\n"
+                          f"hidden_width = 8\nhidden_depth = 2\noutput_dir = {out}\n")
+    # two workers, however many CPUs this machine has; its own process group,
+    # which the command and its workers alone are in
+    proc = subprocess.Popen([sys.executable, "-c",
+                             "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                             "from deepuzawa.cli import main; sys.exit(main(sys.argv[1:]))",
+                             "-q", "sweep", cfg, "--alphas", "1", "1e-2"],
+                            env=_with_src(dict(os.environ)), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_group(proc.pid)) < 3:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)  # to the command alone, as `kill <pid>` sends it
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert (proc.returncode, stderr, stdout) == (143, "", "")
+    assert _group(proc.pid) == []
+
+
 def _read_meta(path):
     return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
 

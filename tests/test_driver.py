@@ -181,16 +181,18 @@ def test_run_builds_its_network_once_and_steps_it_in_place(monkeypatch):
         built(self, *args)
 
     def recording_step(state, flat, grad):
-        seen.append((state.m, state.v, flat))
-        return adam_step(state, flat, grad)
+        seen.append((state, state.m, state.v, flat))
+        adam_step(state, flat, grad)
 
     monkeypatch.setattr(network.NetworkParameters, "__init__", counting_init)
     monkeypatch.setattr(driver, "adam_step", recording_step)
     rec = run_deep_uzawa(tiny_config(n_uzawa=3, n_sgd=2))
     assert rec.n_updates == 3 and len(seen) == 6
     assert calls == {"network": 1}
-    m, v, _ = seen[0]
-    assert all(s[0] is m and s[1] is v and s[2] is rec.params.flat for s in seen)
+    state, m, v, _ = seen[0]
+    assert all(s[0] is state and s[1] is m and s[2] is v and s[3] is rec.params.flat
+               for s in seen)
+    assert state.t == 6
 
 
 def _functional_adam(state, params, grad):

@@ -86,10 +86,17 @@ def test_single_linear_layer_jet():
 
 
 def test_loss_equals_discrete_lagrangian():
-    params, g, prob, z = _poisson_case(1, 16, (8, 8), seed=3)
-    loss, _ = loss_and_gradient(params, g, prob, z)
-    jets = batch_jets(params, g.points, g.cutoff)
-    assert loss == loss_parts(prob, g, jets, z)["total"]
+    # the jets are bitwise the training step's, before or after a training
+    # step, in one sweep (1d) and in two halves (2d at 30x30)
+    for case in (_poisson_case(1, 16, (8, 8), seed=3), _poisson_case(1, 201, (64, 64, 64)),
+                 _poisson_case(2, 30, (64, 64, 64))):
+        params, g, prob, z = case
+        before = batch_jets(params, g.points, g.cutoff)
+        loss, _ = loss_and_gradient(params, g, prob, z)
+        jets = batch_jets(params, g.points, g.cutoff)
+        assert loss == loss_parts(prob, g, jets, z)["total"]
+        for name in ("u", "f", "lap_u"):
+            assert np.array_equal(getattr(before, name), getattr(jets, name))
 
 
 def test_finite_difference_gradient_second_order():
@@ -238,6 +245,24 @@ def test_gradient_matches_finite_differences_uneven_and_depth_zero(dim, hidden):
     assert network._gradient_error(params, g, prob, z, 0.5) <= network.CHECK_BOUND
 
 
+@pytest.mark.parametrize("dim, n", [(1, 201), (2, 30)], ids=["1d-201", "2d-30x30"])
+def test_gradient_shares_no_memory_with_the_workspace_or_the_last_gradient(dim, n):
+    # a caller may hold a gradient across steps: no sweep writes through it
+    params, g, prob, z = _poisson_case(dim, n, (64, 64, 64))
+    dims = params.spec.layer_dims
+    _, last = loss_and_gradient(params, g, prob, z)
+    _, grad = loss_and_gradient(params, g, prob, z)
+    assert not np.shares_memory(grad, last)
+    halves = network._halves(g.n_points, dims)
+    assert len(halves) == dim
+    for i, half in enumerate(halves):
+        tape = network._tape_for(dims, half.stop - half.start, i)
+        for slot in tape.__slots__:
+            for a in _tape_arrays(getattr(tape, slot)):
+                assert not np.shares_memory(grad, a)
+                assert not np.shares_memory(last, a)
+
+
 def test_steady_state_step_allocates_less_than_one_stream_block():
     # the sweeps write into the cached workspace: what a steady-state call
     # still allocates is per-point vectors, far below one stacked
@@ -278,28 +303,31 @@ def test_workspace_arrays_and_stream_blocks_start_on_cache_lines(dim, n, hidden,
         scratch = [a for per_width in tape.scratch.values() for a in per_width]
         for a in (*tape.x[1:], *tape.y, tape.a_out, *scratch):
             assert a.ctypes.data % 64 == 0
-        # stream blocks lie rows * width * 8 bytes apart: aligned when 8 | width
-        blocks, lap = network._stream_blocks(rows, dim)
-        for a in (*tape.x[1:], *tape.y):
-            if a.shape[1] % 8 == 0:
-                for blk in (slice(0, rows), *blocks, lap):
-                    assert a[blk].ctypes.data % 64 == 0
+        # the stream views lie rows * width * 8 bytes apart: aligned when 8 | width
+        for a in _tape_arrays(tape.hidden):
+            if a.shape[-1] % 8 == 0:
+                assert a.ctypes.data % 64 == 0
         # the sweeps never write the control column of the derivative rows
         assert not tape.a_out[rows:, 1].any()
 
 
 def _tape_arrays(v):
-    """Every array a workspace attribute holds, through lists and dicts."""
+    """Every array a workspace attribute holds, through lists, tuples and dicts."""
     if isinstance(v, np.ndarray):
         return [v]
     return [a for item in (v.values() if isinstance(v, dict) else v) for a in _tape_arrays(item)]
+
+
+# the workspace attributes that own its memory; the others hold views of them
+_TAPE_OWNERS = ("x", "y", "a_out", "scratch")
 
 
 @pytest.mark.parametrize("dim, n", [(1, 201), (2, 30)], ids=["1d-201-3x64", "2d-30-3x64"])
 def test_workspace_is_activations_output_adjoint_and_five_vectors_per_width(dim, n):
     # the reverse sweep writes each layer's adjoint over its spent input, so
     # a half's workspace holds nothing beyond x, y, a_out and the per-point
-    # scratch; it never writes the unit seeds of x[0]
+    # scratch, and the sweeps' stream views are views of those; it never
+    # writes the unit seeds of x[0]
     params, g, prob, z = _poisson_case(dim, n, (64, 64, 64))
     dims = params.spec.layer_dims
     loss_and_gradient(params, g, prob, z)
@@ -309,7 +337,13 @@ def test_workspace_is_activations_output_adjoint_and_five_vectors_per_width(dim,
         rows = half.stop - half.start
         stacked = rows * (2 + dim)
         tape = network._tape_for(dims, rows, i)
-        held = sum(a.nbytes for slot in tape.__slots__ for a in _tape_arrays(getattr(tape, slot)))
+        owned = [a for slot in _TAPE_OWNERS for a in _tape_arrays(getattr(tape, slot))]
+        held = sum(a.nbytes for a in owned)
+        views = [a for slot in tape.__slots__ if slot not in _TAPE_OWNERS
+                 for a in _tape_arrays(getattr(tape, slot))]
+        assert len(views) > 0
+        assert all(a.base is not None and any(np.shares_memory(a, o) for o in owned)
+                   for a in views)
         x = stacked * sum(dims[:-1])
         y = stacked * sum(dims[1:])
         a_out = stacked * dims[-1]

@@ -10,10 +10,10 @@ def test_adam_first_step_is_signed_unit_step():
     state = AdamState.fresh(4, lr=1e-3)
     params = np.zeros(4)
     grad = np.array([0.5, -2.0, 1e-3, -1e-6])
-    new_state = adam_step(state, params, grad)
+    assert adam_step(state, params, grad) is None
     expected = -state.lr * grad / (np.abs(grad) + 1e-8)
     assert np.allclose(params, expected, rtol=1e-12)
-    assert new_state.t == 1
+    assert state.t == 1
 
 
 def test_adam_state_needs_its_rate_and_scratch():
@@ -36,7 +36,8 @@ def test_adam_deterministic():
     runs = []
     for _ in range(2):
         p = params.copy()
-        state = adam_step(AdamState.fresh(5), p, grad.copy())
+        state = AdamState.fresh(5)
+        adam_step(state, p, grad.copy())
         runs.append((state, p))
     (s1, p1), (s2, p2) = runs
     assert not np.array_equal(p1, params)
@@ -54,7 +55,7 @@ def test_adam_step_magnitude_bounded():
     for k in range(30):
         grad = base * rng.uniform(0.9, 1.1)
         before = params.copy()
-        state = adam_step(state, params, grad)
+        adam_step(state, params, grad)
         step = np.abs(params - before)
         assert np.all(step > 0)
         assert np.all(step <= state.lr * 1.1)
@@ -66,14 +67,15 @@ def test_adam_constant_gradient_step_is_lr():
     grad = np.array([4.0, -0.5, 9.0])
     for _ in range(10):
         before = params.copy()
-        state = adam_step(state, params, grad)
+        adam_step(state, params, grad)
         # constant gradient: m_hat = g and v_hat = g^2 exactly
         assert np.allclose(np.abs(params - before),
                            state.lr * np.abs(grad) / (np.abs(grad) + 1e-8), rtol=1e-12)
 
 
 def test_adam_in_place_steps_are_bitwise_the_textbook_update():
-    # the textbook expression, evaluated left to right, with new arrays each step
+    # the textbook expression, evaluated left to right, with new arrays each
+    # step; the one state object holds the moments and the step count
     rng = np.random.default_rng(3)
     n, lr = 40, 2e-3
     state = AdamState.fresh(n, lr=lr)
@@ -82,7 +84,7 @@ def test_adam_in_place_steps_are_bitwise_the_textbook_update():
     m_id, v_id = id(state.m), id(state.v)
     for t in range(1, 51):
         grad = rng.normal(size=n) * rng.uniform(0.1, 10.0)
-        state = adam_step(state, params, grad)
+        adam_step(state, params, grad)
         m = 0.9 * m + (1.0 - 0.9) * grad
         v = 0.999 * v + (1.0 - 0.999) * grad * grad
         m_hat = m / (1.0 - 0.9**t)

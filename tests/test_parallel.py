@@ -2,6 +2,7 @@
 the jet sweeps."""
 import os
 import signal
+import time
 
 import pytest
 
@@ -28,6 +29,12 @@ def _fails_at_one(i):
 def _dies_at_one(i):
     if i == 1:
         os.kill(os.getpid(), signal.SIGKILL)
+    return i
+
+
+def _sleeps_after_zero(i):
+    if i:
+        time.sleep(60)
     return i
 
 
@@ -88,3 +95,24 @@ def test_an_abandoned_iterator_stops_its_workers(two_cpus):
     assert next(results)[0] == 0
     results.close()
     assert_no_child_left()
+
+
+def test_sigterm_exits_the_caller_while_workers_run_and_ends_a_worker(two_cpus):
+    # SIGTERM's default action would skip the generator's cleanup and leave
+    # the workers running: it raises SystemExit(143) instead, and closing the
+    # generator stops the worker still in its call and restores the caller's
+    # handler and signal mask
+    previous = signal.getsignal(signal.SIGTERM)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, set())
+    results = in_processes(_sleeps_after_zero, [(0,), (1,)])
+    with pytest.raises(SystemExit) as stop:
+        assert next(results) == 0
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(10)  # the handler interrupts it
+    assert stop.value.code == 143
+    start = time.monotonic()
+    results.close()
+    assert time.monotonic() - start < 30  # it did not wait out the 60 s call
+    assert_no_child_left()
+    assert signal.getsignal(signal.SIGTERM) is previous
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, set()) == mask
