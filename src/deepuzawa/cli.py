@@ -8,11 +8,10 @@ Subcommands:
                       finite differences (acceptance criteria 1-2)
   sweep <config> --alphas A1 A2 ...   one run per regularisation weight
 
-Exit codes: 0 success, 1 validation error, out of memory or a worker
-process that died, 2 numerical divergence (for the Uzawa oracles also a
-step rho at or above the contraction bound rho_max), 130 interrupted
-(Ctrl-C), 143 terminated by SIGTERM while worker processes ran (sweep,
-oracle_method = all), after stopping every worker.
+Exit codes: 0 success, 1 validation error, out of memory or a worker process
+that died, 2 numerical divergence (for the Uzawa oracles also a step rho at or
+above the contraction bound rho_max), 130 interrupted (Ctrl-C), 143 terminated
+(SIGTERM); both stop every worker and remove each run directory no run wrote.
 """
 import argparse
 import contextlib
@@ -29,7 +28,7 @@ from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa, sweep_d
 from .fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run, fd_uzawa_run,
                         gauss_seidel_adjoint_run, gauss_seidel_rate, uzawa_step_bounds)
 from .network import CHECK_BOUND, grad_check, save_checkpoint
-from .parallel import in_processes
+from .parallel import in_processes, sigterm_exits
 
 # the finite-difference oracle solves Poisson on the unit interval
 _ORACLE_TAGS = tuple(tag for tag, row in EXPERIMENTS.items()
@@ -111,7 +110,7 @@ def _oracle_methods(cfg: ExperimentConfig) -> list[str]:
     return list(_ORACLE_META) if cfg.oracle_method == "all" else [cfg.oracle_method]
 
 
-def _oracle_method(cfg: ExperimentConfig, method: str, grid: Grid1D, target, out_dir: str,
+def _oracle_method(cfg: ExperimentConfig, method: str, grid, target, out_dir: str,
                    quiet: bool) -> tuple[int, str, str]:
     """Run one oracle method and write its directory: its exit status and
     the text it prints to stdout and to stderr."""
@@ -157,10 +156,9 @@ def _run_oracle_method(cfg, method, grid, target, out_dir, quiet) -> int:
     return status
 
 
-def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
-    grid = Grid1D(cfg.n_points)
+def _cmd_oracle(cfg: ExperimentConfig, grid, quiet: bool) -> int:
     # the table's float64 target; each solver rounds it into its arithmetic
-    target = EXPERIMENTS[cfg.tag].target(grid.interior_x()[:, None], cfg.alpha, None)
+    target = EXPERIMENTS[cfg.tag].target(grid.points[grid.interior_mask], cfg.alpha, None)
     methods = _oracle_methods(cfg)
     calls = [(cfg, method, grid, target,
               cfg.output_dir if len(methods) == 1 else os.path.join(cfg.output_dir, method),
@@ -206,6 +204,7 @@ def _cmd_grad_check(quiet: bool) -> int:
     return 0
 
 
+@sigterm_exits()
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="deepuzawa", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -231,7 +230,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"oracle runs support tags {_ORACLE_TAGS}; got {cfg.tag!r}",
                                   key="tag", line=lines["tag"])
             try:  # the oracle's stencil needs more points than the config's minimum
-                Grid1D(cfg.n_points)
+                grid = Grid1D(cfg.n_points)
             except ValueError as exc:  # the default passes: n_points is set in the file
                 raise ConfigError(str(exc), key="n_points", line=lines["n_points"]) from None
         # a file that sets a key the run would not read is refused, not
@@ -247,7 +246,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             # overflow goes unreported: the finiteness checks decide the exit code
             with np.errstate(over="ignore", invalid="ignore"):
-                return _cmd_oracle(cfg, args.quiet)
+                return _cmd_oracle(cfg, grid, args.quiet)
         return _cmd_sweep(cfg, args.alphas, args.quiet)
     except (OSError, ValueError) as exc:  # input the program cannot use, ConfigError included
         print(f"error: {exc}", file=sys.stderr)

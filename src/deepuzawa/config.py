@@ -281,8 +281,9 @@ def sample_image_on_grid(img: np.ndarray, cset: CollocationSet) -> np.ndarray:
 #   Loss.csv    update, LOSS_COLUMNS
 #   State.csv   one state value per line, grid order
 #   Control.csv one control value per line, grid order
-#   meta.txt    key = value dump of the run setup, then the diverged_* fields
-#               that are set
+#   meta.txt    key = value dump of the run setup, then the diverged_* fields set
+#   Diagnostics.csv  (cli) update, driver's DIAGNOSTIC_COLUMNS, or iteration, multiplier_error
+#   params.npy  (cli) a network run's flat parameter vector
 # Floats are written with round-trip precision (repr).
 
 LOSS_COLUMNS = ("misfit", "multiplier_term", "control_norm_term", "regulariser_term")

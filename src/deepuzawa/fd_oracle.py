@@ -5,9 +5,9 @@ exact (direct) inner solves, so the convergence theory can be checked
 against them: the direct solve of the eliminated state equation is the
 fixed point of the Uzawa iteration by construction.
 
-Discretisation: n uniform points on [0, 1], 3-point Laplacian with zero
-Dirichlet data, and the simply supported (u = lap u = 0) biharmonic taken
-as the Laplacian composed with itself on interior points.
+Discretisation: a network run's grid, ``build_grid(Domain(1), n)`` with n >= 5
+(:func:`Grid1D`), 3-point Laplacian with zero Dirichlet data on its interior,
+and the simply supported (u = lap u = 0) biharmonic taken as its square.
 
 The three iterative runs (plain Uzawa, projected Uzawa, Gauss-Seidel) share
 one run loop that records errors and losses and flags divergence; each
@@ -56,6 +56,7 @@ import numpy as np
 
 from .closed_forms import EXPERIMENTS
 from .config import RunResult
+from .geometry import CollocationSet, Domain, build_grid
 
 _DIVERGENCE_LIMIT = 1e6
 # KKT tolerance of the nonnegative inner solve of the projected run
@@ -67,26 +68,18 @@ _CLAMP_MARGIN = 0.5
 _REPORT_DPS = 20  # digits of the Decimal diagnostics; their float64 report needs 17
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform grid with n points on [0, 1]; fields live on the interior."""
+def Grid1D(n: int) -> CollocationSet:
+    """``build_grid(Domain(1), n)``, refused below the biharmonic stencil's 5 points."""
+    if n < 5:
+        raise ValueError(f"the biharmonic stencil needs n >= 5 points, got {n}")
+    return build_grid(Domain(1), n)
 
-    n: int
 
-    def __post_init__(self):
-        if self.n < 5:
-            raise ValueError(f"the biharmonic stencil needs n >= 5 points, got {self.n}")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.n - 1)
-
-    @property
-    def n_interior(self) -> int:
-        return self.n - 2
-
-    def interior_x(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n)[1:-1]
+def _interior_count(grid: CollocationSet) -> int:
+    """m, the number of interior points of a grid on the unit interval."""
+    if (dim := grid.points.shape[1]) != 1:
+        raise ValueError(f"the oracle runs on the unit interval, got a grid of dimension {dim}")
+    return grid.n_interior
 
 
 class _FloatCtx:
@@ -140,9 +133,9 @@ def _array(ctx, values) -> np.ndarray:
     return np.array([ctx.num(x) for x in values], dtype=ctx.dtype)
 
 
-def _target(ctx, grid: Grid1D, D) -> np.ndarray:
-    if len(D) != grid.n_interior:
-        raise ValueError(f"target D has {len(D)} values for {grid.n_interior} interior points")
+def _target(ctx, grid: CollocationSet, D) -> np.ndarray:
+    if len(D) != (m := _interior_count(grid)):
+        raise ValueError(f"target D has {len(D)} values for {m} interior points")
     return _array(ctx, D)
 
 
@@ -250,7 +243,7 @@ def _solver(ctx, c, q, m):
     return lambda r: _ldlt_solve(fact, r)
 
 
-def uzawa_step_bounds(grid: Grid1D, alpha: float, rho: float) -> tuple[float, float]:
+def uzawa_step_bounds(grid: CollocationSet, alpha: float, rho: float) -> tuple[float, float]:
     """(rho_max, kappa_max) of the plain Uzawa iteration, in float64.
 
     On the j-th DST-I mode the multiplier error is multiplied by
@@ -259,37 +252,37 @@ def uzawa_step_bounds(grid: Grid1D, alpha: float, rho: float) -> tuple[float, fl
     at the rate kappa_max = max_j |1 - rho mu_j|.
     """
     _check_positive(alpha=alpha)
-    lam2 = _laplacian_eigenvalues(grid.n_interior) ** 2
+    lam2 = _laplacian_eigenvalues(_interior_count(grid)) ** 2
     mu = lam2 / (1 + alpha * lam2 / 2) + 2 / alpha
     return float(2 / mu.max()), float(np.abs(1 - rho * mu).max())
 
 
-def gauss_seidel_rate(grid: Grid1D, alpha: float) -> float:
+def gauss_seidel_rate(grid: CollocationSet, alpha: float) -> float:
     """kappa_max of the Gauss-Seidel sweep: a sweep multiplies the error on
     the j-th DST-I mode by -1 / (alpha lam_j^2), largest on the first."""
     _check_positive(alpha=alpha)
-    return float(1 / (alpha * _laplacian_eigenvalues(grid.n_interior)[0] ** 2))
+    return float(1 / (alpha * _laplacian_eigenvalues(_interior_count(grid))[0] ** 2))
 
 
 # ---------------------------------------------------------------------------
 # targets and norms on the oracle grid
 
 
-def sine_target(grid: Grid1D, alpha: float, dps=None) -> np.ndarray:
+def sine_target(grid: CollocationSet, alpha: float, dps=None) -> np.ndarray:
     """The ``sine1d`` target, (1 + alpha pi^4) sin(pi x), at the interior
     points in float64, rounded into the context of ``dps``."""
-    D = EXPERIMENTS["sine1d"].target(grid.interior_x()[:, None], alpha, None)
-    return _array(_context(dps), D)
+    D = EXPERIMENTS["sine1d"].target(grid.points[grid.interior_mask], alpha, None)
+    return _target(_context(dps), grid, D)
 
 
 def _norm(v, h, ctx):
     return np.sqrt(h * _sum(v * v, ctx.num(0)))
 
 
-def grid_norm(grid: Grid1D, v) -> float:
+def grid_norm(grid: CollocationSet, v) -> float:
     """Discrete L2 norm over interior points, weight h each."""
     v = np.asarray(v, dtype=float)
-    return float(np.sqrt(grid.h * np.sum(v * v)))
+    return float(np.sqrt(1 / (_interior_count(grid) + 1) * np.sum(v * v)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +304,15 @@ def _solution(u, f, z, residual=0.0) -> KKTSolution:
                        residual=float(residual))
 
 
-def _direct_kkt(grid: Grid1D, alpha, D, ctx):
-    """Grid saddle point (u, f, z) and backward error of u: in float64 from
-    :func:`_spectral_kkt`, in Decimal by the banded solve, f = -T u, z = -(alpha/2) f."""
-    h, zero = ctx.num(1) / (grid.n - 1), ctx.num(0)
+def _direct_kkt(alpha, D, ctx):
+    """Grid saddle point (u, f, z) and backward error of u, h = 1/(len(D) + 1): in float64
+    from :func:`_spectral_kkt`, in Decimal by the banded solve, f = -T u, z = -(alpha/2) f."""
+    h, zero = ctx.num(1) / (len(D) + 1), ctx.num(0)
     q = 1 / (h * h)
     if ctx.dtype is float:
-        u, f, z = map(_idst1, _spectral_kkt(grid, alpha, D)[2])
+        u, f, z = map(_idst1, _spectral_kkt(alpha, D)[2])
     else:
-        u = _solver(ctx, alpha, q, grid.n_interior)(D)
+        u = _solver(ctx, alpha, q, len(D))(D)
         f = -_laplacian_apply(u, q)
         z = -(alpha / 2) * f
     # normwise relative backward error ||Au - D|| / (||A|| ||u|| + ||D||),
@@ -333,15 +326,15 @@ def _direct_kkt(grid: Grid1D, alpha, D, ctx):
     return u, f, z, residual
 
 
-def _spectral_kkt(grid: Grid1D, alpha, D):
+def _spectral_kkt(alpha, D):
     """lam, D^ = S D and the saddle point's DST-I coefficients (u^, f^, z^):
     u^ = D^ / (alpha lam^2 + 1), f^ = -lam u^, z^ = -(alpha/2) f^."""
-    lam, d_hat = _laplacian_eigenvalues(grid.n_interior), _dst1(D)
+    lam, d_hat = _laplacian_eigenvalues(len(D)), _dst1(D)
     u = d_hat / (alpha * lam**2 + 1)
     return lam, d_hat, (u, -lam * u, (alpha / 2) * lam * u)
 
 
-def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
+def fd_direct_kkt_solve(grid: CollocationSet, alpha: float, D, dps=None) -> KKTSolution:
     """Solve (alpha B + I) u = D, with f = -lap_h u and z = -(alpha/2) f.
 
     Eliminating control and multiplier from the optimality conditions of the
@@ -352,7 +345,7 @@ def fd_direct_kkt_solve(grid: Grid1D, alpha: float, D, dps=None) -> KKTSolution:
     _check_positive(alpha=alpha)
     ctx = _context(dps)
     with ctx.guard():
-        sol = _solution(*_direct_kkt(grid, ctx.num(alpha), _target(ctx, grid, D), ctx))
+        sol = _solution(*_direct_kkt(ctx.num(alpha), _target(ctx, grid, D), ctx))
     if not all(np.isfinite(v).all() for v in (sol.u, sol.f, sol.z, sol.residual)):
         sol.diverged_at = 0
     return sol
@@ -427,13 +420,13 @@ def _solve_nonneg(bands, solve, rhs, ctx, tol):
     return np.full(len(d), ctx.num(math.nan), dtype=ctx.dtype)
 
 
-def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_max) -> FDRun:
-    """The run loop of every iterative oracle.
+def _iterate(alpha, iters, ctx, D, reference, steps, spectral, z_max) -> FDRun:
+    """The run loop of every iterative oracle, on m = len(D) interior points.
 
     ``steps`` yields one iterate (u, f, z, lap_u) per ``next`` in the scalars
     of ``ctx``; with ``spectral`` all are DST-I coefficients, summed with the
-    weight 2 h^2 in place of h (Parseval).  The loop takes iters + 1
-    iterates, recording for each, in ``ctx.report``, the distances to
+    weight 2 h^2 in place of h = 1/(m + 1) (Parseval).  The loop takes
+    iters + 1 iterates, recording for each, in ``ctx.report``, the distances to
     ``reference`` = (u*, f*, z*), a loss row and, with ``z_max``, the
     largest multiplier entry on the grid, ``z_max(z)``; it stops, with
     ``diverged_at`` set and nothing recorded, at the first iterate whose
@@ -444,7 +437,7 @@ def _iterate(grid, alpha, iters, ctx, D, reference, steps, spectral, z_max) -> F
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     a = ctx.num(alpha)
-    h = ctx.num(1) / (grid.n - 1)
+    h = ctx.num(1) / (len(D) + 1)
     w = 2 * h * h if spectral else h
     ustar, fstar, zstar = reference
     rows, z_maxima = [], []
@@ -487,23 +480,23 @@ def _uzawa(grid, alpha, rho, D, iters, dps, project) -> FDRun:
         a = ctx.num(alpha)
         D = _target(ctx, grid, D)
         if ctx.dtype is float:
-            lam, d_hat, reference = _spectral_kkt(grid, a, D)
+            lam, d_hat, reference = _spectral_kkt(a, D)
             mu = (a / 2) * lam**2 + 1
             steps = _uzawa_steps(a, rho, d_hat, ctx, False, lambda v: lam * v, lambda r: r / mu)
             if not project:
-                return _iterate(grid, alpha, iters, ctx, d_hat, reference, steps, True, None)
+                return _iterate(alpha, iters, ctx, d_hat, reference, steps, True, None)
             run = _unclamped_run(grid, alpha, iters, ctx, d_hat, reference, steps)
             if run is not None:
                 return run
-        m, h = grid.n_interior, ctx.num(1) / (grid.n - 1)
+        m, h = len(D), ctx.num(1) / (len(D) + 1)
         q = 1 / (h * h)
         lap, solve = functools.partial(_laplacian_apply, q=q), _solver(ctx, a / 2, q, m)
         if project:
             tol, bands = ctx.num(_INNER_TOL), _biharmonic_bands(a / 2, q, m, ctx.num(1))
             solve = functools.partial(_solve_nonneg, bands, solve, ctx=ctx, tol=tol)
-        reference = _direct_kkt(grid, a, D, ctx)[:3]
+        reference = _direct_kkt(a, D, ctx)[:3]
         steps = _uzawa_steps(a, rho, D, ctx, project, lap, solve)
-        return _iterate(grid, alpha, iters, ctx, D, reference, steps, False,
+        return _iterate(alpha, iters, ctx, D, reference, steps, False,
                         np.max if project else None)
 
 
@@ -516,7 +509,7 @@ def _unclamped_run(grid, alpha, iters, ctx, d_hat, reference, steps):
     DST-I coefficients, when a certificate proves at every iterate that the
     projected run's clamps would change nothing; else None.
 
-    With x_i the grid points and gamma = min_i u*_i / sin(pi x_i) > 0, an
+    With x_i the grid's interior points and gamma = min_i u*_i / sin(pi x_i) > 0, an
     iterate's u lies within b sin(pi x_i) of u*_i on the grid,
     b = (2 / (m + 1)) sum_j j |u^_j - u*^_j|, because |sin j t| <= j |sin t|:
     b <= _CLAMP_MARGIN gamma gives u > 0, which the nonnegative inner solve
@@ -525,7 +518,7 @@ def _unclamped_run(grid, alpha, iters, ctx, d_hat, reference, steps):
     checks need a saddle point with u* > 0 and z* < 0 on the grid.
     """
     u_star, _, z_star = reference
-    gamma = (_idst1(u_star) / np.sin(np.pi * grid.interior_x())).min()
+    gamma = (_idst1(u_star) / np.sin(np.pi * grid.points[grid.interior_mask, 0])).min()
     if not (gamma > 0 and _idst1(z_star).max() < 0):
         return None
     j = np.arange(1.0, len(u_star) + 1)
@@ -544,7 +537,7 @@ def _unclamped_run(grid, alpha, iters, ctx, d_hat, reference, steps):
         return peak
 
     try:
-        run = _iterate(grid, alpha, iters, ctx, d_hat, reference, certified(), True, z_max)
+        run = _iterate(alpha, iters, ctx, d_hat, reference, certified(), True, z_max)
     except _ClampMayAct:
         return None
     # np.where sets a tie to +0, as the clamp does
@@ -572,7 +565,7 @@ def _uzawa_steps(a, rho, D, ctx, project, lap, solve):
             z = np.where(z >= zero, zero, z)
 
 
-def fd_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
+def fd_uzawa_run(grid: CollocationSet, alpha: float, rho: float, D, iters: int,
                  dps=None) -> FDRun:
     """Uzawa iteration with exact inner solves.
 
@@ -583,7 +576,7 @@ def fd_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
     return _uzawa(grid, alpha, rho, D, iters, dps, project=False)
 
 
-def fd_projected_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int,
+def fd_projected_uzawa_run(grid: CollocationSet, alpha: float, rho: float, D, iters: int,
                            dps=None) -> FDRun:
     """Uzawa iteration for the nonnegativity-restricted problem.
 
@@ -609,7 +602,7 @@ def fd_projected_uzawa_run(grid: Grid1D, alpha: float, rho: float, D, iters: int
     return run
 
 
-def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun:
+def gauss_seidel_adjoint_run(grid: CollocationSet, alpha: float, D, iters: int) -> FDRun:
     """Alternating state/adjoint/control sweep for the unmodified objective.
 
     Starting from f = 0: solve -lap u = f, then -lap z = D - u, then set
@@ -620,8 +613,8 @@ def gauss_seidel_adjoint_run(grid: Grid1D, alpha: float, D, iters: int) -> FDRun
     grow and the run is flagged as diverged once they pass 1e6.
     """
     _check_positive(alpha=alpha)
-    lam, d_hat, (ustar, fstar, _) = _spectral_kkt(grid, alpha, _target(_FloatCtx(), grid, D))
-    return _iterate(grid, alpha, iters, _FloatCtx(), d_hat, (ustar, fstar, alpha * fstar),
+    lam, d_hat, (ustar, fstar, _) = _spectral_kkt(alpha, _target(_FloatCtx(), grid, D))
+    return _iterate(alpha, iters, _FloatCtx(), d_hat, (ustar, fstar, alpha * fstar),
                     _gauss_seidel_steps(alpha, lam, d_hat), spectral=True, z_max=None)
 
 

@@ -1,4 +1,4 @@
-"""Independent calls in forked worker processes.
+"""Independent calls in forked worker processes, and the SIGTERM rule of a command.
 
 :func:`in_processes` yields ``fn(*args)`` for each ``args`` of ``calls``, in
 call order, from W = min(len(calls), usable CPUs) workers started by
@@ -10,16 +10,18 @@ calls run inline, one as each result is taken.
 
 Workers ignore SIGINT, so a Ctrl-C interrupts only the caller.  While they
 run, a SIGTERM to a caller on the main thread raises ``SystemExit(143)`` there
-(the exit status of a process that SIGTERM ended).  On either, on an exception
-and on an early close of the iterator, the caller sends SIGTERM to the
-workers; it always closes every pipe and waits for every worker.  A worker
-that dies without a result (the out-of-memory killer) raises ChildProcessError.
+(:func:`sigterm_exits`).  On either, on an exception and on an early close of
+the iterator, the caller sends SIGTERM to the workers, and it always closes
+every pipe and waits for every worker.  A worker that dies without a result
+(the out-of-memory killer) raises ChildProcessError.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
+import sys
 import threading
 
 
@@ -50,8 +52,17 @@ def _serve(fn, calls, out):
         os._exit(0)
 
 
-def _terminated(signum, frame):
-    raise SystemExit(143)
+@contextlib.contextmanager
+def sigterm_exits():
+    """On the main thread, a SIGTERM within it raises ``SystemExit(143)``, the exit
+    status SIGTERM gives, so every ``finally`` runs; leaving restores the old handler."""
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(143)) if on_main else None
+    try:
+        yield
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def in_processes(fn, calls):
@@ -60,45 +71,40 @@ def in_processes(fn, calls):
     calls = list(calls)
     workers = min(len(calls), usable_cpus())
     if workers <= 1:
-        for args in calls:
-            yield fn(*args)
+        yield from (fn(*args) for args in calls)
         return
     pids, pipes, taken = [], [], 0
-    on_main = threading.current_thread() is threading.main_thread()
     stops = {signal.SIGINT, signal.SIGTERM}
-    try:
-        # a Ctrl-C or SIGTERM before a worker has set its handler waits, and
-        # reaches this process afterwards
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)
+    with sigterm_exits():
         try:
-            if on_main:
-                previous = signal.signal(signal.SIGTERM, _terminated)
-            for w in range(workers):
-                read, write = os.pipe()
-                if (pid := os.fork()) == 0:
-                    _serve(fn, calls[w::workers], write)
-                os.close(write)  # no later worker holds it: EOF means this one ended
-                pids.append(pid)
-                pipes.append(os.fdopen(read, "rb"))
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for i in range(len(calls)):
+            # a Ctrl-C or SIGTERM before a worker has set its handler waits, and
+            # reaches this process afterwards
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)
             try:
-                ok, result = pickle.load(pipes[i % workers])
-            except (EOFError, pickle.UnpicklingError):  # nothing, or a record cut short
-                raise ChildProcessError("a worker process died before returning its "
-                                        "result") from None
-            if not ok:
-                raise result
-            taken += 1
-            yield result
-    finally:
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)  # no second stop cuts this short
-        for pid, pipe in zip(pids, pipes):
-            pipe.close()
-            if taken < len(calls):  # interrupted, failed or abandoned: stop every worker
-                os.kill(pid, signal.SIGTERM)  # one that has ended is a zombie until waited for
-            os.waitpid(pid, 0)
-        if on_main:
-            signal.signal(signal.SIGTERM, previous)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                for w in range(workers):
+                    read, write = os.pipe()
+                    if (pid := os.fork()) == 0:
+                        _serve(fn, calls[w::workers], write)
+                    os.close(write)  # no later worker holds it: EOF means this one ended
+                    pids.append(pid)
+                    pipes.append(os.fdopen(read, "rb"))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for i in range(len(calls)):
+                try:
+                    ok, result = pickle.load(pipes[i % workers])
+                except (EOFError, pickle.UnpicklingError):  # nothing, or a record cut short
+                    raise ChildProcessError("a worker process died before returning its "
+                                            "result") from None
+                if not ok:
+                    raise result
+                taken += 1
+                yield result
+        finally:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)  # no second stop cuts it short
+            for pid, pipe in zip(pids, pipes):
+                pipe.close()
+                if taken < len(calls):  # interrupted, failed or abandoned: stop every worker
+                    os.kill(pid, signal.SIGTERM)  # one that has ended is a zombie until waited for
+                os.waitpid(pid, 0)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)

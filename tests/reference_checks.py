@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from deepuzawa.fd_oracle import Grid1D, _laplacian_apply
+from deepuzawa.fd_oracle import _laplacian_apply
 
 
 def residual_check_boundary_layer(alpha: float, n_samples: int) -> float:
@@ -43,15 +43,15 @@ def residual_check_boundary_layer(alpha: float, n_samples: int) -> float:
     return float(np.max(np.abs(alpha * u4 + u - 1.0)))
 
 
-def apply_laplacian(grid: Grid1D, v) -> np.ndarray:
+def apply_laplacian(grid, v) -> np.ndarray:
     """The discrete Laplacian of interior values ``v``, in float64."""
-    return _laplacian_apply(np.array(v, dtype=float), 1.0 / grid.h**2)
+    return _laplacian_apply(np.array(v, dtype=float), 1.0 / (1 / (grid.n_points - 1))**2)
 
 
-def laplacian_dense(grid: Grid1D) -> np.ndarray:
+def laplacian_dense(grid) -> np.ndarray:
     """The discrete Laplacian as a dense matrix; its square is the biharmonic."""
     m = grid.n_interior
-    q = 1.0 / grid.h**2
+    q = 1.0 / (1 / (grid.n_points - 1))**2
     t = np.zeros((m, m))
     np.fill_diagonal(t, -2.0 * q)
     idx = np.arange(m - 1)

@@ -841,9 +841,27 @@ output_dir = {tmp_path / 'direct'}
 """)
     assert main(["-q", "oracle", cfg]) == 0
     grid = Grid1D(41)
-    target = EXPERIMENTS[tag].target(grid.interior_x()[:, None], 1e-2, None)
+    target = EXPERIMENTS[tag].target(grid.points[grid.interior_mask], 1e-2, None)
     _, state = read_csv(tmp_path / "direct" / "State.csv")
     assert np.array_equal(state[:, 0], fd_direct_kkt_solve(grid, 1e-2, target, dps=dps).u)
+
+
+@pytest.mark.parametrize("tag", cli._ORACLE_TAGS)
+def test_cli_direct_state_is_the_solve_on_a_network_runs_grid_and_target(tmp_path, tag):
+    # both solvers discretise one grid: the oracle solves the run's own
+    # target samples on the run's own grid, bit for bit
+    cfg = write(tmp_path, f"""
+tag = {tag}
+alpha = 1e-2
+n_points = 41
+oracle_method = direct
+output_dir = {tmp_path / 'direct'}
+""")
+    assert main(["-q", "oracle", cfg]) == 0
+    spec, cset = driver.problem_for(parse_config(cfg))
+    sol = fd_direct_kkt_solve(cset, 1e-2, spec.samples[cset.interior_mask])
+    _, state = read_csv(tmp_path / "direct" / "State.csv")
+    assert state[:, 0].tobytes() == sol.u.tobytes()
 
 
 @pytest.mark.parametrize("alpha, quiet", [("1e300", True), ("1e-200", True), ("1e300", False)],
@@ -1278,6 +1296,29 @@ def test_sigterm_to_a_pooled_sweep_exits_143_and_stops_its_workers(tmp_path):
         proc.wait()
     assert (proc.returncode, stderr, stdout) == (143, "", "")
     assert _group(proc.pid) == []
+
+
+def test_sigterm_to_a_run_exits_143_and_removes_its_unwritten_directory(tmp_path):
+    # SIGTERM's default action would end the command without running the
+    # cleanup that removes the run directory no run wrote
+    out = tmp_path / "out"
+    cfg = write(tmp_path, f"tag = sine1d\nn_uzawa = 100000\noutput_dir = {out}\n")
+    proc = subprocess.Popen([sys.executable, "-m", "deepuzawa.cli", "-q", "run", cfg],
+                            env=_with_src(dict(os.environ)), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not out.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        time.sleep(0.5)  # into the training steps
+        proc.send_signal(signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, stderr, stdout) == (143, "", "")
+    assert not out.exists()
 
 
 def _read_meta(path):

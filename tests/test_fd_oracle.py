@@ -9,32 +9,59 @@ from deepuzawa.closed_forms import EXPERIMENTS, ExactSolution
 from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve,
                                  fd_projected_uzawa_run, fd_uzawa_run,
                                  gauss_seidel_adjoint_run, grid_norm, sine_target)
+from deepuzawa.geometry import CollocationSet, Domain, build_grid
 from reference_checks import apply_laplacian, laplacian_dense
 
 ALPHA = 1e-2
 
 
 def test_grid_validation():
+    # the oracle's grid is a network run's on the unit interval, bit for bit
     with pytest.raises(ValueError, match="the biharmonic stencil needs n >= 5 points, got 4"):
         Grid1D(4)
-    g = Grid1D(11)
-    assert g.h == pytest.approx(0.1)
-    assert g.n_interior == 9
+    for n in (5, 11, 4001):
+        g, run_grid = Grid1D(n), build_grid(Domain(1), n)
+        assert isinstance(g, CollocationSet) and g.domain == Domain(1)
+        for field in ("points", "weights", "interior_mask"):
+            assert getattr(g, field).tobytes() == getattr(run_grid, field).tobytes()
+            assert getattr(g, field).shape == getattr(run_grid, field).shape
+
+
+_PUBLIC = {
+    "uzawa_step_bounds": lambda g: fd_oracle.uzawa_step_bounds(g, ALPHA, 1.0),
+    "gauss_seidel_rate": lambda g: fd_oracle.gauss_seidel_rate(g, ALPHA),
+    "sine_target": lambda g: sine_target(g, ALPHA),
+    "grid_norm": lambda g: grid_norm(g, np.ones(g.n_interior)),
+    "fd_direct_kkt_solve": lambda g: fd_direct_kkt_solve(g, ALPHA, np.ones(g.n_interior)),
+    "fd_uzawa_run": lambda g: fd_uzawa_run(g, ALPHA, 1.0, np.ones(g.n_interior), 2),
+    "fd_projected_uzawa_run":
+        lambda g: fd_projected_uzawa_run(g, ALPHA, 1.0, np.ones(g.n_interior), 2),
+    "gauss_seidel_adjoint_run":
+        lambda g: gauss_seidel_adjoint_run(g, ALPHA, np.ones(g.n_interior), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PUBLIC))
+def test_every_oracle_function_refuses_a_grid_off_the_unit_interval(name):
+    # each target has the 2d grid's 9 interior values: only the grid's dimension is wrong
+    with pytest.raises(ValueError, match="unit interval, got a grid of dimension 2"):
+        _PUBLIC[name](build_grid(Domain(2), 5))
+    _PUBLIC[name](Grid1D(5))  # the same call on the unit interval runs
 
 
 def test_laplacian_of_discrete_sine():
     g = Grid1D(201)
-    x = g.interior_x()
+    x = g.points[g.interior_mask, 0]
     lap = apply_laplacian(g, np.sin(np.pi * x))
     err = np.abs(lap + np.pi**2 * np.sin(np.pi * x)).max()
-    assert err <= 5 * g.h**2 * np.pi**4 / 12  # O(h^2) with the sine's scale
+    assert err <= 5 * (1 / (g.n_points - 1))**2 * np.pi**4 / 12  # O(h^2) with the sine's scale
 
 
 def test_laplacian_second_order_rate():
     errs = []
     for n in (101, 201):
         g = Grid1D(n)
-        x = g.interior_x()
+        x = g.points[g.interior_mask, 0]
         lap = apply_laplacian(g, np.sin(np.pi * x))
         errs.append(np.abs(lap + np.pi**2 * np.sin(np.pi * x)).max())
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
@@ -45,20 +72,20 @@ def test_laplacian_interior_row_sums_vanish():
     t = laplacian_dense(g)
     sums = t.sum(axis=1)
     assert np.allclose(sums[1:-1], 0.0, atol=1e-9)
-    assert sums[0] == pytest.approx(-1.0 / g.h**2, rel=1e-12)
+    assert sums[0] == pytest.approx(-1.0 / (1 / (g.n_points - 1))**2, rel=1e-12)
 
 
 def test_biharmonic_is_laplacian_squared():
     g = Grid1D(21)
     t = laplacian_dense(g)
     # interior stencil away from the boundary rows
-    row = (t @ t)[5, 3:8] * g.h**4
+    row = (t @ t)[5, 3:8] * (1 / (g.n_points - 1))**4
     assert np.allclose(row, [1.0, -4.0, 6.0, -4.0, 1.0], rtol=1e-10)
 
 
 def test_biharmonic_of_sine():
     g = Grid1D(201)
-    x = g.interior_x()
+    x = g.points[g.interior_mask, 0]
     t = laplacian_dense(g)
     b = t @ t
     err = np.abs(b @ np.sin(np.pi * x) - np.pi**4 * np.sin(np.pi * x)).max()
@@ -79,7 +106,7 @@ def test_array_steps_match_scalar_loops():
     # the Laplacian keeps the scalar loop's operation order, so its result is
     # bitwise that of the loop, in float64 and at 130 digits
     v = np.random.default_rng(3).standard_normal(3999)
-    q = 1.0 / Grid1D(4001).h**2
+    q = 1.0 / (1 / (Grid1D(4001).n_points - 1))**2
     assert np.array_equal(fd_oracle._laplacian_apply(v, q).view(np.int64),
                           np.array(_scalar_laplacian(v, q)).view(np.int64))
     ctx = fd_oracle._context(130)
@@ -114,8 +141,8 @@ def test_ldlt_solve_matches_dense_solve():
     alpha = 1e-4
     g = Grid1D(41)
     m = g.n_interior
-    rhs = np.cos(3 * np.pi * g.interior_x()) + g.interior_x()
-    bands = fd_oracle._biharmonic_bands(alpha / 2, 1.0 / g.h**2, m, 1.0)
+    rhs = np.cos(3 * np.pi * g.points[g.interior_mask, 0]) + g.points[g.interior_mask, 0]
+    bands = fd_oracle._biharmonic_bands(alpha / 2, 1.0 / (1 / (g.n_points - 1))**2, m, 1.0)
     u = fd_oracle._ldlt_solve(fd_oracle._ldlt_factor(*bands), rhs)
     exact = np.linalg.solve(_inner_matrix(g, alpha), rhs)
     assert np.linalg.norm(u - exact) <= 1e-12 * np.linalg.norm(exact)
@@ -166,8 +193,9 @@ def test_spectral_solve_matches_dense_solve():
     alpha = 1e-4
     g = Grid1D(41)
     m = g.n_interior
-    rhs = np.cos(3 * np.pi * g.interior_x()) + g.interior_x()
-    u = fd_oracle._solver(fd_oracle._FloatCtx(), alpha / 2, 1.0 / g.h**2, m)(rhs)
+    rhs = np.cos(3 * np.pi * g.points[g.interior_mask, 0]) + g.points[g.interior_mask, 0]
+    u = fd_oracle._solver(fd_oracle._FloatCtx(), alpha / 2, 1.0 / (1 / (g.n_points - 1))**2,
+                          m)(rhs)
     exact = np.linalg.solve(_inner_matrix(g, alpha), rhs)
     assert np.linalg.norm(u - exact) <= 1e-12 * np.linalg.norm(exact)
 
@@ -177,13 +205,13 @@ def test_solve_nonneg_meets_kkt_conditions(monkeypatch, dps):
     # a rhs negative on two stretches of the grid clamps several entries
     g = Grid1D(41)
     m = g.n_interior
-    rhs = np.cos(3 * np.pi * g.interior_x()) - 0.3
+    rhs = np.cos(3 * np.pi * g.points[g.interior_mask, 0]) - 0.3
     tol = 1e-10
     factorisations = []
     factor = fd_oracle._ldlt_factor
     ctx = fd_oracle._context(dps)
     with ctx.guard():
-        h = ctx.num(1) / (g.n - 1)
+        h = ctx.num(1) / (g.n_points - 1)
         c, q = ctx.num(ALPHA) / 2, 1 / (h * h)
         bands = fd_oracle._biharmonic_bands(c, q, m, ctx.num(1))
         solve = fd_oracle._solver(ctx, c, q, m)
@@ -206,7 +234,7 @@ def test_direct_kkt_manufactured_solution():
     g = Grid1D(201)
     sol = fd_direct_kkt_solve(g, ALPHA, sine_target(g, ALPHA))
     ex = ExactSolution("sine1d")
-    x = g.interior_x()
+    x = g.points[g.interior_mask, 0]
     rel_u = grid_norm(g, sol.u - ex.state(x)) / grid_norm(g, ex.state(x))
     rel_f = grid_norm(g, sol.f - ex.control(x)) / grid_norm(g, ex.control(x))
     assert rel_u <= 1e-4
@@ -221,8 +249,8 @@ def test_direct_kkt_solves_the_sine_target_to_rounding():
     # z = (alpha/2) lam_1 u; the banded solve missed u by 1.3e-5 on this
     # grid, and f = -T u on the grid missed f and z by 1.35e-9
     g = Grid1D(4001)
-    lam1 = -4 / g.h**2 * np.sin(np.pi * g.h / 2) ** 2
-    x = g.interior_x()
+    lam1 = -4 / (1 / (g.n_points - 1))**2 * np.sin(np.pi * (1 / (g.n_points - 1)) / 2) ** 2
+    x = g.points[g.interior_mask, 0]
     exact = (1 + ALPHA * np.pi**4) / (ALPHA * lam1**2 + 1) * np.sin(np.pi * x)
     sol = fd_direct_kkt_solve(g, ALPHA, sine_target(g, ALPHA))
     assert np.abs(sol.u - exact).max() <= 1e-13
@@ -277,7 +305,7 @@ def test_direct_kkt_solve_whose_pivot_rounds_to_zero_diverges_at_0():
 
 def test_direct_kkt_symmetry():
     g = Grid1D(101)
-    x = g.interior_x()
+    x = g.points[g.interior_mask, 0]
     d = np.exp(-40 * (x - 0.5) ** 2)  # symmetric about 1/2
     sol = fd_direct_kkt_solve(g, ALPHA, d)
     assert np.abs(sol.u - sol.u[::-1]).max() <= 1e-12
@@ -290,7 +318,7 @@ def test_direct_kkt_grid_convergence():
     for n in (101, 201):
         g = Grid1D(n)
         sol = fd_direct_kkt_solve(g, ALPHA, sine_target(g, ALPHA))
-        errs[n] = grid_norm(g, sol.u - ex.state(g.interior_x()))
+        errs[n] = grid_norm(g, sol.u - ex.state(g.points[g.interior_mask, 0]))
     assert 3.5 <= errs[101] / errs[201] <= 4.5
 
 
@@ -417,7 +445,7 @@ def test_sine_target_high_precision_digits(dps):
     # the target at dps digits is the sine1d row's float64 target rounded to
     # dps digits; in float64 it is that target, bitwise
     g = Grid1D(51)
-    table = EXPERIMENTS["sine1d"].target(g.interior_x()[:, None], ALPHA, None)
+    table = EXPERIMENTS["sine1d"].target(g.points[g.interior_mask], ALPHA, None)
     rounded = decimal.Context(prec=dps).create_decimal
     assert [str(v) for v in sine_target(g, ALPHA, dps=dps)] == [str(rounded(x)) for x in table]
     assert np.array_equal(sine_target(g, ALPHA).view(np.int64), table.view(np.int64))
@@ -479,7 +507,7 @@ def test_certificate_that_fails_midway_gives_the_grid_run(monkeypatch):
     # over from iterate 0.  A margin of 0 drops it at iterate 0, by its u
     # check, before it records anything.
     g = Grid1D(201)
-    x = g.interior_x()
+    x = g.points[g.interior_mask, 0]
     target = np.sin(np.pi * x) + 0.08 * np.sin(12 * np.pi * x)
     attempts = _count_attempts(monkeypatch)
     midway = fd_projected_uzawa_run(g, 1e-4, 2.5e-5, target, 20)
@@ -501,7 +529,7 @@ def test_certificate_needs_a_positive_state_and_negative_multiplier(monkeypatch,
     # gamma <= 0 (the negated sine, the zero target), or z* >= 0 somewhere
     # (u* > 0 dips in the middle, where it is convex): no attempt, only the grid run
     g = Grid1D(41)
-    x = g.interior_x()
+    x = g.points[g.interior_mask, 0]
     D = {"negated_sine": -sine_target(g, ALPHA), "zero": np.zeros(g.n_interior),
          "dip_in_the_middle": np.sin(np.pi * x) + 8 * np.sin(3 * np.pi * x)}[target]
     attempts = _count_attempts(monkeypatch)
@@ -589,7 +617,7 @@ def test_gauss_seidel_matches_two_solves_per_sweep(n):
     # the sweep in DST-I coordinates against the sweep of two spectral solves
     g = Grid1D(n)
     m = g.n_interior
-    x = g.interior_x()
+    x = g.points[g.interior_mask, 0]
     target = np.exp(-40 * (x - 0.3) ** 2) + x  # excites every mode
     solve = fd_oracle._spectral_solve(-fd_oracle._laplacian_eigenvalues(m))
     u = f = z = np.zeros(m)
@@ -659,8 +687,8 @@ def test_uzawa_in_coefficients_matches_the_grid_loop(n):
     # column's maximum, and the first multiplier errors, while far above
     # the grid loop's rounding, to 1e-6.
     g = Grid1D(n)
-    m, q = g.n_interior, 1.0 / g.h**2
-    x = g.interior_x()
+    m, q = g.n_interior, 1.0 / (1 / (g.n_points - 1))**2
+    x = g.points[g.interior_mask, 0]
     target = np.exp(-40 * (x - 0.3) ** 2) + x  # excites every mode
     rho, iters = ALPHA / 4, 200
     lam = fd_oracle._laplacian_eigenvalues(m)
@@ -676,7 +704,7 @@ def test_uzawa_in_coefficients_matches_the_grid_loop(n):
         f = -(2 / ALPHA) * z
         lap_u = fd_oracle._laplacian_apply(u, q)
         big_z, big_u = max(big_z, np.linalg.norm(z)), max(big_u, np.linalg.norm(u))
-        rows.append(fd_oracle._loss_row(u, f, z, target, lap_u, ALPHA, g.h,
+        rows.append(fd_oracle._loss_row(u, f, z, target, lap_u, ALPHA, 1 / (g.n_points - 1),
                                         fd_oracle._FloatCtx()))
         z_errors.append(grid_norm(g, z - z_star))
     run = fd_uzawa_run(g, ALPHA, rho, target, iters)
@@ -750,7 +778,7 @@ def test_uzawa_divergence_flagged_not_raised(dps):
 def test_cycling_inner_solve_diverges_at_its_first_iterate():
     # the active set of sin(37 pi x) cycles in the first inner solve
     g = Grid1D(201)
-    target = np.sin(37 * np.pi * g.interior_x())
+    target = np.sin(37 * np.pi * g.points[g.interior_mask, 0])
     run = fd_projected_uzawa_run(g, 1e-2, 2.5e-3, target, 20)
     assert run.diverged_at == 0
     assert run.z_errors.shape == run.state_errors.shape == run.z_history.shape == (0,)
@@ -765,7 +793,7 @@ def test_cycling_inner_solve_diverges_where_it_cycles(dps):
     # rho = 3 rho_max at alpha = 1e-4: the inner solve's active set cycles at
     # iterate 20, before the errors pass the divergence limit
     g = Grid1D(81)
-    target = EXPERIMENTS["boundary_layer"].target(g.interior_x()[:, None], 1e-4, None)
+    target = EXPERIMENTS["boundary_layer"].target(g.points[g.interior_mask], 1e-4, None)
     run = fd_projected_uzawa_run(g, 1e-4, 1.5e-4, target, 200, dps=dps)
     assert run.diverged_at == 20
     assert run.state_errors.shape == run.z_history.shape == (20,)
@@ -805,6 +833,6 @@ def test_boundary_layer_target_direct_solve():
     alpha = 1e-3
     sol = fd_direct_kkt_solve(g, alpha, np.ones(g.n_interior))
     ex = ExactSolution("boundary_layer", alpha=alpha)
-    x = g.interior_x()
+    x = g.points[g.interior_mask, 0]
     rel = grid_norm(g, sol.u - ex.state(x)) / grid_norm(g, ex.state(x))
     assert rel <= 1e-4

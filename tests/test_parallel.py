@@ -2,11 +2,12 @@
 the jet sweeps."""
 import os
 import signal
+import threading
 import time
 
 import pytest
 
-from deepuzawa.parallel import in_processes, usable_cpus
+from deepuzawa.parallel import in_processes, sigterm_exits, usable_cpus
 from reference_checks import assert_no_child_left
 
 
@@ -116,3 +117,31 @@ def test_sigterm_exits_the_caller_while_workers_run_and_ends_a_worker(two_cpus):
     assert_no_child_left()
     assert signal.getsignal(signal.SIGTERM) is previous
     assert signal.pthread_sigmask(signal.SIG_BLOCK, set()) == mask
+
+
+def test_sigterm_exits_nests_and_restores_each_outer_handler():
+    previous = signal.getsignal(signal.SIGTERM)
+    with sigterm_exits():
+        outer = signal.getsignal(signal.SIGTERM)
+        assert outer is not previous
+        with sigterm_exits():
+            with pytest.raises(SystemExit) as stop:
+                os.kill(os.getpid(), signal.SIGTERM)
+                time.sleep(10)  # the handler interrupts it
+            assert stop.value.code == 143
+        assert signal.getsignal(signal.SIGTERM) is outer
+    assert signal.getsignal(signal.SIGTERM) is previous
+
+
+def test_sigterm_exits_changes_nothing_off_the_main_thread():
+    # only the main thread may set a signal handler
+    previous, seen = signal.getsignal(signal.SIGTERM), []
+
+    def body():
+        with sigterm_exits():
+            seen.append(signal.getsignal(signal.SIGTERM))
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    thread.join()
+    assert seen == [previous]
