@@ -23,7 +23,7 @@ from dataclasses import fields
 import numpy as np
 
 from .closed_forms import EXPERIMENTS, POISSON
-from .config import ConfigError, ExperimentConfig, emit_csv, read_config, write_csv
+from .config import ConfigError, ExperimentConfig, emit_csv, read_config, target_on_grid, write_csv
 from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa, sweep_dir
 from .fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run, fd_uzawa_run,
                         gauss_seidel_adjoint_run, gauss_seidel_rate, uzawa_step_bounds)
@@ -157,8 +157,8 @@ def _run_oracle_method(cfg, method, grid, target, out_dir, quiet) -> int:
 
 
 def _cmd_oracle(cfg: ExperimentConfig, grid, quiet: bool) -> int:
-    # the table's float64 target; each solver rounds it into its arithmetic
-    target = EXPERIMENTS[cfg.tag].target(grid.points[grid.interior_mask], cfg.alpha, None)
+    # the run's float64 target on the interior; each solver rounds it into its arithmetic
+    target = target_on_grid(cfg, grid)[grid.interior_mask]
     methods = _oracle_methods(cfg)
     calls = [(cfg, method, grid, target,
               cfg.output_dir if len(methods) == 1 else os.path.join(cfg.output_dir, method),

@@ -273,10 +273,22 @@ def sample_image_on_grid(img: np.ndarray, cset: CollocationSet) -> np.ndarray:
             + ty * ((1 - tx) * img[y0 + 1, x0] + tx * img[y0 + 1, x0 + 1]))
 
 
+def target_on_grid(cfg: ExperimentConfig, cset: CollocationSet) -> np.ndarray:
+    """The config's target at every point of ``cset``, for both solvers: the tag
+    row's formula, an overflow unreported (the solvers' finiteness checks decide),
+    or the ``image`` greymap sampled bilinearly."""
+    row = EXPERIMENTS[cfg.tag]
+    if row.target == "image":
+        return sample_image_on_grid(load_pgm_target(cfg.image), cset)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return row.target(cset.points, cfg.alpha, cfg.epsilon)
+
+
 # ---------------------------------------------------------------------------
 # CSV emission
 #
-# Per-run directory schema shared by the network driver and the oracle:
+# Per-run directory schema shared by the network driver and the oracle; both
+# solve for the target that target_on_grid samples on the run's grid:
 #   Error.csv   update, state_l2_error, control_l2_error   (when exact known)
 #   Loss.csv    update, LOSS_COLUMNS
 #   State.csv   one state value per line, grid order

@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_forms import EXPERIMENTS
-from .config import (LOSS_COLUMNS, ExperimentConfig, RunResult, load_pgm_target,
-                     sample_image_on_grid)
+from .config import LOSS_COLUMNS, ExperimentConfig, RunResult, target_on_grid
 from .geometry import CollocationSet, Domain, build_grid, l2_norm
 from .lagrangian import ProblemSpec, loss_parts, multiplier_update, residual_values
 from .network import NetworkParameters, NetworkSpec, batch_jets, init_network, loss_and_gradient
@@ -58,15 +57,9 @@ class RunRecord(RunResult):
 
 def problem_for(cfg: ExperimentConfig) -> tuple[ProblemSpec, CollocationSet]:
     """Problem spec and collocation grid of a network experiment tag, with
-    the tag's target (its formula or its image) sampled on that grid."""
-    row = EXPERIMENTS[cfg.tag]
-    cset = build_grid(Domain(row.dim), cfg.n_points)
-    if row.target == "image":
-        samples = sample_image_on_grid(load_pgm_target(cfg.image), cset)
-    else:  # an overflow is refused by the spec's finiteness check, unreported here
-        with np.errstate(over="ignore", invalid="ignore"):
-            samples = row.target(cset.points, cfg.alpha, cfg.epsilon)
-    return ProblemSpec(cfg.tag, cfg.alpha, cfg.epsilon, samples), cset
+    the config's target sampled on that grid (:func:`target_on_grid`)."""
+    cset = build_grid(Domain(EXPERIMENTS[cfg.tag].dim), cfg.n_points)
+    return ProblemSpec(cfg.tag, cfg.alpha, cfg.epsilon, samples=target_on_grid(cfg, cset)), cset
 
 
 def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecord:

@@ -6,8 +6,8 @@ against them: the direct solve of the eliminated state equation is the
 fixed point of the Uzawa iteration by construction.
 
 Discretisation: a network run's grid, ``build_grid(Domain(1), n)`` with n >= 5
-(:func:`Grid1D`), 3-point Laplacian with zero Dirichlet data on its interior,
-and the simply supported (u = lap u = 0) biharmonic taken as its square.
+(:func:`_interior_count`), 3-point Laplacian with zero Dirichlet data on its
+interior, and the simply supported (u = lap u = 0) biharmonic as its square.
 
 The three iterative runs (plain Uzawa, projected Uzawa, Gauss-Seidel) share
 one run loop that records errors and losses and flags divergence; each
@@ -69,16 +69,18 @@ _REPORT_DPS = 20  # digits of the Decimal diagnostics; their float64 report need
 
 
 def Grid1D(n: int) -> CollocationSet:
-    """``build_grid(Domain(1), n)``, refused below the biharmonic stencil's 5 points."""
-    if n < 5:
-        raise ValueError(f"the biharmonic stencil needs n >= 5 points, got {n}")
-    return build_grid(Domain(1), n)
+    """``build_grid(Domain(1), n)``, refused where :func:`_interior_count` refuses it."""
+    _interior_count(grid := build_grid(Domain(1), n))
+    return grid
 
 
 def _interior_count(grid: CollocationSet) -> int:
-    """m, the number of interior points of a grid on the unit interval."""
+    """m, the number of interior points of a grid on the unit interval with
+    the biharmonic stencil's n >= 5 points."""
     if (dim := grid.points.shape[1]) != 1:
         raise ValueError(f"the oracle runs on the unit interval, got a grid of dimension {dim}")
+    if grid.n_points < 5:
+        raise ValueError(f"the biharmonic stencil needs n >= 5 points, got {grid.n_points}")
     return grid.n_interior
 
 
@@ -470,10 +472,8 @@ def _iterate(alpha, iters, ctx, D, reference, steps, spectral, z_max) -> FDRun:
 
 def _uzawa(grid, alpha, rho, D, iters, dps, project) -> FDRun:
     """Both Uzawa runs, in the plain run's multiplier; ``project`` keeps
-    u >= 0 in the inner solve, f >= 0 and z <= 0.  In float64 the plain run
-    iterates on DST-I coefficients, and so does the projected run when
-    :func:`_unclamped_run` proves that no clamp acts; else it iterates on
-    the grid."""
+    u >= 0 in the inner solve, f >= 0 and z <= 0.  Float64 runs iterate on DST-I
+    coefficients unless :func:`_unclamped_run` refuses a projected run."""
     _check_positive(alpha=alpha, rho=rho)
     ctx = _context(dps)
     with ctx.guard():
@@ -578,19 +578,18 @@ def fd_uzawa_run(grid: CollocationSet, alpha: float, rho: float, D, iters: int,
 
 def fd_projected_uzawa_run(grid: CollocationSet, alpha: float, rho: float, D, iters: int,
                            dps=None) -> FDRun:
-    """Uzawa iteration for the nonnegativity-restricted problem.
+    """Uzawa iteration for min cost subject to u >= 0, f >= 0 and -lap_h u <= f.
 
     :func:`fd_uzawa_run` plus clamps: the inner solve keeps u >= 0 (primal
-    active set), f = max(-(2/alpha) z, 0), and z <- min(z + rho (lap_h u + f), 0).
+    active set), f = max(-(2/alpha) z, 0), and z <- min(z + rho (lap_h u + f), 0);
+    where the z <= 0 clamp binds it turns the state equation into that inequality.
     It reports the negated, nonnegative multiplier (``z``, ``reference.z``,
     ``z_history``).  With a nonnegative unconstrained saddle point it is
     :func:`fd_uzawa_run` with z negated: exactly in Decimal, and in float64
-    while a certificate proves on every iterate that no clamp acts (u* > 0
-    and z* < 0 on the grid, every iterate's u within half of u*'s margin
-    above zero and its z <= 0 on the grid), for then it takes the plain
-    run's steps on DST-I coefficients.  A target the certificate rejects at
-    any iterate runs on the grid from iterate 0, with the grid iteration's
-    rounding, which T amplifies.
+    while a certificate proves on every iterate that no clamp acts
+    (:func:`_unclamped_run`), for then it takes the plain run's steps on
+    DST-I coefficients.  A target the certificate rejects at any iterate
+    runs on the grid from iterate 0, with the grid's rounding, which T amplifies.
 
     An inner solve whose active set cycles gives a NaN state, and the run
     diverges at that iterate: on sin(37 pi x) at n = 201, alpha = 1e-2,

@@ -18,7 +18,7 @@ formed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,14 +29,14 @@ from .geometry import CollocationSet
 @dataclass
 class ProblemSpec:
     """An experiment tag of :data:`~deepuzawa.closed_forms.EXPERIMENTS` with
-    its regularisation weight, its Allen-Cahn epsilon and the target on the
-    collocation points: optional for a formula target, which is then
-    evaluated on them, and required for the image tag."""
+    its regularisation weight, its Allen-Cahn epsilon and, keyword only, its
+    target sampled on the collocation points
+    (:func:`~deepuzawa.config.target_on_grid`)."""
 
     tag: str
     alpha: float
     epsilon: float | None = None
-    samples: np.ndarray | None = None
+    samples: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
         row = EXPERIMENTS.get(self.tag)
@@ -46,12 +46,9 @@ class ProblemSpec:
             raise ValueError("alpha must be positive")
         if "epsilon" in row.keys and (self.epsilon is None or not self.epsilon > 0):
             raise ValueError("Allen-Cahn problems need epsilon > 0")
-        if row.target == "image" and self.samples is None:
-            raise ValueError(f"tag {self.tag!r} needs its target samples")
-        if self.samples is not None:
-            self.samples = np.asarray(self.samples, dtype=float)
-            if not np.all(np.isfinite(self.samples)):
-                raise ValueError(f"tag {self.tag!r}: target samples contain non-finite values")
+        self.samples = np.asarray(self.samples, dtype=float)
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError(f"tag {self.tag!r}: target samples contain non-finite values")
 
     @property
     def kind(self) -> str:
@@ -60,9 +57,7 @@ class ProblemSpec:
 
 
 def target_values(problem: ProblemSpec, cset: CollocationSet) -> np.ndarray:
-    """Evaluate the target field at every collocation point."""
-    if problem.samples is None:
-        return EXPERIMENTS[problem.tag].target(cset.points, problem.alpha, problem.epsilon)
+    """The problem's target samples, checked to cover every collocation point."""
     if problem.samples.shape != (cset.n_points,):
         raise ValueError(
             f"sampled target has {problem.samples.shape} values for {cset.n_points} points"

@@ -457,14 +457,14 @@ _GRADIENT_CASES = (
 
 
 def _check_case(tag, alpha, epsilon, n, hidden, seed, z_seed):
-    """Network, grid, problem and random multiplier of one loss-gradient
-    check; an image tag's target is a uniform 0.5."""
+    """Network, grid, problem (image target 0.5) and random z of one gradient check."""
     row = EXPERIMENTS[tag]
     cset = build_grid(Domain(row.dim), n)
-    samples = np.full(cset.n_points, 0.5) if row.target == "image" else None
+    samples = (np.full(cset.n_points, 0.5) if row.target == "image"
+               else row.target(cset.points, alpha, epsilon))
     z = np.random.default_rng(z_seed).normal(size=cset.n_interior)
     return (init_network(NetworkSpec(row.dim, hidden, seed=seed)), cset,
-            ProblemSpec(tag, alpha, epsilon, samples), z)
+            ProblemSpec(tag, alpha, epsilon, samples=samples), z)
 
 
 def grad_check() -> dict[str, float]:

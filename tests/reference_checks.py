@@ -4,14 +4,17 @@
 against its fourth-order equation; ``apply_laplacian`` and
 ``laplacian_dense`` are the oracle grid's discrete Laplacian as a function
 and as a matrix; ``assert_no_child_left`` checks that a command left no
-worker process behind.
+worker process behind; ``sampled_problem`` is a formula tag's problem with
+the target a run samples.
 """
 import os
 
 import numpy as np
 import pytest
 
+from deepuzawa.config import ExperimentConfig, target_on_grid
 from deepuzawa.fd_oracle import _laplacian_apply
+from deepuzawa.lagrangian import ProblemSpec
 
 
 def residual_check_boundary_layer(alpha: float, n_samples: int) -> float:
@@ -65,3 +68,10 @@ def assert_no_child_left():
     for: ``waitpid`` of any child finds none."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def sampled_problem(tag, alpha, cset, epsilon=None) -> ProblemSpec:
+    """The problem of a formula tag with its target sampled on ``cset`` by
+    ``target_on_grid``, the sampler of a run's problem."""
+    cfg = ExperimentConfig(tag, alpha=alpha, epsilon=epsilon)
+    return ProblemSpec(tag, alpha, epsilon, samples=target_on_grid(cfg, cset))

@@ -4,8 +4,8 @@ import pytest
 
 from deepuzawa.closed_forms import EXPERIMENTS, ExactSolution
 from deepuzawa.geometry import Domain, build_grid
-from deepuzawa.lagrangian import ProblemSpec, residual_values
-from reference_checks import residual_check_boundary_layer
+from deepuzawa.lagrangian import residual_values
+from reference_checks import residual_check_boundary_layer, sampled_problem
 
 ENDS = np.array([0.0, 1.0])
 
@@ -131,7 +131,7 @@ def _residual_on_grid(tag, n):
         lo, hi = list(inner), list(inner)
         lo[axis], hi[axis] = slice(0, -2), slice(2, None)
         lap += (u[tuple(lo)] - 2 * u[inner] + u[tuple(hi)]) / h**2
-    problem = ProblemSpec(tag, alpha, epsilon)
+    problem = sampled_problem(tag, alpha, g, epsilon if "epsilon" in row.keys else None)
     return np.abs(residual_values(problem, u[inner], f[inner], lap)).max()
 
 

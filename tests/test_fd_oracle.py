@@ -27,18 +27,22 @@ def test_grid_validation():
             assert getattr(g, field).shape == getattr(run_grid, field).shape
 
 
+# every public oracle function, called on a grid; those that take dps, in its arithmetic
 _PUBLIC = {
-    "uzawa_step_bounds": lambda g: fd_oracle.uzawa_step_bounds(g, ALPHA, 1.0),
-    "gauss_seidel_rate": lambda g: fd_oracle.gauss_seidel_rate(g, ALPHA),
-    "sine_target": lambda g: sine_target(g, ALPHA),
-    "grid_norm": lambda g: grid_norm(g, np.ones(g.n_interior)),
-    "fd_direct_kkt_solve": lambda g: fd_direct_kkt_solve(g, ALPHA, np.ones(g.n_interior)),
-    "fd_uzawa_run": lambda g: fd_uzawa_run(g, ALPHA, 1.0, np.ones(g.n_interior), 2),
-    "fd_projected_uzawa_run":
-        lambda g: fd_projected_uzawa_run(g, ALPHA, 1.0, np.ones(g.n_interior), 2),
+    "uzawa_step_bounds": lambda g, dps=None: fd_oracle.uzawa_step_bounds(g, ALPHA, 1.0),
+    "gauss_seidel_rate": lambda g, dps=None: fd_oracle.gauss_seidel_rate(g, ALPHA),
+    "sine_target": lambda g, dps=None: sine_target(g, ALPHA, dps=dps),
+    "grid_norm": lambda g, dps=None: grid_norm(g, np.ones(g.n_interior)),
+    "fd_direct_kkt_solve":
+        lambda g, dps=None: fd_direct_kkt_solve(g, ALPHA, np.ones(g.n_interior), dps=dps),
+    "fd_uzawa_run":
+        lambda g, dps=None: fd_uzawa_run(g, ALPHA, 1.0, np.ones(g.n_interior), 2, dps=dps),
+    "fd_projected_uzawa_run": lambda g, dps=None: fd_projected_uzawa_run(
+        g, ALPHA, 1.0, np.ones(g.n_interior), 2, dps=dps),
     "gauss_seidel_adjoint_run":
-        lambda g: gauss_seidel_adjoint_run(g, ALPHA, np.ones(g.n_interior), 2),
+        lambda g, dps=None: gauss_seidel_adjoint_run(g, ALPHA, np.ones(g.n_interior), 2),
 }
+_TAKES_DPS = ("sine_target", "fd_direct_kkt_solve", "fd_uzawa_run", "fd_projected_uzawa_run")
 
 
 @pytest.mark.parametrize("name", sorted(_PUBLIC))
@@ -47,6 +51,16 @@ def test_every_oracle_function_refuses_a_grid_off_the_unit_interval(name):
     with pytest.raises(ValueError, match="unit interval, got a grid of dimension 2"):
         _PUBLIC[name](build_grid(Domain(2), 5))
     _PUBLIC[name](Grid1D(5))  # the same call on the unit interval runs
+
+
+@pytest.mark.parametrize("name, n, dps", [
+    (name, n, dps) for name in sorted(_PUBLIC) for n in (3, 4)
+    for dps in ((None, 30) if name in _TAKES_DPS else (None,))])
+def test_every_oracle_function_refuses_a_grid_the_stencil_cannot_take(name, n, dps):
+    # the biharmonic's bands need three interior points: n = 3 has one, n = 4 two
+    with pytest.raises(ValueError, match=f"^the biharmonic stencil needs n >= 5 points, got {n}$"):
+        _PUBLIC[name](build_grid(Domain(1), n), dps)
+    _PUBLIC[name](build_grid(Domain(1), 5), dps)  # the same call at five points runs
 
 
 def test_laplacian_of_discrete_sine():

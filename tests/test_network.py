@@ -12,10 +12,11 @@ from deepuzawa.closed_forms import EXPERIMENTS
 from deepuzawa.config import ExperimentConfig
 from deepuzawa.driver import run_deep_uzawa
 from deepuzawa.geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
-from deepuzawa.lagrangian import ProblemSpec, loss_parts, target_values
+from deepuzawa.lagrangian import loss_parts, target_values
 from deepuzawa.network import (NetworkParameters, NetworkSpec, batch_jets, evaluate,
                                finite_difference_gradient, init_network,
                                loss_and_gradient, loss_value)
+from reference_checks import sampled_problem
 
 
 def _poisson_case(dim, n, hidden, seed=0, z_seed=None):
@@ -123,7 +124,7 @@ def test_grad_check_covers_every_constraint_kind_and_variant():
 
 def test_zero_final_layer_loss_is_pure_misfit():
     params, g, _, z = _poisson_case(1, 21, (8, 8), z_seed=1)
-    prob = ProblemSpec("sine1d", 4.0)
+    prob = sampled_problem("sine1d", 4.0, g)
     flat = params.flat.copy()
     flat[-18:] = 0.0  # last layer: 2x8 weights + 2 biases
     params = params.with_flat(flat)
@@ -156,7 +157,8 @@ def test_duplicated_point_with_split_weight():
     dup = CollocationSet(g.domain, points, weights, mask)
     zj = np.where(np.flatnonzero(g.interior_mask) == j)[0][0]
     z_dup = np.append(z, z[zj])
-    loss2, grad2 = loss_and_gradient(params, dup, prob, z_dup)
+    # the target sampled on the duplicated set, as a run samples its own grid
+    loss2, grad2 = loss_and_gradient(params, dup, sampled_problem("sine1d", 1e-2, dup), z_dup)
     assert loss2 == pytest.approx(loss1, rel=1e-13)
     assert np.allclose(grad2, grad1, rtol=1e-12, atol=1e-15)
 
