@@ -23,8 +23,8 @@ from dataclasses import fields
 import numpy as np
 
 from .closed_forms import EXPERIMENTS, POISSON
-from .config import ConfigError, ExperimentConfig, emit_csv, read_config, target_on_grid, write_csv
-from .driver import DIAGNOSTIC_COLUMNS, rho_alpha_sweep, run_deep_uzawa, sweep_dir
+from .config import ConfigError, ExperimentConfig, emit_csv, read_config, write_csv
+from .driver import DIAGNOSTIC_COLUMNS, problem_for, rho_alpha_sweep, run_deep_uzawa, sweep_dir
 from .fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run, fd_uzawa_run,
                         gauss_seidel_adjoint_run, gauss_seidel_rate, uzawa_step_bounds)
 from .network import CHECK_BOUND, grad_check, save_checkpoint
@@ -156,9 +156,9 @@ def _run_oracle_method(cfg, method, grid, target, out_dir, quiet) -> int:
     return status
 
 
-def _cmd_oracle(cfg: ExperimentConfig, grid, quiet: bool) -> int:
-    # the run's float64 target on the interior; each solver rounds it into its arithmetic
-    target = target_on_grid(cfg, grid)[grid.interior_mask]
+def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
+    problem, grid = problem_for(cfg)  # a network run's problem, its target checked finite
+    target = problem.samples[grid.interior_mask]  # each solver rounds it into its arithmetic
     methods = _oracle_methods(cfg)
     calls = [(cfg, method, grid, target,
               cfg.output_dir if len(methods) == 1 else os.path.join(cfg.output_dir, method),
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"oracle runs support tags {_ORACLE_TAGS}; got {cfg.tag!r}",
                                   key="tag", line=lines["tag"])
             try:  # the oracle's stencil needs more points than the config's minimum
-                grid = Grid1D(cfg.n_points)
+                Grid1D(cfg.n_points)
             except ValueError as exc:  # the default passes: n_points is set in the file
                 raise ConfigError(str(exc), key="n_points", line=lines["n_points"]) from None
         # a file that sets a key the run would not read is refused, not
@@ -246,7 +246,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             # overflow goes unreported: the finiteness checks decide the exit code
             with np.errstate(over="ignore", invalid="ignore"):
-                return _cmd_oracle(cfg, grid, args.quiet)
+                return _cmd_oracle(cfg, args.quiet)
         return _cmd_sweep(cfg, args.alphas, args.quiet)
     except (OSError, ValueError) as exc:  # input the program cannot use, ConfigError included
         print(f"error: {exc}", file=sys.stderr)

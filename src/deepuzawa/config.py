@@ -275,8 +275,8 @@ def sample_image_on_grid(img: np.ndarray, cset: CollocationSet) -> np.ndarray:
 
 def target_on_grid(cfg: ExperimentConfig, cset: CollocationSet) -> np.ndarray:
     """The config's target at every point of ``cset``, for both solvers: the tag
-    row's formula, an overflow unreported (the solvers' finiteness checks decide),
-    or the ``image`` greymap sampled bilinearly."""
+    row's formula, evaluated nowhere else, an overflow unreported (``ProblemSpec``
+    refuses a non-finite sample), or the ``image`` greymap sampled bilinearly."""
     row = EXPERIMENTS[cfg.tag]
     if row.target == "image":
         return sample_image_on_grid(load_pgm_target(cfg.image), cset)

@@ -54,8 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import EXPERIMENTS
-from .config import RunResult
+from .config import ExperimentConfig, RunResult, target_on_grid
 from .geometry import CollocationSet, Domain, build_grid
 
 _DIVERGENCE_LIMIT = 1e6
@@ -271,9 +270,9 @@ def gauss_seidel_rate(grid: CollocationSet, alpha: float) -> float:
 
 
 def sine_target(grid: CollocationSet, alpha: float, dps=None) -> np.ndarray:
-    """The ``sine1d`` target, (1 + alpha pi^4) sin(pi x), at the interior
-    points in float64, rounded into the context of ``dps``."""
-    D = EXPERIMENTS["sine1d"].target(grid.points[grid.interior_mask], alpha, None)
+    """The ``sine1d`` target, (1 + alpha pi^4) sin(pi x), at the interior points
+    in float64 (``config.target_on_grid``), rounded into the context of ``dps``."""
+    D = target_on_grid(ExperimentConfig("sine1d", alpha), grid)[grid.interior_mask]
     return _target(_context(dps), grid, D)
 
 

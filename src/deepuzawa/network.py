@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import EXPERIMENTS
+from .config import ExperimentConfig, target_on_grid
 from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
 from .lagrangian import ProblemSpec, loss_parts, pointwise_gradients
 from .parallel import usable_cpus
@@ -461,7 +462,7 @@ def _check_case(tag, alpha, epsilon, n, hidden, seed, z_seed):
     row = EXPERIMENTS[tag]
     cset = build_grid(Domain(row.dim), n)
     samples = (np.full(cset.n_points, 0.5) if row.target == "image"
-               else row.target(cset.points, alpha, epsilon))
+               else target_on_grid(ExperimentConfig(tag, alpha, epsilon), cset))
     z = np.random.default_rng(z_seed).normal(size=cset.n_interior)
     return (init_network(NetworkSpec(row.dim, hidden, seed=seed)), cset,
             ProblemSpec(tag, alpha, epsilon, samples=samples), z)

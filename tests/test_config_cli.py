@@ -649,14 +649,17 @@ output_dir = {tmp_path / 'div'}
 
 
 @pytest.mark.parametrize("keys, tag, command", [
-    ("tag = sine1d\nalpha = 1e307", "sine1d", ["run"]),
-    ("tag = ac_sine\nepsilon = 1e-150", "ac_sine", ["run"]),
-    ("tag = sine1d", "sine1d", ["sweep", "--alphas", "1e-2", "1e307"]),
-], ids=["sine1d-alpha", "ac_sine-epsilon", "sweep"])
+    ("tag = sine1d\nalpha = 1e307\nn_uzawa = 1\nn_sgd = 1", "sine1d", ["run"]),
+    ("tag = ac_sine\nepsilon = 1e-150\nn_uzawa = 1\nn_sgd = 1", "ac_sine", ["run"]),
+    ("tag = sine1d\nn_uzawa = 1\nn_sgd = 1", "sine1d", ["sweep", "--alphas", "1e-2", "1e307"]),
+    # the oracle refuses the network keys; it solves the run's problem
+    ("tag = sine1d\nalpha = 1e307\nn_points = 21\noracle_method = all", "sine1d", ["oracle"]),
+], ids=["sine1d-alpha", "ac_sine-epsilon", "sweep", "oracle"])
 def test_cli_non_finite_target_exits_1_under_w_error(tmp_path, keys, tag, command):
     # the target overflows float64: the problem refuses it in one line, no
     # warning escapes, and no directory is written, not even a sweep's first
-    cfg = write(tmp_path, f"{keys}\nn_uzawa = 1\nn_sgd = 1\noutput_dir = {tmp_path / 'out'}\n")
+    # or one of the oracle's four methods
+    cfg = write(tmp_path, f"{keys}\noutput_dir = {tmp_path / 'out'}\n")
     env = _with_src(dict(os.environ))
     proc = subprocess.run([sys.executable, "-W", "error", "-c",
                            "import sys; from deepuzawa.cli import main; sys.exit(main(sys.argv[1:]))",
