@@ -23,8 +23,8 @@ from dataclasses import fields
 import numpy as np
 
 from .closed_forms import EXPERIMENTS, POISSON
-from .config import ConfigError, ExperimentConfig, emit_csv, read_config, write_csv
-from .driver import DIAGNOSTIC_COLUMNS, problem_for, rho_alpha_sweep, run_deep_uzawa, sweep_dir
+from .config import ConfigError, ExperimentConfig, emit_csv, read_config
+from .driver import problem_for, rho_alpha_sweep, run_deep_uzawa, sweep_dir
 from .fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run, fd_uzawa_run,
                         gauss_seidel_adjoint_run, gauss_seidel_rate, uzawa_step_bounds)
 from .network import CHECK_BOUND, grad_check, save_checkpoint
@@ -61,9 +61,8 @@ def _diverged(result, what: str, step: str) -> int:
 
 
 def _write_run(record) -> list[str]:
-    """CSVs, meta.txt and params.npy of one network run in its config's
-    ``output_dir``: Diagnostics.csv holds DIAGNOSTIC_COLUMNS per update and
-    params.npy the flat parameter vector."""
+    """The run directory of one network run, its config's ``output_dir``:
+    :func:`emit_csv`'s files, then params.npy, the flat parameter vector."""
     cfg, out_dir = record.config, record.config.output_dir
     # an augmented run steps the multiplier by beta, which meta.txt already lists
     extra = {"resolved_rho": cfg.resolved_rho} if cfg.beta is None else {}
@@ -72,11 +71,8 @@ def _write_run(record) -> list[str]:
         extra["final_state_l2_error"] = record.state_errors[-1]
         extra["final_control_l2_error"] = record.control_errors[-1]
     files = emit_csv(record, out_dir, _meta_from(cfg, _NETWORK_META, out_dir, extra))
-    path = os.path.join(out_dir, "Diagnostics.csv")
-    write_csv(path, ("update", *DIAGNOSTIC_COLUMNS), range(record.n_updates),
-              *record.diagnostics.T)
-    files.append(path)
-    save_checkpoint(record.params, os.path.join(out_dir, "params.npy"))
+    files.append(os.path.join(out_dir, "params.npy"))
+    save_checkpoint(record.params, files[-1])
     return files
 
 
@@ -141,8 +137,6 @@ def _run_oracle_method(cfg, method, grid, target, out_dir, quiet) -> int:
         extra = {"method": method, "resolved_rho": rho, "rho_max": rho_max,
                  "kappa_max": kappa_max}
     emit_csv(run, out_dir, _meta_from(cfg, keys, out_dir, extra))
-    write_csv(os.path.join(out_dir, "Diagnostics.csv"), ("iteration", "multiplier_error"),
-              range(len(run.z_errors)), run.z_errors)
     if not quiet and len(run.state_errors):
         print(f"{method}: final state error {run.state_errors[-1]:.3e}"
               f" control error {run.control_errors[-1]:.3e}")

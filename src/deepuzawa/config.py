@@ -34,6 +34,7 @@ Recognised keys (defaults in parentheses):
 """
 from __future__ import annotations
 
+import contextlib
 import decimal
 import itertools
 import math
@@ -286,31 +287,36 @@ def target_on_grid(cfg: ExperimentConfig, cset: CollocationSet) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # CSV emission
-#
-# Per-run directory schema shared by the network driver and the oracle; both
-# solve for the target that target_on_grid samples on the run's grid:
-#   Error.csv   update, state_l2_error, control_l2_error   (when exact known)
-#   Loss.csv    update, LOSS_COLUMNS
-#   State.csv   one state value per line, grid order
-#   Control.csv one control value per line, grid order
-#   meta.txt    key = value dump of the run setup, then the diverged_* fields set
-#   Diagnostics.csv  (cli) update, driver's DIAGNOSTIC_COLUMNS, or iteration, multiplier_error
-#   params.npy  (cli) a network run's flat parameter vector
-# Floats are written with round-trip precision (repr).
 
+# a run directory's files, of both solvers; floats in round-trip precision (repr)
+RUN_FILES = (
+    "Error.csv",        # update, state_l2_error, control_l2_error (when exact known)
+    "Loss.csv",         # update, LOSS_COLUMNS
+    "State.csv",        # one state value per line, grid order
+    "Control.csv",      # one control value per line, grid order
+    "meta.txt",         # key = value dump of the run setup, then the diverged_* fields set
+    "Diagnostics.csv",  # the record's DIAGNOSTICS header, one row per update
+    "params.npy",       # a network run's flat parameter vector, written by the cli
+)
 LOSS_COLUMNS = ("misfit", "multiplier_term", "control_norm_term", "regulariser_term")
 
 
 @dataclass(kw_only=True)
 class RunResult:
     """Final fields and per-update histories of a network run, an oracle
-    iteration or a direct solve; :func:`emit_csv` skips a None history."""
+    iteration or a direct solve: ``z`` is the multiplier on the interior
+    points, ``diagnostics`` one row per update under ``DIAGNOSTICS`` (whose
+    first column counts the updates); :func:`emit_csv` skips a None history."""
+
+    DIAGNOSTICS = ()  # Diagnostics.csv's header, set by each record type that has one
 
     u: np.ndarray
     f: np.ndarray
+    z: np.ndarray
     loss_history: np.ndarray | None = None
     state_errors: np.ndarray | None = None
     control_errors: np.ndarray | None = None
+    diagnostics: np.ndarray | None = None
     diverged_at: int | None = None
     diverged_reason: str | None = None      # network runs: which check failed
     diverged_inner_step: int | None = None  # network runs: the Adam step, if one failed
@@ -328,37 +334,39 @@ def write_csv(path, header, *columns):
 
 
 def emit_csv(record: RunResult, out_dir, meta: dict | None = None) -> list[str]:
-    """Write the CSVs and meta.txt of a :class:`RunResult`; returns the files
-    written.  Error.csv and Loss.csv are left out when their histories are
-    None."""
+    """Write the run directory of a :class:`RunResult`, its CSVs (Error.csv
+    when it has error rows), meta.txt, then Diagnostics.csv, and return them;
+    remove every other :data:`RUN_FILES` entry in ``out_dir``, params.npy
+    too, which a network run's caller writes after, so only this run's are left."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    if record.state_errors is not None and len(record.state_errors):
-        path = os.path.join(out_dir, "Error.csv")
-        write_csv(path, ("update", "state_l2_error", "control_l2_error"),
-                  range(len(record.state_errors)), record.state_errors, record.control_errors)
-        written.append(path)
+    def table(name, header, *columns):
+        written.append(os.path.join(out_dir, name))
+        write_csv(written[-1], header, *columns)
 
+    if record.state_errors is not None and len(record.state_errors):
+        table("Error.csv", ("update", "state_l2_error", "control_l2_error"),
+              range(len(record.state_errors)), record.state_errors, record.control_errors)
     if record.loss_history is not None:
         loss = np.asarray(record.loss_history, dtype=float)
-        path = os.path.join(out_dir, "Loss.csv")
-        write_csv(path, ("update", *LOSS_COLUMNS), range(len(loss)), *loss.T)
-        written.append(path)
+        table("Loss.csv", ("update", *LOSS_COLUMNS), range(len(loss)), *loss.T)
+    table("State.csv", ("state",), record.u)
+    table("Control.csv", ("control",), record.f)
 
-    for name, values in (("State.csv", record.u), ("Control.csv", record.f)):
-        path = os.path.join(out_dir, name)
-        write_csv(path, (name[:-4].lower(),), values)
-        written.append(path)
+    written.append(os.path.join(out_dir, "meta.txt"))
+    with open(written[-1], "w", encoding="utf-8") as fh:
+        fh.writelines(f"{key} = {value}\n" for key, value in (meta or {}).items())
+        fh.writelines(f"{key} = {getattr(record, key)}\n" for key in
+                      ("diverged_at", "diverged_reason", "diverged_inner_step")
+                      if getattr(record, key) is not None)
+    if record.diagnostics is not None:
+        table("Diagnostics.csv", record.DIAGNOSTICS, range(len(record.diagnostics)),
+              *record.diagnostics.T)
 
-    path = os.path.join(out_dir, "meta.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (meta or {}).items():
-            fh.write(f"{key} = {value}\n")
-        for key in ("diverged_at", "diverged_reason", "diverged_inner_step"):
-            if getattr(record, key) is not None:
-                fh.write(f"{key} = {getattr(record, key)}\n")
-    written.append(path)
+    for path in {os.path.join(out_dir, name) for name in RUN_FILES}.difference(written):
+        with contextlib.suppress(FileNotFoundError):  # an earlier run's file, if any
+            os.remove(path)
     return written
 
 

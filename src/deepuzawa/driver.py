@@ -44,11 +44,11 @@ class RunRecord(RunResult):
     multiplier on its interior points.
     """
 
+    DIAGNOSTICS = ("update", *DIAGNOSTIC_COLUMNS)
+
     config: ExperimentConfig
     cset: CollocationSet
-    diagnostics: np.ndarray
     params: NetworkParameters
-    z: np.ndarray
 
     @property
     def n_updates(self) -> int:

@@ -295,7 +295,6 @@ class KKTSolution(RunResult):
     """Fields of the coupled optimality system on interior points; a run
     result without histories."""
 
-    z: np.ndarray
     residual: float
 
 
@@ -364,8 +363,9 @@ class FDRun(RunResult):
     before the k-th iterate), or diverged_at when the run diverged: the
     iterate that diverged is not recorded."""
 
+    DIAGNOSTICS = ("iteration", "multiplier_error")  # diagnostics: z_errors, one column
+
     z_errors: np.ndarray
-    z: np.ndarray
     reference: KKTSolution
     z_history: np.ndarray | None  # projected run: each iterate's smallest multiplier entry
 
@@ -462,7 +462,7 @@ def _iterate(alpha, iters, ctx, D, reference, steps, spectral, z_max) -> FDRun:
     history = np.array(rows).reshape(-1, 7)
     return FDRun(
         z_errors=history[:, 0], state_errors=history[:, 1], control_errors=history[:, 2],
-        loss_history=history[:, 3:],
+        loss_history=history[:, 3:], diagnostics=history[:, :1],
         u=back(u).astype(float), f=back(f).astype(float), z=back(z).astype(float),
         reference=_solution(*map(back, reference)),
         z_history=np.array(z_maxima) if z_max else None, diverged_at=diverged_at,

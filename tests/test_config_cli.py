@@ -454,7 +454,7 @@ def fake_record(n=3, diverged_at=None):
     rng = np.random.default_rng(0)
     return RunResult(state_errors=rng.uniform(size=n), control_errors=rng.uniform(size=n),
                      loss_history=rng.uniform(size=(n, 4)), u=rng.uniform(size=11),
-                     f=rng.uniform(size=11), diverged_at=diverged_at)
+                     f=rng.uniform(size=11), z=rng.uniform(size=9), diverged_at=diverged_at)
 
 
 def test_emit_csv_files_and_roundtrip(tmp_path):
@@ -473,6 +473,27 @@ def test_emit_csv_files_and_roundtrip(tmp_path):
     assert np.array_equal(rows[:, 1:], rec.loss_history)
     _, state = read_csv(tmp_path / "run" / "State.csv")
     assert np.array_equal(state[:, 0], rec.u)
+    # the solvers' records: a network run and an iterative oracle write the
+    # Diagnostics.csv the CLI wrote, one row per update under its header
+    net = driver.run_deep_uzawa(ExperimentConfig("sine1d", n_uzawa=2, n_sgd=1, n_points=9,
+                                                 hidden_width=4, hidden_depth=1))
+    grid = Grid1D(11)
+    oracle = fd_uzawa_run(grid, 1e-2, 2.5e-3, sine_target(grid, 1e-2), 3)
+    for record, header, rows in (
+            (net, ["update", "wall_s", "residual_l2", "multiplier_l2", "grad_l2", "loss_total"],
+             net.diagnostics),
+            (oracle, ["iteration", "multiplier_error"], oracle.z_errors[:, None])):
+        run_dir = tmp_path / header[0]
+        assert str(run_dir / "Diagnostics.csv") in emit_csv(record, str(run_dir))
+        got_header, got = read_csv(run_dir / "Diagnostics.csv")
+        assert got_header == header and got.shape == (len(rows), len(header))
+        assert np.array_equal(got[:, 0], range(len(rows))) and np.array_equal(got[:, 1:], rows)
+    # a direct solve has no history: it writes no Diagnostics.csv and
+    # removes the iterative run's histories from the directory it reuses
+    files = emit_csv(fd_direct_kkt_solve(grid, 1e-2, sine_target(grid, 1e-2)),
+                     str(tmp_path / "iteration"))
+    assert [os.path.basename(f) for f in files] == ["State.csv", "Control.csv", "meta.txt"]
+    assert sorted(os.listdir(tmp_path / "iteration")) == ["Control.csv", "State.csv", "meta.txt"]
 
 
 def test_emit_csv_divergence_in_meta(tmp_path):
@@ -487,7 +508,8 @@ def test_emit_csv_divergence_in_meta(tmp_path):
 def test_read_csv_of_a_header_only_file(tmp_path):
     # a network run that diverges at update 0 writes Loss.csv and
     # Diagnostics.csv with a header and no rows
-    rec = RunResult(u=np.zeros(3), f=np.zeros(3), loss_history=np.empty((0, 4)), diverged_at=0)
+    rec = RunResult(u=np.zeros(3), f=np.zeros(3), z=np.zeros(1), loss_history=np.empty((0, 4)),
+                    diverged_at=0)
     emit_csv(rec, str(tmp_path / "run"))
     (tmp_path / "run" / "Diagnostics.csv").write_text("update,wall_s,residual_l2\n")
     _, rows = read_csv(tmp_path / "run" / "Loss.csv")
@@ -1011,7 +1033,35 @@ def test_cli_run_prints_progress_then_the_files_it_wrote(tmp_path, capsys):
     first, *wrote = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"update 50/50  loss parts \[[^]]+\]  state err \d\.\d{3}e-\d\d", first)
     assert wrote == [f"wrote {out / name}" for name in (
-        "Error.csv", "Loss.csv", "State.csv", "Control.csv", "meta.txt", "Diagnostics.csv")]
+        "Error.csv", "Loss.csv", "State.csv", "Control.csv", "meta.txt", "Diagnostics.csv",
+        "params.npy")]
+
+
+def test_a_run_directory_holds_only_the_files_of_the_run_that_wrote_it(tmp_path):
+    # every command below writes into one directory, which then holds
+    # exactly the files that README's table lists for that command's run
+    out = tmp_path / "out"
+    network = {"Loss.csv", "State.csv", "Control.csv", "meta.txt", "Diagnostics.csv",
+               "params.npy"}
+    uzawa = {"Error.csv", "Loss.csv", "State.csv", "Control.csv", "meta.txt", "Diagnostics.csv"}
+    direct = {"State.csv", "Control.csv", "meta.txt"}
+    oracle = "tag = sine1d\nalpha = 1e-2\nn_points = 11\n"
+    two_steps = TINY_RUN.replace("n_sgd = 1", "n_sgd = 2")
+    steps = [
+        ("run", f"tag = sine1d\n{TINY_RUN}", 0, network | {"Error.csv"}),
+        ("run", f"tag = ac_step\nepsilon = 0.5\n{TINY_RUN}", 0, network),  # no closed form
+        ("oracle", f"{oracle}oracle_iters = 2\noracle_method = uzawa\n", 0, uzawa),
+        ("oracle", f"{oracle}oracle_method = direct\n", 0, direct),
+        ("run", f"tag = sine1d\n{TINY_RUN}", 0, network | {"Error.csv"}),
+        # diverged at update 0: no error row, so no Error.csv whose last row
+        # could disagree with the errors of the written fields
+        ("run", f"tag = sine1d\nlearning_rate = 1e308\n{two_steps}", 2, network),
+    ]
+    for i, (command, text, status, files) in enumerate(steps):
+        cfg = write(tmp_path, f"{text}output_dir = {out}\n", name=f"{i}.cfg")
+        assert main(["-q", command, cfg]) == status
+        assert set(os.listdir(out)) == files, (command, text)
+    assert _read_meta(out / "meta.txt")["diverged_at"] == "0"
 
 
 def test_cli_sweep_without_an_exact_solution_says_so(tmp_path, capsys):
