@@ -8,23 +8,27 @@ Subcommands:
                       finite differences (acceptance criteria 1-2)
   sweep <config> --alphas A1 A2 ...   one run per regularisation weight
 
+run, sweep and oracle make every run directory first, one level at a time;
+each run then writes its directory in the process that computed it, and the
+command prints what comes back, in run order.
+
 Exit codes: 0 success, 1 validation error, out of memory or a worker process
 that died, 2 numerical divergence (for the Uzawa oracles also a step rho at or
 above the contraction bound rho_max), 130 interrupted (Ctrl-C), 143 terminated
-(SIGTERM); both stop every worker and remove each run directory no run wrote.
+(SIGTERM); each stops every worker and removes the directories the command
+made that no run wrote.
 """
 import argparse
 import contextlib
-import io
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .closed_forms import EXPERIMENTS, POISSON
 from .config import ConfigError, ExperimentConfig, emit_csv, read_config
-from .driver import problem_for, rho_alpha_sweep, run_deep_uzawa, sweep_dir
+from .driver import problem_for, run_deep_uzawa
 from .fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run, fd_uzawa_run,
                         gauss_seidel_adjoint_run, gauss_seidel_rate, uzawa_step_bounds)
 from .network import CHECK_BOUND, grad_check, save_checkpoint
@@ -60,10 +64,11 @@ def _diverged(result, what: str, step: str) -> int:
     return 2
 
 
-def _write_run(record) -> list[str]:
-    """The run directory of one network run, its config's ``output_dir``:
-    :func:`emit_csv`'s files, then params.npy, the flat parameter vector."""
-    cfg, out_dir = record.config, record.config.output_dir
+def _train(cfg: ExperimentConfig, progress: bool = False):
+    """A training job: the run, then its directory, ``output_dir``:
+    :func:`emit_csv`'s files and params.npy.  Returns the record and files."""
+    record = run_deep_uzawa(cfg, progress=progress)
+    out_dir = cfg.output_dir
     # an augmented run steps the multiplier by beta, which meta.txt already lists
     extra = {"resolved_rho": cfg.resolved_rho} if cfg.beta is None else {}
     extra["n_parameters"] = record.params.spec.n_parameters
@@ -73,113 +78,131 @@ def _write_run(record) -> list[str]:
     files = emit_csv(record, out_dir, _meta_from(cfg, _NETWORK_META, out_dir, extra))
     files.append(os.path.join(out_dir, "params.npy"))
     save_checkpoint(record.params, files[-1])
-    return files
+    return record, files
 
 
 @contextlib.contextmanager
 def _run_dirs(paths):
-    """Make every run directory before the first training step, so a path
-    it cannot make fails the command untrained; on leaving, remove those
-    made here that no run wrote."""
-    made = [path for path in paths if not os.path.isdir(path)]
+    """Make each missing level of every path before any job starts, so a path
+    it cannot make fails the command with nothing computed; on leaving,
+    remove each directory made here that is still empty, deepest first."""
+    made = []
     try:
-        for path in made:
-            os.makedirs(path)
+        for path in paths:
+            parts = path.split(os.sep)
+            for i in range(1, len(parts) + 1):
+                level = os.sep.join(parts[:i]) or os.sep
+                if not os.path.isdir(level):
+                    os.mkdir(level)
+                    made.append(level)
         yield
     finally:
-        for path in made:
+        for path in reversed(made):
             with contextlib.suppress(OSError):  # a directory a run wrote is not empty
                 os.rmdir(path)
 
 
+def _each(job, calls, dirs, report) -> int:
+    """Within :func:`_run_dirs` of ``dirs``, ``job(*args)`` for each of ``calls``
+    through :func:`in_processes`; ``report(*result)`` prints each result, in
+    call order, and gives its exit status.  Returns the largest status."""
+    code = 0
+    with _run_dirs(dirs), contextlib.closing(in_processes(job, calls)) as results:
+        for result in results:
+            code = max(code, report(*result))
+    return code
+
+
 def _cmd_run(cfg: ExperimentConfig, quiet: bool) -> int:
-    with _run_dirs([cfg.output_dir]):
-        record = run_deep_uzawa(cfg, progress=not quiet)
-        files = _write_run(record)
-    if not quiet:
-        for path in files:
-            print("wrote", path)
-    return _diverged(record, "run", "update")
+    def report(record, files):
+        if not quiet:
+            for path in files:
+                print("wrote", path)
+        return _diverged(record, "run", "update")
+    return _each(_train, [(cfg, not quiet)], [cfg.output_dir], report)
 
 
 def _oracle_methods(cfg: ExperimentConfig) -> list[str]:
     return list(_ORACLE_META) if cfg.oracle_method == "all" else [cfg.oracle_method]
 
 
-def _oracle_method(cfg: ExperimentConfig, method: str, grid, target, out_dir: str,
-                   quiet: bool) -> tuple[int, str, str]:
-    """Run one oracle method and write its directory: its exit status and
-    the text it prints to stdout and to stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = _run_oracle_method(cfg, method, grid, target, out_dir, quiet)
-    return status, out.getvalue(), err.getvalue()
-
-
-def _run_oracle_method(cfg, method, grid, target, out_dir, quiet) -> int:
-    """:func:`_oracle_method`'s work, printing its lines."""
-    keys = _ORACLE_META[method]
+def _solve_oracle(cfg: ExperimentConfig, method: str, grid, target, out_dir: str):
+    """An oracle job: one method's solve and its directory.  Returns the
+    method, its record and the extras its meta.txt lists after the keys."""
+    extra = {"method": method}
     if method == "direct":
-        sol = fd_direct_kkt_solve(grid, cfg.alpha, target, dps=cfg.precision_dps)
-        emit_csv(sol, out_dir, _meta_from(cfg, keys, out_dir, {
-            "method": method, "backward_error": sol.residual}))
-        if not quiet:
-            print(f"direct solve: backward error {sol.residual:.2e}")
-        return _diverged(sol, "direct oracle", "iteration")
-    rho = cfg.resolved_rho
-    if method == "gauss_seidel":
+        run = fd_direct_kkt_solve(grid, cfg.alpha, target, dps=cfg.precision_dps)
+        extra["backward_error"] = run.residual
+    elif method == "gauss_seidel":
         run = gauss_seidel_adjoint_run(grid, cfg.alpha, target, cfg.oracle_iters)
-        extra = {"method": method, "kappa_max": gauss_seidel_rate(grid, cfg.alpha)}
+        extra["kappa_max"] = gauss_seidel_rate(grid, cfg.alpha)
     else:
+        rho = cfg.resolved_rho
         uzawa = fd_uzawa_run if method == "uzawa" else fd_projected_uzawa_run
         run = uzawa(grid, cfg.alpha, rho, target, cfg.oracle_iters, dps=cfg.precision_dps)
         rho_max, kappa_max = uzawa_step_bounds(grid, cfg.alpha, rho)
-        extra = {"method": method, "resolved_rho": rho, "rho_max": rho_max,
-                 "kappa_max": kappa_max}
-    emit_csv(run, out_dir, _meta_from(cfg, keys, out_dir, extra))
-    if not quiet and len(run.state_errors):
-        print(f"{method}: final state error {run.state_errors[-1]:.3e}"
-              f" control error {run.control_errors[-1]:.3e}")
-    status = _diverged(run, f"{method} oracle", "iteration")
-    if not status and "rho_max" in extra and rho >= rho_max:
-        # an inadmissible step need not pass the divergence limit: the
-        # projected run can settle into a cycle
-        print(f"{method} oracle step rho = {rho:g} is not below rho_max = {rho_max:.10g}",
-              file=sys.stderr)
-        status = 2
-    return status
+        extra.update(resolved_rho=rho, rho_max=rho_max, kappa_max=kappa_max)
+    emit_csv(run, out_dir, _meta_from(cfg, _ORACLE_META[method], out_dir, extra))
+    return method, run, extra
 
 
 def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
     problem, grid = problem_for(cfg)  # a network run's problem, its target checked finite
     target = problem.samples[grid.interior_mask]  # each solver rounds it into its arithmetic
     methods = _oracle_methods(cfg)
-    calls = [(cfg, method, grid, target,
-              cfg.output_dir if len(methods) == 1 else os.path.join(cfg.output_dir, method),
-              quiet) for method in methods]
-    code = 0
-    # each method writes its own directory; its lines are printed in method order
-    with contextlib.closing(in_processes(_oracle_method, calls)) as results:
-        for status, out, err in results:
-            sys.stdout.write(out)
-            sys.stderr.write(err)
-            code = max(code, status)
-    return code
+    dirs = [cfg.output_dir if len(methods) == 1 else os.path.join(cfg.output_dir, method)
+            for method in methods]
+
+    def report(method, run, extra):
+        if not quiet and method == "direct":
+            print(f"direct solve: backward error {run.residual:.2e}")
+        elif not quiet and len(run.state_errors):
+            print(f"{method}: final state error {run.state_errors[-1]:.3e}"
+                  f" control error {run.control_errors[-1]:.3e}")
+        status = _diverged(run, f"{method} oracle", "iteration")
+        if not status and "rho_max" in extra and extra["resolved_rho"] >= extra["rho_max"]:
+            # an inadmissible step need not pass the divergence limit: the
+            # projected run can settle into a cycle
+            print(f"{method} oracle step rho = {extra['resolved_rho']:g} is not below "
+                  f"rho_max = {extra['rho_max']:.10g}", file=sys.stderr)
+            status = 2
+        return status
+    calls = [(cfg, method, grid, target, path) for method, path in zip(methods, dirs)]
+    return _each(_solve_oracle, calls, dirs, report)
+
+
+def sweep_configs(base: ExperimentConfig, alphas) -> list[ExperimentConfig]:
+    """One config per regularisation weight, stepping the multiplier by the
+    base config's beta or rho (alpha / 4 when unset), into
+    ``<output_dir>/alpha_<a>``.  Every problem is built here: alphas that
+    would share a directory, or a target not finite, raise ValueError, and
+    an alpha out of range ConfigError."""
+    alphas = list(alphas)
+    if not alphas:
+        raise ValueError("alpha sweep needs at least one value")
+    dirs = [os.path.join(base.output_dir, f"alpha_{a:g}") for a in alphas]
+    for i, path in enumerate(dirs):
+        if (j := dirs.index(path)) < i:
+            raise ValueError(f"alphas {alphas[j]!r} and {alphas[i]!r} both write "
+                             f"{os.path.basename(path)}")
+    configs = [replace(base, alpha=float(a), output_dir=path) for a, path in zip(alphas, dirs)]
+    for cfg in configs:
+        problem_for(cfg)
+    return configs
 
 
 def _cmd_sweep(cfg: ExperimentConfig, alphas, quiet: bool) -> int:
-    records = rho_alpha_sweep(cfg, alphas)  # every alpha is checked; none has run
-    code = 0
-    with _run_dirs([sweep_dir(cfg.output_dir, a) for a in alphas]), contextlib.closing(records):
-        for a, record in zip(alphas, records):
-            _write_run(record)
-            if not quiet:
-                errors = record.state_errors
-                tail = ("no exact solution" if errors is None else
-                        f"state err {errors[-1]:.3e}" if len(errors) else "no update recorded")
-                print(f"alpha={a:g}: {tail}")
-            code = max(code, _diverged(record, f"alpha={a:g} run", "update"))
-    return code
+    configs = sweep_configs(cfg, alphas)
+
+    def report(record, files):
+        a = record.config.alpha
+        if not quiet:
+            errors = record.state_errors
+            tail = ("no exact solution" if errors is None else
+                    f"state err {errors[-1]:.3e}" if len(errors) else "no update recorded")
+            print(f"alpha={a:g}: {tail}")
+        return _diverged(record, f"alpha={a:g} run", "update")
+    return _each(_train, [(c,) for c in configs], [c.output_dir for c in configs], report)
 
 
 def _cmd_grad_check(quiet: bool) -> int:

@@ -14,10 +14,8 @@ per outer update, as one row of a history table.
 """
 from __future__ import annotations
 
-import os
 import time
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +25,6 @@ from .geometry import CollocationSet, Domain, build_grid, l2_norm
 from .lagrangian import ProblemSpec, loss_parts, multiplier_update, residual_values
 from .network import NetworkParameters, NetworkSpec, batch_jets, init_network, loss_and_gradient
 from .optim import AdamState, adam_step
-from .parallel import in_processes
 
 # per update: wall time, weighted interior L2 norms of the constraint residual K
 # and of the updated multiplier, the last inner step's gradient norm, the loss
@@ -150,32 +147,3 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
         diverged_inner_step=diverged_inner_step,
     )
 
-
-def sweep_dir(output_dir: str, alpha: float) -> str:
-    """Run directory of weight ``alpha`` in a sweep into ``output_dir``."""
-    return os.path.join(output_dir, f"alpha_{alpha:g}")
-
-
-def rho_alpha_sweep(base: ExperimentConfig, alphas) -> Iterator[RunRecord]:
-    """One run per regularisation weight, each stepping the multiplier by
-    the base config's beta or else its rho, alpha / 4 for each alpha when
-    unset.  Run ``alpha = a`` has ``output_dir`` ``<base output_dir>/alpha_<a>``
-    (:func:`sweep_dir`).
-    Every config and its problem is built before the first run: alphas
-    that would share a directory, or whose target is not finite, raise
-    ValueError, and an alpha out of range ConfigError.  The runs then go
-    through :func:`~deepuzawa.parallel.in_processes`: the iterator yields
-    each record, in alpha order, as it arrives."""
-    alphas = list(alphas)
-    if not alphas:
-        raise ValueError("alpha sweep needs at least one value")
-    dirs = [sweep_dir(base.output_dir, a) for a in alphas]
-    for i, path in enumerate(dirs):
-        j = dirs.index(path)
-        if j < i:
-            raise ValueError(f"alphas {alphas[j]!r} and {alphas[i]!r} both write "
-                             f"{os.path.basename(path)}")
-    configs = [replace(base, alpha=float(a), output_dir=path) for a, path in zip(alphas, dirs)]
-    for cfg in configs:
-        problem_for(cfg)
-    return in_processes(run_deep_uzawa, [(cfg,) for cfg in configs])

@@ -17,12 +17,11 @@ import numpy as np
 import pytest
 
 from deepuzawa import cli, config, driver
-from deepuzawa.cli import main
+from deepuzawa.cli import main, sweep_configs
 from deepuzawa.closed_forms import EXPERIMENTS
 from deepuzawa.config import (_SCHEMA, ConfigError, ExperimentConfig, RunResult, emit_csv,
                               load_pgm_target, parse_config, read_config, read_csv,
                               sample_image_on_grid, write_csv)
-from deepuzawa.driver import rho_alpha_sweep
 from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_uzawa_run,
                                  gauss_seidel_adjoint_run, sine_target, uzawa_step_bounds)
 from deepuzawa.geometry import Domain, build_grid
@@ -1118,25 +1117,61 @@ output_dir = {tmp_path / 'sweep'}
     assert capsys.readouterr().err == "alpha=0.01 run diverged at update 0\n"
 
 
-@pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "1", "1e-2"]],
-                         ids=["run", "sweep"])
+# every solver a command calls, by its name in cli
+SOLVERS = ("run_deep_uzawa", "fd_uzawa_run", "fd_projected_uzawa_run", "gauss_seidel_adjoint_run",
+           "fd_direct_kkt_solve")
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "1", "1e-2"], ["oracle"]],
+                         ids=["run", "sweep", "oracle"])
 def test_cli_output_dir_that_is_a_file_fails_before_training(tmp_path, capsys, monkeypatch,
                                                               command):
-    # the run directory, each alpha's for a sweep, is made before the first
-    # training step: a file in its place ends the command untrained
+    # every run directory, each alpha's for a sweep and each method's for an
+    # oracle, is made before the first solve: a file in the place of one
+    # ends the command with nothing computed
     out = tmp_path / "out"
-    out.write_text("")
+    if command[0] == "oracle":
+        out.mkdir()
+        blocked = out / "projected"
+        run = "alpha = 1e-2\nn_points = 41\noracle_iters = 20\noracle_method = all\n"
+    else:
+        blocked, run = out, TINY_RUN
+    blocked.write_text("")
 
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained before making the run directory")
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before making the run directories")
 
-    monkeypatch.setattr(cli, "run_deep_uzawa", no_training)
-    monkeypatch.setattr(driver, "run_deep_uzawa", no_training)
-    cfg = write(tmp_path, f"tag = sine1d\n{TINY_RUN}output_dir = {out}\n")
+    for name in SOLVERS:
+        monkeypatch.setattr(cli, name, no_solve)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = write(tmp_path, f"tag = sine1d\n{run}output_dir = {out}\n")
     assert main([command[0], cfg, *command[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: [Errno ")
+    assert captured.err == f"error: [Errno 17] File exists: '{blocked}'\n"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--alphas", "1", "1e-2"], ["oracle"]],
+                         ids=["run", "sweep", "oracle"])
+def test_a_command_that_writes_nothing_leaves_no_directory(tmp_path, capsys, monkeypatch,
+                                                           command):
+    # every directory the command made, the missing parents of output_dir
+    # too, is removed; the one that existed before stays
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    for name in SOLVERS:
+        monkeypatch.setattr(cli, name, exhausted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    run = "oracle_method = all\n" if command[0] == "oracle" else TINY_RUN
+    cfg = write(tmp_path, f"tag = sine1d\n{run}output_dir = {existing / 'a' / 'b' / 'out'}\n")
+    assert main(["-q", command[0], cfg, *command[1:]]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert existing.is_dir() and os.listdir(existing) == []
+    assert_no_child_left()
 
 
 def test_cli_sweep_of_a_run_that_records_no_update_says_so(tmp_path, capsys):
@@ -1163,7 +1198,7 @@ def test_sweep_rejects_alphas_that_share_a_directory(tmp_path, capsys):
     cfg = write(tmp_path, f"tag = sine1d\n{TINY_RUN}output_dir = {tmp_path / 'sweep'}\n")
     message = "alphas 0.0001 and 0.00010000001 both write alpha_0.0001"
     with pytest.raises(ValueError, match=message):
-        rho_alpha_sweep(parse_config(cfg), [1e-4, 1.0000001e-4])
+        sweep_configs(parse_config(cfg), [1e-4, 1.0000001e-4])
     assert main(["-q", "sweep", cfg, "--alphas", "1e-4", "1.0000001e-4"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "sweep").exists()
@@ -1171,12 +1206,12 @@ def test_sweep_rejects_alphas_that_share_a_directory(tmp_path, capsys):
 
 def test_cli_sweep_writes_each_run_before_the_next_starts(tmp_path, monkeypatch, capsys):
     # the second run runs out of memory: the first run's directory is complete
-    run = driver.run_deep_uzawa
-    def exhausted_at_second_alpha(config):
+    run = cli.run_deep_uzawa
+    def exhausted_at_second_alpha(config, **kwargs):
         if config.alpha == 1e-2:
             raise MemoryError
-        return run(config)
-    monkeypatch.setattr(driver, "run_deep_uzawa", exhausted_at_second_alpha)
+        return run(config, **kwargs)
+    monkeypatch.setattr(cli, "run_deep_uzawa", exhausted_at_second_alpha)
     cfg = write(tmp_path, f"tag = sine1d\n{TINY_RUN}output_dir = {tmp_path / 'sweep'}\n")
     assert main(["-q", "sweep", cfg, "--alphas", "1", "1e-2"]) == 1
     assert capsys.readouterr().err == "error: out of memory\n"
@@ -1228,11 +1263,11 @@ def test_one_cpu_runs_oracle_and_sweep_inline_with_the_pooled_bits(tmp_path, mon
     sweep = write(tmp_path, f"tag = sine1d\n{SMALL_RUN}output_dir = {out}\n", "sweep.cfg")
     # a call records its process here; a worker's record is lost with the worker
     pids = []
-    for module, name in ((cli, "_oracle_method"), (driver, "run_deep_uzawa")):
-        def recording(*args, real=getattr(module, name)):
+    for name in ("_solve_oracle", "run_deep_uzawa"):
+        def recording(*args, real=getattr(cli, name), **kwargs):
             pids.append(os.getpid())
-            return real(*args)
-        monkeypatch.setattr(module, name, recording)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, recording)
     written = []
     for cpus in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
@@ -1251,27 +1286,27 @@ def test_cli_oracle_whose_write_fails_in_one_worker_is_one_line(tmp_path, capsys
     # the methods before it in method order print their lines, as inline
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     out = tmp_path / "oracle"
-    out.mkdir()
-    (out / "projected").write_text("")
+    (out / "projected" / "Error.csv").mkdir(parents=True)  # the first file projected writes
     cfg = write(tmp_path, "tag = sine1d\nalpha = 1e-2\nn_points = 41\noracle_iters = 20\n"
                           f"oracle_method = all\noutput_dir = {out}\n")
     assert main(["oracle", cfg]) == 1
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 1 and captured.out.startswith("uzawa: ")
-    assert captured.err == f"error: [Errno 17] File exists: '{out / 'projected'}'\n"
+    blocked = out / "projected" / "Error.csv"
+    assert captured.err == f"error: [Errno 21] Is a directory: '{blocked}'\n"
     assert_no_child_left()
 
 
 def test_cli_sweep_whose_worker_dies_is_one_line(tmp_path, capsys, monkeypatch):
     # as the out-of-memory killer would: the worker ends without a result
-    run = driver.run_deep_uzawa
+    run = cli.run_deep_uzawa
 
-    def killed_at_second_alpha(config):
+    def killed_at_second_alpha(config, **kwargs):
         if config.alpha == 1e-2:
             os.kill(os.getpid(), signal.SIGKILL)
-        return run(config)
+        return run(config, **kwargs)
 
-    monkeypatch.setattr(driver, "run_deep_uzawa", killed_at_second_alpha)
+    monkeypatch.setattr(cli, "run_deep_uzawa", killed_at_second_alpha)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = write(tmp_path, f"tag = sine1d\n{TINY_RUN}output_dir = {tmp_path / 'sweep'}\n")
     assert main(["-q", "sweep", cfg, "--alphas", "1", "1e-2"]) == 1
@@ -1349,6 +1384,7 @@ def test_sigterm_to_a_pooled_sweep_exits_143_and_stops_its_workers(tmp_path):
         proc.wait()
     assert (proc.returncode, stderr, stdout) == (143, "", "")
     assert _group(proc.pid) == []
+    assert not out.exists()  # no run wrote it
 
 
 def test_sigterm_to_a_run_exits_143_and_removes_its_unwritten_directory(tmp_path):

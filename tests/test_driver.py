@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from deepuzawa import driver, geometry, network
+from deepuzawa.cli import sweep_configs
 from deepuzawa.closed_forms import EXPERIMENTS, ExactSolution
 from deepuzawa.config import LOSS_COLUMNS, ConfigError, ExperimentConfig
-from deepuzawa.driver import problem_for, rho_alpha_sweep, run_deep_uzawa
+from deepuzawa.driver import problem_for, run_deep_uzawa
 from deepuzawa.geometry import Domain, build_grid, l2_norm
 from deepuzawa.lagrangian import loss_parts, multiplier_update, residual_values, target_values
 from deepuzawa.network import (NetworkSpec, batch_jets, evaluate, init_network,
@@ -292,7 +293,7 @@ def test_step_target_run_has_no_error_history():
 
 def test_alpha_sweep_bookkeeping():
     cfg = tiny_config(n_uzawa=10, n_sgd=1)
-    records = list(rho_alpha_sweep(cfg, [1.0, 1e-2]))
+    records = [run_deep_uzawa(c) for c in sweep_configs(cfg, [1.0, 1e-2])]
     assert len(records) == 2
     for a, rec in zip((1.0, 1e-2), records):
         assert rec.n_updates == 10
@@ -300,10 +301,10 @@ def test_alpha_sweep_bookkeeping():
         assert rec.config.resolved_rho == pytest.approx(a / 4)
         assert rec.config.output_dir == os.path.join(cfg.output_dir, f"alpha_{a:g}")
     with pytest.raises(ValueError):
-        rho_alpha_sweep(cfg, [])
+        sweep_configs(cfg, [])
     for bad in (np.inf, np.nan, 0.0):
         with pytest.raises(ValueError, match="positive and finite"):
-            rho_alpha_sweep(cfg, [1.0, bad])
+            sweep_configs(cfg, [1.0, bad])
 
 
 @pytest.mark.parametrize("alpha, lr, rho", [
