@@ -14,13 +14,15 @@ one run loop that records errors and losses and flags divergence; each
 supplies only its iterates.  The projected Uzawa run is the plain run plus
 clamps, and reports the negation of its multiplier, nonnegative.
 
-Every solver accepts an optional decimal precision ``dps``.  Float64 is
-the default; ``decimal.Decimal`` with ``dps`` significant digits exists
-because the Uzawa multiplier error reaches the float64 rounding floor after
-a few dozen iterations, past which its strict monotone decrease cannot be
-observed.  A target enters the context rounded from float64, as the
-experiment table computes it: every run is measured against the saddle point
-of its own target, so digits past float64 in it would change nothing reported.
+The Uzawa runs, the direct solve and :func:`sine_target` accept an optional
+decimal precision ``dps``; the Gauss-Seidel run and the rate bounds are
+float64 only.  Float64 is the default; ``decimal.Decimal`` with ``dps``
+significant digits exists because the Uzawa multiplier error reaches the
+float64 rounding floor after a few dozen iterations, past which its strict
+monotone decrease cannot be observed.  A target enters the context rounded
+from float64, as the experiment table computes it: every run is measured
+against the saddle point of its own target, so digits past float64 in it
+would change nothing reported.
 
 Fields are numpy arrays of the context's scalars: float64, or ``dtype=object``
 arrays of Decimals.  Elementwise steps are array expressions in the order of
@@ -36,9 +38,11 @@ coefficients, a solve of an unmodified matrix is two DST-I through
 ``numpy.fft`` and a division by the eigenvalues, and the runs that clamp
 nothing (plain Uzawa, Gauss-Seidel) iterate on the coefficients: seven DST-I
 whatever their length, D in and the final fields and reference out.  The
-projected run takes the plain run's coefficient steps, and its bits, while a
-certificate proves that no clamp would act (one DST-I per iterate, for z on
-the grid); a target it rejects runs on the grid from the first iterate.
+projected run takes the plain run's coefficient steps, and its bits, when a
+certificate proves that no clamp acts: a check before the run (the saddle
+point, rho < rho_max and iterate 0's state bound, which the contraction
+theorem carries to every iterate) and one after it (z <= 0 on the grid, one
+DST-I per iterate); a run it rejects iterates on the grid from iterate 0.
 Systems with clamped entries (no longer polynomials in T) and all Decimal
 solves use the banded LDL^T, the only recurrences that loop over scalars; a
 run factorises its inner-solve matrix once, into multipliers and reciprocal
@@ -61,8 +65,8 @@ _DIVERGENCE_LIMIT = 1e6
 # KKT tolerance of the nonnegative inner solve of the projected run
 _INNER_TOL = 1e-10
 _MAX_PASSES = 80  # active-set changes before the run diverges
-# the float64 projected run certifies b <= _CLAMP_MARGIN gamma (_unclamped_run),
-# where b < gamma suffices in exact arithmetic: the other half is a margin for rounding
+# the float64 projected run certifies b_0 <= _CLAMP_MARGIN gamma before it runs
+# (_unclamped_run), where b_0 < gamma suffices in exact arithmetic: the rest is rounding's
 _CLAMP_MARGIN = 0.5
 _REPORT_DPS = 20  # digits of the Decimal diagnostics; their float64 report needs 17
 
@@ -484,7 +488,7 @@ def _uzawa(grid, alpha, rho, D, iters, dps, project) -> FDRun:
             steps = _uzawa_steps(a, rho, d_hat, ctx, False, lambda v: lam * v, lambda r: r / mu)
             if not project:
                 return _iterate(alpha, iters, ctx, d_hat, reference, steps, True, None)
-            run = _unclamped_run(grid, alpha, iters, ctx, d_hat, reference, steps)
+            run = _unclamped_run(grid, alpha, rho, iters, ctx, d_hat, d_hat / mu, reference, steps)
             if run is not None:
                 return run
         m, h = len(D), ctx.num(1) / (len(D) + 1)
@@ -499,45 +503,30 @@ def _uzawa(grid, alpha, rho, D, iters, dps, project) -> FDRun:
                         np.max if project else None)
 
 
-class _ClampMayAct(Exception):
-    """A certified projected iterate that a clamp might change."""
+def _unclamped_run(grid, alpha, rho, iters, ctx, d_hat, u_0, reference, steps):
+    """The float64 projected run as the plain run's coefficient ``steps``, from
+    the state ``u_0`` and z_0 = 0, if a certificate proves no clamp acts; else None.
 
-
-def _unclamped_run(grid, alpha, iters, ctx, d_hat, reference, steps):
-    """The float64 projected run as the plain run's iterates ``steps`` on
-    DST-I coefficients, when a certificate proves at every iterate that the
-    projected run's clamps would change nothing; else None.
-
-    With x_i the grid's interior points and gamma = min_i u*_i / sin(pi x_i) > 0, an
-    iterate's u lies within b sin(pi x_i) of u*_i on the grid,
-    b = (2 / (m + 1)) sum_j j |u^_j - u*^_j|, because |sin j t| <= j |sin t|:
-    b <= _CLAMP_MARGIN gamma gives u > 0, which the nonnegative inner solve
-    returns unclamped.  Its z on the grid, one inverse DST-I, must be <= 0:
-    then f = -(2/alpha) z >= 0 and neither the f nor the z clamp acts.  Both
-    checks need a saddle point with u* > 0 and z* < 0 on the grid.
+    With gamma = min_i u*_i / sin(pi x_i) > 0 over the grid's interior points,
+    iterate k's u lies within b_k sin(pi x_i) of u*_i, b_k = (2 / (m + 1))
+    sum_j j |u^_k,j - u*^_j|, since |sin j t| <= j |sin t|: b_k <= _CLAMP_MARGIN
+    gamma gives u > 0, which the nonnegative inner solve returns unclamped.
+    Mode by mode u^_k - u*^ = (1 - rho mu_j)^k (u^_0 - u*^) (:func:`uzawa_step_bounds`),
+    so at rho < rho_max b_k <= b_0: the bound is checked once, before the run.
+    After it, every iterate's z on the grid (``z_history``, one inverse DST-I
+    each) must be <= 0, so that f = -(2/alpha) z >= 0 and neither the f nor
+    the z clamp acts.  Both checks need u* > 0 and z* < 0 on the grid.
     """
     u_star, _, z_star = reference
     gamma = (_idst1(u_star) / np.sin(np.pi * grid.points[grid.interior_mask, 0])).min()
-    if not (gamma > 0 and _idst1(z_star).max() < 0):
-        return None
     j = np.arange(1.0, len(u_star) + 1)
     sum_limit = _CLAMP_MARGIN * gamma * (len(u_star) + 1) / 2  # b's bound, times (m + 1) / 2
-
-    def certified():
-        for u, f, z, lap_u in steps:
-            if not j @ np.abs(u - u_star) <= sum_limit:
-                raise _ClampMayAct
-            yield u, f, z, lap_u
-
-    def z_max(z):
-        peak = _idst1(z).max()
-        if not peak <= 0:
-            raise _ClampMayAct
-        return peak
-
-    try:
-        run = _iterate(alpha, iters, ctx, d_hat, reference, certified(), True, z_max)
-    except _ClampMayAct:
+    if not (gamma > 0 and _idst1(z_star).max() < 0
+            and rho < uzawa_step_bounds(grid, alpha, rho)[0]
+            and j @ np.abs(u_0 - u_star) <= sum_limit):
+        return None
+    run = _iterate(alpha, iters, ctx, d_hat, reference, steps, True, lambda z: _idst1(z).max())
+    if not (run.z_history <= 0).all():
         return None
     # np.where sets a tie to +0, as the clamp does
     run.f = np.where(run.f <= 0, 0.0, run.f)
@@ -585,10 +574,11 @@ def fd_projected_uzawa_run(grid: CollocationSet, alpha: float, rho: float, D, it
     It reports the negated, nonnegative multiplier (``z``, ``reference.z``,
     ``z_history``).  With a nonnegative unconstrained saddle point it is
     :func:`fd_uzawa_run` with z negated: exactly in Decimal, and in float64
-    while a certificate proves on every iterate that no clamp acts
-    (:func:`_unclamped_run`), for then it takes the plain run's steps on
-    DST-I coefficients.  A target the certificate rejects at any iterate
-    runs on the grid from iterate 0, with the grid's rounding, which T amplifies.
+    when a certificate proves that no clamp acts (:func:`_unclamped_run`,
+    checked before and after the run), for then it takes the plain run's
+    steps on DST-I coefficients.  A target or step the certificate rejects
+    (rho >= rho_max among them) runs on the grid from iterate 0, with the
+    grid's rounding, which T amplifies.
 
     An inner solve whose active set cycles gives a NaN state, and the run
     diverges at that iterate: on sin(37 pi x) at n = 201, alpha = 1e-2,

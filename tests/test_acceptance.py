@@ -3,7 +3,8 @@ the measured values (run with ``pytest tests/test_acceptance.py -v -s``).
 
 The training-based criteria share five full 500 x 40 trainings, 100 s of CPU
 time, built in one module-scoped fixture in worker processes, one per usable
-CPU: on a 2-vCPU Xeon VM with one BLAS thread the module takes 59 s.
+CPU: on a 2-vCPU Xeon VM with one BLAS thread the module took 106 s at
+``d89ba15`` (README, Install and test).
 """
 import time
 

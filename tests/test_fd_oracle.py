@@ -516,26 +516,70 @@ def _count_attempts(monkeypatch):
 
 def test_certificate_that_fails_midway_gives_the_grid_run(monkeypatch):
     # u_0 of this target is not concave, so the plain run's z_1 = rho T u_0
-    # is positive on the grid, and the z clamp would act: the attempt, which
-    # recorded iterate 0, is dropped at iterate 1 and the grid run starts
-    # over from iterate 0.  A margin of 0 drops it at iterate 0, by its u
-    # check, before it records anything.
+    # is positive on the grid, and the z clamp would act: the attempt runs
+    # to its end, its z_history fails the check after the run, and the grid
+    # run starts over from iterate 0.  A margin of 0 fails the state bound
+    # before the run, so no attempt is made.
     g = Grid1D(201)
     x = g.points[g.interior_mask, 0]
     target = np.sin(np.pi * x) + 0.08 * np.sin(12 * np.pi * x)
     attempts = _count_attempts(monkeypatch)
     midway = fd_projected_uzawa_run(g, 1e-4, 2.5e-5, target, 20)
-    assert attempts == [[False, 2], [True, 21]]
+    assert attempts == [[False, 21], [True, 21]]
     monkeypatch.setattr(fd_oracle, "_CLAMP_MARGIN", 0.0)
     attempts.clear()
     grid_run = fd_projected_uzawa_run(g, 1e-4, 2.5e-5, target, 20)
-    assert attempts == [[False, 1], [True, 21]]
+    assert attempts == [[True, 21]]
     assert midway.diverged_at is grid_run.diverged_at is None
     for name in ("u", "f", "z", "z_errors", "state_errors", "control_errors", "loss_history",
                  "z_history"):
         assert np.array_equal(getattr(midway, name), getattr(grid_run, name)), name
     # the clamps acted: the plain run's iterates are not these
     assert not np.array_equal(midway.u, fd_uzawa_run(g, 1e-4, 2.5e-5, target, 20).u)
+
+
+def test_certificate_refuses_an_inadmissible_step(monkeypatch):
+    # at rho >= rho_max some mode's error grows, so the state bound of
+    # iterate 0 bounds no later iterate: no attempt, only the grid run, whose
+    # fields and histories are those of the run a margin of 0 sends to the grid
+    g = Grid1D(201)
+    target = sine_target(g, 1e-4)
+    rho = 1.05 * fd_oracle.uzawa_step_bounds(g, 1e-4, 1.0)[0]
+    attempts = _count_attempts(monkeypatch)
+    run = fd_projected_uzawa_run(g, 1e-4, rho, target, 60)
+    assert attempts == [[True, 61]]
+    monkeypatch.setattr(fd_oracle, "_CLAMP_MARGIN", 0.0)
+    grid_run = fd_projected_uzawa_run(g, 1e-4, rho, target, 60)
+    assert run.diverged_at == grid_run.diverged_at
+    for name in ("u", "f", "z", "z_errors", "state_errors", "control_errors", "loss_history",
+                 "z_history"):
+        assert np.array_equal(getattr(run, name), getattr(grid_run, name)), name
+
+
+@pytest.mark.parametrize("n", [201, 4001])
+def test_state_bound_falls_after_iterate_0_at_an_admissible_step(n):
+    # the contraction theorem the certificate relies on: on the j-th DST-I
+    # mode u^_k - u*^ = (1 - rho mu_j)^k (u^_0 - u*^), so at rho < rho_max
+    # b_k = (2 / (m + 1)) sum_j j |u^_k,j - u*^_j| never exceeds b_0 (here
+    # to rounding), and past rho_max the modes with |1 - rho mu_j| > 1 grow
+    g = Grid1D(n)
+    m, alpha = g.n_interior, 1e-4
+    x = g.points[g.interior_mask, 0]
+    target = np.sin(np.pi * x) + 0.08 * np.sin(12 * np.pi * x)
+    lam, d_hat, (u_star, _, _) = fd_oracle._spectral_kkt(alpha, target)
+    mu = alpha / 2 * lam**2 + 1
+    j = np.arange(1.0, m + 1)
+
+    def bounds(rho):
+        steps = fd_oracle._uzawa_steps(alpha, rho, d_hat, fd_oracle._FloatCtx(), False,
+                                       lambda v: lam * v, lambda r: r / mu)
+        return np.array([2 / (m + 1) * (j @ np.abs(next(steps)[0] - u_star))
+                         for _ in range(201)])
+
+    b = bounds(alpha / 4)
+    assert (b <= b[0] * (1 + 1e-12)).all()
+    b = bounds(1.05 * fd_oracle.uzawa_step_bounds(g, alpha, 1.0)[0])
+    assert (b > b[0]).any()
 
 
 @pytest.mark.parametrize("target", ["negated_sine", "dip_in_the_middle", "zero"])
