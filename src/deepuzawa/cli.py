@@ -142,6 +142,8 @@ def _solve_oracle(cfg: ExperimentConfig, method: str, grid, target, out_dir: str
         run = uzawa(grid, cfg.alpha, rho, target, cfg.oracle_iters, dps=cfg.precision_dps)
         rho_max, kappa_max = uzawa_step_bounds(grid, cfg.alpha, rho)
         extra.update(resolved_rho=rho, rho_max=rho_max, kappa_max=kappa_max)
+        if method == "projected" and len(run.z_history):  # criterion 4's smallest multiplier
+            extra["min_multiplier"] = float(run.z_history.min())
     emit_csv(run, out_dir, _meta_from(cfg, _ORACLE_META[method], out_dir, extra))
     return method, run, extra
 

@@ -4,9 +4,9 @@ One run executes a fixed number of outer multiplier updates.  Inside each
 outer step the multiplier is frozen and the network parameters take a fixed
 number of optimiser steps on the quadrature Lagrangian over the whole
 collocation grid; the multiplier is then moved along the constraint
-residual.  A config that sets ``beta`` runs the augmented variant: it adds
-the squared-residual penalty, weighted by ``beta``, to the objective and
-uses ``beta`` as the multiplier step.
+residual.  A config that sets ``beta`` runs the augmented variant: the
+problem carries it as the loss's penalty weight (:func:`problem_for`) and
+the run steps the multiplier by it.
 
 The diagnostics (DIAGNOSTIC_COLUMNS), the decomposed loss and the errors
 against a closed-form solution (when the tag has one) are recorded once
@@ -53,10 +53,11 @@ class RunRecord(RunResult):
 
 
 def problem_for(cfg: ExperimentConfig) -> tuple[ProblemSpec, CollocationSet]:
-    """Problem spec and collocation grid of a network experiment tag, with
-    the config's target sampled on that grid (:func:`target_on_grid`)."""
+    """Problem spec and collocation grid of a network experiment tag: its
+    ``beta`` or 0, and its target sampled on the grid (:func:`target_on_grid`)."""
     cset = build_grid(Domain(EXPERIMENTS[cfg.tag].dim), cfg.n_points)
-    return ProblemSpec(cfg.tag, cfg.alpha, cfg.epsilon, samples=target_on_grid(cfg, cset)), cset
+    samples = target_on_grid(cfg, cset)
+    return ProblemSpec(cfg.tag, cfg.alpha, cfg.epsilon, cfg.beta or 0.0, samples=samples), cset
 
 
 def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecord:
@@ -87,7 +88,6 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     params = init_network(network)
     adam = AdamState.fresh(params.flat.size, lr=config.learning_rate)
     step = config.resolved_rho if config.beta is None else config.beta
-    beta = 0.0 if config.beta is None else config.beta
     z = np.zeros(cset.n_interior)
     mask = cset.interior_mask
     interior_weights = cset.weights[mask]
@@ -100,7 +100,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
             t0 = time.perf_counter()
             recorded = params.flat.copy()
             for i in range(config.n_sgd):
-                loss, grad = loss_and_gradient(params, cset, problem, z, beta)
+                loss, grad = loss_and_gradient(params, cset, problem, z)
                 adam_step(adam, params.flat, grad)  # params.layers view the new values
                 # a non-finite gradient entry leaves a non-finite parameter
                 if not np.isfinite(loss) or not np.all(np.isfinite(params.flat)):
@@ -109,7 +109,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                     break
             else:
                 jets = batch_jets(params, cset.points, cset.cutoff)
-                parts = loss_parts(problem, cset, jets, z, beta)
+                parts = loss_parts(problem, cset, jets, z)
                 # every weight is positive: a non-finite jet makes the total non-finite
                 if not np.isfinite(parts["total"]):
                     diverged_at, diverged_reason = k, "update_loss"

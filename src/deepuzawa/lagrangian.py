@@ -10,11 +10,12 @@ The quadrature Lagrangian over a collocation set is
 
     L_Q = sum_y w_y [ 0.5 (u - D)^2 + (alpha/4) f^2 + (alpha/4) (lap u)^2 ]
         + sum_{y interior} w_y z(y) K(y)
-        + (beta/2) sum_{y interior} w_y K(y)^2          (augmented only)
+        + (beta/2) sum_{y interior} w_y K(y)^2
 
-with (lap u)^2 replaced by (A u)^2 in the Allen-Cahn case.  The multiplier
-z is a float64 array on the interior points; boundary residuals are never
-formed.
+with (lap u)^2 replaced by (A u)^2 in the Allen-Cahn case, and beta = 0 outside
+the augmented variant; alpha and beta are fields of :class:`ProblemSpec`.
+The multiplier z is a float64 array on the interior points; boundary
+residuals are never formed.
 """
 from __future__ import annotations
 
@@ -29,13 +30,14 @@ from .geometry import CollocationSet
 @dataclass
 class ProblemSpec:
     """An experiment tag of :data:`~deepuzawa.closed_forms.EXPERIMENTS` with
-    its regularisation weight, its Allen-Cahn epsilon and, keyword only, its
-    target sampled on the collocation points
-    (:func:`~deepuzawa.config.target_on_grid`)."""
+    its regularisation weight, its Allen-Cahn epsilon, its penalty weight
+    beta (0: the plain Lagrangian) and, keyword only, its target sampled on
+    the collocation points (:func:`~deepuzawa.config.target_on_grid`)."""
 
     tag: str
     alpha: float
     epsilon: float | None = None
+    beta: float = 0.0
     samples: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
@@ -46,6 +48,8 @@ class ProblemSpec:
             raise ValueError("alpha must be positive")
         if "epsilon" in row.keys and (self.epsilon is None or not self.epsilon > 0):
             raise ValueError("Allen-Cahn problems need epsilon > 0")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError("beta must be finite and nonnegative")
         self.samples = np.asarray(self.samples, dtype=float)
         if not np.all(np.isfinite(self.samples)):
             raise ValueError(f"tag {self.tag!r}: target samples contain non-finite values")
@@ -92,8 +96,7 @@ def cost_values(problem: ProblemSpec, u, f, lap_u, target):
     return 0.5 * (u - target) ** 2 + a4 * f * f + a4 * op * op
 
 
-def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray,
-                beta: float):
+def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray):
     """One pass over the jets: the loss parts, and what the gradients reuse
     (the target, op with its partials and sign, and K on the full grid)."""
     if jets.u.shape != (cset.n_points,):
@@ -116,7 +119,7 @@ def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray,
     k_int = k[mask]
     w_int = w[mask]
     multiplier = float(np.dot(w_int, z * k_int))
-    penalty = 0.5 * beta * float(np.dot(w_int, k_int * k_int)) if beta else 0.0
+    penalty = 0.5 * problem.beta * float(np.dot(w_int, k_int * k_int)) if problem.beta else 0.0
     total = misfit + control + regulariser + multiplier + penalty
     parts = {
         "misfit": misfit,
@@ -129,32 +132,30 @@ def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray,
     return parts, target, op_terms, k
 
 
-def loss_parts(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray,
-               beta: float = 0.0) -> dict:
+def loss_parts(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray) -> dict:
     """Decomposed quadrature Lagrangian.
 
     Returns the four reported components (misfit, control norm, operator
     regulariser, multiplier term) plus the augmentation penalty and total.
     """
-    return _lagrangian(problem, cset, jets, z, beta)[0]
+    return _lagrangian(problem, cset, jets, z)[0]
 
 
-def pointwise_gradients(problem: ProblemSpec, cset: CollocationSet, jets,
-                        z: np.ndarray, beta: float = 0.0):
+def pointwise_gradients(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray):
     """Loss and its per-point partial derivatives w.r.t. (u, f, lap u).
 
     Returns ``(loss, g_u, g_f, g_lap)`` where g_* already carry the
     quadrature weights, so the chain rule through the ansatz is a plain
     contraction.  Used by the network's reverse sweep.
     """
-    parts, target, (op, dop_du, dop_dlap, sign), k = _lagrangian(problem, cset, jets, z, beta)
+    parts, target, (op, dop_du, dop_dlap, sign), k = _lagrangian(problem, cset, jets, z)
     u, f = jets.u, jets.f
     w = cset.weights
     mask = cset.interior_mask
     a2 = problem.alpha / 2.0
     z_full = np.zeros(cset.n_points)
     z_full[mask] = z
-    lam = w * mask * (z_full + beta * k)  # weighted d(multiplier + penalty)/dK
+    lam = w * mask * (z_full + problem.beta * k)  # weighted d(multiplier + penalty)/dK
     g_u = w * ((u - target) + a2 * op * dop_du) + lam * dop_du
     g_f = w * (a2 * f) + lam * sign
     g_lap = w * (a2 * op * dop_dlap) + lam * dop_dlap

@@ -23,10 +23,11 @@ the Laplacian rows), the reverse sweep each layer's stacked input x[k] with
 its adjoint once its weight gradient is formed.  When one stacked array is
 large, the points are swept in two contiguous halves, each with its own
 workspace: the caller's thread sweeps the first half and one helper thread
-the second.  The gradient is the first half's plus the second's, so its
-bits depend on the problem size only.  Returned jets and gradients never
-alias a workspace.  The sweeps use one helper thread inside; two callers
-still must not run them at once.
+the second; else all points are one half, swept by the same code.  The
+gradient is the first half's plus the second's, so its bits depend on the
+problem size only.  Returned jets and gradients never alias a workspace.
+The sweeps use one helper thread inside; two callers still must not run
+them at once.
 """
 from __future__ import annotations
 
@@ -272,11 +273,8 @@ def _forward(params: NetworkParameters, points: np.ndarray,
     dims = params.spec.layer_dims
     sweeps = [(_tape_for(dims, h.stop - h.start, i), h) for i, h in enumerate(_halves(n, dims))]
     outs = _in_halves(_sweep_forward, [(params.layers, tape, points[h]) for tape, h in sweeps])
-    if len(outs) == 1:  # only f would alias the tape
-        n_u, f, grad_n, lap_n = outs[0]
-        f = f.copy()
-    else:
-        n_u, f, grad_n, lap_n = (np.concatenate(rows) for rows in zip(*outs))
+    # the joined rows are copies: no jet aliases a workspace
+    n_u, f, grad_n, lap_n = (np.concatenate(rows) for rows in zip(*outs))
 
     b_val, b_grad, b_lap = cutoff.b, cutoff.grad, cutoff.lap
     u = b_val * n_u
@@ -314,8 +312,7 @@ def evaluate(params: NetworkParameters, points: np.ndarray,
 
 
 def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
-                      problem: ProblemSpec, z: np.ndarray,
-                      beta: float = 0.0) -> tuple[float, np.ndarray]:
+                      problem: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndarray]:
     """Quadrature Lagrangian and its exact parameter gradient.
 
     The scalar equals ``loss_parts(...)["total"]`` at the network jets; the
@@ -323,15 +320,15 @@ def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
     the full jet computation with its Laplacian and cutoff terms.
 
     The jets use the grid's own cutoff, ``cset.cutoff``, and the loss the
-    problem's target on the grid.  As with :func:`batch_jets`, an overflow
-    comes back as a non-finite loss or gradient, and the workspace for this
-    network and point count stays allocated after the call.
+    problem's target on the grid and penalty weight ``problem.beta``.  As
+    with :func:`batch_jets`, an overflow comes back as a non-finite loss or
+    gradient, and the workspace for this network and point count stays
+    allocated after the call.
     """
     cutoff = cset.cutoff
     jets, sweeps = _forward(params, cset.points, cutoff)
-    loss, g_u, g_f, g_lap = pointwise_gradients(problem, cset, jets, z, beta)
+    loss, g_u, g_f, g_lap = pointwise_gradients(problem, cset, jets, z)
     grads = _in_halves(_sweep_reverse, [
-        (params, tape, cutoff, g_u, g_f, g_lap) if len(sweeps) == 1 else
         (params, tape, CutoffJet(cutoff.b[h], cutoff.grad[h], cutoff.lap[h]),
          g_u[h], g_f[h], g_lap[h]) for tape, h in sweeps])
     return loss, sum(grads[1:], grads[0])  # the first half's plus the second's
@@ -378,15 +375,14 @@ def _sweep_reverse(params: NetworkParameters, tape: _Tape, cutoff: CutoffJet,
 
 
 def loss_value(params: NetworkParameters, cset: CollocationSet, problem: ProblemSpec,
-               z: np.ndarray, beta: float = 0.0) -> float:
+               z: np.ndarray) -> float:
     """Loss alone, via the same jet computation as :func:`loss_and_gradient`."""
     jets = batch_jets(params, cset.points, cset.cutoff)
-    return loss_parts(problem, cset, jets, z, beta)["total"]
+    return loss_parts(problem, cset, jets, z)["total"]
 
 
 def finite_difference_gradient(params: NetworkParameters, cset: CollocationSet,
-                               problem: ProblemSpec, z: np.ndarray, h: float,
-                               beta: float = 0.0) -> np.ndarray:
+                               problem: ProblemSpec, z: np.ndarray, h: float) -> np.ndarray:
     """Central-difference gradient of the loss, component by component: the
     test oracle of :func:`loss_and_gradient`, O(n_params) loss evaluations."""
     if not h > 0:
@@ -396,9 +392,9 @@ def finite_difference_gradient(params: NetworkParameters, cset: CollocationSet,
     for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] = flat[i] + h
-        up = loss_value(params.with_flat(bumped), cset, problem, z, beta)
+        up = loss_value(params.with_flat(bumped), cset, problem, z)
         bumped[i] = flat[i] - h
-        down = loss_value(params.with_flat(bumped), cset, problem, z, beta)
+        down = loss_value(params.with_flat(bumped), cset, problem, z)
         grad[i] = (up - down) / (2.0 * h)
     return grad
 
@@ -410,13 +406,13 @@ CHECK_BOUND = 1e-5  # largest relative error a derivative check accepts
 
 
 def _gradient_error(params: NetworkParameters, cset: CollocationSet, problem: ProblemSpec,
-                    z: np.ndarray, beta: float = 0.0) -> float:
+                    z: np.ndarray) -> float:
     """Largest relative error of the loss gradient against central
     differences at h = 1e-6, component by component; components below 1e-3
     of the largest are compared against that floor, since the difference
     carries ~1e-10 absolute rounding noise of its own."""
-    _, grad = loss_and_gradient(params, cset, problem, z, beta)
-    fd = finite_difference_gradient(params, cset, problem, z, 1e-6, beta)
+    _, grad = loss_and_gradient(params, cset, problem, z)
+    fd = finite_difference_gradient(params, cset, problem, z, 1e-6)
     scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
     return float(np.max(np.abs(grad - fd) / scale))
 
@@ -457,7 +453,7 @@ _GRADIENT_CASES = (
 )
 
 
-def _check_case(tag, alpha, epsilon, n, hidden, seed, z_seed):
+def _check_case(tag, alpha, epsilon, n, hidden, seed, z_seed, beta):
     """Network, grid, problem (image target 0.5) and random z of one gradient check."""
     row = EXPERIMENTS[tag]
     cset = build_grid(Domain(row.dim), n)
@@ -465,7 +461,7 @@ def _check_case(tag, alpha, epsilon, n, hidden, seed, z_seed):
                else target_on_grid(ExperimentConfig(tag, alpha, epsilon), cset))
     z = np.random.default_rng(z_seed).normal(size=cset.n_interior)
     return (init_network(NetworkSpec(row.dim, hidden, seed=seed)), cset,
-            ProblemSpec(tag, alpha, epsilon, samples=samples), z)
+            ProblemSpec(tag, alpha, epsilon, beta, samples=samples), z)
 
 
 def grad_check() -> dict[str, float]:
@@ -483,8 +479,8 @@ def grad_check() -> dict[str, float]:
         points = np.random.default_rng(100 + seed).uniform(0.05, 0.95, size=(50, dim))
         errors[f"laplacian jet d={dim} seed={seed}"] = _laplacian_error(
             params, Domain(dim), points)
-    for name, *case, beta in _GRADIENT_CASES:
-        errors[name] = _gradient_error(*_check_case(*case), beta)
+    for name, *case in _GRADIENT_CASES:
+        errors[name] = _gradient_error(*_check_case(*case))
     return errors
 
 

@@ -22,8 +22,9 @@ from deepuzawa.closed_forms import EXPERIMENTS
 from deepuzawa.config import (_SCHEMA, ConfigError, ExperimentConfig, RunResult, emit_csv,
                               load_pgm_target, parse_config, read_config, read_csv,
                               sample_image_on_grid, write_csv)
-from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_uzawa_run,
-                                 gauss_seidel_adjoint_run, sine_target, uzawa_step_bounds)
+from deepuzawa.fd_oracle import (Grid1D, fd_direct_kkt_solve, fd_projected_uzawa_run,
+                                 fd_uzawa_run, gauss_seidel_adjoint_run, sine_target,
+                                 uzawa_step_bounds)
 from deepuzawa.geometry import Domain, build_grid
 from deepuzawa.network import NetworkParameters, NetworkSpec, batch_jets
 from deepuzawa.parallel import usable_cpus
@@ -967,6 +968,45 @@ output_dir = {tmp_path / 'cycle'}
     assert errors.shape == (20, 3)
 
 
+@pytest.mark.parametrize("precision", ["", "precision_dps = 30"])
+def test_cli_projected_meta_lists_its_smallest_multiplier(tmp_path, capsys, precision):
+    # acceptance criterion 4's number: the smallest entry of the reported,
+    # nonnegative multiplier over every recorded iterate of the projected run
+    cfg = write(tmp_path, f"""
+tag = sine1d
+alpha = 1e-2
+n_points = 21
+oracle_iters = 5
+oracle_method = all
+{precision}
+output_dir = {tmp_path / 'oracle'}
+""")
+    assert main(["-q", "oracle", cfg]) == 0
+    parsed = parse_config(cfg)
+    problem, grid = driver.problem_for(parsed)
+    run = fd_projected_uzawa_run(grid, 1e-2, parsed.resolved_rho,
+                                 problem.samples[grid.interior_mask], 5, dps=parsed.precision_dps)
+    meta = _read_meta(tmp_path / "oracle" / "projected" / "meta.txt")
+    assert float(meta["min_multiplier"]) == run.z_history.min()
+    for method in ("uzawa", "gauss_seidel", "direct"):
+        assert "min_multiplier" not in _read_meta(tmp_path / "oracle" / method / "meta.txt")
+
+    # a run that diverges at iterate 0 (a pivot rounds to zero at one digit)
+    # records no multiplier, and lists none
+    diverged = write(tmp_path, f"""
+tag = sine1d
+alpha = 1e-2
+n_points = 5
+precision_dps = 1
+oracle_method = projected
+output_dir = {tmp_path / 'diverged'}
+""", "diverged.cfg")
+    assert main(["-q", "oracle", diverged]) == 2
+    assert capsys.readouterr().err == "projected oracle diverged at iteration 0\n"
+    meta = _read_meta(tmp_path / "diverged" / "meta.txt")
+    assert meta["diverged_at"] == "0" and "min_multiplier" not in meta
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("oracle", "beta", "0.5"),
     ("oracle", "learning_rate", "0.5"), ("oracle", "n_uzawa", "7"),
@@ -1446,7 +1486,8 @@ output_dir = {tmp_path / 'oracle'}
     # runs only, a precision for all but the float64 Gauss-Seidel sweep, an
     # iteration count for all but the direct solve
     uzawa = {"oracle_iters", "rho", "precision_dps", "resolved_rho", "rho_max", "kappa_max"}
-    extra = {"uzawa": uzawa, "projected": uzawa, "gauss_seidel": {"oracle_iters", "kappa_max"},
+    extra = {"uzawa": uzawa, "projected": uzawa | {"min_multiplier"},
+             "gauss_seidel": {"oracle_iters", "kappa_max"},
              "direct": {"precision_dps", "backward_error"}}
     for method in ("uzawa", "projected", "gauss_seidel", "direct"):
         meta = _read_meta(tmp_path / "oracle" / method / "meta.txt")

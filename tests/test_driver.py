@@ -1,5 +1,6 @@
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from deepuzawa import driver, geometry, network
 from deepuzawa.cli import sweep_configs
 from deepuzawa.closed_forms import EXPERIMENTS, ExactSolution
-from deepuzawa.config import LOSS_COLUMNS, ConfigError, ExperimentConfig
+from deepuzawa.config import LOSS_COLUMNS, ConfigError, ExperimentConfig, read_config
 from deepuzawa.driver import problem_for, run_deep_uzawa
 from deepuzawa.geometry import Domain, build_grid, l2_norm
 from deepuzawa.lagrangian import loss_parts, multiplier_update, residual_values, target_values
@@ -151,6 +152,13 @@ def test_problem_for_maps_tag_to_problem_and_domain():
     assert problem_for(tiny_config(tag="sine2d"))[1].domain == Domain.unit_square()
 
 
+@pytest.mark.parametrize("name, beta", [("sine1d_augmented", 1e-4), ("sine1d", 0.0)])
+def test_problem_for_carries_the_configs_beta(name, beta):
+    # the loss reads the augmented penalty weight from the problem, 0 when unset
+    cfg, _ = read_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+    assert problem_for(cfg)[0].beta == beta
+
+
 def test_run_computes_the_cutoff_and_the_target_once(monkeypatch):
     # the grid keeps its cutoff and the problem its target: no step recomputes them
     calls = {"cutoff": 0, "target": 0}
@@ -214,18 +222,17 @@ def _reference_run(cfg):
                                       seed=cfg.seed))
     adam = AdamState.fresh(params.flat.size, lr=cfg.learning_rate)
     step = cfg.resolved_rho if cfg.beta is None else cfg.beta
-    beta = 0.0 if cfg.beta is None else cfg.beta
     z = np.zeros(cset.n_interior)
     mask, w = cset.interior_mask, cset.weights[cset.interior_mask]
     exact = ExactSolution(cfg.tag, alpha=cfg.alpha)
     rows = []
     for _ in range(cfg.n_uzawa):
         for _ in range(cfg.n_sgd):
-            _, grad = loss_and_gradient(params, cset, problem, z, beta)
+            _, grad = loss_and_gradient(params, cset, problem, z)
             adam, flat = _functional_adam(adam, params.flat, grad)
             params = params.with_flat(flat)
         jets = batch_jets(params, cset.points, cset.cutoff)
-        parts = loss_parts(problem, cset, jets, z, beta)
+        parts = loss_parts(problem, cset, jets, z)
         residual = residual_values(problem, jets.u[mask], jets.f[mask], jets.lap_u[mask])
         z = multiplier_update(z, residual, step)
         rows.append([np.sqrt(np.dot(w, residual * residual)), np.sqrt(np.dot(w, z * z)),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,8 +96,9 @@ def test_pointwise_gradients_loss_is_loss_parts_total(prob, beta):
     u, f, lap = rng.normal(size=(3, g.n_points))
     jets = JetBatch(u=u, f=f, lap_u=lap)
     z = rng.normal(size=g.n_interior)
-    loss = pointwise_gradients(prob, g, jets, z, beta)[0]
-    assert loss == loss_parts(prob, g, jets, z, beta)["total"]
+    prob = replace(prob, beta=beta)
+    loss = pointwise_gradients(prob, g, jets, z)[0]
+    assert loss == loss_parts(prob, g, jets, z)["total"]
 
 
 def test_discrete_lagrangian_invariant_for_residual_free_fields():
@@ -106,7 +109,8 @@ def test_discrete_lagrangian_invariant_for_residual_free_fields():
     rng = np.random.default_rng(8)
     for beta in (0.0, 3.0):
         z = rng.normal(size=g.n_interior)
-        assert loss_parts(prob, g, jets, z, beta)["total"] == pytest.approx(base, rel=1e-13)
+        total = loss_parts(replace(prob, beta=beta), g, jets, z)["total"]
+        assert total == pytest.approx(base, rel=1e-13)
 
 
 def test_loss_parts_alpha_scaling():
@@ -217,3 +221,9 @@ def test_problem_spec_validation():
     prob = sampled_problem("sine1d", 1.0, g)
     assert target_values(prob, g) is prob.samples
     assert np.array_equal(prob.samples, own)
+
+
+@pytest.mark.parametrize("beta", [-1e-3, np.inf, np.nan])
+def test_problem_spec_refuses_a_negative_or_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta"):
+        ProblemSpec("sine1d", 1.0, None, beta, samples=np.zeros(5))

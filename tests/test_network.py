@@ -19,10 +19,10 @@ from deepuzawa.network import (NetworkParameters, NetworkSpec, batch_jets, evalu
 from reference_checks import sampled_problem
 
 
-def _poisson_case(dim, n, hidden, seed=0, z_seed=None):
+def _poisson_case(dim, n, hidden, seed=0, z_seed=None, beta=0.0):
     tag = "sine1d" if dim == 1 else "sine2d"
     return network._check_case(tag, 1e-2, None, n, hidden, seed,
-                               seed if z_seed is None else z_seed)
+                               seed if z_seed is None else z_seed, beta)
 
 
 def test_parameter_count_1_8_8_2():
@@ -243,8 +243,8 @@ def test_new_points_of_the_same_count_are_read():
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("hidden", [(7, 5, 3), ()], ids=["7-5-3", "depth0"])
 def test_gradient_matches_finite_differences_uneven_and_depth_zero(dim, hidden):
-    params, g, prob, z = _poisson_case(dim, 16 if dim == 1 else 5, hidden, seed=4)
-    assert network._gradient_error(params, g, prob, z, 0.5) <= network.CHECK_BOUND
+    params, g, prob, z = _poisson_case(dim, 16 if dim == 1 else 5, hidden, seed=4, beta=0.5)
+    assert network._gradient_error(params, g, prob, z) <= network.CHECK_BOUND
 
 
 @pytest.mark.parametrize("dim, n", [(1, 201), (2, 30)], ids=["1d-201", "2d-30x30"])
@@ -366,9 +366,9 @@ def split_all(monkeypatch):
     monkeypatch.setattr(network, "_SPLIT_SIZE", 1)
 
 
-def _allen_cahn_case(dim, n, hidden, seed=0):
+def _allen_cahn_case(dim, n, hidden, seed=0, beta=0.0):
     tag = "ac_sine" if dim == 1 else "ac_image"
-    return network._check_case(tag, 1e-3, 0.8, n, hidden, seed, seed)
+    return network._check_case(tag, 1e-3, 0.8, n, hidden, seed, seed, beta)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 17), (2, 5)], ids=["1d-17", "2d-5x5"])
@@ -377,9 +377,9 @@ def _allen_cahn_case(dim, n, hidden, seed=0):
 def test_split_gradient_matches_finite_differences(split_all, dim, n, kind, beta):
     # odd point counts: the halves are unequal
     case = _poisson_case if kind == "poisson" else _allen_cahn_case
-    params, g, prob, z = case(dim, n, (8, 8), seed=2)
+    params, g, prob, z = case(dim, n, (8, 8), seed=2, beta=beta)
     assert g.n_points % 2 == 1
-    assert network._gradient_error(params, g, prob, z, beta) <= network.CHECK_BOUND
+    assert network._gradient_error(params, g, prob, z) <= network.CHECK_BOUND
 
 
 @pytest.mark.parametrize("dim, n", [(1, 201), (2, 30)], ids=["1d-201", "2d-30x30"])
@@ -390,14 +390,14 @@ def test_gradient_at_the_training_shapes_matches_directional_differences(dim, n,
     # training grids, 1d in one sweep and 2d in two halves, along three
     # seeded unit directions v against central differences of the loss
     case = _poisson_case if kind == "poisson" else _allen_cahn_case
-    params, g, prob, z = case(dim, n, (64, 64, 64), seed=1)
+    params, g, prob, z = case(dim, n, (64, 64, 64), seed=1, beta=beta)
     assert len(network._halves(g.n_points, params.spec.layer_dims)) == dim
-    _, grad = loss_and_gradient(params, g, prob, z, beta)
+    _, grad = loss_and_gradient(params, g, prob, z)
     h = 1e-5
     for v in np.random.default_rng(33).normal(size=(3, grad.size)):
         v /= np.linalg.norm(v)
-        up = loss_value(params.with_flat(params.flat + h * v), g, prob, z, beta)
-        down = loss_value(params.with_flat(params.flat - h * v), g, prob, z, beta)
+        up = loss_value(params.with_flat(params.flat + h * v), g, prob, z)
+        down = loss_value(params.with_flat(params.flat - h * v), g, prob, z)
         assert abs((up - down) / (2 * h) - grad @ v) <= 1e-8 * np.linalg.norm(grad)
 
 
@@ -408,14 +408,14 @@ def test_split_sweeps_match_the_serial_sweep(monkeypatch, dim, n, hidden):
     # sizes the shipped rule splits: the jets of a point never depend on the
     # other points, so jets and loss keep their bits; the gradient sums two
     # halves, a new reduction order
-    params, g, prob, z = _poisson_case(dim, n, hidden, seed=3)
+    params, g, prob, z = _poisson_case(dim, n, hidden, seed=3, beta=0.5)
     assert len(network._halves(g.n_points, params.spec.layer_dims)) == 2
     cut = g.cutoff
     results = []
     for size in (np.inf, network._SPLIT_SIZE):
         monkeypatch.setattr(network, "_SPLIT_SIZE", size)
         jets = batch_jets(params, g.points, cut)
-        results.append((jets, *loss_and_gradient(params, g, prob, z, 0.5)))
+        results.append((jets, *loss_and_gradient(params, g, prob, z)))
     (serial, loss, grad), (split, split_loss, split_grad) = results
     for name in ("u", "f", "lap_u"):
         assert np.array_equal(getattr(split, name), getattr(serial, name))
@@ -424,7 +424,7 @@ def test_split_sweeps_match_the_serial_sweep(monkeypatch, dim, n, hidden):
 
 
 def test_split_on_one_cpu_gives_the_helper_threads_bits(split_all, monkeypatch):
-    params, g, prob, z = _allen_cahn_case(2, 31, (64, 64, 64), seed=5)
+    params, g, prob, z = _allen_cahn_case(2, 31, (64, 64, 64), seed=5, beta=0.5)
     cut = g.cutoff
     sweep, threads = network._sweep_forward, set()
 
@@ -438,7 +438,7 @@ def test_split_on_one_cpu_gives_the_helper_threads_bits(split_all, monkeypatch):
     for allowed in (cpus, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, allowed=allowed: allowed)
         jets = batch_jets(params, g.points, cut)
-        runs.append((jets.u, jets.f, jets.lap_u, *loss_and_gradient(params, g, prob, z, 0.5)))
+        runs.append((jets.u, jets.f, jets.lap_u, *loss_and_gradient(params, g, prob, z)))
     for helper, inline in zip(*runs):
         assert np.array_equal(helper, inline)
     # with two CPUs the second half ran on the helper thread, with one on this
