@@ -149,8 +149,8 @@ def _solve_oracle(cfg: ExperimentConfig, method: str, grid, target, out_dir: str
 
 
 def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
-    problem, grid = problem_for(cfg)  # a network run's problem, its target checked finite
-    target = problem.samples[grid.interior_mask]  # each solver rounds it into its arithmetic
+    problem = problem_for(cfg)  # a network run's problem, its target checked finite
+    target = problem.samples[problem.grid.interior_mask]  # each solver rounds it to its arithmetic
     methods = _oracle_methods(cfg)
     dirs = [cfg.output_dir if len(methods) == 1 else os.path.join(cfg.output_dir, method)
             for method in methods]
@@ -169,7 +169,7 @@ def _cmd_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
                   f"rho_max = {extra['rho_max']:.10g}", file=sys.stderr)
             status = 2
         return status
-    calls = [(cfg, method, grid, target, path) for method, path in zip(methods, dirs)]
+    calls = [(cfg, method, problem.grid, target, path) for method, path in zip(methods, dirs)]
     return _each(_solve_oracle, calls, dirs, report)
 
 

@@ -2,8 +2,8 @@
 
 One run executes a fixed number of outer multiplier updates.  Inside each
 outer step the multiplier is frozen and the network parameters take a fixed
-number of optimiser steps on the quadrature Lagrangian over the whole
-collocation grid; the multiplier is then moved along the constraint
+number of optimiser steps on the quadrature Lagrangian over the problem's
+whole collocation grid; the multiplier is then moved along the constraint
 residual.  A config that sets ``beta`` runs the augmented variant: the
 problem carries it as the loss's penalty weight (:func:`problem_for`) and
 the run steps the multiplier by it.
@@ -52,12 +52,12 @@ class RunRecord(RunResult):
         return self.loss_history.shape[0]
 
 
-def problem_for(cfg: ExperimentConfig) -> tuple[ProblemSpec, CollocationSet]:
-    """Problem spec and collocation grid of a network experiment tag: its
-    ``beta`` or 0, and its target sampled on the grid (:func:`target_on_grid`)."""
+def problem_for(cfg: ExperimentConfig) -> ProblemSpec:
+    """The problem of a network experiment tag: its ``beta`` or 0, its
+    collocation grid and its target sampled there (:func:`target_on_grid`)."""
     cset = build_grid(Domain(EXPERIMENTS[cfg.tag].dim), cfg.n_points)
-    samples = target_on_grid(cfg, cset)
-    return ProblemSpec(cfg.tag, cfg.alpha, cfg.epsilon, cfg.beta or 0.0, samples=samples), cset
+    return ProblemSpec(cfg.tag, cfg.alpha, cfg.epsilon, cfg.beta or 0.0, grid=cset,
+                       samples=target_on_grid(cfg, cset))
 
 
 def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecord:
@@ -78,7 +78,8 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
     step is ``beta`` when it is set (the augmented variant, which also adds
     the ``beta``-weighted penalty), else ``resolved_rho``.
     """
-    problem, cset = problem_for(config)
+    problem = problem_for(config)
+    cset = problem.grid
     exact = EXPERIMENTS[config.tag].exact
     # the closed form (u*, f*) on the grid, or () when the tag has none
     reference = () if exact is None else exact(cset.points, config.alpha, config.epsilon)
@@ -100,7 +101,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
             t0 = time.perf_counter()
             recorded = params.flat.copy()
             for i in range(config.n_sgd):
-                loss, grad = loss_and_gradient(params, cset, problem, z)
+                loss, grad = loss_and_gradient(params, problem, z)
                 adam_step(adam, params.flat, grad)  # params.layers view the new values
                 # a non-finite gradient entry leaves a non-finite parameter
                 if not np.isfinite(loss) or not np.all(np.isfinite(params.flat)):
@@ -109,7 +110,7 @@ def run_deep_uzawa(config: ExperimentConfig, progress: bool = False) -> RunRecor
                     break
             else:
                 jets = batch_jets(params, cset.points, cset.cutoff)
-                parts = loss_parts(problem, cset, jets, z)
+                parts = loss_parts(problem, jets, z)
                 # every weight is positive: a non-finite jet makes the total non-finite
                 if not np.isfinite(parts["total"]):
                     diverged_at, diverged_reason = k, "update_loss"

@@ -6,14 +6,15 @@ residual is K(u, f) = lap(u) + f.  For the stationary Allen-Cahn problem the
 operator is A(u) = -lap(u) - (1/eps^2) u (1 - u^2) and the residual is
 K(u, f) = A(u) - f.
 
-The quadrature Lagrangian over a collocation set is
+The quadrature Lagrangian over the problem's collocation grid is
 
     L_Q = sum_y w_y [ 0.5 (u - D)^2 + (alpha/4) f^2 + (alpha/4) (lap u)^2 ]
         + sum_{y interior} w_y z(y) K(y)
         + (beta/2) sum_{y interior} w_y K(y)^2
 
 with (lap u)^2 replaced by (A u)^2 in the Allen-Cahn case, and beta = 0 outside
-the augmented variant; alpha and beta are fields of :class:`ProblemSpec`.
+the augmented variant; alpha, beta, the grid and the target D are fields
+of :class:`ProblemSpec`, checked together once, when it is built.
 The multiplier z is a float64 array on the interior points; boundary
 residuals are never formed.
 """
@@ -27,30 +28,38 @@ from .closed_forms import EXPERIMENTS, POISSON
 from .geometry import CollocationSet
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # array fields: == cannot compare them
 class ProblemSpec:
     """An experiment tag of :data:`~deepuzawa.closed_forms.EXPERIMENTS` with
     its regularisation weight, its Allen-Cahn epsilon, its penalty weight
-    beta (0: the plain Lagrangian) and, keyword only, its target sampled on
-    the collocation points (:func:`~deepuzawa.config.target_on_grid`)."""
+    beta (0: the plain Lagrangian) and, keyword only, its collocation grid
+    and its target sampled there (:func:`~deepuzawa.config.target_on_grid`).
+    Checked once, when built; a built problem cannot be assigned to."""
 
     tag: str
     alpha: float
     epsilon: float | None = None
     beta: float = 0.0
+    grid: CollocationSet = field(kw_only=True)
     samples: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
         row = EXPERIMENTS.get(self.tag)
         if row is None:
             raise ValueError(f"unknown tag {self.tag!r}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if "epsilon" in row.keys and (self.epsilon is None or not self.epsilon > 0):
-            raise ValueError("Allen-Cahn problems need epsilon > 0")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError("alpha must be finite and positive")
+        if "epsilon" in row.keys and (self.epsilon is None or not 0.0 < self.epsilon < np.inf):
+            raise ValueError("Allen-Cahn problems need a finite epsilon > 0")
         if not 0.0 <= self.beta < np.inf:
             raise ValueError("beta must be finite and nonnegative")
-        self.samples = np.asarray(self.samples, dtype=float)
+        if self.grid.domain.dim != row.dim:
+            raise ValueError(f"tag {self.tag!r} is posed in dimension {row.dim}, "
+                             f"its grid in dimension {self.grid.domain.dim}")
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        if self.samples.shape != (self.grid.n_points,):
+            raise ValueError(f"sampled target has {self.samples.shape} values "
+                             f"for {self.grid.n_points} points")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError(f"tag {self.tag!r}: target samples contain non-finite values")
 
@@ -60,12 +69,8 @@ class ProblemSpec:
         return EXPERIMENTS[self.tag].kind
 
 
-def target_values(problem: ProblemSpec, cset: CollocationSet) -> np.ndarray:
-    """The problem's target samples, checked to cover every collocation point."""
-    if problem.samples.shape != (cset.n_points,):
-        raise ValueError(
-            f"sampled target has {problem.samples.shape} values for {cset.n_points} points"
-        )
+def target_values(problem: ProblemSpec) -> np.ndarray:
+    """The problem's target samples, one per point of its grid."""
     return problem.samples
 
 
@@ -96,16 +101,17 @@ def cost_values(problem: ProblemSpec, u, f, lap_u, target):
     return 0.5 * (u - target) ** 2 + a4 * f * f + a4 * op * op
 
 
-def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray):
+def _lagrangian(problem: ProblemSpec, jets, z: np.ndarray):
     """One pass over the jets: the loss parts, and what the gradients reuse
     (the target, op with its partials and sign, and K on the full grid)."""
+    cset = problem.grid
     if jets.u.shape != (cset.n_points,):
         raise ValueError(f"jets cover {jets.u.shape} points, set has {cset.n_points}")
     if z.shape != (cset.n_interior,):
         raise ValueError(
             f"multiplier has {z.shape[0]} values for {cset.n_interior} interior points"
         )
-    target = target_values(problem, cset)
+    target = target_values(problem)
     u, f = jets.u, jets.f
     op_terms = _operator(problem, u, jets.lap_u)
     op, _, _, sign = op_terms
@@ -132,28 +138,27 @@ def _lagrangian(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray)
     return parts, target, op_terms, k
 
 
-def loss_parts(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray) -> dict:
+def loss_parts(problem: ProblemSpec, jets, z: np.ndarray) -> dict:
     """Decomposed quadrature Lagrangian.
 
     Returns the four reported components (misfit, control norm, operator
     regulariser, multiplier term) plus the augmentation penalty and total.
     """
-    return _lagrangian(problem, cset, jets, z)[0]
+    return _lagrangian(problem, jets, z)[0]
 
 
-def pointwise_gradients(problem: ProblemSpec, cset: CollocationSet, jets, z: np.ndarray):
+def pointwise_gradients(problem: ProblemSpec, jets, z: np.ndarray):
     """Loss and its per-point partial derivatives w.r.t. (u, f, lap u).
 
     Returns ``(loss, g_u, g_f, g_lap)`` where g_* already carry the
     quadrature weights, so the chain rule through the ansatz is a plain
     contraction.  Used by the network's reverse sweep.
     """
-    parts, target, (op, dop_du, dop_dlap, sign), k = _lagrangian(problem, cset, jets, z)
+    parts, target, (op, dop_du, dop_dlap, sign), k = _lagrangian(problem, jets, z)
     u, f = jets.u, jets.f
-    w = cset.weights
-    mask = cset.interior_mask
+    w, mask = problem.grid.weights, problem.grid.interior_mask
     a2 = problem.alpha / 2.0
-    z_full = np.zeros(cset.n_points)
+    z_full = np.zeros(w.size)
     z_full[mask] = z
     lam = w * mask * (z_full + problem.beta * k)  # weighted d(multiplier + penalty)/dK
     g_u = w * ((u - target) + a2 * op * dop_du) + lam * dop_du

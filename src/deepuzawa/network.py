@@ -9,8 +9,9 @@ The Laplacian is obtained by propagating the value, the d first
 derivatives and the Laplacian itself (the "forward Laplacian" layout)
 through every affine map and tanh activation: with s1, s2, s3 tanh's first
 three derivatives at its input y, an activation maps the Laplacian stream L
-of y to s1 L + s2 sum_i (d_i y)^2.  The loss gradient with respect to every
-parameter is computed by one reverse sweep.
+of y to s1 L + s2 sum_i (d_i y)^2.  The loss of a problem, taken at the
+points of its own grid, has its gradient with respect to every parameter
+computed by one reverse sweep.
 
 Both sweeps write into workspaces, :class:`_Tape`, kept from call to call
 and rebuilt when the network shape or point count changes, so a training
@@ -39,7 +40,7 @@ import numpy as np
 
 from .closed_forms import EXPERIMENTS
 from .config import ExperimentConfig, target_on_grid
-from .geometry import CollocationSet, CutoffJet, Domain, build_grid, cutoff_jet
+from .geometry import CutoffJet, Domain, build_grid, cutoff_jet
 from .lagrangian import ProblemSpec, loss_parts, pointwise_gradients
 from .parallel import usable_cpus
 
@@ -311,23 +312,23 @@ def evaluate(params: NetworkParameters, points: np.ndarray,
     return cutoff_values * x[:, 0], x[:, 1]
 
 
-def loss_and_gradient(params: NetworkParameters, cset: CollocationSet,
-                      problem: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndarray]:
+def loss_and_gradient(params: NetworkParameters, problem: ProblemSpec,
+                      z: np.ndarray) -> tuple[float, np.ndarray]:
     """Quadrature Lagrangian and its exact parameter gradient.
 
     The scalar equals ``loss_parts(...)["total"]`` at the network jets; the
     gradient is its derivative by every entry of ``params.flat``, through
     the full jet computation with its Laplacian and cutoff terms.
 
-    The jets use the grid's own cutoff, ``cset.cutoff``, and the loss the
-    problem's target on the grid and penalty weight ``problem.beta``.  As
+    The jets are taken on the problem's grid with its own cutoff, and the
+    loss uses the problem's target there and penalty weight ``beta``.  As
     with :func:`batch_jets`, an overflow comes back as a non-finite loss or
     gradient, and the workspace for this network and point count stays
     allocated after the call.
     """
-    cutoff = cset.cutoff
-    jets, sweeps = _forward(params, cset.points, cutoff)
-    loss, g_u, g_f, g_lap = pointwise_gradients(problem, cset, jets, z)
+    cutoff = problem.grid.cutoff
+    jets, sweeps = _forward(params, problem.grid.points, cutoff)
+    loss, g_u, g_f, g_lap = pointwise_gradients(problem, jets, z)
     grads = _in_halves(_sweep_reverse, [
         (params, tape, CutoffJet(cutoff.b[h], cutoff.grad[h], cutoff.lap[h]),
          g_u[h], g_f[h], g_lap[h]) for tape, h in sweeps])
@@ -374,15 +375,14 @@ def _sweep_reverse(params: NetworkParameters, tape: _Tape, cutoff: CutoffJet,
     return grad_flat
 
 
-def loss_value(params: NetworkParameters, cset: CollocationSet, problem: ProblemSpec,
-               z: np.ndarray) -> float:
+def loss_value(params: NetworkParameters, problem: ProblemSpec, z: np.ndarray) -> float:
     """Loss alone, via the same jet computation as :func:`loss_and_gradient`."""
-    jets = batch_jets(params, cset.points, cset.cutoff)
-    return loss_parts(problem, cset, jets, z)["total"]
+    jets = batch_jets(params, problem.grid.points, problem.grid.cutoff)
+    return loss_parts(problem, jets, z)["total"]
 
 
-def finite_difference_gradient(params: NetworkParameters, cset: CollocationSet,
-                               problem: ProblemSpec, z: np.ndarray, h: float) -> np.ndarray:
+def finite_difference_gradient(params: NetworkParameters, problem: ProblemSpec,
+                               z: np.ndarray, h: float) -> np.ndarray:
     """Central-difference gradient of the loss, component by component: the
     test oracle of :func:`loss_and_gradient`, O(n_params) loss evaluations."""
     if not h > 0:
@@ -392,9 +392,9 @@ def finite_difference_gradient(params: NetworkParameters, cset: CollocationSet,
     for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] = flat[i] + h
-        up = loss_value(params.with_flat(bumped), cset, problem, z)
+        up = loss_value(params.with_flat(bumped), problem, z)
         bumped[i] = flat[i] - h
-        down = loss_value(params.with_flat(bumped), cset, problem, z)
+        down = loss_value(params.with_flat(bumped), problem, z)
         grad[i] = (up - down) / (2.0 * h)
     return grad
 
@@ -405,14 +405,13 @@ def finite_difference_gradient(params: NetworkParameters, cset: CollocationSet,
 CHECK_BOUND = 1e-5  # largest relative error a derivative check accepts
 
 
-def _gradient_error(params: NetworkParameters, cset: CollocationSet, problem: ProblemSpec,
-                    z: np.ndarray) -> float:
+def _gradient_error(params: NetworkParameters, problem: ProblemSpec, z: np.ndarray) -> float:
     """Largest relative error of the loss gradient against central
     differences at h = 1e-6, component by component; components below 1e-3
     of the largest are compared against that floor, since the difference
     carries ~1e-10 absolute rounding noise of its own."""
-    _, grad = loss_and_gradient(params, cset, problem, z)
-    fd = finite_difference_gradient(params, cset, problem, z, 1e-6)
+    _, grad = loss_and_gradient(params, problem, z)
+    fd = finite_difference_gradient(params, problem, z, 1e-6)
     scale = np.maximum(np.abs(fd), 1e-3 * np.abs(fd).max())
     return float(np.max(np.abs(grad - fd) / scale))
 
@@ -454,14 +453,14 @@ _GRADIENT_CASES = (
 
 
 def _check_case(tag, alpha, epsilon, n, hidden, seed, z_seed, beta):
-    """Network, grid, problem (image target 0.5) and random z of one gradient check."""
+    """Network, problem (image target 0.5) and random z of one gradient check."""
     row = EXPERIMENTS[tag]
     cset = build_grid(Domain(row.dim), n)
     samples = (np.full(cset.n_points, 0.5) if row.target == "image"
                else target_on_grid(ExperimentConfig(tag, alpha, epsilon), cset))
     z = np.random.default_rng(z_seed).normal(size=cset.n_interior)
-    return (init_network(NetworkSpec(row.dim, hidden, seed=seed)), cset,
-            ProblemSpec(tag, alpha, epsilon, beta, samples=samples), z)
+    return (init_network(NetworkSpec(row.dim, hidden, seed=seed)),
+            ProblemSpec(tag, alpha, epsilon, beta, grid=cset, samples=samples), z)
 
 
 def grad_check() -> dict[str, float]:

@@ -74,4 +74,4 @@ def sampled_problem(tag, alpha, cset, epsilon=None) -> ProblemSpec:
     """The problem of a formula tag with its target sampled on ``cset`` by
     ``target_on_grid``, the sampler of a run's problem."""
     cfg = ExperimentConfig(tag, alpha=alpha, epsilon=epsilon)
-    return ProblemSpec(tag, alpha, epsilon, samples=target_on_grid(cfg, cset))
+    return ProblemSpec(tag, alpha, epsilon, grid=cset, samples=target_on_grid(cfg, cset))

@@ -883,7 +883,8 @@ oracle_method = direct
 output_dir = {tmp_path / 'direct'}
 """)
     assert main(["-q", "oracle", cfg]) == 0
-    spec, cset = driver.problem_for(parse_config(cfg))
+    spec = driver.problem_for(parse_config(cfg))
+    cset = spec.grid
     sol = fd_direct_kkt_solve(cset, 1e-2, spec.samples[cset.interior_mask])
     _, state = read_csv(tmp_path / "direct" / "State.csv")
     assert state[:, 0].tobytes() == sol.u.tobytes()
@@ -983,7 +984,8 @@ output_dir = {tmp_path / 'oracle'}
 """)
     assert main(["-q", "oracle", cfg]) == 0
     parsed = parse_config(cfg)
-    problem, grid = driver.problem_for(parsed)
+    problem = driver.problem_for(parsed)
+    grid = problem.grid
     run = fd_projected_uzawa_run(grid, 1e-2, parsed.resolved_rho,
                                  problem.samples[grid.interior_mask], 5, dps=parsed.precision_dps)
     meta = _read_meta(tmp_path / "oracle" / "projected" / "meta.txt")

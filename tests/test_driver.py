@@ -41,7 +41,7 @@ def test_zero_learning_rate_updates_multiplier_only(frozen_network):
     cset = rec.cset
     jets = batch_jets(params0, cset.points, cset.cutoff)
     mask = cset.interior_mask
-    k = residual_values(problem_for(cfg)[0], jets.u[mask], jets.f[mask], jets.lap_u[mask])
+    k = residual_values(problem_for(cfg), jets.u[mask], jets.f[mask], jets.lap_u[mask])
     assert np.allclose(rec.z, cfg.resolved_rho * k, rtol=1e-14)
 
 
@@ -142,21 +142,22 @@ def test_exact_solution_resolution():
 
 
 def test_problem_for_maps_tag_to_problem_and_domain():
-    problem, cset = problem_for(tiny_config(tag="boundary_layer", alpha=0.5, n_points=5))
+    problem = problem_for(tiny_config(tag="boundary_layer", alpha=0.5, n_points=5))
+    cset = problem.grid
     assert (problem.tag, problem.kind, problem.alpha) == ("boundary_layer", "poisson", 0.5)
-    assert np.array_equal(target_values(problem, cset), np.ones(5))
+    assert np.array_equal(target_values(problem), np.ones(5))
     assert cset.domain == Domain.unit_interval()
     assert np.array_equal(cset.points, build_grid(Domain.unit_interval(), 5).points)
-    problem, _ = problem_for(tiny_config(tag="ac_step", epsilon=0.3))
+    problem = problem_for(tiny_config(tag="ac_step", epsilon=0.3))
     assert (problem.tag, problem.kind, problem.epsilon) == ("ac_step", "allen_cahn", 0.3)
-    assert problem_for(tiny_config(tag="sine2d"))[1].domain == Domain.unit_square()
+    assert problem_for(tiny_config(tag="sine2d")).grid.domain == Domain.unit_square()
 
 
 @pytest.mark.parametrize("name, beta", [("sine1d_augmented", 1e-4), ("sine1d", 0.0)])
 def test_problem_for_carries_the_configs_beta(name, beta):
     # the loss reads the augmented penalty weight from the problem, 0 when unset
     cfg, _ = read_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
-    assert problem_for(cfg)[0].beta == beta
+    assert problem_for(cfg).beta == beta
 
 
 def test_run_computes_the_cutoff_and_the_target_once(monkeypatch):
@@ -217,7 +218,8 @@ def _functional_adam(state, params, grad):
 def _reference_run(cfg):
     """run_deep_uzawa's loop without divergence checks, with functional Adam
     and a new NetworkParameters per step: histories, z and the parameters."""
-    problem, cset = problem_for(cfg)
+    problem = problem_for(cfg)
+    cset = problem.grid
     params = init_network(NetworkSpec(1, (cfg.hidden_width,) * cfg.hidden_depth,
                                       seed=cfg.seed))
     adam = AdamState.fresh(params.flat.size, lr=cfg.learning_rate)
@@ -228,11 +230,11 @@ def _reference_run(cfg):
     rows = []
     for _ in range(cfg.n_uzawa):
         for _ in range(cfg.n_sgd):
-            _, grad = loss_and_gradient(params, cset, problem, z)
+            _, grad = loss_and_gradient(params, problem, z)
             adam, flat = _functional_adam(adam, params.flat, grad)
             params = params.with_flat(flat)
         jets = batch_jets(params, cset.points, cset.cutoff)
-        parts = loss_parts(problem, cset, jets, z)
+        parts = loss_parts(problem, jets, z)
         residual = residual_values(problem, jets.u[mask], jets.f[mask], jets.lap_u[mask])
         z = multiplier_update(z, residual, step)
         rows.append([np.sqrt(np.dot(w, residual * residual)), np.sqrt(np.dot(w, z * z)),
@@ -344,5 +346,5 @@ def test_multiplier_drift_bounded_by_rho_times_residual(frozen_network):
     cset = rec.cset
     jets = batch_jets(params0, cset.points, cset.cutoff)
     mask = cset.interior_mask
-    k = residual_values(problem_for(cfg)[0], jets.u[mask], jets.f[mask], jets.lap_u[mask])
+    k = residual_values(problem_for(cfg), jets.u[mask], jets.f[mask], jets.lap_u[mask])
     assert np.abs(rec.z).max() <= cfg.resolved_rho * np.abs(k).max() * (1 + 1e-12)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -83,9 +83,9 @@ def test_discrete_lagrangian_zero_multiplier_is_cost_quadrature(prob):
     g = build_grid(Domain.unit_interval(), 41)
     jets = exact_sine_jets(g)
     z0 = np.zeros(g.n_interior)
-    target = target_values(prob, g)
+    target = target_values(prob)
     cost_q = float(np.dot(g.weights, cost_values(prob, jets.u, jets.f, jets.lap_u, target)))
-    assert loss_parts(prob, g, jets, z0)["total"] == pytest.approx(cost_q, rel=1e-14)
+    assert loss_parts(prob, jets, z0)["total"] == pytest.approx(cost_q, rel=1e-14)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])
@@ -97,19 +97,19 @@ def test_pointwise_gradients_loss_is_loss_parts_total(prob, beta):
     jets = JetBatch(u=u, f=f, lap_u=lap)
     z = rng.normal(size=g.n_interior)
     prob = replace(prob, beta=beta)
-    loss = pointwise_gradients(prob, g, jets, z)[0]
-    assert loss == loss_parts(prob, g, jets, z)["total"]
+    loss = pointwise_gradients(prob, jets, z)[0]
+    assert loss == loss_parts(prob, jets, z)["total"]
 
 
 def test_discrete_lagrangian_invariant_for_residual_free_fields():
     g = build_grid(Domain.unit_interval(), 41)
     prob = sampled_problem("sine1d", 1e-2, g)
     jets = exact_sine_jets(g)  # residual is exactly zero everywhere
-    base = loss_parts(prob, g, jets, np.zeros(g.n_interior))["total"]
+    base = loss_parts(prob, jets, np.zeros(g.n_interior))["total"]
     rng = np.random.default_rng(8)
     for beta in (0.0, 3.0):
         z = rng.normal(size=g.n_interior)
-        total = loss_parts(replace(prob, beta=beta), g, jets, z)["total"]
+        total = loss_parts(replace(prob, beta=beta), jets, z)["total"]
         assert total == pytest.approx(base, rel=1e-13)
 
 
@@ -118,9 +118,9 @@ def test_loss_parts_alpha_scaling():
     jets = exact_sine_jets(g)
     z = np.zeros(g.n_interior)
     parts1 = loss_parts(sampled_problem("boundary_layer", 1e-2, g),
-                        g, jets, z)
+                        jets, z)
     parts2 = loss_parts(sampled_problem("boundary_layer", 2e-2, g),
-                        g, jets, z)
+                        jets, z)
     assert parts2["control_norm_term"] == pytest.approx(2 * parts1["control_norm_term"], rel=1e-14)
     assert parts2["regulariser_term"] == pytest.approx(2 * parts1["regulariser_term"], rel=1e-14)
     assert parts2["misfit"] == parts1["misfit"]
@@ -170,16 +170,15 @@ def test_ac_sine_target_stationarity():
 
 def test_sampled_target_shape_check():
     g = build_grid(Domain.unit_square(), 4)
-    prob = ProblemSpec("ac_image", 1.0, epsilon=1.0, samples=np.zeros(10))
     with pytest.raises(ValueError, match=r"sampled target has \(10,\) values for 16 points"):
-        target_values(prob, g)
+        ProblemSpec("ac_image", 1.0, epsilon=1.0, grid=g, samples=np.zeros(10))
 
 
 def test_jets_of_another_set_are_refused():
     g = build_grid(Domain.unit_interval(), 10)
     jets = exact_sine_jets(build_grid(Domain.unit_interval(), 9))
     with pytest.raises(ValueError, match=r"jets cover \(9,\) points, set has 10"):
-        loss_parts(sampled_problem("sine1d", 1e-2, g), g, jets, np.zeros(g.n_interior))
+        loss_parts(sampled_problem("sine1d", 1e-2, g), jets, np.zeros(g.n_interior))
 
 
 def test_multiplier_update_examples():
@@ -203,27 +202,63 @@ def test_multiplier_update_additive():
 
 def test_problem_spec_validation():
     # no config has these problems, so their samples are given: only the spec's checks act
-    some = np.zeros(5)
+    line, some = build_grid(Domain.unit_interval(), 5), np.zeros(5)
     with pytest.raises(ValueError):
-        ProblemSpec("sine1d", -1.0, samples=some)
+        ProblemSpec("sine1d", -1.0, grid=line, samples=some)
     with pytest.raises(ValueError):
-        ProblemSpec("ac_sine", 1.0, samples=some)  # missing epsilon
+        ProblemSpec("ac_sine", 1.0, grid=line, samples=some)  # missing epsilon
     with pytest.raises(ValueError):
-        ProblemSpec("heat", 1.0, samples=some)
+        ProblemSpec("heat", 1.0, grid=line, samples=some)
     for tag, epsilon in (("ac_image", 1.0), ("sine1d", None)):  # missing samples, any tag
         with pytest.raises(TypeError, match="samples"):
             ProblemSpec(tag, 1.0, epsilon)
     with pytest.raises(ValueError):
-        ProblemSpec("ac_image", 1.0, epsilon=1.0, samples=np.array([0.0, np.nan]))
+        ProblemSpec("ac_image", 1.0, epsilon=1.0, grid=build_grid(Domain.unit_square(), 3),
+                    samples=np.r_[0.0, np.nan, np.zeros(7)])
     # a formula tag takes its target sampled on the grid, and the loss reads those samples
     g = build_grid(Domain.unit_interval(), 5)
     own = target_on_grid(ExperimentConfig("sine1d", alpha=1.0), g)
     prob = sampled_problem("sine1d", 1.0, g)
-    assert target_values(prob, g) is prob.samples
+    assert target_values(prob) is prob.samples
     assert np.array_equal(prob.samples, own)
 
 
 @pytest.mark.parametrize("beta", [-1e-3, np.inf, np.nan])
 def test_problem_spec_refuses_a_negative_or_non_finite_beta(beta):
     with pytest.raises(ValueError, match="beta"):
-        ProblemSpec("sine1d", 1.0, None, beta, samples=np.zeros(5))
+        ProblemSpec("sine1d", 1.0, None, beta, grid=LINE, samples=np.zeros(41))
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ProblemSpec)])
+def test_a_built_problem_cannot_be_assigned_to(name):
+    # past its checks: beta = -5 would make the loss unbounded below
+    prob = sampled_problem("sine1d", 1e-2, LINE)
+    with pytest.raises(FrozenInstanceError):
+        setattr(prob, name, getattr(prob, name))
+
+
+def test_a_grid_of_another_dimension_is_refused():
+    # 25 samples fit a 5x5 square as well as 25 points of the unit interval
+    square = build_grid(Domain.unit_square(), 5)
+    samples = target_on_grid(ExperimentConfig("sine1d", alpha=1.0),
+                             build_grid(Domain.unit_interval(), 25))
+    with pytest.raises(ValueError, match="dimension 1, its grid in dimension 2"):
+        ProblemSpec("sine1d", 1.0, grid=square, samples=samples)
+
+
+def test_replacing_the_grid_checks_the_problem_again():
+    prob = sampled_problem("sine1d", 1e-2, LINE)
+    with pytest.raises(ValueError, match=r"sampled target has \(41,\) values for 40 points"):
+        replace(prob, grid=build_grid(Domain.unit_interval(), 40))
+    with pytest.raises(ValueError, match="dimension"):
+        replace(prob, grid=build_grid(Domain.unit_square(), 5))
+
+
+@pytest.mark.parametrize("tag, alpha, epsilon, named", [
+    ("sine1d", np.inf, None, "alpha"), ("sine1d", np.nan, None, "alpha"),
+    ("ac_sine", np.inf, 1.0, "alpha"), ("ac_sine", 1.0, np.inf, "epsilon"),
+    ("ac_sine", 1.0, np.nan, "epsilon"),
+])
+def test_problem_spec_refuses_a_non_finite_alpha_or_epsilon(tag, alpha, epsilon, named):
+    with pytest.raises(ValueError, match=named):
+        ProblemSpec(tag, alpha, epsilon, grid=LINE, samples=np.zeros(41))

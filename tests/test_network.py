@@ -3,6 +3,7 @@ import os
 import pickle
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,22 +92,23 @@ def test_loss_equals_discrete_lagrangian():
     # step, in one sweep (1d) and in two halves (2d at 30x30)
     for case in (_poisson_case(1, 16, (8, 8), seed=3), _poisson_case(1, 201, (64, 64, 64)),
                  _poisson_case(2, 30, (64, 64, 64))):
-        params, g, prob, z = case
+        params, prob, z = case
+        g = prob.grid
         before = batch_jets(params, g.points, g.cutoff)
-        loss, _ = loss_and_gradient(params, g, prob, z)
+        loss, _ = loss_and_gradient(params, prob, z)
         jets = batch_jets(params, g.points, g.cutoff)
-        assert loss == loss_parts(prob, g, jets, z)["total"]
+        assert loss == loss_parts(prob, jets, z)["total"]
         for name in ("u", "f", "lap_u"):
             assert np.array_equal(getattr(before, name), getattr(jets, name))
 
 
 def test_finite_difference_gradient_second_order():
     # halving h must shrink the disagreement with the exact gradient ~4x
-    params, g, prob, z = _poisson_case(1, 12, (6,), seed=8, z_seed=5)
-    _, grad = loss_and_gradient(params, g, prob, z)
+    params, prob, z = _poisson_case(1, 12, (6,), seed=8, z_seed=5)
+    _, grad = loss_and_gradient(params, prob, z)
     errs = []
     for h in (2e-4, 1e-4):
-        fd = finite_difference_gradient(params, g, prob, z, h)
+        fd = finite_difference_gradient(params, prob, z, h)
         errs.append(np.linalg.norm(fd - grad))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
 
@@ -123,30 +125,33 @@ def test_grad_check_covers_every_constraint_kind_and_variant():
 
 
 def test_zero_final_layer_loss_is_pure_misfit():
-    params, g, _, z = _poisson_case(1, 21, (8, 8), z_seed=1)
+    params, base, z = _poisson_case(1, 21, (8, 8), z_seed=1)
+    g = base.grid
     prob = sampled_problem("sine1d", 4.0, g)
     flat = params.flat.copy()
     flat[-18:] = 0.0  # last layer: 2x8 weights + 2 biases
     params = params.with_flat(flat)
-    d = target_values(prob, g)
+    d = target_values(prob)
     expected = 0.5 * float(np.dot(g.weights, d * d))
-    assert loss_value(params, g, prob, z) == pytest.approx(expected, rel=1e-14)
+    assert loss_value(params, prob, z) == pytest.approx(expected, rel=1e-14)
 
 
 def test_weight_scaling_scales_loss_and_gradient_exactly():
     # scaling all quadrature weights by a power of two commutes with
     # rounding, so equality is exact
-    params, g, prob, z = _poisson_case(1, 16, (8, 8), seed=12, z_seed=9)
-    loss1, grad1 = loss_and_gradient(params, g, prob, z)
+    params, prob, z = _poisson_case(1, 16, (8, 8), seed=12, z_seed=9)
+    g = prob.grid
+    loss1, grad1 = loss_and_gradient(params, prob, z)
     doubled = CollocationSet(g.domain, g.points, g.weights * 2.0, g.interior_mask)
-    loss2, grad2 = loss_and_gradient(params, doubled, prob, z)
+    loss2, grad2 = loss_and_gradient(params, replace(prob, grid=doubled), z)
     assert loss2 == 2.0 * loss1
     assert np.array_equal(grad2, 2.0 * grad1)
 
 
 def test_duplicated_point_with_split_weight():
-    params, g, prob, z = _poisson_case(1, 16, (8, 8), seed=7, z_seed=2)
-    loss1, grad1 = loss_and_gradient(params, g, prob, z)
+    params, prob, z = _poisson_case(1, 16, (8, 8), seed=7, z_seed=2)
+    g = prob.grid
+    loss1, grad1 = loss_and_gradient(params, prob, z)
 
     j = 5  # duplicate an interior point, splitting its weight
     points = np.vstack([g.points, g.points[j]])
@@ -158,24 +163,24 @@ def test_duplicated_point_with_split_weight():
     zj = np.where(np.flatnonzero(g.interior_mask) == j)[0][0]
     z_dup = np.append(z, z[zj])
     # the target sampled on the duplicated set, as a run samples its own grid
-    loss2, grad2 = loss_and_gradient(params, dup, sampled_problem("sine1d", 1e-2, dup), z_dup)
+    loss2, grad2 = loss_and_gradient(params, sampled_problem("sine1d", 1e-2, dup), z_dup)
     assert loss2 == pytest.approx(loss1, rel=1e-13)
     assert np.allclose(grad2, grad1, rtol=1e-12, atol=1e-15)
 
 
 def test_loss_and_gradient_deterministic():
-    params, g, prob, z = _poisson_case(1, 16, (8, 8), seed=4)
-    loss1, grad1 = loss_and_gradient(params, g, prob, z)
-    loss2, grad2 = loss_and_gradient(params, g, prob, z)
+    params, prob, z = _poisson_case(1, 16, (8, 8), seed=4)
+    loss1, grad1 = loss_and_gradient(params, prob, z)
+    loss2, grad2 = loss_and_gradient(params, prob, z)
     assert loss1 == loss2
     assert np.array_equal(grad1, grad2)
 
 
 def test_multiplier_shape_mismatch():
-    params, g, prob, _ = _poisson_case(1, 16, (8, 8), seed=4)
-    bad = np.zeros(g.n_interior - 1)
+    params, prob, _ = _poisson_case(1, 16, (8, 8), seed=4)
+    bad = np.zeros(prob.grid.n_interior - 1)
     with pytest.raises(ValueError, match="multiplier has 13 values for 14 interior points"):
-        loss_and_gradient(params, g, prob, bad)
+        loss_and_gradient(params, prob, bad)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -185,9 +190,9 @@ def test_multiplier_shape_mismatch():
      r"flat parameter vector has length \(105,\), expected 106"),
     (lambda p, *_: NetworkParameters(p.spec, np.append(p.flat[1:], np.nan)),
      "parameters contain non-finite entries"),
-    (lambda p, g, *_: batch_jets(p, np.zeros((3, 2)), g.cutoff),
+    (lambda p, prob, _: batch_jets(p, np.zeros((3, 2)), prob.grid.cutoff),
      "points have dimension 2, network expects 1"),
-    (lambda p, g, prob, z: finite_difference_gradient(p, g, prob, z, h=0.0),
+    (lambda p, prob, z: finite_difference_gradient(p, prob, z, h=0.0),
      "finite difference step h must be positive"),
 ], ids=["input-dim-0", "width-0", "short-vector", "nan-parameter", "points-2d", "step-0"])
 def test_bad_network_input_is_refused(call, message):
@@ -211,14 +216,15 @@ def test_alternating_shapes_give_bitwise_equal_results():
 
 
 def test_held_results_survive_a_later_call():
-    params, g, prob, z = _poisson_case(2, 12, (7, 5, 3))
+    params, prob, z = _poisson_case(2, 12, (7, 5, 3))
+    g = prob.grid
     cut = g.cutoff
-    _, grad = loss_and_gradient(params, g, prob, z)
+    _, grad = loss_and_gradient(params, prob, z)
     jets = batch_jets(params, g.points, cut)
     held_grad = grad.copy()
     held_jets = [a.copy() for a in (jets.u, jets.f, jets.lap_u)]
     other = init_network(NetworkSpec(2, (7, 5, 3), seed=99))
-    loss_and_gradient(other, g, prob, z)
+    loss_and_gradient(other, prob, z)
     batch_jets(other, g.points, cut)
     assert np.array_equal(grad, held_grad)
     for now, held in zip((jets.u, jets.f, jets.lap_u), held_jets):
@@ -243,17 +249,18 @@ def test_new_points_of_the_same_count_are_read():
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("hidden", [(7, 5, 3), ()], ids=["7-5-3", "depth0"])
 def test_gradient_matches_finite_differences_uneven_and_depth_zero(dim, hidden):
-    params, g, prob, z = _poisson_case(dim, 16 if dim == 1 else 5, hidden, seed=4, beta=0.5)
-    assert network._gradient_error(params, g, prob, z) <= network.CHECK_BOUND
+    params, prob, z = _poisson_case(dim, 16 if dim == 1 else 5, hidden, seed=4, beta=0.5)
+    assert network._gradient_error(params, prob, z) <= network.CHECK_BOUND
 
 
 @pytest.mark.parametrize("dim, n", [(1, 201), (2, 30)], ids=["1d-201", "2d-30x30"])
 def test_gradient_shares_no_memory_with_the_workspace_or_the_last_gradient(dim, n):
     # a caller may hold a gradient across steps: no sweep writes through it
-    params, g, prob, z = _poisson_case(dim, n, (64, 64, 64))
+    params, prob, z = _poisson_case(dim, n, (64, 64, 64))
+    g = prob.grid
     dims = params.spec.layer_dims
-    _, last = loss_and_gradient(params, g, prob, z)
-    _, grad = loss_and_gradient(params, g, prob, z)
+    _, last = loss_and_gradient(params, prob, z)
+    _, grad = loss_and_gradient(params, prob, z)
     assert not np.shares_memory(grad, last)
     halves = network._halves(g.n_points, dims)
     assert len(halves) == dim
@@ -269,13 +276,14 @@ def test_steady_state_step_allocates_less_than_one_stream_block():
     # the sweeps write into the cached workspace: what a steady-state call
     # still allocates is per-point vectors, far below one stacked
     # (rows x width) block of the tape
-    params, g, prob, z = _poisson_case(2, 30, (64, 64, 64))
+    params, prob, z = _poisson_case(2, 30, (64, 64, 64))
+    g = prob.grid
     cut = g.cutoff
     block = g.n_points * (2 + 2) * 64 * 8
-    loss_and_gradient(params, g, prob, z)
+    loss_and_gradient(params, prob, z)
     tracemalloc.start()
     try:
-        loss_and_gradient(params, g, prob, z)
+        loss_and_gradient(params, prob, z)
         step_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         batch_jets(params, g.points, cut)
@@ -294,10 +302,11 @@ def test_workspace_arrays_and_stream_blocks_start_on_cache_lines(dim, n, hidden,
     # a 64-byte vector store into an array that starts mid-line spans two
     # cache lines; every array the sweeps write but x[0] must start on one,
     # in the workspace of each half of the points
-    params, g, prob, z = _poisson_case(dim, n, hidden)
+    params, prob, z = _poisson_case(dim, n, hidden)
+    g = prob.grid
     dims = params.spec.layer_dims
     assert not network._Tape(dims, g.n_points).a_out.any()
-    loss_and_gradient(params, g, prob, z)
+    loss_and_gradient(params, prob, z)
     _, sweeps = network._forward(params, g.points, g.cutoff)
     assert len(sweeps) == halves
     for tape, half in sweeps:
@@ -330,9 +339,10 @@ def test_workspace_is_activations_output_adjoint_and_five_vectors_per_width(dim,
     # a half's workspace holds nothing beyond x, y, a_out and the per-point
     # scratch, and the sweeps' stream views are views of those; it never
     # writes the unit seeds of x[0]
-    params, g, prob, z = _poisson_case(dim, n, (64, 64, 64))
+    params, prob, z = _poisson_case(dim, n, (64, 64, 64))
+    g = prob.grid
     dims = params.spec.layer_dims
-    loss_and_gradient(params, g, prob, z)
+    loss_and_gradient(params, prob, z)
     halves = network._halves(g.n_points, dims)
     assert len(halves) == dim
     for i, half in enumerate(halves):
@@ -377,9 +387,10 @@ def _allen_cahn_case(dim, n, hidden, seed=0, beta=0.0):
 def test_split_gradient_matches_finite_differences(split_all, dim, n, kind, beta):
     # odd point counts: the halves are unequal
     case = _poisson_case if kind == "poisson" else _allen_cahn_case
-    params, g, prob, z = case(dim, n, (8, 8), seed=2, beta=beta)
+    params, prob, z = case(dim, n, (8, 8), seed=2, beta=beta)
+    g = prob.grid
     assert g.n_points % 2 == 1
-    assert network._gradient_error(params, g, prob, z) <= network.CHECK_BOUND
+    assert network._gradient_error(params, prob, z) <= network.CHECK_BOUND
 
 
 @pytest.mark.parametrize("dim, n", [(1, 201), (2, 30)], ids=["1d-201", "2d-30x30"])
@@ -390,14 +401,15 @@ def test_gradient_at_the_training_shapes_matches_directional_differences(dim, n,
     # training grids, 1d in one sweep and 2d in two halves, along three
     # seeded unit directions v against central differences of the loss
     case = _poisson_case if kind == "poisson" else _allen_cahn_case
-    params, g, prob, z = case(dim, n, (64, 64, 64), seed=1, beta=beta)
+    params, prob, z = case(dim, n, (64, 64, 64), seed=1, beta=beta)
+    g = prob.grid
     assert len(network._halves(g.n_points, params.spec.layer_dims)) == dim
-    _, grad = loss_and_gradient(params, g, prob, z)
+    _, grad = loss_and_gradient(params, prob, z)
     h = 1e-5
     for v in np.random.default_rng(33).normal(size=(3, grad.size)):
         v /= np.linalg.norm(v)
-        up = loss_value(params.with_flat(params.flat + h * v), g, prob, z)
-        down = loss_value(params.with_flat(params.flat - h * v), g, prob, z)
+        up = loss_value(params.with_flat(params.flat + h * v), prob, z)
+        down = loss_value(params.with_flat(params.flat - h * v), prob, z)
         assert abs((up - down) / (2 * h) - grad @ v) <= 1e-8 * np.linalg.norm(grad)
 
 
@@ -408,14 +420,15 @@ def test_split_sweeps_match_the_serial_sweep(monkeypatch, dim, n, hidden):
     # sizes the shipped rule splits: the jets of a point never depend on the
     # other points, so jets and loss keep their bits; the gradient sums two
     # halves, a new reduction order
-    params, g, prob, z = _poisson_case(dim, n, hidden, seed=3, beta=0.5)
+    params, prob, z = _poisson_case(dim, n, hidden, seed=3, beta=0.5)
+    g = prob.grid
     assert len(network._halves(g.n_points, params.spec.layer_dims)) == 2
     cut = g.cutoff
     results = []
     for size in (np.inf, network._SPLIT_SIZE):
         monkeypatch.setattr(network, "_SPLIT_SIZE", size)
         jets = batch_jets(params, g.points, cut)
-        results.append((jets, *loss_and_gradient(params, g, prob, z)))
+        results.append((jets, *loss_and_gradient(params, prob, z)))
     (serial, loss, grad), (split, split_loss, split_grad) = results
     for name in ("u", "f", "lap_u"):
         assert np.array_equal(getattr(split, name), getattr(serial, name))
@@ -424,7 +437,8 @@ def test_split_sweeps_match_the_serial_sweep(monkeypatch, dim, n, hidden):
 
 
 def test_split_on_one_cpu_gives_the_helper_threads_bits(split_all, monkeypatch):
-    params, g, prob, z = _allen_cahn_case(2, 31, (64, 64, 64), seed=5, beta=0.5)
+    params, prob, z = _allen_cahn_case(2, 31, (64, 64, 64), seed=5, beta=0.5)
+    g = prob.grid
     cut = g.cutoff
     sweep, threads = network._sweep_forward, set()
 
@@ -438,7 +452,7 @@ def test_split_on_one_cpu_gives_the_helper_threads_bits(split_all, monkeypatch):
     for allowed in (cpus, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, allowed=allowed: allowed)
         jets = batch_jets(params, g.points, cut)
-        runs.append((jets.u, jets.f, jets.lap_u, *loss_and_gradient(params, g, prob, z)))
+        runs.append((jets.u, jets.f, jets.lap_u, *loss_and_gradient(params, prob, z)))
     for helper, inline in zip(*runs):
         assert np.array_equal(helper, inline)
     # with two CPUs the second half ran on the helper thread, with one on this
@@ -468,8 +482,8 @@ def test_split_run_builds_each_half_workspace_once(split_all, monkeypatch):
 
 
 def _split_step_in_child():
-    params, g, prob, z = _poisson_case(2, 9, (8, 8))
-    loss_and_gradient(params, g, prob, z)
+    params, prob, z = _poisson_case(2, 9, (8, 8))
+    loss_and_gradient(params, prob, z)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

@@ -59,7 +59,7 @@ def test_no_traced_target_runs_on_the_helper_thread(monkeypatch):
     helper = network._helper(os.getpid())
     helper.submit(sys.setprofile, record).result()
     try:
-        network.loss_and_gradient(params, g, problem, np.zeros(g.n_interior))
+        network.loss_and_gradient(params, problem, np.zeros(g.n_interior))
     finally:
         helper.submit(sys.setprofile, None).result()
     on_helper = {name for module, name in called if module == "deepuzawa.network"}
